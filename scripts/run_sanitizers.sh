@@ -51,12 +51,14 @@ ctest --output-on-failure -j "$(nproc)" -R "$ENGINE_FILTER"
 SERVE_FILTER='StreamingDetector|StreamingService|WindowedDetector'
 SERVE_FILTER+='|CliServe|CliStreamDemo'
 SERVE_FILTER+='|NetCodec|NetServer|NetEndToEnd|NetBackpressure|NetTornFrame'
-SERVE_FILTER+='|SnapshotFollower|Checkpoint'
+SERVE_FILTER+='|SnapshotFollower|Checkpoint|NetCraftedFrame'
+SERVE_FILTER+='|AnswerProvenance|WireFormat|PayloadReader'
 ctest --output-on-failure -j "$(nproc)" -R "$SERVE_FILTER"
 
 # The same serve surface under the *other* sanitizer: the wire codecs do
-# manual byte-level encode/decode (memcpy in and out of frames) and the
-# checkpoint path deep-copies epoch rings, so an address-safety pass is
+# manual byte-level encode/decode (memcpy in and out of frames), the
+# crafted-frame cases must fail without allocating from hostile counts, and
+# the checkpoint path deep-copies epoch rings, so an address-safety pass is
 # required even when this invocation asked for TSan (and vice versa).
 SERVE_OTHER_SAN=$([[ "${1:-thread}" == thread ]] && echo address || echo thread)
 SERVE_OTHER_BUILD_DIR="${SERVE_OTHER_BUILD_DIR:-$ROOT/build-${SERVE_OTHER_SAN}san-serve}"
@@ -64,7 +66,7 @@ cmake -B "$SERVE_OTHER_BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCSOD_SANITIZE="$SERVE_OTHER_SAN"
 cmake --build "$SERVE_OTHER_BUILD_DIR" -j "$(nproc)" --target \
-  serve_test serve_net_test serve_checkpoint_test
+  serve_test serve_net_test serve_checkpoint_test wire_format_test
 (cd "$SERVE_OTHER_BUILD_DIR" &&
  ctest --output-on-failure -j "$(nproc)" -R "$SERVE_FILTER")
 

@@ -25,14 +25,12 @@
 #include "cs/cosamp.h"
 #include "cs/measurement_matrix.h"
 #include "cs/omp.h"
-#include "cs/rip.h"
 #include "dist/adaptive_cs_protocol.h"
 #include "dist/all_protocol.h"
 #include "dist/cluster.h"
 #include "dist/cs_protocol.h"
 #include "dist/fault.h"
 #include "dist/kplusdelta_protocol.h"
-#include "dist/randomized_max.h"
 #include "dist/topk_protocols.h"
 #include "dist/wire_format.h"
 #include "mapreduce/engine.h"

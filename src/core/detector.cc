@@ -78,10 +78,8 @@ Result<outlier::OutlierSet> DistributedOutlierDetector::Detect(
   if (k == 0) {
     return Status::InvalidArgument("Detect: k must be > 0");
   }
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery, Recover(iterations));
+  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery,
+                        Recover(cs::IterationBudget(options_.iterations, k)));
   return outlier::KOutliersFromRecovery(recovery, k);
 }
 
@@ -110,12 +108,9 @@ Result<outlier::OutlierSet> DistributedOutlierDetector::DetectExcluding(
     return Status::FailedPrecondition(
         "DetectExcluding: every source excluded — nothing to aggregate");
   }
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
   cs::SolverOptions solver_options;
   solver_options.solver = options_.solver;
-  solver_options.iterations = iterations;
+  solver_options.iterations = cs::IterationBudget(options_.iterations, k);
   solver_options.telemetry = options_.telemetry;
   CSOD_ASSIGN_OR_RETURN(
       cs::BompResult recovery,
@@ -128,22 +123,9 @@ Result<std::vector<outlier::Outlier>> DistributedOutlierDetector::DetectTopK(
   if (k == 0) {
     return Status::InvalidArgument("DetectTopK: k must be > 0");
   }
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery, Recover(iterations));
-  std::vector<outlier::Outlier> top;
-  top.reserve(recovery.entries.size());
-  for (const cs::RecoveredEntry& e : recovery.entries) {
-    top.push_back(outlier::Outlier{e.index, e.value, e.value});
-  }
-  std::sort(top.begin(), top.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (top.size() > k) top.resize(k);
-  return top;
+  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery,
+                        Recover(cs::IterationBudget(options_.iterations, k)));
+  return outlier::TopKFromRecovery(recovery, k);
 }
 
 Status DistributedOutlierDetector::Save(std::ostream& out) const {

@@ -128,10 +128,8 @@ Result<outlier::OutlierSet> WindowedOutlierDetector::Detect(size_t k) const {
   if (k == 0) {
     return Status::InvalidArgument("Detect: k must be > 0");
   }
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery, Recover(iterations));
+  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery,
+                        Recover(cs::IterationBudget(options_.iterations, k)));
   return outlier::KOutliersFromRecovery(recovery, k);
 }
 

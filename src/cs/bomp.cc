@@ -23,6 +23,10 @@ size_t DefaultIterationsForK(size_t k) {
   return std::max<size_t>(r, 8);
 }
 
+size_t IterationBudget(size_t configured, size_t k) {
+  return configured == 0 ? DefaultIterationsForK(k) : configured;
+}
+
 namespace {
 
 // Shared conversion from the extended-problem OMP solution to BompResult.

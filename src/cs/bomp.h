@@ -69,6 +69,11 @@ struct BompResult {
 /// range [2k, 5k] (Section 5), never below 8 so tiny k still converges.
 size_t DefaultIterationsForK(size_t k);
 
+/// The budget R a detector runs with: `configured` when the caller set one,
+/// else the paper's f(k). Every `iterations = 0 means f(k)` option resolves
+/// here.
+size_t IterationBudget(size_t configured, size_t k);
+
 /// \brief Biased OMP (Algorithm 1): recovers a vector whose values
 /// concentrate around an *unknown* non-zero mode from the measurement
 /// `y = Φ0 x`.

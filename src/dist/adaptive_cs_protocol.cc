@@ -43,9 +43,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
   rounds_.clear();
   last_recovery_ = cs::BompResult{};
   const size_t n = cluster.key_space_size();
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
+  const size_t iterations = cs::IterationBudget(options_.iterations, k);
 
   const FaultInjector injector(options_.faults);
   Channel channel(comm, options_.faults.any() ? &injector : nullptr,
@@ -198,9 +196,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   rounds_.clear();
   last_recovery_ = cs::BompResult{};
   const size_t n = cluster.key_space_size();
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
+  const size_t iterations = cs::IterationBudget(options_.iterations, k);
 
   const FaultInjector injector(options_.faults);
   Channel channel(comm, options_.faults.any() ? &injector : nullptr,

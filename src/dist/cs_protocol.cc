@@ -115,9 +115,7 @@ Result<outlier::OutlierSet> CsOutlierProtocol::Run(const Cluster& cluster,
 
   // Phase 4: BOMP recovery (Algorithm 1) and k-outlier extraction.
   cs::BompOptions bomp_options;
-  bomp_options.max_iterations = options_.iterations == 0
-                                    ? cs::DefaultIterationsForK(k)
-                                    : options_.iterations;
+  bomp_options.max_iterations = cs::IterationBudget(options_.iterations, k);
   bomp_options.telemetry = telemetry_;
   CSOD_ASSIGN_OR_RETURN(last_recovery_, cs::RunBomp(matrix, y, bomp_options));
   return outlier::KOutliersFromRecovery(last_recovery_, k);

@@ -98,14 +98,7 @@ Result<outlier::OutlierSet> KPlusDeltaProtocol::Run(const Cluster& cluster,
     if (divergence == 0.0) continue;
     result.outliers.push_back(outlier::Outlier{key, value, divergence});
   }
-  std::sort(result.outliers.begin(), result.outliers.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.divergence != b.divergence) {
-                return a.divergence > b.divergence;
-              }
-              return a.key_index < b.key_index;
-            });
-  if (result.outliers.size() > k) result.outliers.resize(k);
+  outlier::RankByDivergence(&result.outliers, k);
   return result;
 }
 

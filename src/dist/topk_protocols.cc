@@ -49,12 +49,7 @@ std::vector<outlier::Outlier> RankTopK(
   for (const auto& [key, value] : sums) {
     out.push_back(outlier::Outlier{key, value, value});
   }
-  std::sort(out.begin(), out.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (out.size() > k) out.resize(k);
+  outlier::RankByValue(&out, k);
   return out;
 }
 

@@ -15,6 +15,24 @@ constexpr uint8_t kKindKeyValues = 2;
 constexpr size_t kHeaderSize = 4 + 1 + 8;
 constexpr size_t kChecksumSize = 8;
 
+uint32_t ReadU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+uint64_t ReadU64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+double ReadF64(const char* p) {
+  double v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
 // Rolling SplitMix-based checksum over a byte range (not cryptographic;
 // detects corruption).
 uint64_t Checksum(const char* data, size_t size) {
@@ -49,11 +67,13 @@ Result<const char*> ValidateEnvelope(const std::string& bytes, uint8_t kind,
     return Status::InvalidArgument("wire: unexpected message kind");
   }
   *count = ReadU64(p + 5);
-  const size_t expected = kHeaderSize + *count * payload_unit + kChecksumSize;
-  if (bytes.size() != expected) {
-    return Status::InvalidArgument("wire: size mismatch (got " +
-                                   std::to_string(bytes.size()) +
-                                   ", want " + std::to_string(expected) + ")");
+  const size_t payload_size = bytes.size() - kHeaderSize - kChecksumSize;
+  CSOD_RETURN_NOT_OK(PayloadReader(p + kHeaderSize, payload_size, "wire")
+                         .CheckCount(*count, payload_unit));
+  if (*count * payload_unit != payload_size) {
+    return Status::InvalidArgument(
+        "wire: size mismatch (" + std::to_string(*count) + " elements in " +
+        std::to_string(payload_size) + " payload bytes)");
   }
   const uint64_t stored = ReadU64(p + bytes.size() - kChecksumSize);
   if (Checksum(p, bytes.size() - kChecksumSize) != stored) {
@@ -82,22 +102,64 @@ void AppendF64(std::string* out, double v) {
   out->append(buf, 8);
 }
 
-uint32_t ReadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
+Status PayloadReader::Need(size_t bytes) const {
+  if (remaining_ < bytes) {
+    return Status::InvalidArgument(std::string(context_) +
+                                   ": truncated payload field");
+  }
+  return Status::OK();
 }
 
-uint64_t ReadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
+Status PayloadReader::U8(uint8_t* v) {
+  CSOD_RETURN_NOT_OK(Need(1));
+  *v = static_cast<uint8_t>(*p_);
+  ++p_;
+  --remaining_;
+  return Status::OK();
 }
 
-double ReadF64(const char* p) {
-  double v;
-  std::memcpy(&v, p, 8);
-  return v;
+Status PayloadReader::U32(uint32_t* v) {
+  CSOD_RETURN_NOT_OK(Need(4));
+  *v = ReadU32(p_);
+  p_ += 4;
+  remaining_ -= 4;
+  return Status::OK();
+}
+
+Status PayloadReader::U64(uint64_t* v) {
+  CSOD_RETURN_NOT_OK(Need(8));
+  *v = ReadU64(p_);
+  p_ += 8;
+  remaining_ -= 8;
+  return Status::OK();
+}
+
+Status PayloadReader::F64(double* v) {
+  CSOD_RETURN_NOT_OK(Need(8));
+  *v = ReadF64(p_);
+  p_ += 8;
+  remaining_ -= 8;
+  return Status::OK();
+}
+
+Status PayloadReader::LengthPrefixed(std::string* out) {
+  uint32_t len = 0;
+  CSOD_RETURN_NOT_OK(U32(&len));
+  CSOD_RETURN_NOT_OK(Need(len));
+  out->assign(p_, len);
+  p_ += len;
+  remaining_ -= len;
+  return Status::OK();
+}
+
+Status PayloadReader::CheckCount(uint64_t count, size_t min_bytes) const {
+  if (min_bytes > 0 && count > remaining_ / min_bytes) {
+    return Status::InvalidArgument(
+        std::string(context_) + ": count " + std::to_string(count) +
+        " exceeds the " + std::to_string(remaining_) +
+        " remaining payload bytes");
+  }
+  return Status::OK();
 }
 
 std::string EncodeFrame(uint8_t kind, uint64_t count,

@@ -83,15 +83,53 @@ Result<FrameView> DecodeFrame(const std::string& bytes);
 /// Exact on-wire size of a frame with a payload of `payload_size` bytes.
 size_t FrameWireSize(size_t payload_size);
 
-/// Little-endian primitive append/read helpers for composing frame
-/// payloads (the same encoders the built-in messages use). Readers trust
-/// the caller's bounds — validate sizes before reading.
+/// Little-endian primitive append helpers for composing frame payloads
+/// (the same encoders the built-in messages use); PayloadReader reads them
+/// back.
 void AppendU32(std::string* out, uint32_t v);
 void AppendU64(std::string* out, uint64_t v);
 void AppendF64(std::string* out, double v);
-uint32_t ReadU32(const char* p);
-uint64_t ReadU64(const char* p);
-double ReadF64(const char* p);
+
+/// \brief Bounds-checked cursor over a frame payload — the one decoder
+/// every payload reader (serve RPC frames, checkpoints, the built-in
+/// messages) shares.
+///
+/// A read past the end fails with InvalidArgument ("<context>: truncated
+/// payload field"), never DataLoss: the outer checksum already passed, so
+/// a short payload is malformed, not torn. Counts read from the payload are
+/// untrusted: `CheckCount` bounds one by the bytes left before anything is
+/// sized from it, so a crafted count can neither overflow nor make a
+/// decoder allocate.
+class PayloadReader {
+ public:
+  /// `context` prefixes error messages and must outlive the reader.
+  PayloadReader(const char* data, size_t size, const char* context)
+      : p_(data), remaining_(size), context_(context) {}
+  PayloadReader(const FrameView& view, const char* context)
+      : PayloadReader(view.payload, view.payload_size, context) {}
+
+  Status U8(uint8_t* v);
+  Status U32(uint32_t* v);
+  Status U64(uint64_t* v);
+  Status F64(double* v);
+  /// A u32 byte length followed by that many bytes (a string or an
+  /// embedded message).
+  Status LengthPrefixed(std::string* out);
+
+  /// InvalidArgument unless `count` elements of at least `min_bytes` each
+  /// fit in the unread payload. Checked by division, so no count wraps.
+  Status CheckCount(uint64_t count, size_t min_bytes) const;
+
+  /// Unread payload bytes (0 once a decoder consumed everything).
+  size_t remaining() const { return remaining_; }
+
+ private:
+  Status Need(size_t bytes) const;
+
+  const char* p_;
+  size_t remaining_;
+  const char* context_;
+};
 
 }  // namespace csod::dist
 

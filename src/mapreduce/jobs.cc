@@ -95,12 +95,7 @@ Result<TopKJobResult> RunTraditionalTopKJob(
       const size_t key = static_cast<size_t>(groups.key(g));
       all.push_back(outlier::Outlier{key, sum, sum});
     }
-    std::sort(all.begin(), all.end(),
-              [](const outlier::Outlier& a, const outlier::Outlier& b) {
-                if (a.value != b.value) return a.value > b.value;
-                return a.key_index < b.key_index;
-              });
-    if (all.size() > k) all.resize(k);
+    outlier::RankByValue(&all, k);
     for (auto& o : all) out->push_back(o);
   };
 
@@ -232,8 +227,7 @@ Result<CsJobResult> RunCsOutlierJob(
                                          options.cache_budget_bytes);
     cs::BompOptions bomp_options;
     bomp_options.max_iterations =
-        options.iterations == 0 ? cs::DefaultIterationsForK(options.k)
-                                : options.iterations;
+        cs::IterationBudget(options.iterations, options.k);
     bomp_options.telemetry = options.telemetry;
     auto recovered = cs::RunBomp(reducer_matrix, y, bomp_options);
     if (!recovered.ok()) {

@@ -6,22 +6,25 @@
 
 namespace csod::outlier {
 
-namespace {
-
-// Sorts outliers by divergence descending, ties by key index ascending,
-// then truncates to k.
-void SortAndTruncate(std::vector<Outlier>* outliers, size_t k) {
-  std::sort(outliers->begin(), outliers->end(),
+void RankByDivergence(std::vector<Outlier>* candidates, size_t k) {
+  std::sort(candidates->begin(), candidates->end(),
             [](const Outlier& a, const Outlier& b) {
               if (a.divergence != b.divergence) {
                 return a.divergence > b.divergence;
               }
               return a.key_index < b.key_index;
             });
-  if (outliers->size() > k) outliers->resize(k);
+  if (candidates->size() > k) candidates->resize(k);
 }
 
-}  // namespace
+void RankByValue(std::vector<Outlier>* candidates, size_t k) {
+  std::sort(candidates->begin(), candidates->end(),
+            [](const Outlier& a, const Outlier& b) {
+              if (a.value != b.value) return a.value > b.value;
+              return a.key_index < b.key_index;
+            });
+  if (candidates->size() > k) candidates->resize(k);
+}
 
 double ComputeMode(const std::vector<double>& x) {
   if (x.empty()) return 0.0;
@@ -62,7 +65,7 @@ OutlierSet KOutliersGivenMode(const std::vector<double>& x, double mode,
     result.outliers.push_back(
         Outlier{i, x[i], std::fabs(x[i] - mode)});
   }
-  SortAndTruncate(&result.outliers, k);
+  RankByDivergence(&result.outliers, k);
   return result;
 }
 
@@ -74,8 +77,19 @@ OutlierSet KOutliersFromRecovery(const cs::BompResult& recovery, size_t k) {
     if (divergence == 0.0) continue;
     result.outliers.push_back(Outlier{e.index, e.value, divergence});
   }
-  SortAndTruncate(&result.outliers, k);
+  RankByDivergence(&result.outliers, k);
   return result;
+}
+
+std::vector<Outlier> TopKFromRecovery(const cs::BompResult& recovery,
+                                      size_t k) {
+  std::vector<Outlier> top;
+  top.reserve(recovery.entries.size());
+  for (const cs::RecoveredEntry& e : recovery.entries) {
+    top.push_back(Outlier{e.index, e.value, e.value});
+  }
+  RankByValue(&top, k);
+  return top;
 }
 
 std::vector<Outlier> TopK(const std::vector<double>& x, size_t k) {
@@ -84,11 +98,7 @@ std::vector<Outlier> TopK(const std::vector<double>& x, size_t k) {
   for (size_t i = 0; i < x.size(); ++i) {
     all.push_back(Outlier{i, x[i], x[i]});
   }
-  std::sort(all.begin(), all.end(), [](const Outlier& a, const Outlier& b) {
-    if (a.value != b.value) return a.value > b.value;
-    return a.key_index < b.key_index;
-  });
-  if (all.size() > k) all.resize(k);
+  RankByValue(&all, k);
   return all;
 }
 
@@ -98,7 +108,7 @@ std::vector<Outlier> AbsoluteTopK(const std::vector<double>& x, size_t k) {
   for (size_t i = 0; i < x.size(); ++i) {
     all.push_back(Outlier{i, x[i], std::fabs(x[i])});
   }
-  SortAndTruncate(&all, k);
+  RankByDivergence(&all, k);
   return all;
 }
 

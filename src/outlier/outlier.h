@@ -48,6 +48,20 @@ OutlierSet KOutliersGivenMode(const std::vector<double>& x, double mode,
 /// recovered mode.
 OutlierSet KOutliersFromRecovery(const cs::BompResult& recovery, size_t k);
 
+/// The one k-outlier ranking: sorts `candidates` by divergence descending,
+/// ties toward the lower key index, and keeps the first k.
+void RankByDivergence(std::vector<Outlier>* candidates, size_t k);
+
+/// The one top-k ranking: sorts `candidates` by value descending, ties
+/// toward the lower key index, and keeps the first k.
+void RankByValue(std::vector<Outlier>* candidates, size_t k);
+
+/// Top-k selection from a sparse recovered candidate set (the §6.2 top-k
+/// extension): the min(k, entries) recovered entries with the largest
+/// values, ranked exactly like `TopK` (divergence = value).
+std::vector<Outlier> TopKFromRecovery(const cs::BompResult& recovery,
+                                      size_t k);
+
 /// Classic top-k by value (largest values) — what Figure 1(b) contrasts
 /// with outlier-k. Sorted descending by value.
 std::vector<Outlier> TopK(const std::vector<double>& x, size_t k);

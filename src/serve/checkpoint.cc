@@ -1,6 +1,5 @@
 #include "serve/checkpoint.h"
 
-#include <cstring>
 #include <utility>
 
 #include "dist/wire_format.h"
@@ -12,8 +11,6 @@ namespace {
 
 using dist::AppendU32;
 using dist::AppendU64;
-using dist::ReadU32;
-using dist::ReadU64;
 
 // Payload layout (after the generic [magic][kind][count] envelope header;
 // count = retained epochs):
@@ -43,54 +40,6 @@ Status AppendMessage(std::string* out, const Result<std::string>& message) {
   out->append(message.Value());
   return Status::OK();
 }
-
-// Bounds-checked cursor over the frame payload. Structural overruns are
-// InvalidArgument: the outer checksum already validated, so a short read
-// here means a malformed payload, not bit rot.
-struct Reader {
-  const char* p;
-  size_t remaining;
-
-  Status Need(size_t bytes) {
-    if (remaining < bytes) {
-      return Status::InvalidArgument("checkpoint: truncated payload field");
-    }
-    return Status::OK();
-  }
-  Status U8(uint8_t* v) {
-    CSOD_RETURN_NOT_OK(Need(1));
-    *v = static_cast<uint8_t>(*p);
-    ++p;
-    --remaining;
-    return Status::OK();
-  }
-  Status U32(uint32_t* v) {
-    CSOD_RETURN_NOT_OK(Need(4));
-    *v = ReadU32(p);
-    p += 4;
-    remaining -= 4;
-    return Status::OK();
-  }
-  Status U64(uint64_t* v) {
-    CSOD_RETURN_NOT_OK(Need(8));
-    *v = ReadU64(p);
-    p += 8;
-    remaining -= 8;
-    return Status::OK();
-  }
-  Status Bytes(size_t n, std::string* out) {
-    CSOD_RETURN_NOT_OK(Need(n));
-    out->assign(p, n);
-    p += n;
-    remaining -= n;
-    return Status::OK();
-  }
-  Status Message(std::string* out) {
-    uint32_t len = 0;
-    CSOD_RETURN_NOT_OK(U32(&len));
-    return Bytes(len, out);
-  }
-};
 
 }  // namespace
 
@@ -167,7 +116,7 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     return Status::InvalidArgument(
         "checkpoint: unexpected frame kind " + std::to_string(view.kind));
   }
-  Reader reader{view.payload, view.payload_size};
+  dist::PayloadReader reader(view, "checkpoint");
   DecodedCheckpoint decoded;
   uint64_t u = 0;
   CSOD_RETURN_NOT_OK(reader.U64(&u));
@@ -200,13 +149,15 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
   if (num_epochs > decoded.window_epochs + 1) {
     return Status::InvalidArgument("checkpoint: more epochs than the ring");
   }
+  // An epoch is at least a u64 event count and a u32 message length.
+  CSOD_RETURN_NOT_OK(reader.CheckCount(num_epochs, 8 + 4));
   decoded.state.epoch_events.reserve(num_epochs);
   decoded.state.epoch_sketches.reserve(num_epochs);
   std::string message;
   for (uint64_t e = 0; e < num_epochs; ++e) {
     CSOD_RETURN_NOT_OK(reader.U64(&u));
     decoded.state.epoch_events.push_back(u);
-    CSOD_RETURN_NOT_OK(reader.Message(&message));
+    CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&message));
     CSOD_ASSIGN_OR_RETURN(std::vector<double> sketch,
                           dist::DecodeMeasurement(message));
     if (sketch.size() != decoded.m) {
@@ -217,6 +168,8 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     decoded.state.epoch_sketches.push_back(std::move(sketch));
   }
 
+  // A shard is at least a u8 stall flag and a u64 backlog length.
+  CSOD_RETURN_NOT_OK(reader.CheckCount(decoded.num_shards, 1 + 8));
   decoded.state.stalled.reserve(decoded.num_shards);
   for (size_t p = 0; p < decoded.num_shards; ++p) {
     uint8_t flag = 0;
@@ -228,7 +181,7 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     uint64_t num_slices = 0;
     CSOD_RETURN_NOT_OK(reader.U64(&num_slices));
     for (uint64_t i = 0; i < num_slices; ++i) {
-      CSOD_RETURN_NOT_OK(reader.Message(&message));
+      CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&message));
       CSOD_ASSIGN_OR_RETURN(cs::SparseSlice slice,
                             dist::DecodeKeyValues(message));
       decoded.state.backlogs[p].push_back(std::move(slice));
@@ -245,13 +198,14 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     CSOD_RETURN_NOT_OK(reader.U64(&snapshot->events));
     uint32_t num_stalled = 0;
     CSOD_RETURN_NOT_OK(reader.U32(&num_stalled));
+    CSOD_RETURN_NOT_OK(reader.CheckCount(num_stalled, 4));
     snapshot->stalled_shards.reserve(num_stalled);
     for (uint32_t i = 0; i < num_stalled; ++i) {
       uint32_t shard = 0;
       CSOD_RETURN_NOT_OK(reader.U32(&shard));
       snapshot->stalled_shards.push_back(shard);
     }
-    CSOD_RETURN_NOT_OK(reader.Message(&message));
+    CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&message));
     CSOD_ASSIGN_OR_RETURN(snapshot->y, dist::DecodeMeasurement(message));
     if (snapshot->y.size() != decoded.m) {
       return Status::InvalidArgument("checkpoint: snapshot y size mismatch");
@@ -259,7 +213,7 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     decoded.state.snapshot = std::move(snapshot);
   }
 
-  if (reader.remaining != 0) {
+  if (reader.remaining() != 0) {
     return Status::InvalidArgument("checkpoint: trailing payload bytes");
   }
   return decoded;

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -20,9 +19,7 @@ namespace {
 using dist::AppendF64;
 using dist::AppendU32;
 using dist::AppendU64;
-using dist::ReadF64;
-using dist::ReadU32;
-using dist::ReadU64;
+using dist::PayloadReader;
 
 uint8_t KindByte(NetFrameKind kind) { return static_cast<uint8_t>(kind); }
 
@@ -30,50 +27,6 @@ void AppendString(std::string* out, const std::string& s) {
   AppendU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
-
-// Bounds-checked payload cursor (structural errors after the outer
-// checksum passed are InvalidArgument, not DataLoss).
-struct Reader {
-  const char* p;
-  size_t remaining;
-
-  Status Need(size_t bytes) {
-    if (remaining < bytes) {
-      return Status::InvalidArgument("net: truncated payload field");
-    }
-    return Status::OK();
-  }
-  Status U32(uint32_t* v) {
-    CSOD_RETURN_NOT_OK(Need(4));
-    *v = ReadU32(p);
-    p += 4;
-    remaining -= 4;
-    return Status::OK();
-  }
-  Status U64(uint64_t* v) {
-    CSOD_RETURN_NOT_OK(Need(8));
-    *v = ReadU64(p);
-    p += 8;
-    remaining -= 8;
-    return Status::OK();
-  }
-  Status F64(double* v) {
-    CSOD_RETURN_NOT_OK(Need(8));
-    *v = ReadF64(p);
-    p += 8;
-    remaining -= 8;
-    return Status::OK();
-  }
-  Status Str(std::string* out) {
-    uint32_t len = 0;
-    CSOD_RETURN_NOT_OK(U32(&len));
-    CSOD_RETURN_NOT_OK(Need(len));
-    out->assign(p, len);
-    p += len;
-    remaining -= len;
-    return Status::OK();
-  }
-};
 
 std::string TenantRequest(NetFrameKind kind, const std::string& tenant) {
   std::string payload;
@@ -107,11 +60,11 @@ std::string AckFrame(uint64_t value) {
 // produced. Any other kind returns OK (the caller proceeds to decode it).
 Status StatusOfResponse(const dist::FrameView& view) {
   if (view.kind == KindByte(NetFrameKind::kError)) {
-    Reader reader{view.payload, view.payload_size};
+    PayloadReader reader(view, "net");
     uint32_t code = 0;
     std::string message;
     CSOD_RETURN_NOT_OK(reader.U32(&code));
-    CSOD_RETURN_NOT_OK(reader.Str(&message));
+    CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&message));
     if (code == 0 || code > static_cast<uint32_t>(StatusCode::kDataLoss)) {
       return Status::Internal("net: error frame with unknown status code " +
                               std::to_string(code));
@@ -119,12 +72,12 @@ Status StatusOfResponse(const dist::FrameView& view) {
     return Status(static_cast<StatusCode>(code), std::move(message));
   }
   if (view.kind == KindByte(NetFrameKind::kPushback)) {
-    Reader reader{view.payload, view.payload_size};
+    PayloadReader reader(view, "net");
     uint64_t queued = 0, limit = 0;
     std::string message;
     CSOD_RETURN_NOT_OK(reader.U64(&queued));
     CSOD_RETURN_NOT_OK(reader.U64(&limit));
-    CSOD_RETURN_NOT_OK(reader.Str(&message));
+    CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&message));
     return Status::ResourceExhausted(
         message + " (queued " + std::to_string(queued) + " of " +
         std::to_string(limit) + " bytes)");
@@ -144,7 +97,7 @@ Status ExpectKind(const dist::FrameView& view, NetFrameKind kind) {
 
 Result<uint64_t> DecodeAck(const dist::FrameView& view) {
   CSOD_RETURN_NOT_OK(ExpectKind(view, NetFrameKind::kAck));
-  Reader reader{view.payload, view.payload_size};
+  PayloadReader reader(view, "net");
   uint64_t value = 0;
   CSOD_RETURN_NOT_OK(reader.U64(&value));
   return value;
@@ -173,7 +126,7 @@ std::string EncodeQueryResultResponse(const StreamingQueryResult& result) {
 Result<StreamingQueryResult> DecodeQueryResultResponse(
     const dist::FrameView& view) {
   CSOD_RETURN_NOT_OK(ExpectKind(view, NetFrameKind::kQueryResult));
-  Reader reader{view.payload, view.payload_size};
+  PayloadReader reader(view, "net");
   StreamingQueryResult result;
   CSOD_RETURN_NOT_OK(reader.F64(&result.mode));
   uint64_t u = 0;
@@ -185,6 +138,7 @@ Result<StreamingQueryResult> DecodeQueryResultResponse(
   CSOD_RETURN_NOT_OK(reader.U64(&result.staleness_epochs));
   uint32_t num_stalled = 0;
   CSOD_RETURN_NOT_OK(reader.U32(&num_stalled));
+  CSOD_RETURN_NOT_OK(reader.CheckCount(num_stalled, 4));
   result.stalled_shards.reserve(num_stalled);
   for (uint32_t i = 0; i < num_stalled; ++i) {
     uint32_t shard = 0;
@@ -197,15 +151,17 @@ Result<StreamingQueryResult> DecodeQueryResultResponse(
     return Status::InvalidArgument(
         "net: row count disagrees with the frame envelope");
   }
+  // A row is at least a u32 key length and two f64s.
+  CSOD_RETURN_NOT_OK(reader.CheckCount(num_rows, 4 + 8 + 8));
   result.rows.reserve(num_rows);
   for (uint64_t i = 0; i < num_rows; ++i) {
     query::ResultRow row;
-    CSOD_RETURN_NOT_OK(reader.Str(&row.group_key));
+    CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&row.group_key));
     CSOD_RETURN_NOT_OK(reader.F64(&row.value));
     CSOD_RETURN_NOT_OK(reader.F64(&row.rank_score));
     result.rows.push_back(std::move(row));
   }
-  if (reader.remaining != 0) {
+  if (reader.remaining() != 0) {
     return Status::InvalidArgument("net: trailing query-result bytes");
   }
   return result;
@@ -273,22 +229,6 @@ Status ReadLengthPrefixed(int fd, size_t max_frame_bytes, std::string* frame,
   }
   frame->resize(length);
   return ReadFull(fd, frame->data(), length, nullptr);
-}
-
-// Shared recovery path of leader and follower queries: same solver, same
-// iteration rule, same y ⇒ bit-identical answers.
-Result<cs::BompResult> RecoverSnapshot(const cs::MeasurementMatrix& matrix,
-                                       const SketchSnapshot& snapshot,
-                                       cs::RecoverySolver solver,
-                                       size_t configured_iterations,
-                                       size_t k) {
-  const size_t iterations = configured_iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : configured_iterations;
-  cs::SolverOptions solve;
-  solve.solver = solver;
-  solve.iterations = iterations;
-  return cs::RecoverBiased(matrix, snapshot.y, solve);
 }
 
 }  // namespace
@@ -366,7 +306,7 @@ Result<std::string> EncodeSnapshotResponse(const SketchSnapshot& snapshot) {
 Result<SketchSnapshot> DecodeSnapshotResponse(const std::string& frame) {
   CSOD_ASSIGN_OR_RETURN(dist::FrameView view, dist::DecodeFrame(frame));
   CSOD_RETURN_NOT_OK(ExpectKind(view, NetFrameKind::kSnapshot));
-  Reader reader{view.payload, view.payload_size};
+  PayloadReader reader(view, "net");
   SketchSnapshot snapshot;
   CSOD_RETURN_NOT_OK(reader.U64(&snapshot.version));
   CSOD_RETURN_NOT_OK(reader.U64(&snapshot.last_epoch));
@@ -377,6 +317,7 @@ Result<SketchSnapshot> DecodeSnapshotResponse(const std::string& frame) {
   CSOD_RETURN_NOT_OK(reader.U64(&snapshot.events));
   uint32_t num_stalled = 0;
   CSOD_RETURN_NOT_OK(reader.U32(&num_stalled));
+  CSOD_RETURN_NOT_OK(reader.CheckCount(num_stalled, 4));
   snapshot.stalled_shards.reserve(num_stalled);
   for (uint32_t i = 0; i < num_stalled; ++i) {
     uint32_t shard = 0;
@@ -384,13 +325,13 @@ Result<SketchSnapshot> DecodeSnapshotResponse(const std::string& frame) {
     snapshot.stalled_shards.push_back(shard);
   }
   std::string y_message;
-  CSOD_RETURN_NOT_OK(reader.Str(&y_message));
+  CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&y_message));
   CSOD_ASSIGN_OR_RETURN(snapshot.y, dist::DecodeMeasurement(y_message));
   if (snapshot.y.size() != view.count) {
     return Status::InvalidArgument(
         "net: snapshot y length disagrees with the frame envelope");
   }
-  if (reader.remaining != 0) {
+  if (reader.remaining() != 0) {
     return Status::InvalidArgument("net: trailing snapshot bytes");
   }
   return snapshot;
@@ -419,13 +360,13 @@ std::string NetServer::HandleFrame(const std::string& request) {
     return ErrorFrame(decoded.status());
   }
   const dist::FrameView& view = decoded.Value();
-  Reader reader{view.payload, view.payload_size};
+  PayloadReader reader(view, "net");
 
   switch (static_cast<NetFrameKind>(view.kind)) {
     case NetFrameKind::kIngestBatch: {
       std::string tenant, kv;
-      Status parsed = reader.Str(&tenant);
-      if (parsed.ok()) parsed = reader.Str(&kv);
+      Status parsed = reader.LengthPrefixed(&tenant);
+      if (parsed.ok()) parsed = reader.LengthPrefixed(&kv);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<cs::SparseSlice> slice = dist::DecodeKeyValues(kv);
       if (!slice.ok()) return ErrorFrame(slice.status());
@@ -458,7 +399,7 @@ std::string NetServer::HandleFrame(const std::string& request) {
     case NetFrameKind::kAdvance: {
       std::string tenant;
       uint64_t tick = 0;
-      Status parsed = reader.Str(&tenant);
+      Status parsed = reader.LengthPrefixed(&tenant);
       if (parsed.ok()) parsed = reader.U64(&tick);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<uint64_t> epoch = service_->AdvanceTo(tenant, tick);
@@ -467,7 +408,7 @@ std::string NetServer::HandleFrame(const std::string& request) {
     }
     case NetFrameKind::kQuery: {
       std::string text;
-      const Status parsed = reader.Str(&text);
+      const Status parsed = reader.LengthPrefixed(&text);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<StreamingQueryResult> result = service_->Query(text);
       if (!result.ok()) return ErrorFrame(result.status());
@@ -475,7 +416,7 @@ std::string NetServer::HandleFrame(const std::string& request) {
     }
     case NetFrameKind::kSnapshotFetch: {
       std::string tenant;
-      const Status parsed = reader.Str(&tenant);
+      const Status parsed = reader.LengthPrefixed(&tenant);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<std::shared_ptr<StreamingDetector>> detector =
           service_->Tenant(tenant);
@@ -492,7 +433,7 @@ std::string NetServer::HandleFrame(const std::string& request) {
     }
     case NetFrameKind::kCheckpointFetch: {
       std::string tenant;
-      const Status parsed = reader.Str(&tenant);
+      const Status parsed = reader.LengthPrefixed(&tenant);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<std::shared_ptr<StreamingDetector>> detector =
           service_->Tenant(tenant);
@@ -695,45 +636,33 @@ std::shared_ptr<const SketchSnapshot> SnapshotFollower::Snapshot() const {
   return snapshot_;
 }
 
-Result<outlier::OutlierSet> SnapshotFollower::QueryOutliers(size_t k) const {
-  if (k == 0) return Status::InvalidArgument("QueryOutliers: k must be > 0");
-  const std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
+Result<SnapshotAnswer> SnapshotFollower::Answer(query::QueryKind kind,
+                                                size_t k) const {
+  const std::string call =
+      kind == query::QueryKind::kOutlier ? "QueryOutliers" : "QueryTopK";
+  if (k == 0) return Status::InvalidArgument(call + ": k must be > 0");
+  std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
   if (snapshot == nullptr) {
-    return Status::FailedPrecondition(
-        "QueryOutliers: no snapshot replicated yet");
+    return Status::FailedPrecondition(call + ": no snapshot replicated yet");
   }
-  CSOD_ASSIGN_OR_RETURN(
-      cs::BompResult recovery,
-      RecoverSnapshot(*matrix_, *snapshot, options_.solver,
-                      options_.iterations, k));
-  return outlier::KOutliersFromRecovery(recovery, k);
+  // The leader's solve minus telemetry: replicas record nothing.
+  cs::SolverOptions solve;
+  solve.solver = options_.solver;
+  solve.iterations = cs::IterationBudget(options_.iterations, k);
+  return AnswerFromSnapshot(*matrix_, std::move(snapshot), kind, k, solve);
+}
+
+Result<outlier::OutlierSet> SnapshotFollower::QueryOutliers(size_t k) const {
+  CSOD_ASSIGN_OR_RETURN(SnapshotAnswer answer,
+                        Answer(query::QueryKind::kOutlier, k));
+  return std::move(answer.ranked);
 }
 
 Result<std::vector<outlier::Outlier>> SnapshotFollower::QueryTopK(
     size_t k) const {
-  if (k == 0) return Status::InvalidArgument("QueryTopK: k must be > 0");
-  const std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
-  if (snapshot == nullptr) {
-    return Status::FailedPrecondition("QueryTopK: no snapshot replicated yet");
-  }
-  CSOD_ASSIGN_OR_RETURN(
-      cs::BompResult recovery,
-      RecoverSnapshot(*matrix_, *snapshot, options_.solver,
-                      options_.iterations, k));
-  // Same ranking as StreamingDetector::QueryTopK: value descending, ties
-  // toward the lower key.
-  std::vector<outlier::Outlier> top;
-  top.reserve(recovery.entries.size());
-  for (const cs::RecoveredEntry& e : recovery.entries) {
-    top.push_back(outlier::Outlier{e.index, e.value, e.value});
-  }
-  std::sort(top.begin(), top.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (top.size() > k) top.resize(k);
-  return top;
+  CSOD_ASSIGN_OR_RETURN(SnapshotAnswer answer,
+                        Answer(query::QueryKind::kTop, k));
+  return std::move(answer.ranked.outliers);
 }
 
 }  // namespace csod::serve

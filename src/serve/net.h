@@ -246,9 +246,9 @@ class SnapshotFollower {
   /// The follower's current snapshot, or null before the first apply.
   std::shared_ptr<const SketchSnapshot> Snapshot() const;
 
-  /// Detection against the follower's snapshot — the same recovery path
-  /// as StreamingDetector::QueryOutliers/QueryTopK, so answers are
-  /// bit-identical to the leader's for the same snapshot version.
+  /// Detection against the follower's snapshot — the leader's path
+  /// (`AnswerFromSnapshot`), so answers are bit-identical to the leader's
+  /// for the same snapshot version.
   Result<outlier::OutlierSet> QueryOutliers(size_t k) const;
   Result<std::vector<outlier::Outlier>> QueryTopK(size_t k) const;
 
@@ -256,6 +256,7 @@ class SnapshotFollower {
 
  private:
   explicit SnapshotFollower(const SnapshotFollowerOptions& options);
+  Result<SnapshotAnswer> Answer(query::QueryKind kind, size_t k) const;
 
   SnapshotFollowerOptions options_;
   std::unique_ptr<cs::MeasurementMatrix> matrix_;

@@ -95,42 +95,7 @@ Result<StreamingQueryResult> StreamingService::QueryTenant(
     const std::string& tenant, const query::Query& query) const {
   CSOD_ASSIGN_OR_RETURN(std::shared_ptr<StreamingDetector> detector,
                         Tenant(tenant));
-
-  StreamingQueryResult result;
-  result.key_space = detector->options().n;
-  if (query.kind == query::QueryKind::kOutlier) {
-    CSOD_ASSIGN_OR_RETURN(outlier::OutlierSet outliers,
-                          detector->QueryOutliers(query.k));
-    result.mode = outliers.mode;
-    result.rows.reserve(outliers.outliers.size());
-    for (const outlier::Outlier& o : outliers.outliers) {
-      result.rows.push_back(query::ResultRow{std::to_string(o.key_index),
-                                             o.value, o.divergence});
-    }
-  } else {
-    CSOD_ASSIGN_OR_RETURN(std::vector<outlier::Outlier> top,
-                          detector->QueryTopK(query.k));
-    result.rows.reserve(top.size());
-    for (const outlier::Outlier& o : top) {
-      result.rows.push_back(
-          query::ResultRow{std::to_string(o.key_index), o.value, o.value});
-    }
-  }
-
-  // Provenance from the snapshot that answered (grab it once — the answer
-  // above used the snapshot current at its own Query* call; re-grabbing
-  // here can only observe the same or a newer version, which is the
-  // provenance a client acting on the answer needs anyway).
-  const std::shared_ptr<const SketchSnapshot> snapshot = detector->Snapshot();
-  if (snapshot != nullptr) {
-    result.snapshot_version = snapshot->version;
-    result.snapshot_first_epoch = snapshot->first_epoch;
-    result.snapshot_last_epoch = snapshot->last_epoch;
-    result.staleness_epochs =
-        detector->current_epoch() - snapshot->last_epoch;
-    result.stalled_shards = snapshot->stalled_shards;
-  }
-  return result;
+  return detector->Query(query.kind, query.k);
 }
 
 }  // namespace csod::serve

@@ -16,31 +16,6 @@
 
 namespace csod::serve {
 
-/// A streaming query answer: the rows of the paper's query template plus
-/// the snapshot provenance a service client needs to reason about
-/// staleness (which batch of data it is actually looking at).
-struct StreamingQueryResult {
-  /// Answer rows in rank order — `group_key` is the key index rendered as
-  /// text, `value` the recovered aggregate, `rank_score` the divergence
-  /// (Outlier) or the value itself (Top), exactly like
-  /// query::QueryResult rows.
-  std::vector<query::ResultRow> rows;
-  /// Recovered mode (0 for Top queries).
-  double mode = 0.0;
-  /// Key space N of the tenant's stream.
-  size_t key_space = 0;
-  /// Version / epoch range of the snapshot that answered the query.
-  uint64_t snapshot_version = 0;
-  uint64_t snapshot_first_epoch = 0;
-  uint64_t snapshot_last_epoch = 0;
-  /// current_epoch - snapshot_last_epoch at answer time; 1 means "as fresh
-  /// as the staleness contract allows" (the in-progress epoch is never
-  /// visible).
-  uint64_t staleness_epochs = 0;
-  /// Shards whose deferred events are missing from the answer (degraded).
-  std::vector<uint32_t> stalled_shards;
-};
-
 /// \brief Multi-tenant streaming front-end: named tenants, each an
 /// independent `StreamingDetector` (own key space, seed, window, shards),
 /// plus a textual query endpoint speaking the paper's query template.
@@ -55,8 +30,9 @@ struct StreamingQueryResult {
 /// <tenant>` / `SELECT Top K ...` (query::ParseQuery — the same grammar as
 /// the batch executor; the FROM clause names the tenant, and attribute
 /// names are informational because streaming events are already keyed by
-/// dictionary index). Answers carry the snapshot version/epoch range and
-/// staleness so clients can correlate them with ingestion progress.
+/// dictionary index). Answers carry the version/epoch range of the snapshot
+/// that answered and the staleness, so clients can correlate them with
+/// ingestion progress.
 class StreamingService {
  public:
   /// `telemetry` may be null (disabled); it becomes the default sink of

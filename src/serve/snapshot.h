@@ -2,7 +2,15 @@
 #define CSOD_SERVE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
+
+#include "common/status.h"
+#include "cs/measurement_matrix.h"
+#include "cs/solver.h"
+#include "outlier/outlier.h"
+#include "query/executor.h"
+#include "query/query.h"
 
 namespace csod::serve {
 
@@ -43,6 +51,60 @@ struct SketchSnapshot {
   /// argument of docs/THEORY.md §7 bounds the induced error).
   std::vector<uint32_t> stalled_shards;
 };
+
+/// A streaming query answer: the rows of the paper's query template plus
+/// the snapshot provenance a service client needs to reason about
+/// staleness (which batch of data it is actually looking at).
+struct StreamingQueryResult {
+  /// Answer rows in rank order — `group_key` is the key index rendered as
+  /// text, `value` the recovered aggregate, `rank_score` the divergence
+  /// (Outlier) or the value itself (Top), exactly like
+  /// query::QueryResult rows.
+  std::vector<query::ResultRow> rows;
+  /// Recovered mode (0 for Top queries).
+  double mode = 0.0;
+  /// Key space N of the tenant's stream.
+  size_t key_space = 0;
+  /// Version / epoch range of the snapshot that answered the query.
+  uint64_t snapshot_version = 0;
+  uint64_t snapshot_first_epoch = 0;
+  uint64_t snapshot_last_epoch = 0;
+  /// current_epoch - snapshot_last_epoch at answer time; 1 means "as fresh
+  /// as the staleness contract allows" (the in-progress epoch is never
+  /// visible).
+  uint64_t staleness_epochs = 0;
+  /// Shards whose deferred events are missing from the answer (degraded).
+  std::vector<uint32_t> stalled_shards;
+};
+
+/// One query answered from one snapshot: the ranked recovery and the
+/// snapshot that produced it.
+struct SnapshotAnswer {
+  /// Outlier queries: `KOutliersFromRecovery`. Top queries:
+  /// `TopKFromRecovery`, with mode 0 and divergence = value.
+  outlier::OutlierSet ranked;
+  /// The snapshot `ranked` was recovered from — the answer's provenance.
+  std::shared_ptr<const SketchSnapshot> snapshot;
+
+  /// `ranked` as query rows, stamped with this snapshot's provenance;
+  /// staleness counts from `current_epoch`.
+  StreamingQueryResult ToResult(size_t key_space,
+                                uint64_t current_epoch) const;
+};
+
+/// \brief The one snapshot → answer path: leader (StreamingDetector),
+/// replica (SnapshotFollower) and, through the leader, StreamingService
+/// all answer queries here.
+///
+/// Recovers `snapshot->y` once with `solve` (engine, the resolved budget R,
+/// telemetry sink) and ranks the recovery for `kind`. Same Φ0, same `y`
+/// bytes and same `solve` ⇒ a bit-identical answer, which is why a
+/// follower agrees with its leader on every snapshot version. `snapshot`
+/// must be non-null; callers validate k and pin the snapshot.
+Result<SnapshotAnswer> AnswerFromSnapshot(
+    const cs::MeasurementMatrix& matrix,
+    std::shared_ptr<const SketchSnapshot> snapshot, query::QueryKind kind,
+    size_t k, const cs::SolverOptions& solve);
 
 }  // namespace csod::serve
 

@@ -1,6 +1,5 @@
 #include "serve/streaming_detector.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -354,12 +353,15 @@ std::shared_ptr<const SketchSnapshot> StreamingDetector::Snapshot() const {
   return snapshot_;
 }
 
-Result<outlier::OutlierSet> StreamingDetector::QueryOutliers(size_t k) const {
-  if (k == 0) return Status::InvalidArgument("QueryOutliers: k must be > 0");
+Result<SnapshotAnswer> StreamingDetector::Answer(query::QueryKind kind,
+                                                 size_t k) const {
+  const std::string call =
+      kind == query::QueryKind::kOutlier ? "QueryOutliers" : "QueryTopK";
+  if (k == 0) return Status::InvalidArgument(call + ": k must be > 0");
   std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
   if (snapshot == nullptr) {
     return Status::FailedPrecondition(
-        "QueryOutliers: no snapshot published yet (close an epoch first)");
+        call + ": no snapshot published yet (close an epoch first)");
   }
   obs::TraceSpan span(telemetry_, "serve.query");
   telemetry_->AddCounter("serve.queries");
@@ -367,74 +369,30 @@ Result<outlier::OutlierSet> StreamingDetector::QueryOutliers(size_t k) const {
       "serve.query.age_epochs",
       static_cast<double>(current_epoch_.load(std::memory_order_relaxed) -
                           snapshot->last_epoch));
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
   cs::SolverOptions solve;
   solve.solver = options_.solver;
-  solve.iterations = iterations;
+  solve.iterations = cs::IterationBudget(options_.iterations, k);
   solve.telemetry = telemetry_;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery,
-                        cs::RecoverBiased(matrix(), snapshot->y, solve));
-  return outlier::KOutliersFromRecovery(recovery, k);
+  return AnswerFromSnapshot(matrix(), std::move(snapshot), kind, k, solve);
+}
+
+Result<outlier::OutlierSet> StreamingDetector::QueryOutliers(size_t k) const {
+  CSOD_ASSIGN_OR_RETURN(SnapshotAnswer answer,
+                        Answer(query::QueryKind::kOutlier, k));
+  return std::move(answer.ranked);
 }
 
 Result<std::vector<outlier::Outlier>> StreamingDetector::QueryTopK(
     size_t k) const {
-  if (k == 0) return Status::InvalidArgument("QueryTopK: k must be > 0");
-  std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
-  if (snapshot == nullptr) {
-    return Status::FailedPrecondition(
-        "QueryTopK: no snapshot published yet (close an epoch first)");
-  }
-  obs::TraceSpan span(telemetry_, "serve.query");
-  telemetry_->AddCounter("serve.queries");
-  telemetry_->RecordValue(
-      "serve.query.age_epochs",
-      static_cast<double>(current_epoch_.load(std::memory_order_relaxed) -
-                          snapshot->last_epoch));
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  cs::SolverOptions solve;
-  solve.solver = options_.solver;
-  solve.iterations = iterations;
-  solve.telemetry = telemetry_;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery,
-                        cs::RecoverBiased(matrix(), snapshot->y, solve));
-  // Rank recovered entries by value, ties toward the lower key — the same
-  // ordering as DistributedOutlierDetector::DetectTopK.
-  std::vector<outlier::Outlier> top;
-  top.reserve(recovery.entries.size());
-  for (const cs::RecoveredEntry& e : recovery.entries) {
-    top.push_back(outlier::Outlier{e.index, e.value, e.value});
-  }
-  std::sort(top.begin(), top.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (top.size() > k) top.resize(k);
-  return top;
+  CSOD_ASSIGN_OR_RETURN(SnapshotAnswer answer,
+                        Answer(query::QueryKind::kTop, k));
+  return std::move(answer.ranked.outliers);
 }
 
-Result<cs::BompResult> StreamingDetector::QueryRecovery(
-    size_t iterations) const {
-  if (iterations == 0) {
-    return Status::InvalidArgument("QueryRecovery: iterations must be > 0");
-  }
-  std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
-  if (snapshot == nullptr) {
-    return Status::FailedPrecondition(
-        "QueryRecovery: no snapshot published yet (close an epoch first)");
-  }
-  obs::TraceSpan span(telemetry_, "serve.query");
-  telemetry_->AddCounter("serve.queries");
-  cs::SolverOptions solve;
-  solve.solver = options_.solver;
-  solve.iterations = iterations;
-  solve.telemetry = telemetry_;
-  return cs::RecoverBiased(matrix(), snapshot->y, solve);
+Result<StreamingQueryResult> StreamingDetector::Query(query::QueryKind kind,
+                                                      size_t k) const {
+  CSOD_ASSIGN_OR_RETURN(SnapshotAnswer answer, Answer(kind, k));
+  return answer.ToResult(options_.n, current_epoch());
 }
 
 Status StreamingDetector::SetShardStalled(uint32_t shard, bool stalled) {

@@ -14,6 +14,7 @@
 #include "cs/solver.h"
 #include "obs/telemetry.h"
 #include "outlier/outlier.h"
+#include "query/query.h"
 #include "serve/snapshot.h"
 
 namespace csod::serve {
@@ -38,8 +39,8 @@ struct StreamingDetectorOptions {
   size_t m = 0;
   uint64_t seed = 1;
   size_t iterations = 0;
-  /// Recovery engine for QueryOutliers / QueryTopK / QueryRecovery
-  /// (cs/solver.h). A query-time preference: snapshots are engine-agnostic.
+  /// Recovery engine for QueryOutliers / QueryTopK / Query (cs/solver.h).
+  /// A query-time preference: snapshots are engine-agnostic.
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
   /// Closed epochs a window covers (the in-progress epoch is extra).
   size_t window_epochs = 0;
@@ -99,7 +100,8 @@ struct DetectorCheckpoint {
 ///    `window_epochs + 1`: W closed epochs plus the in-progress one).
 ///  - **Queries** never touch the ring: every epoch close publishes an
 ///    immutable `SketchSnapshot` (swap-on-advance `shared_ptr`), and
-///    QueryOutliers/QueryTopK run BOMP against the snapshot they grabbed.
+///    every query pins one snapshot and answers from it through
+///    `AnswerFromSnapshot` (serve/snapshot.h), the path replicas share.
 ///    Ingestion is never blocked by a query and vice versa; the only shared
 ///    lock is the pointer swap.
 ///
@@ -183,9 +185,9 @@ class StreamingDetector {
   Result<outlier::OutlierSet> QueryOutliers(size_t k) const;
   Result<std::vector<outlier::Outlier>> QueryTopK(size_t k) const;
 
-  /// Full BOMP recovery of the latest snapshot (0 = f(k) default is not
-  /// applicable here; `iterations` must be > 0).
-  Result<cs::BompResult> QueryRecovery(size_t iterations) const;
+  /// The same detection as query rows, with the provenance of the snapshot
+  /// that answered (StreamingService's query endpoint).
+  Result<StreamingQueryResult> Query(query::QueryKind kind, size_t k) const;
 
   /// Marks a shard stalled (its share of every batch is deferred) or
   /// replays its backlog into the current epoch and resumes it. Replay
@@ -216,8 +218,10 @@ class StreamingDetector {
   uint64_t AdvanceEpochLocked();
   void PublishLocked();
   void FlushIngestTelemetryLocked();
-  Status FoldShardMeasurementsLocked(size_t num_slices, uint64_t events);
   Status SetShardStalledLocked(uint32_t shard, bool stalled);
+  // Pins the latest snapshot, records the query telemetry, and answers
+  // from that snapshot: the one path behind every Query* call.
+  Result<SnapshotAnswer> Answer(query::QueryKind kind, size_t k) const;
 
   StreamingDetectorOptions options_;
   obs::Telemetry* telemetry_;  // Never null (Disabled() when unset).

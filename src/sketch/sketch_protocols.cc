@@ -69,14 +69,7 @@ Result<outlier::OutlierSet> CountSketchOutlierProtocol::Run(
     if (divergence == 0.0) continue;
     result.outliers.push_back(outlier::Outlier{key, estimates[key], divergence});
   }
-  std::sort(result.outliers.begin(), result.outliers.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.divergence != b.divergence) {
-                return a.divergence > b.divergence;
-              }
-              return a.key_index < b.key_index;
-            });
-  if (result.outliers.size() > k) result.outliers.resize(k);
+  outlier::RankByDivergence(&result.outliers, k);
   return result;
 }
 
@@ -95,12 +88,7 @@ Result<dist::TopKRunResult> RunCountSketchTopK(
     const double estimate = merged.Estimate(key);
     all.push_back(outlier::Outlier{key, estimate, estimate});
   }
-  std::sort(all.begin(), all.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (all.size() > k) all.resize(k);
+  outlier::RankByValue(&all, k);
   dist::TopKRunResult result;
   result.top = std::move(all);
   return result;

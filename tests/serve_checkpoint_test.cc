@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dist/wire_format.h"
 #include "serve/net.h"
 #include "serve/service.h"
 #include "serve/streaming_detector.h"
@@ -253,6 +254,60 @@ TEST(CheckpointTest, GeometryMismatchIsRefused) {
   runtime.iterations = 20;
   runtime.solver = cs::RecoverySolver::kCosamp;
   EXPECT_TRUE(RestoreDetector(frame, runtime).ok());
+}
+
+// A checksummed checkpoint frame up to (and including) the epoch count,
+// with hostile geometry: the header fields a decoder sizes containers by.
+std::string CraftedCheckpointPrefix(uint64_t window_epochs,
+                                    uint64_t num_shards, bool has_snapshot,
+                                    uint64_t num_epochs) {
+  std::string payload;
+  for (uint64_t field : {uint64_t{400}, uint64_t{150}, uint64_t{5},
+                         window_epochs, num_shards, uint64_t{1}}) {
+    dist::AppendU64(&payload, field);  // n, m, seed, window, shards, ticks.
+  }
+  payload.push_back(0);                        // Sliding window.
+  payload.push_back(1);                        // Started.
+  payload.push_back(has_snapshot ? 1 : 0);
+  for (int field = 0; field < 3; ++field) {
+    dist::AppendU64(&payload, 1);  // current_epoch, version, last_tick.
+  }
+  dist::AppendU64(&payload, num_epochs);
+  return payload;
+}
+
+// Crafted frames with valid checksums and counts no payload could back:
+// each must fail with InvalidArgument before anything is sized from them.
+TEST(CheckpointTest, CraftedHugeEpochCountIsRefused) {
+  const uint64_t epochs = uint64_t{1} << 60;
+  const std::string payload =
+      CraftedCheckpointPrefix(UINT64_MAX - 1, 4, false, epochs);
+  EXPECT_EQ(DecodeCheckpoint(
+                dist::EncodeFrame(kCheckpointFrameKind, epochs, payload))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointTest, CraftedHugeShardCountIsRefused) {
+  const std::string payload =
+      CraftedCheckpointPrefix(3, uint64_t{1} << 60, false, 0);
+  EXPECT_EQ(
+      DecodeCheckpoint(dist::EncodeFrame(kCheckpointFrameKind, 0, payload))
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointTest, CraftedHugeSnapshotStalledCountIsRefused) {
+  std::string payload = CraftedCheckpointPrefix(3, 0, true, 0);
+  for (int field = 0; field < 5; ++field) dist::AppendU64(&payload, 1);
+  dist::AppendU32(&payload, UINT32_MAX);  // num_stalled, no shards follow.
+  EXPECT_EQ(
+      DecodeCheckpoint(dist::EncodeFrame(kCheckpointFrameKind, 0, payload))
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(CheckpointTest, FetchedOverTheWireEqualsLocalEncoding) {

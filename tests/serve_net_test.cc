@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -389,6 +390,97 @@ TEST(SnapshotFollowerTest, ReplicaAnswersBitIdenticallyToLeader) {
     EXPECT_EQ(top_replica[i].key_index, top_leader[i].key_index);
     EXPECT_EQ(top_replica[i].value, top_leader[i].value);
   }
+}
+
+// Crafted frames: checksums valid, counts hostile. Every decoder must answer
+// with a Status (InvalidArgument) before sizing anything from the count.
+
+void AppendLengthPrefixed(std::string* out, const std::string& bytes) {
+  dist::AppendU32(out, static_cast<uint32_t>(bytes.size()));
+  out->append(bytes);
+}
+
+// Hands back one canned response frame, whatever was sent.
+class CannedTransport final : public FrameTransport {
+ public:
+  explicit CannedTransport(std::string response)
+      : response_(std::move(response)) {}
+  Result<std::string> RoundTrip(const std::string&) override {
+    return response_;
+  }
+
+ private:
+  std::string response_;
+};
+
+// The fixed prefix of a kQueryResult payload (mode, key space, provenance).
+std::string QueryResultPrefix() {
+  std::string payload;
+  dist::AppendF64(&payload, 0.0);
+  for (int field = 0; field < 5; ++field) dist::AppendU64(&payload, 1);
+  return payload;
+}
+
+TEST(NetCraftedFrameTest, IngestWithWrappingKeyValueCountIsRefused) {
+  obs::Telemetry telemetry;
+  auto options = SmallOptions();
+  options.telemetry = &telemetry;
+  Rig rig(options);
+  ASSERT_TRUE(rig.client.AdvanceTo("t", 0).ok());
+  // The embedded key-values message claims 2^62 + 1 tuples in 12 bytes:
+  // count * 12 wraps to the real size, so only a division catches it.
+  const uint64_t count = (uint64_t{1} << 62) + 1;
+  std::string payload;
+  AppendLengthPrefixed(&payload, "t");
+  AppendLengthPrefixed(&payload,
+                       dist::EncodeFrame(2, count, std::string(12, '\0')));
+  const std::string response = rig.server.HandleFrame(dist::EncodeFrame(
+      static_cast<uint8_t>(NetFrameKind::kIngestBatch), count, payload));
+  // The server survives and answers with an InvalidArgument error frame.
+  CannedTransport canned(response);
+  NetClient client(&canned);
+  EXPECT_EQ(client.Ingest("t", {1}, {1.0}).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(rig.client.AdvanceTo("t", 1).ok());
+  EXPECT_EQ(telemetry.counter("serve.ingest.batches"), 0u);
+}
+
+TEST(NetCraftedFrameTest, QueryResultWithHugeStalledCountIsRefused) {
+  std::string payload = QueryResultPrefix();
+  dist::AppendU32(&payload, UINT32_MAX);  // num_stalled, no shards follow.
+  dist::AppendU64(&payload, 0);           // num_rows.
+  CannedTransport canned(dist::EncodeFrame(
+      static_cast<uint8_t>(NetFrameKind::kQueryResult), 0, payload));
+  NetClient client(&canned);
+  EXPECT_EQ(client.Query("SELECT Top 1 SUM(s), key FROM t GROUP BY key")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(NetCraftedFrameTest, QueryResultWithHugeRowCountIsRefused) {
+  const uint64_t rows = uint64_t{1} << 60;
+  std::string payload = QueryResultPrefix();
+  dist::AppendU32(&payload, 0);     // num_stalled.
+  dist::AppendU64(&payload, rows);  // num_rows, agreeing with the envelope.
+  CannedTransport canned(dist::EncodeFrame(
+      static_cast<uint8_t>(NetFrameKind::kQueryResult), rows, payload));
+  NetClient client(&canned);
+  EXPECT_EQ(client.Query("SELECT Top 1 SUM(s), key FROM t GROUP BY key")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(NetCraftedFrameTest, SnapshotWithHugeStalledCountIsRefused) {
+  std::string payload;
+  for (int field = 0; field < 5; ++field) dist::AppendU64(&payload, 1);
+  dist::AppendU32(&payload, UINT32_MAX);  // num_stalled, no shards follow.
+  AppendLengthPrefixed(&payload, dist::EncodeMeasurement({1.0}).MoveValue());
+  const std::string frame = dist::EncodeFrame(
+      static_cast<uint8_t>(NetFrameKind::kSnapshot), 1, payload);
+  EXPECT_EQ(DecodeSnapshotResponse(frame).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotFollowerTest, ApplyIsMonotoneAndValidates) {

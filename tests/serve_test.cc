@@ -4,10 +4,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "common/parallel.h"
 #include "core/windowed_detector.h"
 #include "obs/telemetry.h"
+#include "serve/net.h"
 
 namespace csod::serve {
 namespace {
@@ -391,10 +394,6 @@ TEST(StreamingDetectorTest, DetectsInjectedOutlierEndToEnd) {
   auto top = detector->QueryTopK(1).MoveValue();
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].key_index, 42u);
-
-  auto recovery = detector->QueryRecovery(12).MoveValue();
-  EXPECT_FALSE(recovery.entries.empty());
-  EXPECT_FALSE(detector->QueryRecovery(0).ok());
 }
 
 TEST(StreamingDetectorTest, ConcurrentQueriesNeverBlockIngestion) {
@@ -628,6 +627,91 @@ TEST(StreamingServiceTest, TumblingStalenessReachesWindowAndNeverUnderflows) {
   }
   // The bound is tight: staleness actually reaches window_epochs.
   EXPECT_EQ(max_staleness, kWindow);
+}
+
+// Provenance: an answer names the snapshot that produced it. A writer
+// closes epochs (each with its own planted hot key, so every snapshot has
+// a different answer) while an analyst queries through the service; every
+// answer's rows must equal a follower's answer on exactly the snapshot
+// version the result names — even when an epoch closed mid-recovery.
+TEST(StreamingServiceTest, AnswerProvenanceNamesTheAnsweringSnapshot) {
+  constexpr uint64_t kEpochs = 150;
+  constexpr uint64_t kMaxEpochs = 5000;
+  constexpr size_t kMinAnswers = 50;
+  const auto options = SmallOptions(/*window=*/1);
+  StreamingService service;
+  ASSERT_TRUE(service.AddTenant("t", options).ok());
+  const std::shared_ptr<StreamingDetector> detector =
+      service.Tenant("t").MoveValue();
+
+  // Written by this (the writer) thread only; read after the analyst joins.
+  std::map<uint64_t, std::shared_ptr<const SketchSnapshot>> published;
+  auto close_epoch = [&](uint64_t epoch) {
+    const size_t hot = (epoch * 37 + 11) % options.n;
+    ASSERT_TRUE(service.Ingest("t", {1, 2, hot}, {3.0, 3.0, 5000.0}).ok());
+    ASSERT_TRUE(service.AdvanceTo("t", epoch + 1).ok());
+    auto snapshot = detector->Snapshot();
+    published[snapshot->version] = std::move(snapshot);
+  };
+  ASSERT_TRUE(service.AdvanceTo("t", 0).ok());
+  close_epoch(0);
+
+  const std::string texts[2] = {
+      "SELECT Outlier 2 SUM(score), key FROM t GROUP BY key",
+      "SELECT Top 2 SUM(score), key FROM t GROUP BY key"};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> answered{0};
+  std::vector<std::pair<int, StreamingQueryResult>> answers;
+  std::thread analyst([&] {
+    for (int i = 0; !done.load(std::memory_order_relaxed); ++i) {
+      Result<StreamingQueryResult> result = service.Query(texts[i % 2]);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      answers.emplace_back(i % 2, result.MoveValue());
+      answered.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Keep closing epochs until the analyst has overlapped enough of them,
+  // however the scheduler interleaves the two threads.
+  for (uint64_t epoch = 1;
+       epoch < kEpochs ||
+       (answered.load(std::memory_order_relaxed) < kMinAnswers &&
+        epoch < kMaxEpochs);
+       ++epoch) {
+    close_epoch(epoch);
+  }
+  done.store(true, std::memory_order_relaxed);
+  analyst.join();
+  ASSERT_GE(answers.size(), kMinAnswers);
+
+  SnapshotFollowerOptions fopts;
+  fopts.n = options.n;
+  fopts.m = options.m;
+  fopts.seed = options.seed;
+  fopts.iterations = options.iterations;
+  for (const auto& [kind, answer] : answers) {
+    const uint64_t version = answer.snapshot_version;
+    ASSERT_EQ(published.count(version), 1u) << "version " << version;
+    const SketchSnapshot& snapshot = *published.at(version);
+    EXPECT_EQ(answer.snapshot_last_epoch, snapshot.last_epoch);
+    auto follower = SnapshotFollower::Create(fopts).MoveValue();
+    ASSERT_TRUE(follower->ApplySnapshot(snapshot).ok());
+    outlier::OutlierSet expect;
+    if (kind == 0) {
+      expect = follower->QueryOutliers(2).MoveValue();
+    } else {
+      expect.outliers = follower->QueryTopK(2).MoveValue();
+    }
+    EXPECT_EQ(answer.mode, expect.mode) << "version " << version;
+    ASSERT_EQ(answer.rows.size(), expect.outliers.size())
+        << "version " << version;
+    for (size_t i = 0; i < answer.rows.size(); ++i) {
+      EXPECT_EQ(answer.rows[i].group_key,
+                std::to_string(expect.outliers[i].key_index))
+          << "version " << version;
+      EXPECT_EQ(answer.rows[i].value, expect.outliers[i].value);
+      EXPECT_EQ(answer.rows[i].rank_score, expect.outliers[i].divergence);
+    }
+  }
 }
 
 TEST(StreamingServiceTest, TenantsAreIsolated) {

@@ -127,6 +127,71 @@ TEST(WireFormatTest, FuzzedGarbageNeverCrashesDecoder) {
   }
 }
 
+// A checksummed message whose count, multiplied by the element size,
+// wraps around to the real payload size. Decoding must refuse the count
+// instead of sizing a vector from it (length_error / bad_alloc otherwise).
+TEST(WireFormatTest, CraftedWrappingCountIsInvalidArgument) {
+  // Kind 1 = measurement (8 B per element): (2^61 + 1) * 8 wraps to 8.
+  const std::string measurement =
+      EncodeFrame(1, (uint64_t{1} << 61) + 1, std::string(8, '\0'));
+  EXPECT_EQ(DecodeMeasurement(measurement).status().code(),
+            StatusCode::kInvalidArgument);
+  // Kind 2 = key-values (12 B per element): (2^62 + 1) * 12 wraps to 12.
+  const std::string kv =
+      EncodeFrame(2, (uint64_t{1} << 62) + 1, std::string(12, '\0'));
+  EXPECT_EQ(DecodeKeyValues(kv).status().code(), StatusCode::kInvalidArgument);
+  // The honest counts for the same payloads still decode.
+  EXPECT_TRUE(DecodeMeasurement(EncodeFrame(1, 1, std::string(8, '\0'))).ok());
+  EXPECT_TRUE(DecodeKeyValues(EncodeFrame(2, 1, std::string(12, '\0'))).ok());
+}
+
+TEST(PayloadReaderTest, ReadsInOrderAndRefusesOverruns) {
+  std::string payload;
+  AppendU32(&payload, 7);
+  AppendU64(&payload, 1234567890123ull);
+  AppendF64(&payload, -2.5);
+  AppendU32(&payload, 3);
+  payload += "abc";
+  PayloadReader reader(payload.data(), payload.size(), "test");
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  double f64 = 0.0;
+  std::string text;
+  ASSERT_TRUE(reader.U32(&u32).ok());
+  ASSERT_TRUE(reader.U64(&u64).ok());
+  ASSERT_TRUE(reader.F64(&f64).ok());
+  ASSERT_TRUE(reader.LengthPrefixed(&text).ok());
+  EXPECT_EQ(u32, 7u);
+  EXPECT_EQ(u64, 1234567890123ull);
+  EXPECT_EQ(f64, -2.5);
+  EXPECT_EQ(text, "abc");
+  EXPECT_EQ(reader.remaining(), 0u);
+  uint8_t u8 = 0;
+  const Status overrun = reader.U8(&u8);
+  EXPECT_EQ(overrun.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(overrun.message(), "test: truncated payload field");
+
+  // A length prefix longer than the payload is refused, not trusted.
+  std::string lying;
+  AppendU32(&lying, 1000);
+  lying += "short";
+  PayloadReader liar(lying.data(), lying.size(), "test");
+  EXPECT_EQ(liar.LengthPrefixed(&text).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PayloadReaderTest, CheckCountBoundsUntrustedCountsByDivision) {
+  const std::string payload(40, '\0');
+  PayloadReader reader(payload.data(), payload.size(), "test");
+  EXPECT_TRUE(reader.CheckCount(10, 4).ok());
+  EXPECT_TRUE(reader.CheckCount(0, 8).ok());
+  EXPECT_EQ(reader.CheckCount(11, 4).code(), StatusCode::kInvalidArgument);
+  // Counts whose byte size would wrap a 64-bit multiply are refused too.
+  EXPECT_EQ(reader.CheckCount((uint64_t{1} << 62) + 1, 4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reader.CheckCount(UINT64_MAX, 1).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(WireFormatTest, WireSizesMatchIdealizedAccountingPlusHeader) {
   // Header + checksum are a fixed 21 bytes; payload matches the paper's
   // per-tuple accounting (8B measurements, 12B kv pairs).
