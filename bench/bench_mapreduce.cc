@@ -11,15 +11,21 @@
 // outlier keys/values, recovered mode, and the exact shuffle byte counts.
 //
 // The digest must be identical at every thread limit (the engine's
-// bit-determinism contract) — the binary exits nonzero otherwise, and
-// scripts/run_bench_mapreduce.sh runs the whole bench twice and diffs the
-// digest/bit_identical lines of the two JSON files.
+// bit-determinism contract); `scripts/run_bench.sh bench_mapreduce` runs
+// the whole bench twice and compares the digest/bit_identical lines of the
+// two JSON files.
 //
 // Speedups are wall-clock on *this* machine: on a multi-core box the map
 // phase at 8 threads should sit >= 3x over the 1-thread engine; on a
 // 1-core container the speedup degenerates to ~1x while the digests still
-// pin determinism. scripts/run_bench_mapreduce.sh turns the reported
-// map_wall_speedup into a core-count-aware pass/fail gate.
+// pin determinism.
+//
+// Gates (one `gate ...` line each; exit 1 if any fails): bit_identical,
+// and min_map_wall_speedup (8 threads vs 1), a core-count-aware threshold
+// that catches a parallel executor running over a serial data path:
+// >= 1.5x on >= 8 cores, >= 1.1x on 2-7 cores, and on a single
+// core, where real scaling is impossible, a contention guard of >= 0.7x
+// (a lock or allocator serialization in the emit path drags it lower).
 //
 // The default (non-quick) config is sized so the 1-thread traditional map
 // phase is >= 500 ms: long enough that scheduling jitter is noise and a
@@ -32,7 +38,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -47,28 +52,7 @@
 namespace {
 
 using namespace csod;
-
-// FNV-1a over raw bytes — the deterministic output digest.
-class Fnv1a {
- public:
-  void Add(const void* data, size_t bytes) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void AddU64(uint64_t v) { Add(&v, sizeof(v)); }
-  void AddDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    AddU64(bits);
-  }
-  uint64_t hash() const { return hash_; }
-
- private:
-  uint64_t hash_ = 1469598103934665603ull;
-};
+using bench::Fnv1a;
 
 struct LimitResult {
   size_t threads = 0;
@@ -212,6 +196,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"mapreduce\",\n");
+  std::fprintf(out, "  \"host\": %s,\n", bench::HostJson().c_str());
   std::fprintf(out,
                "  \"config\": {\"n\": %zu, \"m\": %zu, \"splits\": %zu, "
                "\"events_per_key\": %zu, \"k\": %zu, \"seed\": %llu, "
@@ -240,5 +225,10 @@ int main(int argc, char** argv) {
                bit_identical ? "true" : "false");
   std::fclose(out);
   std::printf("Wrote %s\n", out_path.c_str());
-  return bit_identical ? 0 : 1;
+
+  bench::Gates gates;
+  gates.Holds("bit_identical", bit_identical);
+  gates.AtLeast("min_map_wall_speedup", map_speedup,
+                bench::ByCoreTier(1.5, 1.1, 0.7));
+  return gates.exit_code();
 }

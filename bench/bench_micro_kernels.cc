@@ -22,7 +22,6 @@
 #include "la/incremental_qr.h"
 #include "sim/buggify.h"
 #include "sketch/count_sketch.h"
-#include "sketch/hyperloglog.h"
 #include "workload/generators.h"
 
 namespace {
@@ -296,16 +295,6 @@ void BM_CountSketchUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CountSketchUpdate);
-
-void BM_HyperLogLogAdd(benchmark::State& state) {
-  auto hll = sketch::HyperLogLog::Create(12).MoveValue();
-  uint64_t key = 0;
-  for (auto _ : state) {
-    hll.Add(key++);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HyperLogLogAdd);
 
 void BM_BiasedBasisPursuit(benchmark::State& state) {
   const size_t n = 512;

@@ -11,7 +11,7 @@
 //      which only widens the gap); AMP keeps its fixed default budget.
 //      Both engines must hit EK = 0, and AMP must be faster at the
 //      largest k (per-iteration cost is support-independent — DESIGN.md
-//      §14), which the driver script gates.
+//      §14).
 //
 //  (b) Engines: all four `--solver=` engines through the one
 //      RecoverBiased dispatch on the same N = 20k workload at a single
@@ -31,8 +31,13 @@
 //      cheapest configuration that still answers the top-k exactly
 //      (EK = 0, EV <= --ev-target) and compare wire bytes; then run the
 //      streaming DAMP protocol at the fixed protocol's operating point
-//      and report its thresholded-transfer savings. The script gates the
-//      two-phase saving at >= 30%.
+//      and report its thresholded-transfer savings.
+//
+// Gates (one `gate ...` line each; exit 1 if any fails): bit_identical;
+// zero_crossover_ek (both engines exact at every swept k);
+// amp_faster_than_bomp (AMP ms vs BOMP ms at the largest swept k); and
+// min_two_phase_savings_pct (>= 30% fewer wire bytes than the cheapest
+// fixed-M configuration at matched precision/recall).
 //
 // Flags: --n --m --k-list --trials --engines-n --engines-m --engines-k
 //        --ev-target --cache-mb --out --quick
@@ -40,7 +45,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,28 +69,7 @@
 namespace {
 
 using namespace csod;
-
-// FNV-1a over raw bytes — the deterministic output digest.
-class Fnv1a {
- public:
-  void Add(const void* data, size_t bytes) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void AddU64(uint64_t v) { Add(&v, sizeof(v)); }
-  void AddDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    AddU64(bits);
-  }
-  uint64_t hash() const { return hash_; }
-
- private:
-  uint64_t hash_ = 1469598103934665603ull;
-};
+using bench::Fnv1a;
 
 uint64_t DigestRecovery(const cs::BompResult& result) {
   Fnv1a digest;
@@ -174,7 +157,7 @@ int main(int argc, char** argv) {
   const double ev_target = flags.GetDouble("ev-target", 1e-3);
   const size_t cache_bytes =
       static_cast<size_t>(flags.GetInt("cache-mb", 2048)) * (1ull << 20);
-  const std::string out_path = flags.GetString("out", "");
+  const std::string out_path = flags.GetString("out", "BENCH_recovery.json");
 
   bench::Banner("Recovery engines",
                 "AMP vs BOMP crossover, engine table, determinism digests, "
@@ -457,91 +440,89 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------ output
-  if (!out_path.empty()) {
-    FILE* out = std::fopen(out_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fprintf(out, "{\n  \"bench\": \"recovery\",\n");
-    std::fprintf(out,
-                 "  \"config\": {\"n\": %zu, \"m\": %zu, \"engines_n\": %zu, "
-                 "\"engines_m\": %zu, \"engines_k\": %zu, \"trials\": %zu, "
-                 "\"ev_target\": %g},\n",
-                 n, m, engines_n, engines_m, engines_k, trials, ev_target);
-    std::fprintf(out, "  \"crossover\": [\n");
-    for (size_t i = 0; i < crossover.size(); ++i) {
-      const CrossoverPoint& p = crossover[i];
-      std::fprintf(out,
-                   "    {\"k\": %zu, \"bomp_ms\": %.3f, \"amp_ms\": %.3f, "
-                   "\"bomp_ek\": %g, \"amp_ek\": %g, "
-                   "\"bomp_iterations\": %zu, \"amp_iterations\": %zu}%s\n",
-                   p.k, p.bomp_ms, p.amp_ms, p.bomp_ek, p.amp_ek,
-                   p.bomp_iterations, p.amp_iterations,
-                   i + 1 < crossover.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"engines\": [\n");
-    for (size_t i = 0; i < engines.size(); ++i) {
-      const EngineRow& row = engines[i];
-      std::fprintf(out,
-                   "    {\"solver\": \"%s\", \"wall_ms\": %.3f, \"ek\": %g, "
-                   "\"ev\": %g, \"iterations\": %zu}%s\n",
-                   row.name, row.wall_ms, row.ek, row.ev, row.iterations,
-                   i + 1 < engines.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"determinism\": {\n    \"digests\": [\n");
-    for (size_t i = 0; i < digests.size(); ++i) {
-      std::fprintf(out,
-                   "      {\"threads\": %zu, \"simd\": \"%s\", "
-                   "\"output_digest\": \"0x%016" PRIx64 "\"}%s\n",
-                   digests[i].threads, digests[i].simd, digests[i].digest,
-                   i + 1 < digests.size() ? "," : "");
-    }
-    std::fprintf(out, "    ],\n    \"bit_identical\": %s\n  },\n",
-                 bit_identical ? "true" : "false");
-    std::fprintf(out, "  \"distributed\": {\n");
-    std::fprintf(out,
-                 "    \"workload\": \"core-search/4\", \"n\": %zu, "
-                 "\"sparsity\": %zu, \"nodes\": %zu, \"k\": %zu,\n",
-                 w.n, w.sparsity, num_nodes, dist_k);
-    std::fprintf(out,
-                 "    \"fixed\": {\"m\": %" PRIu64 ", \"bytes\": %" PRIu64
-                 ", \"worst_ev\": %g},\n",
-                 fixed_m, fixed_bytes, fixed_ev);
-    std::fprintf(out,
-                 "    \"two_phase\": {\"locate_m\": %" PRIu64
-                 ", \"refine_m\": %" PRIu64 ", \"bytes\": %" PRIu64
-                 ", \"worst_ev\": %g, \"savings_vs_fixed_pct\": %.1f},\n",
-                 two_phase_locate_m, two_phase_refine_m, two_phase_bytes,
-                 two_phase_ev, two_phase_savings);
-    std::fprintf(out, "    \"damp\": [\n");
-    for (size_t i = 0; i < damp_rows.size(); ++i) {
-      const DampRow& row = damp_rows[i];
-      std::fprintf(out,
-                   "      {\"partition\": \"%s\", \"m\": %" PRIu64
-                   ", \"bytes\": %" PRIu64 ", \"tuples\": %" PRIu64
-                   ", \"rounds\": %" PRIu64
-                   ", \"ek\": %g, \"savings_vs_dense_pct\": %.1f}%s\n",
-                   row.partition, fixed_m, row.bytes, row.tuples, row.rounds,
-                   row.ek, row.savings,
-                   i + 1 < damp_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]\n  }\n}\n");
-    std::fclose(out);
-    std::printf("\nWrote %s\n", out_path.c_str());
-  }
-
-  // The bench itself fails on a broken determinism or correctness
-  // contract so CI catches it even without the driver script.
-  if (!bit_identical) {
-    std::fprintf(stderr, "FAIL: AMP output digests differ across limits\n");
+  FILE* out = std::fopen(out_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  for (const CrossoverPoint& p : crossover) {
-    if (p.bomp_ek != 0.0 || p.amp_ek != 0.0) {
-      std::fprintf(stderr, "FAIL: nonzero EK at k = %zu\n", p.k);
-      return 1;
-    }
+  std::fprintf(out, "{\n  \"bench\": \"recovery\",\n");
+  std::fprintf(out, "  \"host\": %s,\n", bench::HostJson().c_str());
+  std::fprintf(out,
+               "  \"config\": {\"n\": %zu, \"m\": %zu, \"engines_n\": %zu, "
+               "\"engines_m\": %zu, \"engines_k\": %zu, \"trials\": %zu, "
+               "\"ev_target\": %g},\n",
+               n, m, engines_n, engines_m, engines_k, trials, ev_target);
+  std::fprintf(out, "  \"crossover\": [\n");
+  for (size_t i = 0; i < crossover.size(); ++i) {
+    const CrossoverPoint& p = crossover[i];
+    std::fprintf(out,
+                 "    {\"k\": %zu, \"bomp_ms\": %.3f, \"amp_ms\": %.3f, "
+                 "\"bomp_ek\": %g, \"amp_ek\": %g, "
+                 "\"bomp_iterations\": %zu, \"amp_iterations\": %zu}%s\n",
+                 p.k, p.bomp_ms, p.amp_ms, p.bomp_ek, p.amp_ek,
+                 p.bomp_iterations, p.amp_iterations,
+                 i + 1 < crossover.size() ? "," : "");
   }
-  return 0;
+  std::fprintf(out, "  ],\n  \"engines\": [\n");
+  for (size_t i = 0; i < engines.size(); ++i) {
+    const EngineRow& row = engines[i];
+    std::fprintf(out,
+                 "    {\"solver\": \"%s\", \"wall_ms\": %.3f, \"ek\": %g, "
+                 "\"ev\": %g, \"iterations\": %zu}%s\n",
+                 row.name, row.wall_ms, row.ek, row.ev, row.iterations,
+                 i + 1 < engines.size() ? "," : "");
+  }
+  std::fprintf(out, "  ],\n  \"determinism\": {\n    \"digests\": [\n");
+  for (size_t i = 0; i < digests.size(); ++i) {
+    std::fprintf(out,
+                 "      {\"threads\": %zu, \"simd\": \"%s\", "
+                 "\"output_digest\": \"0x%016" PRIx64 "\"}%s\n",
+                 digests[i].threads, digests[i].simd, digests[i].digest,
+                 i + 1 < digests.size() ? "," : "");
+  }
+  std::fprintf(out, "    ],\n    \"bit_identical\": %s\n  },\n",
+               bit_identical ? "true" : "false");
+  std::fprintf(out, "  \"distributed\": {\n");
+  std::fprintf(out,
+               "    \"workload\": \"core-search/4\", \"n\": %zu, "
+               "\"sparsity\": %zu, \"nodes\": %zu, \"k\": %zu,\n",
+               w.n, w.sparsity, num_nodes, dist_k);
+  std::fprintf(out,
+               "    \"fixed\": {\"m\": %" PRIu64 ", \"bytes\": %" PRIu64
+               ", \"worst_ev\": %g},\n",
+               fixed_m, fixed_bytes, fixed_ev);
+  std::fprintf(out,
+               "    \"two_phase\": {\"locate_m\": %" PRIu64
+               ", \"refine_m\": %" PRIu64 ", \"bytes\": %" PRIu64
+               ", \"worst_ev\": %g, \"savings_vs_fixed_pct\": %.1f},\n",
+               two_phase_locate_m, two_phase_refine_m, two_phase_bytes,
+               two_phase_ev, two_phase_savings);
+  std::fprintf(out, "    \"damp\": [\n");
+  for (size_t i = 0; i < damp_rows.size(); ++i) {
+    const DampRow& row = damp_rows[i];
+    std::fprintf(out,
+                 "      {\"partition\": \"%s\", \"m\": %" PRIu64
+                 ", \"bytes\": %" PRIu64 ", \"tuples\": %" PRIu64
+                 ", \"rounds\": %" PRIu64
+                 ", \"ek\": %g, \"savings_vs_dense_pct\": %.1f}%s\n",
+                 row.partition, fixed_m, row.bytes, row.tuples, row.rounds,
+                 row.ek, row.savings,
+                 i + 1 < damp_rows.size() ? "," : "");
+  }
+  std::fprintf(out, "    ]\n  }\n}\n");
+  std::fclose(out);
+  std::printf("\nWrote %s\n", out_path.c_str());
+
+  bool crossover_exact = true;
+  for (const CrossoverPoint& p : crossover) {
+    crossover_exact = crossover_exact && p.bomp_ek == 0.0 && p.amp_ek == 0.0;
+  }
+  bench::Gates gates;
+  gates.Holds("bit_identical", bit_identical);
+  gates.Holds("zero_crossover_ek", crossover_exact);
+  const CrossoverPoint largest_k =
+      crossover.empty() ? CrossoverPoint{} : crossover.back();
+  gates.Below("amp_faster_than_bomp", largest_k.amp_ms, largest_k.bomp_ms);
+  gates.AtLeast("min_two_phase_savings_pct", two_phase_savings, 30.0);
+  return gates.exit_code();
 }

@@ -20,10 +20,10 @@
 //
 // All four paths must produce the same y down to the last bit (the axpy
 // kernels are element-wise, so SIMD never reassociates sums); the binary
-// asserts this and emits an FNV-1a digest of y. Timings vary run to run,
-// but the digest/bit-identity lines are deterministic —
-// scripts/run_bench_kernels.sh runs the bench twice and diffs exactly
-// those lines.
+// gates on this (`gate bit_identical`, exit 1 on a mismatch) and emits an
+// FNV-1a digest of y. Timings vary run to run, but the digest/bit-identity
+// lines are deterministic — `scripts/run_bench.sh bench_sketch` runs the
+// bench twice and compares exactly those lines.
 //
 // Flags: --l --m --n --nnz --hot --trials --seed --out --quick
 
@@ -96,21 +96,6 @@ std::vector<double> SeedAggregate(
     for (size_t i = 0; i < m; ++i) y[i] += yl[i];
   }
   return y;
-}
-
-// FNV-1a over the raw bits of y — the deterministic output digest.
-uint64_t DigestBits(const std::vector<double>& y) {
-  uint64_t h = 1469598103934665603ull;
-  for (double v : y) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    for (size_t byte = 0; byte < 8; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
 }
 
 // Hot-key-overlap cluster: every node holds all `hot` hot keys (ids
@@ -250,7 +235,9 @@ int main(int argc, char** argv) {
     res.accumulate_ms = best[2];
     res.each_ms = best[3];
 
-    res.digest = DigestBits(y_accumulate);
+    bench::Fnv1a digest;
+    for (double v : y_accumulate) digest.AddDouble(v);
+    res.digest = digest.hash();
     res.bit_identical =
         y_seed == y_simd && y_simd == y_accumulate && y_accumulate == y_each;
     results.push_back(res);
@@ -263,7 +250,6 @@ int main(int argc, char** argv) {
     std::printf("          y digest 0x%016" PRIx64 ", all paths bit-identical:"
                 " %s\n",
                 res.digest, res.bit_identical ? "yes" : "NO");
-    if (!res.bit_identical) return 1;
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -272,6 +258,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"sketch\",\n");
+  std::fprintf(out, "  \"host\": %s,\n", bench::HostJson().c_str());
   std::fprintf(out,
                "  \"config\": {\"l\": %zu, \"m\": %zu, \"n\": %zu, "
                "\"nnz\": %zu, \"hot\": %zu, \"trials\": %zu, \"seed\": %llu, "
@@ -299,5 +286,12 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("\nWrote %s\n", out_path.c_str());
-  return 0;
+
+  bool bit_identical = true;
+  for (const ModeResult& r : results) {
+    bit_identical = bit_identical && r.bit_identical;
+  }
+  bench::Gates gates;
+  gates.Holds("bit_identical", bit_identical);
+  return gates.exit_code();
 }

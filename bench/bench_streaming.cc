@@ -19,12 +19,14 @@
 //      the maximum snapshot age any query observed, which the bounded-
 //      staleness contract caps at 1 epoch (reading the epoch counter
 //      before grabbing the snapshot makes the racy measurement safe).
-//      scripts/run_bench_streaming.sh turns updates/sec into a
-//      core-count-aware gate (>= 100k/s on an 8-core box).
 //
 //  (c) Telemetry overhead: the ingest+advance loop timed with a live
-//      obs::Telemetry sink vs a null sink (best of --trials each);
-//      overhead_pct must stay within the committed budget (<= 2%).
+//      obs::Telemetry sink vs a null sink (best of --trials each).
+//
+// Gates (one `gate ...` line each; exit 1 if any fails): bit_identical;
+// staleness_bound_held; min_updates_per_sec, core-count aware (>= 100k/s
+// on >= 8 cores, >= 50k/s on 2-7, >= 25k/s on 1); and
+// max_telemetry_overhead_pct (<= 2%).
 //
 // Flags: --n --m --window --shards --epochs --batch --events-per-epoch
 //        --k --seed --trials --threads-list --query-threads --out --quick
@@ -33,7 +35,6 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
@@ -51,28 +52,7 @@
 namespace {
 
 using namespace csod;
-
-// FNV-1a over raw bytes — the deterministic output digest.
-class Fnv1a {
- public:
-  void Add(const void* data, size_t bytes) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void AddU64(uint64_t v) { Add(&v, sizeof(v)); }
-  void AddDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    AddU64(bits);
-  }
-  uint64_t hash() const { return hash_; }
-
- private:
-  uint64_t hash_ = 1469598103934665603ull;
-};
+using bench::Fnv1a;
 
 struct StreamConfig {
   size_t n = 0;
@@ -405,6 +385,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"streaming\",\n");
+  std::fprintf(out, "  \"host\": %s,\n", bench::HostJson().c_str());
   std::fprintf(out,
                "  \"config\": {\"n\": %zu, \"m\": %zu, \"window\": %zu, "
                "\"shards\": %zu, \"epochs\": %zu, \"events_per_epoch\": %zu, "
@@ -443,5 +424,12 @@ int main(int argc, char** argv) {
                plain_ms, telemetry_ms, overhead_pct);
   std::fclose(out);
   std::printf("Wrote %s\n", out_path.c_str());
-  return (bit_identical && staleness_ok) ? 0 : 1;
+
+  bench::Gates gates;
+  gates.Holds("bit_identical", bit_identical);
+  gates.Holds("staleness_bound_held", staleness_ok);
+  gates.AtLeast("min_updates_per_sec", updates_per_sec,
+                bench::ByCoreTier(100000, 50000, 25000));
+  gates.AtMost("max_telemetry_overhead_pct", overhead_pct, 2.0);
+  return gates.exit_code();
 }

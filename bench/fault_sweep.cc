@@ -12,20 +12,30 @@
 //      exactly that node's keys, so recall measures the lost data.
 //
 // Emits BENCH_faults.json (deterministic: no timestamps, every fault seed
-// derived arithmetically from --seed; two runs with equal flags produce
-// byte-identical files — scripts/run_bench_faults.sh diffs them).
+// derived arithmetically from --seed). Its "output_digest" is the FNV-1a
+// of every byte after that line, so two runs with equal flags print equal
+// digests exactly when they write byte-identical results.
 //
-// --telemetry-json=FILE additionally attaches one obs::Telemetry sink to
-// every protocol run and writes its deterministic snapshot; the JSON's
-// "collection_totals" sums retries/exclusions over the same runs so
-// scripts/run_telemetry_check.sh can cross-check the snapshot's
-// "comm.retries"/"comm.excluded_nodes" counters against the reports.
+// Every protocol run records into one live obs::Telemetry sink (which
+// changes no result — telemetry_identity_test pins that). The JSON's
+// "collection_totals" sums retries/exclusions over the same runs, and the
+// binary cross-checks them against the sink's "comm.retries" /
+// "comm.excluded_nodes" counters: the two count the same events through
+// different code paths, so a mismatch means one of them lost or
+// double-counted an event. "telemetry_digest" is the FNV-1a of the
+// deterministic snapshot, which --telemetry-json=FILE also writes out.
+//
+// Gates (one `gate ...` line each; exit 1 if any fails):
+// telemetry_retries and telemetry_excluded_nodes (sink == collection
+// totals), and min_retries (>= 1: a sweep without retries means fault
+// injection or instrumentation is detached).
 //
 // Flags: --n --s --k --nodes --m --trials --seed --drop-list --out
 //        --telemetry-json --quick
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,10 +151,8 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.GetString("out", "BENCH_faults.json");
   const std::string telemetry_path = flags.GetString("telemetry-json", "");
 
-  // One sink across every protocol run of the sweep; null when the flag is
-  // off so the benchmark's hot paths keep the disabled-sink fast path.
+  // One live sink across every protocol run of the sweep.
   obs::Telemetry telemetry;
-  obs::Telemetry* sink = telemetry_path.empty() ? nullptr : &telemetry;
   // Summed CollectionReport numbers over the same runs the sink saw.
   uint64_t total_retries = 0;
   uint64_t total_excluded = 0;
@@ -172,8 +180,8 @@ int main(int argc, char** argv) {
     dist::CsProtocolOptions zero = base;
     zero.faults.seed = seed * 1000003;  // Seed set, every rate zero.
     dist::CsOutlierProtocol with_plan(zero);
-    plain.set_telemetry(sink);
-    with_plan.set_telemetry(sink);
+    plain.set_telemetry(&telemetry);
+    with_plan.set_telemetry(&telemetry);
     dist::CommStats comm_a, comm_b;
     auto a = plain.Run(*setup.cluster, k, &comm_a).MoveValue();
     auto b = with_plan.Run(*setup.cluster, k, &comm_b).MoveValue();
@@ -207,7 +215,7 @@ int main(int argc, char** argv) {
           seed * 1000003 + static_cast<uint64_t>(drop_percent) * 101 + t;
       options.faults.drop_rate = static_cast<double>(drop_percent) / 100.0;
       dist::CsOutlierProtocol protocol(options);
-      protocol.set_telemetry(sink);
+      protocol.set_telemetry(&telemetry);
       dist::CommStats comm;
       auto result = protocol.Run(*setup.cluster, k, &comm).MoveValue();
       const dist::CollectionReport& report = protocol.last_collection();
@@ -240,7 +248,7 @@ int main(int argc, char** argv) {
     options.faults.seed = seed * 1000003 + 7000 + t;
     options.faults.crash_nodes = {crashed};
     dist::CsOutlierProtocol protocol(options);
-    protocol.set_telemetry(sink);
+    protocol.set_telemetry(&telemetry);
     dist::CommStats comm;
     auto result = protocol.Run(*setup.cluster, k, &comm).MoveValue();
     const dist::CollectionReport& report = protocol.last_collection();
@@ -262,12 +270,19 @@ int main(int argc, char** argv) {
               crash_reported ? "always" : "NOT ALWAYS");
 
   // --- Deterministic JSON -------------------------------------------------
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
+  // Everything after the output_digest line is composed in memory first so
+  // that the digest can cover it.
+  bench::Fnv1a telemetry_digest;
+  telemetry_digest.AddString(telemetry.SnapshotJson(true));
+  char* body_buf = nullptr;
+  size_t body_len = 0;
+  std::FILE* out = open_memstream(&body_buf, &body_len);
   if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
+    std::fprintf(stderr, "open_memstream failed\n");
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench\": \"fault_sweep\",\n");
+  std::fprintf(out, "  \"telemetry_digest\": \"%s\",\n",
+               bench::HexDigest(telemetry_digest.hash()).c_str());
   std::fprintf(out,
                "  \"config\": {\"n\": %zu, \"s\": %zu, \"k\": %zu, "
                "\"nodes\": %zu, \"m\": %zu, \"trials\": %zu, \"seed\": %llu,\n"
@@ -299,10 +314,28 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(total_retries),
                static_cast<unsigned long long>(total_excluded));
   std::fclose(out);
-  std::printf("\nWrote %s\n", out_path.c_str());
+  const std::string body(body_buf, body_len);
+  std::free(body_buf);
+  bench::Fnv1a output_digest;
+  output_digest.AddString(body);
 
-  if (sink != nullptr) {
-    const Status written = obs::WriteSnapshotJsonFile(*sink, telemetry_path);
+  out = std::fopen(out_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
+    return 1;
+  }
+  std::fprintf(out, "{\n  \"bench\": \"fault_sweep\",\n");
+  std::fprintf(out, "  \"host\": %s,\n", bench::HostJson().c_str());
+  std::fprintf(out, "  \"output_digest\": \"%s\",\n%s",
+               bench::HexDigest(output_digest.hash()).c_str(), body.c_str());
+  std::fclose(out);
+  std::printf("\noutput_digest %s, telemetry_digest %s\nWrote %s\n",
+              bench::HexDigest(output_digest.hash()).c_str(),
+              bench::HexDigest(telemetry_digest.hash()).c_str(),
+              out_path.c_str());
+
+  if (!telemetry_path.empty()) {
+    const Status written = obs::WriteSnapshotJsonFile(telemetry, telemetry_path);
     if (!written.ok()) {
       std::fprintf(stderr, "telemetry write failed: %s\n",
                    written.ToString().c_str());
@@ -310,5 +343,12 @@ int main(int argc, char** argv) {
     }
     std::printf("Wrote %s\n", telemetry_path.c_str());
   }
-  return 0;
+
+  bench::Gates gates;
+  gates.Equal("telemetry_retries", telemetry.counter("comm.retries"),
+              total_retries);
+  gates.Equal("telemetry_excluded_nodes",
+              telemetry.counter("comm.excluded_nodes"), total_excluded);
+  gates.AtLeast("min_retries", static_cast<double>(total_retries), 1.0);
+  return gates.exit_code();
 }

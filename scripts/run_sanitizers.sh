@@ -123,9 +123,10 @@ cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target sim_driver
 "$BUILD_DIR/tools/sim_driver" --scenarios=24 --seed0=4242
 
-# Telemetry double-run determinism + CollectionReport cross-check, against
-# the sanitizer build so the instrumented hot paths also get race coverage.
-BUILD_DIR="$BUILD_DIR" "$ROOT/scripts/run_telemetry_check.sh" --quick
+# The fault sweep's telemetry-vs-CollectionReport cross-check gates,
+# against the sanitizer build so the instrumented hot paths also get race
+# coverage even when the main invocation was filtered.
+ctest --output-on-failure -R '^fault_sweep_quick$'
 
 # Keep the documentation's cross-links honest while we're at it.
 "$ROOT/scripts/check_docs_links.sh"

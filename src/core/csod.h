@@ -38,9 +38,7 @@
 #include "outlier/aggregates.h"
 #include "outlier/metrics.h"
 #include "outlier/outlier.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
-#include "sketch/hyperloglog.h"
 #include "sketch/sketch_protocols.h"
 #include "workload/generators.h"
 #include "workload/key_dictionary.h"

@@ -105,8 +105,8 @@ struct DetectorCheckpoint {
 ///    Ingestion is never blocked by a query and vice versa; the only shared
 ///    lock is the pointer swap.
 ///
-/// **Determinism contract** (tested in serve_test.cc, gated in
-/// bench_streaming): the published window measurement — and therefore
+/// **Determinism contract** (tested in serve_test.cc, gated by
+/// bench_streaming's `bit_identical` gate): the published window measurement — and therefore
 /// every detection answer — is *bit-identical* to a
 /// `WindowedOutlierDetector` fed the same batches as per-shard
 /// `SparseSlice`s in shard order (stalled shards' slices withheld until

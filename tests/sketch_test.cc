@@ -7,69 +7,13 @@
 #include "common/random.h"
 #include "dist/cs_protocol.h"
 #include "outlier/metrics.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
-#include "sketch/hyperloglog.h"
 #include "sketch/sketch_protocols.h"
 #include "workload/generators.h"
 #include "workload/partitioner.h"
 
 namespace csod::sketch {
 namespace {
-
-TEST(CountMinTest, CreateValidates) {
-  EXPECT_FALSE(CountMinSketch::Create(0, 3, 1).ok());
-  EXPECT_FALSE(CountMinSketch::Create(16, 0, 1).ok());
-  EXPECT_TRUE(CountMinSketch::Create(16, 3, 1).ok());
-}
-
-TEST(CountMinTest, NeverUnderestimatesNonNegative) {
-  auto sketch = CountMinSketch::Create(64, 4, 7).MoveValue();
-  Rng rng(3);
-  std::vector<double> truth(500, 0.0);
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t key = rng.NextBounded(500);
-    const double delta = rng.NextDouble() * 10.0;
-    sketch.Update(key, delta);
-    truth[key] += delta;
-  }
-  for (uint64_t key = 0; key < 500; ++key) {
-    EXPECT_GE(sketch.Estimate(key), truth[key] - 1e-9) << "key " << key;
-  }
-}
-
-TEST(CountMinTest, ExactWhenNoCollisions) {
-  auto sketch = CountMinSketch::Create(4096, 4, 7).MoveValue();
-  sketch.Update(5, 10.0);
-  sketch.Update(9, 3.0);
-  EXPECT_DOUBLE_EQ(sketch.Estimate(5), 10.0);
-  EXPECT_DOUBLE_EQ(sketch.Estimate(9), 3.0);
-  EXPECT_DOUBLE_EQ(sketch.Estimate(123), 0.0);
-}
-
-TEST(CountMinTest, MergeEqualsCombinedStream) {
-  auto a = CountMinSketch::Create(128, 3, 5).MoveValue();
-  auto b = CountMinSketch::Create(128, 3, 5).MoveValue();
-  auto combined = CountMinSketch::Create(128, 3, 5).MoveValue();
-  for (uint64_t k = 0; k < 50; ++k) {
-    a.Update(k, 1.0);
-    combined.Update(k, 1.0);
-    b.Update(k * 3, 2.0);
-    combined.Update(k * 3, 2.0);
-  }
-  ASSERT_TRUE(a.Merge(b).ok());
-  for (uint64_t k = 0; k < 150; ++k) {
-    EXPECT_DOUBLE_EQ(a.Estimate(k), combined.Estimate(k)) << "key " << k;
-  }
-}
-
-TEST(CountMinTest, MergeRejectsIncompatible) {
-  auto a = CountMinSketch::Create(128, 3, 5).MoveValue();
-  auto b = CountMinSketch::Create(64, 3, 5).MoveValue();
-  auto c = CountMinSketch::Create(128, 3, 6).MoveValue();
-  EXPECT_FALSE(a.Merge(b).ok());
-  EXPECT_FALSE(a.Merge(c).ok());
-}
 
 TEST(CountSketchTest, UnbiasedOnSignedData) {
   // Mean estimate over many independent sketches approaches the truth.
@@ -115,83 +59,6 @@ TEST(CountSketchTest, MergeEqualsCombinedStream) {
   for (uint64_t key = 0; key < 100; ++key) {
     EXPECT_NEAR(a.Estimate(key), combined.Estimate(key), 1e-9);
   }
-}
-
-TEST(HyperLogLogTest, CreateValidates) {
-  EXPECT_FALSE(HyperLogLog::Create(3).ok());
-  EXPECT_FALSE(HyperLogLog::Create(17).ok());
-  EXPECT_TRUE(HyperLogLog::Create(12).ok());
-}
-
-TEST(HyperLogLogTest, EmptyEstimatesZero) {
-  auto hll = HyperLogLog::Create(10).MoveValue();
-  EXPECT_NEAR(hll.Estimate(), 0.0, 1e-9);
-}
-
-TEST(HyperLogLogTest, AddIsIdempotentPerKey) {
-  auto hll = HyperLogLog::Create(10).MoveValue();
-  for (int rep = 0; rep < 5; ++rep) {
-    for (uint64_t key = 0; key < 100; ++key) hll.Add(key);
-  }
-  EXPECT_NEAR(hll.Estimate(), 100.0, 10.0);
-}
-
-TEST(HyperLogLogTest, AccuracyAcrossCardinalities) {
-  for (uint64_t cardinality : {100u, 1000u, 50000u}) {
-    auto hll = HyperLogLog::Create(12).MoveValue();
-    for (uint64_t key = 0; key < cardinality; ++key) {
-      hll.Add(key * 2654435761u + 7);
-    }
-    // 2^12 registers: ~1.6% standard error; allow 6%.
-    EXPECT_NEAR(hll.Estimate(), static_cast<double>(cardinality),
-                0.06 * cardinality)
-        << "cardinality " << cardinality;
-  }
-}
-
-TEST(HyperLogLogTest, MergeEqualsUnion) {
-  auto a = HyperLogLog::Create(12, 5).MoveValue();
-  auto b = HyperLogLog::Create(12, 5).MoveValue();
-  auto combined = HyperLogLog::Create(12, 5).MoveValue();
-  for (uint64_t key = 0; key < 3000; ++key) {
-    (key % 2 ? a : b).Add(key);
-    combined.Add(key);
-  }
-  ASSERT_TRUE(a.Merge(b).ok());
-  EXPECT_DOUBLE_EQ(a.Estimate(), combined.Estimate());
-}
-
-TEST(HyperLogLogTest, MergeRejectsIncompatible) {
-  auto a = HyperLogLog::Create(10, 1).MoveValue();
-  auto b = HyperLogLog::Create(11, 1).MoveValue();
-  auto c = HyperLogLog::Create(10, 2).MoveValue();
-  EXPECT_FALSE(a.Merge(b).ok());
-  EXPECT_FALSE(a.Merge(c).ok());
-}
-
-TEST(HyperLogLogTest, EstimatesWorkloadSparsity) {
-  // The library use case: estimate the number of active keys (F0) from
-  // per-node sketches to size M before running the CS protocol.
-  workload::MajorityDominatedOptions gen;
-  gen.n = 4000;
-  gen.sparsity = 100;
-  gen.seed = 3;
-  auto global = workload::GenerateMajorityDominated(gen).MoveValue();
-
-  workload::PartitionOptions part;
-  part.num_nodes = 5;
-  part.strategy = workload::PartitionStrategy::kByKey;
-  part.seed = 4;
-  auto slices = workload::PartitionAdditive(global, part).MoveValue();
-
-  auto merged = HyperLogLog::Create(12, 9).MoveValue();
-  for (const auto& slice : slices) {
-    auto local = HyperLogLog::Create(12, 9).MoveValue();
-    for (size_t idx : slice.indices) local.Add(idx);
-    ASSERT_TRUE(merged.Merge(local).ok());
-  }
-  // All 4000 keys are non-zero here; the estimate must see them all.
-  EXPECT_NEAR(merged.Estimate(), 4000.0, 0.06 * 4000.0);
 }
 
 // The headline comparison (Section 7.2 discussion): at equal communication
