@@ -13,7 +13,7 @@
 //      largest k (per-iteration cost is support-independent — DESIGN.md
 //      §14).
 //
-//  (b) Engines: all four `--solver=` engines through the one
+//  (b) Engines: all three `--solver=` engines through the one
 //      RecoverBiased dispatch on the same N = 20k workload at a single
 //      unified budget R, reporting wall ms / EK / EV / iterations per
 //      engine — the apples-to-apples table DESIGN.md §14 cites.
@@ -29,9 +29,7 @@
 //      quarter scale, 8 data centers, zero-sum cancellation noise),
 //      sweep the fixed-M protocol and the two-phase protocol down to the
 //      cheapest configuration that still answers the top-k exactly
-//      (EK = 0, EV <= --ev-target) and compare wire bytes; then run the
-//      streaming DAMP protocol at the fixed protocol's operating point
-//      and report its thresholded-transfer savings.
+//      (EK = 0, EV <= --ev-target) and compare wire bytes.
 //
 // Gates (one `gate ...` line each; exit 1 if any fails): bit_identical;
 // zero_crossover_ek (both engines exact at every swept k);
@@ -59,7 +57,6 @@
 #include "cs/measurement_matrix.h"
 #include "cs/solver.h"
 #include "dist/adaptive_cs_protocol.h"
-#include "dist/amp_protocol.h"
 #include "dist/cs_protocol.h"
 #include "outlier/metrics.h"
 #include "outlier/outlier.h"
@@ -161,7 +158,7 @@ int main(int argc, char** argv) {
 
   bench::Banner("Recovery engines",
                 "AMP vs BOMP crossover, engine table, determinism digests, "
-                "two-phase / DAMP wire bytes");
+                "two-phase vs fixed-M wire bytes");
   std::printf("crossover: N = %zu, M = %zu; engines: N = %zu, M = %zu, "
               "k = %zu; trials = %zu\n\n",
               n, m, engines_n, engines_m, engines_k, trials);
@@ -220,7 +217,7 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------------------------- (b)
-  // Engine table: one workload, one unified budget R, four engines.
+  // Engine table: one workload, one unified budget R, three engines.
   struct EngineRow {
     const char* name;
     double wall_ms = 0.0;
@@ -250,7 +247,7 @@ int main(int argc, char** argv) {
                 engines_n, engines_m, engines_k, engines_r);
     for (cs::RecoverySolver solver :
          {cs::RecoverySolver::kOmp, cs::RecoverySolver::kCosamp,
-          cs::RecoverySolver::kFista, cs::RecoverySolver::kAmp}) {
+          cs::RecoverySolver::kAmp}) {
       EngineRow row;
       row.name = cs::SolverName(solver);
       cs::SolverOptions solve;
@@ -386,59 +383,6 @@ int main(int argc, char** argv) {
               two_phase_locate_m, two_phase_refine_m, two_phase_bytes,
               two_phase_ev, two_phase_savings);
 
-  // DAMP at the fixed protocol's operating point: the streaming transfer
-  // ships thresholded (row, value) tuples instead of every measurement
-  // component. Measured twice — on the cancellation-noise production
-  // partition (where per-node measurement energy is flat, so thresholding
-  // cannot skip much and the 12B-vs-8B tuple overhead dominates) and on a
-  // clean skewed partition of the same global (where stable-top-k
-  // acceptance stops the stream early).
-  struct DampRow {
-    const char* partition;
-    uint64_t bytes = 0, tuples = 0, rounds = 0;
-    double ek = 0.0, savings = 0.0;
-  };
-  std::vector<DampRow> damp_rows;
-  if (fixed_m > 0) {
-    const uint64_t dense_bytes = num_nodes * fixed_m * dist::kMeasurementBytes;
-    auto run_damp = [&](const char* label, dist::Cluster& cluster,
-                        const outlier::OutlierSet& truth) {
-      dist::DistributedAmpOptions options;
-      options.m = fixed_m;
-      options.seed = 5000;
-      dist::DistributedAmpProtocol protocol(options);
-      dist::CommStats comm;
-      auto estimate = protocol.Run(cluster, dist_k, &comm).MoveValue();
-      DampRow row;
-      row.partition = label;
-      row.ek = outlier::ErrorOnKey(truth, estimate);
-      row.bytes = comm.bytes_total();
-      row.tuples = comm.tuples_total();
-      row.rounds = comm.rounds();
-      row.savings = 100.0 * (1.0 - static_cast<double>(row.bytes) /
-                                       static_cast<double>(dense_bytes));
-      std::printf("DAMP %-9s M = %" PRIu64 "  bytes %" PRIu64
-                  " (tuples %" PRIu64 ", rounds %" PRIu64
-                  ")  EK %.2f  savings vs dense %.1f%%\n",
-                  label, fixed_m, row.bytes, row.tuples, row.rounds, row.ek,
-                  row.savings);
-      damp_rows.push_back(row);
-    };
-    run_damp("noisy", *w.cluster, dist_truth);
-
-    workload::PartitionOptions clean;
-    clean.num_nodes = num_nodes;
-    clean.strategy = workload::PartitionStrategy::kSkewedSplit;
-    clean.seed = 301;
-    auto clean_slices =
-        workload::PartitionAdditive(w.global, clean).MoveValue();
-    dist::Cluster clean_cluster(w.n);
-    for (auto& slice : clean_slices) {
-      clean_cluster.AddNode(std::move(slice)).Value();
-    }
-    run_damp("clean", clean_cluster, dist_truth);
-  }
-
   // ------------------------------------------------------------ output
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -494,22 +438,10 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "    \"two_phase\": {\"locate_m\": %" PRIu64
                ", \"refine_m\": %" PRIu64 ", \"bytes\": %" PRIu64
-               ", \"worst_ev\": %g, \"savings_vs_fixed_pct\": %.1f},\n",
+               ", \"worst_ev\": %g, \"savings_vs_fixed_pct\": %.1f}\n",
                two_phase_locate_m, two_phase_refine_m, two_phase_bytes,
                two_phase_ev, two_phase_savings);
-  std::fprintf(out, "    \"damp\": [\n");
-  for (size_t i = 0; i < damp_rows.size(); ++i) {
-    const DampRow& row = damp_rows[i];
-    std::fprintf(out,
-                 "      {\"partition\": \"%s\", \"m\": %" PRIu64
-                 ", \"bytes\": %" PRIu64 ", \"tuples\": %" PRIu64
-                 ", \"rounds\": %" PRIu64
-                 ", \"ek\": %g, \"savings_vs_dense_pct\": %.1f}%s\n",
-                 row.partition, fixed_m, row.bytes, row.tuples, row.rounds,
-                 row.ek, row.savings,
-                 i + 1 < damp_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "    ]\n  }\n}\n");
+  std::fprintf(out, "  }\n}\n");
   std::fclose(out);
   std::printf("\nWrote %s\n", out_path.c_str());
 

@@ -16,9 +16,26 @@ cmake -B "$BUILD_DIR" -S "$ROOT" \
   -DCSOD_SANITIZE="$SAN"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
+# Runs `ctest -R FILTER` in DIR. Every |-separated alternative of FILTER
+# must select at least one test there first: a suite that is renamed or
+# deleted must fail this script, not silently drop out of its pass.
+run_ctest() {
+  local dir="$1" filter="$2" alt count
+  local -a alts
+  IFS='|' read -r -a alts <<< "$filter"
+  for alt in "${alts[@]}"; do
+    count=$(cd "$dir" && ctest -N -R "$alt" | sed -n 's/^Total Tests: //p')
+    if [[ "${count:-0}" -eq 0 ]]; then
+      echo "run_sanitizers.sh: '$alt' selects no test in $dir" >&2
+      exit 1
+    fi
+  done
+  (cd "$dir" && ctest --output-on-failure -j "$(nproc)" -R "$filter")
+}
+
 cd "$BUILD_DIR"
 if [[ -n "$FILTER" ]]; then
-  ctest --output-on-failure -j "$(nproc)" -R "$FILTER"
+  run_ctest "$BUILD_DIR" "$FILTER"
 else
   ctest --output-on-failure -j "$(nproc)"
 fi
@@ -26,7 +43,7 @@ fi
 # The fault-injection suite exercises the Channel/retry path that the CS
 # protocols now share; rerun it explicitly so a filtered invocation still
 # gets sanitizer coverage of the failure-handling code.
-ctest --output-on-failure -j "$(nproc)" -R 'Fault|Degraded|RetryPolicy'
+run_ctest "$BUILD_DIR" 'Fault|Degraded|RetryPolicy'
 
 # Parallel MapReduce engine pass: map tasks, shuffle build, and reduce
 # tasks all run concurrently on the pool now, so the engine/jobs suites
@@ -37,7 +54,7 @@ ctest --output-on-failure -j "$(nproc)" -R 'Fault|Degraded|RetryPolicy'
 ENGINE_FILTER='EngineTest|EngineDeterminism|EngineStress|DefaultPartition'
 ENGINE_FILTER+='|CostModel|JobTest|Jobs|ParallelFor'
 ENGINE_FILTER+='|Arena|ColumnChunks|KeyInterner|ReduceGroups|ScatterPartitions'
-ctest --output-on-failure -j "$(nproc)" -R "$ENGINE_FILTER"
+run_ctest "$BUILD_DIR" "$ENGINE_FILTER"
 
 # Streaming service pass: the serve suite is the one place where reader
 # threads (snapshot queries) race the ingest/advance path by design —
@@ -53,7 +70,7 @@ SERVE_FILTER+='|CliServe|CliStreamDemo'
 SERVE_FILTER+='|NetCodec|NetServer|NetEndToEnd|NetBackpressure|NetTornFrame'
 SERVE_FILTER+='|SnapshotFollower|Checkpoint|NetCraftedFrame'
 SERVE_FILTER+='|AnswerProvenance|WireFormat|PayloadReader'
-ctest --output-on-failure -j "$(nproc)" -R "$SERVE_FILTER"
+run_ctest "$BUILD_DIR" "$SERVE_FILTER"
 
 # The same serve surface under the *other* sanitizer: the wire codecs do
 # manual byte-level encode/decode (memcpy in and out of frames), the
@@ -66,9 +83,9 @@ cmake -B "$SERVE_OTHER_BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCSOD_SANITIZE="$SERVE_OTHER_SAN"
 cmake --build "$SERVE_OTHER_BUILD_DIR" -j "$(nproc)" --target \
-  serve_test serve_net_test serve_checkpoint_test wire_format_test
-(cd "$SERVE_OTHER_BUILD_DIR" &&
- ctest --output-on-failure -j "$(nproc)" -R "$SERVE_FILTER")
+  serve_test serve_net_test serve_checkpoint_test wire_format_test \
+  windowed_detector_test cli_commands_test
+run_ctest "$SERVE_OTHER_BUILD_DIR" "$SERVE_FILTER"
 
 # The same engine suite under the *other* sanitizer: the arena hands out
 # raw uninitialized pages and ColumnChunks runs element destructors by
@@ -81,9 +98,9 @@ cmake -B "$OTHER_BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCSOD_SANITIZE="$OTHER_SAN"
 cmake --build "$OTHER_BUILD_DIR" -j "$(nproc)" --target \
-  engine_test shuffle_test jobs_test cost_model_test parallel_test
-(cd "$OTHER_BUILD_DIR" &&
- ctest --output-on-failure -j "$(nproc)" -R "$ENGINE_FILTER")
+  engine_test shuffle_test jobs_test cost_model_test parallel_test \
+  thread_pool_test
+run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 
 # SIMD kernel + batch sketching tests again under the same sanitizer, but
 # with the portable dispatch path forced at compile time, so both sides of
@@ -95,27 +112,22 @@ cmake -B "$PORTABLE_BUILD_DIR" -S "$ROOT" \
   -DCSOD_FORCE_PORTABLE_SIMD=ON
 cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
   simd_test measurement_matrix_test compressor_test
-(cd "$PORTABLE_BUILD_DIR" &&
- ctest --output-on-failure -j "$(nproc)" \
-   -R 'Simd|MeasurementMatrix|Compressor|SparseSlice')
+run_ctest "$PORTABLE_BUILD_DIR" 'Simd|MeasurementMatrix|Compressor|SparseSlice'
 
 # Recovery-engine pass (DESIGN.md §14): the AMP kernel's ParallelFor
-# matvecs, the cross-engine dispatch, the streaming DAMP protocol, and
-# the two-phase sense-then-refine path all thread through the pool and
-# the Channel — rerun their suites explicitly (and again with portable
+# matvecs, the cross-engine dispatch, and the two-phase
+# sense-then-refine path all thread through the pool and the Channel — rerun their suites explicitly (and again with portable
 # dispatch forced, mirroring the SIMD block above) so a filtered
 # invocation still sanitizes both sides of every recovery engine.
 RECOVERY_FILTER='AmpTest|BiasedAmpTest|SolverTest|SolverDifferential'
-RECOVERY_FILTER+='|AmpProtocol|TwoPhaseProtocol|TelemetryIdentity'
-ctest --output-on-failure -j "$(nproc)" -R "$RECOVERY_FILTER"
+RECOVERY_FILTER+='|TwoPhaseProtocol|TelemetryIdentity'
+run_ctest "$BUILD_DIR" "$RECOVERY_FILTER"
 cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
   amp_test solver_differential_test
-(cd "$PORTABLE_BUILD_DIR" &&
- ctest --output-on-failure -j "$(nproc)" \
-   -R 'AmpTest|BiasedAmpTest|SolverTest|SolverDifferential')
+run_ctest "$PORTABLE_BUILD_DIR" 'AmpTest|BiasedAmpTest|SolverTest|SolverDifferential'
 
 # Simulation smoke pass: a small seeded sweep through the full harness
-# (all nine scenario kinds, Buggify hooks hot, every scenario internally
+# (all eight scenario kinds, Buggify hooks hot, every scenario internally
 # re-executed at a second thread limit) under the sanitizer. TSan is the
 # interesting one — Buggify's section registry and the serve stall storm
 # both poke shared state from pool threads. The sim_test suite and the
@@ -126,7 +138,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target sim_driver
 # The fault sweep's telemetry-vs-CollectionReport cross-check gates,
 # against the sanitizer build so the instrumented hot paths also get race
 # coverage even when the main invocation was filtered.
-ctest --output-on-failure -R '^fault_sweep_quick$'
+run_ctest "$BUILD_DIR" '^fault_sweep_quick$'
 
 # Keep the documentation's cross-links honest while we're at it.
 "$ROOT/scripts/check_docs_links.sh"

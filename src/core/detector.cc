@@ -13,7 +13,7 @@ DistributedOutlierDetector::DistributedOutlierDetector(
     const DetectorOptions& options)
     : options_(options),
       matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed, options.cache_budget_bytes)),
+          options.m, options.n, options.seed)),
       compressor_(std::make_unique<cs::Compressor>(matrix_.get())),
       global_y_(options.m, 0.0) {
   compressor_->set_telemetry(options.telemetry);
@@ -148,26 +148,39 @@ Status DistributedOutlierDetector::Save(std::ostream& out) const {
 }
 
 Result<std::unique_ptr<DistributedOutlierDetector>>
-DistributedOutlierDetector::Load(std::istream& in) {
+DistributedOutlierDetector::Load(std::istream& in,
+                                 const DetectorOptions& expected) {
   std::string magic;
   std::string version;
   if (!(in >> magic >> version) || magic != "csod-detector" ||
       version != "v1") {
     return Status::InvalidArgument("Load: not a csod-detector v1 checkpoint");
   }
-  DetectorOptions options;
-  size_t num_sources = 0;
-  if (!(in >> options.n >> options.m >> options.seed >> options.iterations >>
-        num_sources)) {
+  DetectorOptions options = expected;
+  size_t n = 0, m = 0, num_sources = 0;
+  uint64_t seed = 0;
+  if (!(in >> n >> m >> seed >> options.iterations >> num_sources)) {
     return Status::InvalidArgument("Load: malformed checkpoint header");
+  }
+  if (n != expected.n || m != expected.m || seed != expected.seed) {
+    return Status::InvalidArgument(
+        "Load: checkpoint geometry (n=" + std::to_string(n) +
+        " m=" + std::to_string(m) + " seed=" + std::to_string(seed) +
+        ") does not match the detector options");
   }
   CSOD_ASSIGN_OR_RETURN(auto detector, Create(options));
 
+  const size_t payload_size = dist::MeasurementWireSize(options.m);
   for (size_t i = 0; i < num_sources; ++i) {
     SourceId id = 0;
     size_t size = 0;
     if (!(in >> id >> size)) {
       return Status::InvalidArgument("Load: malformed source header");
+    }
+    if (size != payload_size) {
+      return Status::InvalidArgument(
+          "Load: sketch payload of " + std::to_string(size) +
+          " bytes, expected " + std::to_string(payload_size));
     }
     in.get();  // The newline after the header.
     std::string message(size, '\0');
@@ -176,6 +189,10 @@ DistributedOutlierDetector::Load(std::istream& in) {
       return Status::InvalidArgument("Load: truncated sketch payload");
     }
     in.get();  // The trailing newline.
+    if (detector->sketches_.count(id) != 0) {
+      return Status::InvalidArgument("Load: duplicate source id " +
+                                     std::to_string(id));
+    }
     CSOD_ASSIGN_OR_RETURN(std::vector<double> sketch,
                           dist::DecodeMeasurement(message));
     CSOD_ASSIGN_OR_RETURN(SourceId assigned,

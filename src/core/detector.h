@@ -34,8 +34,6 @@ struct DetectorOptions {
   /// preference: it is NOT serialized by Save/Load — sketches are
   /// engine-agnostic, so a checkpoint can be recovered with any solver.
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
-  /// Dense-cache budget for Φ0.
-  size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
   /// Telemetry sink (sketch + recovery instrumentation). Not serialized by
   /// Save/Load. Null or disabled is free.
   obs::Telemetry* telemetry = nullptr;
@@ -107,9 +105,15 @@ class DistributedOutlierDetector {
   /// retained, never data.
   Status Save(std::ostream& out) const;
 
-  /// Restores a detector from a checkpoint written by Save.
+  /// Restores a detector from a checkpoint written by Save. The caller
+  /// supplies the geometry: InvalidArgument unless the checkpoint's
+  /// n/m/seed equal `expected`'s, and on any sketch payload whose size is
+  /// not the exact encoding of an M-value measurement (checked before
+  /// anything is allocated from it). `expected` also supplies the runtime
+  /// fields (solver, telemetry); the iteration budget comes from the
+  /// checkpoint.
   static Result<std::unique_ptr<DistributedOutlierDetector>> Load(
-      std::istream& in);
+      std::istream& in, const DetectorOptions& expected);
 
  private:
   explicit DistributedOutlierDetector(const DetectorOptions& options);

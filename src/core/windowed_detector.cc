@@ -12,7 +12,7 @@ WindowedOutlierDetector::WindowedOutlierDetector(
     const WindowedDetectorOptions& options)
     : options_(options),
       matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed, options.cache_budget_bytes)),
+          options.m, options.n, options.seed)),
       compressor_(std::make_unique<cs::Compressor>(matrix_.get())) {}
 
 Result<std::unique_ptr<WindowedOutlierDetector>>

@@ -22,7 +22,6 @@ struct WindowedDetectorOptions {
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
   /// Number of most-recent epochs a query covers.
   size_t window_epochs = 0;
-  size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
 };
 
 /// \brief Sliding-window outlier detection over epoched sketches.

@@ -19,23 +19,13 @@ struct AmpOptions {
   /// flatness is the whole point of the engine (see DESIGN.md §14).
   size_t max_iterations = 0;
 
-  /// Threshold multiplier λ: each iteration soft-thresholds the pseudo-
-  /// data at θ_t = λ·σ̂_t with σ̂_t = ||z_t||₂/√M, the AMP state-evolution
-  /// estimate of the effective noise. Values in [1.2, 2] trade support
-  /// precision against convergence speed; 1.4 is a robust default for the
-  /// undersampling regimes the protocols run at. Whenever λ·σ̂ would keep
-  /// more than M/3 atoms alive (small M/N makes the Onsager coefficient
-  /// |supp|/M explode otherwise), the threshold is raised to the order
-  /// statistic that caps the support at M/3 — deterministic, so the
-  /// bit-identity contract is unaffected.
-  double threshold_multiplier = 1.4;
-
   /// Stop when the relative iterate change ||x_{t+1}−x_t||/||x_{t+1}||
   /// drops below this.
   double tolerance = 1e-9;
 
   /// Atom indices exempt from thresholding (the biased variant leaves the
-  /// bias coefficient free, exactly like FISTA's `unpenalized_atoms`).
+  /// bias coefficient free, exactly like basis pursuit's
+  /// `unpenalized_atoms`).
   std::vector<size_t> unthresholded_atoms;
 
   /// After the iterations stop, re-solve least squares on the detected

@@ -62,9 +62,9 @@ class Compressor {
   ///
   /// Bit-identical to Compress(slice) per node followed by
   /// AggregateMeasurements, at any parallelism limit and SIMD level — the
-  /// guarantee the fault-free protocol fast path relies on when fault runs
-  /// (which keep the per-node path) are compared bitwise against it. An
-  /// empty batch yields y = 0, matching a cluster of empty slices.
+  /// guarantee that lets the CS protocols fold only the delivered slices
+  /// and still equal the sum of the measurements that arrived. An empty
+  /// batch yields y = 0, matching a cluster of empty slices.
   Status CompressAccumulate(const std::vector<const SparseSlice*>& slices,
                             std::vector<double>* y_out) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cs/amp.h"
-#include "cs/basis_pursuit.h"
 #include "cs/cosamp.h"
 
 namespace csod::cs {
@@ -14,8 +13,6 @@ const char* SolverName(RecoverySolver solver) {
       return "omp";
     case RecoverySolver::kCosamp:
       return "cosamp";
-    case RecoverySolver::kFista:
-      return "fista";
     case RecoverySolver::kAmp:
       return "amp";
   }
@@ -25,10 +22,9 @@ const char* SolverName(RecoverySolver solver) {
 Result<RecoverySolver> ParseSolverName(const std::string& name) {
   if (name == "omp" || name == "bomp") return RecoverySolver::kOmp;
   if (name == "cosamp") return RecoverySolver::kCosamp;
-  if (name == "fista") return RecoverySolver::kFista;
   if (name == "amp") return RecoverySolver::kAmp;
   return Status::InvalidArgument(
-      "unknown solver '" + name + "' (expected omp|cosamp|fista|amp)");
+      "unknown solver '" + name + "' (expected omp|cosamp|amp)");
 }
 
 Result<BompResult> RecoverBiased(const MeasurementMatrix& matrix,
@@ -47,13 +43,6 @@ Result<BompResult> RecoverBiased(const MeasurementMatrix& matrix,
           std::max<size_t>(8, (2 * options.iterations) / 7);
       cosamp.telemetry = options.telemetry;
       return RunBiasedCosamp(matrix, y, cosamp);
-    }
-    case RecoverySolver::kFista: {
-      BasisPursuitOptions bp;
-      bp.max_iterations = std::min<size_t>(options.iterations * 4, 500);
-      if (bp.max_iterations == 0) bp.max_iterations = 500;
-      bp.telemetry = options.telemetry;
-      return RunBiasedBasisPursuit(matrix, y, bp);
     }
     case RecoverySolver::kAmp: {
       AmpOptions amp;

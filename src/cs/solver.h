@@ -18,11 +18,10 @@ namespace csod::cs {
 enum class RecoverySolver {
   kOmp,     ///< BOMP — the paper's Algorithm 1 (greedy, default).
   kCosamp,  ///< Biased CoSaMP (greedy with uniform guarantees).
-  kFista,   ///< Biased basis pursuit via FISTA (convex relaxation).
   kAmp,     ///< Biased AMP (fixed-cost iterations; fastest at large k).
 };
 
-/// Canonical lowercase name ("omp", "cosamp", "fista", "amp") — the
+/// Canonical lowercase name ("omp", "cosamp", "amp") — the
 /// `--solver=` flag values and the provenance-block spelling.
 const char* SolverName(RecoverySolver solver);
 
@@ -38,8 +37,6 @@ struct SolverOptions {
   ///  - cosamp: sparsity s = max(8, 2R/7) — the inverse of the paper's
   ///            R = f(k) ≈ 3.5k midpoint, so the same R targets the same
   ///            outlier count; halving iterations stay at their default.
-  ///  - fista:  FISTA iterations = min(R·4, 500) — proximal steps are
-  ///            ~R/4 the cost of an OMP iteration at equal M·N.
   ///  - amp:    AMP keeps its fixed default budget (iterations are
   ///            support-independent); R only caps it when R is smaller.
   size_t iterations = 0;

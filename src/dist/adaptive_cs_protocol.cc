@@ -106,38 +106,19 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
           "aggregate");
     }
 
-    cs::MeasurementMatrix matrix(m, n, options_.seed,
-                                 options_.cache_budget_bytes);
+    cs::MeasurementMatrix matrix(m, n, options_.seed);
     cs::Compressor compressor(&matrix);
     compressor.set_telemetry(telemetry_);
-    std::vector<double> y;
-    if (!options_.faults.any()) {
-      // Fault-free fast path: fused compress-and-accumulate over every
-      // node's slice (bit-identical to the per-node path below, so fault
-      // runs — which must keep per-node y_l for dropout accounting — stay
-      // bit-comparable to fault-free ones).
-      std::vector<const cs::SparseSlice*> slices;
-      slices.reserve(alive.size());
-      for (NodeId id : alive) {
-        CSOD_ASSIGN_OR_RETURN(const cs::SparseSlice* slice,
-                              cluster.Slice(id));
-        slices.push_back(slice);
-      }
-      CSOD_RETURN_NOT_OK(compressor.CompressAccumulate(slices, &y));
-    } else {
-      std::vector<std::vector<double>> measurements;
-      measurements.reserve(alive.size());
-      for (NodeId id : alive) {
-        CSOD_ASSIGN_OR_RETURN(const cs::SparseSlice* slice,
-                              cluster.Slice(id));
-        obs::TraceSpan node_span(telemetry_, "sketch.node");
-        CSOD_ASSIGN_OR_RETURN(std::vector<double> y_l,
-                              compressor.Compress(*slice));
-        measurements.push_back(std::move(y_l));
-      }
-      CSOD_ASSIGN_OR_RETURN(
-          y, cs::Compressor::AggregateMeasurements(measurements));
+    // Fused compress-and-accumulate over the surviving nodes' slices
+    // (`alive` is non-empty, checked above).
+    std::vector<const cs::SparseSlice*> slices;
+    slices.reserve(alive.size());
+    for (NodeId id : alive) {
+      CSOD_ASSIGN_OR_RETURN(const cs::SparseSlice* slice, cluster.Slice(id));
+      slices.push_back(slice);
     }
+    std::vector<double> y;
+    CSOD_RETURN_NOT_OK(compressor.CompressAccumulate(slices, &y));
 
     cs::BompOptions bomp_options;
     bomp_options.max_iterations = iterations;
@@ -236,8 +217,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
                                kMeasurementBytes, &last_collection_));
   CSOD_RETURN_NOT_OK(check_degraded());
 
-  cs::MeasurementMatrix locate_matrix(options_.locate_m, n, options_.seed,
-                                      options_.cache_budget_bytes);
+  cs::MeasurementMatrix locate_matrix(options_.locate_m, n, options_.seed);
   cs::Compressor locate_compressor(&locate_matrix);
   locate_compressor.set_telemetry(telemetry_);
   std::vector<double> y1;
@@ -337,8 +317,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   // golden-ratio constant) so its rows are not correlated with the locate
   // rows that *chose* S. Column p senses candidate key support[p].
   cs::MeasurementMatrix refine_matrix(
-      m2, support.size(), options_.seed ^ 0x9e3779b97f4a7c15ULL,
-      options_.cache_budget_bytes);
+      m2, support.size(), options_.seed ^ 0x9e3779b97f4a7c15ULL);
   cs::Compressor refine_compressor(&refine_matrix);
   refine_compressor.set_telemetry(telemetry_);
   std::vector<cs::SparseSlice> restricted(alive.size());

@@ -49,8 +49,6 @@ struct AdaptiveCsOptions {
   /// consecutive rounds — the practical criterion when the iteration
   /// budget R = f(k) targets only the top-k, not full support recovery.
   bool accept_on_stable_topk = true;
-  /// Dense-cache budget for the recovery matrix.
-  size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
   /// Fault plan applied to every round's incremental-row transmissions
   /// (default: perfect network, bit-identical to the pre-fault protocol).
   FaultPlan faults;

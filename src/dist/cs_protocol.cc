@@ -27,8 +27,7 @@ Result<outlier::OutlierSet> CsOutlierProtocol::Run(const Cluster& cluster,
   // simulator we instantiate it once and share it; determinism is what
   // makes this equivalent to per-node generation (tested in
   // measurement_matrix_test).
-  cs::MeasurementMatrix matrix(options_.m, n, options_.seed,
-                               options_.cache_budget_bytes);
+  cs::MeasurementMatrix matrix(options_.m, n, options_.seed);
   cs::Compressor compressor(&matrix);
   compressor.set_telemetry(telemetry_);
 
@@ -72,46 +71,26 @@ Result<outlier::OutlierSet> CsOutlierProtocol::Run(const Cluster& cluster,
 
   // Phase 3: global measurement y = Σ_{l ∈ alive} y_l (Equation 1; the
   // partial sum on a degraded run — still Φ0 times the partial aggregate
-  // by linearity, so recovery stays sound for the alive slices).
-  std::vector<double> y;
-  if (!options_.faults.any() && !last_collection_.degraded()) {
-    // (The degraded() guard matters: Buggify can exclude nodes even when
-    // no fault plan is armed, and the fast path must not resurrect them.)
-    // Fault-free fast path: fused compress-and-accumulate across the whole
-    // cluster, never materializing per-node y_l vectors.
-    // CompressAccumulate is bit-identical to the per-node path below
-    // (compressor_test), so fault and fault-free runs stay bit-comparable.
-    std::vector<const cs::SparseSlice*> slices;
-    slices.reserve(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      CSOD_ASSIGN_OR_RETURN(const cs::SparseSlice* slice,
-                            cluster.Slice(ids[i]));
-      slices.push_back(slice);
-    }
-    CSOD_RETURN_NOT_OK(compressor.CompressAccumulate(slices, &y));
-  } else {
-    // Fault path: only arrived measurements enter the aggregate; the
-    // simulator skips the compression compute of excluded nodes (their
-    // y_l never reaches the coordinator anyway).
-    std::vector<std::vector<double>> measurements;
-    measurements.reserve(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (!delivered[i]) continue;
-      CSOD_ASSIGN_OR_RETURN(const cs::SparseSlice* slice,
-                            cluster.Slice(ids[i]));
-      obs::TraceSpan node_span(telemetry_, "sketch.node");
-      CSOD_ASSIGN_OR_RETURN(std::vector<double> y_l,
-                            compressor.Compress(*slice));
-      measurements.push_back(std::move(y_l));
-    }
-    if (measurements.empty()) {
-      return Status::FailedPrecondition(
-          "CsOutlierProtocol: every node failed — no measurements to "
-          "aggregate");
-    }
-    CSOD_ASSIGN_OR_RETURN(
-        y, cs::Compressor::AggregateMeasurements(measurements));
+  // by linearity, so recovery stays sound for the alive slices). One
+  // fused compress-and-accumulate over the delivered slices; the
+  // simulator never computes an excluded node's y_l, which never reaches
+  // the coordinator anyway.
+  std::vector<const cs::SparseSlice*> slices;
+  slices.reserve(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!delivered[i]) continue;
+    CSOD_ASSIGN_OR_RETURN(const cs::SparseSlice* slice, cluster.Slice(ids[i]));
+    slices.push_back(slice);
   }
+  if (slices.empty()) {
+    // CompressAccumulate would fold an empty batch into y = 0 and recover
+    // a silent all-mode answer.
+    return Status::FailedPrecondition(
+        "CsOutlierProtocol: every node failed — no measurements to "
+        "aggregate");
+  }
+  std::vector<double> y;
+  CSOD_RETURN_NOT_OK(compressor.CompressAccumulate(slices, &y));
 
   // Phase 4: BOMP recovery (Algorithm 1) and k-outlier extraction.
   cs::BompOptions bomp_options;

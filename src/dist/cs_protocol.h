@@ -19,8 +19,6 @@ struct CsProtocolOptions {
   uint64_t seed = 1;
   /// BOMP iteration budget R; 0 selects the paper's default f(k) ∈ [2k,5k].
   size_t iterations = 0;
-  /// Dense-cache budget for the measurement matrix.
-  size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
   /// Fault plan applied to the measurement transmissions. The default is a
   /// perfect network: no injector is attached and the run is bit-identical
   /// to the pre-fault protocol.

@@ -59,7 +59,7 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame);
 /// Decodes `frame`, checks its geometry against `options` (same
 /// n/m/seed/window/shards/ticks — a checkpoint only restores the stream it
 /// was taken from), and builds the restored detector. `options` supplies
-/// the runtime-only fields (telemetry sink, solver, cache budget).
+/// the runtime-only fields (telemetry sink, solver).
 Result<std::unique_ptr<StreamingDetector>> RestoreDetector(
     const std::string& frame, const StreamingDetectorOptions& options);
 

@@ -218,7 +218,6 @@ struct SnapshotFollowerOptions {
   uint64_t seed = 1;
   size_t iterations = 0;  ///< 0 = the paper's f(k) at query time.
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
-  size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
 };
 
 /// \brief A read replica fed only published snapshots.

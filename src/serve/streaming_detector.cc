@@ -47,7 +47,6 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
   // The ring holds the W closed epochs a snapshot covers plus the
   // in-progress epoch still accepting data.
   wopts.window_epochs = options.window_epochs + 1;
-  wopts.cache_budget_bytes = options.cache_budget_bytes;
   auto detector =
       std::unique_ptr<StreamingDetector>(new StreamingDetector(options));
   CSOD_ASSIGN_OR_RETURN(detector->window_,

@@ -51,7 +51,6 @@ struct StreamingDetectorOptions {
   /// Virtual-clock ticks per epoch (AdvanceTo closes an epoch every
   /// `epoch_ticks` ticks).
   uint64_t epoch_ticks = 1;
-  size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
   /// Telemetry sink ("serve.*" metrics; docs/STREAMING.md names them all).
   /// Null means disabled.
   obs::Telemetry* telemetry = nullptr;

@@ -16,7 +16,6 @@
 #include "common/status.h"
 #include "cs/compressor.h"
 #include "dist/adaptive_cs_protocol.h"
-#include "dist/amp_protocol.h"
 #include "dist/cluster.h"
 #include "dist/comm.h"
 #include "dist/cs_protocol.h"
@@ -496,62 +495,6 @@ void RunAdaptiveScenario(const Scenario& s, Ctx* ctx) {
         outlier::ExactKOutliers(partial, s.k), estimate);
     ctx->digest.Mix(quality.precision);
     ctx->digest.Mix(quality.recall);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// kAmp
-// ---------------------------------------------------------------------------
-
-void RunAmpScenario(const Scenario& s, Ctx* ctx) {
-  Result<CsWorkload> built = BuildCsWorkload(
-      s, 10000.0, workload::PartitionStrategy::kSkewedSplit, false);
-  if (!built.ok()) {
-    ctx->Violate("amp: workload build failed: " + built.status().ToString());
-    return;
-  }
-  CsWorkload& w = built.Value();
-
-  dist::DistributedAmpOptions opts;
-  opts.m = s.m;
-  opts.seed = SplitMix64(HashCombine(s.seed, kProtoTag));
-  opts.faults = s.faults;
-  opts.retry = s.retry;
-  dist::DistributedAmpProtocol protocol(opts);
-  obs::Telemetry telemetry;
-  protocol.set_telemetry(&telemetry);
-  dist::CommStats comm;
-  Result<outlier::OutlierSet> run = protocol.Run(w.cluster, s.k, &comm);
-  const dist::CollectionReport report = protocol.last_collection();
-  BuggifyDisable();
-
-  CheckCommTelemetry(telemetry, comm, "amp", ctx);
-  ctx->digest.Mix(comm);
-  MixCollection(report, ctx);
-  for (const dist::AmpRound& round : protocol.rounds()) {
-    ctx->digest.Mix(round.threshold);
-    ctx->digest.Mix(round.tuples);
-    ctx->digest.Mix(round.accepted);
-  }
-  if (!run.ok()) {
-    HandleProtocolError(run.status(), report, w.cluster.num_nodes(), "amp",
-                        ctx);
-    return;
-  }
-  const outlier::OutlierSet& estimate = run.Value();
-  ctx->digest.Mix(estimate);
-  const outlier::KeySetQuality quality =
-      outlier::KeyQuality(w.truth, estimate);
-  ctx->digest.Mix(quality.precision);
-  ctx->digest.Mix(quality.recall);
-  if (report.excluded_nodes.empty()) {
-    // AMP is approximate even fault-free; the documented floor (THEORY §7)
-    // is a quality envelope, not exactness.
-    if (quality.recall < 0.5 || quality.precision < 0.5) {
-      ctx->Violate("amp: fault-free quality below floor: precision " +
-                   std::to_string(quality.precision) + ", recall " +
-                   std::to_string(quality.recall));
-    }
   }
 }
 
@@ -1084,9 +1027,6 @@ ScenarioOutcome ExecuteScenario(const Scenario& scenario,
     case ScenarioKind::kAdaptiveGrow:
     case ScenarioKind::kTwoPhase:
       RunAdaptiveScenario(scenario, &ctx);
-      break;
-    case ScenarioKind::kAmp:
-      RunAmpScenario(scenario, &ctx);
       break;
     case ScenarioKind::kKPlusDelta:
       RunKPlusDeltaScenario(scenario, &ctx);

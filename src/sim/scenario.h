@@ -19,7 +19,6 @@ enum class ScenarioKind {
   kCs,
   kAdaptiveGrow,
   kTwoPhase,
-  kAmp,
   kKPlusDelta,
   kThresholdTopK,
   kTputTopK,

@@ -54,14 +54,23 @@ if(NOT exact_out MATCHES "${amp_top_key}")
           "amp top key '${amp_top_key}' not in exact reference:\n${exact_out}")
 endif()
 
-# An unknown solver name must fail loudly, not fall back silently.
-execute_process(
-  COMMAND "${CSOD_CLI}" detect --in=${events} --solver=lasso
-  RESULT_VARIABLE bad_solver_result OUTPUT_VARIABLE bad_solver_out
-  ERROR_VARIABLE bad_solver_err)
-if(bad_solver_result EQUAL 0)
-  message(FATAL_ERROR "csod detect --solver=lasso unexpectedly succeeded")
-endif()
+# An unknown solver name must fail loudly, not fall back silently. fista
+# is one: FISTA left the --solver= dispatch (it lives on only as the
+# basis-pursuit ablation).
+foreach(bad_solver lasso fista)
+  execute_process(
+    COMMAND "${CSOD_CLI}" detect --in=${events} --solver=${bad_solver}
+    RESULT_VARIABLE bad_solver_result OUTPUT_VARIABLE bad_solver_out
+    ERROR_VARIABLE bad_solver_err)
+  if(bad_solver_result EQUAL 0)
+    message(FATAL_ERROR
+            "csod detect --solver=${bad_solver} unexpectedly succeeded")
+  endif()
+  if(NOT bad_solver_err MATCHES "unknown solver '${bad_solver}'")
+    message(FATAL_ERROR "csod detect --solver=${bad_solver} did not name "
+                        "the unknown solver:\n${bad_solver_err}")
+  endif()
+endforeach()
 
 # Streaming replay of the same file: must publish a snapshot and answer a
 # window query, and the telemetry snapshot must land on disk.

@@ -185,7 +185,8 @@ TEST(DetectorTest, SaveLoadRoundTrip) {
 
   std::stringstream checkpoint;
   ASSERT_TRUE(original->Save(checkpoint).ok());
-  auto restored = DistributedOutlierDetector::Load(checkpoint).MoveValue();
+  auto restored =
+      DistributedOutlierDetector::Load(checkpoint, SmallOptions()).MoveValue();
 
   EXPECT_EQ(restored->num_sources(), original->num_sources());
   EXPECT_EQ(restored->options().n, original->options().n);
@@ -211,10 +212,46 @@ TEST(DetectorTest, SaveLoadRoundTrip) {
 
 TEST(DetectorTest, LoadRejectsGarbage) {
   std::stringstream not_a_checkpoint("hello world");
-  EXPECT_FALSE(DistributedOutlierDetector::Load(not_a_checkpoint).ok());
+  EXPECT_FALSE(
+      DistributedOutlierDetector::Load(not_a_checkpoint, SmallOptions()).ok());
 
   std::stringstream truncated("csod-detector v1\n500 180 11 24 3\n");
-  EXPECT_FALSE(DistributedOutlierDetector::Load(truncated).ok());
+  EXPECT_FALSE(DistributedOutlierDetector::Load(truncated, SmallOptions()).ok());
+
+  // A checkpoint of another geometry is refused, not reinterpreted.
+  auto original = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
+  ASSERT_TRUE(original->AddSourceMeasurement(std::vector<double>(180, 1.0)).ok());
+  std::stringstream saved;
+  ASSERT_TRUE(original->Save(saved).ok());
+  DetectorOptions other_seed = SmallOptions();
+  other_seed.seed += 1;
+  EXPECT_FALSE(DistributedOutlierDetector::Load(saved, other_seed).ok());
+
+  // Two sketches under one source id would double-count it in y.
+  const std::string one_source = saved.str();
+  const std::string header = "csod-detector v1\n500 180 11 24 1\n";
+  ASSERT_EQ(one_source.rfind(header, 0), 0u);
+  const std::string body = one_source.substr(header.size());
+  std::stringstream duplicate_id("csod-detector v1\n500 180 11 24 2\n" + body +
+                                 body);
+  EXPECT_FALSE(
+      DistributedOutlierDetector::Load(duplicate_id, SmallOptions()).ok());
+
+  // A payload size far beyond the stream must fail before allocating it.
+  DetectorOptions tiny;
+  tiny.n = 16;
+  tiny.m = 4;
+  tiny.seed = 1;
+  std::stringstream huge_payload(
+      "csod-detector v1\n16 4 1 0 1\n0 4611686018427387904\n");
+  EXPECT_FALSE(DistributedOutlierDetector::Load(huge_payload, tiny).ok());
+
+  // An M whose matrix size would wrap size_t never reaches the matrix.
+  DetectorOptions narrow = tiny;
+  narrow.n = 4;
+  std::stringstream wrapping_m(
+      "csod-detector v1\n4 2305843009213693952 1 0 0\n");
+  EXPECT_FALSE(DistributedOutlierDetector::Load(wrapping_m, narrow).ok());
 }
 
 TEST(DetectorTest, AccessorsExposeConfiguration) {

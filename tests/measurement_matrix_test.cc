@@ -1,6 +1,7 @@
 #include "cs/measurement_matrix.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -424,6 +425,40 @@ TEST(MeasurementMatrixTest, BiasColumnIsScaledColumnSum) {
     EXPECT_NEAR(phi0[i], sum / std::sqrt(9.0), 1e-12);
   }
 }
+
+// Adjoint property sweep: <Φx, y> == <x, Φᵀy> across shapes, on both
+// the cached and the implicit (column-regenerating) path. Multiply and
+// CorrelateAll sum in different orders, so the check is to tolerance.
+class MatrixAdjointTest
+    : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
+
+TEST_P(MatrixAdjointTest, AdjointIdentity) {
+  const auto [rows, cols] = GetParam();
+  std::vector<double> x(cols);
+  std::vector<double> y(rows);
+  for (size_t c = 0; c < cols; ++c) x[c] = std::cos(static_cast<double>(c));
+  for (size_t r = 0; r < rows; ++r) y[r] = std::cos(static_cast<double>(r + 7));
+
+  for (size_t cache_budget : {MeasurementMatrix::kDefaultCacheBudgetBytes,
+                              size_t{0}}) {
+    SCOPED_TRACE(cache_budget);
+    MeasurementMatrix phi(rows, cols, 29, cache_budget);
+    auto phi_x = phi.Multiply(x).MoveValue();
+    auto phi_t_y = phi.CorrelateAll(y).MoveValue();
+    double lhs = 0.0;
+    double rhs = 0.0;
+    for (size_t r = 0; r < rows; ++r) lhs += phi_x[r] * y[r];
+    for (size_t c = 0; c < cols; ++c) rhs += x[c] * phi_t_y[c];
+    EXPECT_NEAR(lhs, rhs, 1e-9 * (1.0 + std::fabs(lhs)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, MatrixAdjointTest,
+                         ::testing::Values(std::make_pair(1, 1),
+                                           std::make_pair(3, 7),
+                                           std::make_pair(7, 3),
+                                           std::make_pair(16, 16),
+                                           std::make_pair(64, 5)));
 
 }  // namespace
 }  // namespace csod::cs

@@ -110,12 +110,11 @@ TEST(SolverDifferentialTest, UnifiedBudgetMapsToEveryEngine) {
   auto y = matrix.Multiply(w.global).MoveValue();
 
   for (RecoverySolver solver :
-       {RecoverySolver::kOmp, RecoverySolver::kCosamp, RecoverySolver::kFista,
-        RecoverySolver::kAmp}) {
+       {RecoverySolver::kOmp, RecoverySolver::kCosamp, RecoverySolver::kAmp}) {
     SCOPED_TRACE(SolverName(solver));
     SolverOptions solve;
     solve.solver = solver;
-    solve.iterations = kSparsity + 4;  // One R, four engines.
+    solve.iterations = kSparsity + 4;  // One R, three engines.
     auto result = RecoverBiased(matrix, y, solve);
     ASSERT_TRUE(result.ok());
     const outlier::OutlierSet topk =

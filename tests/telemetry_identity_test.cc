@@ -17,7 +17,6 @@
 #include "common/simd.h"
 #include "dist/adaptive_cs_protocol.h"
 #include "dist/all_protocol.h"
-#include "dist/amp_protocol.h"
 #include "dist/cs_protocol.h"
 #include "dist/kplusdelta_protocol.h"
 #include "dist/topk_protocols.h"
@@ -209,20 +208,6 @@ TEST(TelemetryIdentityTest, TwoPhaseCsProtocol) {
     options.seed = 23;
     options.iterations = 16;
     AdaptiveCsProtocol protocol(options);
-    protocol.set_telemetry(telemetry);
-    return protocol.Run(*cluster, 5, comm).Value();
-  });
-}
-
-TEST(TelemetryIdentityTest, DistributedAmpProtocol) {
-  auto cluster = MakeCluster(600, 12, 6,
-                             workload::PartitionStrategy::kSkewedSplit, 37,
-                             nullptr);
-  ExpectTelemetryTransparent([&](obs::Telemetry* telemetry, CommStats* comm) {
-    DistributedAmpOptions options;
-    options.m = 220;
-    options.seed = 25;
-    DistributedAmpProtocol protocol(options);
     protocol.set_telemetry(telemetry);
     return protocol.Run(*cluster, 5, comm).Value();
   });

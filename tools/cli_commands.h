@@ -53,7 +53,7 @@ struct DetectOptions {
   size_t k = 5;
   uint64_t seed = 42;
   size_t iterations = 0;  ///< 0 = the paper's f(k).
-  /// Recovery engine (`--solver={omp,cosamp,fista,amp}`); reported in the
+  /// Recovery engine (`--solver={omp,cosamp,amp}`); reported in the
   /// provenance block of the detect / topk reports.
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
   /// Override the key space (0 = infer from the file).

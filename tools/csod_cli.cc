@@ -30,11 +30,11 @@ constexpr Subcommand kSubcommands[] = {
      "write a synthetic distributed click-log event file"},
     {"detect",
      "--in=FILE [--m= --k= --seed= --iterations= --n= "
-     "--solver={omp|cosamp|fista|amp} --telemetry-json=FILE]",
+     "--solver={omp|cosamp|amp} --telemetry-json=FILE]",
      "CS-based distributed k-outlier detection over the file's nodes"},
     {"topk",
      "--in=FILE [--m= --k= --seed= --iterations= --n= "
-     "--solver={omp|cosamp|fista|amp} --telemetry-json=FILE]",
+     "--solver={omp|cosamp|amp} --telemetry-json=FILE]",
      "zero-mode top-k extension via CS recovery"},
     {"exact", "--in=FILE [--k=]",
      "centralized exact reference answer"},
