@@ -45,6 +45,13 @@ fi
 # gets sanitizer coverage of the failure-handling code.
 run_ctest "$BUILD_DIR" 'Fault|Degraded|RetryPolicy'
 
+# Φ0 registry pass: cs::SharedMatrix is process-wide shared state (a weak
+# map and a retained slot behind one mutex that also serializes builds)
+# that every protocol run, detector, tenant and follower goes through, so
+# the registry suite and its heaviest callers get an explicit rerun even
+# when the main invocation was filtered.
+run_ctest "$BUILD_DIR" 'SharedMatrix|CsProtocol|WindowedDetector'
+
 # Parallel MapReduce engine pass: map tasks, shuffle build, and reduce
 # tasks all run concurrently on the pool now, so the engine/jobs suites
 # (including the cross-thread-limit bit-identity sweeps) and the columnar

@@ -12,8 +12,7 @@ namespace csod::core {
 DistributedOutlierDetector::DistributedOutlierDetector(
     const DetectorOptions& options)
     : options_(options),
-      matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed)),
+      matrix_(cs::SharedMatrix(options.m, options.n, options.seed)),
       compressor_(std::make_unique<cs::Compressor>(matrix_.get())),
       global_y_(options.m, 0.0) {
   compressor_->set_telemetry(options.telemetry);

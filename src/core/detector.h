@@ -57,7 +57,8 @@ using SourceId = uint64_t;
 /// key space except recovery itself.
 class DistributedOutlierDetector {
  public:
-  /// Validates options and builds the shared measurement matrix.
+  /// Validates options and takes Φ0 from the process-wide registry
+  /// (cs::SharedMatrix).
   static Result<std::unique_ptr<DistributedOutlierDetector>> Create(
       const DetectorOptions& options);
 
@@ -119,7 +120,7 @@ class DistributedOutlierDetector {
   explicit DistributedOutlierDetector(const DetectorOptions& options);
 
   DetectorOptions options_;
-  std::unique_ptr<cs::MeasurementMatrix> matrix_;
+  std::shared_ptr<const cs::MeasurementMatrix> matrix_;
   std::unique_ptr<cs::Compressor> compressor_;
   SourceId next_id_ = 0;
   std::map<SourceId, std::vector<double>> sketches_;

@@ -11,8 +11,7 @@ namespace csod::core {
 WindowedOutlierDetector::WindowedOutlierDetector(
     const WindowedDetectorOptions& options)
     : options_(options),
-      matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed)),
+      matrix_(cs::SharedMatrix(options.m, options.n, options.seed)),
       compressor_(std::make_unique<cs::Compressor>(matrix_.get())) {}
 
 Result<std::unique_ptr<WindowedOutlierDetector>>

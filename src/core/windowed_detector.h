@@ -95,7 +95,7 @@ class WindowedOutlierDetector {
   Result<std::vector<double>> WindowMeasurement() const;
 
   WindowedDetectorOptions options_;
-  std::unique_ptr<cs::MeasurementMatrix> matrix_;
+  std::shared_ptr<const cs::MeasurementMatrix> matrix_;
   std::unique_ptr<cs::Compressor> compressor_;
   uint64_t current_epoch_ = 0;
   bool started_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 
 #include "common/parallel.h"
@@ -102,13 +103,20 @@ inline void FoldArgmax(size_t index, double value,
   }
 }
 
+// True iff the dense cache of an m x n matrix fits `budget` bytes. Divides
+// the budget rather than multiplying m·n·8, which wraps for huge geometries
+// (a wrapped 0 would pass a `bytes <= budget` test).
+bool FitsCacheBudget(size_t m, size_t n, size_t budget) {
+  if (budget == 0) return false;
+  return m == 0 || n <= budget / sizeof(double) / m;
+}
+
 }  // namespace
 
 MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
                                      size_t cache_budget_bytes)
     : m_(m), n_(n), seed_(seed), inv_sqrt_m_(1.0 / std::sqrt(double(m))) {
-  const size_t bytes = m_ * n_ * sizeof(double);
-  if (cache_budget_bytes > 0 && bytes <= cache_budget_bytes) {
+  if (FitsCacheBudget(m_, n_, cache_budget_bytes)) {
     cache_.resize(m_ * n_);
     // Column-parallel and deterministic: each column's entries are a pure
     // function of (seed, col, row), written to a disjoint cache range.
@@ -578,6 +586,59 @@ std::vector<double> MeasurementMatrix::BiasColumn() const {
 const std::vector<double>& MeasurementMatrix::CachedBiasColumn() const {
   std::call_once(bias_once_, [this] { bias_column_ = BiasColumn(); });
   return bias_column_;
+}
+
+namespace {
+
+using MatrixPtr = std::shared_ptr<const MeasurementMatrix>;
+
+// SharedMatrix's key: the geometry plus the constructor's cache decision.
+struct MatrixKey {
+  size_t m;
+  size_t n;
+  uint64_t seed;
+  bool cached;
+  auto operator<=>(const MatrixKey&) const = default;
+};
+
+class MatrixRegistry {
+ public:
+  // Builds run under the lock, so concurrent requests for one missing key
+  // wait for the first build and then hit it, and no two builds overlap.
+  MatrixPtr Get(size_t m, size_t n, uint64_t seed, size_t budget) {
+    const MatrixKey key{m, n, seed, FitsCacheBudget(m, n, budget)};
+    std::lock_guard<std::mutex> lock(mu_);
+    MatrixPtr matrix;
+    if (auto it = live_.find(key); it != live_.end()) {
+      matrix = it->second.lock();
+    }
+    if (matrix == nullptr) {
+      // Release the slot first, so its matrix (if no owner holds it) is
+      // freed before the new one is allocated.
+      if (key.cached) retained_.reset();
+      std::erase_if(live_, [](const auto& entry) {
+        return entry.second.expired();
+      });
+      matrix = std::make_shared<const MeasurementMatrix>(m, n, seed, budget);
+      live_[key] = matrix;
+    }
+    if (key.cached) retained_ = matrix;
+    return matrix;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<MatrixKey, std::weak_ptr<const MeasurementMatrix>> live_;
+  // The most recently requested dense matrix.
+  MatrixPtr retained_;
+};
+
+}  // namespace
+
+MatrixPtr SharedMatrix(size_t m, size_t n, uint64_t seed,
+                       size_t cache_budget_bytes) {
+  static MatrixRegistry registry;
+  return registry.Get(m, n, seed, cache_budget_bytes);
 }
 
 }  // namespace csod::cs

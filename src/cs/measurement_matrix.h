@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -49,7 +50,8 @@ struct SparseVectorView {
 ///
 /// An optional dense column-major cache trades memory for speed; when
 /// `M * N * 8` exceeds the cache budget the matrix stays implicit and
-/// columns are regenerated on the fly.
+/// columns are regenerated on the fly. Owners obtain Φ0 through
+/// SharedMatrix() so that one geometry is built once per process.
 ///
 /// Determinism: every kernel below returns bit-identical results at any
 /// parallelism limit. Per-index kernels (cache fill, CorrelateAll) write
@@ -61,7 +63,8 @@ struct SparseVectorView {
 class MeasurementMatrix {
  public:
   /// Creates the M x N matrix for `seed`. A dense cache is materialized iff
-  /// the storage fits `cache_budget_bytes` (0 disables caching).
+  /// the storage fits `cache_budget_bytes` (0 disables caching); a geometry
+  /// whose byte count overflows size_t never fits.
   MeasurementMatrix(size_t m, size_t n, uint64_t seed,
                     size_t cache_budget_bytes = kDefaultCacheBudgetBytes);
 
@@ -168,6 +171,28 @@ class MeasurementMatrix {
   mutable std::once_flag bias_once_;
   mutable std::vector<double> bias_column_;
 };
+
+/// \brief The process-wide Φ0 registry: the matrix `MeasurementMatrix(m, n,
+/// seed, cache_budget_bytes)` would build, shared by every owner of that
+/// geometry.
+///
+/// Entries are keyed on (m, n, seed, cached), where `cached` is the
+/// constructor's own budget decision, so a dense and an implicit matrix are
+/// never confused. Live owners of one key share one matrix (the registry
+/// holds a weak reference per key). One strong slot also retains the most
+/// recently requested dense matrix, so an owner created per call (a fresh
+/// CsOutlierProtocol per Run) reuses it after the previous owner is gone.
+/// On a miss the slot is released before the new dense matrix is built, so
+/// the registry never adds to the Φ0 bytes held at a build. Implicit
+/// matrices hold no entries; they are shared but not retained, and never
+/// evict the slot. Builds are serialized: concurrent requests for one
+/// missing key build it once.
+///
+/// Entries are pure functions of (seed, col, row), so a shared matrix is
+/// bit-identical to a freshly constructed one. Thread-safe.
+std::shared_ptr<const MeasurementMatrix> SharedMatrix(
+    size_t m, size_t n, uint64_t seed,
+    size_t cache_budget_bytes = MeasurementMatrix::kDefaultCacheBudgetBytes);
 
 }  // namespace csod::cs
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 
 #include "common/random.h"
@@ -106,8 +107,9 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
           "aggregate");
     }
 
-    cs::MeasurementMatrix matrix(m, n, options_.seed);
-    cs::Compressor compressor(&matrix);
+    const std::shared_ptr<const cs::MeasurementMatrix> matrix =
+        cs::SharedMatrix(m, n, options_.seed);
+    cs::Compressor compressor(matrix.get());
     compressor.set_telemetry(telemetry_);
     // Fused compress-and-accumulate over the surviving nodes' slices
     // (`alive` is non-empty, checked above).
@@ -123,7 +125,8 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
     cs::BompOptions bomp_options;
     bomp_options.max_iterations = iterations;
     bomp_options.telemetry = telemetry_;
-    CSOD_ASSIGN_OR_RETURN(last_recovery_, cs::RunBomp(matrix, y, bomp_options));
+    CSOD_ASSIGN_OR_RETURN(last_recovery_,
+                          cs::RunBomp(*matrix, y, bomp_options));
 
     const outlier::OutlierSet detected =
         outlier::KOutliersFromRecovery(last_recovery_, k);
@@ -217,8 +220,9 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
                                kMeasurementBytes, &last_collection_));
   CSOD_RETURN_NOT_OK(check_degraded());
 
-  cs::MeasurementMatrix locate_matrix(options_.locate_m, n, options_.seed);
-  cs::Compressor locate_compressor(&locate_matrix);
+  const std::shared_ptr<const cs::MeasurementMatrix> locate_matrix =
+      cs::SharedMatrix(options_.locate_m, n, options_.seed);
+  cs::Compressor locate_compressor(locate_matrix.get());
   locate_compressor.set_telemetry(telemetry_);
   std::vector<double> y1;
   {
@@ -236,7 +240,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   locate_solve.iterations = iterations;
   locate_solve.telemetry = telemetry_;
   CSOD_ASSIGN_OR_RETURN(cs::BompResult located,
-                        cs::RecoverBiased(locate_matrix, y1, locate_solve));
+                        cs::RecoverBiased(*locate_matrix, y1, locate_solve));
 
   {
     const double y1_norm = la::Norm2(y1);

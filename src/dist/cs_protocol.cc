@@ -1,5 +1,6 @@
 #include "dist/cs_protocol.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,11 +25,12 @@ Result<outlier::OutlierSet> CsOutlierProtocol::Run(const Cluster& cluster,
   obs::TraceSpan run_span(telemetry_, "protocol.cs");
   const size_t n = cluster.key_space_size();
   // Every node derives the same Φ0 from the consensus seed. In the
-  // simulator we instantiate it once and share it; determinism is what
-  // makes this equivalent to per-node generation (tested in
-  // measurement_matrix_test).
-  cs::MeasurementMatrix matrix(options_.m, n, options_.seed);
-  cs::Compressor compressor(&matrix);
+  // simulator one process-wide instance serves every node and every Run;
+  // determinism is what makes this equivalent to per-node generation
+  // (tested in measurement_matrix_test).
+  const std::shared_ptr<const cs::MeasurementMatrix> matrix =
+      cs::SharedMatrix(options_.m, n, options_.seed);
+  cs::Compressor compressor(matrix.get());
   compressor.set_telemetry(telemetry_);
 
   // Phase 1+2: local compression and measurement transmission, through
@@ -96,7 +98,7 @@ Result<outlier::OutlierSet> CsOutlierProtocol::Run(const Cluster& cluster,
   cs::BompOptions bomp_options;
   bomp_options.max_iterations = cs::IterationBudget(options_.iterations, k);
   bomp_options.telemetry = telemetry_;
-  CSOD_ASSIGN_OR_RETURN(last_recovery_, cs::RunBomp(matrix, y, bomp_options));
+  CSOD_ASSIGN_OR_RETURN(last_recovery_, cs::RunBomp(*matrix, y, bomp_options));
   return outlier::KOutliersFromRecovery(last_recovery_, k);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -147,9 +148,10 @@ Result<CsJobResult> RunCsOutlierJob(
   // Mapper-side matrix: implicit (no dense cache). Every mapper generates
   // the same Φ0 from the consensus seed (Algorithm 3) and only touches the
   // columns of its non-zero keys, costing O(nnz * M).
-  cs::MeasurementMatrix mapper_matrix(options.m, options.n, options.seed,
-                                      /*cache_budget_bytes=*/0);
-  cs::Compressor compressor(&mapper_matrix);
+  const std::shared_ptr<const cs::MeasurementMatrix> mapper_matrix =
+      cs::SharedMatrix(options.m, options.n, options.seed,
+                       /*cache_budget_bytes=*/0);
+  cs::Compressor compressor(mapper_matrix.get());
   compressor.set_telemetry(options.telemetry);
 
   // Algorithm 3 (CS-Mapper), batched across mappers: partial aggregation
@@ -223,13 +225,14 @@ Result<CsJobResult> RunCsOutlierJob(
       if (row >= options.m) continue;
       for (double v : groups.values(g)) y[row] += v;
     }
-    cs::MeasurementMatrix reducer_matrix(options.m, options.n, options.seed,
-                                         options.cache_budget_bytes);
+    const std::shared_ptr<const cs::MeasurementMatrix> reducer_matrix =
+        cs::SharedMatrix(options.m, options.n, options.seed,
+                         options.cache_budget_bytes);
     cs::BompOptions bomp_options;
     bomp_options.max_iterations =
         cs::IterationBudget(options.iterations, options.k);
     bomp_options.telemetry = options.telemetry;
-    auto recovered = cs::RunBomp(reducer_matrix, y, bomp_options);
+    auto recovered = cs::RunBomp(*reducer_matrix, y, bomp_options);
     if (!recovered.ok()) {
       reduce_status = recovered.status();
       return;

@@ -594,8 +594,7 @@ Result<std::string> NetClient::FetchCheckpoint(const std::string& tenant) {
 
 SnapshotFollower::SnapshotFollower(const SnapshotFollowerOptions& options)
     : options_(options),
-      matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed)) {}
+      matrix_(cs::SharedMatrix(options.m, options.n, options.seed)) {}
 
 Result<std::unique_ptr<SnapshotFollower>> SnapshotFollower::Create(
     const SnapshotFollowerOptions& options) {

@@ -210,8 +210,9 @@ Result<std::string> EncodeSnapshotResponse(const SketchSnapshot& snapshot);
 Result<SketchSnapshot> DecodeSnapshotResponse(const std::string& frame);
 
 /// Configuration of a SnapshotFollower — the subset of
-/// StreamingDetectorOptions a replica needs to rebuild Φ0 and answer
-/// queries (same n/m/seed ⇒ the same consensus matrix as the leader).
+/// StreamingDetectorOptions a replica needs to derive Φ0 and answer
+/// queries (same n/m/seed ⇒ the same consensus matrix as the leader; in
+/// the leader's process, the very same cs::SharedMatrix instance).
 struct SnapshotFollowerOptions {
   size_t n = 0;
   size_t m = 0;
@@ -258,7 +259,7 @@ class SnapshotFollower {
   Result<SnapshotAnswer> Answer(query::QueryKind kind, size_t k) const;
 
   SnapshotFollowerOptions options_;
-  std::unique_ptr<cs::MeasurementMatrix> matrix_;
+  std::shared_ptr<const cs::MeasurementMatrix> matrix_;
   mutable std::mutex mu_;
   std::shared_ptr<const SketchSnapshot> snapshot_;
 };

@@ -1,6 +1,11 @@
 #include "cs/measurement_matrix.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <latch>
+#include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -416,6 +421,18 @@ TEST(MeasurementMatrixTest, CachedBiasColumnMatchesFreshCompute) {
   EXPECT_EQ(&matrix.CachedBiasColumn(), &cached);
 }
 
+TEST(MeasurementMatrixTest, WrappingGeometryStaysImplicit) {
+  // M·N·8 = 2^65 wraps to 0 in size_t; a wrapped product must not pass as
+  // "fits the budget" and try to allocate the dense cache.
+  const size_t huge = size_t{1} << 31;
+  EXPECT_FALSE(MeasurementMatrix(huge, huge, 1).cached());
+  EXPECT_FALSE(SharedMatrix(huge, huge, 1)->cached());
+  // The budget is inclusive.
+  constexpr size_t kBytes = 8 * 16 * sizeof(double);
+  EXPECT_TRUE(MeasurementMatrix(8, 16, 1, kBytes).cached());
+  EXPECT_FALSE(MeasurementMatrix(8, 16, 1, kBytes - 1).cached());
+}
+
 TEST(MeasurementMatrixTest, BiasColumnIsScaledColumnSum) {
   MeasurementMatrix matrix(6, 9, 21);
   const std::vector<double> phi0 = matrix.BiasColumn();
@@ -459,6 +476,105 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatrixAdjointTest,
                                            std::make_pair(7, 3),
                                            std::make_pair(16, 16),
                                            std::make_pair(64, 5)));
+
+// Each SharedMatrix test uses seeds no other test requests, so the tests
+// also hold when one process runs them all.
+using SharedPtr = std::shared_ptr<const MeasurementMatrix>;
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SharedMatrixTest, SameKeySharesOneMatrixWhileOwned) {
+  const SharedPtr a = SharedMatrix(16, 300, 9101);
+  const SharedPtr b = SharedMatrix(16, 300, 9101);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_TRUE(a->cached());
+  EXPECT_NE(SharedMatrix(16, 300, 9102).get(), a.get());
+  EXPECT_NE(SharedMatrix(17, 300, 9101).get(), a.get());
+  EXPECT_NE(SharedMatrix(16, 301, 9101).get(), a.get());
+}
+
+TEST(SharedMatrixTest, RetainsTheLastRequestAfterItsOwnersDrop) {
+  const std::weak_ptr<const MeasurementMatrix> weak =
+      SharedMatrix(16, 300, 9201);
+  // No owner is left, yet the retained slot keeps it: no rebuild.
+  ASSERT_FALSE(weak.expired());
+  EXPECT_EQ(SharedMatrix(16, 300, 9201), weak.lock());
+}
+
+TEST(SharedMatrixTest, NewKeyReleasesTheUnownedRetainedMatrix) {
+  const std::weak_ptr<const MeasurementMatrix> unowned =
+      SharedMatrix(16, 300, 9301);
+  ASSERT_FALSE(unowned.expired());
+  const SharedPtr next = SharedMatrix(16, 300, 9302);
+  EXPECT_TRUE(unowned.expired());
+  // The slot only ever drops its own reference: an owned matrix survives.
+  const SharedPtr owned = next;
+  const SharedPtr other = SharedMatrix(16, 300, 9303);
+  EXPECT_EQ(SharedMatrix(16, 300, 9302), owned);
+}
+
+TEST(SharedMatrixTest, ImplicitRequestsLeaveTheRetainedMatrixInPlace) {
+  const std::weak_ptr<const MeasurementMatrix> dense =
+      SharedMatrix(16, 300, 9401);
+  const SharedPtr implicit =
+      SharedMatrix(16, 300, 9402, /*cache_budget_bytes=*/0);
+  EXPECT_FALSE(implicit->cached());
+  EXPECT_FALSE(dense.expired());
+}
+
+TEST(SharedMatrixTest, CachedAndImplicitAreDistinctEntries) {
+  const SharedPtr dense = SharedMatrix(16, 300, 9501);
+  const SharedPtr implicit =
+      SharedMatrix(16, 300, 9501, /*cache_budget_bytes=*/0);
+  EXPECT_NE(dense.get(), implicit.get());
+  EXPECT_TRUE(dense->cached());
+  EXPECT_FALSE(implicit->cached());
+  // The key is the cache decision, not the budget: any budget the matrix
+  // fits maps to the same entry.
+  EXPECT_EQ(SharedMatrix(16, 300, 9501, size_t{2} << 30), dense);
+  EXPECT_EQ(SharedMatrix(16, 300, 9501, 16 * 300 * sizeof(double)), dense);
+}
+
+TEST(SharedMatrixTest, BitIdenticalToAFreshMatrix) {
+  for (const size_t budget :
+       {MeasurementMatrix::kDefaultCacheBudgetBytes, size_t{0}}) {
+    const SharedPtr shared = SharedMatrix(24, 700, 9601, budget);
+    const MeasurementMatrix fresh(24, 700, 9601, budget);
+    EXPECT_EQ(shared->cached(), fresh.cached());
+    for (size_t col = 0; col < fresh.n(); ++col) {
+      ASSERT_TRUE(SameBits(shared->Column(col), fresh.Column(col)))
+          << "budget=" << budget << " col=" << col;
+    }
+    EXPECT_TRUE(SameBits(shared->CachedBiasColumn(), fresh.CachedBiasColumn()))
+        << "budget=" << budget;
+  }
+}
+
+TEST(SharedMatrixTest, ConcurrentRequestsForOneMissingKeyBuildOnce) {
+  constexpr size_t kThreads = 8;
+  std::vector<SharedPtr> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = SharedMatrix(64, 4000, 9701);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_NE(got[t], nullptr);
+    EXPECT_EQ(got[t].get(), got[0].get()) << "thread " << t;
+  }
+}
 
 }  // namespace
 }  // namespace csod::cs

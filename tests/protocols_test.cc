@@ -1,3 +1,5 @@
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <vector>
@@ -6,10 +8,14 @@
 
 #include "common/parallel.h"
 #include "common/simd.h"
+#include "cs/bomp.h"
+#include "cs/compressor.h"
+#include "cs/measurement_matrix.h"
 #include "dist/all_protocol.h"
 #include "dist/cs_protocol.h"
 #include "dist/kplusdelta_protocol.h"
 #include "outlier/metrics.h"
+#include "outlier/outlier.h"
 #include "workload/generators.h"
 #include "workload/partitioner.h"
 
@@ -338,6 +344,63 @@ TEST(CsProtocolTest, LastRecoveryExposed) {
   EXPECT_TRUE(protocol.last_recovery().bias_selected);
   EXPECT_GT(protocol.last_recovery().iterations, 0u);
   EXPECT_NEAR(protocol.last_recovery().mode, 5000.0, 1.0);
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+TEST(CsProtocolTest, FreshProtocolsMatchAFreshMatrixAcrossSeeds) {
+  // A fresh protocol per Run takes Φ0 from the process-wide registry. Seeds
+  // A, B, A force a hit, a miss that releases A, and a rebuild of A; each
+  // answer must equal the one a freshly constructed Φ0 gives, bit for bit.
+  TestSetup setup = MakeSetup(500, 10, 4, 5,
+                              workload::PartitionStrategy::kSkewedSplit, 47);
+  std::vector<const cs::SparseSlice*> slices;
+  for (NodeId id : setup.cluster->NodeIds()) {
+    slices.push_back(setup.cluster->Slice(id).Value());
+  }
+  constexpr size_t kM = 150;
+  constexpr size_t kK = 5;
+  for (const uint64_t seed : {uint64_t{31}, uint64_t{32}, uint64_t{31}}) {
+    CsProtocolOptions options;
+    options.m = kM;
+    options.seed = seed;
+    CsOutlierProtocol protocol(options);
+    CommStats comm;
+    const outlier::OutlierSet got =
+        protocol.Run(*setup.cluster, kK, &comm).MoveValue();
+
+    const cs::MeasurementMatrix fresh(kM, setup.cluster->key_space_size(),
+                                      seed);
+    std::vector<double> y;
+    ASSERT_TRUE(cs::Compressor(&fresh).CompressAccumulate(slices, &y).ok());
+    cs::BompOptions bomp;
+    bomp.max_iterations = cs::IterationBudget(0, kK);
+    const cs::BompResult want = cs::RunBomp(fresh, y, bomp).MoveValue();
+    const outlier::OutlierSet want_set =
+        outlier::KOutliersFromRecovery(want, kK);
+
+    EXPECT_TRUE(SameBits(got.mode, want_set.mode)) << "seed " << seed;
+    ASSERT_EQ(got.outliers.size(), want_set.outliers.size());
+    for (size_t i = 0; i < got.outliers.size(); ++i) {
+      EXPECT_EQ(got.outliers[i].key_index, want_set.outliers[i].key_index);
+      EXPECT_TRUE(SameBits(got.outliers[i].value, want_set.outliers[i].value));
+      EXPECT_TRUE(SameBits(got.outliers[i].divergence,
+                           want_set.outliers[i].divergence));
+    }
+    const cs::BompResult& last = protocol.last_recovery();
+    EXPECT_TRUE(SameBits(last.mode, want.mode));
+    EXPECT_EQ(last.bias_selected, want.bias_selected);
+    EXPECT_EQ(last.iterations, want.iterations);
+    EXPECT_EQ(last.stopped_by_stagnation, want.stopped_by_stagnation);
+    EXPECT_TRUE(SameBits(last.final_residual_norm, want.final_residual_norm));
+    ASSERT_EQ(last.entries.size(), want.entries.size());
+    for (size_t i = 0; i < last.entries.size(); ++i) {
+      EXPECT_EQ(last.entries[i].index, want.entries[i].index);
+      EXPECT_TRUE(SameBits(last.entries[i].value, want.entries[i].value));
+    }
+  }
 }
 
 TEST(ProtocolNamesTest, Names) {

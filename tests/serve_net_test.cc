@@ -345,6 +345,16 @@ TEST(NetTornFrameTest, BuggifyStormNeverNeedsASecondRetry) {
             sent_events);
 }
 
+TEST(SnapshotFollowerTest, SharesTheLeadersMatrixInProcess) {
+  Rig rig;
+  SnapshotFollowerOptions fopts;
+  fopts.n = 400;
+  fopts.m = 150;
+  fopts.seed = 5;
+  auto follower = SnapshotFollower::Create(fopts).MoveValue();
+  EXPECT_EQ(&follower->matrix(), &rig.tenant()->matrix());
+}
+
 TEST(SnapshotFollowerTest, ReplicaAnswersBitIdenticallyToLeader) {
   Rig rig;
   ASSERT_TRUE(rig.client.AdvanceTo("t", 0).ok());

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,6 +31,17 @@ struct ScopedParallelismLimit {
   ~ScopedParallelismLimit() { SetParallelismLimit(previous_); }
   size_t previous_;
 };
+
+// True while no reader thread has made progress and `deadline` has not
+// passed. A concurrency test keeps its writer going meanwhile, so a loaded
+// host that schedules the readers late cannot end the overlap before it
+// starts.
+bool AwaitingReaders(const std::atomic<uint64_t>& progress,
+                     std::chrono::steady_clock::time_point deadline) {
+  return progress.load() == 0 && std::chrono::steady_clock::now() < deadline;
+}
+
+constexpr std::chrono::seconds kOverlapDeadline{10};
 
 StreamingDetectorOptions SmallOptions(size_t window = 3, size_t shards = 4) {
   StreamingDetectorOptions options;
@@ -423,7 +435,10 @@ TEST(StreamingDetectorTest, ConcurrentQueriesNeverBlockIngestion) {
   }
 
   const auto batches = SeededBatches(20, 400, /*seed=*/3);
-  for (const Batch& batch : batches) {
+  const auto deadline = std::chrono::steady_clock::now() + kOverlapDeadline;
+  for (size_t i = 0;
+       i < batches.size() || AwaitingReaders(queries, deadline); ++i) {
+    const Batch& batch = batches[i % batches.size()];
     ASSERT_TRUE(detector->IngestBatch(batch.keys, batch.deltas).ok());
     detector->AdvanceEpoch();
   }
@@ -484,6 +499,21 @@ TEST(StreamingDetectorTest, TelemetryCountsAndNeverChangesResults) {
   EXPECT_EQ(telemetry.span("serve.epoch.advance").count, 2u);
   EXPECT_EQ(telemetry.span("serve.snapshot.publish").count, 1u);
   EXPECT_EQ(telemetry.span("serve.query").count, 1u);
+}
+
+TEST(StreamingServiceTest, TenantsOfOneGeometryShareOneMatrix) {
+  StreamingService service;
+  // The window length is not part of Φ0's geometry.
+  ASSERT_TRUE(service.AddTenant("clicks", SmallOptions(3)).ok());
+  ASSERT_TRUE(service.AddTenant("latency", SmallOptions(5)).ok());
+  StreamingDetectorOptions reseeded = SmallOptions();
+  reseeded.seed = 6;
+  ASSERT_TRUE(service.AddTenant("reseeded", reseeded).ok());
+  const auto clicks = service.Tenant("clicks").MoveValue();
+  EXPECT_EQ(&clicks->matrix(),
+            &service.Tenant("latency").MoveValue()->matrix());
+  EXPECT_NE(&clicks->matrix(),
+            &service.Tenant("reseeded").MoveValue()->matrix());
 }
 
 TEST(StreamingServiceTest, TenantLifecycle) {
@@ -576,7 +606,11 @@ TEST(StreamingServiceTest, RemoveTenantWhileQueryingIsSafe) {
     });
   }
 
-  for (int round = 0; round < 50; ++round) {
+  // Re-adding a tenant of a known geometry is cheap (its Φ0 is shared), so
+  // 50 rounds alone can end before any reader is scheduled.
+  const auto deadline = std::chrono::steady_clock::now() + kOverlapDeadline;
+  for (int round = 0; round < 50 || AwaitingReaders(answered, deadline);
+       ++round) {
     ASSERT_TRUE(service.RemoveTenant("churn").ok());
     ASSERT_TRUE(service.AddTenant("churn", SmallOptions()).ok());
     ASSERT_TRUE(service.AdvanceTo("churn", 0).ok());
