@@ -198,7 +198,7 @@ BENCHMARK(BM_SpawnJoinOverhead);
 
 void BM_CorrelateArgmax(benchmark::State& state) {
   // The fused OMP statement-4 kernel at paper scale: M=512, N=100k, cached
-  // (409.6 MB, inside the default 512 MB budget).
+  // (204.8 MB of float entries, inside the default 512 MB budget).
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
   cs::MeasurementMatrix matrix(m, n, 9);

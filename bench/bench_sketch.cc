@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -48,44 +49,53 @@ using namespace csod;
 // Matches the fixed per-slice reduction geometry of the library kernels.
 constexpr size_t kSeedBlockNnz = 512;
 
+// Column `j` of Φ0 as the matrix stores it: the unscaled float-rounded
+// Gaussian of MeasurementMatrix's entry definition.
+void SeedColumn(const cs::MeasurementMatrix& matrix, size_t j, float* out) {
+  CounterGaussian(HashCombine(matrix.seed(), j)).Fill(matrix.m(), out);
+}
+
 // Pre-SIMD per-node compression: scalar accumulate over a hoisted column
-// pointer (exactly the pre-SIMD kernel's loop shape), fixed block geometry.
-// `cache` is the bench's own column-major copy of the matrix (pre-SIMD code
-// read straight out of the member cache); empty when the matrix is implicit.
+// pointer (exactly the pre-SIMD kernel's loop shape), fixed block geometry,
+// then the matrix's one 1/sqrt(M) scale per measurement. `cache` is the
+// bench's own column-major copy of the stored floats (pre-SIMD code read
+// straight out of the member cache); empty when the matrix is implicit.
 std::vector<double> SeedCompressNode(const cs::MeasurementMatrix& matrix,
-                                     const std::vector<double>& cache,
+                                     const std::vector<float>& cache,
                                      const cs::SparseSlice& slice) {
   const size_t m = matrix.m();
   const size_t nnz = slice.nnz();
-  std::vector<double> scratch(m);
+  std::vector<float> scratch(m);
   auto accumulate = [&](size_t k_begin, size_t k_end, double* acc) {
     for (size_t k = k_begin; k < k_end; ++k) {
       const double xj = slice.values[k];
       if (xj == 0.0) continue;
       const size_t j = slice.indices[k];
-      if (!cache.empty()) {
-        const double* col = cache.data() + j * m;
-        for (size_t i = 0; i < m; ++i) acc[i] += col[i] * xj;
+      const float* col = scratch.data();
+      if (cache.empty()) {
+        SeedColumn(matrix, j, scratch.data());
       } else {
-        matrix.FillColumn(j, scratch.data());
-        for (size_t i = 0; i < m; ++i) acc[i] += scratch[i] * xj;
+        col = cache.data() + j * m;
       }
+      for (size_t i = 0; i < m; ++i) acc[i] += double(col[i]) * xj;
     }
   };
   std::vector<double> y(m, 0.0);
   const size_t num_blocks = (nnz + kSeedBlockNnz - 1) / kSeedBlockNnz;
   if (num_blocks <= 1) {
     accumulate(0, nnz, y.data());
-    return y;
+  } else {
+    std::vector<double> partials(num_blocks * m, 0.0);
+    for (size_t b = 0; b < num_blocks; ++b) {
+      accumulate(b * kSeedBlockNnz, std::min(nnz, (b + 1) * kSeedBlockNnz),
+                 partials.data() + b * m);
+    }
+    for (size_t b = 0; b < num_blocks; ++b) {
+      for (size_t i = 0; i < m; ++i) y[i] += partials[b * m + i];
+    }
   }
-  std::vector<double> partials(num_blocks * m, 0.0);
-  for (size_t b = 0; b < num_blocks; ++b) {
-    accumulate(b * kSeedBlockNnz, std::min(nnz, (b + 1) * kSeedBlockNnz),
-               partials.data() + b * m);
-  }
-  for (size_t b = 0; b < num_blocks; ++b) {
-    for (size_t i = 0; i < m; ++i) y[i] += partials[b * m + i];
-  }
+  const double scale = 1.0 / std::sqrt(static_cast<double>(m));
+  for (size_t i = 0; i < m; ++i) y[i] *= scale;
   return y;
 }
 
@@ -178,11 +188,11 @@ int main(int argc, char** argv) {
 
     // The seed baseline's own dense column-major copy (what the pre-SIMD
     // kernel's member cache held); left empty in implicit mode.
-    std::vector<double> seed_cache;
+    std::vector<float> seed_cache;
     if (cached) {
       seed_cache.resize(m * n);
       for (size_t j = 0; j < n; ++j) {
-        matrix.FillColumn(j, seed_cache.data() + j * m);
+        SeedColumn(matrix, j, seed_cache.data() + j * m);
       }
     }
 

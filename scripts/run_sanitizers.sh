@@ -109,6 +109,15 @@ cmake --build "$OTHER_BUILD_DIR" -j "$(nproc)" --target \
   thread_pool_test
 run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 
+# Φ0 kernel pass under AddressSanitizer, whatever SAN is: Φ0 columns are
+# floats, read four at a time (_mm_loadu_ps) with scalar tails, and ASan is
+# what proves no column read runs past its last entry. The tests allocate
+# columns of exactly M floats for every tail length.
+ASAN_BUILD_DIR=$([[ "$SAN" == address ]] && echo "$BUILD_DIR" || echo "$OTHER_BUILD_DIR")
+cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target \
+  simd_test measurement_matrix_test
+run_ctest "$ASAN_BUILD_DIR" 'Simd|MeasurementMatrix|SharedMatrix'
+
 # SIMD kernel + batch sketching tests again under the same sanitizer, but
 # with the portable dispatch path forced at compile time, so both sides of
 # the AVX2/portable split get sanitizer coverage.

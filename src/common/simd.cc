@@ -17,29 +17,27 @@ namespace {
 // ---------------------------------------------------------------------------
 // Portable kernels. The 8-lane split in DotPortable is the canonical
 // summation tree; every other implementation must reproduce it bit-for-bit.
+// Each column kernel is a template over the column element type T (double
+// or float): `double(c[i])` is the exact widening, after which the
+// arithmetic is the same for both.
 // ---------------------------------------------------------------------------
 
-double DotPortable(const double* a, const double* b, size_t n) {
+template <typename T>
+double DotPortable(const T* a, const double* b, size_t n) {
   double lane[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    lane[0] += a[i] * b[i];
-    lane[1] += a[i + 1] * b[i + 1];
-    lane[2] += a[i + 2] * b[i + 2];
-    lane[3] += a[i + 3] * b[i + 3];
-    lane[4] += a[i + 4] * b[i + 4];
-    lane[5] += a[i + 5] * b[i + 5];
-    lane[6] += a[i + 6] * b[i + 6];
-    lane[7] += a[i + 7] * b[i + 7];
+    for (size_t l = 0; l < 8; ++l) lane[l] += double(a[i + l]) * b[i + l];
   }
   // Tail elements continue the i mod 8 lane assignment.
-  for (size_t l = 0; i < n; ++i, ++l) lane[l] += a[i] * b[i];
+  for (size_t l = 0; i < n; ++i, ++l) lane[l] += double(a[i]) * b[i];
   return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-void Dot4Portable(const double* c0, const double* c1, const double* c2,
-                  const double* c3, const double* r, size_t n, double out[4]) {
+template <typename T>
+void Dot4Portable(const T* c0, const T* c1, const T* c2, const T* c3,
+                  const double* r, size_t n, double out[4]) {
   // Four independent canonical dots; the AVX2 path fuses the r loads but
   // the per-column arithmetic — and so the bits — are the same.
   out[0] = DotPortable(c0, r, n);
@@ -48,44 +46,48 @@ void Dot4Portable(const double* c0, const double* c1, const double* c2,
   out[3] = DotPortable(c3, r, n);
 }
 
-void AxpyPortable(double* acc, const double* col, double x, size_t n) {
-  for (size_t i = 0; i < n; ++i) acc[i] += col[i] * x;
+template <typename T>
+void AxpyPortable(double* acc, const T* col, double x, size_t n) {
+  for (size_t i = 0; i < n; ++i) acc[i] += double(col[i]) * x;
 }
 
-void Axpy4Portable(double* acc, const double* c0, double x0, const double* c1,
-                   double x1, const double* c2, double x2, const double* c3,
-                   double x3, size_t n) {
+template <typename T>
+void Axpy4Portable(double* acc, const T* c0, double x0, const T* c1, double x1,
+                   const T* c2, double x2, const T* c3, double x3, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     double t = acc[i];
-    t += c0[i] * x0;
-    t += c1[i] * x1;
-    t += c2[i] * x2;
-    t += c3[i] * x3;
+    t += double(c0[i]) * x0;
+    t += double(c1[i]) * x1;
+    t += double(c2[i]) * x2;
+    t += double(c3[i]) * x3;
     acc[i] = t;
   }
 }
 
-void Axpy8Portable(double* acc, const double* const cols[8],
-                   const double xs[8], size_t n) {
+template <typename T>
+void Axpy8Portable(double* acc, const T* const cols[8], const double xs[8],
+                   size_t n) {
   for (size_t i = 0; i < n; ++i) {
     double t = acc[i];
-    for (size_t k = 0; k < 8; ++k) t += cols[k][i] * xs[k];
+    for (size_t k = 0; k < 8; ++k) t += double(cols[k][i]) * xs[k];
     acc[i] = t;
   }
 }
 
-void AddPortable(double* acc, const double* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) acc[i] += src[i];
+template <typename T>
+void AddPortable(double* acc, const T* src, size_t n) {
+  for (size_t i = 0; i < n; ++i) acc[i] += double(src[i]);
 }
 
-void Add4Portable(double* acc, const double* s0, const double* s1,
-                  const double* s2, const double* s3, size_t n) {
+template <typename T>
+void Add4Portable(double* acc, const T* s0, const T* s1, const T* s2,
+                  const T* s3, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     double t = acc[i];
-    t += s0[i];
-    t += s1[i];
-    t += s2[i];
-    t += s3[i];
+    t += double(s0[i]);
+    t += double(s1[i]);
+    t += double(s2[i]);
+    t += double(s3[i]);
     acc[i] = t;
   }
 }
@@ -102,30 +104,40 @@ void ScalePortable(double* v, double s, size_t n) {
 // so every bit — identical to the portable kernels above.
 // ---------------------------------------------------------------------------
 
-__attribute__((target("avx2"))) double DotAvx2(const double* a,
-                                               const double* b, size_t n) {
+// Four consecutive column elements as doubles. The float form loads exactly
+// 16 bytes and widens them (exact), so a group never reads past its fourth
+// element.
+__attribute__((target("avx2"))) inline __m256d Load4(const double* p) {
+  return _mm256_loadu_pd(p);
+}
+__attribute__((target("avx2"))) inline __m256d Load4(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+
+template <typename T>
+__attribute__((target("avx2"))) double DotAvx2(const T* a, const double* b,
+                                               size_t n) {
   // acc0 holds lanes 0..3, acc1 lanes 4..7 of the canonical split.
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_add_pd(
-        acc0, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(a + i + 4),
-                                             _mm256_loadu_pd(b + i + 4)));
+    acc0 = _mm256_add_pd(acc0,
+                         _mm256_mul_pd(Load4(a + i), _mm256_loadu_pd(b + i)));
+    acc1 = _mm256_add_pd(
+        acc1, _mm256_mul_pd(Load4(a + i + 4), _mm256_loadu_pd(b + i + 4)));
   }
   double lane[8];
   _mm256_storeu_pd(lane, acc0);
   _mm256_storeu_pd(lane + 4, acc1);
-  for (size_t l = 0; i < n; ++i, ++l) lane[l] += a[i] * b[i];
+  for (size_t l = 0; i < n; ++i, ++l) lane[l] += double(a[i]) * b[i];
   return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-__attribute__((target("avx2"))) void Dot4Avx2(const double* c0,
-                                              const double* c1,
-                                              const double* c2,
-                                              const double* c3,
+template <typename T>
+__attribute__((target("avx2"))) void Dot4Avx2(const T* c0, const T* c1,
+                                              const T* c2, const T* c3,
                                               const double* r, size_t n,
                                               double out[4]) {
   __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
@@ -136,45 +148,47 @@ __attribute__((target("avx2"))) void Dot4Avx2(const double* c0,
   for (; i + 8 <= n; i += 8) {
     const __m256d r0 = _mm256_loadu_pd(r + i);
     const __m256d r1 = _mm256_loadu_pd(r + i + 4);
-    a00 = _mm256_add_pd(a00, _mm256_mul_pd(_mm256_loadu_pd(c0 + i), r0));
-    a01 = _mm256_add_pd(a01, _mm256_mul_pd(_mm256_loadu_pd(c0 + i + 4), r1));
-    a10 = _mm256_add_pd(a10, _mm256_mul_pd(_mm256_loadu_pd(c1 + i), r0));
-    a11 = _mm256_add_pd(a11, _mm256_mul_pd(_mm256_loadu_pd(c1 + i + 4), r1));
-    a20 = _mm256_add_pd(a20, _mm256_mul_pd(_mm256_loadu_pd(c2 + i), r0));
-    a21 = _mm256_add_pd(a21, _mm256_mul_pd(_mm256_loadu_pd(c2 + i + 4), r1));
-    a30 = _mm256_add_pd(a30, _mm256_mul_pd(_mm256_loadu_pd(c3 + i), r0));
-    a31 = _mm256_add_pd(a31, _mm256_mul_pd(_mm256_loadu_pd(c3 + i + 4), r1));
+    a00 = _mm256_add_pd(a00, _mm256_mul_pd(Load4(c0 + i), r0));
+    a01 = _mm256_add_pd(a01, _mm256_mul_pd(Load4(c0 + i + 4), r1));
+    a10 = _mm256_add_pd(a10, _mm256_mul_pd(Load4(c1 + i), r0));
+    a11 = _mm256_add_pd(a11, _mm256_mul_pd(Load4(c1 + i + 4), r1));
+    a20 = _mm256_add_pd(a20, _mm256_mul_pd(Load4(c2 + i), r0));
+    a21 = _mm256_add_pd(a21, _mm256_mul_pd(Load4(c2 + i + 4), r1));
+    a30 = _mm256_add_pd(a30, _mm256_mul_pd(Load4(c3 + i), r0));
+    a31 = _mm256_add_pd(a31, _mm256_mul_pd(Load4(c3 + i + 4), r1));
   }
   const __m256d* accs0[4] = {&a00, &a10, &a20, &a30};
   const __m256d* accs1[4] = {&a01, &a11, &a21, &a31};
-  const double* cols[4] = {c0, c1, c2, c3};
+  const T* cols[4] = {c0, c1, c2, c3};
   for (size_t k = 0; k < 4; ++k) {
     double lane[8];
     _mm256_storeu_pd(lane, *accs0[k]);
     _mm256_storeu_pd(lane + 4, *accs1[k]);
     size_t j = i;
-    for (size_t l = 0; j < n; ++j, ++l) lane[l] += cols[k][j] * r[j];
+    for (size_t l = 0; j < n; ++j, ++l) lane[l] += double(cols[k][j]) * r[j];
     out[k] = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
              ((lane[4] + lane[5]) + (lane[6] + lane[7]));
   }
 }
 
-__attribute__((target("avx2"))) void AxpyAvx2(double* acc, const double* col,
+template <typename T>
+__attribute__((target("avx2"))) void AxpyAvx2(double* acc, const T* col,
                                               double x, size_t n) {
   const __m256d vx = _mm256_set1_pd(x);
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d t = _mm256_add_pd(_mm256_loadu_pd(acc + i),
-                                    _mm256_mul_pd(_mm256_loadu_pd(col + i), vx));
+                                    _mm256_mul_pd(Load4(col + i), vx));
     _mm256_storeu_pd(acc + i, t);
   }
-  for (; i < n; ++i) acc[i] += col[i] * x;
+  for (; i < n; ++i) acc[i] += double(col[i]) * x;
 }
 
-__attribute__((target("avx2"))) void Axpy4Avx2(double* acc, const double* c0,
-                                               double x0, const double* c1,
-                                               double x1, const double* c2,
-                                               double x2, const double* c3,
+template <typename T>
+__attribute__((target("avx2"))) void Axpy4Avx2(double* acc, const T* c0,
+                                               double x0, const T* c1,
+                                               double x1, const T* c2,
+                                               double x2, const T* c3,
                                                double x3, size_t n) {
   const __m256d v0 = _mm256_set1_pd(x0);
   const __m256d v1 = _mm256_set1_pd(x1);
@@ -183,24 +197,25 @@ __attribute__((target("avx2"))) void Axpy4Avx2(double* acc, const double* c0,
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256d t = _mm256_loadu_pd(acc + i);
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(c0 + i), v0));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(c1 + i), v1));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(c2 + i), v2));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(c3 + i), v3));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(c0 + i), v0));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(c1 + i), v1));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(c2 + i), v2));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(c3 + i), v3));
     _mm256_storeu_pd(acc + i, t);
   }
   for (; i < n; ++i) {
     double t = acc[i];
-    t += c0[i] * x0;
-    t += c1[i] * x1;
-    t += c2[i] * x2;
-    t += c3[i] * x3;
+    t += double(c0[i]) * x0;
+    t += double(c1[i]) * x1;
+    t += double(c2[i]) * x2;
+    t += double(c3[i]) * x3;
     acc[i] = t;
   }
 }
 
+template <typename T>
 __attribute__((target("avx2"))) void Axpy8Avx2(double* acc,
-                                               const double* const cols[8],
+                                               const T* const cols[8],
                                                const double xs[8], size_t n) {
   // Eight broadcast coefficients stay resident; each 4-element group of acc
   // folds the eight streams in order, reading all eight columns in the same
@@ -216,52 +231,53 @@ __attribute__((target("avx2"))) void Axpy8Avx2(double* acc,
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256d t = _mm256_loadu_pd(acc + i);
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(cols[0] + i), v0));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(cols[1] + i), v1));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(cols[2] + i), v2));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(cols[3] + i), v3));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(cols[4] + i), v4));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(cols[5] + i), v5));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(cols[6] + i), v6));
-    t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(cols[7] + i), v7));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(cols[0] + i), v0));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(cols[1] + i), v1));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(cols[2] + i), v2));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(cols[3] + i), v3));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(cols[4] + i), v4));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(cols[5] + i), v5));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(cols[6] + i), v6));
+    t = _mm256_add_pd(t, _mm256_mul_pd(Load4(cols[7] + i), v7));
     _mm256_storeu_pd(acc + i, t);
   }
   for (; i < n; ++i) {
     double t = acc[i];
-    for (size_t k = 0; k < 8; ++k) t += cols[k][i] * xs[k];
+    for (size_t k = 0; k < 8; ++k) t += double(cols[k][i]) * xs[k];
     acc[i] = t;
   }
 }
 
-__attribute__((target("avx2"))) void AddAvx2(double* acc, const double* src,
+template <typename T>
+__attribute__((target("avx2"))) void AddAvx2(double* acc, const T* src,
                                              size_t n) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i),
-                                            _mm256_loadu_pd(src + i)));
+    _mm256_storeu_pd(acc + i,
+                     _mm256_add_pd(_mm256_loadu_pd(acc + i), Load4(src + i)));
   }
-  for (; i < n; ++i) acc[i] += src[i];
+  for (; i < n; ++i) acc[i] += double(src[i]);
 }
 
-__attribute__((target("avx2"))) void Add4Avx2(double* acc, const double* s0,
-                                              const double* s1,
-                                              const double* s2,
-                                              const double* s3, size_t n) {
+template <typename T>
+__attribute__((target("avx2"))) void Add4Avx2(double* acc, const T* s0,
+                                              const T* s1, const T* s2,
+                                              const T* s3, size_t n) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256d t = _mm256_loadu_pd(acc + i);
-    t = _mm256_add_pd(t, _mm256_loadu_pd(s0 + i));
-    t = _mm256_add_pd(t, _mm256_loadu_pd(s1 + i));
-    t = _mm256_add_pd(t, _mm256_loadu_pd(s2 + i));
-    t = _mm256_add_pd(t, _mm256_loadu_pd(s3 + i));
+    t = _mm256_add_pd(t, Load4(s0 + i));
+    t = _mm256_add_pd(t, Load4(s1 + i));
+    t = _mm256_add_pd(t, Load4(s2 + i));
+    t = _mm256_add_pd(t, Load4(s3 + i));
     _mm256_storeu_pd(acc + i, t);
   }
   for (; i < n; ++i) {
     double t = acc[i];
-    t += s0[i];
-    t += s1[i];
-    t += s2[i];
-    t += s3[i];
+    t += double(s0[i]);
+    t += double(s1[i]);
+    t += double(s2[i]);
+    t += double(s3[i]);
     acc[i] = t;
   }
 }
@@ -317,86 +333,79 @@ Level SetLevelForTesting(Level level) {
   return ActiveLevelSlot().exchange(level, std::memory_order_relaxed);
 }
 
-double Dot(const double* a, const double* b, size_t n) {
+// Dispatch. The double and float overloads of a kernel forward to one
+// template per ISA path, so the two forms cannot drift apart.
 #if CSOD_SIMD_X86
-  if (ActiveLevel() == Level::kAvx2) return DotAvx2(a, b, n);
+#define CSOD_SIMD_DISPATCH(kernel, ...)                     \
+  (ActiveLevel() == Level::kAvx2 ? kernel##Avx2(__VA_ARGS__) \
+                                 : kernel##Portable(__VA_ARGS__))
+#else
+#define CSOD_SIMD_DISPATCH(kernel, ...) kernel##Portable(__VA_ARGS__)
 #endif
-  return DotPortable(a, b, n);
+
+double Dot(const double* a, const double* b, size_t n) {
+  return CSOD_SIMD_DISPATCH(Dot, a, b, n);
+}
+double Dot(const float* a, const double* b, size_t n) {
+  return CSOD_SIMD_DISPATCH(Dot, a, b, n);
 }
 
 void Dot4(const double* c0, const double* c1, const double* c2,
           const double* c3, const double* r, size_t n, double out[4]) {
-#if CSOD_SIMD_X86
-  if (ActiveLevel() == Level::kAvx2) {
-    Dot4Avx2(c0, c1, c2, c3, r, n, out);
-    return;
-  }
-#endif
-  Dot4Portable(c0, c1, c2, c3, r, n, out);
+  CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
+}
+void Dot4(const float* c0, const float* c1, const float* c2, const float* c3,
+          const double* r, size_t n, double out[4]) {
+  CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
 }
 
 void Axpy(double* acc, const double* col, double x, size_t n) {
-#if CSOD_SIMD_X86
-  if (ActiveLevel() == Level::kAvx2) {
-    AxpyAvx2(acc, col, x, n);
-    return;
-  }
-#endif
-  AxpyPortable(acc, col, x, n);
+  CSOD_SIMD_DISPATCH(Axpy, acc, col, x, n);
+}
+void Axpy(double* acc, const float* col, double x, size_t n) {
+  CSOD_SIMD_DISPATCH(Axpy, acc, col, x, n);
 }
 
 void Axpy4(double* acc, const double* c0, double x0, const double* c1,
            double x1, const double* c2, double x2, const double* c3, double x3,
            size_t n) {
-#if CSOD_SIMD_X86
-  if (ActiveLevel() == Level::kAvx2) {
-    Axpy4Avx2(acc, c0, x0, c1, x1, c2, x2, c3, x3, n);
-    return;
-  }
-#endif
-  Axpy4Portable(acc, c0, x0, c1, x1, c2, x2, c3, x3, n);
+  CSOD_SIMD_DISPATCH(Axpy4, acc, c0, x0, c1, x1, c2, x2, c3, x3, n);
+}
+void Axpy4(double* acc, const float* c0, double x0, const float* c1,
+           double x1, const float* c2, double x2, const float* c3, double x3,
+           size_t n) {
+  CSOD_SIMD_DISPATCH(Axpy4, acc, c0, x0, c1, x1, c2, x2, c3, x3, n);
 }
 
 void Axpy8(double* acc, const double* const cols[8], const double xs[8],
            size_t n) {
-#if CSOD_SIMD_X86
-  if (ActiveLevel() == Level::kAvx2) {
-    Axpy8Avx2(acc, cols, xs, n);
-    return;
-  }
-#endif
-  Axpy8Portable(acc, cols, xs, n);
+  CSOD_SIMD_DISPATCH(Axpy8, acc, cols, xs, n);
+}
+void Axpy8(double* acc, const float* const cols[8], const double xs[8],
+           size_t n) {
+  CSOD_SIMD_DISPATCH(Axpy8, acc, cols, xs, n);
 }
 
 void Add(double* acc, const double* src, size_t n) {
-#if CSOD_SIMD_X86
-  if (ActiveLevel() == Level::kAvx2) {
-    AddAvx2(acc, src, n);
-    return;
-  }
-#endif
-  AddPortable(acc, src, n);
+  CSOD_SIMD_DISPATCH(Add, acc, src, n);
+}
+void Add(double* acc, const float* src, size_t n) {
+  CSOD_SIMD_DISPATCH(Add, acc, src, n);
 }
 
 void Add4(double* acc, const double* s0, const double* s1, const double* s2,
           const double* s3, size_t n) {
-#if CSOD_SIMD_X86
-  if (ActiveLevel() == Level::kAvx2) {
-    Add4Avx2(acc, s0, s1, s2, s3, n);
-    return;
-  }
-#endif
-  Add4Portable(acc, s0, s1, s2, s3, n);
+  CSOD_SIMD_DISPATCH(Add4, acc, s0, s1, s2, s3, n);
+}
+void Add4(double* acc, const float* s0, const float* s1, const float* s2,
+          const float* s3, size_t n) {
+  CSOD_SIMD_DISPATCH(Add4, acc, s0, s1, s2, s3, n);
 }
 
 void Scale(double* v, double s, size_t n) {
-#if CSOD_SIMD_X86
-  if (ActiveLevel() == Level::kAvx2) {
-    ScaleAvx2(v, s, n);
-    return;
-  }
-#endif
-  ScalePortable(v, s, n);
+  CSOD_SIMD_DISPATCH(Scale, v, s, n);
 }
+
+#undef CSOD_SIMD_DISPATCH
 
 }  // namespace csod::simd

@@ -34,6 +34,17 @@ namespace csod::simd {
 /// operation order is identical to the 1-stream kernel, so
 /// `Axpy4(acc, c0,x0, ..., c3,x3)` is bit-identical to four sequential
 /// `Axpy` calls — callers may batch freely without changing results.
+///
+/// Float columns: every kernel that reads a column (`Dot*`'s `a`/`c*`,
+/// `Axpy*`'s `col`/`cols`, `Add*`'s `src`/`s*`) also takes `const float*`.
+/// The float overloads widen each element to double in-register (exact),
+/// then run the identical double arithmetic in the identical order, so a
+/// float overload is bit-identical to its double form on the widened
+/// column, on every ISA path. The other operands (`r`, `acc`, `x`) and every
+/// result stay double. Storing Φ0's columns as floats halves the bytes a
+/// correlate streams without a second summation tree. Vector loads touch
+/// only full 4-element groups; tails are scalar, so no path reads past
+/// element n - 1.
 enum class Level {
   kPortable = 0,  ///< Fixed-8-lane scalar kernels (any platform).
   kAvx2 = 1,      ///< AVX2 4-wide double kernels (x86-64, no FMA).
@@ -59,14 +70,18 @@ Level SetLevelForTesting(Level level);
 
 /// Σ_i a[i] * b[i] over the canonical 8-lane split.
 double Dot(const double* a, const double* b, size_t n);
+double Dot(const float* a, const double* b, size_t n);
 
 /// Four dots sharing one pass over r: out[k] = Σ_i ck[i] * r[i].
 /// Each out[k] is bit-identical to Dot(ck, r, n).
 void Dot4(const double* c0, const double* c1, const double* c2,
           const double* c3, const double* r, size_t n, double out[4]);
+void Dot4(const float* c0, const float* c1, const float* c2, const float* c3,
+          const double* r, size_t n, double out[4]);
 
 /// acc[i] += col[i] * x (element-wise; bit-identical on every path).
 void Axpy(double* acc, const double* col, double x, size_t n);
+void Axpy(double* acc, const float* col, double x, size_t n);
 
 /// Four fused axpys in one pass over acc:
 /// acc[i] = (((acc[i] + c0[i]*x0) + c1[i]*x1) + c2[i]*x2) + c3[i]*x3,
@@ -74,6 +89,9 @@ void Axpy(double* acc, const double* col, double x, size_t n);
 void Axpy4(double* acc, const double* c0, double x0, const double* c1,
            double x1, const double* c2, double x2, const double* c3,
            double x3, size_t n);
+void Axpy4(double* acc, const float* c0, double x0, const float* c1,
+           double x1, const float* c2, double x2, const float* c3, double x3,
+           size_t n);
 
 /// Eight fused axpys in one pass over acc (array-of-streams form):
 /// acc[i] folds cols[0][i]*xs[0] .. cols[7][i]*xs[7] in stream order,
@@ -82,14 +100,19 @@ void Axpy4(double* acc, const double* c0, double x0, const double* c1,
 /// hides DRAM latency when the columns miss cache.
 void Axpy8(double* acc, const double* const cols[8], const double xs[8],
            size_t n);
+void Axpy8(double* acc, const float* const cols[8], const double xs[8],
+           size_t n);
 
 /// acc[i] += src[i].
 void Add(double* acc, const double* src, size_t n);
+void Add(double* acc, const float* src, size_t n);
 
 /// Four fused adds in one pass over acc, bit-identical to four sequential
 /// Add calls in s0..s3 order.
 void Add4(double* acc, const double* s0, const double* s1, const double* s2,
           const double* s3, size_t n);
+void Add4(double* acc, const float* s0, const float* s1, const float* s2,
+          const float* s3, size_t n);
 
 /// v[i] *= s.
 void Scale(double* v, double s, size_t n);

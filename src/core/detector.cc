@@ -129,8 +129,9 @@ Result<std::vector<outlier::Outlier>> DistributedOutlierDetector::DetectTopK(
 
 Status DistributedOutlierDetector::Save(std::ostream& out) const {
   // Text header (versioned) followed by one length-prefixed wire-format
-  // measurement message per source.
-  out << "csod-detector v1\n";
+  // measurement message per source. The version names the Φ0 format the
+  // sketches were measured under: v2 is cs::kPhi0Format 2.
+  out << "csod-detector v2\n";
   out << options_.n << ' ' << options_.m << ' ' << options_.seed << ' '
       << options_.iterations << ' ' << sketches_.size() << '\n';
   for (const auto& [id, sketch] : sketches_) {
@@ -151,9 +152,21 @@ DistributedOutlierDetector::Load(std::istream& in,
                                  const DetectorOptions& expected) {
   std::string magic;
   std::string version;
-  if (!(in >> magic >> version) || magic != "csod-detector" ||
-      version != "v1") {
-    return Status::InvalidArgument("Load: not a csod-detector v1 checkpoint");
+  if (!(in >> magic) || magic != "csod-detector" || !(in >> version)) {
+    return Status::InvalidArgument("Load: not a csod-detector checkpoint");
+  }
+  if (version == "v1") {
+    // v1 sketches were measured with Φ0 format 1 (double entries); this
+    // build's Φ0 differs in every entry, so they would recover garbage.
+    return Status::InvalidArgument(
+        "Load: csod-detector v1 checkpoint holds sketches measured with Φ0 "
+        "format 1 (double entries); this build uses Φ0 format " +
+        std::to_string(cs::kPhi0Format) +
+        " (float32-rounded entries), so they cannot be restored");
+  }
+  if (version != "v2") {
+    return Status::InvalidArgument("Load: unknown csod-detector version " +
+                                   version);
   }
   DetectorOptions options = expected;
   size_t n = 0, m = 0, num_sources = 0;

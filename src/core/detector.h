@@ -102,12 +102,14 @@ class DistributedOutlierDetector {
   const cs::MeasurementMatrix& matrix() const { return *matrix_; }
 
   /// Checkpoints the detector (options + every source sketch) to a
-  /// stream. State is tiny — O(sources · M) — because only sketches are
-  /// retained, never data.
+  /// stream under the header "csod-detector v2" (Φ0 format 2, see
+  /// cs::kPhi0Format). State is tiny — O(sources · M) — because only
+  /// sketches are retained, never data.
   Status Save(std::ostream& out) const;
 
   /// Restores a detector from a checkpoint written by Save. The caller
-  /// supplies the geometry: InvalidArgument unless the checkpoint's
+  /// supplies the geometry: InvalidArgument on a v1 checkpoint (its
+  /// sketches were measured with another Φ0), unless the checkpoint's
   /// n/m/seed equal `expected`'s, and on any sketch payload whose size is
   /// not the exact encoding of an M-value measurement (checked before
   /// anything is allocated from it). `expected` also supplies the runtime

@@ -33,14 +33,20 @@ constexpr size_t kReductionBlockNnz = 512;
 // Every fused form is bit-identical to one simd::Axpy per entry in push
 // order (common/simd.h), so batch boundaries never affect the result — only
 // the number of passes over acc and the number of concurrent load streams.
+// pending() is the number of pushed columns not yet flushed: the slot an
+// implicit column pushed next may occupy without clobbering a pending one.
 class AxpyBatcher {
  public:
+  static constexpr size_t kWidth = 8;
+
   AxpyBatcher(double* acc, size_t m) : acc_(acc), m_(m) {}
 
-  void Push(const double* col, double x) {
+  size_t pending() const { return filled_; }
+
+  void Push(const float* col, double x) {
     cols_[filled_] = col;
     xs_[filled_] = x;
-    if (++filled_ == 8) Flush();
+    if (++filled_ == kWidth) Flush();
   }
 
   void Flush() {
@@ -60,19 +66,23 @@ class AxpyBatcher {
  private:
   double* acc_;
   size_t m_;
-  const double* cols_[8];
-  double xs_[8];
+  const float* cols_[kWidth];
+  double xs_[kWidth];
   size_t filled_ = 0;
 };
 
 // Same idea for unscaled column sums (BiasColumn).
 class AddBatcher {
  public:
+  static constexpr size_t kWidth = 4;
+
   AddBatcher(double* acc, size_t m) : acc_(acc), m_(m) {}
 
-  void Push(const double* col) {
+  size_t pending() const { return filled_; }
+
+  void Push(const float* col) {
     cols_[filled_] = col;
-    if (++filled_ == 4) Flush();
+    if (++filled_ == kWidth) Flush();
   }
 
   void Flush() {
@@ -87,9 +97,32 @@ class AddBatcher {
  private:
   double* acc_;
   size_t m_;
-  const double* cols_[4];
+  const float* cols_[kWidth];
   size_t filled_ = 0;
 };
+
+// The fixed-geometry blocked reduction behind Multiply, MultiplySparse and
+// BiasColumn: accumulate(b, acc) adds block b into the M-vector acc. Each
+// block accumulates into a private partial and the partials are folded into
+// the result in block order, independent of which thread computed them; a
+// single block accumulates straight into the result.
+template <typename Accumulate>
+std::vector<double> BlockedSum(size_t m, size_t num_blocks,
+                               const Accumulate& accumulate) {
+  std::vector<double> y(m, 0.0);
+  if (num_blocks <= 1) {
+    if (num_blocks == 1) accumulate(0, y.data());
+    return y;
+  }
+  std::vector<double> partials(num_blocks * m, 0.0);
+  ParallelFor(num_blocks, 1, [&](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) accumulate(b, partials.data() + b * m);
+  });
+  for (size_t b = 0; b < num_blocks; ++b) {
+    simd::Add(y.data(), partials.data() + b * m, m);
+  }
+  return y;
+}
 
 // Folds a candidate (index, value) into the running chunk-local argmax.
 // Strict > with ascending candidate order == lowest index wins on ties.
@@ -104,11 +137,12 @@ inline void FoldArgmax(size_t index, double value,
 }
 
 // True iff the dense cache of an m x n matrix fits `budget` bytes. Divides
-// the budget rather than multiplying m·n·8, which wraps for huge geometries
-// (a wrapped 0 would pass a `bytes <= budget` test).
+// the budget rather than multiplying m·n·kBytesPerEntry, which wraps for
+// huge geometries (a wrapped 0 would pass a `bytes <= budget` test).
 bool FitsCacheBudget(size_t m, size_t n, size_t budget) {
   if (budget == 0) return false;
-  return m == 0 || n <= budget / sizeof(double) / m;
+  return m == 0 ||
+         n <= budget / MeasurementMatrix::kBytesPerEntry / m;
 }
 
 }  // namespace
@@ -122,30 +156,29 @@ MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
     // function of (seed, col, row), written to a disjoint cache range.
     ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
       for (size_t col = begin; col < end; ++col) {
-        CounterGaussian gen(HashCombine(seed_, col));
-        double* dst = cache_.data() + col * m_;
-        gen.Fill(m_, dst);
-        simd::Scale(dst, inv_sqrt_m_, m_);
+        GenerateColumn(col, cache_.data() + col * m_);
       }
     });
   }
 }
 
 void MeasurementMatrix::FillColumn(size_t col, double* out) const {
-  if (!cache_.empty()) {
-    const double* src = cache_.data() + col * m_;
-    std::copy(src, src + m_, out);
-    return;
-  }
-  CounterGaussian gen(HashCombine(seed_, col));
-  gen.Fill(m_, out);
-  simd::Scale(out, inv_sqrt_m_, m_);
+  std::vector<float> scratch = ColumnScratch(1);
+  const float* src = UnscaledColumn(col, &scratch, 0);
+  for (size_t i = 0; i < m_; ++i) out[i] = double(src[i]) * inv_sqrt_m_;
 }
 
 std::vector<double> MeasurementMatrix::Column(size_t col) const {
   std::vector<double> out(m_);
   FillColumn(col, out.data());
   return out;
+}
+
+std::vector<double> MeasurementMatrix::ScaledResidual(
+    const std::vector<double>& r) const {
+  std::vector<double> scaled = r;
+  simd::Scale(scaled.data(), inv_sqrt_m_, m_);
+  return scaled;
 }
 
 Result<std::vector<double>> MeasurementMatrix::Multiply(
@@ -155,49 +188,22 @@ Result<std::vector<double>> MeasurementMatrix::Multiply(
                                    std::to_string(x.size()) + " != N " +
                                    std::to_string(n_));
   }
-  std::vector<double> y(m_, 0.0);
-  // Accumulates columns [col_begin, col_end) into acc (size M). The scratch
-  // column is only needed when the matrix is implicit.
-  auto accumulate = [&](size_t col_begin, size_t col_end, double* acc) {
-    if (!cache_.empty()) {
-      AxpyBatcher batch(acc, m_);
-      for (size_t j = col_begin; j < col_end; ++j) {
-        const double xj = x[j];
-        if (xj == 0.0) continue;
-        batch.Push(cache_.data() + j * m_, xj);
-      }
-      batch.Flush();
-    } else {
-      std::vector<double> col(m_);
-      for (size_t j = col_begin; j < col_end; ++j) {
-        const double xj = x[j];
-        if (xj == 0.0) continue;
-        FillColumn(j, col.data());
-        simd::Axpy(acc, col.data(), xj, m_);
-      }
-    }
-  };
-
   const size_t num_blocks =
       (n_ + kReductionBlockColumns - 1) / kReductionBlockColumns;
-  if (num_blocks <= 1) {
-    accumulate(0, n_, y.data());
-    return y;
-  }
-  // Fixed-geometry blocked reduction: block b accumulates its private
-  // partial; partials are folded in block order below, independent of which
-  // thread computed them.
-  std::vector<double> partials(num_blocks * m_, 0.0);
-  ParallelFor(num_blocks, 1, [&](size_t begin, size_t end) {
-    for (size_t b = begin; b < end; ++b) {
-      const size_t col_begin = b * kReductionBlockColumns;
-      const size_t col_end = std::min(n_, col_begin + kReductionBlockColumns);
-      accumulate(col_begin, col_end, partials.data() + b * m_);
-    }
-  });
-  for (size_t b = 0; b < num_blocks; ++b) {
-    simd::Add(y.data(), partials.data() + b * m_, m_);
-  }
+  std::vector<double> y =
+      BlockedSum(m_, num_blocks, [&](size_t b, double* acc) {
+        const size_t col_begin = b * kReductionBlockColumns;
+        const size_t col_end = std::min(n_, col_begin + kReductionBlockColumns);
+        std::vector<float> scratch = ColumnScratch(AxpyBatcher::kWidth);
+        AxpyBatcher batch(acc, m_);
+        for (size_t j = col_begin; j < col_end; ++j) {
+          const double xj = x[j];
+          if (xj == 0.0) continue;
+          batch.Push(UnscaledColumn(j, &scratch, batch.pending()), xj);
+        }
+        batch.Flush();
+      });
+  simd::Scale(y.data(), inv_sqrt_m_, m_);
   return y;
 }
 
@@ -215,43 +221,22 @@ Result<std::vector<double>> MeasurementMatrix::MultiplySparse(
     }
   }
   const size_t nnz = indices.size();
-  std::vector<double> y(m_, 0.0);
-  auto accumulate = [&](size_t k_begin, size_t k_end, double* acc) {
-    if (!cache_.empty()) {
-      AxpyBatcher batch(acc, m_);
-      for (size_t k = k_begin; k < k_end; ++k) {
-        const double xj = values[k];
-        if (xj == 0.0) continue;
-        batch.Push(cache_.data() + indices[k] * m_, xj);
-      }
-      batch.Flush();
-    } else {
-      std::vector<double> col(m_);
-      for (size_t k = k_begin; k < k_end; ++k) {
-        const double xj = values[k];
-        if (xj == 0.0) continue;
-        FillColumn(indices[k], col.data());
-        simd::Axpy(acc, col.data(), xj, m_);
-      }
-    }
-  };
-
   const size_t num_blocks = (nnz + kReductionBlockNnz - 1) / kReductionBlockNnz;
-  if (num_blocks <= 1) {
-    accumulate(0, nnz, y.data());
-    return y;
-  }
-  std::vector<double> partials(num_blocks * m_, 0.0);
-  ParallelFor(num_blocks, 1, [&](size_t begin, size_t end) {
-    for (size_t b = begin; b < end; ++b) {
-      const size_t k_begin = b * kReductionBlockNnz;
-      const size_t k_end = std::min(nnz, k_begin + kReductionBlockNnz);
-      accumulate(k_begin, k_end, partials.data() + b * m_);
-    }
-  });
-  for (size_t b = 0; b < num_blocks; ++b) {
-    simd::Add(y.data(), partials.data() + b * m_, m_);
-  }
+  std::vector<double> y =
+      BlockedSum(m_, num_blocks, [&](size_t b, double* acc) {
+        const size_t k_begin = b * kReductionBlockNnz;
+        const size_t k_end = std::min(nnz, k_begin + kReductionBlockNnz);
+        std::vector<float> scratch = ColumnScratch(AxpyBatcher::kWidth);
+        AxpyBatcher batch(acc, m_);
+        for (size_t k = k_begin; k < k_end; ++k) {
+          const double xj = values[k];
+          if (xj == 0.0) continue;
+          batch.Push(UnscaledColumn(indices[k], &scratch, batch.pending()),
+                     xj);
+        }
+        batch.Flush();
+      });
+  simd::Scale(y.data(), inv_sqrt_m_, m_);
   return y;
 }
 
@@ -303,8 +288,8 @@ Status MeasurementMatrix::MultiplySparseBatch(
   });
 
   // Block b's entries accumulate into partials[b*M, (b+1)*M) exactly as
-  // MultiplySparse would (same order, same 4-wide fusion); `column` resolves
-  // an entry to its column storage.
+  // MultiplySparse would (same order, same fusion); `column` resolves an
+  // entry to its stored floats.
   std::vector<double> partials(blocks.size() * m_, 0.0);
   auto run_block = [&](size_t b, auto&& column) {
     const Block& blk = blocks[b];
@@ -338,9 +323,9 @@ Status MeasurementMatrix::MultiplySparseBatch(
     // thread scheduling — and generation is pure, so the accumulated bits
     // match the generate-per-entry path exactly.
     const size_t max_wave_entries = std::max(
-        kReductionBlockNnz, scratch_budget_bytes / (m_ * sizeof(double)));
+        kReductionBlockNnz, scratch_budget_bytes / (m_ * kBytesPerEntry));
     std::vector<size_t> wave_cols;
-    std::vector<double> scratch;
+    std::vector<float> scratch;
     size_t wave_begin = 0;
     while (wave_begin < schedule.size()) {
       size_t wave_end = wave_begin;
@@ -370,7 +355,7 @@ Status MeasurementMatrix::MultiplySparseBatch(
       ParallelFor(wave_cols.size(), kMinColumnsPerGeneration,
                   [&](size_t begin, size_t end) {
                     for (size_t c = begin; c < end; ++c) {
-                      FillColumn(wave_cols[c], scratch.data() + c * m_);
+                      GenerateColumn(wave_cols[c], scratch.data() + c * m_);
                     }
                   });
 
@@ -389,13 +374,14 @@ Status MeasurementMatrix::MultiplySparseBatch(
   }
 
   // Serial folds in fixed (slice, block) order — scheduling-independent and
-  // bit-identical to MultiplySparse's per-slice partial fold followed by
-  // AggregateMeasurements' slice-order sum.
+  // bit-identical to MultiplySparse's per-slice partial fold and 1/√M scale
+  // followed by AggregateMeasurements' slice-order sum.
   if (per_slice_out != nullptr) {
     for (size_t b = 0; b < blocks.size(); ++b) {
       simd::Add(per_slice_out->data() + blocks[b].slice * m_,
                 partials.data() + b * m_, m_);
     }
+    simd::Scale(per_slice_out->data(), inv_sqrt_m_, per_slice_out->size());
     if (sum_out != nullptr) {
       for (size_t l = 0; l < slices.size(); ++l) {
         simd::Add(sum_out->data(), per_slice_out->data() + l * m_, m_);
@@ -410,15 +396,16 @@ Status MeasurementMatrix::MultiplySparseBatch(
       const size_t b_begin = b;
       while (b < blocks.size() && blocks[b].slice == l) ++b;
       if (b == b_begin) continue;  // Empty slice: y_l = 0, a bit-exact no-op.
-      if (b - b_begin == 1) {
-        simd::Add(sum_out->data(), partials.data() + b_begin * m_, m_);
-      } else {
+      double* y_l = partials.data() + b_begin * m_;
+      if (b - b_begin > 1) {
         slice_acc.assign(m_, 0.0);
         for (size_t bb = b_begin; bb < b; ++bb) {
           simd::Add(slice_acc.data(), partials.data() + bb * m_, m_);
         }
-        simd::Add(sum_out->data(), slice_acc.data(), m_);
+        y_l = slice_acc.data();
       }
+      simd::Scale(y_l, inv_sqrt_m_, m_);
+      simd::Add(sum_out->data(), y_l, m_);
     }
   }
   return Status::OK();
@@ -431,31 +418,21 @@ Status MeasurementMatrix::CorrelateAllInto(const std::vector<double>& r,
                                    std::to_string(r.size()) + " != M " +
                                    std::to_string(m_));
   }
-  const double* rp = r.data();
-  if (!cache_.empty()) {
-    ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
-      size_t j = begin;
-      for (; j + 4 <= end; j += 4) {
-        const double* base = cache_.data() + j * m_;
-        simd::Dot4(base, base + m_, base + 2 * m_, base + 3 * m_, rp, m_,
-                   out + j);
-      }
-      for (; j < end; ++j) {
-        out[j] = simd::Dot(cache_.data() + j * m_, rp, m_);
-      }
-    });
-  } else {
-    // Pre-scaled generation (FillColumn) so the dot sees the same column
-    // bits as the cached path — cached and implicit correlations are
-    // bit-identical, not merely close.
-    ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
-      std::vector<double> col(m_);
-      for (size_t j = begin; j < end; ++j) {
-        FillColumn(j, col.data());
-        out[j] = simd::Dot(col.data(), rp, m_);
-      }
-    });
-  }
+  const std::vector<double> scaled = ScaledResidual(r);
+  const double* rp = scaled.data();
+  ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
+    std::vector<float> scratch = ColumnScratch(4);
+    size_t j = begin;
+    for (; j + 4 <= end; j += 4) {
+      simd::Dot4(UnscaledColumn(j, &scratch, 0),
+                 UnscaledColumn(j + 1, &scratch, 1),
+                 UnscaledColumn(j + 2, &scratch, 2),
+                 UnscaledColumn(j + 3, &scratch, 3), rp, m_, out + j);
+    }
+    for (; j < end; ++j) {
+      out[j] = simd::Dot(UnscaledColumn(j, &scratch, 0), rp, m_);
+    }
+  });
   return Status::OK();
 }
 
@@ -480,46 +457,37 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
                                    " < N + offset " +
                                    std::to_string(n_ + skip_offset));
   }
-  const double* rp = r.data();
+  const std::vector<double> scaled = ScaledResidual(r);
+  const double* rp = scaled.data();
   // Chunk-local argmax over [begin, end); candidates are visited in
-  // ascending index order so ties resolve to the lowest index.
+  // ascending index order so ties resolve to the lowest index. Unmasked
+  // columns are batched four at a time; batch order is ascending, so
+  // folding the four dots in order preserves the tie-break.
   auto local_argmax = [&](size_t begin, size_t end) {
     CorrelateArgmaxResult best;
-    if (!cache_.empty()) {
-      // Batch unmasked columns four at a time; batch order is ascending, so
-      // folding the four dots in order preserves the tie-break.
-      size_t batch[4];
-      size_t filled = 0;
-      double dots[4];
-      auto flush = [&] {
-        if (filled == 4) {
-          simd::Dot4(cache_.data() + batch[0] * m_,
-                     cache_.data() + batch[1] * m_,
-                     cache_.data() + batch[2] * m_,
-                     cache_.data() + batch[3] * m_, rp, m_, dots);
-          for (size_t k = 0; k < 4; ++k) FoldArgmax(batch[k], dots[k], &best);
-        } else {
-          for (size_t k = 0; k < filled; ++k) {
-            FoldArgmax(batch[k],
-                       simd::Dot(cache_.data() + batch[k] * m_, rp, m_), &best);
-          }
+    std::vector<float> scratch = ColumnScratch(4);
+    size_t batch[4];
+    const float* cols[4];
+    size_t filled = 0;
+    double dots[4];
+    auto flush = [&] {
+      if (filled == 4) {
+        simd::Dot4(cols[0], cols[1], cols[2], cols[3], rp, m_, dots);
+      } else {
+        for (size_t k = 0; k < filled; ++k) {
+          dots[k] = simd::Dot(cols[k], rp, m_);
         }
-        filled = 0;
-      };
-      for (size_t j = begin; j < end; ++j) {
-        if (skip != nullptr && (*skip)[j + skip_offset]) continue;
-        batch[filled++] = j;
-        if (filled == 4) flush();
       }
-      flush();
-    } else {
-      std::vector<double> col(m_);
-      for (size_t j = begin; j < end; ++j) {
-        if (skip != nullptr && (*skip)[j + skip_offset]) continue;
-        FillColumn(j, col.data());
-        FoldArgmax(j, simd::Dot(col.data(), rp, m_), &best);
-      }
+      for (size_t k = 0; k < filled; ++k) FoldArgmax(batch[k], dots[k], &best);
+      filled = 0;
+    };
+    for (size_t j = begin; j < end; ++j) {
+      if (skip != nullptr && (*skip)[j + skip_offset]) continue;
+      batch[filled] = j;
+      cols[filled] = UnscaledColumn(j, &scratch, filled);
+      if (++filled == 4) flush();
     }
+    flush();
     return best;
   };
 
@@ -543,43 +511,22 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
 }
 
 std::vector<double> MeasurementMatrix::BiasColumn() const {
-  std::vector<double> phi0(m_, 0.0);
-  auto accumulate = [&](size_t col_begin, size_t col_end, double* acc) {
-    if (!cache_.empty()) {
-      AddBatcher batch(acc, m_);
-      for (size_t j = col_begin; j < col_end; ++j) {
-        batch.Push(cache_.data() + j * m_);
-      }
-      batch.Flush();
-    } else {
-      std::vector<double> col(m_);
-      for (size_t j = col_begin; j < col_end; ++j) {
-        FillColumn(j, col.data());
-        simd::Add(acc, col.data(), m_);
-      }
-    }
-  };
-
   const size_t num_blocks =
       (n_ + kReductionBlockColumns - 1) / kReductionBlockColumns;
-  if (num_blocks <= 1) {
-    accumulate(0, n_, phi0.data());
-  } else {
-    std::vector<double> partials(num_blocks * m_, 0.0);
-    ParallelFor(num_blocks, 1, [&](size_t begin, size_t end) {
-      for (size_t b = begin; b < end; ++b) {
+  std::vector<double> phi0 =
+      BlockedSum(m_, num_blocks, [&](size_t b, double* acc) {
         const size_t col_begin = b * kReductionBlockColumns;
-        const size_t col_end =
-            std::min(n_, col_begin + kReductionBlockColumns);
-        accumulate(col_begin, col_end, partials.data() + b * m_);
-      }
-    });
-    for (size_t b = 0; b < num_blocks; ++b) {
-      simd::Add(phi0.data(), partials.data() + b * m_, m_);
-    }
-  }
-  const double scale = 1.0 / std::sqrt(static_cast<double>(n_));
-  simd::Scale(phi0.data(), scale, m_);
+        const size_t col_end = std::min(n_, col_begin + kReductionBlockColumns);
+        std::vector<float> scratch = ColumnScratch(AddBatcher::kWidth);
+        AddBatcher batch(acc, m_);
+        for (size_t j = col_begin; j < col_end; ++j) {
+          batch.Push(UnscaledColumn(j, &scratch, batch.pending()));
+        }
+        batch.Flush();
+      });
+  // One scale for both factors: 1/√M of the entries and 1/√N of Equation 3.
+  simd::Scale(phi0.data(),
+              inv_sqrt_m_ / std::sqrt(static_cast<double>(n_)), m_);
   return phi0;
 }
 

@@ -37,6 +37,13 @@ struct SparseVectorView {
   size_t nnz = 0;
 };
 
+/// Version of Φ0's entry definition (see MeasurementMatrix). Persisted
+/// state that is only meaningful against one Φ0 records it: the detector's
+/// Save header ("csod-detector v2") and the streaming checkpoint frame.
+/// Format 1 held double entries `g / √M`; format 2 holds `double(float(g))
+/// / √M`. Restoring state of another format fails with a Status.
+inline constexpr uint32_t kPhi0Format = 2;
+
 /// \brief The paper's random Gaussian measurement matrix
 /// `Φ0 (M x N, entries i.i.d. N(0, 1/M))`, generated deterministically
 /// from a seed.
@@ -48,23 +55,34 @@ struct SparseVectorView {
 /// and individual columns can be regenerated in any order — which is what
 /// OMP's column-selection loop needs.
 ///
-/// An optional dense column-major cache trades memory for speed; when
-/// `M * N * 8` exceeds the cache budget the matrix stays implicit and
-/// columns are regenerated on the fly. Owners obtain Φ0 through
-/// SharedMatrix() so that one geometry is built once per process.
+/// Entry (i, j) is `double(float(g)) · (1/√M)` with
+/// `g = CounterGaussian(HashCombine(seed, j)).At(i)`: a standard normal
+/// rounded to float, then scaled. The matrix stores (or regenerates) the
+/// unscaled floats, and every kernel applies 1/√M once per call — it scales
+/// `r` before a correlate and the M-vector after a multiply or column sum —
+/// so a kernel's result may differ in the last bits from the same sum taken
+/// over Entry() values, never between runs.
+///
+/// An optional dense column-major cache of those floats trades memory for
+/// speed; when `M * N * kBytesPerEntry` exceeds the cache budget the matrix
+/// stays implicit and columns are regenerated on the fly. Owners obtain Φ0
+/// through SharedMatrix() so that one geometry is built once per process.
 ///
 /// Determinism: every kernel below returns bit-identical results at any
-/// parallelism limit. Per-index kernels (cache fill, CorrelateAll) write
-/// disjoint slots; reductions (Multiply, MultiplySparse, BiasColumn) use a
-/// fixed block geometry independent of the thread count with partials
-/// combined in block order; CorrelateArgmax reduces chunk-local winners in
-/// chunk order with lowest-index tie-breaking, which composes to the global
-/// lowest-index argmax under any chunking.
+/// parallelism limit, on either SIMD path, and cached or implicit (both feed
+/// the same float column bits to the same simd:: calls). Per-index kernels
+/// (cache fill, CorrelateAll) write disjoint slots; reductions (Multiply,
+/// MultiplySparse, BiasColumn) use a fixed block geometry independent of the
+/// thread count with partials combined in block order; CorrelateArgmax
+/// reduces chunk-local winners in chunk order with lowest-index
+/// tie-breaking, which composes to the global lowest-index argmax under any
+/// chunking.
 class MeasurementMatrix {
  public:
   /// Creates the M x N matrix for `seed`. A dense cache is materialized iff
-  /// the storage fits `cache_budget_bytes` (0 disables caching); a geometry
-  /// whose byte count overflows size_t never fits.
+  /// its M·N·kBytesPerEntry bytes fit `cache_budget_bytes` (inclusive; 0
+  /// disables caching); a geometry whose byte count overflows size_t never
+  /// fits.
   MeasurementMatrix(size_t m, size_t n, uint64_t seed,
                     size_t cache_budget_bytes = kDefaultCacheBudgetBytes);
 
@@ -75,11 +93,15 @@ class MeasurementMatrix {
 
   /// Entry (row, col) — N(0, 1/M) distributed.
   double Entry(size_t row, size_t col) const {
-    if (!cache_.empty()) return cache_[col * m_ + row];
-    return GenerateEntry(row, col);
+    const float g =
+        cache_.empty()
+            ? static_cast<float>(
+                  CounterGaussian(HashCombine(seed_, col)).At(row))
+            : cache_[col * m_ + row];
+    return double(g) * inv_sqrt_m_;
   }
 
-  /// Writes column `col` (length M) into `out`.
+  /// Writes column `col` (length M) into `out`; out[i] == Entry(i, col).
   void FillColumn(size_t col, double* out) const;
 
   /// Returns column `col` as a vector.
@@ -152,21 +174,46 @@ class MeasurementMatrix {
   /// construction / known-mode recovery.
   const std::vector<double>& CachedBiasColumn() const;
 
+  /// Bytes one stored entry takes, in the dense cache and in the implicit
+  /// batch kernel's column scratch.
+  static constexpr size_t kBytesPerEntry = sizeof(float);
   static constexpr size_t kDefaultCacheBudgetBytes = size_t{512} << 20;
   /// Default per-wave column scratch for the implicit batched kernel.
   static constexpr size_t kDefaultBatchScratchBytes = size_t{128} << 20;
 
  private:
-  double GenerateEntry(size_t row, size_t col) const {
-    return CounterGaussian(HashCombine(seed_, col)).At(row) * inv_sqrt_m_;
+  // Writes column `col`'s unscaled float-rounded Gaussian (M floats).
+  void GenerateColumn(size_t col, float* out) const {
+    CounterGaussian(HashCombine(seed_, col)).Fill(m_, out);
   }
+
+  // Scratch for `slots` implicit columns that are live at once; empty when
+  // cached, since cached columns are read in place.
+  std::vector<float> ColumnScratch(size_t slots) const {
+    return std::vector<float>(cache_.empty() ? slots * m_ : 0);
+  }
+
+  // Column `col`'s stored floats: a pointer into the cache, or, when
+  // implicit, the column generated into slot `slot` of `scratch` (from
+  // ColumnScratch(slots) with slot < slots).
+  const float* UnscaledColumn(size_t col, std::vector<float>* scratch,
+                              size_t slot) const {
+    if (!cache_.empty()) return cache_.data() + col * m_;
+    float* out = scratch->data() + slot * m_;
+    GenerateColumn(col, out);
+    return out;
+  }
+
+  // r · (1/√M), the form a correlate dots the unscaled columns against.
+  std::vector<double> ScaledResidual(const std::vector<double>& r) const;
 
   size_t m_;
   size_t n_;
   uint64_t seed_;
   double inv_sqrt_m_;
-  // Column-major cache (cache_[col * m_ + row]) or empty when implicit.
-  std::vector<double> cache_;
+  // Column-major unscaled floats (cache_[col * m_ + row]), or empty when
+  // implicit.
+  std::vector<float> cache_;
   // Lazily memoized bias column (CachedBiasColumn).
   mutable std::once_flag bias_once_;
   mutable std::vector<double> bias_column_;

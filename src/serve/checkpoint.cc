@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "cs/measurement_matrix.h"
 #include "dist/wire_format.h"
 #include "sim/buggify.h"
 
@@ -25,6 +26,12 @@ using dist::AppendU64;
 //     u64 version, last_epoch, first_epoch, epochs_covered, events
 //     u32 num_stalled; u32 per stalled shard
 //     u32 len, EncodeMeasurement(y) bytes
+//   u32 phi0_format (cs::kPhi0Format)
+//
+// The Φ0 format is a trailer: a frame written before the marker existed
+// (Φ0 format 1) ends exactly where the marker would start, so every such
+// frame is recognized and refused by name. A leading field would alias the
+// old frames' n instead.
 
 void AppendU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -95,6 +102,7 @@ Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
     CSOD_RETURN_NOT_OK(
         AppendMessage(&payload, dist::EncodeMeasurement(snapshot.y)));
   }
+  AppendU32(&payload, cs::kPhi0Format);
 
   std::string frame =
       dist::EncodeFrame(kCheckpointFrameKind, num_epochs, payload);
@@ -213,6 +221,21 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     decoded.state.snapshot = std::move(snapshot);
   }
 
+  // The state above only means something against the Φ0 it was measured
+  // with; refuse any other format rather than answer against the wrong one.
+  if (reader.remaining() == 0) {
+    return Status::InvalidArgument(
+        "checkpoint: no Φ0 format marker; it was written with Φ0 format 1 "
+        "(double entries), and this build uses format " +
+        std::to_string(cs::kPhi0Format) + " (float32-rounded entries)");
+  }
+  uint32_t phi0_format = 0;
+  CSOD_RETURN_NOT_OK(reader.U32(&phi0_format));
+  if (phi0_format != cs::kPhi0Format) {
+    return Status::InvalidArgument(
+        "checkpoint: written with Φ0 format " + std::to_string(phi0_format) +
+        ", and this build uses format " + std::to_string(cs::kPhi0Format));
+  }
   if (reader.remaining() != 0) {
     return Status::InvalidArgument("checkpoint: trailing payload bytes");
   }

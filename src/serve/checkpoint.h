@@ -26,6 +26,10 @@ namespace csod::serve {
 /// covers the whole checkpoint, so a crash mid-write (or the Buggify
 /// section `serve.net.mid_checkpoint_crash`) yields a frame DecodeCheckpoint
 /// rejects with DataLoss — operators keep the previous good checkpoint.
+///
+/// The frame records the Φ0 format (cs::kPhi0Format) its sketches were
+/// measured under; DecodeCheckpoint refuses any other format, including
+/// frames written before the marker existed (Φ0 format 1).
 
 /// Frame kind of a serialized checkpoint (outside the dist payload kinds
 /// 1–15 and the serve RPC kinds of serve/net.h; a checkpoint frame doubles
@@ -53,7 +57,7 @@ struct DecodedCheckpoint {
 
 /// Validates checksums (outer frame and every embedded message) and
 /// decodes. DataLoss on torn/corrupted bytes, InvalidArgument on a
-/// structurally inconsistent payload.
+/// structurally inconsistent payload or another Φ0 format.
 Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame);
 
 /// Decodes `frame`, checks its geometry against `options` (same

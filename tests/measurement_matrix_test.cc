@@ -42,6 +42,16 @@ class ScopedSimdLevel {
   simd::Level previous_;
 };
 
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(MeasurementMatrixTest, ConsensusProperty) {
   // Two "nodes" building the matrix from the same seed get identical
   // entries — the Section 3.1 consensus without transmission.
@@ -83,7 +93,7 @@ TEST(MeasurementMatrixTest, CachedEqualsImplicit) {
 }
 
 TEST(MeasurementMatrixTest, CacheBudgetRespected) {
-  // 16*32*8 = 4096 bytes; a 1000-byte budget must stay implicit.
+  // 16*32*4 = 2048 bytes; a 1000-byte budget must stay implicit.
   MeasurementMatrix small_budget(16, 32, 5, 1000);
   EXPECT_FALSE(small_budget.cached());
 }
@@ -422,15 +432,122 @@ TEST(MeasurementMatrixTest, CachedBiasColumnMatchesFreshCompute) {
 }
 
 TEST(MeasurementMatrixTest, WrappingGeometryStaysImplicit) {
-  // M·N·8 = 2^65 wraps to 0 in size_t; a wrapped product must not pass as
+  // M·N·4 = 2^64 wraps to 0 in size_t; a wrapped product must not pass as
   // "fits the budget" and try to allocate the dense cache.
   const size_t huge = size_t{1} << 31;
   EXPECT_FALSE(MeasurementMatrix(huge, huge, 1).cached());
   EXPECT_FALSE(SharedMatrix(huge, huge, 1)->cached());
   // The budget is inclusive.
-  constexpr size_t kBytes = 8 * 16 * sizeof(double);
+  constexpr size_t kBytes = 8 * 16 * MeasurementMatrix::kBytesPerEntry;
   EXPECT_TRUE(MeasurementMatrix(8, 16, 1, kBytes).cached());
   EXPECT_FALSE(MeasurementMatrix(8, 16, 1, kBytes - 1).cached());
+}
+
+TEST(MeasurementMatrixTest, EntryIsTheFloatRoundedScaledGaussian) {
+  // Φ0's entry definition, bit for bit, on both storage paths and through
+  // every accessor: double(float(g)) · (1/√M) with
+  // g = CounterGaussian(HashCombine(seed, j)).At(i).
+  const size_t m = 13, n = 40;
+  const uint64_t seed = 2718;
+  const double inv_sqrt_m = 1.0 / std::sqrt(static_cast<double>(m));
+  for (const size_t budget : {size_t{1} << 20, size_t{0}}) {
+    MeasurementMatrix matrix(m, n, seed, budget);
+    ASSERT_EQ(matrix.cached(), budget != 0);
+    for (size_t j = 0; j < n; ++j) {
+      const std::vector<double> column = matrix.Column(j);
+      for (size_t i = 0; i < m; ++i) {
+        const float g = static_cast<float>(
+            CounterGaussian(HashCombine(seed, j)).At(i));
+        const double expected = double(g) * inv_sqrt_m;
+        EXPECT_EQ(std::bit_cast<uint64_t>(matrix.Entry(i, j)),
+                  std::bit_cast<uint64_t>(expected))
+            << "budget=" << budget << " (" << i << "," << j << ")";
+        EXPECT_EQ(std::bit_cast<uint64_t>(column[i]),
+                  std::bit_cast<uint64_t>(expected));
+      }
+    }
+  }
+}
+
+TEST(MeasurementMatrixTest, CachedEqualsImplicitBitwiseForEveryKernel) {
+  // M = 13 leaves a tail after the 8-lane tree and the 4-wide loads; M = 256
+  // is the serve geometry's column. N spans three reduction blocks and the
+  // sparse input three nnz blocks. Reference: the cached matrix, serially.
+  const size_t n = 4500;
+  Rng rng(57);
+  std::vector<double> x(n, 0.0);
+  for (size_t i = 0; i < n; i += 5) x[i] = rng.NextGaussian();
+  std::vector<std::vector<size_t>> idx(3);
+  std::vector<std::vector<double>> val(3);
+  std::vector<SparseVectorView> views;
+  for (size_t l = 0; l < 3; ++l) {
+    for (size_t k = 0; k < 400 + 300 * l; ++k) {
+      idx[l].push_back((k * 29 + 7 * l) % n);
+      val[l].push_back(rng.NextGaussian());
+    }
+    views.push_back(SparseVectorView{idx[l].data(), val[l].data(),
+                                     idx[l].size()});
+  }
+  std::vector<size_t> sparse_idx;
+  std::vector<double> sparse_val;
+  for (size_t l = 0; l < 3; ++l) {
+    sparse_idx.insert(sparse_idx.end(), idx[l].begin(), idx[l].end());
+    sparse_val.insert(sparse_val.end(), val[l].begin(), val[l].end());
+  }
+
+  for (const size_t m : {size_t{13}, size_t{256}}) {
+    std::vector<double> r(m);
+    for (double& v : r) v = rng.NextGaussian();
+    std::vector<bool> mask(n, false);
+    for (size_t j = 0; j < n; j += 7) mask[j] = true;
+
+    struct Outputs {
+      std::vector<double> multiply, sparse, sum, per_slice, correlate, bias;
+      CorrelateArgmaxResult argmax, masked_argmax;
+    };
+    auto run = [&](const MeasurementMatrix& matrix) {
+      Outputs o;
+      o.multiply = matrix.Multiply(x).MoveValue();
+      o.sparse = matrix.MultiplySparse(sparse_idx, sparse_val).MoveValue();
+      EXPECT_TRUE(matrix.MultiplySparseBatch(views, &o.sum, &o.per_slice).ok());
+      o.correlate = matrix.CorrelateAll(r).MoveValue();
+      o.bias = matrix.BiasColumn();
+      o.argmax = matrix.CorrelateArgmax(r).MoveValue();
+      o.masked_argmax = matrix.CorrelateArgmax(r, &mask).MoveValue();
+      return o;
+    };
+    const MeasurementMatrix cached(m, n, 31);
+    const MeasurementMatrix implicit(m, n, 31, /*cache_budget_bytes=*/0);
+    ASSERT_TRUE(cached.cached());
+    ASSERT_FALSE(implicit.cached());
+    Outputs ref;
+    {
+      ScopedParallelismLimit serial(1);
+      ref = run(cached);
+    }
+    for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
+      ScopedParallelismLimit scoped(limit);
+      for (const MeasurementMatrix* matrix : {&cached, &implicit}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " limit=" +
+                     std::to_string(limit) +
+                     (matrix->cached() ? " cached" : " implicit"));
+        const Outputs got = run(*matrix);
+        EXPECT_TRUE(SameBits(got.multiply, ref.multiply));
+        EXPECT_TRUE(SameBits(got.sparse, ref.sparse));
+        EXPECT_TRUE(SameBits(got.sum, ref.sum));
+        EXPECT_TRUE(SameBits(got.per_slice, ref.per_slice));
+        EXPECT_TRUE(SameBits(got.correlate, ref.correlate));
+        EXPECT_TRUE(SameBits(got.bias, ref.bias));
+        for (const auto& [a, b] : {std::pair{got.argmax, ref.argmax},
+                                   std::pair{got.masked_argmax,
+                                             ref.masked_argmax}}) {
+          EXPECT_EQ(a.index, b.index);
+          EXPECT_EQ(std::bit_cast<uint64_t>(a.correlation),
+                    std::bit_cast<uint64_t>(b.correlation));
+        }
+      }
+    }
+  }
 }
 
 TEST(MeasurementMatrixTest, BiasColumnIsScaledColumnSum) {
@@ -480,16 +597,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatrixAdjointTest,
 // Each SharedMatrix test uses seeds no other test requests, so the tests
 // also hold when one process runs them all.
 using SharedPtr = std::shared_ptr<const MeasurementMatrix>;
-
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
-      return false;
-    }
-  }
-  return true;
-}
 
 TEST(SharedMatrixTest, SameKeySharesOneMatrixWhileOwned) {
   const SharedPtr a = SharedMatrix(16, 300, 9101);

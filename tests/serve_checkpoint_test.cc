@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cs/measurement_matrix.h"
 #include "dist/wire_format.h"
 #include "serve/net.h"
 #include "serve/service.h"
@@ -308,6 +309,40 @@ TEST(CheckpointTest, CraftedHugeSnapshotStalledCountIsRefused) {
           .status()
           .code(),
       StatusCode::kInvalidArgument);
+}
+
+// Re-frames `frame`'s payload with its last `strip` bytes replaced by
+// `trailer`: a valid checksum around another Φ0 format marker.
+std::string WithPhi0Trailer(const std::string& frame, size_t strip,
+                            const std::string& trailer) {
+  const dist::FrameView view = dist::DecodeFrame(frame).MoveValue();
+  std::string payload(view.payload, view.payload_size - strip);
+  payload += trailer;
+  return dist::EncodeFrame(view.kind, view.count, payload);
+}
+
+TEST(CheckpointTest, OtherPhi0FormatsAreRefusedByName) {
+  const auto options = SmallOptions();
+  auto original = BuildMidStream(options);
+  const std::string frame =
+      EncodeCheckpoint(options, original->CheckpointState()).MoveValue();
+  ASSERT_TRUE(RestoreDetector(frame, options).ok());
+
+  // A frame from before the Φ0 format marker: the same payload, no trailer.
+  const std::string format1 = WithPhi0Trailer(frame, 4, "");
+  const Status old = RestoreDetector(format1, options).status();
+  EXPECT_EQ(old.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(old.ToString().find("Φ0 format 1"), std::string::npos)
+      << old.ToString();
+
+  // A frame from a later Φ0 format.
+  std::string format3;
+  dist::AppendU32(&format3, cs::kPhi0Format + 1);
+  const Status later =
+      RestoreDetector(WithPhi0Trailer(frame, 4, format3), options).status();
+  EXPECT_EQ(later.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(later.ToString().find("Φ0 format 3"), std::string::npos)
+      << later.ToString();
 }
 
 TEST(CheckpointTest, FetchedOverTheWireEqualsLocalEncoding) {

@@ -180,6 +180,101 @@ TEST(SimdTest, ElementwiseKernelsMatchScalarReference) {
   }
 }
 
+std::vector<float> RandomFloats(size_t n, uint64_t seed) {
+  std::vector<float> v(n);
+  Rng rng(seed);
+  for (float& x : v) x = static_cast<float>(rng.NextGaussian());
+  return v;
+}
+
+std::vector<double> Widened(const std::vector<float>& v) {
+  return std::vector<double>(v.begin(), v.end());
+}
+
+// Every kernel that reads a float column, run once at the active level.
+struct FloatKernelOutputs {
+  double dot = 0.0;
+  double dot4[4] = {0.0, 0.0, 0.0, 0.0};
+  std::vector<double> axpy, axpy4, axpy8, add, add4;
+
+  bool operator==(const FloatKernelOutputs& o) const {
+    for (size_t k = 0; k < 4; ++k) {
+      if (dot4[k] != o.dot4[k]) return false;
+    }
+    return dot == o.dot && axpy == o.axpy && axpy4 == o.axpy4 &&
+           axpy8 == o.axpy8 && add == o.add && add4 == o.add4;
+  }
+};
+
+// Runs the float-column kernels over columns `c` (eight of length n) and
+// residual `r`, or, with `widen`, the double kernels over the same columns
+// widened to double.
+FloatKernelOutputs RunColumnKernels(const std::vector<std::vector<float>>& c,
+                                    const std::vector<double>& r, size_t n,
+                                    bool widen) {
+  std::vector<std::vector<double>> wide;
+  for (const auto& col : c) wide.push_back(Widened(col));
+  const double xs[8] = {1.0, -2.0, 0.5, 3.0, -0.125, 2.25, -1.0, 0.75};
+  FloatKernelOutputs out;
+  out.axpy = out.axpy4 = out.axpy8 = out.add = out.add4 = RandomVector(n, 77);
+  if (widen) {
+    out.dot = Dot(wide[0].data(), r.data(), n);
+    Dot4(wide[0].data(), wide[1].data(), wide[2].data(), wide[3].data(),
+         r.data(), n, out.dot4);
+    Axpy(out.axpy.data(), wide[0].data(), 1.7, n);
+    Axpy4(out.axpy4.data(), wide[0].data(), xs[0], wide[1].data(), xs[1],
+          wide[2].data(), xs[2], wide[3].data(), xs[3], n);
+    const double* cols[8];
+    for (size_t k = 0; k < 8; ++k) cols[k] = wide[k].data();
+    Axpy8(out.axpy8.data(), cols, xs, n);
+    Add(out.add.data(), wide[0].data(), n);
+    Add4(out.add4.data(), wide[0].data(), wide[1].data(), wide[2].data(),
+         wide[3].data(), n);
+  } else {
+    out.dot = Dot(c[0].data(), r.data(), n);
+    Dot4(c[0].data(), c[1].data(), c[2].data(), c[3].data(), r.data(), n,
+         out.dot4);
+    Axpy(out.axpy.data(), c[0].data(), 1.7, n);
+    Axpy4(out.axpy4.data(), c[0].data(), xs[0], c[1].data(), xs[1],
+          c[2].data(), xs[2], c[3].data(), xs[3], n);
+    const float* cols[8];
+    for (size_t k = 0; k < 8; ++k) cols[k] = c[k].data();
+    Axpy8(out.axpy8.data(), cols, xs, n);
+    Add(out.add.data(), c[0].data(), n);
+    Add4(out.add4.data(), c[0].data(), c[1].data(), c[2].data(),
+         c[3].data(), n);
+  }
+  return out;
+}
+
+// Float columns: portable == AVX2, and each float overload == its double
+// form on the widened column, bit for bit. The sizes cover every tail
+// length of the 4-wide loads and the 8-lane tree, and a column of M = 256
+// with its neighbours.
+TEST(SimdTest, FloatColumnKernelsAreBitIdenticalAcrossLevels) {
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 17; ++n) sizes.push_back(n);
+  for (size_t n : {size_t{255}, size_t{256}, size_t{257}}) sizes.push_back(n);
+  for (size_t n : sizes) {
+    std::vector<std::vector<float>> cols;
+    for (uint64_t k = 0; k < 8; ++k) cols.push_back(RandomFloats(n, 100 + k));
+    const auto r = RandomVector(n, 99);
+    FloatKernelOutputs portable;
+    {
+      ScopedLevel scoped(Level::kPortable);
+      portable = RunColumnKernels(cols, r, n, /*widen=*/false);
+      EXPECT_TRUE(portable == RunColumnKernels(cols, r, n, /*widen=*/true))
+          << "n=" << n << " float != widened double (portable)";
+    }
+    if (!Avx2Supported()) continue;
+    ScopedLevel scoped(Level::kAvx2);
+    const FloatKernelOutputs avx2 = RunColumnKernels(cols, r, n, false);
+    EXPECT_TRUE(avx2 == portable) << "n=" << n << " avx2 != portable";
+    EXPECT_TRUE(avx2 == RunColumnKernels(cols, r, n, /*widen=*/true))
+        << "n=" << n << " float != widened double (avx2)";
+  }
+}
+
 TEST(SimdTest, SetLevelForTestingRoundTrips) {
   const Level original = ActiveLevel();
   const Level previous = SetLevelForTesting(Level::kPortable);
