@@ -52,7 +52,7 @@ constexpr size_t kSeedBlockNnz = 512;
 // Column `j` of Φ0 as the matrix stores it: the unscaled float-rounded
 // Gaussian of MeasurementMatrix's entry definition.
 void SeedColumn(const cs::MeasurementMatrix& matrix, size_t j, float* out) {
-  CounterGaussian(HashCombine(matrix.seed(), j)).Fill(matrix.m(), out);
+  CounterGaussian(cs::Phi0ColumnSeed(matrix.seed(), j)).Fill(matrix.m(), out);
 }
 
 // Pre-SIMD per-node compression: scalar accumulate over a hoisted column

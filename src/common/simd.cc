@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "common/random.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #define CSOD_SIMD_X86 1
 #include <immintrin.h>
@@ -94,6 +96,21 @@ void Add4Portable(double* acc, const T* s0, const T* s1, const T* s2,
 
 void ScalePortable(double* v, double s, size_t n) {
   for (size_t i = 0; i < n; ++i) v[i] *= s;
+}
+
+// The generator's reference path: box_muller::Pair per pair, exactly what
+// CounterGaussian::At evaluates.
+template <typename T>
+void GaussianFillPortable(uint64_t seed, const uint64_t* keys, size_t count,
+                          T* out) {
+  for (size_t i = 0; i < count; i += 2) {
+    double g0;
+    double g1;
+    box_muller::Pair(SplitMix64(seed ^ keys[i]), SplitMix64(seed ^ keys[i + 1]),
+                     &g0, &g1);
+    out[i] = static_cast<T>(g0);
+    if (i + 1 < count) out[i + 1] = static_cast<T>(g1);
+  }
 }
 
 #if CSOD_SIMD_X86
@@ -291,6 +308,160 @@ __attribute__((target("avx2"))) void ScaleAvx2(double* v, double s, size_t n) {
   for (; i < n; ++i) v[i] *= s;
 }
 
+// ---------------------------------------------------------------------------
+// The generator, four Box–Muller pairs wide. Floating-point lines use the
+// vector types' own operators, so each reads as the scalar line of
+// box_muller:: it repeats, in the same order; under target("avx2") without
+// "fma" they compile to single vaddpd/vsubpd/vmulpd/vdivpd/vsqrtpd, each
+// correctly rounded like its scalar form. Integer steps use intrinsics.
+// ---------------------------------------------------------------------------
+
+// Lane-wise a * b mod 2^64. AVX2 has no 64-bit multiply; with a = ah·2^32
+// + al and b = bh·2^32 + bl, a·b ≡ al·bl + ((ah·bl + al·bh) << 32), and
+// _mm256_mul_epu32 forms each 32×32 → 64-bit product.
+__attribute__((target("avx2"))) inline __m256i Mul64(__m256i a, uint64_t b) {
+  const __m256i b_lo =
+      _mm256_set1_epi64x(static_cast<int64_t>(b & 0xffffffffULL));
+  const __m256i b_hi = _mm256_set1_epi64x(static_cast<int64_t>(b >> 32));
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b_lo),
+                       _mm256_mul_epu32(a, b_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, b_lo),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+__attribute__((target("avx2"))) inline __m256i SplitMix64x4(__m256i z) {
+  z = _mm256_add_epi64(
+      z, _mm256_set1_epi64x(static_cast<int64_t>(0x9e3779b97f4a7c15ULL)));
+  z = Mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
+            0xbf58476d1ce4e5b9ULL);
+  z = Mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
+            0x94d049bb133111ebULL);
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
+}
+
+// Lane-wise double(v) for v < 2^52: v in the mantissa of 2^52, minus 2^52.
+__attribute__((target("avx2"))) inline __m256d SmallToDouble(__m256i v) {
+  const __m256i two52 = _mm256_set1_epi64x(0x4330000000000000LL);
+  return _mm256_castsi256_pd(_mm256_or_si256(v, two52)) - 0x1p52;
+}
+
+// Lane-wise double(v) for v <= 2^53, exact, in two halves: the high 21
+// bits in the mantissa of 2^84 (minus 2^84 leaves hi·2^32 exactly), the low
+// 32 bits through SmallToDouble; their sum is v, exactly representable.
+__attribute__((target("avx2"))) inline __m256d ToDouble53(__m256i v) {
+  const __m256i two84 = _mm256_set1_epi64x(0x4530000000000000LL);
+  const __m256i low_mask = _mm256_set1_epi64x(0xffffffffLL);
+  const __m256d hi = _mm256_castsi256_pd(
+                         _mm256_or_si256(_mm256_srli_epi64(v, 32), two84)) -
+                     0x1p84;
+  return hi + SmallToDouble(_mm256_and_si256(v, low_mask));
+}
+
+// box_muller::LogOpenUnit, lane-wise.
+__attribute__((target("avx2"))) inline __m256d LogOpenUnit4(__m256i w) {
+  using namespace box_muller;
+  const __m256d x = ToDouble53(
+      _mm256_add_epi64(_mm256_srli_epi64(w, 11), _mm256_set1_epi64x(1)));
+  const __m256i bits = _mm256_castpd_si256(x);
+  __m256d k = SmallToDouble(_mm256_srli_epi64(bits, 52)) - kExponentOffset;
+  __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits,
+                       _mm256_set1_epi64x(static_cast<int64_t>(kMantissaMask))),
+      _mm256_set1_epi64x(static_cast<int64_t>(kOneBits))));
+  const __m256d halve = _mm256_cmp_pd(m, _mm256_set1_pd(kSqrt2), _CMP_GT_OQ);
+  m = _mm256_blendv_pd(m, m * 0.5, halve);
+  k = k + _mm256_and_pd(halve, _mm256_set1_pd(1.0));
+  const __m256d f = m - 1.0;
+  const __m256d s = f / (2.0 + f);
+  const __m256d z = s * s;
+  const __m256d z2 = z * z;
+  const __m256d t1 = z2 * (kLg2 + z2 * (kLg4 + z2 * kLg6));
+  const __m256d t2 = z * (kLg1 + z2 * (kLg3 + z2 * (kLg5 + z2 * kLg7)));
+  const __m256d r = t2 + t1;
+  const __m256d hfsq = 0.5 * f * f;
+  return k * kLn2Hi - ((hfsq - (s * (hfsq + r) + k * kLn2Lo)) - f);
+}
+
+// box_muller::SinCosTurn, lane-wise; the swap and the signs are masks.
+__attribute__((target("avx2"))) inline void SinCosTurn4(__m256i w,
+                                                       __m256d* cos_out,
+                                                       __m256d* sin_out) {
+  using namespace box_muller;
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i octant = _mm256_srli_epi64(w, 61);
+  const __m256i reflect = _mm256_srli_epi64(
+      _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_and_si256(octant, one)),
+      12);
+  const __m256i t = _mm256_xor_si256(
+      _mm256_srli_epi64(_mm256_slli_epi64(w, 3), 12), reflect);
+  const __m256d x =
+      ToDouble53(_mm256_or_si256(_mm256_slli_epi64(t, 1), one)) *
+      kQuarterPiUlp;
+  const __m256d z = x * x;
+  const __m256d sr = kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6)));
+  const __m256d sin_x = x + (z * x) * (kS1 + z * sr);
+  const __m256d cr =
+      z * (kC1 + z * (kC2 + z * (kC3 + z * (kC4 + z * (kC5 + z * kC6)))));
+  const __m256d hz = 0.5 * z;
+  const __m256d head = 1.0 - hz;
+  const __m256d cos_x = head + (((1.0 - head) - hz) + z * cr);
+  const __m256d swap = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+      _mm256_and_si256(_mm256_srli_epi64(_mm256_add_epi64(octant, one), 1),
+                       one),
+      one));
+  const __m256d c = _mm256_blendv_pd(cos_x, sin_x, swap);
+  const __m256d s = _mm256_blendv_pd(sin_x, cos_x, swap);
+  // Bit 0 of (octant + 2) >> 2, resp. octant >> 2, moved to the sign bit.
+  const __m256i cos_sign = _mm256_slli_epi64(
+      _mm256_srli_epi64(_mm256_add_epi64(octant, _mm256_set1_epi64x(2)), 2),
+      63);
+  const __m256i sin_sign = _mm256_slli_epi64(_mm256_srli_epi64(octant, 2), 63);
+  *cos_out = _mm256_xor_pd(c, _mm256_castsi256_pd(cos_sign));
+  *sin_out = _mm256_xor_pd(s, _mm256_castsi256_pd(sin_sign));
+}
+
+// Eight consecutive outputs from two 4-wide vectors.
+__attribute__((target("avx2"))) inline void Store8(double* out, __m256d lo,
+                                                  __m256d hi) {
+  _mm256_storeu_pd(out, lo);
+  _mm256_storeu_pd(out + 4, hi);
+}
+__attribute__((target("avx2"))) inline void Store8(float* out, __m256d lo,
+                                                  __m256d hi) {
+  _mm_storeu_ps(out, _mm256_cvtpd_ps(lo));
+  _mm_storeu_ps(out + 4, _mm256_cvtpd_ps(hi));
+}
+
+template <typename T>
+__attribute__((target("avx2"))) void GaussianFillAvx2(uint64_t seed,
+                                                      const uint64_t* keys,
+                                                      size_t count, T* out) {
+  const __m256i vseed = _mm256_set1_epi64x(static_cast<int64_t>(seed));
+  size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const __m256i k0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
+    const __m256i k1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i + 4));
+    // The unpacks put pairs 0, 2, 1, 3 in lanes 0..3: w1 holds their
+    // radius words (even keys), w2 their angle words (odd keys).
+    const __m256i w1 =
+        SplitMix64x4(_mm256_xor_si256(vseed, _mm256_unpacklo_epi64(k0, k1)));
+    const __m256i w2 =
+        SplitMix64x4(_mm256_xor_si256(vseed, _mm256_unpackhi_epi64(k0, k1)));
+    const __m256d radius = _mm256_sqrt_pd(-2.0 * LogOpenUnit4(w1));
+    __m256d c;
+    __m256d s;
+    SinCosTurn4(w2, &c, &s);
+    const __m256d g0 = radius * c;
+    const __m256d g1 = radius * s;
+    // Interleaving undoes the lane order: (c0 s0 c1 s1), (c2 s2 c3 s3).
+    Store8(out + i, _mm256_unpacklo_pd(g0, g1), _mm256_unpackhi_pd(g0, g1));
+  }
+  GaussianFillPortable(seed, keys + i, count - i, out + i);
+}
+
 #endif  // CSOD_SIMD_X86
 
 Level DetectLevel() {
@@ -404,6 +575,15 @@ void Add4(double* acc, const float* s0, const float* s1, const float* s2,
 
 void Scale(double* v, double s, size_t n) {
   CSOD_SIMD_DISPATCH(Scale, v, s, n);
+}
+
+void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
+                  double* out) {
+  CSOD_SIMD_DISPATCH(GaussianFill, seed, keys, count, out);
+}
+void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
+                  float* out) {
+  CSOD_SIMD_DISPATCH(GaussianFill, seed, keys, count, out);
 }
 
 #undef CSOD_SIMD_DISPATCH

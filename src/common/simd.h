@@ -2,6 +2,7 @@
 #define CSOD_COMMON_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace csod::simd {
 
@@ -116,6 +117,23 @@ void Add4(double* acc, const float* s0, const float* s1, const float* s2,
 
 /// v[i] *= s.
 void Scale(double* v, double s, size_t n);
+
+/// \brief The counter Gaussian generator (CounterGaussian::Fill's kernel).
+///
+/// Writes out[i] for positions i in [0, count): pair p = (2p, 2p + 1) holds
+/// box_muller::Pair(SplitMix64(seed ^ keys[2p]), SplitMix64(seed ^
+/// keys[2p + 1])), rounded to the output type. `keys` holds `count` rounded
+/// up to a whole pair (CounterGaussian::Keys); an odd count writes only
+/// the last pair's first variate. Every operation of the transform is
+/// IEEE-exact and FMA-free, and the AVX2 path runs the scalar sequence four
+/// pairs wide, with the 64-bit SplitMix64 multiply built from 32-bit
+/// products and the 53-bit integer-to-double conversion done in two exact
+/// halves — so both paths write identical bits. Vector loads and stores
+/// touch only whole groups of four pairs; tails are scalar.
+void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
+                  double* out);
+void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
+                  float* out);
 
 }  // namespace csod::simd
 

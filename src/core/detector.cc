@@ -1,6 +1,7 @@
 #include "core/detector.h"
 
 #include <algorithm>
+#include <charconv>
 #include <set>
 #include <string>
 
@@ -129,9 +130,9 @@ Result<std::vector<outlier::Outlier>> DistributedOutlierDetector::DetectTopK(
 
 Status DistributedOutlierDetector::Save(std::ostream& out) const {
   // Text header (versioned) followed by one length-prefixed wire-format
-  // measurement message per source. The version names the Φ0 format the
-  // sketches were measured under: v2 is cs::kPhi0Format 2.
-  out << "csod-detector v2\n";
+  // measurement message per source. The version is the Φ0 format the
+  // sketches were measured under: v3 is cs::kPhi0Format 3.
+  out << "csod-detector v" << cs::kPhi0Format << '\n';
   out << options_.n << ' ' << options_.m << ' ' << options_.seed << ' '
       << options_.iterations << ' ' << sketches_.size() << '\n';
   for (const auto& [id, sketch] : sketches_) {
@@ -155,18 +156,24 @@ DistributedOutlierDetector::Load(std::istream& in,
   if (!(in >> magic) || magic != "csod-detector" || !(in >> version)) {
     return Status::InvalidArgument("Load: not a csod-detector checkpoint");
   }
-  if (version == "v1") {
-    // v1 sketches were measured with Φ0 format 1 (double entries); this
-    // build's Φ0 differs in every entry, so they would recover garbage.
-    return Status::InvalidArgument(
-        "Load: csod-detector v1 checkpoint holds sketches measured with Φ0 "
-        "format 1 (double entries); this build uses Φ0 format " +
-        std::to_string(cs::kPhi0Format) +
-        " (float32-rounded entries), so they cannot be restored");
-  }
-  if (version != "v2") {
+  // The version is the Φ0 format of the sketches. Another format's Φ0
+  // differs from this build's in every entry, so its sketches would
+  // recover garbage.
+  uint32_t format = 0;
+  const char* digits = version.data() + 1;
+  const char* end = version.data() + version.size();
+  const auto parsed = std::from_chars(digits, end, format);
+  if (version.size() < 2 || version[0] != 'v' || parsed.ec != std::errc() ||
+      parsed.ptr != end) {
     return Status::InvalidArgument("Load: unknown csod-detector version " +
                                    version);
+  }
+  if (format != cs::kPhi0Format) {
+    return Status::InvalidArgument(
+        "Load: csod-detector " + version +
+        " checkpoint holds sketches measured with Φ0 format " +
+        std::to_string(format) + "; this build uses Φ0 format " +
+        std::to_string(cs::kPhi0Format) + ", so they cannot be restored");
   }
   DetectorOptions options = expected;
   size_t n = 0, m = 0, num_sources = 0;

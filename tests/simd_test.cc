@@ -1,6 +1,9 @@
 #include "common/simd.h"
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -272,6 +275,115 @@ TEST(SimdTest, FloatColumnKernelsAreBitIdenticalAcrossLevels) {
     EXPECT_TRUE(avx2 == portable) << "n=" << n << " avx2 != portable";
     EXPECT_TRUE(avx2 == RunColumnKernels(cols, r, n, /*widen=*/true))
         << "n=" << n << " float != widened double (avx2)";
+  }
+}
+
+// Bit patterns of a double vector, so a comparison also tells -0.0 from 0.0
+// and reports the differing position.
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> bits;
+  for (double x : v) bits.push_back(std::bit_cast<uint64_t>(x));
+  return bits;
+}
+
+// The generator kernel: portable == AVX2 bit for bit, as double and as
+// float, and both equal CounterGaussian::At (rounded to float for the float
+// form). Odd counts end on half a pair; counts above 8 reach the scalar tail
+// after the 8-position AVX2 groups.
+TEST(SimdTest, GaussianFillIsBitIdenticalAcrossLevels) {
+  std::vector<size_t> counts;
+  for (size_t n = 1; n <= 17; ++n) counts.push_back(n);
+  for (size_t n : {size_t{255}, size_t{256}, size_t{257}}) counts.push_back(n);
+  const uint64_t seeds[] = {0, 5, 0x9e3779b97f4a7c15ULL, ~uint64_t{0}};
+  for (uint64_t seed : seeds) {
+    const CounterGaussian gen(seed);
+    for (size_t n : counts) {
+      const std::vector<uint64_t> keys = CounterGaussian::Keys(n);
+      ASSERT_EQ(keys.size(), n + (n & 1));
+      std::vector<double> at(n);
+      for (size_t i = 0; i < n; ++i) at[i] = gen.At(i);
+      for (Level level : {Level::kPortable, Level::kAvx2}) {
+        ScopedLevel scoped(level);
+        // One guard slot past the end catches a write beyond `count`.
+        std::vector<double> wide(n + 1, 7.0);
+        std::vector<float> narrow(n + 1, 7.0f);
+        GaussianFill(seed, keys.data(), n, wide.data());
+        GaussianFill(seed, keys.data(), n, narrow.data());
+        EXPECT_EQ(wide[n], 7.0);
+        EXPECT_EQ(narrow[n], 7.0f);
+        wide.pop_back();
+        EXPECT_EQ(Bits(wide), Bits(at))
+            << "seed=" << seed << " n=" << n
+            << " level=" << LevelName(ActiveLevel());
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(narrow[i]),
+                    std::bit_cast<uint32_t>(static_cast<float>(at[i])))
+              << "seed=" << seed << " n=" << n << " i=" << i
+              << " level=" << LevelName(ActiveLevel());
+        }
+      }
+    }
+  }
+}
+
+// SplitMix64^-1, so a test can choose the words the generator sees.
+uint64_t UnXorShift(uint64_t y, int shift) {
+  uint64_t x = y;
+  for (int i = 0; i < 64 / shift + 1; ++i) x = y ^ (x >> shift);
+  return x;
+}
+uint64_t InverseOdd(uint64_t c) {
+  uint64_t x = c;  // Newton: each step doubles the correct low bits.
+  for (int i = 0; i < 6; ++i) x *= 2 - c * x;
+  return x;
+}
+uint64_t InverseSplitMix64(uint64_t w) {
+  uint64_t z = UnXorShift(w, 31) * InverseOdd(0x94d049bb133111ebULL);
+  z = UnXorShift(z, 27) * InverseOdd(0xbf58476d1ce4e5b9ULL);
+  return UnXorShift(z, 30) - 0x9e3779b97f4a7c15ULL;
+}
+
+// Edge words through both paths: u = 2^-53 and u = 1 (radius 0), the ends
+// of every octant (angle cell 0 and the last cell, reflected in odd
+// octants), and the √2 threshold of the log's range reduction.
+TEST(SimdTest, GaussianFillEdgeWordsAreBitIdenticalAcrossLevels) {
+  const uint64_t seed = 42;
+  ASSERT_EQ(SplitMix64(InverseSplitMix64(0x0123456789abcdefULL)),
+            0x0123456789abcdefULL);
+  const uint64_t sqrt2_bits = std::bit_cast<uint64_t>(1.4142135623730951);
+  const uint64_t radius_words[] = {
+      0, ~uint64_t{0}, uint64_t{1} << 11, ~uint64_t{0} << 11,
+      // u with mantissa just below, at and above √2.
+      ((sqrt2_bits & 0x000fffffffffffffULL) - 1) << 11,
+      (sqrt2_bits & 0x000fffffffffffffULL) << 11,
+      ((sqrt2_bits & 0x000fffffffffffffULL) + 1) << 11,
+      uint64_t{0x8000000000000000ULL}};
+  std::vector<uint64_t> angle_words;
+  for (uint64_t octant = 0; octant < 8; ++octant) {
+    angle_words.push_back(octant << 61);
+    angle_words.push_back((octant << 61) | ((uint64_t{1} << 61) - 1));
+  }
+  std::vector<uint64_t> keys;
+  std::vector<double> expected;
+  for (uint64_t w1 : radius_words) {
+    for (uint64_t w2 : angle_words) {
+      keys.push_back(InverseSplitMix64(w1) ^ seed);
+      keys.push_back(InverseSplitMix64(w2) ^ seed);
+      double g0;
+      double g1;
+      box_muller::Pair(w1, w2, &g0, &g1);
+      expected.push_back(g0);
+      expected.push_back(g1);
+      EXPECT_TRUE(std::isfinite(g0) && std::isfinite(g1));
+      EXPECT_LE(std::fabs(g0), 8.6);
+      EXPECT_LE(std::fabs(g1), 8.6);
+    }
+  }
+  for (Level level : {Level::kPortable, Level::kAvx2}) {
+    ScopedLevel scoped(level);
+    std::vector<double> out(keys.size());
+    GaussianFill(seed, keys.data(), keys.size(), out.data());
+    EXPECT_EQ(Bits(out), Bits(expected)) << LevelName(ActiveLevel());
   }
 }
 
