@@ -36,6 +36,7 @@
 
 #include "bench_util.h"
 #include "common/flags.h"
+#include "common/half.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
@@ -49,35 +50,37 @@ using namespace csod;
 // Matches the fixed per-slice reduction geometry of the library kernels.
 constexpr size_t kSeedBlockNnz = 512;
 
-// Column `j` of Φ0 as the matrix stores it: the unscaled float-rounded
+// Column `j` of Φ0 as the matrix stores it: the unscaled half-rounded
 // Gaussian of MeasurementMatrix's entry definition.
-void SeedColumn(const cs::MeasurementMatrix& matrix, size_t j, float* out) {
+void SeedColumn(const cs::MeasurementMatrix& matrix, size_t j, Half* out) {
   CounterGaussian(cs::Phi0ColumnSeed(matrix.seed(), j)).Fill(matrix.m(), out);
 }
 
 // Pre-SIMD per-node compression: scalar accumulate over a hoisted column
 // pointer (exactly the pre-SIMD kernel's loop shape), fixed block geometry,
 // then the matrix's one 1/sqrt(M) scale per measurement. `cache` is the
-// bench's own column-major copy of the stored floats (pre-SIMD code read
+// bench's own column-major copy of the stored halves (pre-SIMD code read
 // straight out of the member cache); empty when the matrix is implicit.
 std::vector<double> SeedCompressNode(const cs::MeasurementMatrix& matrix,
-                                     const std::vector<float>& cache,
+                                     const std::vector<Half>& cache,
                                      const cs::SparseSlice& slice) {
   const size_t m = matrix.m();
   const size_t nnz = slice.nnz();
-  std::vector<float> scratch(m);
+  std::vector<Half> scratch(m);
   auto accumulate = [&](size_t k_begin, size_t k_end, double* acc) {
     for (size_t k = k_begin; k < k_end; ++k) {
       const double xj = slice.values[k];
       if (xj == 0.0) continue;
       const size_t j = slice.indices[k];
-      const float* col = scratch.data();
+      const Half* col = scratch.data();
       if (cache.empty()) {
         SeedColumn(matrix, j, scratch.data());
       } else {
         col = cache.data() + j * m;
       }
-      for (size_t i = 0; i < m; ++i) acc[i] += double(col[i]) * xj;
+      for (size_t i = 0; i < m; ++i) {
+        acc[i] += double(HalfToFloat(col[i])) * xj;
+      }
     }
   };
   std::vector<double> y(m, 0.0);
@@ -188,7 +191,7 @@ int main(int argc, char** argv) {
 
     // The seed baseline's own dense column-major copy (what the pre-SIMD
     // kernel's member cache held); left empty in implicit mode.
-    std::vector<float> seed_cache;
+    std::vector<Half> seed_cache;
     if (cached) {
       seed_cache.resize(m * n);
       for (size_t j = 0; j < n; ++j) {

@@ -110,17 +110,19 @@ cmake --build "$OTHER_BUILD_DIR" -j "$(nproc)" --target \
 run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 
 # Φ0 kernel pass under AddressSanitizer, whatever SAN is: Φ0 columns are
-# floats, read four at a time (_mm_loadu_ps) with scalar tails, and ASan is
-# what proves no column read runs past its last entry. The tests allocate
-# columns of exactly M floats for every tail length. The generator rides
-# along (simd::GaussianFill loads eight row keys and stores eight entries
-# per vector group, with scalar tails, and MeasurementMatrix builds its row
-# key table lazily), with the Box–Muller and Rng suites of random_test.
+# binary16 halves, read four at a time (an 8-byte load into vcvtph2ps)
+# with scalar tails, and ASan is what proves no column read runs past its
+# last entry. The tests allocate columns of exactly M halves for every
+# tail length. The generator rides along (simd::GaussianFill loads eight
+# row keys and stores eight entries per vector group, with scalar tails,
+# and MeasurementMatrix builds its row key table lazily), with the
+# Box–Muller and Rng suites of random_test and the half conversions of
+# half_test.
 ASAN_BUILD_DIR=$([[ "$SAN" == address ]] && echo "$BUILD_DIR" || echo "$OTHER_BUILD_DIR")
 cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target \
-  simd_test measurement_matrix_test random_test
+  simd_test measurement_matrix_test random_test half_test
 run_ctest "$ASAN_BUILD_DIR" \
-  'CounterGaussian|BoxMuller|RngTest|Simd|MeasurementMatrix|SharedMatrix'
+  'CounterGaussian|BoxMuller|RngTest|HalfTest|Simd|MeasurementMatrix|SharedMatrix'
 
 # SIMD kernel + batch sketching tests again under the same sanitizer, but
 # with the portable dispatch path forced at compile time, so both sides of

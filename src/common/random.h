@@ -198,7 +198,7 @@ class Rng {
 /// This is what makes measurement-matrix columns regenerable in any order
 /// and on any node: entry (row, col) of Φ0 is
 /// `CounterGaussian(cs::Phi0ColumnSeed(seed, col)).At(row)`, rounded to
-/// float.
+/// float and then to half (common/half.h).
 ///
 /// Positions 2p and 2p+1 form one Box–Muller pair (box_muller::Pair of the
 /// words Word(2p) and Word(2p+1), cos then sin), so bulk generation via
@@ -227,9 +227,9 @@ class CounterGaussian {
     return keys;
   }
 
-  /// Writes variates for positions [0, count) into `out`: At(i) rounded to
-  /// T (so a float output holds `float(At(i))`), through the vectorized
-  /// simd::GaussianFill. `keys` is Keys(c) for some c >= count.
+  /// Writes variates for positions [0, count) into `out`: At(i) as a
+  /// double, or as the half `FloatToHalf(float(At(i)))`, through the
+  /// vectorized simd::GaussianFill. `keys` is Keys(c) for some c >= count.
   template <typename T>
   void Fill(uint64_t count, const uint64_t* keys, T* out) const {
     simd::GaussianFill(seed_, keys, count, out);

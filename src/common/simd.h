@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/half.h"
+
 namespace csod::simd {
 
 /// \brief Runtime-dispatched dense kernels with a *canonical* floating-point
@@ -28,7 +30,8 @@ namespace csod::simd {
 /// FMA is deliberately NOT used: a fused multiply-add rounds once where
 /// mul-then-add rounds twice, which would break bit-identity between the
 /// AVX2 and portable paths (and against the pre-existing scalar kernels).
-/// Dispatch therefore keys on AVX2 only.
+/// Dispatch therefore keys on AVX2 and F16C (for the half conversions), not
+/// on FMA.
 ///
 /// The fused 4-stream variants (`Dot4`, `Axpy4`, `Add4`) amortize one pass
 /// over the shared operand across four streams; each stream's per-element
@@ -36,26 +39,41 @@ namespace csod::simd {
 /// `Axpy4(acc, c0,x0, ..., c3,x3)` is bit-identical to four sequential
 /// `Axpy` calls — callers may batch freely without changing results.
 ///
-/// Float columns: every kernel that reads a column (`Dot*`'s `a`/`c*`,
-/// `Axpy*`'s `col`/`cols`, `Add*`'s `src`/`s*`) also takes `const float*`.
-/// The float overloads widen each element to double in-register (exact),
-/// then run the identical double arithmetic in the identical order, so a
-/// float overload is bit-identical to its double form on the widened
-/// column, on every ISA path. The other operands (`r`, `acc`, `x`) and every
-/// result stay double. Storing Φ0's columns as floats halves the bytes a
-/// correlate streams without a second summation tree. Vector loads touch
-/// only full 4-element groups; tails are scalar, so no path reads past
-/// element n - 1.
+/// Half columns: every kernel that reads a column (`Dot*`'s `a`/`c*`,
+/// `Axpy*`'s `col`/`cols`, `Add*`'s `src`/`s*`) also takes `const Half*`
+/// (binary16, common/half.h). The half overloads widen each element half →
+/// float → double in-register (both steps exact; F16C on the AVX2 path,
+/// HalfToFloat on the portable one), then run the identical double
+/// arithmetic in the identical order, so a half overload is bit-identical
+/// to its double form on the widened column, on every ISA path. The other
+/// operands (`r`, `acc`, `x`) and every result stay double. Storing Φ0's
+/// columns as halves quarters the bytes a correlate streams without a
+/// second summation tree. Vector loads touch only full 4- or 8-element
+/// groups; tails are scalar, so no path reads past element n - 1.
 enum class Level {
   kPortable = 0,  ///< Fixed-8-lane scalar kernels (any platform).
-  kAvx2 = 1,      ///< AVX2 4-wide double kernels (x86-64, no FMA).
+  kAvx2 = 1,      ///< AVX2 4-wide double kernels + F16C (x86-64, no FMA).
 };
 
 /// Human-readable name ("portable" / "avx2") for logs and bench output.
 const char* LevelName(Level level);
 
-/// True iff the running CPU supports AVX2 (raw probe; ignores overrides).
+/// The CPUID bits the kAvx2 level needs.
+struct CpuFeatures {
+  bool avx2 = false;
+  bool f16c = false;
+};
+
+/// True iff the running CPU supports AVX2 and F16C (raw probe; ignores
+/// level overrides). A CPU, or a VM, that masks either bit gets the
+/// portable level.
 bool Avx2Supported();
+
+/// Replaces the CPUID probe behind Avx2Supported() (nullptr restores the
+/// real one) and returns the previous replacement, or nullptr. For tests of
+/// the dispatch rule.
+using CpuProbe = CpuFeatures (*)();
+CpuProbe SetCpuProbeForTesting(CpuProbe probe);
 
 /// The level the kernels currently dispatch to. Resolved once on first use:
 /// AVX2 when the CPU supports it, unless compiled with
@@ -63,26 +81,26 @@ bool Avx2Supported();
 /// environment (both force the portable path).
 Level ActiveLevel();
 
-/// Overrides the dispatch level (clamped to kPortable when AVX2 is
-/// unavailable) and returns the previously active level. For tests and
+/// Overrides the dispatch level (clamped to kPortable when Avx2Supported()
+/// is false) and returns the previously active level. For tests and
 /// benchmarks that compare the two paths inside one binary; also works in
 /// CSOD_FORCE_PORTABLE_SIMD builds, where the AVX2 code is still compiled.
 Level SetLevelForTesting(Level level);
 
 /// Σ_i a[i] * b[i] over the canonical 8-lane split.
 double Dot(const double* a, const double* b, size_t n);
-double Dot(const float* a, const double* b, size_t n);
+double Dot(const Half* a, const double* b, size_t n);
 
 /// Four dots sharing one pass over r: out[k] = Σ_i ck[i] * r[i].
 /// Each out[k] is bit-identical to Dot(ck, r, n).
 void Dot4(const double* c0, const double* c1, const double* c2,
           const double* c3, const double* r, size_t n, double out[4]);
-void Dot4(const float* c0, const float* c1, const float* c2, const float* c3,
+void Dot4(const Half* c0, const Half* c1, const Half* c2, const Half* c3,
           const double* r, size_t n, double out[4]);
 
 /// acc[i] += col[i] * x (element-wise; bit-identical on every path).
 void Axpy(double* acc, const double* col, double x, size_t n);
-void Axpy(double* acc, const float* col, double x, size_t n);
+void Axpy(double* acc, const Half* col, double x, size_t n);
 
 /// Four fused axpys in one pass over acc:
 /// acc[i] = (((acc[i] + c0[i]*x0) + c1[i]*x1) + c2[i]*x2) + c3[i]*x3,
@@ -90,8 +108,8 @@ void Axpy(double* acc, const float* col, double x, size_t n);
 void Axpy4(double* acc, const double* c0, double x0, const double* c1,
            double x1, const double* c2, double x2, const double* c3,
            double x3, size_t n);
-void Axpy4(double* acc, const float* c0, double x0, const float* c1,
-           double x1, const float* c2, double x2, const float* c3, double x3,
+void Axpy4(double* acc, const Half* c0, double x0, const Half* c1,
+           double x1, const Half* c2, double x2, const Half* c3, double x3,
            size_t n);
 
 /// Eight fused axpys in one pass over acc (array-of-streams form):
@@ -101,19 +119,19 @@ void Axpy4(double* acc, const float* c0, double x0, const float* c1,
 /// hides DRAM latency when the columns miss cache.
 void Axpy8(double* acc, const double* const cols[8], const double xs[8],
            size_t n);
-void Axpy8(double* acc, const float* const cols[8], const double xs[8],
+void Axpy8(double* acc, const Half* const cols[8], const double xs[8],
            size_t n);
 
 /// acc[i] += src[i].
 void Add(double* acc, const double* src, size_t n);
-void Add(double* acc, const float* src, size_t n);
+void Add(double* acc, const Half* src, size_t n);
 
 /// Four fused adds in one pass over acc, bit-identical to four sequential
 /// Add calls in s0..s3 order.
 void Add4(double* acc, const double* s0, const double* s1, const double* s2,
           const double* s3, size_t n);
-void Add4(double* acc, const float* s0, const float* s1, const float* s2,
-          const float* s3, size_t n);
+void Add4(double* acc, const Half* s0, const Half* s1, const Half* s2,
+          const Half* s3, size_t n);
 
 /// v[i] *= s.
 void Scale(double* v, double s, size_t n);
@@ -122,18 +140,19 @@ void Scale(double* v, double s, size_t n);
 ///
 /// Writes out[i] for positions i in [0, count): pair p = (2p, 2p + 1) holds
 /// box_muller::Pair(SplitMix64(seed ^ keys[2p]), SplitMix64(seed ^
-/// keys[2p + 1])), rounded to the output type. `keys` holds `count` rounded
-/// up to a whole pair (CounterGaussian::Keys); an odd count writes only
-/// the last pair's first variate. Every operation of the transform is
-/// IEEE-exact and FMA-free, and the AVX2 path runs the scalar sequence four
-/// pairs wide, with the 64-bit SplitMix64 multiply built from 32-bit
-/// products and the 53-bit integer-to-double conversion done in two exact
-/// halves — so both paths write identical bits. Vector loads and stores
+/// keys[2p + 1])), stored as the double g or as the half
+/// FloatToHalf(float(g)) (the AVX2 path rounds with F16C, same bits).
+/// `keys` holds `count` rounded up to a whole pair (CounterGaussian::Keys);
+/// an odd count writes only the last pair's first variate. Every operation
+/// of the transform is IEEE-exact and FMA-free, and the AVX2 path runs the
+/// scalar sequence four pairs wide, with the 64-bit SplitMix64 multiply
+/// built from 32-bit products and the 53-bit integer-to-double conversion
+/// done in two exact halves — so both paths write identical bits. Vector loads and stores
 /// touch only whole groups of four pairs; tails are scalar.
 void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
                   double* out);
 void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
-                  float* out);
+                  Half* out);
 
 }  // namespace csod::simd
 

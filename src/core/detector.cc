@@ -131,7 +131,7 @@ Result<std::vector<outlier::Outlier>> DistributedOutlierDetector::DetectTopK(
 Status DistributedOutlierDetector::Save(std::ostream& out) const {
   // Text header (versioned) followed by one length-prefixed wire-format
   // measurement message per source. The version is the Φ0 format the
-  // sketches were measured under: v3 is cs::kPhi0Format 3.
+  // sketches were measured under: v4 is cs::kPhi0Format 4.
   out << "csod-detector v" << cs::kPhi0Format << '\n';
   out << options_.n << ' ' << options_.m << ' ' << options_.seed << ' '
       << options_.iterations << ' ' << sketches_.size() << '\n';

@@ -102,7 +102,7 @@ class DistributedOutlierDetector {
   const cs::MeasurementMatrix& matrix() const { return *matrix_; }
 
   /// Checkpoints the detector (options + every source sketch) to a
-  /// stream under the header "csod-detector v3" (Φ0 format 3, see
+  /// stream under the header "csod-detector v4" (Φ0 format 4, see
   /// cs::kPhi0Format). State is tiny — O(sources · M) — because only
   /// sketches are retained, never data.
   Status Save(std::ostream& out) const;

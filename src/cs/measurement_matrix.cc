@@ -43,7 +43,7 @@ class AxpyBatcher {
 
   size_t pending() const { return filled_; }
 
-  void Push(const float* col, double x) {
+  void Push(const Half* col, double x) {
     cols_[filled_] = col;
     xs_[filled_] = x;
     if (++filled_ == kWidth) Flush();
@@ -66,7 +66,7 @@ class AxpyBatcher {
  private:
   double* acc_;
   size_t m_;
-  const float* cols_[kWidth];
+  const Half* cols_[kWidth];
   double xs_[kWidth];
   size_t filled_ = 0;
 };
@@ -80,7 +80,7 @@ class AddBatcher {
 
   size_t pending() const { return filled_; }
 
-  void Push(const float* col) {
+  void Push(const Half* col) {
     cols_[filled_] = col;
     if (++filled_ == kWidth) Flush();
   }
@@ -97,7 +97,7 @@ class AddBatcher {
  private:
   double* acc_;
   size_t m_;
-  const float* cols_[kWidth];
+  const Half* cols_[kWidth];
   size_t filled_ = 0;
 };
 
@@ -163,9 +163,12 @@ MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
 }
 
 void MeasurementMatrix::FillColumn(size_t col, double* out) const {
-  std::vector<float> scratch = ColumnScratch(1);
-  const float* src = UnscaledColumn(col, &scratch, 0);
-  for (size_t i = 0; i < m_; ++i) out[i] = double(src[i]) * inv_sqrt_m_;
+  std::vector<Half> scratch = ColumnScratch(1);
+  // -0.0 is the identity of IEEE addition (-0 + x == x for every x, ±0
+  // included), so this Axpy writes exactly double(half) · (1/√M), Entry's
+  // value, through the kernels' vector conversion.
+  std::fill(out, out + m_, -0.0);
+  simd::Axpy(out, UnscaledColumn(col, &scratch, 0), inv_sqrt_m_, m_);
 }
 
 std::vector<double> MeasurementMatrix::Column(size_t col) const {
@@ -194,7 +197,7 @@ Result<std::vector<double>> MeasurementMatrix::Multiply(
       BlockedSum(m_, num_blocks, [&](size_t b, double* acc) {
         const size_t col_begin = b * kReductionBlockColumns;
         const size_t col_end = std::min(n_, col_begin + kReductionBlockColumns);
-        std::vector<float> scratch = ColumnScratch(AxpyBatcher::kWidth);
+        std::vector<Half> scratch = ColumnScratch(AxpyBatcher::kWidth);
         AxpyBatcher batch(acc, m_);
         for (size_t j = col_begin; j < col_end; ++j) {
           const double xj = x[j];
@@ -226,7 +229,7 @@ Result<std::vector<double>> MeasurementMatrix::MultiplySparse(
       BlockedSum(m_, num_blocks, [&](size_t b, double* acc) {
         const size_t k_begin = b * kReductionBlockNnz;
         const size_t k_end = std::min(nnz, k_begin + kReductionBlockNnz);
-        std::vector<float> scratch = ColumnScratch(AxpyBatcher::kWidth);
+        std::vector<Half> scratch = ColumnScratch(AxpyBatcher::kWidth);
         AxpyBatcher batch(acc, m_);
         for (size_t k = k_begin; k < k_end; ++k) {
           const double xj = values[k];
@@ -289,7 +292,7 @@ Status MeasurementMatrix::MultiplySparseBatch(
 
   // Block b's entries accumulate into partials[b*M, (b+1)*M) exactly as
   // MultiplySparse would (same order, same fusion); `column` resolves an
-  // entry to its stored floats.
+  // entry to its stored halves.
   std::vector<double> partials(blocks.size() * m_, 0.0);
   auto run_block = [&](size_t b, auto&& column) {
     const Block& blk = blocks[b];
@@ -325,7 +328,7 @@ Status MeasurementMatrix::MultiplySparseBatch(
     const size_t max_wave_entries = std::max(
         kReductionBlockNnz, scratch_budget_bytes / (m_ * kBytesPerEntry));
     std::vector<size_t> wave_cols;
-    std::vector<float> scratch;
+    std::vector<Half> scratch;
     size_t wave_begin = 0;
     while (wave_begin < schedule.size()) {
       size_t wave_end = wave_begin;
@@ -421,7 +424,7 @@ Status MeasurementMatrix::CorrelateAllInto(const std::vector<double>& r,
   const std::vector<double> scaled = ScaledResidual(r);
   const double* rp = scaled.data();
   ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
-    std::vector<float> scratch = ColumnScratch(4);
+    std::vector<Half> scratch = ColumnScratch(4);
     size_t j = begin;
     for (; j + 4 <= end; j += 4) {
       simd::Dot4(UnscaledColumn(j, &scratch, 0),
@@ -465,9 +468,9 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
   // folding the four dots in order preserves the tie-break.
   auto local_argmax = [&](size_t begin, size_t end) {
     CorrelateArgmaxResult best;
-    std::vector<float> scratch = ColumnScratch(4);
+    std::vector<Half> scratch = ColumnScratch(4);
     size_t batch[4];
-    const float* cols[4];
+    const Half* cols[4];
     size_t filled = 0;
     double dots[4];
     auto flush = [&] {
@@ -517,7 +520,7 @@ std::vector<double> MeasurementMatrix::BiasColumn() const {
       BlockedSum(m_, num_blocks, [&](size_t b, double* acc) {
         const size_t col_begin = b * kReductionBlockColumns;
         const size_t col_end = std::min(n_, col_begin + kReductionBlockColumns);
-        std::vector<float> scratch = ColumnScratch(AddBatcher::kWidth);
+        std::vector<Half> scratch = ColumnScratch(AddBatcher::kWidth);
         AddBatcher batch(acc, m_);
         for (size_t j = col_begin; j < col_end; ++j) {
           batch.Push(UnscaledColumn(j, &scratch, batch.pending()));

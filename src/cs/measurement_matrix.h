@@ -7,6 +7,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/half.h"
 #include "common/random.h"
 #include "common/status.h"
 
@@ -39,13 +40,13 @@ struct SparseVectorView {
 
 /// Version of Φ0's entry definition (see MeasurementMatrix). Persisted
 /// state that is only meaningful against one Φ0 records it: the detector's
-/// Save header ("csod-detector v3") and the streaming checkpoint frame.
+/// Save header ("csod-detector v4") and the streaming checkpoint frame.
 /// Format 1 held double entries `g / √M` with the libm Box–Muller and
 /// column seeds `HashCombine(seed, j)`; format 2 rounded them to float;
 /// format 3 draws g from the libm-free box_muller::Pair and seeds column j
-/// with Phi0ColumnSeed. Restoring state of another format fails with a
-/// Status.
-inline constexpr uint32_t kPhi0Format = 3;
+/// with Phi0ColumnSeed; format 4 rounds the float on to binary16. Restoring
+/// state of another format fails with a Status.
+inline constexpr uint32_t kPhi0Format = 4;
 
 /// Column `col`'s CounterGaussian seed: HashCombine(SplitMix64(seed), col).
 /// Hashing the seed first keeps the columns of nearby seeds apart;
@@ -66,24 +67,25 @@ inline uint64_t Phi0ColumnSeed(uint64_t seed, uint64_t col) {
 /// and individual columns can be regenerated in any order — which is what
 /// OMP's column-selection loop needs.
 ///
-/// Entry (i, j) is `double(float(g)) · (1/√M)` with
+/// Entry (i, j) is `double(half(float(g))) · (1/√M)` with
 /// `g = CounterGaussian(Phi0ColumnSeed(seed, j)).At(i)`: a standard normal
-/// rounded to float, then scaled. g involves only IEEE-exact operations
-/// (common/random.h), so every host computes the same bits. The matrix
-/// stores (or regenerates) the unscaled floats, and every kernel applies
-/// 1/√M once per call — it scales `r` before a correlate and the M-vector
-/// after a multiply or column sum — so a kernel's result may differ in the
-/// last bits from the same sum taken over Entry() values, never between
-/// runs.
+/// rounded to float, then to binary16 (FloatToHalf, to nearest even), then
+/// scaled. g involves only IEEE-exact operations (common/random.h), and the
+/// roundings are integer functions (common/half.h), so every host computes
+/// the same bits. The matrix stores (or regenerates) the unscaled halves, 2
+/// bytes per entry, and every kernel applies 1/√M once per call — it scales
+/// `r` before a correlate and the M-vector after a multiply or column sum —
+/// so a kernel's result may differ in the last bits from the same sum taken
+/// over Entry() values, never between runs.
 ///
-/// An optional dense column-major cache of those floats trades memory for
+/// An optional dense column-major cache of those halves trades memory for
 /// speed; when `M * N * kBytesPerEntry` exceeds the cache budget the matrix
 /// stays implicit and columns are regenerated on the fly. Owners obtain Φ0
 /// through SharedMatrix() so that one geometry is built once per process.
 ///
 /// Determinism: every kernel below returns bit-identical results at any
 /// parallelism limit, on either SIMD path, and cached or implicit (both feed
-/// the same float column bits to the same simd:: calls). Per-index kernels
+/// the same half column bits to the same simd:: calls). Per-index kernels
 /// (cache fill, CorrelateAll) write disjoint slots; reductions (Multiply,
 /// MultiplySparse, BiasColumn) use a fixed block geometry independent of the
 /// thread count with partials combined in block order; CorrelateArgmax
@@ -106,12 +108,12 @@ class MeasurementMatrix {
 
   /// Entry (row, col) — N(0, 1/M) distributed.
   double Entry(size_t row, size_t col) const {
-    const float g =
+    const Half g =
         cache_.empty()
-            ? static_cast<float>(
-                  CounterGaussian(Phi0ColumnSeed(seed_, col)).At(row))
+            ? FloatToHalf(static_cast<float>(
+                  CounterGaussian(Phi0ColumnSeed(seed_, col)).At(row)))
             : cache_[col * m_ + row];
-    return double(g) * inv_sqrt_m_;
+    return double(HalfToFloat(g)) * inv_sqrt_m_;
   }
 
   /// Writes column `col` (length M) into `out`; out[i] == Entry(i, col).
@@ -189,14 +191,14 @@ class MeasurementMatrix {
 
   /// Bytes one stored entry takes, in the dense cache and in the implicit
   /// batch kernel's column scratch.
-  static constexpr size_t kBytesPerEntry = sizeof(float);
+  static constexpr size_t kBytesPerEntry = sizeof(Half);
   static constexpr size_t kDefaultCacheBudgetBytes = size_t{512} << 20;
   /// Default per-wave column scratch for the implicit batched kernel.
   static constexpr size_t kDefaultBatchScratchBytes = size_t{128} << 20;
 
  private:
-  // Writes column `col`'s unscaled float-rounded Gaussian (M floats).
-  void GenerateColumn(size_t col, float* out) const {
+  // Writes column `col`'s unscaled half-rounded Gaussian (M halves).
+  void GenerateColumn(size_t col, Half* out) const {
     CounterGaussian(Phi0ColumnSeed(seed_, col))
         .Fill(m_, RowKeys().data(), out);
   }
@@ -208,17 +210,17 @@ class MeasurementMatrix {
 
   // Scratch for `slots` implicit columns that are live at once; empty when
   // cached, since cached columns are read in place.
-  std::vector<float> ColumnScratch(size_t slots) const {
-    return std::vector<float>(cache_.empty() ? slots * m_ : 0);
+  std::vector<Half> ColumnScratch(size_t slots) const {
+    return std::vector<Half>(cache_.empty() ? slots * m_ : 0);
   }
 
-  // Column `col`'s stored floats: a pointer into the cache, or, when
+  // Column `col`'s stored halves: a pointer into the cache, or, when
   // implicit, the column generated into slot `slot` of `scratch` (from
   // ColumnScratch(slots) with slot < slots).
-  const float* UnscaledColumn(size_t col, std::vector<float>* scratch,
-                              size_t slot) const {
+  const Half* UnscaledColumn(size_t col, std::vector<Half>* scratch,
+                             size_t slot) const {
     if (!cache_.empty()) return cache_.data() + col * m_;
-    float* out = scratch->data() + slot * m_;
+    Half* out = scratch->data() + slot * m_;
     GenerateColumn(col, out);
     return out;
   }
@@ -230,9 +232,9 @@ class MeasurementMatrix {
   size_t n_;
   uint64_t seed_;
   double inv_sqrt_m_;
-  // Column-major unscaled floats (cache_[col * m_ + row]), or empty when
+  // Column-major unscaled halves (cache_[col * m_ + row]), or empty when
   // implicit.
-  std::vector<float> cache_;
+  std::vector<Half> cache_;
   // Lazily memoized bias column (CachedBiasColumn).
   mutable std::once_flag bias_once_;
   mutable std::vector<double> bias_column_;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cs/measurement_matrix.h"
 #include "la/vector_ops.h"
 #include "outlier/metrics.h"
 #include "workload/generators.h"
@@ -216,7 +217,7 @@ TEST(DetectorTest, LoadRejectsGarbage) {
   EXPECT_FALSE(
       DistributedOutlierDetector::Load(not_a_checkpoint, SmallOptions()).ok());
 
-  std::stringstream truncated("csod-detector v3\n500 180 11 24 3\n");
+  std::stringstream truncated("csod-detector v4\n500 180 11 24 3\n");
   EXPECT_FALSE(DistributedOutlierDetector::Load(truncated, SmallOptions()).ok());
 
   // A checkpoint of another geometry is refused, not reinterpreted.
@@ -230,10 +231,10 @@ TEST(DetectorTest, LoadRejectsGarbage) {
 
   // Two sketches under one source id would double-count it in y.
   const std::string one_source = saved.str();
-  const std::string header = "csod-detector v3\n500 180 11 24 1\n";
+  const std::string header = "csod-detector v4\n500 180 11 24 1\n";
   ASSERT_EQ(one_source.rfind(header, 0), 0u);
   const std::string body = one_source.substr(header.size());
-  std::stringstream duplicate_id("csod-detector v3\n500 180 11 24 2\n" + body +
+  std::stringstream duplicate_id("csod-detector v4\n500 180 11 24 2\n" + body +
                                  body);
   EXPECT_FALSE(
       DistributedOutlierDetector::Load(duplicate_id, SmallOptions()).ok());
@@ -244,14 +245,14 @@ TEST(DetectorTest, LoadRejectsGarbage) {
   tiny.m = 4;
   tiny.seed = 1;
   std::stringstream huge_payload(
-      "csod-detector v3\n16 4 1 0 1\n0 4611686018427387904\n");
+      "csod-detector v4\n16 4 1 0 1\n0 4611686018427387904\n");
   EXPECT_FALSE(DistributedOutlierDetector::Load(huge_payload, tiny).ok());
 
   // An M whose matrix size would wrap size_t never reaches the matrix.
   DetectorOptions narrow = tiny;
   narrow.n = 4;
   std::stringstream wrapping_m(
-      "csod-detector v3\n4 2305843009213693952 1 0 0\n");
+      "csod-detector v4\n4 2305843009213693952 1 0 0\n");
   EXPECT_FALSE(DistributedOutlierDetector::Load(wrapping_m, narrow).ok());
 }
 
@@ -263,9 +264,12 @@ Status LoadUnderHeader(const std::string& version) {
       original->AddSourceMeasurement(std::vector<double>(180, 1.0)).ok());
   std::stringstream saved;
   EXPECT_TRUE(original->Save(saved).ok());
-  const std::string v3 = saved.str();
-  EXPECT_EQ(v3.rfind("csod-detector v3\n", 0), 0u);
-  std::stringstream relabeled("csod-detector " + version + v3.substr(16));
+  const std::string current = saved.str();
+  const std::string header =
+      "csod-detector v" + std::to_string(cs::kPhi0Format) + "\n";
+  EXPECT_EQ(current.rfind(header, 0), 0u);
+  std::stringstream relabeled("csod-detector " + version + "\n" +
+                              current.substr(header.size()));
   return DistributedOutlierDetector::Load(relabeled, SmallOptions()).status();
 }
 
@@ -274,7 +278,7 @@ TEST(DetectorTest, LoadRefusesAV1CheckpointByItsPhi0Format) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.ToString().find("Φ0 format 1"), std::string::npos)
       << status.ToString();
-  EXPECT_TRUE(LoadUnderHeader("v3").ok());
+  EXPECT_TRUE(LoadUnderHeader("v4").ok());
 }
 
 TEST(DetectorTest, LoadRefusesAV2CheckpointByItsPhi0Format) {
@@ -282,20 +286,31 @@ TEST(DetectorTest, LoadRefusesAV2CheckpointByItsPhi0Format) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.ToString().find("Φ0 format 2"), std::string::npos)
       << status.ToString();
-  EXPECT_NE(status.ToString().find("Φ0 format 3"), std::string::npos)
+  EXPECT_NE(status.ToString().find("Φ0 format 4"), std::string::npos)
       << status.ToString();
   // A newer format is refused by name too; a non-numeric version is not a
   // format at all.
-  const Status newer = LoadUnderHeader("v4");
+  const Status newer = LoadUnderHeader("v5");
   EXPECT_EQ(newer.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(newer.ToString().find("Φ0 format 4"), std::string::npos)
+  EXPECT_NE(newer.ToString().find("Φ0 format 5"), std::string::npos)
       << newer.ToString();
-  for (const char* bad : {"v", "vx", "v3x", "3", "v-3"}) {
+  for (const char* bad : {"v", "vx", "v4x", "4", "v-4"}) {
     const Status unknown = LoadUnderHeader(bad);
     EXPECT_NE(unknown.ToString().find("unknown csod-detector version"),
               std::string::npos)
         << bad << ": " << unknown.ToString();
   }
+}
+
+// Format 3 held float-rounded entries; its sketches are refused by name.
+TEST(DetectorTest, LoadRefusesAV3CheckpointByItsPhi0Format) {
+  const Status status = LoadUnderHeader("v3");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("Φ0 format 3"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.ToString().find("this build uses Φ0 format 4"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(DetectorTest, AccessorsExposeConfiguration) {

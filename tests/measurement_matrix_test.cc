@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/half.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/simd.h"
@@ -433,8 +434,9 @@ TEST(MeasurementMatrixTest, CachedBiasColumnMatchesFreshCompute) {
 }
 
 TEST(MeasurementMatrixTest, WrappingGeometryStaysImplicit) {
-  // M·N·4 = 2^64 wraps to 0 in size_t; a wrapped product must not pass as
-  // "fits the budget" and try to allocate the dense cache.
+  // M·N = 2^62 entries: 2^63 bytes of halves, and a product for 4-byte
+  // entries would wrap to 0 in size_t. Neither may pass as "fits the
+  // budget" and try to allocate the dense cache.
   const size_t huge = size_t{1} << 31;
   EXPECT_FALSE(MeasurementMatrix(huge, huge, 1).cached());
   EXPECT_FALSE(SharedMatrix(huge, huge, 1)->cached());
@@ -444,27 +446,40 @@ TEST(MeasurementMatrixTest, WrappingGeometryStaysImplicit) {
   EXPECT_FALSE(MeasurementMatrix(8, 16, 1, kBytes - 1).cached());
 }
 
-TEST(MeasurementMatrixTest, EntryIsTheFloatRoundedScaledGaussian) {
-  // Φ0's entry definition, bit for bit, on both storage paths and through
-  // every accessor: double(float(g)) · (1/√M) with
-  // g = CounterGaussian(Phi0ColumnSeed(seed, j)).At(i).
-  const size_t m = 13, n = 40;
+TEST(MeasurementMatrixTest, EntryIsTheHalfRoundedScaledGaussian) {
+  // Φ0's entry definition (format 4), bit for bit, on both storage paths,
+  // through every accessor, with the matrix built at every parallelism
+  // limit and SIMD level: double(half(float(g))) · (1/√M) with
+  // g = CounterGaussian(Phi0ColumnSeed(seed, j)).At(i). N = 600 spans more
+  // than one kMinColumnsPerChunk, so the dense cache is filled in parallel.
+  const size_t m = 13, n = 600;
   const uint64_t seed = 2718;
   const double inv_sqrt_m = 1.0 / std::sqrt(static_cast<double>(m));
-  for (const size_t budget : {size_t{1} << 20, size_t{0}}) {
-    MeasurementMatrix matrix(m, n, seed, budget);
-    ASSERT_EQ(matrix.cached(), budget != 0);
-    for (size_t j = 0; j < n; ++j) {
-      const std::vector<double> column = matrix.Column(j);
-      for (size_t i = 0; i < m; ++i) {
-        const float g = static_cast<float>(
-            CounterGaussian(Phi0ColumnSeed(seed, j)).At(i));
-        const double expected = double(g) * inv_sqrt_m;
-        EXPECT_EQ(std::bit_cast<uint64_t>(matrix.Entry(i, j)),
-                  std::bit_cast<uint64_t>(expected))
-            << "budget=" << budget << " (" << i << "," << j << ")";
-        EXPECT_EQ(std::bit_cast<uint64_t>(column[i]),
-                  std::bit_cast<uint64_t>(expected));
+  std::vector<double> expected(m * n);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t i = 0; i < m; ++i) {
+      const Half g = FloatToHalf(static_cast<float>(
+          CounterGaussian(Phi0ColumnSeed(seed, j)).At(i)));
+      expected[j * m + i] = double(HalfToFloat(g)) * inv_sqrt_m;
+    }
+  }
+  for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+      ScopedParallelismLimit scoped_limit(limit);
+      ScopedSimdLevel scoped_level(level);
+      for (const size_t budget : {size_t{1} << 20, size_t{0}}) {
+        MeasurementMatrix matrix(m, n, seed, budget);
+        ASSERT_EQ(matrix.cached(), budget != 0);
+        for (size_t j = 0; j < n; ++j) {
+          const std::vector<double> column = matrix.Column(j);
+          for (size_t i = 0; i < m; ++i) {
+            const uint64_t want = std::bit_cast<uint64_t>(expected[j * m + i]);
+            ASSERT_EQ(std::bit_cast<uint64_t>(matrix.Entry(i, j)), want)
+                << "limit=" << limit << " level=" << simd::LevelName(level)
+                << " budget=" << budget << " (" << i << "," << j << ")";
+            ASSERT_EQ(std::bit_cast<uint64_t>(column[i]), want);
+          }
+        }
       }
     }
   }

@@ -116,9 +116,9 @@ TEST(CounterGaussianTest, Moments) {
   EXPECT_NEAR(var, 1.0, 0.03);
 }
 
-// Φ0 format 3 pins these bits: they are the same on every host, compiler and
-// libm, because box_muller:: uses only IEEE-exact operations. A change here
-// is a change of Φ0's format (cs::kPhi0Format).
+// Φ0 formats 3 and 4 pin these bits: they are the same on every host,
+// compiler and libm, because box_muller:: uses only IEEE-exact operations. A
+// change here is a change of Φ0's format (cs::kPhi0Format).
 TEST(CounterGaussianTest, GoldenBits) {
   const uint64_t golden[8] = {
       0xbfe2fd94a9e55b56ULL, 0xbff91a411eefa238ULL, 0x3fd6fb1127765cb3ULL,

@@ -335,7 +335,7 @@ TEST(CheckpointTest, OtherPhi0FormatsAreRefusedByName) {
   EXPECT_NE(old.ToString().find("Φ0 format 1"), std::string::npos)
       << old.ToString();
 
-  // Frames from the previous and from a later Φ0 format.
+  // Frames from the previous and from a later Φ0 format (3 and 5).
   for (const uint32_t marker : {cs::kPhi0Format - 1, cs::kPhi0Format + 1}) {
     std::string trailer;
     dist::AppendU32(&trailer, marker);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/half.h"
 #include "common/random.h"
 
 namespace csod::simd {
@@ -183,42 +184,61 @@ TEST(SimdTest, ElementwiseKernelsMatchScalarReference) {
   }
 }
 
-std::vector<float> RandomFloats(size_t n, uint64_t seed) {
-  std::vector<float> v(n);
+// n half-rounded Gaussians, followed by `guard` NaN halves: a kernel that
+// read past element n - 1 would fold a NaN into its result.
+std::vector<Half> RandomHalves(size_t n, uint64_t seed, size_t guard = 0) {
+  std::vector<Half> v(n + guard, Half{0x7e00});
   Rng rng(seed);
-  for (float& x : v) x = static_cast<float>(rng.NextGaussian());
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = FloatToHalf(static_cast<float>(rng.NextGaussian()));
+  }
   return v;
 }
 
-std::vector<double> Widened(const std::vector<float>& v) {
-  return std::vector<double>(v.begin(), v.end());
+std::vector<double> Widened(const std::vector<Half>& v, size_t n) {
+  std::vector<double> wide(n);
+  for (size_t i = 0; i < n; ++i) wide[i] = double(HalfToFloat(v[i]));
+  return wide;
 }
 
-// Every kernel that reads a float column, run once at the active level.
-struct FloatKernelOutputs {
+// Every kernel that reads a half column, run once at the active level.
+struct ColumnKernelOutputs {
   double dot = 0.0;
   double dot4[4] = {0.0, 0.0, 0.0, 0.0};
   std::vector<double> axpy, axpy4, axpy8, add, add4;
 
-  bool operator==(const FloatKernelOutputs& o) const {
+  // Bitwise, so a NaN from an over-read never compares equal.
+  bool operator==(const ColumnKernelOutputs& o) const {
+    auto same = [](double a, double b) {
+      return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+    };
+    auto same_vec = [&](const std::vector<double>& a,
+                        const std::vector<double>& b) {
+      if (a.size() != b.size()) return false;
+      for (size_t i = 0; i < a.size(); ++i) {
+        if (!same(a[i], b[i])) return false;
+      }
+      return true;
+    };
     for (size_t k = 0; k < 4; ++k) {
-      if (dot4[k] != o.dot4[k]) return false;
+      if (!same(dot4[k], o.dot4[k])) return false;
     }
-    return dot == o.dot && axpy == o.axpy && axpy4 == o.axpy4 &&
-           axpy8 == o.axpy8 && add == o.add && add4 == o.add4;
+    return same(dot, o.dot) && same_vec(axpy, o.axpy) &&
+           same_vec(axpy4, o.axpy4) && same_vec(axpy8, o.axpy8) &&
+           same_vec(add, o.add) && same_vec(add4, o.add4);
   }
 };
 
-// Runs the float-column kernels over columns `c` (eight of length n) and
-// residual `r`, or, with `widen`, the double kernels over the same columns
-// widened to double.
-FloatKernelOutputs RunColumnKernels(const std::vector<std::vector<float>>& c,
-                                    const std::vector<double>& r, size_t n,
-                                    bool widen) {
+// Runs the half-column kernels over columns `c` (eight, each n halves plus
+// guards) and residual `r`, or, with `widen`, the double kernels over the
+// same columns widened to double.
+ColumnKernelOutputs RunColumnKernels(const std::vector<std::vector<Half>>& c,
+                                     const std::vector<double>& r, size_t n,
+                                     bool widen) {
   std::vector<std::vector<double>> wide;
-  for (const auto& col : c) wide.push_back(Widened(col));
+  for (const auto& col : c) wide.push_back(Widened(col, n));
   const double xs[8] = {1.0, -2.0, 0.5, 3.0, -0.125, 2.25, -1.0, 0.75};
-  FloatKernelOutputs out;
+  ColumnKernelOutputs out;
   out.axpy = out.axpy4 = out.axpy8 = out.add = out.add4 = RandomVector(n, 77);
   if (widen) {
     out.dot = Dot(wide[0].data(), r.data(), n);
@@ -240,7 +260,7 @@ FloatKernelOutputs RunColumnKernels(const std::vector<std::vector<float>>& c,
     Axpy(out.axpy.data(), c[0].data(), 1.7, n);
     Axpy4(out.axpy4.data(), c[0].data(), xs[0], c[1].data(), xs[1],
           c[2].data(), xs[2], c[3].data(), xs[3], n);
-    const float* cols[8];
+    const Half* cols[8];
     for (size_t k = 0; k < 8; ++k) cols[k] = c[k].data();
     Axpy8(out.axpy8.data(), cols, xs, n);
     Add(out.add.data(), c[0].data(), n);
@@ -250,31 +270,34 @@ FloatKernelOutputs RunColumnKernels(const std::vector<std::vector<float>>& c,
   return out;
 }
 
-// Float columns: portable == AVX2, and each float overload == its double
-// form on the widened column, bit for bit. The sizes cover every tail
-// length of the 4-wide loads and the 8-lane tree, and a column of M = 256
-// with its neighbours.
-TEST(SimdTest, FloatColumnKernelsAreBitIdenticalAcrossLevels) {
+// Half columns: portable == AVX2, and each half overload == its double form
+// on the widened column, bit for bit. The sizes cover every tail length of
+// the 4-wide loads and the 8-lane tree, and a column of M = 256 with its
+// neighbours. Each column is followed by eight NaN halves, so a read past
+// element n - 1 shows as a mismatch even without AddressSanitizer.
+TEST(SimdTest, HalfColumnKernelsAreBitIdenticalAcrossLevels) {
   std::vector<size_t> sizes;
   for (size_t n = 1; n <= 17; ++n) sizes.push_back(n);
   for (size_t n : {size_t{255}, size_t{256}, size_t{257}}) sizes.push_back(n);
   for (size_t n : sizes) {
-    std::vector<std::vector<float>> cols;
-    for (uint64_t k = 0; k < 8; ++k) cols.push_back(RandomFloats(n, 100 + k));
+    std::vector<std::vector<Half>> cols;
+    for (uint64_t k = 0; k < 8; ++k) {
+      cols.push_back(RandomHalves(n, 100 + k, /*guard=*/8));
+    }
     const auto r = RandomVector(n, 99);
-    FloatKernelOutputs portable;
+    ColumnKernelOutputs portable;
     {
       ScopedLevel scoped(Level::kPortable);
       portable = RunColumnKernels(cols, r, n, /*widen=*/false);
       EXPECT_TRUE(portable == RunColumnKernels(cols, r, n, /*widen=*/true))
-          << "n=" << n << " float != widened double (portable)";
+          << "n=" << n << " half != widened double (portable)";
     }
     if (!Avx2Supported()) continue;
     ScopedLevel scoped(Level::kAvx2);
-    const FloatKernelOutputs avx2 = RunColumnKernels(cols, r, n, false);
+    const ColumnKernelOutputs avx2 = RunColumnKernels(cols, r, n, false);
     EXPECT_TRUE(avx2 == portable) << "n=" << n << " avx2 != portable";
     EXPECT_TRUE(avx2 == RunColumnKernels(cols, r, n, /*widen=*/true))
-        << "n=" << n << " float != widened double (avx2)";
+        << "n=" << n << " half != widened double (avx2)";
   }
 }
 
@@ -287,8 +310,8 @@ std::vector<uint64_t> Bits(const std::vector<double>& v) {
 }
 
 // The generator kernel: portable == AVX2 bit for bit, as double and as
-// float, and both equal CounterGaussian::At (rounded to float for the float
-// form). Odd counts end on half a pair; counts above 8 reach the scalar tail
+// half, and both equal CounterGaussian::At (rounded to float, then to half,
+// for the half form). Odd counts end on half a pair; counts above 8 reach the scalar tail
 // after the 8-position AVX2 groups.
 TEST(SimdTest, GaussianFillIsBitIdenticalAcrossLevels) {
   std::vector<size_t> counts;
@@ -306,18 +329,18 @@ TEST(SimdTest, GaussianFillIsBitIdenticalAcrossLevels) {
         ScopedLevel scoped(level);
         // One guard slot past the end catches a write beyond `count`.
         std::vector<double> wide(n + 1, 7.0);
-        std::vector<float> narrow(n + 1, 7.0f);
+        std::vector<Half> narrow(n + 1, Half{0x4700});  // 7.0
         GaussianFill(seed, keys.data(), n, wide.data());
         GaussianFill(seed, keys.data(), n, narrow.data());
         EXPECT_EQ(wide[n], 7.0);
-        EXPECT_EQ(narrow[n], 7.0f);
+        EXPECT_EQ(narrow[n].bits, 0x4700);
         wide.pop_back();
         EXPECT_EQ(Bits(wide), Bits(at))
             << "seed=" << seed << " n=" << n
             << " level=" << LevelName(ActiveLevel());
         for (size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(std::bit_cast<uint32_t>(narrow[i]),
-                    std::bit_cast<uint32_t>(static_cast<float>(at[i])))
+          EXPECT_EQ(narrow[i].bits,
+                    FloatToHalf(static_cast<float>(at[i])).bits)
               << "seed=" << seed << " n=" << n << " i=" << i
               << " level=" << LevelName(ActiveLevel());
         }
@@ -405,6 +428,29 @@ TEST(SimdTest, Avx2RequestClampsToPortableWhenUnsupported) {
     EXPECT_EQ(ActiveLevel(), Level::kPortable);
   }
   SetLevelForTesting(original);
+}
+
+CpuFeatures CpuWithoutF16c() { return CpuFeatures{true, false}; }
+CpuFeatures CpuWithoutAvx2() { return CpuFeatures{false, true}; }
+CpuFeatures CpuWithBoth() { return CpuFeatures{true, true}; }
+
+// The half kernels need F16C beside AVX2: a CPU (or a VM) that masks either
+// bit must get the portable level, not a SIGILL. The probe is stubbed, so
+// this runs on any host; no kernel runs while it is.
+TEST(SimdTest, Avx2LevelNeedsBothAvx2AndF16c) {
+  const Level original = ActiveLevel();
+  for (CpuProbe probe : {&CpuWithoutF16c, &CpuWithoutAvx2}) {
+    EXPECT_EQ(SetCpuProbeForTesting(probe), nullptr);
+    EXPECT_FALSE(Avx2Supported());
+    SetLevelForTesting(Level::kAvx2);
+    EXPECT_EQ(ActiveLevel(), Level::kPortable);
+    SetCpuProbeForTesting(nullptr);
+  }
+  SetCpuProbeForTesting(&CpuWithBoth);
+  EXPECT_TRUE(Avx2Supported());
+  EXPECT_EQ(SetCpuProbeForTesting(nullptr), &CpuWithBoth);
+  SetLevelForTesting(original);
+  EXPECT_EQ(ActiveLevel(), original);
 }
 
 TEST(SimdTest, LevelNames) {
