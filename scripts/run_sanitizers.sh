@@ -58,8 +58,10 @@ run_ctest "$BUILD_DIR" 'SharedMatrix|CsProtocol|WindowedDetector'
 # shuffle substrate (arena pages, column chunks, interner, radix scatter —
 # placement-new/manual-destruction code that ASan, not just TSan, must
 # see) get an explicit rerun even when the main invocation was filtered.
+# The shuffle timing histograms are recorded after each parallel phase.
 ENGINE_FILTER='EngineTest|EngineDeterminism|EngineStress|DefaultPartition'
 ENGINE_FILTER+='|CostModel|JobTest|Jobs|ParallelFor'
+ENGINE_FILTER+='|MapReduceShuffleTimingHistograms'
 ENGINE_FILTER+='|Arena|ColumnChunks|KeyInterner|ReduceGroups|ScatterPartitions'
 run_ctest "$BUILD_DIR" "$ENGINE_FILTER"
 
@@ -75,7 +77,7 @@ run_ctest "$BUILD_DIR" "$ENGINE_FILTER"
 SERVE_FILTER='StreamingDetector|StreamingService|WindowedDetector'
 SERVE_FILTER+='|CliServe|CliStreamDemo'
 SERVE_FILTER+='|NetCodec|NetServer|NetEndToEnd|NetBackpressure|NetTornFrame'
-SERVE_FILTER+='|SnapshotFollower|Checkpoint|NetCraftedFrame'
+SERVE_FILTER+='|SnapshotFollower|Checkpoint|NetCraftedFrame|NetSnapshotFormat'
 SERVE_FILTER+='|AnswerProvenance|WireFormat|PayloadReader'
 run_ctest "$BUILD_DIR" "$SERVE_FILTER"
 
@@ -106,7 +108,7 @@ cmake -B "$OTHER_BUILD_DIR" -S "$ROOT" \
   -DCSOD_SANITIZE="$OTHER_SAN"
 cmake --build "$OTHER_BUILD_DIR" -j "$(nproc)" --target \
   engine_test shuffle_test jobs_test cost_model_test parallel_test \
-  thread_pool_test
+  thread_pool_test obs_telemetry_test
 run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 
 # Φ0 kernel pass under AddressSanitizer, whatever SAN is: Φ0 columns are

@@ -207,9 +207,9 @@ Result<AmpResult> RunAmp(const Dictionary& dictionary,
     if (sigma == 0.0) break;
   }
 
-  if (options.debias) {
-    CSOD_RETURN_NOT_OK(Debias(dictionary, y, unthresholded, &result.x));
-  }
+  // Debiased, AMP values compare with the greedy solvers' least-squares
+  // values, for about one OMP iteration of extra cost.
+  CSOD_RETURN_NOT_OK(Debias(dictionary, y, unthresholded, &result.x));
   CSOD_ASSIGN_OR_RETURN(std::vector<double> fitted,
                         dictionary.MultiplyDense(result.x));
   result.final_residual_norm = la::DistanceL2(fitted, y);

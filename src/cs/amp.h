@@ -28,13 +28,6 @@ struct AmpOptions {
   /// `unpenalized_atoms`).
   std::vector<size_t> unthresholded_atoms;
 
-  /// After the iterations stop, re-solve least squares on the detected
-  /// support (capped at `M/4` atoms, strongest first). Soft thresholding
-  /// shrinks every surviving coefficient by θ; the debias pass removes
-  /// that bias so AMP values are comparable to the greedy solvers'
-  /// least-squares values at ~one OMP iteration of extra cost.
-  bool debias = true;
-
   /// Telemetry sink ("amp.*" histograms + the "amp.recover" span). Null
   /// or disabled is free.
   obs::Telemetry* telemetry = nullptr;
@@ -46,7 +39,7 @@ struct AmpResult {
   /// outside the detected support.
   std::vector<double> x;
   size_t iterations = 0;
-  /// ||y − Φx̂||₂ at termination (after the debias pass when enabled).
+  /// ||y − Φx̂||₂ at termination (after the debias pass).
   double final_residual_norm = 0.0;
   /// Per-iteration effective-noise estimates σ̂_t (the state-evolution
   /// trajectory; decays geometrically when AMP is converging).

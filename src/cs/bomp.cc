@@ -79,7 +79,6 @@ Result<BompResult> RunBomp(const MeasurementMatrix& matrix,
 
   OmpOptions omp_options;
   omp_options.max_iterations = options.max_iterations;
-  omp_options.residual_tolerance = options.residual_tolerance;
   omp_options.stop_on_residual_stagnation =
       options.stop_on_residual_stagnation;
   omp_options.telemetry = options.telemetry;
@@ -142,7 +141,6 @@ Result<BompResult> RecoverWithKnownMode(const MeasurementMatrix& matrix,
   MatrixDictionary dictionary(&matrix);
   OmpOptions omp_options;
   omp_options.max_iterations = options.max_iterations;
-  omp_options.residual_tolerance = options.residual_tolerance;
   omp_options.stop_on_residual_stagnation =
       options.stop_on_residual_stagnation;
   omp_options.telemetry = options.telemetry;

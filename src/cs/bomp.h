@@ -30,7 +30,6 @@ struct BompOptions {
 
   /// Passed through to the inner OMP (Section 5 remedy).
   bool stop_on_residual_stagnation = true;
-  double residual_tolerance = 1e-9;
 
   /// Telemetry sink ("bomp.*" histograms + the "bomp.recover" span; also
   /// forwarded to the inner OMP). Null or disabled is free.

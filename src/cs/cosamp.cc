@@ -125,7 +125,7 @@ Result<CosampResult> RunCosamp(const Dictionary& dictionary,
                                      static_cast<double>(support.size()));
     }
 
-    if (residual_norm <= options.residual_tolerance * y_norm) break;
+    if (residual_norm <= kResidualTolerance * y_norm) break;
     // Halting on stagnation (the same Section-5 remedy as OMP).
     if (residual_norm >= prev_residual_norm * (1.0 - 1e-9)) break;
     prev_residual_norm = residual_norm;

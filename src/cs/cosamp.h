@@ -17,8 +17,6 @@ struct CosampOptions {
   size_t sparsity = 0;
   /// Maximum halving iterations.
   size_t max_iterations = 50;
-  /// Stop when ||r||_2 <= tolerance * ||y||_2.
-  double residual_tolerance = 1e-9;
   /// Telemetry sink ("cosamp.*" histograms). Null or disabled is free.
   obs::Telemetry* telemetry = nullptr;
 };

@@ -10,6 +10,14 @@
 
 namespace csod::cs {
 
+namespace {
+
+// Relative decrease below which the residual counts as "not decreasing"
+// (the Section 5 stagnation remedy).
+constexpr double kStagnationTolerance = 1e-12;
+
+}  // namespace
+
 Result<OmpResult> RunOmp(const Dictionary& dictionary,
                          const std::vector<double>& y,
                          const OmpOptions& options) {
@@ -103,10 +111,9 @@ Result<OmpResult> RunOmp(const Dictionary& dictionary,
       }
     }
 
-    if (residual_norm <= options.residual_tolerance * y_norm) break;
+    if (residual_norm <= kResidualTolerance * y_norm) break;
     if (options.stop_on_residual_stagnation &&
-        residual_norm >=
-            prev_residual_norm * (1.0 - options.stagnation_tolerance)) {
+        residual_norm >= prev_residual_norm * (1.0 - kStagnationTolerance)) {
       result.stopped_by_stagnation = true;
       break;
     }

@@ -27,21 +27,18 @@ struct OmpIterationInfo {
   const std::vector<double>* coefficients = nullptr;
 };
 
+/// OMP and CoSaMP stop once ||r||_2 <= kResidualTolerance * ||y||_2.
+inline constexpr double kResidualTolerance = 1e-9;
+
 /// Tuning knobs for the OMP column-selection loop (Algorithm 2).
 struct OmpOptions {
   /// Maximum number of iterations R. The paper tunes R = f(k) in [2k, 5k]
   /// (Section 5). The effective cap is min(R, M, num_atoms).
   size_t max_iterations = 0;
 
-  /// Stop when ||r||_2 <= residual_tolerance * ||y||_2.
-  double residual_tolerance = 1e-9;
-
   /// Section 5 floating-point remedy: "terminate the recovery process once
   /// the residual stops decreasing".
   bool stop_on_residual_stagnation = true;
-
-  /// Relative decrease below which the residual counts as "not decreasing".
-  double stagnation_tolerance = 1e-12;
 
   /// Solve the least-squares coefficients after every iteration (needed for
   /// per-iteration mode traces, Figs. 4(b)/9). Adds O(r*M) per iteration.

@@ -102,6 +102,17 @@ void AppendF64(std::string* out, double v) {
   out->append(buf, 8);
 }
 
+Status AppendLengthPrefixed(std::string* out, std::string_view bytes) {
+  if (bytes.size() > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "wire: length-prefixed field of " + std::to_string(bytes.size()) +
+        " bytes exceeds the u32 length");
+  }
+  AppendU32(out, static_cast<uint32_t>(bytes.size()));
+  out->append(bytes);
+  return Status::OK();
+}
+
 Status PayloadReader::Need(size_t bytes) const {
   if (remaining_ < bytes) {
     return Status::InvalidArgument(std::string(context_) +

@@ -89,6 +89,11 @@ size_t FrameWireSize(size_t payload_size);
 void AppendU32(std::string* out, uint32_t v);
 void AppendU64(std::string* out, uint64_t v);
 void AppendF64(std::string* out, double v);
+/// Appends a u32 byte length and then `bytes` (a string or an embedded
+/// message) — what PayloadReader::LengthPrefixed reads back.
+/// InvalidArgument, with `out` unchanged, when `bytes` does not fit the
+/// u32 length (4 GiB or more).
+Status AppendLengthPrefixed(std::string* out, std::string_view bytes);
 
 /// \brief Bounds-checked cursor over a frame payload — the one decoder
 /// every payload reader (serve RPC frames, checkpoints, the built-in

@@ -5,13 +5,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/parallel.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "mapreduce/cost_model.h"
@@ -27,10 +25,8 @@ namespace csod::mr {
 /// `Emit` is two pointer-bump appends — one into the key column, one into
 /// the value column. There is no per-tuple allocation (chunks are carved
 /// from the task's arena every kDefaultChunkElems tuples), no `std::pair`
-/// materialization, and no byte-accounting callback in the loop: shuffle
-/// bytes are accounted in one batched pass after `map_fn` returns
-/// (tuples × Job::fixed_tuple_bytes, or one deferred sweep calling
-/// Job::tuple_bytes per tuple).
+/// materialization, and no byte accounting in the loop: shuffle bytes are
+/// tuples × Job::tuple_bytes, one multiply after `map_fn` returns.
 template <typename K, typename V>
 class Emitter {
  public:
@@ -58,27 +54,6 @@ class Emitter {
   ColumnChunks<V> values_;
 };
 
-/// \brief Default reduce-task partitioner: a fixed splitmix64-style mixer.
-///
-/// `std::hash<K>` is *identity* for integers on libstdc++, so hashing a
-/// structured key set (say, multiples of 8) through `% num_reduce_tasks`
-/// produces skewed, structured partitions — and a different assignment on
-/// every standard library, violating the cross-platform determinism
-/// contract (DESIGN.md §10). Integral keys therefore go through SplitMix64
-/// directly: the assignment is a pure function of the key's value,
-/// byte-identical on every platform. Non-integral keys fall back to mixing
-/// `std::hash<K>` (unskewed, but only as portable as that hash — supply a
-/// `Job::partition_fn` when such keys need cross-platform pinning).
-template <typename K>
-size_t DefaultPartition(const K& key) {
-  if constexpr (std::is_integral_v<K>) {
-    return static_cast<size_t>(SplitMix64(static_cast<uint64_t>(key)));
-  } else {
-    return static_cast<size_t>(
-        SplitMix64(static_cast<uint64_t>(std::hash<K>{}(key))));
-  }
-}
-
 /// \brief Declarative description of a MapReduce job over the in-process
 /// engine.
 ///
@@ -86,39 +61,34 @@ size_t DefaultPartition(const K& key) {
 /// final output record. The map function runs once per split (task level,
 /// so in-mapper combining — the paper's "partial aggregation for each key"
 /// — is expressible either inside `map_fn` or declaratively via
-/// `combine_fn`). Exactly one of `reduce_fn` (per key group) or
-/// `task_reduce_fn` (whole reduce-task view, needed when the reducer is
-/// not key-local, e.g. CS recovery over the complete measurement vector)
-/// must be provided.
+/// `combine_fn`). The reducer sees a whole reduce task's grouped view: a
+/// key-local reduce is a loop over its groups, and a reducer that is not
+/// key-local (CS recovery over the complete measurement vector) reads
+/// them all.
 ///
-/// Type requirements: `K` must be copyable, equality- and less-than-
-/// comparable, and hashable (integral, or via `std::hash`); `V` must be
-/// movable and default-constructible. Group views hand reducers `Span<V>`
-/// windows over the shuffle's value column — no per-key container exists.
+/// Type requirements: `K` must be an integer type (keys are partitioned
+/// and interned by `DefaultPartition`); `V` must be movable and
+/// default-constructible. Group views hand reducers `Span<V>` windows
+/// over the shuffle's value column — no per-key container exists.
 ///
 /// Thread safety: the engine runs map tasks concurrently, and reduce tasks
 /// concurrently, under the global parallelism limit
-/// (common/parallel.h). `map_fn`, `combine_fn`, `partition_fn`,
-/// `tuple_bytes`, and the reducer must therefore be safe to invoke
-/// concurrently for *distinct* tasks (pure functions of their arguments,
-/// or functions whose shared captures are read-only). A reducer that
-/// mutates shared captured state is safe only with `num_reduce_tasks == 1`
-/// (a single task runs on the calling thread).
+/// (common/parallel.h). `map_fn`, `combine_fn` and `reduce_fn` must
+/// therefore be safe to invoke concurrently for *distinct* tasks (pure
+/// functions of their arguments, or functions whose shared captures are
+/// read-only). A reducer that mutates shared captured state is safe only
+/// with `num_reduce_tasks == 1` (a single task runs on the calling
+/// thread).
 template <typename Input, typename K, typename V, typename Out>
 struct Job {
   /// Map task body: consumes one split, emits intermediate pairs.
   std::function<void(const std::vector<Input>&, Emitter<K, V>*)> map_fn;
 
-  /// Per-key reduce: values of one key group -> output records. Keys are
-  /// visited in sorted order; the span is a stable-ordered window over
-  /// the shuffle's value column (map-task order, emit order within a
-  /// task), mutable so reducers may move values out.
-  std::function<void(const K&, Span<V>, std::vector<Out>*)> reduce_fn;
-
-  /// Task-level reduce: the full grouped view of one reduce task
-  /// (iteration order = sorted keys).
-  std::function<void(ReduceGroups<K, V>&, std::vector<Out>*)>
-      task_reduce_fn;
+  /// Reduce task body: the full grouped view of one reduce task
+  /// (iteration order = sorted keys; each group's span is a stable-ordered
+  /// window over the shuffle's value column — map-task order, emit order
+  /// within a task — mutable so reducers may move values out).
+  std::function<void(ReduceGroups<K, V>&, std::vector<Out>*)> reduce_fn;
 
   /// Optional in-mapper combiner (the paper's "partial aggregation for
   /// each key"): folds one map task's values for one key — in emit order —
@@ -129,36 +99,24 @@ struct Job {
   /// (`JobStats::shuffle_{bytes,tuples}`, what actually crosses the wire).
   std::function<V(const K&, Span<V>)> combine_fn;
 
-  /// On-wire size of one intermediate pair (shuffle accounting), applied
-  /// in a deferred batch pass — never inside the emit loop. Exactly one
-  /// of `tuple_bytes` / `fixed_tuple_bytes` must be set.
-  std::function<uint64_t(const K&, const V&)> tuple_bytes;
+  /// On-wire size of one intermediate pair in bytes (dist::kKeyValueBytes,
+  /// dist::kMeasurementBytes); must be > 0. Shuffle bytes are
+  /// tuples × tuple_bytes.
+  uint64_t tuple_bytes = 0;
 
-  /// Constant on-wire tuple size (bytes): the fast path for the common
-  /// fixed-width wire formats (dist::kKeyValueBytes,
-  /// dist::kMeasurementBytes). When nonzero, byte accounting is a single
-  /// multiply per batch and `tuple_bytes` must be unset.
-  uint64_t fixed_tuple_bytes = 0;
-
-  /// On-disk size of one input record (input IO accounting).
-  uint64_t input_record_bytes = 16;
-
-  /// Number of reduce tasks (keys are hash-partitioned across them).
+  /// Number of reduce tasks (keys are spread across them by
+  /// `DefaultPartition(key) % num_reduce_tasks`).
   size_t num_reduce_tasks = 1;
-
-  /// Optional custom partitioner: key -> reduce task (the engine applies
-  /// `% num_reduce_tasks`). Defaults to the splitmix64 mixer
-  /// (`DefaultPartition`), never raw `std::hash`. The default is
-  /// dispatched as an inlined template — a custom function pays one
-  /// `std::function` call per tuple, applied exactly once in the radix
-  /// pass.
-  std::function<size_t(const K&)> partition_fn;
 
   /// Telemetry sink: `mr.{map,shuffle,reduce}` spans, shuffle volume
   /// counters, and `mr.shuffle.{build,merge}_ms` per-task timing
   /// histograms. Null or disabled is free.
   obs::Telemetry* telemetry = nullptr;
 };
+
+/// On-disk size of one input record (input IO accounting): one 16-byte
+/// ScoreEvent (mapreduce/jobs.h).
+inline constexpr uint64_t kInputRecordBytes = 16;
 
 /// Result of a job run: the concatenated reducer outputs plus measured
 /// stats (feed them to a ClusterCostModel for simulated timings).
@@ -169,25 +127,6 @@ struct JobResult {
 };
 
 namespace internal {
-
-/// Batched shuffle byte accounting over zipped column runs:
-/// `count * fixed` when the job declares a constant tuple size, else one
-/// deferred sweep calling `tuple_bytes` per tuple (still hoisted out of
-/// the emit hot loop).
-template <typename K, typename V, typename ForEachRun>
-uint64_t AccountTupleBytes(
-    uint64_t fixed_tuple_bytes,
-    const std::function<uint64_t(const K&, const V&)>& tuple_bytes,
-    size_t total_tuples, ForEachRun&& for_each_run) {
-  if (fixed_tuple_bytes > 0) {
-    return static_cast<uint64_t>(total_tuples) * fixed_tuple_bytes;
-  }
-  uint64_t bytes = 0;
-  for_each_run([&](const K* keys, V* values, size_t count) {
-    for (size_t i = 0; i < count; ++i) bytes += tuple_bytes(keys[i], values[i]);
-  });
-  return bytes;
-}
 
 /// One map task's post-map state: the arena that owns every buffer, the
 /// emitter columns, optional combined tuples, and the per-reduce-task
@@ -216,12 +155,11 @@ struct MapTaskState {
 
 /// Builds one map task's partition blocks from the tuples it will ship
 /// (the emitter columns, or the combined tuples): zero-copy column views
-/// for a single reduce task, radix scatter otherwise. `part_fn` is a
-/// template parameter so the DefaultPartition path is fully inlined.
-template <typename K, typename V, typename PartFn, typename ForEachRun>
+/// for a single reduce task, a radix scatter by DefaultPartition
+/// otherwise.
+template <typename K, typename V, typename ForEachRun>
 void BuildPartitionBlocks(MapTaskState<K, V>* t, size_t num_reduce_tasks,
-                          size_t total_tuples, const PartFn& part_fn,
-                          ForEachRun&& for_each_run,
+                          size_t total_tuples, ForEachRun&& for_each_run,
                           std::vector<TupleRun<K, V>>&& single_part_runs) {
   if (num_reduce_tasks == 1) {
     t->blocks.resize(1);
@@ -229,9 +167,10 @@ void BuildPartitionBlocks(MapTaskState<K, V>* t, size_t num_reduce_tasks,
     t->blocks[0].count = total_tuples;
     return;
   }
-  ScatterPartitions<K, V>(total_tuples, num_reduce_tasks, t->arena.get(),
-                          part_fn, for_each_run, &t->part_keys,
-                          &t->part_values, &t->blocks);
+  ScatterPartitions<K, V>(
+      total_tuples, num_reduce_tasks, t->arena.get(),
+      [](const K& key) { return DefaultPartition(key); }, for_each_run,
+      &t->part_keys, &t->part_values, &t->blocks);
 }
 
 }  // namespace internal
@@ -245,8 +184,8 @@ void BuildPartitionBlocks(MapTaskState<K, V>* t, size_t num_reduce_tasks,
 ///     `map_fn` emits into columnar key/value chunks (no per-tuple
 ///     allocation); `map_compute_sec` times only the `map_fn` body.
 ///     Combining (hash-grouping over interned key ordinals, folded in
-///     emit order), the radix partition pass (partition function applied
-///     once per tuple), and batched byte accounting are charged to
+///     emit order), the radix partition pass (DefaultPartition applied
+///     once per tuple), and byte accounting are charged to
 ///     `shuffle_build_sec`.
 ///  2. *Shuffle build*: per-reduce-task groups are built from the map
 ///     tasks' partition blocks, walked in fixed split order — so the
@@ -265,17 +204,11 @@ Result<JobResult<Out>> RunJob(const std::vector<std::vector<Input>>& splits,
   if (!job.map_fn) {
     return Status::InvalidArgument("RunJob: map_fn is required");
   }
-  const bool has_bytes_fn = static_cast<bool>(job.tuple_bytes);
-  if (has_bytes_fn == (job.fixed_tuple_bytes > 0)) {
-    return Status::InvalidArgument(
-        "RunJob: exactly one of tuple_bytes / fixed_tuple_bytes must be "
-        "set");
+  if (!job.reduce_fn) {
+    return Status::InvalidArgument("RunJob: reduce_fn is required");
   }
-  const bool has_key_reduce = static_cast<bool>(job.reduce_fn);
-  const bool has_task_reduce = static_cast<bool>(job.task_reduce_fn);
-  if (has_key_reduce == has_task_reduce) {
-    return Status::InvalidArgument(
-        "RunJob: exactly one of reduce_fn / task_reduce_fn must be set");
+  if (job.tuple_bytes == 0) {
+    return Status::InvalidArgument("RunJob: tuple_bytes must be > 0");
   }
   if (job.num_reduce_tasks == 0) {
     return Status::InvalidArgument("RunJob: num_reduce_tasks must be > 0");
@@ -322,63 +255,50 @@ Result<JobResult<Out>> RunJob(const std::vector<std::vector<Input>>& splits,
       // cost model scales shuffle work by compute_scale).
       t.map_sec = map_watch.ElapsedSeconds();
       t.input_bytes =
-          static_cast<uint64_t>(splits[s].size()) * job.input_record_bytes;
+          static_cast<uint64_t>(splits[s].size()) * kInputRecordBytes;
 
       Stopwatch build_watch;
       const size_t emitted = t.emitter->size();
       auto emit_runs = ColumnRuns(t.emitter->keys(), t.emitter->values());
       t.pre_tuples = emitted;
-      t.pre_bytes = internal::AccountTupleBytes<K, V>(
-          job.fixed_tuple_bytes, job.tuple_bytes, emitted, emit_runs);
+      t.pre_bytes = static_cast<uint64_t>(emitted) * job.tuple_bytes;
 
       // The tuples this task ships: the raw emits, or — with a combiner —
       // one hash-grouped, emit-order-folded tuple per distinct key.
-      auto build_blocks = [&](const auto& part_fn) {
-        if (job.combine_fn) {
-          auto groups =
-              ReduceGroups<K, V>::Build(emitted, /*sorted_keys=*/false,
-                                        emit_runs);
-          t.combined_keys.reserve(groups.size());
-          t.combined_values.reserve(groups.size());
-          for (size_t g = 0; g < groups.size(); ++g) {
-            t.combined_keys.push_back(groups.key(g));
-            t.combined_values.push_back(
-                job.combine_fn(groups.key(g), groups.values(g)));
-          }
-          auto combined_runs = [&](auto&& fn) {
-            if (!t.combined_keys.empty()) {
-              fn(t.combined_keys.data(), t.combined_values.data(),
-                 t.combined_keys.size());
-            }
-          };
-          t.post_tuples = t.combined_keys.size();
-          t.post_bytes = internal::AccountTupleBytes<K, V>(
-              job.fixed_tuple_bytes, job.tuple_bytes, t.post_tuples,
-              combined_runs);
-          std::vector<TupleRun<K, V>> run;
-          if (!t.combined_keys.empty()) {
-            run.push_back(TupleRun<K, V>{t.combined_keys.data(),
-                                         t.combined_values.data(),
-                                         t.combined_keys.size()});
-          }
-          internal::BuildPartitionBlocks(&t, job.num_reduce_tasks,
-                                         t.post_tuples, part_fn,
-                                         combined_runs, std::move(run));
-        } else {
-          t.post_bytes = t.pre_bytes;
-          t.post_tuples = t.pre_tuples;
-          internal::BuildPartitionBlocks(
-              &t, job.num_reduce_tasks, emitted, part_fn, emit_runs,
-              BlockOverColumns(t.emitter->keys(), t.emitter->values())
-                  .runs);
+      if (job.combine_fn) {
+        auto groups = ReduceGroups<K, V>::Build(emitted,
+                                                /*sorted_keys=*/false,
+                                                emit_runs);
+        t.combined_keys.reserve(groups.size());
+        t.combined_values.reserve(groups.size());
+        for (size_t g = 0; g < groups.size(); ++g) {
+          t.combined_keys.push_back(groups.key(g));
+          t.combined_values.push_back(
+              job.combine_fn(groups.key(g), groups.values(g)));
         }
-      };
-      if (job.partition_fn) {
-        build_blocks(job.partition_fn);
+        auto combined_runs = [&](auto&& fn) {
+          if (!t.combined_keys.empty()) {
+            fn(t.combined_keys.data(), t.combined_values.data(),
+               t.combined_keys.size());
+          }
+        };
+        t.post_tuples = t.combined_keys.size();
+        t.post_bytes = t.post_tuples * job.tuple_bytes;
+        std::vector<TupleRun<K, V>> run;
+        if (!t.combined_keys.empty()) {
+          run.push_back(TupleRun<K, V>{t.combined_keys.data(),
+                                       t.combined_values.data(),
+                                       t.combined_keys.size()});
+        }
+        internal::BuildPartitionBlocks(&t, job.num_reduce_tasks,
+                                       t.post_tuples, combined_runs,
+                                       std::move(run));
       } else {
-        // Devirtualized fast path: DefaultPartition inlines into the
-        // radix loop.
-        build_blocks([](const K& k) { return DefaultPartition(k); });
+        t.post_bytes = t.pre_bytes;
+        t.post_tuples = t.pre_tuples;
+        internal::BuildPartitionBlocks(
+            &t, job.num_reduce_tasks, emitted, emit_runs,
+            BlockOverColumns(t.emitter->keys(), t.emitter->values()).runs);
       }
       t.build_sec = build_watch.ElapsedSeconds();
     });
@@ -430,14 +350,7 @@ Result<JobResult<Out>> RunJob(const std::vector<std::vector<Input>>& splits,
     obs::TraceSpan span(job.telemetry, "mr.reduce");
     ParallelForEach(job.num_reduce_tasks, [&](size_t task) {
       Stopwatch reduce_watch;
-      if (has_task_reduce) {
-        job.task_reduce_fn(groups[task], &outputs[task]);
-      } else {
-        ReduceGroups<K, V>& g = groups[task];
-        for (size_t i = 0; i < g.size(); ++i) {
-          job.reduce_fn(g.key(i), g.values(i), &outputs[task]);
-        }
-      }
+      job.reduce_fn(groups[task], &outputs[task]);
       reduce_sec[task] = reduce_watch.ElapsedSeconds();
     });
   }

@@ -14,6 +14,9 @@
 
 namespace csod::mr {
 
+static_assert(sizeof(ScoreEvent) == kInputRecordBytes,
+              "input IO accounting charges one ScoreEvent per record");
+
 std::vector<std::vector<ScoreEvent>> ExpandSlicesToEvents(
     const std::vector<cs::SparseSlice>& slices, size_t events_per_key,
     uint64_t seed) {
@@ -82,10 +85,10 @@ Result<TopKJobResult> RunTraditionalTopKJob(
   Job<ScoreEvent, uint64_t, double, outlier::Outlier> job;
   job.map_fn = TraditionalMap;
   if (combine) job.combine_fn = SumCombiner;
-  job.fixed_tuple_bytes = dist::kKeyValueBytes;
+  job.tuple_bytes = dist::kKeyValueBytes;
   job.telemetry = telemetry;
-  job.task_reduce_fn = [k](ReduceGroups<uint64_t, double>& groups,
-                           std::vector<outlier::Outlier>* out) {
+  job.reduce_fn = [k](ReduceGroups<uint64_t, double>& groups,
+                      std::vector<outlier::Outlier>* out) {
     // Merge, then select the k largest aggregates (the reducer-side sort
     // the paper charges the traditional implementation for).
     std::vector<outlier::Outlier> all;
@@ -113,11 +116,11 @@ Result<OutlierJobResult> RunTraditionalOutlierJob(
   Job<ScoreEvent, uint64_t, double, outlier::Outlier> job;
   job.map_fn = TraditionalMap;
   job.combine_fn = SumCombiner;
-  job.fixed_tuple_bytes = dist::kKeyValueBytes;
+  job.tuple_bytes = dist::kKeyValueBytes;
   job.telemetry = telemetry;
   double mode = 0.0;
-  job.task_reduce_fn = [n, k, &mode](ReduceGroups<uint64_t, double>& groups,
-                                     std::vector<outlier::Outlier>* out) {
+  job.reduce_fn = [n, k, &mode](ReduceGroups<uint64_t, double>& groups,
+                                std::vector<outlier::Outlier>* out) {
     std::vector<double> x(n, 0.0);
     for (size_t g = 0; g < groups.size(); ++g) {
       const uint64_t key = groups.key(g);
@@ -210,13 +213,13 @@ Result<CsJobResult> RunCsOutlierJob(
   };
   // 64-bit measurements on the wire (S_M in Section 6.1.2); the row index
   // is positional in a real implementation.
-  job.fixed_tuple_bytes = dist::kMeasurementBytes;
+  job.tuple_bytes = dist::kMeasurementBytes;
 
   cs::BompResult recovery;
   double recovered_mode = 0.0;
   Status reduce_status = Status::OK();
-  job.task_reduce_fn = [&](ReduceGroups<uint32_t, double>& groups,
-                           std::vector<outlier::Outlier>* out) {
+  job.reduce_fn = [&](ReduceGroups<uint32_t, double>& groups,
+                      std::vector<outlier::Outlier>* out) {
     // Algorithm 4 (CS-Reducer): sum measurement rows into the global y,
     // regenerate Φ0 from the seed, recover with BOMP.
     std::vector<double> y(options.m, 0.0);

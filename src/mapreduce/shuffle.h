@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -59,17 +58,20 @@ size_t RoundUpPow2(size_t v);
 void RecordShuffleTimings(obs::Telemetry* telemetry, const char* name,
                           const std::vector<double>& seconds);
 
-/// The shuffle's key hash: SplitMix64 of the key's value for integral
-/// keys (identical on every platform), SplitMix64-mixed std::hash
-/// otherwise. Matches the spirit of DefaultPartition (engine.h) — never a
-/// raw identity hash.
+/// \brief The engine's one key hash: SplitMix64 of the key's value. It
+/// assigns keys to reduce tasks (`% num_reduce_tasks`) and places them in
+/// the KeyInterner's table.
+///
+/// `std::hash<K>` is *identity* for integers on libstdc++, so hashing a
+/// structured key set (say, multiples of 8) through `% num_reduce_tasks`
+/// would produce skewed, structured partitions — and a different
+/// assignment on every standard library, violating the cross-platform
+/// determinism contract (DESIGN.md §10). The mixer is a pure function of
+/// the key's value, byte-identical on every platform.
 template <typename K>
-uint64_t ShuffleKeyHash(const K& key) {
-  if constexpr (std::is_integral_v<K>) {
-    return SplitMix64(static_cast<uint64_t>(key));
-  } else {
-    return SplitMix64(static_cast<uint64_t>(std::hash<K>{}(key)));
-  }
+size_t DefaultPartition(const K& key) {
+  static_assert(std::is_integral_v<K>, "MapReduce keys are integers");
+  return static_cast<size_t>(SplitMix64(static_cast<uint64_t>(key)));
 }
 
 /// \brief Open-addressing key -> dense-ordinal interner.
@@ -92,7 +94,7 @@ class KeyInterner {
   uint32_t Intern(const K& key) {
     if ((keys_.size() + 1) * 2 > capacity_) Grow();
     const size_t mask = capacity_ - 1;
-    size_t i = static_cast<size_t>(ShuffleKeyHash(key)) & mask;
+    size_t i = DefaultPartition(key) & mask;
     while (true) {
       const uint32_t slot = slots_[i];
       if (slot == kEmpty) {
@@ -118,7 +120,7 @@ class KeyInterner {
     slots_.assign(capacity_, kEmpty);
     const size_t mask = capacity_ - 1;
     for (uint32_t ordinal = 0; ordinal < keys_.size(); ++ordinal) {
-      size_t i = static_cast<size_t>(ShuffleKeyHash(keys_[ordinal])) & mask;
+      size_t i = DefaultPartition(keys_[ordinal]) & mask;
       while (slots_[i] != kEmpty) i = (i + 1) & mask;
       slots_[i] = ordinal;
     }
@@ -145,9 +147,7 @@ class KeyInterner {
 /// first-appearance order (the in-mapper combiner, where order does not
 /// reach the output).
 ///
-/// Requirements: K copyable, equality-comparable, hashable (integral or
-/// std::hash), and less-than-comparable when `sorted_keys`; V movable and
-/// default-constructible.
+/// Requirements: K an integer type; V movable and default-constructible.
 template <typename K, typename V>
 class ReduceGroups {
  public:
@@ -269,10 +269,9 @@ PartitionBlock<K, V> BlockOverColumns(ColumnChunks<K>& keys,
 /// per-task histogram; the second pass scatters keys (copied) and values
 /// (moved) into exact-size arena-backed per-partition columns through
 /// monotone per-partition cursors — stable, so within-partition order is
-/// emit order. `part_fn` is a template parameter: the engine instantiates
-/// this with the raw `DefaultPartition` template when the job has no
-/// custom partitioner, so the built-in path is fully inlined (no
-/// `std::function` dispatch per tuple).
+/// emit order. `part_fn` is a template parameter, so the engine's
+/// `DefaultPartition` and the streaming ingest path's shard hash are
+/// inlined into the loop (no `std::function` dispatch per tuple).
 template <typename K, typename V, typename PartFn, typename ForEachRun>
 void ScatterPartitions(size_t total_tuples, size_t num_parts, Arena* arena,
                        const PartFn& part_fn, ForEachRun&& for_each_run,

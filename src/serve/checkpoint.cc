@@ -1,9 +1,11 @@
 #include "serve/checkpoint.h"
 
+#include <string>
 #include <utility>
 
 #include "cs/measurement_matrix.h"
 #include "dist/wire_format.h"
+#include "serve/snapshot.h"
 #include "sim/buggify.h"
 
 namespace csod::serve {
@@ -22,10 +24,7 @@ using dist::AppendU64;
 //   per epoch: u64 events, u32 len, EncodeMeasurement bytes (own checksum)
 //   per shard: u8 stalled
 //   per shard: u64 num_slices; per slice: u32 len, EncodeKeyValues bytes
-//   if has_snapshot:
-//     u64 version, last_epoch, first_epoch, epochs_covered, events
-//     u32 num_stalled; u32 per stalled shard
-//     u32 len, EncodeMeasurement(y) bytes
+//   if has_snapshot: the AppendSnapshot layout (serve/snapshot.h)
 //   u32 phi0_format (cs::kPhi0Format)
 //
 // The Φ0 format is a trailer: a frame written before the marker existed
@@ -35,17 +34,6 @@ using dist::AppendU64;
 
 void AppendU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
-}
-
-Status AppendMessage(std::string* out, const Result<std::string>& message) {
-  CSOD_RETURN_NOT_OK(message.status());
-  if (message.Value().size() > UINT32_MAX) {
-    return Status::InvalidArgument(
-        "checkpoint: embedded message exceeds 4 GiB");
-  }
-  AppendU32(out, static_cast<uint32_t>(message.Value().size()));
-  out->append(message.Value());
-  return Status::OK();
 }
 
 }  // namespace
@@ -74,8 +62,10 @@ Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
   AppendU64(&payload, num_epochs);
   for (uint64_t e = 0; e < num_epochs; ++e) {
     AppendU64(&payload, checkpoint.epoch_events[e]);
-    CSOD_RETURN_NOT_OK(AppendMessage(
-        &payload, dist::EncodeMeasurement(checkpoint.epoch_sketches[e])));
+    CSOD_ASSIGN_OR_RETURN(
+        const std::string sketch,
+        dist::EncodeMeasurement(checkpoint.epoch_sketches[e]));
+    CSOD_RETURN_NOT_OK(dist::AppendLengthPrefixed(&payload, sketch));
   }
 
   if (checkpoint.stalled.size() != options.num_shards ||
@@ -86,21 +76,14 @@ Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
   for (const std::vector<cs::SparseSlice>& backlog : checkpoint.backlogs) {
     AppendU64(&payload, backlog.size());
     for (const cs::SparseSlice& slice : backlog) {
-      CSOD_RETURN_NOT_OK(AppendMessage(&payload, dist::EncodeKeyValues(slice)));
+      CSOD_ASSIGN_OR_RETURN(const std::string kv,
+                            dist::EncodeKeyValues(slice));
+      CSOD_RETURN_NOT_OK(dist::AppendLengthPrefixed(&payload, kv));
     }
   }
 
   if (checkpoint.snapshot != nullptr) {
-    const SketchSnapshot& snapshot = *checkpoint.snapshot;
-    AppendU64(&payload, snapshot.version);
-    AppendU64(&payload, snapshot.last_epoch);
-    AppendU64(&payload, snapshot.first_epoch);
-    AppendU64(&payload, snapshot.epochs_covered);
-    AppendU64(&payload, snapshot.events);
-    AppendU32(&payload, static_cast<uint32_t>(snapshot.stalled_shards.size()));
-    for (uint32_t shard : snapshot.stalled_shards) AppendU32(&payload, shard);
-    CSOD_RETURN_NOT_OK(
-        AppendMessage(&payload, dist::EncodeMeasurement(snapshot.y)));
+    CSOD_RETURN_NOT_OK(AppendSnapshot(*checkpoint.snapshot, &payload));
   }
   AppendU32(&payload, cs::kPhi0Format);
 
@@ -198,23 +181,7 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
 
   if (has_snapshot != 0) {
     auto snapshot = std::make_shared<SketchSnapshot>();
-    CSOD_RETURN_NOT_OK(reader.U64(&snapshot->version));
-    CSOD_RETURN_NOT_OK(reader.U64(&snapshot->last_epoch));
-    CSOD_RETURN_NOT_OK(reader.U64(&snapshot->first_epoch));
-    CSOD_RETURN_NOT_OK(reader.U64(&u));
-    snapshot->epochs_covered = static_cast<size_t>(u);
-    CSOD_RETURN_NOT_OK(reader.U64(&snapshot->events));
-    uint32_t num_stalled = 0;
-    CSOD_RETURN_NOT_OK(reader.U32(&num_stalled));
-    CSOD_RETURN_NOT_OK(reader.CheckCount(num_stalled, 4));
-    snapshot->stalled_shards.reserve(num_stalled);
-    for (uint32_t i = 0; i < num_stalled; ++i) {
-      uint32_t shard = 0;
-      CSOD_RETURN_NOT_OK(reader.U32(&shard));
-      snapshot->stalled_shards.push_back(shard);
-    }
-    CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&message));
-    CSOD_ASSIGN_OR_RETURN(snapshot->y, dist::DecodeMeasurement(message));
+    CSOD_RETURN_NOT_OK(ReadSnapshot(&reader, snapshot.get()));
     if (snapshot->y.size() != decoded.m) {
       return Status::InvalidArgument("checkpoint: snapshot y size mismatch");
     }
@@ -223,22 +190,9 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
 
   // The state above only means something against the Φ0 it was measured
   // with; refuse any other format rather than answer against the wrong one.
-  if (reader.remaining() == 0) {
-    return Status::InvalidArgument(
-        "checkpoint: no Φ0 format marker; it was written with Φ0 format 1 "
-        "(double entries), and this build uses format " +
-        std::to_string(cs::kPhi0Format));
-  }
-  uint32_t phi0_format = 0;
-  CSOD_RETURN_NOT_OK(reader.U32(&phi0_format));
-  if (phi0_format != cs::kPhi0Format) {
-    return Status::InvalidArgument(
-        "checkpoint: written with Φ0 format " + std::to_string(phi0_format) +
-        ", and this build uses format " + std::to_string(cs::kPhi0Format));
-  }
-  if (reader.remaining() != 0) {
-    return Status::InvalidArgument("checkpoint: trailing payload bytes");
-  }
+  CSOD_RETURN_NOT_OK(ReadPhi0Format(
+      &reader, "checkpoint",
+      "it was written with Φ0 format 1 (double entries)"));
   return decoded;
 }
 

@@ -17,27 +17,34 @@ namespace csod::serve {
 namespace {
 
 using dist::AppendF64;
+using dist::AppendLengthPrefixed;
 using dist::AppendU32;
 using dist::AppendU64;
 using dist::PayloadReader;
 
 uint8_t KindByte(NetFrameKind kind) { return static_cast<uint8_t>(kind); }
 
-void AppendString(std::string* out, const std::string& s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
+// The tenant name that starts every tenant-addressed request.
+Status AppendTenant(std::string* payload, const std::string& tenant) {
+  if (tenant.empty()) {
+    return Status::InvalidArgument("net: tenant name must be non-empty");
+  }
+  return AppendLengthPrefixed(payload, tenant);
 }
 
-std::string TenantRequest(NetFrameKind kind, const std::string& tenant) {
+Result<std::string> TenantRequest(NetFrameKind kind,
+                                  const std::string& tenant) {
   std::string payload;
-  AppendString(&payload, tenant);
+  CSOD_RETURN_NOT_OK(AppendTenant(&payload, tenant));
   return dist::EncodeFrame(KindByte(kind), 0, payload);
 }
 
 std::string ErrorFrame(const Status& status) {
   std::string payload;
   AppendU32(&payload, static_cast<uint32_t>(status.code()));
-  AppendString(&payload, status.message());
+  const Status appended = AppendLengthPrefixed(&payload, status.message());
+  // A message past 4 GiB is answered with the (short) refusal instead.
+  if (!appended.ok()) return ErrorFrame(appended);
   return dist::EncodeFrame(KindByte(NetFrameKind::kError), 0, payload);
 }
 
@@ -46,7 +53,8 @@ std::string PushbackFrame(uint64_t queued_bytes, uint64_t limit_bytes,
   std::string payload;
   AppendU64(&payload, queued_bytes);
   AppendU64(&payload, limit_bytes);
-  AppendString(&payload, message);
+  const Status appended = AppendLengthPrefixed(&payload, message);
+  if (!appended.ok()) return ErrorFrame(appended);
   return dist::EncodeFrame(KindByte(NetFrameKind::kPushback), 0, payload);
 }
 
@@ -103,7 +111,8 @@ Result<uint64_t> DecodeAck(const dist::FrameView& view) {
   return value;
 }
 
-std::string EncodeQueryResultResponse(const StreamingQueryResult& result) {
+Result<std::string> EncodeQueryResultResponse(
+    const StreamingQueryResult& result) {
   std::string payload;
   AppendF64(&payload, result.mode);
   AppendU64(&payload, result.key_space);
@@ -115,7 +124,7 @@ std::string EncodeQueryResultResponse(const StreamingQueryResult& result) {
   for (uint32_t shard : result.stalled_shards) AppendU32(&payload, shard);
   AppendU64(&payload, result.rows.size());
   for (const query::ResultRow& row : result.rows) {
-    AppendString(&payload, row.group_key);
+    CSOD_RETURN_NOT_OK(AppendLengthPrefixed(&payload, row.group_key));
     AppendF64(&payload, row.value);
     AppendF64(&payload, row.rank_score);
   }
@@ -239,26 +248,20 @@ Status ReadLengthPrefixed(int fd, size_t max_frame_bytes, std::string* frame,
 
 Result<std::string> EncodeIngestRequest(const std::string& tenant,
                                         const cs::SparseSlice& events) {
-  if (tenant.empty()) {
-    return Status::InvalidArgument("net: tenant name must be non-empty");
-  }
+  std::string payload;
+  CSOD_RETURN_NOT_OK(AppendTenant(&payload, tenant));
   // The batch rides as the exact key-value message the batch protocols
   // transmit — 32-bit key ids and finite values enforced at encode time.
-  CSOD_ASSIGN_OR_RETURN(std::string kv, dist::EncodeKeyValues(events));
-  std::string payload;
-  AppendString(&payload, tenant);
-  AppendString(&payload, kv);
+  CSOD_ASSIGN_OR_RETURN(const std::string kv, dist::EncodeKeyValues(events));
+  CSOD_RETURN_NOT_OK(AppendLengthPrefixed(&payload, kv));
   return dist::EncodeFrame(KindByte(NetFrameKind::kIngestBatch), events.nnz(),
                            payload);
 }
 
 Result<std::string> EncodeAdvanceRequest(const std::string& tenant,
                                          uint64_t tick) {
-  if (tenant.empty()) {
-    return Status::InvalidArgument("net: tenant name must be non-empty");
-  }
   std::string payload;
-  AppendString(&payload, tenant);
+  CSOD_RETURN_NOT_OK(AppendTenant(&payload, tenant));
   AppendU64(&payload, tick);
   return dist::EncodeFrame(KindByte(NetFrameKind::kAdvance), 0, payload);
 }
@@ -268,37 +271,24 @@ Result<std::string> EncodeQueryRequest(const std::string& query_text) {
     return Status::InvalidArgument("net: query text must be non-empty");
   }
   std::string payload;
-  AppendString(&payload, query_text);
+  CSOD_RETURN_NOT_OK(AppendLengthPrefixed(&payload, query_text));
   return dist::EncodeFrame(KindByte(NetFrameKind::kQuery), 0, payload);
 }
 
 Result<std::string> EncodeSnapshotRequest(const std::string& tenant) {
-  if (tenant.empty()) {
-    return Status::InvalidArgument("net: tenant name must be non-empty");
-  }
   return TenantRequest(NetFrameKind::kSnapshotFetch, tenant);
 }
 
 Result<std::string> EncodeCheckpointRequest(const std::string& tenant) {
-  if (tenant.empty()) {
-    return Status::InvalidArgument("net: tenant name must be non-empty");
-  }
   return TenantRequest(NetFrameKind::kCheckpointFetch, tenant);
 }
 
 Result<std::string> EncodeSnapshotResponse(const SketchSnapshot& snapshot) {
   std::string payload;
-  AppendU64(&payload, snapshot.version);
-  AppendU64(&payload, snapshot.last_epoch);
-  AppendU64(&payload, snapshot.first_epoch);
-  AppendU64(&payload, snapshot.epochs_covered);
-  AppendU64(&payload, snapshot.events);
-  AppendU32(&payload, static_cast<uint32_t>(snapshot.stalled_shards.size()));
-  for (uint32_t shard : snapshot.stalled_shards) AppendU32(&payload, shard);
-  // The window measurement travels as an embedded measurement message with
-  // its own checksum — the same bytes a protocol node would transmit.
-  CSOD_ASSIGN_OR_RETURN(std::string y, dist::EncodeMeasurement(snapshot.y));
-  AppendString(&payload, y);
+  CSOD_RETURN_NOT_OK(AppendSnapshot(snapshot, &payload));
+  // `y` only means something against the Φ0 it was measured with: the
+  // frame names that format, like the checkpoint trailer.
+  AppendU32(&payload, cs::kPhi0Format);
   return dist::EncodeFrame(KindByte(NetFrameKind::kSnapshot),
                            snapshot.y.size(), payload);
 }
@@ -308,32 +298,13 @@ Result<SketchSnapshot> DecodeSnapshotResponse(const std::string& frame) {
   CSOD_RETURN_NOT_OK(ExpectKind(view, NetFrameKind::kSnapshot));
   PayloadReader reader(view, "net");
   SketchSnapshot snapshot;
-  CSOD_RETURN_NOT_OK(reader.U64(&snapshot.version));
-  CSOD_RETURN_NOT_OK(reader.U64(&snapshot.last_epoch));
-  CSOD_RETURN_NOT_OK(reader.U64(&snapshot.first_epoch));
-  uint64_t covered = 0;
-  CSOD_RETURN_NOT_OK(reader.U64(&covered));
-  snapshot.epochs_covered = static_cast<size_t>(covered);
-  CSOD_RETURN_NOT_OK(reader.U64(&snapshot.events));
-  uint32_t num_stalled = 0;
-  CSOD_RETURN_NOT_OK(reader.U32(&num_stalled));
-  CSOD_RETURN_NOT_OK(reader.CheckCount(num_stalled, 4));
-  snapshot.stalled_shards.reserve(num_stalled);
-  for (uint32_t i = 0; i < num_stalled; ++i) {
-    uint32_t shard = 0;
-    CSOD_RETURN_NOT_OK(reader.U32(&shard));
-    snapshot.stalled_shards.push_back(shard);
-  }
-  std::string y_message;
-  CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&y_message));
-  CSOD_ASSIGN_OR_RETURN(snapshot.y, dist::DecodeMeasurement(y_message));
+  CSOD_RETURN_NOT_OK(ReadSnapshot(&reader, &snapshot));
   if (snapshot.y.size() != view.count) {
     return Status::InvalidArgument(
         "net: snapshot y length disagrees with the frame envelope");
   }
-  if (reader.remaining() != 0) {
-    return Status::InvalidArgument("net: trailing snapshot bytes");
-  }
+  CSOD_RETURN_NOT_OK(ReadPhi0Format(&reader, "net: snapshot frame",
+                                    "its sender predates the marker"));
   return snapshot;
 }
 
@@ -412,7 +383,9 @@ std::string NetServer::HandleFrame(const std::string& request) {
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<StreamingQueryResult> result = service_->Query(text);
       if (!result.ok()) return ErrorFrame(result.status());
-      return EncodeQueryResultResponse(result.Value());
+      Result<std::string> response = EncodeQueryResultResponse(result.Value());
+      if (!response.ok()) return ErrorFrame(response.status());
+      return response.MoveValue();
     }
     case NetFrameKind::kSnapshotFetch: {
       std::string tenant;

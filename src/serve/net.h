@@ -206,6 +206,8 @@ Result<std::string> EncodeAdvanceRequest(const std::string& tenant,
 Result<std::string> EncodeQueryRequest(const std::string& query_text);
 Result<std::string> EncodeSnapshotRequest(const std::string& tenant);
 Result<std::string> EncodeCheckpointRequest(const std::string& tenant);
+/// A kSnapshot frame ends with the Φ0 format (cs::kPhi0Format) its `y`
+/// was measured with; decoding refuses another format, or none, by name.
 Result<std::string> EncodeSnapshotResponse(const SketchSnapshot& snapshot);
 Result<SketchSnapshot> DecodeSnapshotResponse(const std::string& frame);
 
@@ -240,7 +242,8 @@ class SnapshotFollower {
 
   /// Fetches the leader's latest snapshot for `tenant` through `client`
   /// and applies it. FailedPrecondition (from the leader) if the tenant
-  /// has not published yet.
+  /// has not published yet; InvalidArgument, applying nothing, if the
+  /// leader runs another Φ0 format.
   Status ReplicateOnce(NetClient* client, const std::string& tenant);
 
   /// The follower's current snapshot, or null before the first apply.

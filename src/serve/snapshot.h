@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "cs/measurement_matrix.h"
 #include "cs/solver.h"
+#include "dist/wire_format.h"
 #include "outlier/outlier.h"
 #include "query/executor.h"
 #include "query/query.h"
@@ -51,6 +53,28 @@ struct SketchSnapshot {
   /// argument of docs/THEORY.md §7 bounds the induced error).
   std::vector<uint32_t> stalled_shards;
 };
+
+/// \brief The one SketchSnapshot codec: the payload of a kSnapshot frame
+/// (serve/net.h) and the snapshot section of a checkpoint
+/// (serve/checkpoint.h). Layout (little-endian):
+///   u64 version, last_epoch, first_epoch, epochs_covered, events
+///   u32 num_stalled; u32 per stalled shard
+///   u32 len, EncodeMeasurement(y) bytes (with their own checksum)
+/// InvalidArgument on a non-finite entry of `y`.
+Status AppendSnapshot(const SketchSnapshot& snapshot, std::string* out);
+
+/// Reads what AppendSnapshot wrote. The stalled-shard count is bounded by
+/// the unread payload before anything is sized from it. The caller checks
+/// the length of `y` against its own geometry.
+Status ReadSnapshot(dist::PayloadReader* reader, SketchSnapshot* snapshot);
+
+/// Reads the u32 Φ0 format marker (cs::kPhi0Format) that ends a kSnapshot
+/// frame and a checkpoint, and refuses every other format by name: state
+/// measured with another Φ0 would answer against the wrong matrix.
+/// `unmarked` names the writer of a payload that ends where the marker
+/// would start. Bytes after the marker are refused too.
+Status ReadPhi0Format(dist::PayloadReader* reader, const std::string& context,
+                      const std::string& unmarked);
 
 /// A streaming query answer: the rows of the paper's query template plus
 /// the snapshot provenance a service client needs to reason about

@@ -655,11 +655,13 @@ mr::Job<uint64_t, uint64_t, double, MrOut> BuildMrJob(const Scenario& s,
       emitter->Emit((record >> 16) % 131, 1.0);
     }
   };
-  job.reduce_fn = [](const uint64_t& key, mr::Span<double> values,
+  job.reduce_fn = [](mr::ReduceGroups<uint64_t, double>& groups,
                      std::vector<MrOut>* out) {
-    double sum = 0.0;
-    for (double v : values) sum += v;
-    out->push_back({key, sum});
+    for (size_t g = 0; g < groups.size(); ++g) {
+      double sum = 0.0;
+      for (double v : groups.values(g)) sum += v;
+      out->push_back({groups.key(g), sum});
+    }
   };
   if (s.use_combiner) {
     job.combine_fn = [](const uint64_t&, mr::Span<double> values) {
@@ -668,7 +670,7 @@ mr::Job<uint64_t, uint64_t, double, MrOut> BuildMrJob(const Scenario& s,
       return sum;
     };
   }
-  job.fixed_tuple_bytes = dist::kKeyValueBytes;
+  job.tuple_bytes = dist::kKeyValueBytes;
   job.num_reduce_tasks = s.num_reduce_tasks;
   job.telemetry = tel;
   return job;

@@ -21,16 +21,15 @@ Job<int, int, int, std::pair<int, int>> ModuloCountJob() {
   job.map_fn = [](const std::vector<int>& split, Emitter<int, int>* out) {
     for (int v : split) out->Emit(v % 3, 1);
   };
-  job.reduce_fn = [](const int& key, Span<int> values,
+  job.reduce_fn = [](ReduceGroups<int, int>& groups,
                      std::vector<std::pair<int, int>>* out) {
-    int total = 0;
-    for (int v : values) total += v;
-    out->emplace_back(key, total);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      int total = 0;
+      for (int v : groups.values(g)) total += v;
+      out->emplace_back(groups.key(g), total);
+    }
   };
-  // Exercises the deferred `tuple_bytes` callback path (the fixed-size
-  // fast path is covered by the determinism suite below).
-  job.tuple_bytes = [](const int&, const int&) { return uint64_t{12}; };
-  job.input_record_bytes = 4;
+  job.tuple_bytes = 12;
   return job;
 }
 
@@ -55,7 +54,7 @@ TEST(EngineTest, StatsAccounting) {
   const JobStats& stats = result.Value().stats;
   EXPECT_EQ(stats.num_map_tasks, 2u);
   EXPECT_EQ(stats.num_reduce_tasks, 1u);
-  EXPECT_EQ(stats.input_bytes, 7u * 4);
+  EXPECT_EQ(stats.input_bytes, 7u * kInputRecordBytes);
   EXPECT_EQ(stats.shuffle_tuples, 7u);  // One pair per record.
   EXPECT_EQ(stats.shuffle_bytes, 7u * 12);
   // No combiner: pre-combine volume equals shipped volume.
@@ -78,11 +77,10 @@ TEST(EngineTest, TaskReduceSeesWholePartition) {
   job.map_fn = [](const std::vector<int>& split, Emitter<int, int>* out) {
     for (int v : split) out->Emit(v, v);
   };
-  job.task_reduce_fn = [](ReduceGroups<int, int>& groups,
-                          std::vector<int>* out) {
+  job.reduce_fn = [](ReduceGroups<int, int>& groups, std::vector<int>* out) {
     out->push_back(static_cast<int>(groups.size()));
   };
-  job.fixed_tuple_bytes = 8;
+  job.tuple_bytes = 8;
   auto result = RunJob({{1, 2, 3}, {3, 4}}, job);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.Value().output.size(), 1u);
@@ -92,7 +90,6 @@ TEST(EngineTest, TaskReduceSeesWholePartition) {
 TEST(EngineTest, MultipleReduceTasksPartitionKeys) {
   Job<int, int, int, std::pair<int, int>> job = ModuloCountJob();
   job.num_reduce_tasks = 3;
-  job.partition_fn = [](const int& key) { return static_cast<size_t>(key); };
   const std::vector<std::vector<int>> splits = {{0, 1, 2, 3, 4, 5}};
   auto result = RunJob(splits, job);
   ASSERT_TRUE(result.ok());
@@ -103,19 +100,16 @@ TEST(EngineTest, MultipleReduceTasksPartitionKeys) {
 TEST(EngineTest, ConfigValidation) {
   Job<int, int, int, int> job;
   const std::vector<std::vector<int>> one_split = {{1}};
-  // Missing everything.
-  EXPECT_FALSE(RunJob(one_split, job).ok());
+  job.reduce_fn = [](ReduceGroups<int, int>&, std::vector<int>*) {};
+  job.tuple_bytes = 4;
+  EXPECT_FALSE(RunJob(one_split, job).ok());  // no map_fn
   job.map_fn = [](const std::vector<int>&, Emitter<int, int>*) {};
-  EXPECT_FALSE(RunJob(one_split, job).ok());  // no tuple size at all
-  job.tuple_bytes = [](const int&, const int&) { return uint64_t{1}; };
-  job.fixed_tuple_bytes = 4;
-  EXPECT_FALSE(RunJob(one_split, job).ok());  // both tuple sizes set
-  job.fixed_tuple_bytes = 0;
-  EXPECT_FALSE(RunJob(one_split, job).ok());  // no reducer
-  job.reduce_fn = [](const int&, Span<int>, std::vector<int>*) {};
-  job.task_reduce_fn = [](ReduceGroups<int, int>&, std::vector<int>*) {};
-  EXPECT_FALSE(RunJob(one_split, job).ok());  // both reducers set
-  job.task_reduce_fn = nullptr;
+  job.reduce_fn = nullptr;
+  EXPECT_FALSE(RunJob(one_split, job).ok());  // no reduce_fn
+  job.reduce_fn = [](ReduceGroups<int, int>&, std::vector<int>*) {};
+  job.tuple_bytes = 0;
+  EXPECT_FALSE(RunJob(one_split, job).ok());  // no tuple size
+  job.tuple_bytes = 4;
   job.num_reduce_tasks = 0;
   EXPECT_FALSE(RunJob(one_split, job).ok());
   job.num_reduce_tasks = 1;
@@ -185,9 +179,11 @@ TEST(EngineTest, DefaultPartitionerDrivesTaskAssignment) {
                   Emitter<uint64_t, int>* out) {
     for (uint64_t v : split) out->Emit(v, 1);
   };
-  job.reduce_fn = [](const uint64_t& key, Span<int>,
-                     std::vector<uint64_t>* out) { out->push_back(key); };
-  job.fixed_tuple_bytes = 12;
+  job.reduce_fn = [](ReduceGroups<uint64_t, int>& groups,
+                     std::vector<uint64_t>* out) {
+    for (size_t g = 0; g < groups.size(); ++g) out->push_back(groups.key(g));
+  };
+  job.tuple_bytes = 12;
   job.num_reduce_tasks = 8;
   std::vector<uint64_t> keys;
   for (uint64_t i = 0; i < 32; ++i) keys.push_back(8 * i);
@@ -212,17 +208,17 @@ TEST(EngineTest, DeterministicReduceOrder) {
   job.map_fn = [](const std::vector<int>& split, Emitter<int, int>* out) {
     for (int v : split) out->Emit(v, v);
   };
-  job.reduce_fn = [](const int& key, Span<int>, std::vector<int>* out) {
-    out->push_back(key);
+  job.reduce_fn = [](ReduceGroups<int, int>& groups, std::vector<int>* out) {
+    for (size_t g = 0; g < groups.size(); ++g) out->push_back(groups.key(g));
   };
-  job.fixed_tuple_bytes = 8;
+  job.tuple_bytes = 8;
   auto result = RunJob({{5, 3, 9, 1}}, job);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.Value().output, (std::vector<int>{1, 3, 5, 9}));
 }
 
 // --- Determinism suite: the parallel executor's output must be invariant
-// across reduce-task counts, partitioners, thread limits, and combiner
+// across reduce-task counts, thread limits, and combiner
 // on/off (exactly — the values below are integer-valued doubles, so even
 // float accumulation is order-exact). ---
 
@@ -235,13 +231,15 @@ Job<uint64_t, uint64_t, double, std::pair<uint64_t, double>> SumJob() {
       out->Emit(v % 17, static_cast<double>(v % 7 + 1));
     }
   };
-  job.reduce_fn = [](const uint64_t& key, Span<double> values,
+  job.reduce_fn = [](ReduceGroups<uint64_t, double>& groups,
                      std::vector<std::pair<uint64_t, double>>* out) {
-    double sum = 0.0;
-    for (double v : values) sum += v;
-    out->emplace_back(key, sum);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      double sum = 0.0;
+      for (double v : groups.values(g)) sum += v;
+      out->emplace_back(groups.key(g), sum);
+    }
   };
-  job.fixed_tuple_bytes = 12;
+  job.tuple_bytes = 12;
   return job;
 }
 
@@ -275,21 +273,6 @@ TEST(EngineDeterminismTest, OutputInvariantAcrossReduceTaskCounts) {
     EXPECT_EQ(result.Value().stats.shuffle_bytes,
               reference.Value().stats.shuffle_bytes);
   }
-}
-
-TEST(EngineDeterminismTest, CustomVsDefaultPartitionerSameAnswer) {
-  const auto splits = SumJobSplits();
-  auto job = SumJob();
-  job.num_reduce_tasks = 5;
-  auto with_default = RunJob(splits, job);
-  ASSERT_TRUE(with_default.ok());
-  job.partition_fn = [](const uint64_t& key) {
-    return static_cast<size_t>(key % 7);
-  };
-  auto with_custom = RunJob(splits, job);
-  ASSERT_TRUE(with_custom.ok());
-  EXPECT_EQ(SortedByKey(with_custom.Value().output),
-            SortedByKey(with_default.Value().output));
 }
 
 TEST(EngineDeterminismTest, BitIdenticalAcrossThreadLimits) {

@@ -209,11 +209,13 @@ TEST(TelemetryTest, MapReduceShuffleTimingHistograms) {
                   mr::Emitter<uint64_t, double>* out) {
     for (int v : split) out->Emit(static_cast<uint64_t>(v % 5), 1.0);
   };
-  job.reduce_fn = [](const uint64_t&, mr::Span<double> values,
+  job.reduce_fn = [](mr::ReduceGroups<uint64_t, double>& groups,
                      std::vector<double>* out) {
-    out->push_back(static_cast<double>(values.size()));
+    for (size_t g = 0; g < groups.size(); ++g) {
+      out->push_back(static_cast<double>(groups.values(g).size()));
+    }
   };
-  job.fixed_tuple_bytes = 12;
+  job.tuple_bytes = 12;
   job.num_reduce_tasks = 3;
   job.telemetry = &t;
   auto result = mr::RunJob({{1, 2, 3}, {4, 5}, {6}, {7, 8}}, job);

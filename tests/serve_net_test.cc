@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cs/measurement_matrix.h"
 #include "dist/comm.h"
 #include "dist/wire_format.h"
 #include "obs/telemetry.h"
@@ -405,11 +406,6 @@ TEST(SnapshotFollowerTest, ReplicaAnswersBitIdenticallyToLeader) {
 // Crafted frames: checksums valid, counts hostile. Every decoder must answer
 // with a Status (InvalidArgument) before sizing anything from the count.
 
-void AppendLengthPrefixed(std::string* out, const std::string& bytes) {
-  dist::AppendU32(out, static_cast<uint32_t>(bytes.size()));
-  out->append(bytes);
-}
-
 // Hands back one canned response frame, whatever was sent.
 class CannedTransport final : public FrameTransport {
  public:
@@ -441,9 +437,10 @@ TEST(NetCraftedFrameTest, IngestWithWrappingKeyValueCountIsRefused) {
   // count * 12 wraps to the real size, so only a division catches it.
   const uint64_t count = (uint64_t{1} << 62) + 1;
   std::string payload;
-  AppendLengthPrefixed(&payload, "t");
-  AppendLengthPrefixed(&payload,
-                       dist::EncodeFrame(2, count, std::string(12, '\0')));
+  ASSERT_TRUE(dist::AppendLengthPrefixed(&payload, "t").ok());
+  ASSERT_TRUE(dist::AppendLengthPrefixed(
+                  &payload, dist::EncodeFrame(2, count, std::string(12, '\0')))
+                  .ok());
   const std::string response = rig.server.HandleFrame(dist::EncodeFrame(
       static_cast<uint8_t>(NetFrameKind::kIngestBatch), count, payload));
   // The server survives and answers with an InvalidArgument error frame.
@@ -486,11 +483,75 @@ TEST(NetCraftedFrameTest, SnapshotWithHugeStalledCountIsRefused) {
   std::string payload;
   for (int field = 0; field < 5; ++field) dist::AppendU64(&payload, 1);
   dist::AppendU32(&payload, UINT32_MAX);  // num_stalled, no shards follow.
-  AppendLengthPrefixed(&payload, dist::EncodeMeasurement({1.0}).MoveValue());
+  ASSERT_TRUE(dist::AppendLengthPrefixed(
+                  &payload, dist::EncodeMeasurement({1.0}).MoveValue())
+                  .ok());
   const std::string frame = dist::EncodeFrame(
       static_cast<uint8_t>(NetFrameKind::kSnapshot), 1, payload);
   EXPECT_EQ(DecodeSnapshotResponse(frame).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// A kSnapshot frame names the Φ0 format its `y` was measured with, in a
+// trailing u32. Each crafted frame keeps the snapshot payload and swaps
+// that trailer; EncodeFrame gives it a valid checksum.
+std::vector<std::pair<std::string, std::string>> OtherFormatSnapshotFrames(
+    const SketchSnapshot& snapshot) {
+  const std::string frame = EncodeSnapshotResponse(snapshot).MoveValue();
+  const dist::FrameView view = dist::DecodeFrame(frame).MoveValue();
+  const std::string body(view.payload, view.payload_size - 4);
+  // {frame, the phrase its refusal must contain}.
+  std::vector<std::pair<std::string, std::string>> frames;
+  frames.emplace_back(dist::EncodeFrame(view.kind, view.count, body),
+                      "no Φ0 format marker");
+  for (const uint32_t marker : {cs::kPhi0Format - 1, cs::kPhi0Format + 1}) {
+    std::string payload = body;
+    dist::AppendU32(&payload, marker);
+    frames.emplace_back(dist::EncodeFrame(view.kind, view.count, payload),
+                        "Φ0 format " + std::to_string(marker));
+  }
+  return frames;
+}
+
+TEST(NetSnapshotFormatTest, OtherPhi0FormatsAreRefusedByName) {
+  SketchSnapshot snapshot;
+  snapshot.version = 1;
+  snapshot.y = {1.0, 2.0};
+  const std::string this_build =
+      "this build uses format " + std::to_string(cs::kPhi0Format);
+  for (const auto& [frame, phrase] : OtherFormatSnapshotFrames(snapshot)) {
+    const Status status = DecodeSnapshotResponse(frame).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.ToString().find(phrase), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.ToString().find(this_build), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(NetSnapshotFormatTest, FollowerFedAnotherFormatStaysEmpty) {
+  SnapshotFollowerOptions fopts;
+  fopts.n = 400;
+  fopts.m = 150;
+  fopts.seed = 5;
+  auto follower = SnapshotFollower::Create(fopts).MoveValue();
+  SketchSnapshot snapshot;
+  snapshot.version = 1;
+  snapshot.y.assign(150, 1.0);
+  for (const auto& [frame, phrase] : OtherFormatSnapshotFrames(snapshot)) {
+    CannedTransport canned(frame);
+    NetClient client(&canned);
+    const Status status = follower->ReplicateOnce(&client, "t");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.ToString().find(phrase), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(follower->Snapshot(), nullptr);
+  }
+  // The same snapshot in this build's format applies.
+  CannedTransport canned(EncodeSnapshotResponse(snapshot).MoveValue());
+  NetClient client(&canned);
+  ASSERT_TRUE(follower->ReplicateOnce(&client, "t").ok());
+  EXPECT_EQ(follower->Snapshot()->version, 1u);
 }
 
 TEST(SnapshotFollowerTest, ApplyIsMonotoneAndValidates) {

@@ -1,6 +1,8 @@
 #include "mapreduce/shuffle.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -312,11 +314,13 @@ Job<ScoreEventLike, uint64_t, double, std::pair<uint64_t, double>> StressJob(
                   Emitter<uint64_t, double>* out) {
     for (const ScoreEventLike& e : split) out->Emit(e.key, e.score);
   };
-  job.reduce_fn = [](const uint64_t& key, Span<double> values,
+  job.reduce_fn = [](ReduceGroups<uint64_t, double>& groups,
                      std::vector<std::pair<uint64_t, double>>* out) {
-    double sum = 0.0;
-    for (double v : values) sum += v;
-    out->emplace_back(key, sum);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      double sum = 0.0;
+      for (double v : groups.values(g)) sum += v;
+      out->emplace_back(groups.key(g), sum);
+    }
   };
   if (combine) {
     job.combine_fn = [](const uint64_t&, Span<double> values) {
@@ -325,7 +329,7 @@ Job<ScoreEventLike, uint64_t, double, std::pair<uint64_t, double>> StressJob(
       return sum;
     };
   }
-  job.fixed_tuple_bytes = 12;
+  job.tuple_bytes = 12;
   return job;
 }
 
@@ -405,12 +409,12 @@ TEST(EngineStressTest, SingleKeyAllValuesPreservesEmitOrder) {
     for (int v : split) out->Emit(77, static_cast<double>(v));
   };
   std::vector<double> seen;
-  job.task_reduce_fn = [&seen](ReduceGroups<uint64_t, double>& groups,
-                               std::vector<double>*) {
+  job.reduce_fn = [&seen](ReduceGroups<uint64_t, double>& groups,
+                          std::vector<double>*) {
     ASSERT_EQ(groups.size(), 1u);
     for (double v : groups.values(0)) seen.push_back(v);
   };
-  job.fixed_tuple_bytes = 12;
+  job.tuple_bytes = 12;
   const std::vector<std::vector<int>> splits = {{1, 2, 3}, {4, 5}, {6}};
   const size_t previous_limit = GetParallelismLimit();
   for (const size_t limit : {size_t{1}, size_t{8}}) {
@@ -425,8 +429,17 @@ TEST(EngineStressTest, SingleKeyAllValuesPreservesEmitOrder) {
 }
 
 TEST(EngineStressTest, EmptyPartitionsReachReducers) {
-  // A partitioner that uses only 2 of 8 reduce tasks: the other 6 run on
-  // empty groups and must neither crash nor emit.
+  // Six keys over 8 reduce tasks leave some tasks with no key: their
+  // reducers run on empty groups and must neither crash nor emit.
+  const std::vector<int> keys = {1, 2, 3, 4, 5, 6};
+  std::array<bool, 8> task_has_key{};
+  for (int key : keys) {
+    task_has_key[DefaultPartition(static_cast<uint64_t>(key)) % 8] = true;
+  }
+  const size_t empty_tasks = static_cast<size_t>(
+      std::count(task_has_key.begin(), task_has_key.end(), false));
+  ASSERT_GT(empty_tasks, 0u);
+
   Job<int, uint64_t, double, std::pair<uint64_t, double>> job;
   job.map_fn = [](const std::vector<int>& split,
                   Emitter<uint64_t, double>* out) {
@@ -434,19 +447,23 @@ TEST(EngineStressTest, EmptyPartitionsReachReducers) {
       out->Emit(static_cast<uint64_t>(v), 1.0);
     }
   };
-  job.reduce_fn = [](const uint64_t& key, Span<double> values,
-                     std::vector<std::pair<uint64_t, double>>* out) {
-    out->emplace_back(key, static_cast<double>(values.size()));
+  std::atomic<size_t> empty_reduces{0};
+  job.reduce_fn = [&empty_reduces](
+                      ReduceGroups<uint64_t, double>& groups,
+                      std::vector<std::pair<uint64_t, double>>* out) {
+    if (groups.empty()) ++empty_reduces;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      out->emplace_back(groups.key(g),
+                        static_cast<double>(groups.values(g).size()));
+    }
   };
-  job.fixed_tuple_bytes = 12;
+  job.tuple_bytes = 12;
   job.num_reduce_tasks = 8;
-  job.partition_fn = [](const uint64_t& key) {
-    return static_cast<size_t>(key % 2 == 0 ? 0 : 3);
-  };
-  auto result = RunJob({{1, 2, 3, 4, 5, 6}}, job);
+  auto result = RunJob({keys}, job);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.Value().output.size(), 6u);
   EXPECT_EQ(result.Value().stats.num_reduce_tasks, 8u);
+  EXPECT_EQ(empty_reduces.load(), empty_tasks);
 }
 
 // Arena chunk-boundary integration: an emitter with default chunking that
