@@ -197,9 +197,10 @@ void BM_SpawnJoinOverhead(benchmark::State& state) {
 BENCHMARK(BM_SpawnJoinOverhead);
 
 void BM_CorrelateArgmax(benchmark::State& state) {
-  // The fused OMP statement-4 kernel at paper scale, M=512, N=100k (102.4 MB
-  // of half entries, inside the default 512 MB budget), and at the serve
-  // geometry, M=256, N=50k (25.6 MB), both cached.
+  // The screen-then-confirm OMP statement-4 kernel at paper scale, M=512,
+  // N=100k (102.4 MB of half entries, inside the default 512 MB budget), at
+  // the serve geometry, M=256, N=50k (25.6 MB), and at the batch-detect
+  // geometry, M=600, N=10.4k (12.5 MB), all cached.
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
   cs::MeasurementMatrix matrix(m, n, 9);
@@ -217,6 +218,7 @@ void BM_CorrelateArgmax(benchmark::State& state) {
 BENCHMARK(BM_CorrelateArgmax)
     ->Args({512, 100000})
     ->Args({256, 50000})
+    ->Args({600, 10400})
     ->Unit(benchmark::kMillisecond);
 
 void BM_CorrelateAllPlusScan(benchmark::State& state) {

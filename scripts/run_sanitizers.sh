@@ -3,13 +3,17 @@
 # ThreadSanitizer is the default: it is the one that exercises the
 # persistent thread pool's dispatch/park/steal protocol.
 #
-# Usage: scripts/run_sanitizers.sh [thread|address] [ctest_filter_regex]
+# Usage: scripts/run_sanitizers.sh
+#   [thread|address|undefined|address,undefined] [ctest_filter_regex]
+# UndefinedBehaviorSanitizer builds stop at the first report
+# (-fno-sanitize-recover=undefined, set by CMakeLists.txt).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 SAN="${1:-thread}"
 FILTER="${2:-}"
-BUILD_DIR="${BUILD_DIR:-$ROOT/build-${SAN}san}"
+# Build directory names spell a sanitizer list with '-' for ','.
+BUILD_DIR="${BUILD_DIR:-$ROOT/build-${SAN//,/-}san}"
 
 cmake -B "$BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -111,25 +115,33 @@ cmake --build "$OTHER_BUILD_DIR" -j "$(nproc)" --target \
   thread_pool_test obs_telemetry_test
 run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 
-# Φ0 kernel pass under AddressSanitizer, whatever SAN is: Φ0 columns are
-# binary16 halves, read four at a time (an 8-byte load into vcvtph2ps)
-# with scalar tails, and ASan is what proves no column read runs past its
-# last entry. The tests allocate columns of exactly M halves for every
-# tail length. The generator rides along (simd::GaussianFill loads eight
-# row keys and stores eight entries per vector group, with scalar tails,
-# and MeasurementMatrix builds its row key table lazily), with the
-# Box–Muller and Rng suites of random_test and the half conversions of
-# half_test.
-ASAN_BUILD_DIR=$([[ "$SAN" == address ]] && echo "$BUILD_DIR" || echo "$OTHER_BUILD_DIR")
-cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target \
+# Φ0 kernel pass under AddressSanitizer and UndefinedBehaviorSanitizer,
+# whatever SAN is: Φ0 columns are binary16 halves, read four or eight at a
+# time (vcvtph2ps) with scalar tails, and ASan is what proves no column
+# read runs past its last entry. The tests allocate columns of exactly M
+# halves for every tail length. CorrelateArgmax's screen converts the
+# residual to float and takes its error bound from ‖s‖₁ with infinite,
+# NaN, subnormal and beyond-float-range residuals among the tests, so
+# UBSan checks those conversions; its tests are named in the filter so
+# that renaming them fails this script. The generator rides along
+# (simd::GaussianFill loads eight row keys and stores eight entries per
+# vector group, with scalar tails, and MeasurementMatrix builds its row key
+# table lazily), with the Box–Muller and Rng suites of random_test and the
+# half conversions of half_test.
+PHI0_BUILD_DIR="${PHI0_BUILD_DIR:-$ROOT/build-address-undefinedsan-phi0}"
+cmake -B "$PHI0_BUILD_DIR" -S "$ROOT" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCSOD_SANITIZE=address,undefined
+cmake --build "$PHI0_BUILD_DIR" -j "$(nproc)" --target \
   simd_test measurement_matrix_test random_test half_test
-run_ctest "$ASAN_BUILD_DIR" \
-  'CounterGaussian|BoxMuller|RngTest|HalfTest|Simd|MeasurementMatrix|SharedMatrix'
+PHI0_FILTER='CounterGaussian|BoxMuller|RngTest|HalfTest|Simd|MeasurementMatrix'
+PHI0_FILTER+='|SharedMatrix|ScreenedArgmax|ScreenDots|ScreenBound'
+run_ctest "$PHI0_BUILD_DIR" "$PHI0_FILTER"
 
 # SIMD kernel + batch sketching tests again under the same sanitizer, but
 # with the portable dispatch path forced at compile time, so both sides of
 # the AVX2/portable split get sanitizer coverage.
-PORTABLE_BUILD_DIR="${PORTABLE_BUILD_DIR:-$ROOT/build-${SAN}san-portable}"
+PORTABLE_BUILD_DIR="${PORTABLE_BUILD_DIR:-$ROOT/build-${SAN//,/-}san-portable}"
 cmake -B "$PORTABLE_BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCSOD_SANITIZE="$SAN" \

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <type_traits>
 
 #include "common/half.h"
 #include "common/random.h"
@@ -28,22 +29,40 @@ namespace {
 inline double Widen(double x) { return x; }
 inline double Widen(Half h) { return double(HalfToFloat(h)); }
 
-template <typename T>
-double DotPortable(const T* a, const double* b, size_t n) {
-  double lane[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (size_t l = 0; l < 8; ++l) lane[l] += Widen(a[i + l]) * b[i + l];
+// A column element in the dot's arithmetic type F: the exact widening, or,
+// for the float screen, the half's exact float value.
+template <typename F, typename T>
+inline F WidenTo(T x) {
+  if constexpr (std::is_same_v<F, float>) {
+    return HalfToFloat(x);
+  } else {
+    return Widen(x);
   }
-  // Tail elements continue the i mod 8 lane assignment.
-  for (size_t l = 0; i < n; ++i, ++l) lane[l] += Widen(a[i]) * b[i];
+}
+
+// The canonical fold of the eight lane sums.
+template <typename F>
+inline F FoldLanes(const F lane[8]) {
   return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-template <typename T>
+// F is the arithmetic type: double, or float for the screen overloads.
+template <typename T, typename F>
+F DotPortable(const T* a, const F* b, size_t n) {
+  F lane[8] = {};
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (size_t l = 0; l < 8; ++l) lane[l] += WidenTo<F>(a[i + l]) * b[i + l];
+  }
+  // Tail elements continue the i mod 8 lane assignment.
+  for (size_t l = 0; i < n; ++i, ++l) lane[l] += WidenTo<F>(a[i]) * b[i];
+  return FoldLanes(lane);
+}
+
+template <typename T, typename F>
 void Dot4Portable(const T* c0, const T* c1, const T* c2, const T* c3,
-                  const double* r, size_t n, double out[4]) {
+                  const F* r, size_t n, F out[4]) {
   // Four independent canonical dots; the AVX2 path fuses the r loads but
   // the per-column arithmetic — and so the bits — are the same.
   out[0] = DotPortable(c0, r, n);
@@ -187,8 +206,7 @@ CSOD_AVX2 double DotAvx2(const T* a, const double* b, size_t n) {
   _mm256_storeu_pd(lane, acc0);
   _mm256_storeu_pd(lane + 4, acc1);
   for (size_t l = 0; i < n; ++i, ++l) lane[l] += Widen(a[i]) * b[i];
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+  return FoldLanes(lane);
 }
 
 template <typename T>
@@ -226,9 +244,55 @@ CSOD_AVX2 void Dot4Avx2(const T* c0, const T* c1, const T* c2, const T* c3,
     _mm256_storeu_pd(lane + 4, *accs1[k]);
     size_t j = i;
     for (size_t l = 0; j < n; ++j, ++l) lane[l] += Widen(cols[k][j]) * r[j];
-    out[k] = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-             ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    out[k] = FoldLanes(lane);
   }
+}
+
+// The screen overloads: one 8-wide float vector holds the eight lanes of
+// the canonical split, and vcvtph2ps widens eight halves to float in one
+// instruction, with no float → double step.
+CSOD_AVX2 inline __m256 Load8f(const Half* p) {
+  return _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+// The lanes of `acc`, the tail of a·b from element i on, and the fold.
+CSOD_AVX2 inline float FinishScreen(__m256 acc, const Half* a, const float* b,
+                                    size_t i, size_t n) {
+  float lane[8];
+  _mm256_storeu_ps(lane, acc);
+  for (size_t l = 0; i < n; ++i, ++l) lane[l] += HalfToFloat(a[i]) * b[i];
+  return FoldLanes(lane);
+}
+
+CSOD_AVX2 float DotAvx2(const Half* a, const float* b, size_t n) {
+  __m256 acc = _mm256_setzero_ps();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    acc = _mm256_add_ps(acc,
+                        _mm256_mul_ps(Load8f(a + i), _mm256_loadu_ps(b + i)));
+  }
+  return FinishScreen(acc, a, b, i, n);
+}
+
+CSOD_AVX2 void Dot4Avx2(const Half* c0, const Half* c1, const Half* c2,
+                        const Half* c3, const float* r, size_t n,
+                        float out[4]) {
+  __m256 a0 = _mm256_setzero_ps();
+  __m256 a1 = _mm256_setzero_ps();
+  __m256 a2 = _mm256_setzero_ps();
+  __m256 a3 = _mm256_setzero_ps();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 rv = _mm256_loadu_ps(r + i);
+    a0 = _mm256_add_ps(a0, _mm256_mul_ps(Load8f(c0 + i), rv));
+    a1 = _mm256_add_ps(a1, _mm256_mul_ps(Load8f(c1 + i), rv));
+    a2 = _mm256_add_ps(a2, _mm256_mul_ps(Load8f(c2 + i), rv));
+    a3 = _mm256_add_ps(a3, _mm256_mul_ps(Load8f(c3 + i), rv));
+  }
+  out[0] = FinishScreen(a0, c0, r, i, n);
+  out[1] = FinishScreen(a1, c1, r, i, n);
+  out[2] = FinishScreen(a2, c2, r, i, n);
+  out[3] = FinishScreen(a3, c3, r, i, n);
 }
 
 template <typename T>
@@ -589,12 +653,20 @@ double Dot(const Half* a, const double* b, size_t n) {
   return CSOD_SIMD_DISPATCH(Dot, a, b, n);
 }
 
+float Dot(const Half* a, const float* b, size_t n) {
+  return CSOD_SIMD_DISPATCH(Dot, a, b, n);
+}
+
 void Dot4(const double* c0, const double* c1, const double* c2,
           const double* c3, const double* r, size_t n, double out[4]) {
   CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
 }
 void Dot4(const Half* c0, const Half* c1, const Half* c2, const Half* c3,
           const double* r, size_t n, double out[4]) {
+  CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
+}
+void Dot4(const Half* c0, const Half* c1, const Half* c2, const Half* c3,
+          const float* r, size_t n, float out[4]) {
   CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
 }
 

@@ -46,10 +46,11 @@ namespace csod::simd {
 /// HalfToFloat on the portable one), then run the identical double
 /// arithmetic in the identical order, so a half overload is bit-identical
 /// to its double form on the widened column, on every ISA path. The other
-/// operands (`r`, `acc`, `x`) and every result stay double. Storing Φ0's
-/// columns as halves quarters the bytes a correlate streams without a
-/// second summation tree. Vector loads touch only full 4- or 8-element
-/// groups; tails are scalar, so no path reads past element n - 1.
+/// operands (`r`, `acc`, `x`) and every result stay double, except in the
+/// float screen dots below. Storing Φ0's columns as halves quarters the
+/// bytes a correlate streams without a second summation tree. Vector loads
+/// touch only full 4- or 8-element groups; tails are scalar, so no path
+/// reads past element n - 1.
 enum class Level {
   kPortable = 0,  ///< Fixed-8-lane scalar kernels (any platform).
   kAvx2 = 1,      ///< AVX2 4-wide double kernels + F16C (x86-64, no FMA).
@@ -97,6 +98,20 @@ void Dot4(const double* c0, const double* c1, const double* c2,
           const double* c3, const double* r, size_t n, double out[4]);
 void Dot4(const Half* c0, const Half* c1, const Half* c2, const Half* c3,
           const double* r, size_t n, double out[4]);
+
+/// \brief The screen dots: half × float in float arithmetic.
+///
+/// Each half widens exactly to float, and every product and sum rounds to
+/// float, on the same 8-lane split and fold as the double Dot. The AVX2 path
+/// holds the eight lanes in one 8-wide float vector, so it does the work of
+/// the double kernel's two 4-wide vectors in one and skips the float →
+/// double widening; both paths give identical bits. The value is an
+/// approximation of the double Dot's: MeasurementMatrix::CorrelateArgmax
+/// uses it only to rule out columns, under the error bound of
+/// docs/THEORY.md §9. Dot4's out[k] is bit-identical to Dot(ck, r, n).
+float Dot(const Half* a, const float* b, size_t n);
+void Dot4(const Half* c0, const Half* c1, const Half* c2, const Half* c3,
+          const float* r, size_t n, float out[4]);
 
 /// acc[i] += col[i] * x (element-wise; bit-identical on every path).
 void Axpy(double* acc, const double* col, double x, size_t n);

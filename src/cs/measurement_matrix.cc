@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -27,6 +28,11 @@ constexpr size_t kMinColumnsPerGeneration = 32;
 // summation tree — and so the result — bit-identical at any thread count.
 constexpr size_t kReductionBlockColumns = 2048;
 constexpr size_t kReductionBlockNnz = 512;
+
+// CorrelateArgmax's screen prefetches the cached column this many bytes
+// ahead of the one it scores, one cache line at a time.
+constexpr size_t kScreenPrefetchBytes = 4096;
+constexpr size_t kCacheLineBytes = 64;
 
 // Streams (column pointer, coefficient) pairs into `acc` eight at a time
 // via the fused simd::Axpy8, falling back to Axpy4/Axpy for the remainder.
@@ -134,6 +140,32 @@ inline void FoldArgmax(size_t index, double value,
     best->correlation = value;
     best->abs_correlation = abs_value;
   }
+}
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+// The screen's error bound ε for the scaled residual s (docs/THEORY.md §9):
+// for every column j, |a_j − K_j| ≤ ε between the float screen value
+// a_j = simd::Dot(h_j, float(s)) and the exact K_j = simd::Dot(h_j, s), with
+//   ε = 2·(γ_f(d) + γ_d(d))·B·‖s‖₁ + η,   γ(d) = d·u / (1 − d·u),
+// u = 2^-24 for float and 2^-53 for double; d = ⌈M/8⌉ + 5 covers the
+// longest rounding chain of either kernel (s to float, the product,
+// ⌈M/8⌉ lane additions, the 3-level fold); B = kMaxAbsUnscaledEntry bounds
+// every |h_ij|; and η = M·(B + 2)·2^-148 covers float and double underflow.
+// The leading 2 is a margin over the proven bound; it absorbs the rounding
+// of ε itself and of the candidate rule's subtraction. Infinite when s
+// holds a NaN or an infinity, or ‖s‖₁ > 2^120, where a float partial sum
+// could overflow.
+double ScreenErrorBound(const std::vector<double>& s) {
+  double norm1 = 0.0;
+  for (const double v : s) norm1 += std::fabs(v);
+  const double m = static_cast<double>(s.size());
+  const double d = static_cast<double>((s.size() + 7) / 8 + 5);
+  if (!(norm1 <= 0x1p120) || d * 0x1p-24 >= 0.5) return kInfinity;
+  auto gamma = [d](double u) { return d * u / (1.0 - d * u); };
+  const double b = MeasurementMatrix::kMaxAbsUnscaledEntry;
+  return 2.0 * (gamma(0x1p-24) + gamma(0x1p-53)) * b * norm1 +
+         m * (b + 2.0) * 0x1p-148;
 }
 
 // True iff the dense cache of an m x n matrix fits `budget` bytes. Divides
@@ -460,51 +492,114 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
                                    " < N + offset " +
                                    std::to_string(n_ + skip_offset));
   }
+  // Two stages (DESIGN.md §8). The screen scores every unmasked column
+  // with the float kernel, a_j = simd::Dot(h_j, float(s)), and keeps each
+  // column whose |a_j| lies within 2ε of the largest; ScreenErrorBound's ε
+  // bounds |a_j − K_j| for the exact K_j = simd::Dot(h_j, s), so every
+  // column it drops has |K_j| strictly below the maximum. The confirm stage
+  // runs the exact kernel on the kept columns only, in ascending index
+  // order with FoldArgmax's strict >, so the result is the exhaustive
+  // lowest-index argmax, bit for bit. When ε is infinite the screen dots a
+  // zero vector and every unmasked column is kept.
   const std::vector<double> scaled = ScaledResidual(r);
   const double* rp = scaled.data();
-  // Chunk-local argmax over [begin, end); candidates are visited in
-  // ascending index order so ties resolve to the lowest index. Unmasked
-  // columns are batched four at a time; batch order is ascending, so
-  // folding the four dots in order preserves the tie-break.
-  auto local_argmax = [&](size_t begin, size_t end) {
-    CorrelateArgmaxResult best;
+  const double two_eps = 2.0 * ScreenErrorBound(scaled);
+  std::vector<float> screen_r(m_, 0.0f);
+  if (two_eps < kInfinity) {
+    for (size_t i = 0; i < m_; ++i) screen_r[i] = static_cast<float>(rp[i]);
+  }
+  // A kept column: its index and |a_j|.
+  struct Candidate {
+    size_t index;
+    double abs_screen;
+  };
+  struct ScreenedChunk {
+    double max_abs = -kInfinity;
+    std::vector<Candidate> candidates;
+  };
+  // Columns are scored four at a time and kept against the chunk's running
+  // maximum, which only grows, so the kept set is a superset of the final
+  // one: every column within 2ε of the global maximum. A cached pass
+  // prefetches the column kScreenPrefetchBytes ahead: the sweep is bound by
+  // memory, and the hardware prefetcher stops at each 4 KB page, which
+  // holds only eight 256-row columns.
+  const size_t column_bytes = m_ * kBytesPerEntry;
+  const size_t prefetch_ahead =
+      1 + kScreenPrefetchBytes / std::max<size_t>(column_bytes, 1);
+  auto screen = [&](size_t begin, size_t end, ScreenedChunk* out) {
     std::vector<Half> scratch = ColumnScratch(4);
     size_t batch[4];
     const Half* cols[4];
     size_t filled = 0;
-    double dots[4];
+    float dots[4];
     auto flush = [&] {
       if (filled == 4) {
-        simd::Dot4(cols[0], cols[1], cols[2], cols[3], rp, m_, dots);
+        simd::Dot4(cols[0], cols[1], cols[2], cols[3], screen_r.data(), m_,
+                   dots);
       } else {
         for (size_t k = 0; k < filled; ++k) {
-          dots[k] = simd::Dot(cols[k], rp, m_);
+          dots[k] = simd::Dot(cols[k], screen_r.data(), m_);
         }
       }
-      for (size_t k = 0; k < filled; ++k) FoldArgmax(batch[k], dots[k], &best);
+      for (size_t k = 0; k < filled; ++k) {
+        const double abs_screen = std::fabs(dots[k]);
+        out->max_abs = std::max(out->max_abs, abs_screen);
+        if (abs_screen >= out->max_abs - two_eps) {
+          out->candidates.push_back(Candidate{batch[k], abs_screen});
+        }
+      }
       filled = 0;
     };
     for (size_t j = begin; j < end; ++j) {
+      if (!cache_.empty() && j + prefetch_ahead < end) {
+        const char* next = reinterpret_cast<const char*>(
+            cache_.data() + (j + prefetch_ahead) * m_);
+        for (size_t b = 0; b < column_bytes; b += kCacheLineBytes) {
+          __builtin_prefetch(next + b);
+        }
+      }
       if (skip != nullptr && (*skip)[j + skip_offset]) continue;
       batch[filled] = j;
       cols[filled] = UnscaledColumn(j, &scratch, filled);
       if (++filled == 4) flush();
     }
     flush();
-    return best;
   };
 
   const size_t chunk_count = ParallelChunkCount(n_, kMinColumnsPerChunk);
-  if (chunk_count <= 1) return local_argmax(0, n_);
-
-  std::vector<CorrelateArgmaxResult> locals(chunk_count);
+  std::vector<ScreenedChunk> screened(chunk_count);
   ParallelForChunks(n_, chunk_count,
                     [&](size_t chunk, size_t begin, size_t end) {
-                      locals[chunk] = local_argmax(begin, end);
+                      screen(begin, end, &screened[chunk]);
                     });
-  // Fixed-order reduction over chunk-local winners. Chunks cover ascending
-  // index ranges and FoldArgmax keeps strict >, so the lowest index still
-  // wins global ties regardless of how many chunks the limit produced.
+  double max_abs = -kInfinity;
+  size_t kept = 0;
+  for (const ScreenedChunk& chunk : screened) {
+    max_abs = std::max(max_abs, chunk.max_abs);
+    kept += chunk.candidates.size();
+  }
+  const double keep_floor = max_abs - two_eps;
+
+  // Confirm: each chunk's chunk-local winner among its candidates, then the
+  // fixed-order reduction over chunks. Chunks cover ascending index ranges
+  // and FoldArgmax keeps strict >, so the lowest index wins global ties
+  // however many chunks the limit produced. The exact dots run on the pool
+  // only when the screen kept many columns (degenerate residuals).
+  std::vector<CorrelateArgmaxResult> locals(chunk_count);
+  auto confirm = [&](size_t chunk) {
+    std::vector<Half> scratch = ColumnScratch(1);
+    for (const Candidate& c : screened[chunk].candidates) {
+      if (c.abs_screen < keep_floor) continue;
+      FoldArgmax(c.index,
+                 simd::Dot(UnscaledColumn(c.index, &scratch, 0), rp, m_),
+                 &locals[chunk]);
+    }
+  };
+  if (kept > kMinColumnsPerChunk) {
+    ParallelForEach(chunk_count, confirm);
+  } else {
+    for (size_t chunk = 0; chunk < chunk_count; ++chunk) confirm(chunk);
+  }
   CorrelateArgmaxResult best;
   for (const CorrelateArgmaxResult& local : locals) {
     if (local.index == CorrelateArgmaxResult::kNoIndex) continue;

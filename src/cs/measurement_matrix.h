@@ -89,9 +89,10 @@ inline uint64_t Phi0ColumnSeed(uint64_t seed, uint64_t col) {
 /// (cache fill, CorrelateAll) write disjoint slots; reductions (Multiply,
 /// MultiplySparse, BiasColumn) use a fixed block geometry independent of the
 /// thread count with partials combined in block order; CorrelateArgmax
-/// reduces chunk-local winners in chunk order with lowest-index
-/// tie-breaking, which composes to the global lowest-index argmax under any
-/// chunking.
+/// keeps every column its screen cannot rule out, a set that does not depend
+/// on the chunking, and reduces chunk-local winners in chunk order with
+/// lowest-index tie-breaking, which composes to the global lowest-index
+/// argmax under any chunking.
 class MeasurementMatrix {
  public:
   /// Creates the M x N matrix for `seed`. A dense cache is materialized iff
@@ -170,10 +171,13 @@ class MeasurementMatrix {
 
   /// Fused correlate+argmax: the column j maximizing |<φ_j, r>| over all j
   /// with `skip == nullptr || !(*skip)[j + skip_offset]`, ties toward the
-  /// lowest j. Never materializes the N-vector of correlations — chunk-local
-  /// winners are reduced in fixed chunk order, so the result is bit-identical
-  /// at any thread count. `skip_offset` lets ExtendedDictionary pass its
-  /// atom-indexed mask (atom j+1 == column j) without copying it.
+  /// lowest j, with the correlation CorrelateAll would give for j. Never
+  /// materializes the N-vector of correlations. A float screen rules out
+  /// every column that provably cannot win, and the exact kernel confirms
+  /// the rest (DESIGN.md §8), so the result is bit-identical to an
+  /// exhaustive scan of CorrelateAll, at any thread count and on either
+  /// SIMD path. `skip_offset` lets ExtendedDictionary pass its atom-indexed
+  /// mask (atom j+1 == column j) without copying it.
   Result<CorrelateArgmaxResult> CorrelateArgmax(
       const std::vector<double>& r, const std::vector<bool>* skip = nullptr,
       size_t skip_offset = 0) const;
@@ -188,6 +192,13 @@ class MeasurementMatrix {
   /// block reduction. Saves an O(M·N) pass per ExtendedDictionary
   /// construction / known-mode recovery.
   const std::vector<double>& CachedBiasColumn() const;
+
+  /// The largest |unscaled entry| Φ0 can hold, 1097/128. The generator's
+  /// u ≥ 2^-53 caps |g| at √(106·ln 2) ≈ 8.5717, below the midpoint
+  /// 8.57421875 of the binary16 neighbours 8.5703125 and 8.578125, so
+  /// FloatToHalf(float(g)) never exceeds 8.5703125 (docs/THEORY.md §9).
+  /// CorrelateArgmax's screen bound rests on it.
+  static constexpr double kMaxAbsUnscaledEntry = 8.5703125;
 
   /// Bytes one stored entry takes, in the dense cache and in the implicit
   /// batch kernel's column scratch.

@@ -130,8 +130,7 @@ DetectorCheckpoint StreamingDetector::CheckpointState() const {
 }
 
 uint32_t StreamingDetector::ShardOfKey(size_t key, size_t num_shards) {
-  return static_cast<uint32_t>(SplitMix64(static_cast<uint64_t>(key)) %
-                               num_shards);
+  return static_cast<uint32_t>(mr::DefaultPartition(key) % num_shards);
 }
 
 Status StreamingDetector::IngestBatch(const std::vector<size_t>& keys,
@@ -196,8 +195,8 @@ Status StreamingDetector::IngestBatch(const size_t* keys, const double* deltas,
   auto one_run = [&](auto&& fn) { fn(keys, deltas_mut, count); };
   mr::ScatterPartitions(
       count, num_shards, &arena,
-      [](size_t key) { return SplitMix64(static_cast<uint64_t>(key)); },
-      one_run, &key_store, &value_store, &blocks);
+      [](size_t key) { return mr::DefaultPartition(key); }, one_run,
+      &key_store, &value_store, &blocks);
 
   // Stalled shards' shares go to the backlog (deferred, not lost); every
   // other shard becomes one slice view of the batched sketching kernel.

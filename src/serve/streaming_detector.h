@@ -151,8 +151,8 @@ class StreamingDetector {
   /// the copy; concurrent queries are unaffected).
   DetectorCheckpoint CheckpointState() const;
 
-  /// The shard a key routes to: `SplitMix64(key) % num_shards` (the same
-  /// mixed hash as the MapReduce default partitioner — never identity).
+  /// The shard a key routes to: `mr::DefaultPartition(key) % num_shards`,
+  /// the MapReduce default partitioner's mixed hash (never identity).
   static uint32_t ShardOfKey(size_t key, size_t num_shards);
 
   /// Ingests one batch of keyed score deltas into the current epoch

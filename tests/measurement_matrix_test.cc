@@ -5,7 +5,11 @@
 #include <cmath>
 #include <cstdint>
 #include <latch>
+#include <limits>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,6 +20,8 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/simd.h"
+#include "cs/dictionary.h"
+#include "cs/omp.h"
 #include "la/vector_ops.h"
 
 namespace csod::cs {
@@ -212,11 +218,12 @@ TEST(MeasurementMatrixTest, CorrelateImplicitMatchesCached) {
 // ascending strict-> scan (lowest index wins ties).
 CorrelateArgmaxResult ScanArgmax(const MeasurementMatrix& matrix,
                                  const std::vector<double>& r,
-                                 const std::vector<bool>* skip) {
+                                 const std::vector<bool>* skip,
+                                 size_t skip_offset = 0) {
   auto c = matrix.CorrelateAll(r).MoveValue();
   CorrelateArgmaxResult out;
   for (size_t j = 0; j < c.size(); ++j) {
-    if (skip != nullptr && (*skip)[j]) continue;
+    if (skip != nullptr && (*skip)[j + skip_offset]) continue;
     const double a = std::fabs(c[j]);
     if (a > out.abs_correlation) {
       out.abs_correlation = a;
@@ -269,6 +276,210 @@ TEST(MeasurementMatrixTest, CorrelateArgmaxTieBreaksLowestIndex) {
   pick = matrix.CorrelateArgmax(zero, &mask).MoveValue();
   EXPECT_EQ(pick.index, 3u);
   EXPECT_EQ(pick.abs_correlation, 0.0);
+}
+
+// CorrelateArgmax against ScanArgmax, the exhaustive exact scan, bit for
+// bit (index, correlation and |correlation|, NaN included) at limits
+// {1, 2, 8} on both SIMD levels.
+void ExpectArgmaxIsExhaustive(const MeasurementMatrix& matrix,
+                              const std::vector<double>& r,
+                              const std::vector<bool>* skip,
+                              size_t skip_offset, const std::string& label) {
+  const CorrelateArgmaxResult want = ScanArgmax(matrix, r, skip, skip_offset);
+  for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+      ScopedParallelismLimit scoped_limit(limit);
+      ScopedSimdLevel scoped_level(level);
+      const auto got = matrix.CorrelateArgmax(r, skip, skip_offset);
+      ASSERT_TRUE(got.ok()) << label;
+      const std::string where =
+          label + (matrix.cached() ? " cached" : " implicit") +
+          " limit=" + std::to_string(limit) + " level=" +
+          simd::LevelName(simd::ActiveLevel());
+      EXPECT_EQ(got.Value().index, want.index) << where;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.Value().correlation),
+                std::bit_cast<uint64_t>(want.correlation))
+          << where;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.Value().abs_correlation),
+                std::bit_cast<uint64_t>(want.abs_correlation))
+          << where;
+    }
+  }
+}
+
+// The screen-then-confirm argmax is the exhaustive one on residuals that
+// stress the screen's bound: Gaussian and heavy-tailed; r = e_i, whose row
+// of quantized halves ties many columns exactly; r = 0 (every column
+// ties); float-subnormal and double-subnormal scales (the underflow term);
+// scales on either side of ‖s‖₁ = 2^120 and beyond float range (the
+// screen steps aside); NaN and ±∞ entries; and crafted near ties between
+// two columns that float arithmetic cannot order. Masks: none, random, all
+// but one, all, and, for e_17, one that leaves an exact tie on top. M = 37
+// leaves tails after the 8-lane trees, and N = 2600 gives limit 8 its
+// eight chunks.
+TEST(MeasurementMatrixTest, ScreenedArgmaxMatchesExhaustiveScan) {
+  const size_t m = 37, n = 2600;
+  Rng rng(71);
+  auto gaussian = [&](double scale) {
+    std::vector<double> r(m);
+    for (double& v : r) v = scale * rng.NextGaussian();
+    return r;
+  };
+  std::vector<std::pair<std::string, std::vector<double>>> residuals;
+  residuals.emplace_back("gaussian", gaussian(1.0));
+  std::vector<double> cauchy(m);
+  for (double& v : cauchy) v = rng.NextGaussian() / rng.NextGaussian();
+  residuals.emplace_back("cauchy", cauchy);
+  for (const size_t i : {size_t{0}, size_t{17}, size_t{36}}) {
+    std::vector<double> e(m, 0.0);
+    e[i] = (i == 17) ? -3.0 : 1.0;
+    residuals.emplace_back("e_" + std::to_string(i), e);
+  }
+  residuals.emplace_back("zero", std::vector<double>(m, 0.0));
+  for (const double scale : {1e-41, 1e-310, 1e35, 1e36, 1e39, 1e300}) {
+    std::ostringstream name;
+    name << "scale " << scale;
+    residuals.emplace_back(name.str(), gaussian(scale));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> with_nan = gaussian(1.0);
+  with_nan[5] = std::numeric_limits<double>::quiet_NaN();
+  residuals.emplace_back("nan", with_nan);
+  std::vector<double> with_inf = gaussian(1.0);
+  with_inf[3] = inf;
+  residuals.emplace_back("+inf", with_inf);
+  with_inf[3] = -inf;
+  residuals.emplace_back("-inf", with_inf);
+  with_inf[30] = inf;
+  residuals.emplace_back("+inf and -inf", with_inf);
+
+  std::vector<std::pair<std::string, std::vector<bool>>> masks;
+  std::vector<bool> random_mask(n);
+  for (size_t j = 0; j < n; ++j) random_mask[j] = rng.NextU64() % 3 == 0;
+  masks.emplace_back("random mask", random_mask);
+  std::vector<bool> all_but_one(n, true);
+  all_but_one[1234] = false;
+  masks.emplace_back("all but one", all_but_one);
+  masks.emplace_back("all masked", std::vector<bool>(n, true));
+
+  // Near ties: r = c1 + b·c2 in the span of columns j1 < j2, with b set so
+  // that <c1, r> = <c2, r> in exact arithmetic, then nudged by a relative
+  // δ from 3e-7 (where the float screen misorders the pair) down to 0.
+  // These two pairs lead every other column; a screen that kept only its
+  // own maximum returns the wrong one of 700/701.
+  const MeasurementMatrix reference(m, n, 19);
+  for (const auto& [j1, j2] : {std::pair<size_t, size_t>{5, 1300},
+                               std::pair<size_t, size_t>{700, 701}}) {
+    const std::vector<double> c1 = reference.Column(j1);
+    const std::vector<double> c2 = reference.Column(j2);
+    const double b0 = (la::Dot(c1, c1) - la::Dot(c1, c2)) /
+                      (la::Dot(c2, c2) - la::Dot(c1, c2));
+    for (const double delta : {-3e-7, -1e-7, -3e-8, -1e-8, -1e-13, 0.0, 1e-13,
+                               1e-8, 3e-8, 1e-7, 3e-7}) {
+      std::vector<double> r = c1;
+      for (size_t i = 0; i < m; ++i) r[i] += b0 * (1.0 + delta) * c2[i];
+      const size_t winner = ScanArgmax(reference, r, nullptr).index;
+      EXPECT_TRUE(winner == j1 || winner == j2) << winner;
+      std::ostringstream name;
+      name << "near tie " << j1 << "/" << j2 << " delta " << delta;
+      residuals.emplace_back(name.str(), r);
+    }
+  }
+
+  // Masks every column of e_17's residual above the largest |entry| of
+  // row 17 that two columns share, so the unmasked maximum is that tie.
+  std::map<double, size_t> row_counts;
+  for (size_t j = 0; j < n; ++j) {
+    ++row_counts[std::fabs(reference.Entry(17, j))];
+  }
+  double tied = 0.0;
+  for (const auto& [value, count] : row_counts) {
+    if (count >= 2) tied = value;
+  }
+  ASSERT_GT(tied, 0.0);
+  std::vector<bool> tie_mask(n);
+  for (size_t j = 0; j < n; ++j) {
+    tie_mask[j] = std::fabs(reference.Entry(17, j)) > tied;
+  }
+
+  for (const size_t budget : {size_t{1} << 24, size_t{0}}) {
+    const MeasurementMatrix matrix(m, n, 19, budget);
+    ASSERT_EQ(residuals[3].first, "e_17");
+    ExpectArgmaxIsExhaustive(matrix, residuals[3].second, &tie_mask, 0,
+                             "e_17, tie on top");
+    for (const auto& [r_name, r] : residuals) {
+      ExpectArgmaxIsExhaustive(matrix, r, nullptr, 0, r_name + ", no mask");
+      for (const auto& [mask_name, mask] : masks) {
+        ExpectArgmaxIsExhaustive(matrix, r, &mask, 0,
+                                 r_name + ", " + mask_name);
+      }
+    }
+    const auto none_left =
+        matrix.CorrelateArgmax(residuals[0].second, &masks[2].second);
+    EXPECT_EQ(none_left.Value().index, CorrelateArgmaxResult::kNoIndex);
+  }
+}
+
+// Forwards to ExtendedDictionary and records every residual and atom mask
+// the OMP loop correlates: the residual sequence of a real BOMP run.
+class RecordingDictionary final : public Dictionary {
+ public:
+  explicit RecordingDictionary(const MeasurementMatrix* matrix)
+      : inner_(matrix) {}
+
+  size_t num_atoms() const override { return inner_.num_atoms(); }
+  size_t atom_length() const override { return inner_.atom_length(); }
+  void FillAtom(size_t j, double* out) const override {
+    inner_.FillAtom(j, out);
+  }
+  Result<std::vector<double>> Correlate(
+      const std::vector<double>& r) const override {
+    return inner_.Correlate(r);
+  }
+  Result<CorrelateArgmaxResult> CorrelateArgmax(
+      const std::vector<double>& r,
+      const std::vector<bool>& selected_mask) const override {
+    calls.emplace_back(r, selected_mask);
+    return inner_.CorrelateArgmax(r, selected_mask);
+  }
+  Result<std::vector<double>> MultiplyDense(
+      const std::vector<double>& z) const override {
+    return inner_.MultiplyDense(z);
+  }
+
+  mutable std::vector<std::pair<std::vector<double>, std::vector<bool>>> calls;
+
+ private:
+  ExtendedDictionary inner_;
+};
+
+// Every residual of a BOMP run (a mode of 7.5 with 25 planted outliers,
+// M = 64, N = 3000, 40 iterations) through the atom-indexed mask that
+// ExtendedDictionary passes with skip_offset = 1: the screened argmax is
+// the exhaustive one, on cached and implicit Φ0.
+TEST(MeasurementMatrixTest, ScreenedArgmaxIsExhaustiveOnBompResiduals) {
+  const size_t m = 64, n = 3000;
+  const MeasurementMatrix cached(m, n, 23);
+  const MeasurementMatrix implicit(m, n, 23, /*cache_budget_bytes=*/0);
+  std::vector<double> x(n, 7.5);
+  Rng rng(5);
+  for (size_t k = 0; k < 25; ++k) {
+    x[rng.NextU64() % n] += (k % 2 == 0 ? 1.0 : -1.0) * (50.0 + k);
+  }
+  const std::vector<double> y = cached.Multiply(x).MoveValue();
+  RecordingDictionary dictionary(&cached);
+  OmpOptions options;
+  options.max_iterations = 40;
+  options.stop_on_residual_stagnation = false;
+  ASSERT_TRUE(RunOmp(dictionary, y, options).ok());
+  ASSERT_GE(dictionary.calls.size(), 20u);
+  for (size_t call = 0; call < dictionary.calls.size(); ++call) {
+    const auto& [r, atom_mask] = dictionary.calls[call];
+    for (const MeasurementMatrix* matrix : {&cached, &implicit}) {
+      ExpectArgmaxIsExhaustive(*matrix, r, &atom_mask, 1,
+                               "iteration " + std::to_string(call));
+    }
+  }
 }
 
 TEST(MeasurementMatrixTest, CorrelateArgmaxAllMaskedReturnsNoIndex) {

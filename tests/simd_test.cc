@@ -1,5 +1,6 @@
 #include "common/simd.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -10,6 +11,7 @@
 
 #include "common/half.h"
 #include "common/random.h"
+#include "cs/measurement_matrix.h"
 
 namespace csod::simd {
 namespace {
@@ -301,6 +303,52 @@ TEST(SimdTest, HalfColumnKernelsAreBitIdenticalAcrossLevels) {
   }
 }
 
+// The screen dots' tree, written out longhand in float: lane l sums
+// HalfToFloat(a[i]) * b[i] for i ≡ l (mod 8); lanes fold pairwise.
+float ReferenceFloatLaneDot(const Half* a, const float* b, size_t n) {
+  float lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  for (size_t i = 0; i < n; ++i) lane[i % 8] += HalfToFloat(a[i]) * b[i];
+  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+// The half × float screen dots: Dot and each Dot4 output equal the float
+// lane tree bit for bit on both levels. Sizes and NaN guards as above; a
+// residual with a zero and a subnormal entry rides along.
+TEST(SimdTest, ScreenDotsMatchTheFloatLaneSplitOnEveryLevel) {
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 17; ++n) sizes.push_back(n);
+  for (size_t n : {size_t{255}, size_t{256}, size_t{257}}) sizes.push_back(n);
+  for (size_t n : sizes) {
+    std::vector<std::vector<Half>> cols;
+    for (uint64_t k = 0; k < 4; ++k) {
+      cols.push_back(RandomHalves(n, 200 + k, /*guard=*/8));
+    }
+    std::vector<float> r(n);
+    const auto wide_r = RandomVector(n, 299);
+    for (size_t i = 0; i < n; ++i) r[i] = static_cast<float>(wide_r[i]);
+    if (n > 3) {
+      r[1] = 0.0f;
+      r[3] = 1e-40f;
+    }
+    for (Level level : {Level::kPortable, Level::kAvx2}) {
+      ScopedLevel scoped(level);
+      float dot4[4];
+      Dot4(cols[0].data(), cols[1].data(), cols[2].data(), cols[3].data(),
+           r.data(), n, dot4);
+      for (size_t k = 0; k < 4; ++k) {
+        const float want = ReferenceFloatLaneDot(cols[k].data(), r.data(), n);
+        EXPECT_EQ(std::bit_cast<uint32_t>(Dot(cols[k].data(), r.data(), n)),
+                  std::bit_cast<uint32_t>(want))
+            << "n=" << n << " k=" << k << " level=" << LevelName(level);
+        EXPECT_EQ(std::bit_cast<uint32_t>(dot4[k]),
+                  std::bit_cast<uint32_t>(want))
+            << "n=" << n << " k=" << k << " level=" << LevelName(level);
+      }
+    }
+  }
+}
+
 // Bit patterns of a double vector, so a comparison also tells -0.0 from 0.0
 // and reports the differing position.
 std::vector<uint64_t> Bits(const std::vector<double>& v) {
@@ -407,6 +455,52 @@ TEST(SimdTest, GaussianFillEdgeWordsAreBitIdenticalAcrossLevels) {
     std::vector<double> out(keys.size());
     GaussianFill(seed, keys.data(), keys.size(), out.data());
     EXPECT_EQ(Bits(out), Bits(expected)) << LevelName(ActiveLevel());
+  }
+}
+
+// The entry bound B that CorrelateArgmax's screen rests on. |g| is largest
+// where the radius is: u = 2^-53, i.e. w1 >> 11 == 0, with an angle in the
+// cell next to an axis, where |cos θ| or |sin θ| computes to exactly 1:
+// cell 0 of an even octant, the last (reflected) cell of an odd one, so
+// each octant has one such cell and the sign covers ±. The next radius, at u = 2^-52, is √(104·ln 2) ≈
+// 8.49. Every such word, on both levels, stores a half of magnitude at most
+// B, and the largest attains it.
+TEST(SimdTest, NoHalfEntryExceedsTheScreenBound) {
+  const double bound = cs::MeasurementMatrix::kMaxAbsUnscaledEntry;
+  // B is the half nearest √(106·ln 2), and g's float sits below the
+  // midpoint to the next half up by far more than the generator's error.
+  const double r_max = std::sqrt(-2.0 * box_muller::LogOpenUnit(0));
+  EXPECT_NEAR(r_max, std::sqrt(106.0 * std::log(2.0)), 1e-12);
+  EXPECT_EQ(double(HalfToFloat(FloatToHalf(static_cast<float>(r_max)))),
+            bound);
+  EXPECT_LT(static_cast<float>(r_max), 8.57421875f - 0.002f);
+  EXPECT_LT(std::sqrt(-2.0 * box_muller::LogOpenUnit(uint64_t{1} << 11)),
+            8.5);
+
+  const uint64_t seed = 7;
+  const uint64_t radius_words[] = {0, (uint64_t{1} << 11) - 1,
+                                   uint64_t{1} << 11};
+  const uint64_t last_cell = (uint64_t{1} << 61) - 1;
+  std::vector<uint64_t> keys;
+  for (uint64_t w1 : radius_words) {
+    for (uint64_t octant = 0; octant < 8; ++octant) {
+      for (uint64_t cell : {uint64_t{0}, last_cell}) {
+        keys.push_back(InverseSplitMix64(w1) ^ seed);
+        keys.push_back(InverseSplitMix64((octant << 61) | cell) ^ seed);
+      }
+    }
+  }
+  for (Level level : {Level::kPortable, Level::kAvx2}) {
+    ScopedLevel scoped(level);
+    std::vector<Half> out(keys.size());
+    GaussianFill(seed, keys.data(), keys.size(), out.data());
+    double largest = 0.0;
+    for (Half h : out) {
+      const double v = std::fabs(double(HalfToFloat(h)));
+      EXPECT_LE(v, bound) << LevelName(ActiveLevel());
+      largest = std::max(largest, v);
+    }
+    EXPECT_EQ(largest, bound) << LevelName(ActiveLevel());
   }
 }
 
