@@ -89,9 +89,11 @@ run_ctest "$BUILD_DIR" "$SERVE_FILTER"
 # manual byte-level encode/decode (memcpy in and out of frames), the
 # crafted-frame cases must fail without allocating from hostile counts, and
 # the checkpoint path deep-copies epoch rings, so an address-safety pass is
-# required even when this invocation asked for TSan (and vice versa).
-SERVE_OTHER_SAN=$([[ "${1:-thread}" == thread ]] && echo address || echo thread)
-SERVE_OTHER_BUILD_DIR="${SERVE_OTHER_BUILD_DIR:-$ROOT/build-${SERVE_OTHER_SAN}san-serve}"
+# required even when this invocation asked for TSan (and vice versa). The
+# decoders also shift, narrow and bounds-check hostile integers (lengths,
+# counts, format markers), so that pass runs UBSan alongside ASan.
+SERVE_OTHER_SAN=$([[ "$SAN" == thread ]] && echo address,undefined || echo thread)
+SERVE_OTHER_BUILD_DIR="${SERVE_OTHER_BUILD_DIR:-$ROOT/build-${SERVE_OTHER_SAN//,/-}san-serve}"
 cmake -B "$SERVE_OTHER_BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCSOD_SANITIZE="$SERVE_OTHER_SAN"

@@ -2,10 +2,8 @@
 #define CSOD_CORE_DETECTOR_H_
 
 #include <cstdint>
-#include <istream>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "common/status.h"
@@ -30,12 +28,10 @@ struct DetectorOptions {
   /// detection time.
   size_t iterations = 0;
   /// Recovery engine for Detect / DetectTopK / Recover (see cs/solver.h for
-  /// the per-engine budget mapping of `iterations`). A query-time
-  /// preference: it is NOT serialized by Save/Load — sketches are
-  /// engine-agnostic, so a checkpoint can be recovered with any solver.
+  /// the per-engine budget mapping of `iterations`).
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
-  /// Telemetry sink (sketch + recovery instrumentation). Not serialized by
-  /// Save/Load. Null or disabled is free.
+  /// Telemetry sink (sketch + recovery instrumentation). Null or disabled
+  /// is free.
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -100,23 +96,6 @@ class DistributedOutlierDetector {
   size_t num_sources() const { return sketches_.size(); }
   const DetectorOptions& options() const { return options_; }
   const cs::MeasurementMatrix& matrix() const { return *matrix_; }
-
-  /// Checkpoints the detector (options + every source sketch) to a
-  /// stream under the header "csod-detector v4" (Φ0 format 4, see
-  /// cs::kPhi0Format). State is tiny — O(sources · M) — because only
-  /// sketches are retained, never data.
-  Status Save(std::ostream& out) const;
-
-  /// Restores a detector from a checkpoint written by Save. The caller
-  /// supplies the geometry: InvalidArgument on a checkpoint whose version
-  /// names another Φ0 format (its sketches were measured with another Φ0),
-  /// unless the checkpoint's n/m/seed equal `expected`'s, and on any sketch
-  /// payload whose size is not the exact encoding of an M-value measurement
-  /// (checked before anything is allocated from it). `expected` also
-  /// supplies the runtime fields (solver, telemetry); the iteration budget
-  /// comes from the checkpoint.
-  static Result<std::unique_ptr<DistributedOutlierDetector>> Load(
-      std::istream& in, const DetectorOptions& expected);
 
  private:
   explicit DistributedOutlierDetector(const DetectorOptions& options);

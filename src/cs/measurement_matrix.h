@@ -39,8 +39,9 @@ struct SparseVectorView {
 };
 
 /// Version of Φ0's entry definition (see MeasurementMatrix). Persisted
-/// state that is only meaningful against one Φ0 records it: the detector's
-/// Save header ("csod-detector v4") and the streaming checkpoint frame.
+/// state that is only meaningful against one Φ0 records it: the streaming
+/// checkpoint frame and the kSnapshot frame each end with it as a `u32`,
+/// read back through serve::ReadPhi0Format.
 /// Format 1 held double entries `g / √M` with the libm Box–Muller and
 /// column seeds `HashCombine(seed, j)`; format 2 rounded them to float;
 /// format 3 draws g from the libm-free box_muller::Pair and seeds column j

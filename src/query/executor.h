@@ -61,9 +61,8 @@ struct QueryResult {
 /// against a consensus key dictionary, compresses to M measurements, and
 /// the aggregator recovers the Outlier-K / Top-K answer with BOMP.
 ///
-/// The consensus dictionary is built from the union of the nodes' keys
-/// (in a deployment it is a shared catalog artifact; see
-/// workload::GlobalKeyDictionary::Merge for the node-side mechanics).
+/// The consensus dictionary interns the union of the nodes' keys in node
+/// order (in a deployment it is a shared catalog artifact).
 Result<QueryResult> ExecuteDistributed(
     const Query& query, const std::vector<LogTable>& node_tables,
     const ExecutionOptions& options);

@@ -16,42 +16,6 @@ Result<size_t> GlobalKeyDictionary::Lookup(const std::string& key) const {
   return it->second;
 }
 
-Status GlobalKeyDictionary::Save(std::ostream& out) const {
-  for (const std::string& key : keys_) {
-    if (key.find('\n') != std::string::npos) {
-      return Status::InvalidArgument("Save: key contains newline: " + key);
-    }
-    out << key << '\n';
-  }
-  if (!out.good()) {
-    return Status::Internal("Save: stream write failed");
-  }
-  return Status::OK();
-}
-
-Status GlobalKeyDictionary::Load(std::istream& in) {
-  index_.clear();
-  keys_.clear();
-  std::string line;
-  while (std::getline(in, line)) {
-    if (index_.count(line)) {
-      return Status::InvalidArgument("Load: duplicate key: " + line);
-    }
-    Intern(line);
-  }
-  return Status::OK();
-}
-
-std::vector<size_t> GlobalKeyDictionary::Merge(
-    const GlobalKeyDictionary& other) {
-  std::vector<size_t> remap;
-  remap.reserve(other.size());
-  for (const std::string& key : other.keys()) {
-    remap.push_back(Intern(key));
-  }
-  return remap;
-}
-
 Result<std::string> GlobalKeyDictionary::KeyOf(size_t index) const {
   if (index >= keys_.size()) {
     return Status::OutOfRange("key index " + std::to_string(index) +

@@ -2,8 +2,6 @@
 #define CSOD_WORKLOAD_KEY_DICTIONARY_H_
 
 #include <cstddef>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,24 +31,6 @@ class GlobalKeyDictionary {
 
   /// Number of interned keys N.
   size_t size() const { return keys_.size(); }
-
-  /// All keys in index order.
-  const std::vector<std::string>& keys() const { return keys_; }
-
-  /// Writes the dictionary (one key per line, index order) so every node
-  /// can load the identical key → position mapping — how the "global key
-  /// dictionary" is distributed in practice. Keys must not contain
-  /// newlines.
-  Status Save(std::ostream& out) const;
-
-  /// Reads a dictionary written by Save. Replaces the current content.
-  Status Load(std::istream& in);
-
-  /// Interns every key of `other` (in `other`'s index order) and returns
-  /// the index remapping: result[i] is this dictionary's index for
-  /// other's key i. Merging per-node dictionaries this way yields the
-  /// consensus dictionary plus each node's local → global translation.
-  std::vector<size_t> Merge(const GlobalKeyDictionary& other);
 
  private:
   std::unordered_map<std::string, size_t> index_;

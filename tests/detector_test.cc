@@ -1,8 +1,6 @@
 #include "core/detector.h"
 
 #include <cmath>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -175,142 +173,6 @@ TEST(DetectorTest, AddSourceMeasurementMatchesAddSource) {
 TEST(DetectorTest, AddSourceMeasurementSizeChecked) {
   auto detector = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
   EXPECT_FALSE(detector->AddSourceMeasurement({1.0, 2.0}).ok());
-}
-
-TEST(DetectorTest, SaveLoadRoundTrip) {
-  const std::vector<double> global = TestGlobal();
-  auto original = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
-  std::vector<SourceId> ids;
-  for (const auto& slice : MakeSlices(global, 4, 31)) {
-    ids.push_back(original->AddSource(slice).MoveValue());
-  }
-
-  std::stringstream checkpoint;
-  ASSERT_TRUE(original->Save(checkpoint).ok());
-  auto restored =
-      DistributedOutlierDetector::Load(checkpoint, SmallOptions()).MoveValue();
-
-  EXPECT_EQ(restored->num_sources(), original->num_sources());
-  EXPECT_EQ(restored->options().n, original->options().n);
-  EXPECT_EQ(restored->options().m, original->options().m);
-  EXPECT_EQ(restored->options().seed, original->options().seed);
-  EXPECT_EQ(restored->global_measurement(), original->global_measurement());
-
-  // Detection agrees bitwise.
-  auto a = original->Detect(5).MoveValue();
-  auto b = restored->Detect(5).MoveValue();
-  ASSERT_EQ(a.outliers.size(), b.outliers.size());
-  for (size_t i = 0; i < a.outliers.size(); ++i) {
-    EXPECT_EQ(a.outliers[i].key_index, b.outliers[i].key_index);
-    EXPECT_EQ(a.outliers[i].value, b.outliers[i].value);
-  }
-
-  // Source ids survive: removing an original id works on the restored
-  // detector too.
-  ASSERT_TRUE(restored->RemoveSource(ids[2]).ok());
-  ASSERT_TRUE(original->RemoveSource(ids[2]).ok());
-  EXPECT_EQ(restored->global_measurement(), original->global_measurement());
-}
-
-TEST(DetectorTest, LoadRejectsGarbage) {
-  std::stringstream not_a_checkpoint("hello world");
-  EXPECT_FALSE(
-      DistributedOutlierDetector::Load(not_a_checkpoint, SmallOptions()).ok());
-
-  std::stringstream truncated("csod-detector v4\n500 180 11 24 3\n");
-  EXPECT_FALSE(DistributedOutlierDetector::Load(truncated, SmallOptions()).ok());
-
-  // A checkpoint of another geometry is refused, not reinterpreted.
-  auto original = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
-  ASSERT_TRUE(original->AddSourceMeasurement(std::vector<double>(180, 1.0)).ok());
-  std::stringstream saved;
-  ASSERT_TRUE(original->Save(saved).ok());
-  DetectorOptions other_seed = SmallOptions();
-  other_seed.seed += 1;
-  EXPECT_FALSE(DistributedOutlierDetector::Load(saved, other_seed).ok());
-
-  // Two sketches under one source id would double-count it in y.
-  const std::string one_source = saved.str();
-  const std::string header = "csod-detector v4\n500 180 11 24 1\n";
-  ASSERT_EQ(one_source.rfind(header, 0), 0u);
-  const std::string body = one_source.substr(header.size());
-  std::stringstream duplicate_id("csod-detector v4\n500 180 11 24 2\n" + body +
-                                 body);
-  EXPECT_FALSE(
-      DistributedOutlierDetector::Load(duplicate_id, SmallOptions()).ok());
-
-  // A payload size far beyond the stream must fail before allocating it.
-  DetectorOptions tiny;
-  tiny.n = 16;
-  tiny.m = 4;
-  tiny.seed = 1;
-  std::stringstream huge_payload(
-      "csod-detector v4\n16 4 1 0 1\n0 4611686018427387904\n");
-  EXPECT_FALSE(DistributedOutlierDetector::Load(huge_payload, tiny).ok());
-
-  // An M whose matrix size would wrap size_t never reaches the matrix.
-  DetectorOptions narrow = tiny;
-  narrow.n = 4;
-  std::stringstream wrapping_m(
-      "csod-detector v4\n4 2305843009213693952 1 0 0\n");
-  EXPECT_FALSE(DistributedOutlierDetector::Load(wrapping_m, narrow).ok());
-}
-
-// Older checkpoints were measured with an older Φ0; a byte-for-byte older
-// file (this build's body under the old header) must be refused by name.
-Status LoadUnderHeader(const std::string& version) {
-  auto original = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
-  EXPECT_TRUE(
-      original->AddSourceMeasurement(std::vector<double>(180, 1.0)).ok());
-  std::stringstream saved;
-  EXPECT_TRUE(original->Save(saved).ok());
-  const std::string current = saved.str();
-  const std::string header =
-      "csod-detector v" + std::to_string(cs::kPhi0Format) + "\n";
-  EXPECT_EQ(current.rfind(header, 0), 0u);
-  std::stringstream relabeled("csod-detector " + version + "\n" +
-                              current.substr(header.size()));
-  return DistributedOutlierDetector::Load(relabeled, SmallOptions()).status();
-}
-
-TEST(DetectorTest, LoadRefusesAV1CheckpointByItsPhi0Format) {
-  const Status status = LoadUnderHeader("v1");
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.ToString().find("Φ0 format 1"), std::string::npos)
-      << status.ToString();
-  EXPECT_TRUE(LoadUnderHeader("v4").ok());
-}
-
-TEST(DetectorTest, LoadRefusesAV2CheckpointByItsPhi0Format) {
-  const Status status = LoadUnderHeader("v2");
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.ToString().find("Φ0 format 2"), std::string::npos)
-      << status.ToString();
-  EXPECT_NE(status.ToString().find("Φ0 format 4"), std::string::npos)
-      << status.ToString();
-  // A newer format is refused by name too; a non-numeric version is not a
-  // format at all.
-  const Status newer = LoadUnderHeader("v5");
-  EXPECT_EQ(newer.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(newer.ToString().find("Φ0 format 5"), std::string::npos)
-      << newer.ToString();
-  for (const char* bad : {"v", "vx", "v4x", "4", "v-4"}) {
-    const Status unknown = LoadUnderHeader(bad);
-    EXPECT_NE(unknown.ToString().find("unknown csod-detector version"),
-              std::string::npos)
-        << bad << ": " << unknown.ToString();
-  }
-}
-
-// Format 3 held float-rounded entries; its sketches are refused by name.
-TEST(DetectorTest, LoadRefusesAV3CheckpointByItsPhi0Format) {
-  const Status status = LoadUnderHeader("v3");
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.ToString().find("Φ0 format 3"), std::string::npos)
-      << status.ToString();
-  EXPECT_NE(status.ToString().find("this build uses Φ0 format 4"),
-            std::string::npos)
-      << status.ToString();
 }
 
 TEST(DetectorTest, AccessorsExposeConfiguration) {
