@@ -196,11 +196,9 @@ void BM_SpawnJoinOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_SpawnJoinOverhead);
 
-void BM_CorrelateArgmax(benchmark::State& state) {
-  // The screen-then-confirm OMP statement-4 kernel at paper scale, M=512,
-  // N=100k (102.4 MB of half entries, inside the default 512 MB budget), at
-  // the serve geometry, M=256, N=50k (25.6 MB), and at the batch-detect
-  // geometry, M=600, N=10.4k (12.5 MB), all cached.
+// The screen-then-confirm OMP statement-4 kernel, selecting `count`
+// columns, on a cached M x N matrix (state.range(0), state.range(1)).
+void RunCorrelateTop(benchmark::State& state, size_t count) {
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
   cs::MeasurementMatrix matrix(m, n, 9);
@@ -210,13 +208,31 @@ void BM_CorrelateArgmax(benchmark::State& state) {
   std::vector<bool> mask(n, false);
   for (size_t j = 0; j < n; j += 997) mask[j] = true;
   for (auto _ : state) {
-    auto pick = matrix.CorrelateArgmax(r, &mask);
-    benchmark::DoNotOptimize(pick);
+    auto top = matrix.CorrelateTop(r, count, &mask);
+    benchmark::DoNotOptimize(top);
   }
   state.SetItemsProcessed(state.iterations() * m * n);
 }
+
+void BM_CorrelateArgmax(benchmark::State& state) {
+  // The S = 1 call at paper scale, M=512, N=100k (102.4 MB of half
+  // entries, inside the default 512 MB budget), at the serve geometry,
+  // M=256, N=50k (25.6 MB), and at the batch-detect geometry, M=600,
+  // N=10.4k (12.5 MB).
+  RunCorrelateTop(state, 1);
+}
 BENCHMARK(BM_CorrelateArgmax)
     ->Args({512, 100000})
+    ->Args({256, 50000})
+    ->Args({600, 10400})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CorrelateTop2(benchmark::State& state) {
+  // The pass OMP runs (cs::kAtomsPerPass = 2) at the serve and
+  // batch-detect geometries.
+  RunCorrelateTop(state, cs::kAtomsPerPass);
+}
+BENCHMARK(BM_CorrelateTop2)
     ->Args({256, 50000})
     ->Args({600, 10400})
     ->Unit(benchmark::kMillisecond);

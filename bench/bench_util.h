@@ -116,6 +116,24 @@ inline std::string HostJson() {
   return buf;
 }
 
+/// The smallest count c with P(X ≤ c) ≥ `confidence` for
+/// X ~ Binomial(n, p). A count above it rejects "the true rate is at most
+/// p" at level 1 − confidence, so a figure's shape gate that bounds a miss
+/// or wrong-key count by it tightens as the trial count grows instead of
+/// resting on one draw.
+inline size_t BinomialUpperQuantile(size_t n, double p, double confidence) {
+  double pmf = std::pow(1.0 - p, static_cast<double>(n));
+  double cdf = pmf;
+  size_t c = 0;
+  while (cdf < confidence && c < n) {
+    pmf *= static_cast<double>(n - c) / static_cast<double>(c + 1) * p /
+           (1.0 - p);
+    ++c;
+    cdf += pmf;
+  }
+  return c;
+}
+
 /// Pass/fail gates on a bench's own numbers. Each check prints one
 /// `gate <name>: pass|FAIL (<value> vs <threshold>)` line; main() returns
 /// exit_code(), which is 1 if any gate failed.

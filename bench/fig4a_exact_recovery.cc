@@ -2,13 +2,22 @@
 // majority-dominated data (N = 1K, mode b = 5000), for BOMP (unknown mode)
 // and standard OMP with the mode known in advance, s ∈ {50, 100, 200}.
 //
-// Paper setting: 1000 trials per point. Default here: 12 trials per point
+// Paper setting: 1000 trials per point. Default here: 20 trials per point
 // (laptop-sized); raise with --trials. The recovery iteration budget is
 // min(M, s+1), as in the paper.
+//
+// Gates (one `gate ...` line each; exit 1 if any fails), at the paper's
+// 100% points s = 50, M = 400 and s = 100, M = 700 when swept: BOMP's
+// misses are at most BinomialUpperQuantile(T, 10%, 95%), the count a 90%
+// recovery rate exceeds with probability ≤ 5%; and BOMP's misses exceed
+// OMP+known-mode's by at most that count too. s = 200 is not gated: the
+// paper gives only "~1000" for it.
 //
 // Flags: --trials=T --n=N --s-list=50,100,200 --m-list=100,...,1000
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -37,7 +46,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv).Check();
   const size_t n = static_cast<size_t>(flags.GetInt("n", 1000));
   const size_t trials = static_cast<size_t>(
-      flags.GetInt("trials", flags.GetBool("quick", false) ? 4 : 12));
+      flags.GetInt("trials", flags.GetBool("quick", false) ? 4 : 20));
   const std::vector<int64_t> s_list = flags.GetIntList("s-list", {50, 100, 200});
   const std::vector<int64_t> m_list = flags.GetIntList(
       "m-list", {100, 200, 300, 400, 500, 600, 700, 800, 900, 1000});
@@ -47,6 +56,18 @@ int main(int argc, char** argv) {
                 "(majority-dominated, b = 5000)");
   std::printf("N = %zu, trials/point = %zu\n\n", n, trials);
   bench::PrintHeader("M =", m_list);
+
+  // (s, M) points where the paper reads 100% exact recovery.
+  const std::pair<int64_t, int64_t> kPaperFullRecovery[] = {{50, 400},
+                                                            {100, 700}};
+  const size_t allowed_misses =
+      bench::BinomialUpperQuantile(trials, 0.10, 0.95);
+  struct GatedPoint {
+    std::string name;
+    size_t bomp_misses;
+    size_t omp_misses;
+  };
+  std::vector<GatedPoint> gated;
 
   for (int64_t s : s_list) {
     std::vector<double> bomp_prob;
@@ -80,6 +101,13 @@ int main(int argc, char** argv) {
       }
       bomp_prob.push_back(static_cast<double>(bomp_hits) / trials);
       omp_prob.push_back(static_cast<double>(omp_hits) / trials);
+      for (const auto& [paper_s, paper_m] : kPaperFullRecovery) {
+        if (s == paper_s && m64 == paper_m) {
+          gated.push_back({"s" + std::to_string(s) + "_m" +
+                               std::to_string(m64),
+                           trials - bomp_hits, trials - omp_hits});
+        }
+      }
     }
     bench::PrintPercentRow("BOMP s=" + std::to_string(s), bomp_prob);
     bench::PrintPercentRow("OMP+known-mode s=" + std::to_string(s), omp_prob);
@@ -88,6 +116,17 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected shape: recovery probability rises to 100%% once M "
       "exceeds ~s log(N/s); BOMP tracks OMP+known-mode without knowing "
-      "the mode.\n");
-  return 0;
+      "the mode.\n\n");
+
+  bench::Gates gates;
+  for (const GatedPoint& point : gated) {
+    gates.AtMost((point.name + "_bomp_misses").c_str(),
+                 static_cast<double>(point.bomp_misses),
+                 static_cast<double>(allowed_misses));
+    gates.AtMost((point.name + "_bomp_misses_beyond_known_mode").c_str(),
+                 static_cast<double>(point.bomp_misses) -
+                     static_cast<double>(point.omp_misses),
+                 static_cast<double>(allowed_misses));
+  }
+  return gates.exit_code();
 }

@@ -121,7 +121,7 @@ run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 # whatever SAN is: Φ0 columns are binary16 halves, read four or eight at a
 # time (vcvtph2ps) with scalar tails, and ASan is what proves no column
 # read runs past its last entry. The tests allocate columns of exactly M
-# halves for every tail length. CorrelateArgmax's screen converts the
+# halves for every tail length. CorrelateTop's screen converts the
 # residual to float and takes its error bound from ‖s‖₁ with infinite,
 # NaN, subnormal and beyond-float-range residuals among the tests, so
 # UBSan checks those conversions; its tests are named in the filter so

@@ -59,6 +59,7 @@ BompResult BuildResult(const OmpResult& omp, size_t n, bool bias_atom_present,
   }
 
   out.iterations = omp.iterations;
+  out.passes = omp.passes;
   out.stopped_by_stagnation = omp.stopped_by_stagnation;
   out.final_residual_norm = omp.final_residual_norm;
   return out;
@@ -111,6 +112,8 @@ Result<BompResult> RunBomp(const MeasurementMatrix& matrix,
     if (result.bias_selected) options.telemetry->AddCounter("bomp.bias_selected");
     options.telemetry->RecordValue("bomp.iterations",
                                    static_cast<double>(result.iterations));
+    options.telemetry->RecordValue("bomp.passes",
+                                   static_cast<double>(result.passes));
     options.telemetry->RecordValue("bomp.support_size",
                                    static_cast<double>(result.entries.size()));
     options.telemetry->RecordValue("bomp.final_residual_norm",

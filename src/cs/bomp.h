@@ -54,8 +54,11 @@ struct BompResult {
   /// iteration i+1; zero before the bias atom is selected.
   std::vector<double> mode_trace;
 
-  /// Inner OMP diagnostics.
+  /// Inner OMP diagnostics. `iterations` counts selected atoms; `passes`
+  /// counts the correlate sweeps over Φ0 that selected them (OmpResult;
+  /// 0 for engines that do not run the OMP loop).
   size_t iterations = 0;
+  size_t passes = 0;
   bool stopped_by_stagnation = false;
   double final_residual_norm = 0.0;
 
@@ -70,7 +73,8 @@ size_t DefaultIterationsForK(size_t k);
 
 /// The budget R a detector runs with: `configured` when the caller set one,
 /// else the paper's f(k). Every `iterations = 0 means f(k)` option resolves
-/// here.
+/// here. R counts atoms; BOMP selects kAtomsPerPass (omp.h) of them per Φ0
+/// sweep, so a solve makes at most ⌈R/2⌉ + 1 sweeps.
 size_t IterationBudget(size_t configured, size_t k);
 
 /// \brief Biased OMP (Algorithm 1): recovers a vector whose values

@@ -7,26 +7,23 @@
 
 namespace csod::cs {
 
-Result<CorrelateArgmaxResult> Dictionary::CorrelateArgmax(
-    const std::vector<double>& r,
-    const std::vector<bool>& selected_mask) const {
+Result<std::vector<CorrelateArgmaxResult>> Dictionary::CorrelateTop(
+    const std::vector<double>& r, const std::vector<bool>& selected_mask,
+    size_t count) const {
   if (selected_mask.size() != num_atoms()) {
     return Status::InvalidArgument(
-        "CorrelateArgmax: mask size " + std::to_string(selected_mask.size()) +
+        "CorrelateTop: mask size " + std::to_string(selected_mask.size()) +
         " != num_atoms " + std::to_string(num_atoms()));
   }
   CSOD_ASSIGN_OR_RETURN(std::vector<double> correlations, Correlate(r));
-  CorrelateArgmaxResult best;
+  std::vector<CorrelateArgmaxResult> top;
   for (size_t j = 0; j < correlations.size(); ++j) {
     if (selected_mask[j]) continue;
-    const double a = std::fabs(correlations[j]);
-    if (a > best.abs_correlation) {
-      best.index = j;
-      best.correlation = correlations[j];
-      best.abs_correlation = a;
-    }
+    FoldTop(CorrelateArgmaxResult{j, correlations[j],
+                                  std::fabs(correlations[j])},
+            count, &top);
   }
-  return best;
+  return top;
 }
 
 void ExtendedDictionary::FillAtom(size_t j, double* out) const {
@@ -46,33 +43,31 @@ Result<std::vector<double>> ExtendedDictionary::Correlate(
   return out;
 }
 
-Result<CorrelateArgmaxResult> ExtendedDictionary::CorrelateArgmax(
-    const std::vector<double>& r,
-    const std::vector<bool>& selected_mask) const {
+Result<std::vector<CorrelateArgmaxResult>> ExtendedDictionary::CorrelateTop(
+    const std::vector<double>& r, const std::vector<bool>& selected_mask,
+    size_t count) const {
   if (selected_mask.size() != num_atoms()) {
     return Status::InvalidArgument(
-        "CorrelateArgmax: mask size " + std::to_string(selected_mask.size()) +
+        "CorrelateTop: mask size " + std::to_string(selected_mask.size()) +
         " != num_atoms " + std::to_string(num_atoms()));
   }
-  CorrelateArgmaxResult best;
+  std::vector<CorrelateArgmaxResult> top;
   if (!selected_mask[0]) {
-    best.index = 0;
-    best.correlation = la::Dot(bias_column_, r);
-    best.abs_correlation = std::fabs(best.correlation);
+    const double bias = la::Dot(bias_column_, r);
+    FoldTop(CorrelateArgmaxResult{0, bias, std::fabs(bias)}, count, &top);
   }
   // Atom j+1 is matrix column j; the mask is passed with offset 1 instead
-  // of being re-indexed. Strict > keeps the bias atom (index 0) on ties,
-  // matching a lowest-index-first scan over the extended dictionary.
-  CSOD_ASSIGN_OR_RETURN(CorrelateArgmaxResult rest,
-                        matrix_->CorrelateArgmax(r, &selected_mask,
-                                                 /*skip_offset=*/1));
-  if (rest.index != CorrelateArgmaxResult::kNoIndex &&
-      rest.abs_correlation > best.abs_correlation) {
-    best.index = rest.index + 1;
-    best.correlation = rest.correlation;
-    best.abs_correlation = rest.abs_correlation;
+  // of being re-indexed. The bias atom is folded first, so it keeps its
+  // place on ties, matching a lowest-index-first scan over the extended
+  // dictionary.
+  CSOD_ASSIGN_OR_RETURN(std::vector<CorrelateArgmaxResult> rest,
+                        matrix_->CorrelateTop(r, count, &selected_mask,
+                                              /*skip_offset=*/1));
+  for (CorrelateArgmaxResult pick : rest) {
+    ++pick.index;
+    FoldTop(pick, count, &top);
   }
-  return best;
+  return top;
 }
 
 Result<std::vector<double>> ExtendedDictionary::MultiplyDense(

@@ -34,18 +34,24 @@ class Dictionary {
   virtual Result<std::vector<double>> Correlate(
       const std::vector<double>& r) const = 0;
 
-  /// Fused correlate+argmax (OMP statement 4): the atom j maximizing
-  /// |<atom_j, r>| over all j with !selected_mask[j], ties toward the lowest
-  /// j; index == CorrelateArgmaxResult::kNoIndex when every atom is masked.
+  /// Fused correlate+top-`count` (OMP statement 4, generalized): the
+  /// `count` atoms of largest |<atom_j, r>| over all j with
+  /// !selected_mask[j], ordered by |correlation| descending with ties
+  /// toward the lowest j; fewer when fewer atoms are unmasked.
   /// selected_mask.size() must equal num_atoms().
   ///
   /// The default implementation correlates all atoms and scans (any
   /// Dictionary stays correct); MatrixDictionary and ExtendedDictionary
   /// override it with the measurement matrix's fused kernel, which never
   /// materializes, copies, or rescans the N-vector of correlations.
-  virtual Result<CorrelateArgmaxResult> CorrelateArgmax(
-      const std::vector<double>& r,
-      const std::vector<bool>& selected_mask) const;
+  virtual Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
+      const std::vector<double>& r, const std::vector<bool>& selected_mask,
+      size_t count) const;
+
+  /// True for an atom that OMP appends alone when a pass ranks it first:
+  /// BOMP's bias atom, whose column is the sum of all others, so the pass's
+  /// runner-up correlation says little once it is in (DESIGN.md §5).
+  virtual bool IsBiasAtom(size_t /*j*/) const { return false; }
 
   /// y = Σ_j z_j * atom_j for a dense coefficient vector z of size
   /// num_atoms() (the forward operator, needed by gradient-based
@@ -77,10 +83,10 @@ class MatrixDictionary final : public Dictionary {
       const std::vector<double>& r) const override {
     return matrix_->CorrelateAll(r);
   }
-  Result<CorrelateArgmaxResult> CorrelateArgmax(
-      const std::vector<double>& r,
-      const std::vector<bool>& selected_mask) const override {
-    return matrix_->CorrelateArgmax(r, &selected_mask);
+  Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
+      const std::vector<double>& r, const std::vector<bool>& selected_mask,
+      size_t count) const override {
+    return matrix_->CorrelateTop(r, count, &selected_mask);
   }
   Result<std::vector<double>> MultiplyDense(
       const std::vector<double>& z) const override {
@@ -109,9 +115,10 @@ class ExtendedDictionary final : public Dictionary {
   void FillAtom(size_t j, double* out) const override;
   Result<std::vector<double>> Correlate(
       const std::vector<double>& r) const override;
-  Result<CorrelateArgmaxResult> CorrelateArgmax(
-      const std::vector<double>& r,
-      const std::vector<bool>& selected_mask) const override;
+  Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
+      const std::vector<double>& r, const std::vector<bool>& selected_mask,
+      size_t count) const override;
+  bool IsBiasAtom(size_t j) const override { return j == 0; }
   Result<std::vector<double>> MultiplyDense(
       const std::vector<double>& z) const override;
 

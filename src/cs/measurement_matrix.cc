@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
@@ -29,7 +30,7 @@ constexpr size_t kMinColumnsPerGeneration = 32;
 constexpr size_t kReductionBlockColumns = 2048;
 constexpr size_t kReductionBlockNnz = 512;
 
-// CorrelateArgmax's screen prefetches the cached column this many bytes
+// CorrelateTop's screen prefetches the cached column this many bytes
 // ahead of the one it scores, one cache line at a time.
 constexpr size_t kScreenPrefetchBytes = 4096;
 constexpr size_t kCacheLineBytes = 64;
@@ -130,18 +131,6 @@ std::vector<double> BlockedSum(size_t m, size_t num_blocks,
   return y;
 }
 
-// Folds a candidate (index, value) into the running chunk-local argmax.
-// Strict > with ascending candidate order == lowest index wins on ties.
-inline void FoldArgmax(size_t index, double value,
-                       CorrelateArgmaxResult* best) {
-  const double abs_value = std::fabs(value);
-  if (abs_value > best->abs_correlation) {
-    best->index = index;
-    best->correlation = value;
-    best->abs_correlation = abs_value;
-  }
-}
-
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 // The screen's error bound ε for the scaled residual s (docs/THEORY.md §9):
@@ -178,6 +167,19 @@ bool FitsCacheBudget(size_t m, size_t n, size_t budget) {
 }
 
 }  // namespace
+
+void FoldTop(const CorrelateArgmaxResult& candidate, size_t count,
+             std::vector<CorrelateArgmaxResult>* top) {
+  // Written as !(a >= 0) so that a NaN is dropped too.
+  if (!(candidate.abs_correlation >= 0.0)) return;
+  const auto at = std::find_if(
+      top->begin(), top->end(), [&](const CorrelateArgmaxResult& entry) {
+        return candidate.abs_correlation > entry.abs_correlation;
+      });
+  if (static_cast<size_t>(at - top->begin()) >= count) return;
+  top->insert(at, candidate);
+  if (top->size() > count) top->pop_back();
+}
 
 MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
                                      size_t cache_budget_bytes)
@@ -478,29 +480,32 @@ Result<std::vector<double>> MeasurementMatrix::CorrelateAll(
   return c;
 }
 
-Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
-    const std::vector<double>& r, const std::vector<bool>* skip,
+Result<std::vector<CorrelateArgmaxResult>> MeasurementMatrix::CorrelateTop(
+    const std::vector<double>& r, size_t count, const std::vector<bool>* skip,
     size_t skip_offset) const {
   if (r.size() != m_) {
-    return Status::InvalidArgument("CorrelateArgmax: r size " +
+    return Status::InvalidArgument("CorrelateTop: r size " +
                                    std::to_string(r.size()) + " != M " +
                                    std::to_string(m_));
   }
   if (skip != nullptr && skip->size() < n_ + skip_offset) {
-    return Status::InvalidArgument("CorrelateArgmax: skip mask size " +
+    return Status::InvalidArgument("CorrelateTop: skip mask size " +
                                    std::to_string(skip->size()) +
                                    " < N + offset " +
                                    std::to_string(n_ + skip_offset));
   }
+  std::vector<CorrelateArgmaxResult> top;
+  if (count == 0) return top;
   // Two stages (DESIGN.md §8). The screen scores every unmasked column
   // with the float kernel, a_j = simd::Dot(h_j, float(s)), and keeps each
-  // column whose |a_j| lies within 2ε of the largest; ScreenErrorBound's ε
-  // bounds |a_j − K_j| for the exact K_j = simd::Dot(h_j, s), so every
-  // column it drops has |K_j| strictly below the maximum. The confirm stage
-  // runs the exact kernel on the kept columns only, in ascending index
-  // order with FoldArgmax's strict >, so the result is the exhaustive
-  // lowest-index argmax, bit for bit. When ε is infinite the screen dots a
-  // zero vector and every unmasked column is kept.
+  // column whose |a_j| lies within 2ε of the count-th largest |a|, T;
+  // ScreenErrorBound's ε bounds |a_j − K_j| for the exact
+  // K_j = simd::Dot(h_j, s), so every column it drops has |K_j| below that
+  // of `count` others and cannot be in the top list (docs/THEORY.md §9).
+  // The confirm stage runs the exact kernel on the kept columns only, in
+  // ascending index order through FoldTop, so the result is the exhaustive
+  // top list, bit for bit. When ε is infinite the screen dots a zero
+  // vector and every unmasked column is kept.
   const std::vector<double> scaled = ScaledResidual(r);
   const double* rp = scaled.data();
   const double two_eps = 2.0 * ScreenErrorBound(scaled);
@@ -514,15 +519,16 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
     double abs_screen;
   };
   struct ScreenedChunk {
-    double max_abs = -kInfinity;
+    // The chunk's `count` largest |a|, descending.
+    std::vector<double> top_screen;
     std::vector<Candidate> candidates;
   };
   // Columns are scored four at a time and kept against the chunk's running
-  // maximum, which only grows, so the kept set is a superset of the final
-  // one: every column within 2ε of the global maximum. A cached pass
-  // prefetches the column kScreenPrefetchBytes ahead: the sweep is bound by
-  // memory, and the hardware prefetcher stops at each 4 KB page, which
-  // holds only eight 256-row columns.
+  // count-th largest |a|, which only grows, so the kept set is a superset
+  // of the final one: every column within 2ε of the global T. A cached
+  // pass prefetches the column kScreenPrefetchBytes ahead: the sweep is
+  // bound by memory, and the hardware prefetcher stops at each 4 KB page,
+  // which holds only eight 256-row columns.
   const size_t column_bytes = m_ * kBytesPerEntry;
   const size_t prefetch_ahead =
       1 + kScreenPrefetchBytes / std::max<size_t>(column_bytes, 1);
@@ -532,6 +538,8 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
     const Half* cols[4];
     size_t filled = 0;
     float dots[4];
+    // The running count-th largest |a|; -∞ until `count` columns scored.
+    double floor = -kInfinity;
     auto flush = [&] {
       if (filled == 4) {
         simd::Dot4(cols[0], cols[1], cols[2], cols[3], screen_r.data(), m_,
@@ -543,8 +551,16 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
       }
       for (size_t k = 0; k < filled; ++k) {
         const double abs_screen = std::fabs(dots[k]);
-        out->max_abs = std::max(out->max_abs, abs_screen);
-        if (abs_screen >= out->max_abs - two_eps) {
+        std::vector<double>& top_screen = out->top_screen;
+        if (top_screen.size() < count || abs_screen > floor) {
+          top_screen.insert(std::upper_bound(top_screen.begin(),
+                                             top_screen.end(), abs_screen,
+                                             std::greater<double>()),
+                            abs_screen);
+          if (top_screen.size() > count) top_screen.pop_back();
+          if (top_screen.size() == count) floor = top_screen.back();
+        }
+        if (abs_screen >= floor - two_eps) {
           out->candidates.push_back(Candidate{batch[k], abs_screen});
         }
       }
@@ -572,27 +588,37 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
                     [&](size_t chunk, size_t begin, size_t end) {
                       screen(begin, end, &screened[chunk]);
                     });
-  double max_abs = -kInfinity;
+  // T is the count-th largest of the chunks' top lists together, which is
+  // the global count-th largest |a|; -∞ keeps every candidate when fewer
+  // than `count` columns are unmasked.
+  std::vector<double> all_top;
   size_t kept = 0;
   for (const ScreenedChunk& chunk : screened) {
-    max_abs = std::max(max_abs, chunk.max_abs);
+    all_top.insert(all_top.end(), chunk.top_screen.begin(),
+                   chunk.top_screen.end());
     kept += chunk.candidates.size();
   }
-  const double keep_floor = max_abs - two_eps;
+  double keep_floor = -kInfinity;
+  if (all_top.size() >= count) {
+    std::nth_element(all_top.begin(), all_top.begin() + (count - 1),
+                     all_top.end(), std::greater<double>());
+    keep_floor = all_top[count - 1] - two_eps;
+  }
 
-  // Confirm: each chunk's chunk-local winner among its candidates, then the
-  // fixed-order reduction over chunks. Chunks cover ascending index ranges
-  // and FoldArgmax keeps strict >, so the lowest index wins global ties
-  // however many chunks the limit produced. The exact dots run on the pool
-  // only when the screen kept many columns (degenerate residuals).
-  std::vector<CorrelateArgmaxResult> locals(chunk_count);
+  // Confirm: each chunk's local top list among its candidates, then the
+  // merge in chunk order. Chunks cover ascending index ranges and FoldTop
+  // places a candidate after its equals, so the lowest index wins global
+  // ties however many chunks the limit produced. The exact dots run on the
+  // pool only when the screen kept many columns (degenerate residuals).
+  std::vector<std::vector<CorrelateArgmaxResult>> locals(chunk_count);
   auto confirm = [&](size_t chunk) {
     std::vector<Half> scratch = ColumnScratch(1);
     for (const Candidate& c : screened[chunk].candidates) {
       if (c.abs_screen < keep_floor) continue;
-      FoldArgmax(c.index,
-                 simd::Dot(UnscaledColumn(c.index, &scratch, 0), rp, m_),
-                 &locals[chunk]);
+      const double value =
+          simd::Dot(UnscaledColumn(c.index, &scratch, 0), rp, m_);
+      FoldTop(CorrelateArgmaxResult{c.index, value, std::fabs(value)}, count,
+              &locals[chunk]);
     }
   };
   if (kept > kMinColumnsPerChunk) {
@@ -600,12 +626,18 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
   } else {
     for (size_t chunk = 0; chunk < chunk_count; ++chunk) confirm(chunk);
   }
-  CorrelateArgmaxResult best;
-  for (const CorrelateArgmaxResult& local : locals) {
-    if (local.index == CorrelateArgmaxResult::kNoIndex) continue;
-    if (local.abs_correlation > best.abs_correlation) best = local;
+  for (const std::vector<CorrelateArgmaxResult>& local : locals) {
+    for (const CorrelateArgmaxResult& pick : local) FoldTop(pick, count, &top);
   }
-  return best;
+  return top;
+}
+
+Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
+    const std::vector<double>& r, const std::vector<bool>* skip,
+    size_t skip_offset) const {
+  CSOD_ASSIGN_OR_RETURN(std::vector<CorrelateArgmaxResult> top,
+                        CorrelateTop(r, 1, skip, skip_offset));
+  return top.empty() ? CorrelateArgmaxResult{} : top.front();
 }
 
 std::vector<double> MeasurementMatrix::BiasColumn() const {

@@ -13,9 +13,10 @@
 
 namespace csod::cs {
 
-/// Result of the fused correlate+argmax kernel (OMP statement 4): the
-/// unmasked column with the largest |<column, r>|, ties broken toward the
-/// lowest index.
+/// One pick of the fused correlate kernels (OMP statement 4): an unmasked
+/// column and its correlation with r. CorrelateArgmax returns the one with
+/// the largest |<column, r>|, ties broken toward the lowest index;
+/// CorrelateTop returns the first few in that order.
 struct CorrelateArgmaxResult {
   /// Sentinel index meaning "every column was masked out".
   static constexpr size_t kNoIndex = ~size_t{0};
@@ -28,6 +29,15 @@ struct CorrelateArgmaxResult {
   /// |correlation|; -1 when index == kNoIndex so any real column wins.
   double abs_correlation = -1.0;
 };
+
+/// Folds `candidate` into `top`, a list ordered by |correlation| descending
+/// that keeps at most `count` entries: the candidate goes after every entry
+/// of equal or larger |correlation|, so offering candidates in ascending
+/// index order breaks ties toward the lowest index, and a NaN never enters.
+/// The one selection rule of the fused correlate kernels
+/// (MeasurementMatrix::CorrelateTop, Dictionary::CorrelateTop).
+void FoldTop(const CorrelateArgmaxResult& candidate, size_t count,
+             std::vector<CorrelateArgmaxResult>* top);
 
 /// \brief Non-owning view of one node's sparse slice, for the batched
 /// sketching kernel (MultiplySparseBatch). The pointed-to arrays must stay
@@ -89,11 +99,11 @@ inline uint64_t Phi0ColumnSeed(uint64_t seed, uint64_t col) {
 /// the same half column bits to the same simd:: calls). Per-index kernels
 /// (cache fill, CorrelateAll) write disjoint slots; reductions (Multiply,
 /// MultiplySparse, BiasColumn) use a fixed block geometry independent of the
-/// thread count with partials combined in block order; CorrelateArgmax
-/// keeps every column its screen cannot rule out, a set that does not depend
-/// on the chunking, and reduces chunk-local winners in chunk order with
-/// lowest-index tie-breaking, which composes to the global lowest-index
-/// argmax under any chunking.
+/// thread count with partials combined in block order; CorrelateTop keeps
+/// every column its screen cannot rule out, a set that does not depend on
+/// the chunking, and merges chunk-local top lists in chunk order under one
+/// total order (|correlation| descending, then lowest index), which composes
+/// to the global top list under any chunking.
 class MeasurementMatrix {
  public:
   /// Creates the M x N matrix for `seed`. A dense cache is materialized iff
@@ -170,15 +180,24 @@ class MeasurementMatrix {
   /// ExtendedDictionary uses to fill out[1..N] directly.
   Status CorrelateAllInto(const std::vector<double>& r, double* out) const;
 
-  /// Fused correlate+argmax: the column j maximizing |<φ_j, r>| over all j
-  /// with `skip == nullptr || !(*skip)[j + skip_offset]`, ties toward the
-  /// lowest j, with the correlation CorrelateAll would give for j. Never
+  /// Fused correlate+top-`count` (OMP statement 4, generalized to select
+  /// several atoms per pass): the `count` columns of largest |<φ_j, r>| over
+  /// all j with `skip == nullptr || !(*skip)[j + skip_offset]`, ordered by
+  /// |correlation| descending with ties toward the lowest j, each with the
+  /// correlation CorrelateAll would give for j. Fewer entries when fewer
+  /// columns are unmasked (a NaN correlation never enters). Never
   /// materializes the N-vector of correlations. A float screen rules out
-  /// every column that provably cannot win, and the exact kernel confirms
-  /// the rest (DESIGN.md §8), so the result is bit-identical to an
-  /// exhaustive scan of CorrelateAll, at any thread count and on either
-  /// SIMD path. `skip_offset` lets ExtendedDictionary pass its atom-indexed
-  /// mask (atom j+1 == column j) without copying it.
+  /// every column that provably cannot be among them, and the exact kernel
+  /// confirms the rest (DESIGN.md §8), so the result is bit-identical to an
+  /// exhaustive sort of CorrelateAll, at any thread count and on either SIMD
+  /// path. `skip_offset` lets ExtendedDictionary pass its atom-indexed mask
+  /// (atom j+1 == column j) without copying it.
+  Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
+      const std::vector<double>& r, size_t count,
+      const std::vector<bool>* skip = nullptr, size_t skip_offset = 0) const;
+
+  /// CorrelateTop with count 1: the lowest-index argmax of |<φ_j, r>|, or
+  /// index == kNoIndex when every column is masked.
   Result<CorrelateArgmaxResult> CorrelateArgmax(
       const std::vector<double>& r, const std::vector<bool>* skip = nullptr,
       size_t skip_offset = 0) const;
@@ -198,7 +217,7 @@ class MeasurementMatrix {
   /// u ≥ 2^-53 caps |g| at √(106·ln 2) ≈ 8.5717, below the midpoint
   /// 8.57421875 of the binary16 neighbours 8.5703125 and 8.578125, so
   /// FloatToHalf(float(g)) never exceeds 8.5703125 (docs/THEORY.md §9).
-  /// CorrelateArgmax's screen bound rests on it.
+  /// CorrelateTop's screen bound rests on it.
   static constexpr double kMaxAbsUnscaledEntry = 8.5703125;
 
   /// Bytes one stored entry takes, in the dense cache and in the implicit

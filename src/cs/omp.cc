@@ -49,73 +49,90 @@ Result<OmpResult> RunOmp(const Dictionary& dictionary,
   std::vector<double> projection(m);
   std::vector<double> qty_scratch;
 
-  for (size_t iter = 0; iter < iteration_cap; ++iter) {
-    // Statement 4 of Algorithm 2: argmax over unselected atoms of
-    // |<atom_j, r>| — fused into the dictionary's correlate pass, so no
-    // N-vector of correlations is materialized, copied, or rescanned.
-    CSOD_ASSIGN_OR_RETURN(CorrelateArgmaxResult pick,
-                          dictionary.CorrelateArgmax(residual, selected_mask));
-    if (pick.index == CorrelateArgmaxResult::kNoIndex ||
-        pick.abs_correlation == 0.0) {
-      break;
-    }
-    const size_t best = pick.index;
+  bool done = false;
+  while (!done && result.iterations < iteration_cap) {
+    // Statement 4 of Algorithm 2, generalized: the kAtomsPerPass atoms of
+    // largest |<atom_j, r>| over unselected atoms, fused into the
+    // dictionary's correlate pass, so no N-vector of correlations is
+    // materialized, copied, or rescanned.
+    CSOD_ASSIGN_OR_RETURN(
+        std::vector<CorrelateArgmaxResult> picks,
+        dictionary.CorrelateTop(residual, selected_mask, kAtomsPerPass));
+    ++result.passes;
+    if (picks.empty() || picks.front().abs_correlation == 0.0) break;
+    // The bias column is the sum of all others: once it leads, the
+    // runner-up correlation is taken against a residual it is about to
+    // change, and following it loses exact recovery (DESIGN.md §5).
+    if (dictionary.IsBiasAtom(picks.front().index)) picks.resize(1);
 
-    dictionary.FillAtom(best, atom.data());
-    CSOD_ASSIGN_OR_RETURN(double ortho_norm, qr.AppendColumn(atom));
-    if (ortho_norm == 0.0) {
-      // Linearly dependent atom: the projection cannot improve; treat as
-      // stagnation (the floating-point regime Section 5 worries about).
-      result.stopped_by_stagnation = true;
-      break;
-    }
-    selected_mask[best] = true;
-    result.selected.push_back(best);
-
-    // Statement 6: r <- y - proj(y, Φs).
-    CSOD_RETURN_NOT_OK(qr.ProjectInto(y, &qty_scratch, &projection));
-    la::SubtractInto(y, projection, &residual);
-    // Computed once per iteration and reused for the trajectory, the
-    // telemetry histogram, the tolerance check, and the stagnation check
-    // (the previous iteration's value is read back off the trajectory
-    // rather than shadowed in a separate variable).
-    const double residual_norm = la::Norm2(residual);
-    const double prev_residual_norm =
-        result.residual_norms.empty() ? y_norm : result.residual_norms.back();
-    result.residual_norms.push_back(residual_norm);
-    result.iterations = iter + 1;
-    if (options.telemetry != nullptr && options.telemetry->enabled()) {
-      // The per-iteration trajectory the paper plots (residual decay and
-      // support growth); recorded serially, so snapshots stay deterministic.
-      options.telemetry->RecordValue("omp.residual_norm", residual_norm);
-      options.telemetry->RecordValue(
-          "omp.support_size", static_cast<double>(result.selected.size()));
-    }
-
-    std::vector<double> iteration_coeffs;
-    if (options.solve_coefficients_each_iteration ||
-        options.iteration_callback) {
-      if (options.solve_coefficients_each_iteration) {
-        CSOD_ASSIGN_OR_RETURN(iteration_coeffs, qr.SolveLeastSquares(y));
+    for (const CorrelateArgmaxResult& pick : picks) {
+      if (result.iterations == iteration_cap || pick.abs_correlation == 0.0) {
+        break;
       }
-      if (options.iteration_callback) {
-        OmpIterationInfo info;
-        info.iteration = iter + 1;
-        info.selected_atom = best;
-        info.residual_norm = residual_norm;
-        info.selected = &result.selected;
-        info.coefficients =
-            options.solve_coefficients_each_iteration ? &iteration_coeffs
-                                                      : nullptr;
-        options.iteration_callback(info);
+      const size_t best = pick.index;
+      dictionary.FillAtom(best, atom.data());
+      CSOD_ASSIGN_OR_RETURN(double ortho_norm, qr.AppendColumn(atom));
+      if (ortho_norm == 0.0) {
+        // Linearly dependent atom: the projection cannot improve; treat as
+        // stagnation (the floating-point regime Section 5 worries about).
+        result.stopped_by_stagnation = true;
+        done = true;
+        break;
       }
-    }
+      selected_mask[best] = true;
+      result.selected.push_back(best);
 
-    if (residual_norm <= kResidualTolerance * y_norm) break;
-    if (options.stop_on_residual_stagnation &&
-        residual_norm >= prev_residual_norm * (1.0 - kStagnationTolerance)) {
-      result.stopped_by_stagnation = true;
-      break;
+      // Statement 6: r <- y - proj(y, Φs).
+      CSOD_RETURN_NOT_OK(qr.ProjectInto(y, &qty_scratch, &projection));
+      la::SubtractInto(y, projection, &residual);
+      // Computed once per iteration and reused for the trajectory, the
+      // telemetry histogram, the tolerance check, and the stagnation check
+      // (the previous iteration's value is read back off the trajectory
+      // rather than shadowed in a separate variable).
+      const double residual_norm = la::Norm2(residual);
+      const double prev_residual_norm = result.residual_norms.empty()
+                                            ? y_norm
+                                            : result.residual_norms.back();
+      result.residual_norms.push_back(residual_norm);
+      ++result.iterations;
+      if (options.telemetry != nullptr && options.telemetry->enabled()) {
+        // The per-iteration trajectory the paper plots (residual decay and
+        // support growth); recorded serially, so snapshots stay
+        // deterministic.
+        options.telemetry->RecordValue("omp.residual_norm", residual_norm);
+        options.telemetry->RecordValue(
+            "omp.support_size", static_cast<double>(result.selected.size()));
+      }
+
+      std::vector<double> iteration_coeffs;
+      if (options.solve_coefficients_each_iteration ||
+          options.iteration_callback) {
+        if (options.solve_coefficients_each_iteration) {
+          CSOD_ASSIGN_OR_RETURN(iteration_coeffs, qr.SolveLeastSquares(y));
+        }
+        if (options.iteration_callback) {
+          OmpIterationInfo info;
+          info.iteration = result.iterations;
+          info.selected_atom = best;
+          info.residual_norm = residual_norm;
+          info.selected = &result.selected;
+          info.coefficients =
+              options.solve_coefficients_each_iteration ? &iteration_coeffs
+                                                        : nullptr;
+          options.iteration_callback(info);
+        }
+      }
+
+      if (residual_norm <= kResidualTolerance * y_norm) {
+        done = true;
+        break;
+      }
+      if (options.stop_on_residual_stagnation &&
+          residual_norm >= prev_residual_norm * (1.0 - kStagnationTolerance)) {
+        result.stopped_by_stagnation = true;
+        done = true;
+        break;
+      }
     }
   }
 

@@ -30,10 +30,18 @@ struct OmpIterationInfo {
 /// OMP and CoSaMP stop once ||r||_2 <= kResidualTolerance * ||y||_2.
 inline constexpr double kResidualTolerance = 1e-9;
 
+/// Atoms OMP selects per correlate pass over the dictionary: generalized
+/// OMP (Wang, Kwon & Shim, IEEE TSP 60(12), 2012) with S = 2. A pass whose
+/// best atom is the dictionary's bias atom selects that atom alone, so a
+/// budget of R atoms takes at most ⌈R/2⌉ + 1 passes (DESIGN.md §5,
+/// decision 2).
+inline constexpr size_t kAtomsPerPass = 2;
+
 /// Tuning knobs for the OMP column-selection loop (Algorithm 2).
 struct OmpOptions {
-  /// Maximum number of iterations R. The paper tunes R = f(k) in [2k, 5k]
-  /// (Section 5). The effective cap is min(R, M, num_atoms).
+  /// Maximum number of iterations R, one selected atom each. The paper
+  /// tunes R = f(k) in [2k, 5k] (Section 5). The effective cap is
+  /// min(R, M, num_atoms).
   size_t max_iterations = 0;
 
   /// Section 5 floating-point remedy: "terminate the recovery process once
@@ -61,8 +69,11 @@ struct OmpResult {
   std::vector<double> coefficients;
   /// ||r||_2 after each iteration.
   std::vector<double> residual_norms;
-  /// Number of iterations executed.
+  /// Number of iterations executed: selected atoms.
   size_t iterations = 0;
+  /// Correlate passes over the dictionary (each selects up to
+  /// kAtomsPerPass atoms): the Φ0 sweeps the run paid for.
+  size_t passes = 0;
   /// True when the Section-5 stagnation rule fired.
   bool stopped_by_stagnation = false;
   /// Final residual norm (== residual_norms.back() when non-empty).
@@ -72,10 +83,14 @@ struct OmpResult {
 /// \brief Orthogonal Matching Pursuit (Tropp & Gilbert) over an abstract
 /// dictionary, with QR-based projection.
 ///
-/// Each iteration selects the atom with the largest absolute inner product
-/// with the residual, appends it to an incremental QR factorization, and
-/// re-projects `y` onto the selected subspace. Runs standard OMP when given
-/// a MatrixDictionary and the BOMP inner loop when given an
+/// Each pass correlates the residual with every unselected atom once and
+/// takes the kAtomsPerPass atoms of largest absolute inner product (only
+/// the first when it is the dictionary's bias atom). It appends them one at
+/// a time, in that order, to an incremental QR factorization and
+/// re-projects `y` onto the selected subspace after each, so the stopping
+/// rules (residual tolerance, stagnation, dependent atom) and the
+/// iteration callback see every atom as its own iteration. Runs standard
+/// OMP when given a MatrixDictionary and the BOMP inner loop when given an
 /// ExtendedDictionary.
 Result<OmpResult> RunOmp(const Dictionary& dictionary,
                          const std::vector<double>& y,

@@ -359,6 +359,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   refined.mode = located.mode;
   refined.bias_selected = located.bias_selected;
   refined.iterations = located.iterations;
+  refined.passes = located.passes;
   refined.final_residual_norm = la::DistanceL2(y2, fitted);
   refined.entries.reserve(kept.size());
   for (size_t i = 0; i < kept.size(); ++i) {

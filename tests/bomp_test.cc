@@ -190,6 +190,36 @@ TEST(BompTest, EntriesBoundedByIterations) {
   EXPECT_LE(result.Value().entries.size(), options.max_iterations - 1);
 }
 
+// A budget of R atoms takes at most ⌈R/2⌉ + 1 Φ0 sweeps (two atoms per
+// pass, the bias atom alone), and bomp.passes records the count beside
+// bomp.iterations.
+TEST(BompTest, PassesStayWithinHalfTheBudgetPlusOne) {
+  const size_t n = 300;
+  MeasurementMatrix matrix(80, n, 44);
+  for (const size_t budget : {size_t{5}, size_t{8}, size_t{13}, size_t{20}}) {
+    Rng rng(budget);
+    std::vector<double> x(n, 100.0);
+    for (int i = 0; i < 50; ++i) {
+      x[rng.NextBounded(n)] += rng.NextGaussian() * 500.0;
+    }
+    obs::Telemetry telemetry;
+    BompOptions options;
+    options.max_iterations = budget;
+    options.stop_on_residual_stagnation = false;
+    options.telemetry = &telemetry;
+    const BompResult result =
+        RunBomp(matrix, matrix.Multiply(x).MoveValue(), options).MoveValue();
+    EXPECT_EQ(result.iterations, budget);  // 50 outliers: never converges.
+    EXPECT_TRUE(result.bias_selected);
+    EXPECT_LE(result.passes, (budget + 1) / 2 + 1) << "R = " << budget;
+    EXPECT_GE(result.passes, (budget + 1) / 2) << "R = " << budget;
+    EXPECT_EQ(telemetry.value("bomp.passes").sum,
+              static_cast<double>(result.passes));
+    EXPECT_EQ(telemetry.value("bomp.iterations").sum,
+              static_cast<double>(result.iterations));
+  }
+}
+
 // Property sweep: exact recovery across (n, s, b) combinations with
 // generous M.
 class BompRecoveryTest

@@ -1,5 +1,6 @@
 #include "cs/dictionary.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -57,29 +58,49 @@ TEST(ExtendedDictionaryTest, CorrelatePrependsBiasCorrelation) {
   for (size_t j = 0; j < 12; ++j) EXPECT_EQ(c[j + 1], base[j]);
 }
 
+// The unmasked atoms of `c` by |c_j| descending, ties toward the lowest j
+// (a stable sort of the ascending scan), cut to `count`.
+std::vector<size_t> ScanTop(const std::vector<double>& c,
+                            const std::vector<bool>& mask, size_t count) {
+  std::vector<size_t> order;
+  for (size_t j = 0; j < c.size(); ++j) {
+    if (!mask[j]) order.push_back(j);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::fabs(c[a]) > std::fabs(c[b]);
+  });
+  if (order.size() > count) order.resize(count);
+  return order;
+}
+
+// CorrelateTop at counts 1 and 2 against ScanTop over Correlate, bit for
+// bit, peeling the leading atom each round (the OMP access pattern).
+void ExpectTopMatchesScan(const Dictionary& dict, const std::vector<double>& r,
+                          size_t rounds) {
+  std::vector<bool> mask(dict.num_atoms(), false);
+  for (size_t round = 0; round < rounds; ++round) {
+    const auto c = dict.Correlate(r).MoveValue();
+    for (const size_t count : {size_t{1}, size_t{2}}) {
+      const auto want = ScanTop(c, mask, count);
+      const auto got = dict.CorrelateTop(r, mask, count).MoveValue();
+      ASSERT_EQ(got.size(), want.size()) << "round " << round;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].index, want[i]) << "round " << round;
+        EXPECT_EQ(got[i].correlation, c[want[i]]);  // Bitwise.
+        EXPECT_EQ(got[i].abs_correlation, std::fabs(c[want[i]]));
+      }
+    }
+    mask[ScanTop(c, mask, 1).front()] = true;
+  }
+}
+
 TEST(MatrixDictionaryTest, CorrelateArgmaxMatchesCorrelateScan) {
   MeasurementMatrix matrix(6, 10, 3);
   MatrixDictionary dict(&matrix);
   Rng rng(17);
   std::vector<double> r(6);
   for (double& v : r) v = rng.NextGaussian();
-  std::vector<bool> mask(10, false);
-  for (size_t round = 0; round < 5; ++round) {
-    auto c = dict.Correlate(r).MoveValue();
-    size_t expected = CorrelateArgmaxResult::kNoIndex;
-    double best_abs = -1.0;
-    for (size_t j = 0; j < c.size(); ++j) {
-      if (mask[j]) continue;
-      if (std::fabs(c[j]) > best_abs) {
-        best_abs = std::fabs(c[j]);
-        expected = j;
-      }
-    }
-    auto pick = dict.CorrelateArgmax(r, mask).MoveValue();
-    EXPECT_EQ(pick.index, expected);
-    EXPECT_EQ(pick.abs_correlation, best_abs);  // Bitwise.
-    mask[pick.index] = true;
-  }
+  ExpectTopMatchesScan(dict, r, 5);
 }
 
 TEST(ExtendedDictionaryTest, CorrelateArgmaxMatchesCorrelateScan) {
@@ -88,47 +109,37 @@ TEST(ExtendedDictionaryTest, CorrelateArgmaxMatchesCorrelateScan) {
   Rng rng(23);
   std::vector<double> r(8);
   for (double& v : r) v = rng.NextGaussian();
-  // Peel atoms one at a time (the OMP access pattern) so the bias atom is
-  // exercised both unmasked and masked.
-  std::vector<bool> mask(13, false);
-  for (size_t round = 0; round < 6; ++round) {
-    auto c = dict.Correlate(r).MoveValue();
-    size_t expected = CorrelateArgmaxResult::kNoIndex;
-    double best_abs = -1.0;
-    for (size_t j = 0; j < c.size(); ++j) {
-      if (mask[j]) continue;
-      if (std::fabs(c[j]) > best_abs) {
-        best_abs = std::fabs(c[j]);
-        expected = j;
-      }
-    }
-    auto pick = dict.CorrelateArgmax(r, mask).MoveValue();
-    EXPECT_EQ(pick.index, expected) << "round " << round;
-    EXPECT_EQ(pick.abs_correlation, best_abs);  // Bitwise.
-    mask[pick.index] = true;
-  }
+  // Six rounds exercise the bias atom both unmasked and masked.
+  ExpectTopMatchesScan(dict, r, 6);
 }
 
 TEST(ExtendedDictionaryTest, CorrelateArgmaxZeroResidualPicksBias) {
   MeasurementMatrix matrix(8, 12, 5);
   ExtendedDictionary dict(&matrix);
-  // All 13 correlations tie at 0.0; the bias atom (index 0) must win.
+  EXPECT_TRUE(dict.IsBiasAtom(0));
+  EXPECT_FALSE(dict.IsBiasAtom(1));
+  // All 13 correlations tie at 0.0; the bias atom (index 0) leads, then
+  // the first data atom.
   const std::vector<double> zero(8, 0.0);
   std::vector<bool> mask(13, false);
-  auto pick = dict.CorrelateArgmax(zero, mask).MoveValue();
-  EXPECT_EQ(pick.index, 0u);
-  EXPECT_EQ(pick.abs_correlation, 0.0);
-  // With the bias masked the tie falls to the first data atom.
+  auto top = dict.CorrelateTop(zero, mask, 2).MoveValue();
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].index, 0u);
+  EXPECT_EQ(top[0].abs_correlation, 0.0);
+  EXPECT_EQ(top[1].index, 1u);
+  // With the bias masked the tie falls to the first data atoms.
   mask[0] = true;
-  pick = dict.CorrelateArgmax(zero, mask).MoveValue();
-  EXPECT_EQ(pick.index, 1u);
+  top = dict.CorrelateTop(zero, mask, 2).MoveValue();
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].index, 1u);
+  EXPECT_EQ(top[1].index, 2u);
 }
 
 TEST(ExtendedDictionaryTest, CorrelateArgmaxMaskSizeChecked) {
   MeasurementMatrix matrix(8, 12, 5);
   ExtendedDictionary dict(&matrix);
   std::vector<double> r(8, 1.0);
-  EXPECT_FALSE(dict.CorrelateArgmax(r, std::vector<bool>(12, false)).ok());
+  EXPECT_FALSE(dict.CorrelateTop(r, std::vector<bool>(12, false), 2).ok());
 }
 
 TEST(ExtendedDictionaryTest, MultiplyDenseMatchesAtomSum) {

@@ -4,10 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <latch>
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -214,24 +216,33 @@ TEST(MeasurementMatrixTest, CorrelateImplicitMatchesCached) {
   EXPECT_NEAR(la::DistanceL2(a.Value(), b.Value()), 0.0, 1e-10);
 }
 
-// Reference implementation of the fused kernel: full correlate, then an
-// ascending strict-> scan (lowest index wins ties).
+// Reference implementation of the fused kernels: full correlate, then a
+// stable sort of the ascending scan by |correlation| descending (lowest
+// index first on ties), NaNs left out, cut to `count`.
+std::vector<CorrelateArgmaxResult> ScanTop(const MeasurementMatrix& matrix,
+                                           const std::vector<double>& r,
+                                           const std::vector<bool>* skip,
+                                           size_t skip_offset, size_t count) {
+  auto c = matrix.CorrelateAll(r).MoveValue();
+  std::vector<CorrelateArgmaxResult> out;
+  for (size_t j = 0; j < c.size(); ++j) {
+    if (skip != nullptr && (*skip)[j + skip_offset]) continue;
+    if (std::isnan(c[j])) continue;
+    out.push_back(CorrelateArgmaxResult{j, c[j], std::fabs(c[j])});
+  }
+  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.abs_correlation > b.abs_correlation;
+  });
+  if (out.size() > count) out.resize(count);
+  return out;
+}
+
 CorrelateArgmaxResult ScanArgmax(const MeasurementMatrix& matrix,
                                  const std::vector<double>& r,
                                  const std::vector<bool>* skip,
                                  size_t skip_offset = 0) {
-  auto c = matrix.CorrelateAll(r).MoveValue();
-  CorrelateArgmaxResult out;
-  for (size_t j = 0; j < c.size(); ++j) {
-    if (skip != nullptr && (*skip)[j + skip_offset]) continue;
-    const double a = std::fabs(c[j]);
-    if (a > out.abs_correlation) {
-      out.abs_correlation = a;
-      out.correlation = c[j];
-      out.index = j;
-    }
-  }
-  return out;
+  const auto top = ScanTop(matrix, r, skip, skip_offset, 1);
+  return top.empty() ? CorrelateArgmaxResult{} : top.front();
 }
 
 TEST(MeasurementMatrixTest, CorrelateArgmaxMatchesScan) {
@@ -278,31 +289,48 @@ TEST(MeasurementMatrixTest, CorrelateArgmaxTieBreaksLowestIndex) {
   EXPECT_EQ(pick.abs_correlation, 0.0);
 }
 
-// CorrelateArgmax against ScanArgmax, the exhaustive exact scan, bit for
-// bit (index, correlation and |correlation|, NaN included) at limits
-// {1, 2, 8} on both SIMD levels.
-void ExpectArgmaxIsExhaustive(const MeasurementMatrix& matrix,
-                              const std::vector<double>& r,
-                              const std::vector<bool>* skip,
-                              size_t skip_offset, const std::string& label) {
-  const CorrelateArgmaxResult want = ScanArgmax(matrix, r, skip, skip_offset);
-  for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
-      ScopedParallelismLimit scoped_limit(limit);
-      ScopedSimdLevel scoped_level(level);
-      const auto got = matrix.CorrelateArgmax(r, skip, skip_offset);
-      ASSERT_TRUE(got.ok()) << label;
-      const std::string where =
-          label + (matrix.cached() ? " cached" : " implicit") +
-          " limit=" + std::to_string(limit) + " level=" +
-          simd::LevelName(simd::ActiveLevel());
-      EXPECT_EQ(got.Value().index, want.index) << where;
-      EXPECT_EQ(std::bit_cast<uint64_t>(got.Value().correlation),
-                std::bit_cast<uint64_t>(want.correlation))
-          << where;
-      EXPECT_EQ(std::bit_cast<uint64_t>(got.Value().abs_correlation),
-                std::bit_cast<uint64_t>(want.abs_correlation))
-          << where;
+// CorrelateArgmax (count 1) and CorrelateTop (count 2) against ScanTop,
+// the exhaustive exact sort, bit for bit (index, correlation and
+// |correlation|, NaN included) at limits {1, 2, 8} on both SIMD levels.
+void ExpectTopIsExhaustive(const MeasurementMatrix& matrix,
+                           const std::vector<double>& r,
+                           const std::vector<bool>* skip, size_t skip_offset,
+                           const std::string& label) {
+  for (const size_t count : {size_t{1}, size_t{2}}) {
+    const std::vector<CorrelateArgmaxResult> want =
+        ScanTop(matrix, r, skip, skip_offset, count);
+    for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
+      for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+        ScopedParallelismLimit scoped_limit(limit);
+        ScopedSimdLevel scoped_level(level);
+        std::vector<CorrelateArgmaxResult> got;
+        if (count == 1) {
+          const auto argmax = matrix.CorrelateArgmax(r, skip, skip_offset);
+          ASSERT_TRUE(argmax.ok()) << label;
+          if (argmax.Value().index != CorrelateArgmaxResult::kNoIndex) {
+            got.push_back(argmax.Value());
+          }
+        } else {
+          auto top = matrix.CorrelateTop(r, count, skip, skip_offset);
+          ASSERT_TRUE(top.ok()) << label;
+          got = top.MoveValue();
+        }
+        const std::string where =
+            label + (matrix.cached() ? " cached" : " implicit") +
+            " count=" + std::to_string(count) +
+            " limit=" + std::to_string(limit) + " level=" +
+            simd::LevelName(simd::ActiveLevel());
+        ASSERT_EQ(got.size(), want.size()) << where;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].index, want[i].index) << where << " rank " << i;
+          EXPECT_EQ(std::bit_cast<uint64_t>(got[i].correlation),
+                    std::bit_cast<uint64_t>(want[i].correlation))
+              << where << " rank " << i;
+          EXPECT_EQ(std::bit_cast<uint64_t>(got[i].abs_correlation),
+                    std::bit_cast<uint64_t>(want[i].abs_correlation))
+              << where << " rank " << i;
+        }
+      }
     }
   }
 }
@@ -405,18 +433,116 @@ TEST(MeasurementMatrixTest, ScreenedArgmaxMatchesExhaustiveScan) {
   for (const size_t budget : {size_t{1} << 24, size_t{0}}) {
     const MeasurementMatrix matrix(m, n, 19, budget);
     ASSERT_EQ(residuals[3].first, "e_17");
-    ExpectArgmaxIsExhaustive(matrix, residuals[3].second, &tie_mask, 0,
+    ExpectTopIsExhaustive(matrix, residuals[3].second, &tie_mask, 0,
                              "e_17, tie on top");
     for (const auto& [r_name, r] : residuals) {
-      ExpectArgmaxIsExhaustive(matrix, r, nullptr, 0, r_name + ", no mask");
+      ExpectTopIsExhaustive(matrix, r, nullptr, 0, r_name + ", no mask");
       for (const auto& [mask_name, mask] : masks) {
-        ExpectArgmaxIsExhaustive(matrix, r, &mask, 0,
+        ExpectTopIsExhaustive(matrix, r, &mask, 0,
                                  r_name + ", " + mask_name);
       }
     }
     const auto none_left =
         matrix.CorrelateArgmax(residuals[0].second, &masks[2].second);
     EXPECT_EQ(none_left.Value().index, CorrelateArgmaxResult::kNoIndex);
+  }
+
+  // Near ties at ranks 2 and 3, where the top-2 screen's band decides:
+  // r in the span of columns a, j1, j2 with exact correlations
+  // (2, 1.37, 1.37·(1 + δ)), solved through their 3×3 Gram matrix by
+  // Cramer's rule. M = 128 keeps every other column's correlation below
+  // 0.96; the float screen misorders 700/701 for δ from 0 to 5e-8, so a
+  // screen that kept only the columns at or above its running second
+  // largest would return the wrong runner-up.
+  const size_t m3 = 128;
+  const MeasurementMatrix reference3(m3, n, 19);
+  const size_t a = 1800, j1 = 700, j2 = 701;
+  const std::vector<double> cols[3] = {reference3.Column(a),
+                                       reference3.Column(j1),
+                                       reference3.Column(j2)};
+  double g[3][3];
+  for (size_t p = 0; p < 3; ++p) {
+    for (size_t q = 0; q < 3; ++q) g[p][q] = la::Dot(cols[p], cols[q]);
+  }
+  auto det3 = [](const double (&x)[3][3]) {
+    return x[0][0] * (x[1][1] * x[2][2] - x[1][2] * x[2][1]) -
+           x[0][1] * (x[1][0] * x[2][2] - x[1][2] * x[2][0]) +
+           x[0][2] * (x[1][0] * x[2][1] - x[1][1] * x[2][0]);
+  };
+  std::vector<std::pair<std::string, std::vector<double>>> rank23_ties;
+  for (const double delta : {-3e-7, -1e-7, -3e-8, -1e-8, 0.0, 1e-8, 3e-8,
+                             5e-8, 1e-7, 3e-7}) {
+    const double t[3] = {2.0, 1.37, 1.37 * (1.0 + delta)};
+    std::vector<double> r(m3, 0.0);
+    for (size_t p = 0; p < 3; ++p) {
+      double gp[3][3];
+      for (size_t row = 0; row < 3; ++row) {
+        for (size_t q = 0; q < 3; ++q) gp[row][q] = (q == p) ? t[row] : g[row][q];
+      }
+      la::Axpy(det3(gp) / det3(g), cols[p], &r);
+    }
+    const auto leaders = ScanTop(reference3, r, nullptr, 0, 3);
+    ASSERT_EQ(leaders.size(), 3u);
+    EXPECT_EQ(leaders[0].index, a);
+    EXPECT_EQ((std::set<size_t>{leaders[1].index, leaders[2].index}),
+              (std::set<size_t>{j1, j2}));
+    std::ostringstream name;
+    name << "rank-2/3 near tie delta " << delta;
+    rank23_ties.emplace_back(name.str(), r);
+  }
+  for (const size_t budget : {size_t{1} << 24, size_t{0}}) {
+    const MeasurementMatrix matrix(m3, n, 19, budget);
+    for (const auto& [r_name, r] : rank23_ties) {
+      ExpectTopIsExhaustive(matrix, r, nullptr, 0, r_name);
+    }
+  }
+}
+
+// CorrelateTop's top 2 when the leaders tie exactly across a chunk
+// boundary, at limits {1, 2, 8} on both SIMD levels, cached and implicit.
+// r = e_17 makes every correlation h_17j/√M, exact in both kernels, so
+// columns sharing |h_17j| tie exactly. The mask leaves, as the unmasked
+// maximum, one tied column below 1300 (the chunk boundary of limits 2
+// and 8 at N = 2600) and at least two at or above it: the top 2 are the
+// last of them below 1300 and the first above.
+TEST(MeasurementMatrixTest, CorrelateTopBitIdenticalWithTiesAcrossChunkBoundary) {
+  const size_t m = 37, n = 2600, row = 17, boundary = 1300;
+  const MeasurementMatrix reference(m, n, 19);
+  std::map<double, std::vector<size_t>, std::greater<double>> by_value;
+  for (size_t j = 0; j < n; ++j) {
+    by_value[std::fabs(reference.Entry(row, j))].push_back(j);
+  }
+  double tied = -1.0;
+  for (const auto& [value, columns] : by_value) {
+    const size_t above = static_cast<size_t>(std::count_if(
+        columns.begin(), columns.end(), [&](size_t j) { return j >= boundary; }));
+    if (columns.front() < boundary && above >= 2) {
+      tied = value;
+      break;
+    }
+  }
+  ASSERT_GT(tied, 0.0);
+  const std::vector<size_t>& columns = by_value[tied];
+  const size_t first_above = *std::find_if(
+      columns.begin(), columns.end(), [&](size_t j) { return j >= boundary; });
+  const size_t last_below = *(std::find(columns.begin(), columns.end(),
+                                        first_above) - 1);
+  std::vector<bool> mask(n);
+  for (size_t j = 0; j < n; ++j) {
+    const double v = std::fabs(reference.Entry(row, j));
+    mask[j] = v > tied || (v == tied && j < last_below);
+  }
+  std::vector<double> e(m, 0.0);
+  e[row] = 1.0;
+
+  const auto want = ScanTop(reference, e, &mask, 0, 2);
+  ASSERT_EQ(want.size(), 2u);
+  EXPECT_EQ(want[0].index, last_below);
+  EXPECT_EQ(want[1].index, first_above);
+  EXPECT_EQ(want[0].abs_correlation, want[1].abs_correlation);
+  for (const size_t budget : {size_t{1} << 24, size_t{0}}) {
+    const MeasurementMatrix matrix(m, n, 19, budget);
+    ExpectTopIsExhaustive(matrix, e, &mask, 0, "tie across chunk boundary");
   }
 }
 
@@ -436,12 +562,13 @@ class RecordingDictionary final : public Dictionary {
       const std::vector<double>& r) const override {
     return inner_.Correlate(r);
   }
-  Result<CorrelateArgmaxResult> CorrelateArgmax(
-      const std::vector<double>& r,
-      const std::vector<bool>& selected_mask) const override {
+  Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
+      const std::vector<double>& r, const std::vector<bool>& selected_mask,
+      size_t count) const override {
     calls.emplace_back(r, selected_mask);
-    return inner_.CorrelateArgmax(r, selected_mask);
+    return inner_.CorrelateTop(r, selected_mask, count);
   }
+  bool IsBiasAtom(size_t j) const override { return inner_.IsBiasAtom(j); }
   Result<std::vector<double>> MultiplyDense(
       const std::vector<double>& z) const override {
     return inner_.MultiplyDense(z);
@@ -476,7 +603,7 @@ TEST(MeasurementMatrixTest, ScreenedArgmaxIsExhaustiveOnBompResiduals) {
   for (size_t call = 0; call < dictionary.calls.size(); ++call) {
     const auto& [r, atom_mask] = dictionary.calls[call];
     for (const MeasurementMatrix* matrix : {&cached, &implicit}) {
-      ExpectArgmaxIsExhaustive(*matrix, r, &atom_mask, 1,
+      ExpectTopIsExhaustive(*matrix, r, &atom_mask, 1,
                                "iteration " + std::to_string(call));
     }
   }

@@ -231,6 +231,142 @@ TEST(OmpTest, NoisyMeasurementTerminatesCleanly) {
   EXPECT_LE(result.Value().iterations, 30u);
 }
 
+// Forwards to another dictionary and counts its correlate passes, so an
+// iteration callback can tell which pass selected each atom. `solo_bias`
+// false hides the inner dictionary's bias atom from the OMP loop.
+class PassCountingDictionary final : public Dictionary {
+ public:
+  explicit PassCountingDictionary(const Dictionary* inner,
+                                  bool solo_bias = true)
+      : inner_(inner), solo_bias_(solo_bias) {}
+
+  size_t num_atoms() const override { return inner_->num_atoms(); }
+  size_t atom_length() const override { return inner_->atom_length(); }
+  void FillAtom(size_t j, double* out) const override {
+    inner_->FillAtom(j, out);
+  }
+  Result<std::vector<double>> Correlate(
+      const std::vector<double>& r) const override {
+    return inner_->Correlate(r);
+  }
+  Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
+      const std::vector<double>& r, const std::vector<bool>& selected_mask,
+      size_t count) const override {
+    ++passes;
+    return inner_->CorrelateTop(r, selected_mask, count);
+  }
+  bool IsBiasAtom(size_t j) const override {
+    return solo_bias_ && inner_->IsBiasAtom(j);
+  }
+  Result<std::vector<double>> MultiplyDense(
+      const std::vector<double>& z) const override {
+    return inner_->MultiplyDense(z);
+  }
+
+  mutable size_t passes = 0;
+
+ private:
+  const Dictionary* inner_;
+  bool solo_bias_;
+};
+
+// Runs OMP over `dict` and returns the 1-based pass that selected each atom,
+// in selection order; the run's result goes to `result`.
+std::vector<size_t> PassOfEachAtom(const Dictionary& dict,
+                                   const std::vector<double>& y,
+                                   OmpOptions options, OmpResult* result,
+                                   bool solo_bias = true) {
+  PassCountingDictionary counting(&dict, solo_bias);
+  std::vector<size_t> pass_of;
+  options.iteration_callback = [&](const OmpIterationInfo&) {
+    pass_of.push_back(counting.passes);
+  };
+  *result = RunOmp(counting, y, options).MoveValue();
+  EXPECT_EQ(result->passes, counting.passes);
+  return pass_of;
+}
+
+// Generalized OMP selects two atoms per pass, appended one at a time; an
+// odd budget R ends on a pass that takes one atom, ⌈R/2⌉ passes in all.
+TEST(OmpTest, TwoAtomsPerPassAndOneOnTheLastPassOfAnOddBudget) {
+  const size_t n = 100;
+  MeasurementMatrix matrix(30, n, 9);
+  Rng rng(2);
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.NextGaussian();  // Dense: never converges.
+  const std::vector<double> y = matrix.Multiply(x).MoveValue();
+  MatrixDictionary dict(&matrix);
+  for (const size_t budget : {size_t{6}, size_t{5}}) {
+    OmpOptions options;
+    options.max_iterations = budget;
+    options.stop_on_residual_stagnation = false;
+    OmpResult result;
+    const std::vector<size_t> pass_of =
+        PassOfEachAtom(dict, y, options, &result);
+    std::vector<size_t> want = {1, 1, 2, 2, 3, 3};
+    want.resize(budget);
+    EXPECT_EQ(pass_of, want) << "R = " << budget;
+    EXPECT_EQ(result.iterations, budget);
+    EXPECT_EQ(result.passes, 3u);
+  }
+}
+
+// BOMP's bias atom leads the first pass on data with a large mode, and
+// that pass appends it alone: the runner-up waits for the next pass's
+// correlations. Without the rule the runner-up joins the first pass.
+TEST(OmpTest, BiasAtomIsPickedAlone) {
+  const size_t n = 256;
+  std::vector<double> x(n, 5000.0);
+  x[10] = 9000.0;
+  x[100] = -2000.0;
+  x[200] = 12000.0;
+  MeasurementMatrix matrix(96, n, 5);
+  const std::vector<double> y = matrix.Multiply(x).MoveValue();
+  ExtendedDictionary dict(&matrix);
+  OmpOptions options;
+  options.max_iterations = 10;
+
+  OmpResult result;
+  const std::vector<size_t> pass_of = PassOfEachAtom(dict, y, options, &result);
+  ASSERT_EQ(result.selected.size(), 4u);  // The bias and the 3 outliers.
+  EXPECT_EQ(result.selected[0], 0u);
+  EXPECT_EQ(pass_of, (std::vector<size_t>{1, 2, 2, 3}));
+  EXPECT_EQ(result.passes, 3u);
+  EXPECT_EQ((std::set<size_t>(result.selected.begin() + 1,
+                              result.selected.end())),
+            (std::set<size_t>{11, 101, 201}));
+
+  OmpResult paired;
+  const std::vector<size_t> paired_pass_of =
+      PassOfEachAtom(dict, y, options, &paired, /*solo_bias=*/false);
+  ASSERT_GE(paired_pass_of.size(), 2u);
+  EXPECT_EQ(paired.selected[0], 0u);
+  EXPECT_EQ(paired_pass_of[1], 1u);
+}
+
+// The stopping rules run after every appended atom, not once per pass: an
+// exactly 3-sparse signal stops on the third atom, the first of pass 2,
+// and never takes that pass's runner-up.
+TEST(OmpTest, ExactlySparseSignalTakesNoSpuriousAtom) {
+  const size_t n = 128;
+  MeasurementMatrix matrix(40, n, 3);
+  const std::vector<double> x =
+      SparseVector(n, {7, 50, 99}, {30.0, -20.0, 12.0});
+  MatrixDictionary dict(&matrix);
+  OmpOptions options;
+  options.max_iterations = 10;
+  OmpResult result;
+  const std::vector<size_t> pass_of =
+      PassOfEachAtom(dict, matrix.Multiply(x).MoveValue(), options, &result);
+  EXPECT_EQ(pass_of, (std::vector<size_t>{1, 1, 2}));
+  EXPECT_EQ(result.iterations, 3u);
+  EXPECT_EQ((std::set<size_t>(result.selected.begin(), result.selected.end())),
+            (std::set<size_t>{7, 50, 99}));
+  EXPECT_FALSE(result.stopped_by_stagnation);
+  EXPECT_LE(result.final_residual_norm,
+            kResidualTolerance * la::Norm2(matrix.Multiply(x).MoveValue()));
+}
+
 // Property sweep: exact recovery of s-sparse vectors when M is generous
 // (M = 4 s log N — comfortably above the Theorem 1 scaling).
 class OmpRecoveryTest
