@@ -1,43 +1,37 @@
-// Recovery-engine benchmark (BENCH_recovery.json): the ISSUE 8 evidence
-// that the AMP engine and the two-phase sensing protocol beat BOMP where
-// they claim to.
+// Recovery benchmark (BENCH_recovery.json): what BOMP costs as the
+// sparsity grows, that its answer is one bit pattern on every thread
+// limit and ISA, and the wire bytes the two-phase sensing protocol saves.
 //
-// Four phases:
+// Three phases:
 //
-//  (a) Crossover: recovery wall time, AMP vs BOMP, at N = --n (100k) and
-//      M = --m (1200) as the planted sparsity k sweeps --k-list
-//      {10, 50, 100}. BOMP's budget is sized generously to the sparsity
-//      (R = k + 4 — real deployments run the paper's R = f(k) ≈ 3.5k);
-//      AMP keeps its fixed default budget. Both engines must hit EK = 0,
-//      and BOMP must select its R atoms two per Φ0 sweep (DESIGN.md §14).
+//  (a) Sweep: BOMP's recovery wall time, Φ0 passes and EK at N = --n
+//      (100k) and M = --m (1600) as the planted sparsity k sweeps
+//      --k-list {10, 50, 100}. The budget is sized generously to the
+//      sparsity (R = k + 4 — real deployments run the paper's
+//      R = f(k) ≈ 3.5k). BOMP must hit EK = 0 and select its R atoms two
+//      per Φ0 sweep (DESIGN.md §14).
 //
-//  (b) Engines: all three `--solver=` engines through the one
-//      RecoverBiased dispatch on the same N = 20k workload at a single
-//      unified budget R, reporting wall ms / EK / EV / iterations per
-//      engine — the apples-to-apples table DESIGN.md §14 cites.
+//  (b) Determinism: the RecoverBiased answer at the largest swept k
+//      digested (FNV-1a over every output bit: mode, entry indices/values,
+//      residual norm, iteration count) across parallelism limits {1,2,8}
+//      x {portable, native} SIMD dispatch. All six digests must be
+//      identical ("bit_identical"): the kernels share fixed-lane
+//      summation trees and the screen confirms every pick exactly.
 //
-//  (c) Determinism: the AMP answer digested (FNV-1a over every output
-//      bit: mode, entry indices/values, residual norm, iteration count)
-//      across parallelism limits {1,2,8} x {portable, native} SIMD
-//      dispatch. All six digests must be identical ("bit_identical") —
-//      AMP inherits the kernels' fixed-lane summation trees and keeps
-//      every element-wise update serial.
-//
-//  (d) Distributed: on the Figure 7 production workload (core-search,
+//  (c) Distributed: on the Figure 7 production workload (core-search,
 //      quarter scale, 8 data centers, zero-sum cancellation noise),
 //      sweep the fixed-M protocol and the two-phase protocol down to the
 //      cheapest configuration that still answers the top-k exactly
 //      (EK = 0, EV <= --ev-target) and compare wire bytes.
 //
 // Gates (one `gate ...` line each; exit 1 if any fails): bit_identical;
-// zero_crossover_ek (both engines exact at every swept k);
+// zero_sweep_ek (BOMP exact at every swept k);
 // bomp_passes_at_largest_k (BOMP's correlate passes at the largest swept k
 // are at most ⌈R/2⌉ + 1, a count that host load cannot move); and
 // min_two_phase_savings_pct (>= 30% fewer wire bytes than the cheapest
 // fixed-M configuration at matched precision/recall).
 //
-// Flags: --n --m --k-list --trials --engines-n --engines-m --engines-k
-//        --ev-target --cache-mb --out --quick
+// Flags: --n --m --k-list --trials --ev-target --cache-mb --out --quick
 
 #include <algorithm>
 #include <cinttypes>
@@ -51,7 +45,6 @@
 #include "common/parallel.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
-#include "cs/amp.h"
 #include "cs/bomp.h"
 #include "cs/measurement_matrix.h"
 #include "cs/solver.h"
@@ -79,14 +72,13 @@ uint64_t DigestRecovery(const cs::BompResult& result) {
   return digest.hash();
 }
 
-// BOMP's budget R in the crossover phase: generous to the sparsity k.
-size_t CrossoverBompBudget(size_t k) { return k + 4; }
+// BOMP's budget R in the sweep: generous to the sparsity k.
+size_t SweepBudget(size_t k) { return k + 4; }
 
 // Outlier divergences planted in [500, 10000]: at the 1-2% undersampling
-// ratios swept here, every engine's weak-signal floor is a few hundred
-// (θ ≈ λ·σ̂ for AMP, the residual-correlation floor for OMP), and the
-// crossover phases measure wall time at EK = 0, not the weak-signal
-// floor — ablation_recovery sweeps that axis.
+// ratios swept here, BOMP's weak-signal floor (the residual-correlation
+// floor) is a few hundred, and the sweep measures wall time at EK = 0,
+// not that floor — ablation_recovery sweeps that axis.
 std::vector<double> MakeCentralizedWorkload(size_t n, size_t sparsity,
                                             uint64_t seed) {
   workload::MajorityDominatedOptions gen;
@@ -140,97 +132,32 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv).Check();
   const bool quick = flags.GetBool("quick", false);
   const size_t n = static_cast<size_t>(flags.GetInt("n", quick ? 20000 : 100000));
-  // M sized so the largest swept sparsity stays below the soft-threshold
-  // AMP phase transition (s/M <~ 0.09 at these undersampling ratios; the
-  // default gives s/M = 0.0625 at the largest k).
   const size_t m = static_cast<size_t>(flags.GetInt("m", quick ? 640 : 1600));
   const std::vector<int64_t> k_list =
       flags.GetIntList("k-list", quick ? std::vector<int64_t>{10, 50}
                                        : std::vector<int64_t>{10, 50, 100});
   const size_t trials = static_cast<size_t>(flags.GetInt("trials", 1));
-  const size_t engines_n =
-      static_cast<size_t>(flags.GetInt("engines-n", quick ? 8000 : 20000));
-  const size_t engines_m =
-      static_cast<size_t>(flags.GetInt("engines-m", 600));
-  const size_t engines_k = static_cast<size_t>(flags.GetInt("engines-k", 20));
   const double ev_target = flags.GetDouble("ev-target", 1e-3);
   const size_t cache_bytes =
       static_cast<size_t>(flags.GetInt("cache-mb", 2048)) * (1ull << 20);
   const std::string out_path = flags.GetString("out", "BENCH_recovery.json");
 
-  bench::Banner("Recovery engines",
-                "AMP vs BOMP crossover, engine table, determinism digests, "
+  bench::Banner("Recovery",
+                "BOMP wall time vs sparsity, determinism digests, "
                 "two-phase vs fixed-M wire bytes");
-  std::printf("crossover: N = %zu, M = %zu; engines: N = %zu, M = %zu, "
-              "k = %zu; trials = %zu\n\n",
-              n, m, engines_n, engines_m, engines_k, trials);
+  std::printf("sweep: N = %zu, M = %zu; trials = %zu\n\n", n, m, trials);
 
   // ---------------------------------------------------------------- (a)
-  // Crossover: AMP's per-iteration cost is flat in k; BOMP's budget (and
-  // its QR) grows with k. Same matrix across k — only the data changes.
-  struct CrossoverPoint {
+  // Sweep: BOMP's budget (and its QR) grows with k. Same matrix across
+  // k — only the data changes.
+  struct SweepPoint {
     size_t k = 0;
     double bomp_ms = 0.0;
-    double amp_ms = 0.0;
     double bomp_ek = 0.0;
-    double amp_ek = 0.0;
     size_t bomp_iterations = 0;
     size_t bomp_passes = 0;
-    size_t amp_iterations = 0;
   };
-  std::vector<CrossoverPoint> crossover;
-  {
-    cs::MeasurementMatrix matrix(m, n, 1234, cache_bytes);
-    std::printf("=== crossover (N = %zu, M = %zu, matrix cached = %s) ===\n",
-                n, m, matrix.cached() ? "yes" : "no");
-    for (int64_t k64 : k_list) {
-      const size_t k = static_cast<size_t>(k64);
-      const auto global = MakeCentralizedWorkload(n, k, 40 + k);
-      const auto truth = outlier::ExactKOutliers(global, k);
-      const auto y = matrix.Multiply(global).MoveValue();
-
-      CrossoverPoint point;
-      point.k = k;
-      for (size_t t = 0; t < trials; ++t) {
-        Stopwatch watch;
-        cs::BompOptions bomp_options;
-        bomp_options.max_iterations = CrossoverBompBudget(k);
-        auto bomp = cs::RunBomp(matrix, y, bomp_options).MoveValue();
-        const double ms = watch.ElapsedMillis();
-        if (t == 0 || ms < point.bomp_ms) point.bomp_ms = ms;
-        point.bomp_iterations = bomp.iterations;
-        point.bomp_passes = bomp.passes;
-        point.bomp_ek = outlier::ErrorOnKey(
-            truth, outlier::KOutliersFromRecovery(bomp, k));
-      }
-      for (size_t t = 0; t < trials; ++t) {
-        Stopwatch watch;
-        auto amp = cs::RunBiasedAmp(matrix, y, cs::AmpOptions{}).MoveValue();
-        const double ms = watch.ElapsedMillis();
-        if (t == 0 || ms < point.amp_ms) point.amp_ms = ms;
-        point.amp_iterations = amp.iterations;
-        point.amp_ek = outlier::ErrorOnKey(
-            truth, outlier::KOutliersFromRecovery(amp, k));
-      }
-      std::printf("k = %3zu: BOMP %8.1f ms (R = %zu in %zu passes, EK %.2f) | "
-                  "AMP %8.1f ms (T = %zu, EK %.2f)\n",
-                  k, point.bomp_ms, point.bomp_iterations, point.bomp_passes,
-                  point.bomp_ek, point.amp_ms, point.amp_iterations,
-                  point.amp_ek);
-      crossover.push_back(point);
-    }
-  }
-
-  // ---------------------------------------------------------------- (b)
-  // Engine table: one workload, one unified budget R, three engines.
-  struct EngineRow {
-    const char* name;
-    double wall_ms = 0.0;
-    double ek = 0.0;
-    double ev = 0.0;
-    size_t iterations = 0;
-  };
-  std::vector<EngineRow> engines;
+  std::vector<SweepPoint> sweep;
   uint64_t determinism_baseline = 0;
   bool bit_identical = true;
   struct DigestRow {
@@ -240,49 +167,48 @@ int main(int argc, char** argv) {
   };
   std::vector<DigestRow> digests;
   {
-    const auto global = MakeCentralizedWorkload(engines_n, engines_k, 77);
-    const auto truth = outlier::ExactKOutliers(global, engines_k);
-    cs::MeasurementMatrix matrix(engines_m, engines_n, 4321, cache_bytes);
-    const auto y = matrix.Multiply(global).MoveValue();
+    cs::MeasurementMatrix matrix(m, n, 1234, cache_bytes);
+    std::printf("=== sweep (N = %zu, M = %zu, matrix cached = %s) ===\n", n,
+                m, matrix.cached() ? "yes" : "no");
+    cs::SolverOptions solve;
+    std::vector<double> y;
+    for (int64_t k64 : k_list) {
+      const size_t k = static_cast<size_t>(k64);
+      const auto global = MakeCentralizedWorkload(n, k, 40 + k);
+      const auto truth = outlier::ExactKOutliers(global, k);
+      y = matrix.Multiply(global).MoveValue();
+      solve.iterations = SweepBudget(k);
 
-    // The paper's R = f(k) ≈ 3.5k budget, so every engine's mapping from
-    // the unified R targets the same outlier count.
-    const size_t engines_r = engines_k * 7 / 2;
-    std::printf("\n=== engines (N = %zu, M = %zu, k = %zu, R = %zu) ===\n",
-                engines_n, engines_m, engines_k, engines_r);
-    for (cs::RecoverySolver solver :
-         {cs::RecoverySolver::kOmp, cs::RecoverySolver::kCosamp,
-          cs::RecoverySolver::kAmp}) {
-      EngineRow row;
-      row.name = cs::SolverName(solver);
-      cs::SolverOptions solve;
-      solve.solver = solver;
-      solve.iterations = engines_r;
+      SweepPoint point;
+      point.k = k;
       for (size_t t = 0; t < trials; ++t) {
         Stopwatch watch;
-        auto result = cs::RecoverBiased(matrix, y, solve).MoveValue();
+        auto bomp = cs::RecoverBiased(matrix, y, solve).MoveValue();
         const double ms = watch.ElapsedMillis();
-        if (t == 0 || ms < row.wall_ms) row.wall_ms = ms;
-        row.iterations = result.iterations;
-        const auto topk = outlier::KOutliersFromRecovery(result, engines_k);
-        row.ek = outlier::ErrorOnKey(truth, topk);
-        row.ev = outlier::ErrorOnValue(truth, topk);
+        if (t == 0 || ms < point.bomp_ms) point.bomp_ms = ms;
+        point.bomp_iterations = bomp.iterations;
+        point.bomp_passes = bomp.passes;
+        point.bomp_ek = outlier::ErrorOnKey(
+            truth, outlier::KOutliersFromRecovery(bomp, k));
       }
-      std::printf("%-8s %10.1f ms  EK %.3f  EV %.2e  iterations %zu\n",
-                  row.name, row.wall_ms, row.ek, row.ev, row.iterations);
-      engines.push_back(row);
+      std::printf("k = %3zu: BOMP %8.1f ms (R = %zu in %zu passes, EK %.2f)\n",
+                  k, point.bomp_ms, point.bomp_iterations, point.bomp_passes,
+                  point.bomp_ek);
+      sweep.push_back(point);
     }
 
-    // -------------------------------------------------------------- (c)
-    // Determinism: same solve, every (thread limit, SIMD level) pair.
-    std::printf("\n=== determinism (AMP digests) ===\n");
+    // -------------------------------------------------------------- (b)
+    // Determinism: the largest k's solve, every (thread limit, SIMD level)
+    // pair.
+    std::printf("\n=== determinism (BOMP digests, k = %zu) ===\n",
+                sweep.empty() ? size_t{0} : sweep.back().k);
     const simd::Level native = simd::ActiveLevel();
     for (size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
       for (simd::Level level : {simd::Level::kPortable, native}) {
         const size_t previous_limit = GetParallelismLimit();
         SetParallelismLimit(limit);
         const simd::Level previous_level = simd::SetLevelForTesting(level);
-        auto result = cs::RunBiasedAmp(matrix, y, cs::AmpOptions{}).MoveValue();
+        auto result = cs::RecoverBiased(matrix, y, solve).MoveValue();
         simd::SetLevelForTesting(previous_level);
         SetParallelismLimit(previous_limit);
 
@@ -297,7 +223,7 @@ int main(int argc, char** argv) {
     std::printf("bit_identical: %s\n", bit_identical ? "true" : "false");
   }
 
-  // ---------------------------------------------------------------- (d)
+  // ---------------------------------------------------------------- (c)
   // Distributed wire bytes on the Figure 7 production workload.
   const size_t dist_k = 5;
   const size_t dist_trials = 3;
@@ -397,30 +323,17 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n  \"bench\": \"recovery\",\n");
   std::fprintf(out, "  \"host\": %s,\n", bench::HostJson().c_str());
   std::fprintf(out,
-               "  \"config\": {\"n\": %zu, \"m\": %zu, \"engines_n\": %zu, "
-               "\"engines_m\": %zu, \"engines_k\": %zu, \"trials\": %zu, "
+               "  \"config\": {\"n\": %zu, \"m\": %zu, \"trials\": %zu, "
                "\"ev_target\": %g},\n",
-               n, m, engines_n, engines_m, engines_k, trials, ev_target);
-  std::fprintf(out, "  \"crossover\": [\n");
-  for (size_t i = 0; i < crossover.size(); ++i) {
-    const CrossoverPoint& p = crossover[i];
+               n, m, trials, ev_target);
+  std::fprintf(out, "  \"sweep\": [\n");
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const SweepPoint& p = sweep[i];
     std::fprintf(out,
-                 "    {\"k\": %zu, \"bomp_ms\": %.3f, \"amp_ms\": %.3f, "
-                 "\"bomp_ek\": %g, \"amp_ek\": %g, "
-                 "\"bomp_iterations\": %zu, \"bomp_passes\": %zu, "
-                 "\"amp_iterations\": %zu}%s\n",
-                 p.k, p.bomp_ms, p.amp_ms, p.bomp_ek, p.amp_ek,
-                 p.bomp_iterations, p.bomp_passes, p.amp_iterations,
-                 i + 1 < crossover.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"engines\": [\n");
-  for (size_t i = 0; i < engines.size(); ++i) {
-    const EngineRow& row = engines[i];
-    std::fprintf(out,
-                 "    {\"solver\": \"%s\", \"wall_ms\": %.3f, \"ek\": %g, "
-                 "\"ev\": %g, \"iterations\": %zu}%s\n",
-                 row.name, row.wall_ms, row.ek, row.ev, row.iterations,
-                 i + 1 < engines.size() ? "," : "");
+                 "    {\"k\": %zu, \"bomp_ms\": %.3f, \"bomp_ek\": %g, "
+                 "\"bomp_iterations\": %zu, \"bomp_passes\": %zu}%s\n",
+                 p.k, p.bomp_ms, p.bomp_ek, p.bomp_iterations, p.bomp_passes,
+                 i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"determinism\": {\n    \"digests\": [\n");
   for (size_t i = 0; i < digests.size(); ++i) {
@@ -451,19 +364,17 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("\nWrote %s\n", out_path.c_str());
 
-  bool crossover_exact = true;
-  for (const CrossoverPoint& p : crossover) {
-    crossover_exact = crossover_exact && p.bomp_ek == 0.0 && p.amp_ek == 0.0;
+  bool sweep_exact = true;
+  for (const SweepPoint& p : sweep) {
+    sweep_exact = sweep_exact && p.bomp_ek == 0.0;
   }
   bench::Gates gates;
   gates.Holds("bit_identical", bit_identical);
-  gates.Holds("zero_crossover_ek", crossover_exact);
-  const CrossoverPoint largest_k =
-      crossover.empty() ? CrossoverPoint{} : crossover.back();
+  gates.Holds("zero_sweep_ek", sweep_exact);
+  const SweepPoint largest_k = sweep.empty() ? SweepPoint{} : sweep.back();
   gates.AtMost("bomp_passes_at_largest_k",
                static_cast<double>(largest_k.bomp_passes),
-               static_cast<double>((CrossoverBompBudget(largest_k.k) + 1) / 2 +
-                                   1));
+               static_cast<double>((SweepBudget(largest_k.k) + 1) / 2 + 1));
   gates.AtLeast("min_two_phase_savings_pct", two_phase_savings, 30.0);
   return gates.exit_code();
 }

@@ -209,10 +209,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nExpected shape: BOMP reaches EK ~ 0 within a few %% of ALL's cost "
-      "(k=5 earliest, k=20 needs more); K+delta stays at high error even "
-      "with much larger budgets because local rankings on skewed "
-      "partitions do not reflect the global aggregate.\n");
+      "\nChecked shape (the gate lines below): at %d%% of ALL's cost, "
+      "BOMP's wrong keys over all trials stay within the count a 10%% "
+      "per-key error rate exceeds with probability <= 5%%, for every "
+      "workload and k. K+delta's rows are printed for comparison only: on "
+      "this stand-in data they can read lower than BOMP's at small "
+      "budgets.\n",
+      static_cast<int>(kGatedPercent));
 
   if (sink != nullptr) {
     const Status written = obs::WriteSnapshotJsonFile(*sink, telemetry_path);

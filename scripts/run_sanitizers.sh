@@ -152,17 +152,17 @@ cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
   simd_test measurement_matrix_test compressor_test
 run_ctest "$PORTABLE_BUILD_DIR" 'Simd|MeasurementMatrix|Compressor|SparseSlice'
 
-# Recovery-engine pass (DESIGN.md §14): the AMP kernel's ParallelFor
-# matvecs, the cross-engine dispatch, and the two-phase
-# sense-then-refine path all thread through the pool and the Channel — rerun their suites explicitly (and again with portable
-# dispatch forced, mirroring the SIMD block above) so a filtered
-# invocation still sanitizes both sides of every recovery engine.
-RECOVERY_FILTER='AmpTest|BiasedAmpTest|SolverTest|SolverDifferential'
-RECOVERY_FILTER+='|TwoPhaseProtocol|TelemetryIdentity'
+# Recovery pass (DESIGN.md §14): the one RecoverBiased dispatch (BOMP,
+# whose Φ0 correlate runs on the pool) and the two-phase
+# sense-then-refine path, which threads the Channel too — rerun their
+# suites explicitly, and again with portable dispatch forced (mirroring
+# the SIMD block above), so a filtered invocation still sanitizes both
+# ISAs of the recovery path.
+RECOVERY_FILTER='SolverTest|TwoPhaseProtocol|TelemetryIdentity'
 run_ctest "$BUILD_DIR" "$RECOVERY_FILTER"
 cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
-  amp_test solver_differential_test
-run_ctest "$PORTABLE_BUILD_DIR" 'AmpTest|BiasedAmpTest|SolverTest|SolverDifferential'
+  bomp_test adaptive_protocol_test telemetry_identity_test
+run_ctest "$PORTABLE_BUILD_DIR" "$RECOVERY_FILTER"
 
 # Simulation smoke pass: a small seeded sweep through the full harness
 # (all eight scenario kinds, Buggify hooks hot, every scenario internally

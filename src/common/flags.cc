@@ -54,6 +54,13 @@ bool FlagParser::Has(const std::string& name) const {
   return values_.count(name) > 0;
 }
 
+std::vector<std::string> FlagParser::Names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& fallback) const {
   auto it = values_.find(name);

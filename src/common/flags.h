@@ -35,6 +35,9 @@ class FlagParser {
   std::vector<int64_t> GetIntList(const std::string& name,
                                   std::vector<int64_t> fallback) const;
 
+  /// Every flag name on the command line, sorted, without the dashes.
+  std::vector<std::string> Names() const;
+
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 

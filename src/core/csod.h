@@ -22,7 +22,6 @@
 #include "cs/basis_pursuit.h"
 #include "cs/bomp.h"
 #include "cs/compressor.h"
-#include "cs/cosamp.h"
 #include "cs/measurement_matrix.h"
 #include "cs/omp.h"
 #include "dist/adaptive_cs_protocol.h"

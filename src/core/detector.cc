@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 
+#include "cs/solver.h"
 #include "la/vector_ops.h"
 
 namespace csod::core {
@@ -106,7 +107,6 @@ Result<outlier::OutlierSet> DistributedOutlierDetector::DetectExcluding(
         "DetectExcluding: every source excluded — nothing to aggregate");
   }
   cs::SolverOptions solver_options;
-  solver_options.solver = options_.solver;
   solver_options.iterations = cs::IterationBudget(options_.iterations, k);
   solver_options.telemetry = options_.telemetry;
   CSOD_ASSIGN_OR_RETURN(
@@ -131,7 +131,6 @@ Result<cs::BompResult> DistributedOutlierDetector::Recover(
     return Status::FailedPrecondition("Recover: no sources registered");
   }
   cs::SolverOptions solver_options;
-  solver_options.solver = options_.solver;
   solver_options.iterations = iterations;
   solver_options.telemetry = options_.telemetry;
   return cs::RecoverBiased(*matrix_, global_y_, solver_options);

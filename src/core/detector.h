@@ -10,7 +10,6 @@
 #include "cs/bomp.h"
 #include "cs/compressor.h"
 #include "cs/measurement_matrix.h"
-#include "cs/solver.h"
 #include "outlier/outlier.h"
 
 namespace csod::core {
@@ -27,9 +26,6 @@ struct DetectorOptions {
   /// BOMP iteration budget R; 0 selects the paper's f(k) ∈ [2k, 5k] at
   /// detection time.
   size_t iterations = 0;
-  /// Recovery engine for Detect / DetectTopK / Recover (see cs/solver.h for
-  /// the per-engine budget mapping of `iterations`).
-  cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
   /// Telemetry sink (sketch + recovery instrumentation). Null or disabled
   /// is free.
   obs::Telemetry* telemetry = nullptr;

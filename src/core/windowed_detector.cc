@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "cs/solver.h"
 #include "la/vector_ops.h"
 
 namespace csod::core {
@@ -136,7 +137,6 @@ Result<cs::BompResult> WindowedOutlierDetector::Recover(
     size_t iterations) const {
   CSOD_ASSIGN_OR_RETURN(std::vector<double> y, WindowMeasurement());
   cs::SolverOptions solver_options;
-  solver_options.solver = options_.solver;
   solver_options.iterations = iterations;
   return cs::RecoverBiased(*matrix_, y, solver_options);
 }

@@ -18,8 +18,6 @@ struct WindowedDetectorOptions {
   size_t m = 0;
   uint64_t seed = 1;
   size_t iterations = 0;
-  /// Recovery engine for Detect / Recover (cs/solver.h).
-  cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
   /// Number of most-recent epochs a query covers.
   size_t window_epochs = 0;
 };

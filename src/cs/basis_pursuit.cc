@@ -108,8 +108,8 @@ Result<BasisPursuitResult> RunBasisPursuit(
     t_prev = t_next;
     result.iterations = iter + 1;
     if (options.telemetry != nullptr && options.telemetry->enabled()) {
-      // Per-iteration trajectory, recorded serially like the greedy
-      // engines' histograms so snapshots stay deterministic. The residual
+      // Per-iteration trajectory, recorded serially like OMP's
+      // histograms so snapshots stay deterministic. The residual
       // at the extrapolation point is already in hand — no extra matvec.
       options.telemetry->RecordValue("fista.residual_norm",
                                      la::Norm2(residual));

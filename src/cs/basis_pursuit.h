@@ -24,7 +24,7 @@ struct BasisPursuitOptions {
   /// to leave the bias coefficient free). Must be sorted or small.
   std::vector<size_t> unpenalized_atoms;
   /// Telemetry sink ("fista.*" histograms + the "fista.recover" span) —
-  /// the same parity as the OMP/CoSaMP engines. Null or disabled is free.
+  /// the same parity as BOMP. Null or disabled is free.
   obs::Telemetry* telemetry = nullptr;
 };
 

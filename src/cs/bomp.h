@@ -56,7 +56,7 @@ struct BompResult {
 
   /// Inner OMP diagnostics. `iterations` counts selected atoms; `passes`
   /// counts the correlate sweeps over Φ0 that selected them (OmpResult;
-  /// 0 for engines that do not run the OMP loop).
+  /// 0 from RunBiasedBasisPursuit, which does not run the OMP loop).
   size_t iterations = 0;
   size_t passes = 0;
   bool stopped_by_stagnation = false;

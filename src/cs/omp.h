@@ -27,7 +27,7 @@ struct OmpIterationInfo {
   const std::vector<double>* coefficients = nullptr;
 };
 
-/// OMP and CoSaMP stop once ||r||_2 <= kResidualTolerance * ||y||_2.
+/// OMP stops once ||r||_2 <= kResidualTolerance * ||y||_2.
 inline constexpr double kResidualTolerance = 1e-9;
 
 /// Atoms OMP selects per correlate pass over the dictionary: generalized

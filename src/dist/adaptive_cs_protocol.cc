@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "cs/compressor.h"
+#include "cs/solver.h"
 #include "la/incremental_qr.h"
 #include "la/vector_ops.h"
 #include "sim/buggify.h"
@@ -236,7 +237,6 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   }
 
   cs::SolverOptions locate_solve;
-  locate_solve.solver = options_.solver;
   locate_solve.iterations = iterations;
   locate_solve.telemetry = telemetry_;
   CSOD_ASSIGN_OR_RETURN(cs::BompResult located,
@@ -341,8 +341,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   CSOD_RETURN_NOT_OK(refine_compressor.CompressAccumulate(restricted, &y2));
 
   // Least squares over the restricted columns. Dependent columns (possible
-  // only when refine_m forces M₂ < |S|) are skipped, mirroring the OMP /
-  // CoSaMP engines.
+  // only when refine_m forces M₂ < |S|) are skipped, as OMP skips them.
   la::IncrementalQr qr(m2);
   std::vector<size_t> kept;
   kept.reserve(support.size());

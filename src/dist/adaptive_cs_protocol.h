@@ -6,7 +6,6 @@
 
 #include "cs/bomp.h"
 #include "cs/measurement_matrix.h"
-#include "cs/solver.h"
 #include "dist/fault.h"
 #include "dist/protocol.h"
 
@@ -75,9 +74,6 @@ struct AdaptiveCsOptions {
   /// the refine values are least-squares exact rather than CS estimates.
   size_t refine_margin = 16;
   size_t refine_m = 0;
-  /// Recovery engine for the locate pass (the refine pass is a plain
-  /// least squares and has no engine choice).
-  cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
 };
 
 /// Diagnostics of one adaptive round.

@@ -58,16 +58,6 @@ std::vector<bool> CollectWithRetry(Channel* channel, const RetryPolicy& retry,
                                    const std::string& phase, uint64_t tuples,
                                    uint64_t bytes_per_tuple,
                                    CollectionReport* report) {
-  const std::vector<uint64_t> per_node(nodes.size(), tuples);
-  return CollectWithRetry(channel, retry, nodes, phase, per_node,
-                          bytes_per_tuple, report);
-}
-
-std::vector<bool> CollectWithRetry(
-    Channel* channel, const RetryPolicy& retry,
-    const std::vector<NodeId>& nodes, const std::string& phase,
-    const std::vector<uint64_t>& tuples_per_node, uint64_t bytes_per_tuple,
-    CollectionReport* report) {
   std::vector<bool> delivered(nodes.size(), false);
   const std::string retry_phase = phase + "-retry";
   for (size_t i = 0; i < nodes.size(); ++i) {
@@ -86,8 +76,7 @@ std::vector<bool> CollectWithRetry(
       }
       const Delivery d = channel->Send(nodes[i],
                                        attempt == 0 ? phase : retry_phase,
-                                       tuples_per_node[i], bytes_per_tuple,
-                                       attempt);
+                                       tuples, bytes_per_tuple, attempt);
       if (d.Arrived(retry.TimeoutForAttempt(attempt))) {
         delivered[i] = true;
         break;

@@ -145,16 +145,6 @@ std::vector<bool> CollectWithRetry(Channel* channel, const RetryPolicy& retry,
                                    uint64_t bytes_per_tuple,
                                    CollectionReport* report);
 
-/// Same loop with a per-node tuple count (`tuples_per_node[i]` tuples from
-/// `nodes[i]`) — the shape the distributed-AMP protocol needs, where each
-/// node ships only its above-threshold state and counts differ per node.
-/// `tuples_per_node.size()` must equal `nodes.size()`.
-std::vector<bool> CollectWithRetry(
-    Channel* channel, const RetryPolicy& retry,
-    const std::vector<NodeId>& nodes, const std::string& phase,
-    const std::vector<uint64_t>& tuples_per_node, uint64_t bytes_per_tuple,
-    CollectionReport* report);
-
 }  // namespace csod::dist
 
 #endif  // CSOD_DIST_COMM_H_

@@ -619,7 +619,6 @@ Result<SnapshotAnswer> SnapshotFollower::Answer(query::QueryKind kind,
   }
   // The leader's solve minus telemetry: replicas record nothing.
   cs::SolverOptions solve;
-  solve.solver = options_.solver;
   solve.iterations = cs::IterationBudget(options_.iterations, k);
   return AnswerFromSnapshot(*matrix_, std::move(snapshot), kind, k, solve);
 }

@@ -10,7 +10,6 @@
 
 #include "common/status.h"
 #include "cs/compressor.h"
-#include "cs/solver.h"
 #include "outlier/outlier.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -220,7 +219,6 @@ struct SnapshotFollowerOptions {
   size_t m = 0;
   uint64_t seed = 1;
   size_t iterations = 0;  ///< 0 = the paper's f(k) at query time.
-  cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
 };
 
 /// \brief A read replica fed only published snapshots.

@@ -120,7 +120,7 @@ struct SnapshotAnswer {
 /// replica (SnapshotFollower) and, through the leader, StreamingService
 /// all answer queries here.
 ///
-/// Recovers `snapshot->y` once with `solve` (engine, the resolved budget R,
+/// Recovers `snapshot->y` once with `solve` (the resolved budget R,
 /// telemetry sink) and ranks the recovery for `kind`. Same Φ0, same `y`
 /// bytes and same `solve` ⇒ a bit-identical answer, which is why a
 /// follower agrees with its leader on every snapshot version. `snapshot`

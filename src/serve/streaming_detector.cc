@@ -43,7 +43,6 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
   wopts.m = options.m;
   wopts.seed = options.seed;
   wopts.iterations = options.iterations;
-  wopts.solver = options.solver;
   // The ring holds the W closed epochs a snapshot covers plus the
   // in-progress epoch still accepting data.
   wopts.window_epochs = options.window_epochs + 1;
@@ -368,7 +367,6 @@ Result<SnapshotAnswer> StreamingDetector::Answer(query::QueryKind kind,
       static_cast<double>(current_epoch_.load(std::memory_order_relaxed) -
                           snapshot->last_epoch));
   cs::SolverOptions solve;
-  solve.solver = options_.solver;
   solve.iterations = cs::IterationBudget(options_.iterations, k);
   solve.telemetry = telemetry_;
   return AnswerFromSnapshot(matrix(), std::move(snapshot), kind, k, solve);

@@ -39,8 +39,8 @@ struct StreamingDetectorOptions {
   size_t m = 0;
   uint64_t seed = 1;
   size_t iterations = 0;
-  /// Recovery engine for QueryOutliers / QueryTopK / Query (cs/solver.h).
-  /// A query-time preference: snapshots are engine-agnostic.
+  /// Only for the benchmark ledger, which still reads it; queries always
+  /// recover with BOMP (cs/solver.h).
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
   /// Closed epochs a window covers (the in-progress epoch is extra).
   size_t window_epochs = 0;

@@ -451,7 +451,6 @@ void RunAdaptiveScenario(const Scenario& s, Ctx* ctx) {
     // makes the refine pass (least squares on S) exact fault-free.
     opts.support_factor = s.sparsity / s.k + 2;
     opts.refine_margin = 16;
-    opts.solver = s.solver;
   } else {
     opts.initial_m = 64;
     opts.max_m = 4096;
@@ -756,7 +755,6 @@ void RunServeScenario(const Scenario& s, Ctx* ctx) {
   opts.n = s.n;
   opts.m = s.m;
   opts.seed = SplitMix64(HashCombine(s.seed, kProtoTag));
-  opts.solver = s.solver;
   opts.window_epochs = s.window_epochs;
   opts.num_shards = s.num_shards;
   opts.window = serve::WindowKind::kSliding;

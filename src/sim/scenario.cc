@@ -107,12 +107,10 @@ Scenario ScenarioFromSeed(uint64_t seed) {
   }
 
   if (s.kind == ScenarioKind::kTwoPhase) {
-    // Four slots keep the draw (and every later draw) stable across the
-    // solver set; omp holds the slot of the retired FISTA engine.
-    constexpr cs::RecoverySolver kSolvers[] = {
-        cs::RecoverySolver::kOmp, cs::RecoverySolver::kCosamp,
-        cs::RecoverySolver::kOmp, cs::RecoverySolver::kAmp};
-    s.solver = kSolvers[rng.NextBounded(4)];
+    // Discarded: this draw once picked the query solver among four. BOMP
+    // is the only engine now; the draw stays so that every later draw,
+    // and so every scenario that ran BOMP, replays unchanged.
+    rng.NextBounded(4);
   }
 
   // Buggify: armed on most runs; the unarmed rest pin the zero-overhead /
@@ -134,10 +132,7 @@ Scenario ScenarioFromSeed(uint64_t seed) {
     s.num_shards = rng.NextDouble() < 0.5 ? 4 : 8;
     s.batches_per_epoch = 2 + rng.NextBounded(3);
     s.events_per_batch = 200 + 100 * rng.NextBounded(4);
-    constexpr cs::RecoverySolver kSolvers[] = {
-        cs::RecoverySolver::kOmp, cs::RecoverySolver::kCosamp,
-        cs::RecoverySolver::kOmp, cs::RecoverySolver::kAmp};
-    s.solver = kSolvers[rng.NextBounded(4)];
+    rng.NextBounded(4);  // Discarded solver draw, as for kTwoPhase above.
   }
 
   if (s.kind == ScenarioKind::kMapReduce) {
@@ -162,8 +157,7 @@ std::string ScenarioToString(const Scenario& s) {
              " window=" + std::to_string(s.window_epochs) +
              " epochs=" + std::to_string(s.epochs) +
              " batches=" + std::to_string(s.batches_per_epoch) + "x" +
-             std::to_string(s.events_per_batch) +
-             " solver=" + std::string(cs::SolverName(s.solver));
+             std::to_string(s.events_per_batch);
       break;
     case ScenarioKind::kMapReduce:
       out += " splits=" + std::to_string(s.num_splits) + "x" +
@@ -176,9 +170,6 @@ std::string ScenarioToString(const Scenario& s) {
              std::to_string(s.sparsity) + " L=" +
              std::to_string(s.num_nodes) + " k=" + std::to_string(s.k) +
              " m=" + std::to_string(s.m);
-      if (s.kind == ScenarioKind::kTwoPhase) {
-        out += " solver=" + std::string(cs::SolverName(s.solver));
-      }
       if (s.faults.any()) {
         out += " faults[";
         bool first = true;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "cs/solver.h"
 #include "dist/fault.h"
 #include "sim/buggify.h"
 
@@ -50,7 +49,6 @@ struct Scenario {
   bool canary_crash = false;
 
   size_t thread_limit = 1;  ///< Parallelism limit the scenario runs under.
-  cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
 
   // Data-plane faults (CS-family kinds only; all-zero elsewhere).
   dist::FaultPlan faults;

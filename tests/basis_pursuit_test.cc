@@ -162,8 +162,8 @@ TEST(BasisPursuitTest, TelemetryTransparentAndRecords) {
   }
   EXPECT_EQ(live.iterations, plain.iterations);
 
-  // Same instrument names as OMP/CoSaMP/AMP: <engine>.recover span,
-  // <engine>.runs counter, iteration and residual value series.
+  // Same instrument names as BOMP: <solver>.recover span, <solver>.runs
+  // counter, iteration and residual value series.
   const std::string snapshot = telemetry.SnapshotJson();
   EXPECT_NE(snapshot.find("fista.recover"), std::string::npos);
   EXPECT_NE(snapshot.find("fista.runs"), std::string::npos);

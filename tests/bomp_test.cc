@@ -1,6 +1,7 @@
 #include "cs/bomp.h"
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -9,6 +10,7 @@
 
 #include "common/random.h"
 #include "cs/measurement_matrix.h"
+#include "cs/solver.h"
 #include "la/vector_ops.h"
 
 namespace csod::cs {
@@ -217,6 +219,39 @@ TEST(BompTest, PassesStayWithinHalfTheBudgetPlusOne) {
               static_cast<double>(result.passes));
     EXPECT_EQ(telemetry.value("bomp.iterations").sum,
               static_cast<double>(result.iterations));
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// RecoverBiased, the entry point every caller shares, is RunBomp bit for
+// bit.
+TEST(SolverTest, OmpDispatchMatchesRunBompBitwise) {
+  const size_t n = 300;
+  std::vector<double> x(n, 1500.0);
+  x[7] = 21000.0;
+  x[250] = -4000.0;
+  MeasurementMatrix matrix(110, n, 41);
+  auto y = matrix.Multiply(x).MoveValue();
+
+  SolverOptions solve;
+  solve.iterations = 10;
+  auto via_solver = RecoverBiased(matrix, y, solve).MoveValue();
+
+  BompOptions bomp;
+  bomp.max_iterations = 10;
+  auto direct = RunBomp(matrix, y, bomp).MoveValue();
+
+  EXPECT_EQ(Bits(via_solver.mode), Bits(direct.mode));
+  ASSERT_EQ(via_solver.entries.size(), direct.entries.size());
+  for (size_t i = 0; i < direct.entries.size(); ++i) {
+    EXPECT_EQ(via_solver.entries[i].index, direct.entries[i].index);
+    EXPECT_EQ(Bits(via_solver.entries[i].value),
+              Bits(direct.entries[i].value));
   }
 }
 

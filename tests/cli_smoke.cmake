@@ -36,39 +36,22 @@ if(NOT exact_out MATCHES "${top_key}")
           "detect top key '${top_key}' not in exact reference:\n${exact_out}")
 endif()
 
-# Alternate recovery engine: --solver=amp must run, report its provenance,
-# and agree with the exact reference on the top key.
-execute_process(
-  COMMAND "${CSOD_CLI}" detect --in=${events} --m=250 --k=3 --iterations=20
-          --solver=amp
-  RESULT_VARIABLE amp_result OUTPUT_VARIABLE amp_out)
-if(NOT amp_result EQUAL 0)
-  message(FATAL_ERROR "csod detect --solver=amp failed: ${amp_out}")
-endif()
-if(NOT amp_out MATCHES "solver: amp")
-  message(FATAL_ERROR "detect output missing solver provenance: ${amp_out}")
-endif()
-string(REGEX MATCH "key [0-9]+" amp_top_key "${amp_out}")
-if(NOT exact_out MATCHES "${amp_top_key}")
-  message(FATAL_ERROR
-          "amp top key '${amp_top_key}' not in exact reference:\n${exact_out}")
-endif()
-
-# An unknown solver name must fail loudly, not fall back silently. fista
-# is one: FISTA left the --solver= dispatch (it lives on only as the
-# basis-pursuit ablation).
-foreach(bad_solver lasso fista)
+# A flag the verb does not list must fail loudly (exit 2, naming it), not
+# run silently with every default. --solver= is one: BOMP is the only
+# recovery engine, so no solver name is a flag any more.
+foreach(bad_flag solver=amp solver=cosamp solver=fista itertions=1)
   execute_process(
-    COMMAND "${CSOD_CLI}" detect --in=${events} --solver=${bad_solver}
-    RESULT_VARIABLE bad_solver_result OUTPUT_VARIABLE bad_solver_out
-    ERROR_VARIABLE bad_solver_err)
-  if(bad_solver_result EQUAL 0)
-    message(FATAL_ERROR
-            "csod detect --solver=${bad_solver} unexpectedly succeeded")
+    COMMAND "${CSOD_CLI}" detect --in=${events} --m=250 --k=3 --${bad_flag}
+    RESULT_VARIABLE bad_flag_result OUTPUT_VARIABLE bad_flag_out
+    ERROR_VARIABLE bad_flag_err)
+  if(NOT bad_flag_result EQUAL 2)
+    message(FATAL_ERROR "csod detect --${bad_flag} exited "
+                        "${bad_flag_result}, not 2:\n${bad_flag_out}")
   endif()
-  if(NOT bad_solver_err MATCHES "unknown solver '${bad_solver}'")
-    message(FATAL_ERROR "csod detect --solver=${bad_solver} did not name "
-                        "the unknown solver:\n${bad_solver_err}")
+  string(REGEX REPLACE "=.*" "" bad_flag_name "${bad_flag}")
+  if(NOT bad_flag_err MATCHES "unknown flag --${bad_flag_name}")
+    message(FATAL_ERROR "csod detect --${bad_flag} did not name the "
+                        "unknown flag:\n${bad_flag_err}")
   endif()
 endforeach()
 

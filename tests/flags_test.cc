@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +61,13 @@ TEST(FlagsTest, PositionalArguments) {
   EXPECT_EQ(p.positional()[0], "input.txt");
   EXPECT_EQ(p.positional()[1], "more");
   EXPECT_EQ(p.GetInt("k", 0), 5);
+}
+
+TEST(FlagsTest, NamesListsEveryFlagSorted) {
+  FlagParser p = ParseArgs({"detect", "--m=4", "--quick", "--alpha", "0.5"});
+  const std::vector<std::string> expected = {"alpha", "m", "quick"};
+  EXPECT_EQ(p.Names(), expected);
+  EXPECT_TRUE(ParseArgs({"detect"}).Names().empty());
 }
 
 TEST(FlagsTest, BoolSpellings) {

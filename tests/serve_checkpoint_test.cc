@@ -250,10 +250,9 @@ TEST(CheckpointTest, GeometryMismatchIsRefused) {
   wrong = options;
   wrong.window_epochs = 5;
   EXPECT_FALSE(RestoreDetector(frame, wrong).ok());
-  // Runtime-only knobs (solver, iterations, telemetry) may differ freely.
+  // Runtime-only knobs (iterations, telemetry) may differ freely.
   auto runtime = options;
   runtime.iterations = 20;
-  runtime.solver = cs::RecoverySolver::kCosamp;
   EXPECT_TRUE(RestoreDetector(frame, runtime).ok());
 }
 

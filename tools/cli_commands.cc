@@ -69,7 +69,6 @@ Result<std::unique_ptr<core::DistributedOutlierDetector>> BuildDetector(
   detector_options.m = options.m;
   detector_options.seed = options.seed;
   detector_options.iterations = options.iterations;
-  detector_options.solver = options.solver;
   detector_options.telemetry = options.telemetry;
   CSOD_ASSIGN_OR_RETURN(auto detector,
                         core::DistributedOutlierDetector::Create(
@@ -178,7 +177,6 @@ Result<std::string> RunDetect(const EventFile& events,
   CSOD_ASSIGN_OR_RETURN(outlier::OutlierSet result,
                         detector->Detect(options.k));
   std::string report = RenderOutliers(result, "k-outliers via BOMP");
-  report += std::string("solver: ") + cs::SolverName(options.solver) + "\n";
   report += CommunicationFooter(events, options, detector->options().n);
   return report;
 }
@@ -190,7 +188,6 @@ Result<std::string> RunTopK(const EventFile& events,
   outlier::OutlierSet as_set;
   as_set.outliers = std::move(top);
   std::string report = RenderOutliers(as_set, "top-k via CS recovery");
-  report += std::string("solver: ") + cs::SolverName(options.solver) + "\n";
   report += CommunicationFooter(events, options, detector->options().n);
   return report;
 }
@@ -494,7 +491,6 @@ Result<std::string> DriveServeNet(
   follower_options.m = stream.m;
   follower_options.seed = stream.seed;
   follower_options.iterations = stream.iterations;
-  follower_options.solver = stream.solver;
   CSOD_ASSIGN_OR_RETURN(auto follower,
                         serve::SnapshotFollower::Create(follower_options));
   CSOD_RETURN_NOT_OK(follower->ReplicateOnce(&client, kTenant));

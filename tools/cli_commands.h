@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "cs/solver.h"
 #include "mapreduce/jobs.h"
 #include "obs/telemetry.h"
 
@@ -53,9 +52,6 @@ struct DetectOptions {
   size_t k = 5;
   uint64_t seed = 42;
   size_t iterations = 0;  ///< 0 = the paper's f(k).
-  /// Recovery engine (`--solver={omp,cosamp,amp}`); reported in the
-  /// provenance block of the detect / topk reports.
-  cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
   /// Override the key space (0 = infer from the file).
   size_t n_override = 0;
   /// Telemetry sink threaded into the detector (sketch + recovery

@@ -17,8 +17,9 @@ namespace {
 using namespace csod;
 
 // The single source of truth for the CLI surface: name, flag synopsis, and
-// one-line summary per verb. Usage() and command validation both read this
-// table, so a verb cannot exist without being documented (and vice versa).
+// one-line summary per verb. Usage(), command validation and flag
+// validation all read this table, so a verb or flag it does not document
+// is refused.
 struct Subcommand {
   const char* name;
   const char* args;
@@ -30,11 +31,11 @@ constexpr Subcommand kSubcommands[] = {
      "write a synthetic distributed click-log event file"},
     {"detect",
      "--in=FILE [--m= --k= --seed= --iterations= --n= "
-     "--solver={omp|cosamp|amp} --telemetry-json=FILE]",
+     "--telemetry-json=FILE]",
      "CS-based distributed k-outlier detection over the file's nodes"},
     {"topk",
      "--in=FILE [--m= --k= --seed= --iterations= --n= "
-     "--solver={omp|cosamp|amp} --telemetry-json=FILE]",
+     "--telemetry-json=FILE]",
      "zero-mode top-k extension via CS recovery"},
     {"exact", "--in=FILE [--k=]",
      "centralized exact reference answer"},
@@ -74,22 +75,36 @@ int Usage() {
   return 2;
 }
 
-bool KnownCommand(const std::string& name) {
+const Subcommand* FindCommand(const std::string& name) {
   for (const Subcommand& sub : kSubcommands) {
-    if (name == sub.name) return true;
+    if (name == sub.name) return &sub;
+  }
+  return nullptr;
+}
+
+// True when `sub`'s synopsis lists `--name` (followed by '=', ' ', ']' or
+// the end, so that `--n` does not match `--nodes=`).
+bool ListsFlag(const Subcommand& sub, const std::string& name) {
+  const std::string args = sub.args;
+  const std::string token = "--" + name;
+  for (size_t pos = args.find(token); pos != std::string::npos;
+       pos = args.find(token, pos + 1)) {
+    const size_t end = pos + token.size();
+    if (end == args.size() || args[end] == '=' || args[end] == ' ' ||
+        args[end] == ']') {
+      return true;
+    }
   }
   return false;
 }
 
-Result<tools::DetectOptions> DetectOptionsFromFlags(const FlagParser& flags) {
+tools::DetectOptions DetectOptionsFromFlags(const FlagParser& flags) {
   tools::DetectOptions options;
   options.m = static_cast<size_t>(flags.GetInt("m", 400));
   options.k = static_cast<size_t>(flags.GetInt("k", 5));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.iterations = static_cast<size_t>(flags.GetInt("iterations", 0));
   options.n_override = static_cast<size_t>(flags.GetInt("n", 0));
-  CSOD_ASSIGN_OR_RETURN(
-      options.solver, cs::ParseSolverName(flags.GetString("solver", "omp")));
   return options;
 }
 
@@ -120,7 +135,17 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv).Check();
   if (flags.positional().empty()) return Usage();
   const std::string command = flags.positional().front();
-  if (!KnownCommand(command)) return Usage();
+  const Subcommand* sub = FindCommand(command);
+  if (sub == nullptr) return Usage();
+  // A flag the verb does not read is refused, not ignored: a misspelling
+  // would otherwise run silently with every default.
+  for (const std::string& name : flags.Names()) {
+    if (name != "telemetry-json" && !ListsFlag(*sub, name)) {
+      std::fprintf(stderr, "csod %s: unknown flag --%s (run csod for usage)\n",
+                   command.c_str(), name.c_str());
+      return 2;
+    }
+  }
 
   // --telemetry-json=FILE attaches a live sink to the run and writes the
   // deterministic snapshot (DESIGN.md §9) after the report.
@@ -200,9 +225,8 @@ int main(int argc, char** argv) {
     if (sql.empty()) return Usage();
     auto table = tools::LoadCsvTable(in);
     if (!table.ok()) return Fail(table.status());
-    auto options = DetectOptionsFromFlags(flags);
-    if (!options.ok()) return Fail(options.status());
-    auto report = tools::RunQuery(table.Value(), sql, options.Value());
+    auto report =
+        tools::RunQuery(table.Value(), sql, DetectOptionsFromFlags(flags));
     return Finish(report, telemetry_path, telemetry);
   }
 
@@ -211,9 +235,7 @@ int main(int argc, char** argv) {
 
   Result<std::string> report = Status::Unimplemented("unknown command");
   if (command == "detect" || command == "topk") {
-    auto parsed = DetectOptionsFromFlags(flags);
-    if (!parsed.ok()) return Fail(parsed.status());
-    tools::DetectOptions options = parsed.Value();
+    tools::DetectOptions options = DetectOptionsFromFlags(flags);
     options.telemetry = sink;
     report = command == "detect" ? tools::RunDetect(events.Value(), options)
                                  : tools::RunTopK(events.Value(), options);
