@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "cs/bomp.h"
 #include "cs/compressor.h"
 #include "cs/measurement_matrix.h"
+#include "dist/wire_format.h"
 #include "la/incremental_qr.h"
 #include "sim/buggify.h"
 #include "sketch/count_sketch.h"
@@ -67,6 +69,49 @@ void BM_CompressSparseSlice(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m * nnz);
 }
 BENCHMARK(BM_CompressSparseSlice)->Args({100, 1000})->Args({400, 1000});
+
+// The serve sketch: framed batches of 2,048 uniform keys over N = 50k,
+// scattered over 8 shard slices and folded by MultiplySparseBatch on the
+// cached M = 256 matrix (25.6 MB). Successive iterations take successive
+// batches of a 64-batch cycle, so as in a live ingest stream the columns a
+// batch reads were not all read by the batch before it. Its cpu_time is the
+// whole process's, pool workers included.
+void BM_MultiplySparseBatchScattered(benchmark::State& state) {
+  constexpr size_t kM = 256;
+  constexpr size_t kN = 50000;
+  constexpr size_t kSlices = 8;
+  constexpr size_t kKeys = 2048;
+  constexpr size_t kBatches = 64;
+  cs::MeasurementMatrix matrix(kM, kN, 7);
+  std::vector<std::vector<cs::SparseSlice>> batches(
+      kBatches, std::vector<cs::SparseSlice>(kSlices));
+  std::vector<std::vector<cs::SparseVectorView>> views(kBatches);
+  Rng rng(11);
+  for (size_t b = 0; b < kBatches; ++b) {
+    for (size_t i = 0; i < kKeys; ++i) {
+      const size_t key = rng.NextBounded(kN);
+      cs::SparseSlice& slice = batches[b][SplitMix64(key) % kSlices];
+      slice.indices.push_back(key);
+      slice.values.push_back(1.0 + static_cast<double>(rng.NextBounded(8)));
+    }
+    for (const cs::SparseSlice& slice : batches[b]) {
+      views[b].push_back(cs::SparseVectorView{
+          slice.indices.data(), slice.values.data(), slice.nnz()});
+    }
+  }
+  std::vector<double> sum;
+  size_t b = 0;
+  for (auto _ : state) {
+    matrix.MultiplySparseBatch(views[b], &sum).Check();
+    benchmark::DoNotOptimize(sum.data());
+    benchmark::ClobberMemory();
+    b = (b + 1) % kBatches;
+  }
+  state.SetItemsProcessed(state.iterations() * kKeys);
+}
+BENCHMARK(BM_MultiplySparseBatchScattered)
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CorrelateCached(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
@@ -336,6 +381,19 @@ void BM_BiasedBasisPursuit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BiasedBasisPursuit);
+
+// The envelope checksum over one ingest frame of the ledger's serve
+// geometry (2,048 updates: 24,627 checksummed bytes).
+void BM_FrameChecksum(benchmark::State& state) {
+  std::string bytes(24627, '\0');
+  Rng rng(3);
+  for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dist::FrameChecksum(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * bytes.size());
+}
+BENCHMARK(BM_FrameChecksum)->Unit(benchmark::kMicrosecond);
 
 void BM_MeasurementAggregation(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));

@@ -30,10 +30,28 @@ constexpr size_t kMinColumnsPerGeneration = 32;
 constexpr size_t kReductionBlockColumns = 2048;
 constexpr size_t kReductionBlockNnz = 512;
 
-// CorrelateTop's screen prefetches the cached column this many bytes
-// ahead of the one it scores, one cache line at a time.
-constexpr size_t kScreenPrefetchBytes = 4096;
+// The hardware prefetcher follows an ascending stream only within a 4 KB
+// page. CorrelateTop's screen prefetches the cached column this many bytes
+// ahead of the one it scores, one cache line at a time; MultiplySparseBatch
+// leaves to the hardware a column that starts less than this many bytes
+// past the end of the previous entry's column.
+constexpr size_t kPrefetchPageBytes = 4096;
 constexpr size_t kCacheLineBytes = 64;
+
+// MultiplySparseBatch's cached path prefetches the column of the entry this
+// many entries ahead of the one it pushes.
+constexpr size_t kSketchPrefetchEntries = 8;
+
+// Requests every cache line of a cached column that is column_bytes long.
+// Always inlined: a function whose only effect is a prefetch counts as
+// side-effect free to GCC, which may then delete its calls.
+[[gnu::always_inline]] inline void PrefetchColumn(const Half* col,
+                                                  size_t column_bytes) {
+  const char* p = reinterpret_cast<const char*>(col);
+  for (size_t b = 0; b < column_bytes; b += kCacheLineBytes) {
+    __builtin_prefetch(p + b);
+  }
+}
 
 // Streams (column pointer, coefficient) pairs into `acc` eight at a time
 // via the fused simd::Axpy8, falling back to Axpy4/Axpy for the remainder.
@@ -327,12 +345,37 @@ Status MeasurementMatrix::MultiplySparseBatch(
   // Block b's entries accumulate into partials[b*M, (b+1)*M) exactly as
   // MultiplySparse would (same order, same fusion); `column` resolves an
   // entry to its stored halves.
+  //
+  // With `prefetch` (cached columns only), each entry first requests the
+  // column kSketchPrefetchEntries entries ahead, and a block's first entry
+  // also requests the ones before that: scattered keys make every entry a
+  // random column fetch, and the pass would otherwise wait on memory
+  // latency. A column that starts within kPrefetchPageBytes after the
+  // previous entry's column is left to the hardware prefetcher, which
+  // streams sorted slices, and a zero delta's column is never read.
+  // Prefetching adds nothing to the sum, so the pushes and their bits are
+  // unchanged.
   std::vector<double> partials(blocks.size() * m_, 0.0);
-  auto run_block = [&](size_t b, auto&& column) {
+  const size_t column_bytes = m_ * kBytesPerEntry;
+  auto run_block = [&](size_t b, bool prefetch, auto&& column) {
     const Block& blk = blocks[b];
     const SparseVectorView& s = slices[blk.slice];
     AxpyBatcher batch(partials.data() + b * m_, m_);
     for (size_t k = blk.k_begin; k < blk.k_end; ++k) {
+      if (prefetch) {
+        const size_t from =
+            k == blk.k_begin ? k : k + kSketchPrefetchEntries;
+        const size_t to = std::min(blk.k_end, k + kSketchPrefetchEntries + 1);
+        for (size_t a = from; a < to; ++a) {
+          const size_t j = s.indices[a];
+          const bool streamed =
+              a > blk.k_begin && j > s.indices[a - 1] &&
+              (j - s.indices[a - 1] - 1) * column_bytes < kPrefetchPageBytes;
+          if (s.values[a] != 0.0 && !streamed) {
+            PrefetchColumn(cache_.data() + j * m_, column_bytes);
+          }
+        }
+      }
       const double xj = s.values[k];
       if (xj == 0.0) continue;
       batch.Push(column(s.indices[k]), xj);
@@ -344,7 +387,7 @@ Status MeasurementMatrix::MultiplySparseBatch(
     // Cross-slice parallel over all blocks at once, in schedule order.
     ParallelFor(schedule.size(), 1, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
-        run_block(schedule[i],
+        run_block(schedule[i], /*prefetch=*/true,
                   [&](size_t j) { return cache_.data() + j * m_; });
       }
     });
@@ -398,12 +441,14 @@ Status MeasurementMatrix::MultiplySparseBatch(
 
       ParallelFor(wave_end - wave_begin, 1, [&](size_t begin, size_t end) {
         for (size_t rel = begin; rel < end; ++rel) {
-          run_block(schedule[wave_begin + rel], [&](size_t j) {
-            const size_t slot = static_cast<size_t>(
-                std::lower_bound(wave_cols.begin(), wave_cols.end(), j) -
-                wave_cols.begin());
-            return scratch.data() + slot * m_;
-          });
+          run_block(schedule[wave_begin + rel], /*prefetch=*/false,
+                    [&](size_t j) {
+                      const size_t slot = static_cast<size_t>(
+                          std::lower_bound(wave_cols.begin(), wave_cols.end(),
+                                           j) -
+                          wave_cols.begin());
+                      return scratch.data() + slot * m_;
+                    });
         }
       });
       wave_begin = wave_end;
@@ -526,12 +571,12 @@ Result<std::vector<CorrelateArgmaxResult>> MeasurementMatrix::CorrelateTop(
   // Columns are scored four at a time and kept against the chunk's running
   // count-th largest |a|, which only grows, so the kept set is a superset
   // of the final one: every column within 2ε of the global T. A cached
-  // pass prefetches the column kScreenPrefetchBytes ahead: the sweep is
+  // pass prefetches the column kPrefetchPageBytes ahead: the sweep is
   // bound by memory, and the hardware prefetcher stops at each 4 KB page,
   // which holds only eight 256-row columns.
   const size_t column_bytes = m_ * kBytesPerEntry;
   const size_t prefetch_ahead =
-      1 + kScreenPrefetchBytes / std::max<size_t>(column_bytes, 1);
+      1 + kPrefetchPageBytes / std::max<size_t>(column_bytes, 1);
   auto screen = [&](size_t begin, size_t end, ScreenedChunk* out) {
     std::vector<Half> scratch = ColumnScratch(4);
     size_t batch[4];
@@ -568,11 +613,8 @@ Result<std::vector<CorrelateArgmaxResult>> MeasurementMatrix::CorrelateTop(
     };
     for (size_t j = begin; j < end; ++j) {
       if (!cache_.empty() && j + prefetch_ahead < end) {
-        const char* next = reinterpret_cast<const char*>(
-            cache_.data() + (j + prefetch_ahead) * m_);
-        for (size_t b = 0; b < column_bytes; b += kCacheLineBytes) {
-          __builtin_prefetch(next + b);
-        }
+        PrefetchColumn(cache_.data() + (j + prefetch_ahead) * m_,
+                       column_bytes);
       }
       if (skip != nullptr && (*skip)[j + skip_offset]) continue;
       batch[filled] = j;

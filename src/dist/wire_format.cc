@@ -1,5 +1,6 @@
 #include "dist/wire_format.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -9,7 +10,11 @@ namespace csod::dist {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x43534f44;  // "CSOD"
+// "CSO2": frames whose checksum is FrameChecksum's lane definition.
+constexpr uint32_t kMagic = 0x43534f32;
+// "CSOD": frames checksummed by the retired single HashCombine chain. They
+// are refused by name, never as torn bytes, so no transport retries them.
+constexpr uint32_t kChainChecksumMagic = 0x43534f44;
 constexpr uint8_t kKindMeasurement = 1;
 constexpr uint8_t kKindKeyValues = 2;
 constexpr size_t kHeaderSize = 4 + 1 + 8;
@@ -33,24 +38,23 @@ double ReadF64(const char* p) {
   return v;
 }
 
-// Rolling SplitMix-based checksum over a byte range (not cryptographic;
-// detects corruption).
-uint64_t Checksum(const char* data, size_t size) {
-  uint64_t h = 0x5bd1e995u ^ size;
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    h = HashCombine(h, ReadU64(data + i));
-  }
-  uint64_t tail = 0;
-  if (i < size) {
-    std::memcpy(&tail, data + i, size - i);
-    h = HashCombine(h, tail);
-  }
-  return SplitMix64(h);
+// One xxHash64-style round. It is a bijection of `lane` for a fixed word
+// and of the word for a fixed lane, so changing any one word (or the lane
+// state it meets) always changes the result.
+uint64_t LaneRound(uint64_t lane, uint64_t word) {
+  return std::rotl(lane + word * 0xc2b2ae3d27d4eb4fULL, 31) *
+         0x9e3779b185ebca87ULL;
 }
 
 void FinishMessage(std::string* out) {
-  AppendU64(out, Checksum(out->data(), out->size()));
+  AppendU64(out, FrameChecksum(*out));
+}
+
+Status RetiredMagic(const char* what) {
+  return Status::InvalidArgument(
+      std::string("wire: ") + what +
+      " has magic \"CSOD\", the retired chained-checksum format; this build "
+      "reads only \"CSO2\" (lane checksum) frames");
 }
 
 // Validates magic/kind/count/checksum; returns the payload pointer.
@@ -61,6 +65,7 @@ Result<const char*> ValidateEnvelope(const std::string& bytes, uint8_t kind,
   }
   const char* p = bytes.data();
   if (ReadU32(p) != kMagic) {
+    if (ReadU32(p) == kChainChecksumMagic) return RetiredMagic("message");
     return Status::InvalidArgument("wire: bad magic");
   }
   if (static_cast<uint8_t>(p[4]) != kind) {
@@ -76,7 +81,7 @@ Result<const char*> ValidateEnvelope(const std::string& bytes, uint8_t kind,
         std::to_string(payload_size) + " payload bytes)");
   }
   const uint64_t stored = ReadU64(p + bytes.size() - kChecksumSize);
-  if (Checksum(p, bytes.size() - kChecksumSize) != stored) {
+  if (FrameChecksum({p, bytes.size() - kChecksumSize}) != stored) {
     return Status::InvalidArgument("wire: checksum mismatch");
   }
   return p + kHeaderSize;
@@ -173,6 +178,35 @@ Status PayloadReader::CheckCount(uint64_t count, size_t min_bytes) const {
   return Status::OK();
 }
 
+uint64_t FrameChecksum(std::string_view bytes) {
+  constexpr size_t kLanes = 8;
+  const char* data = bytes.data();
+  const size_t size = bytes.size();
+  const size_t words = size / 8;
+  const uint64_t seed = 0x5bd1e995u ^ size;
+  uint64_t lanes[kLanes];
+  for (size_t l = 0; l < kLanes; ++l) lanes[l] = SplitMix64(seed + l);
+  // Word w feeds lane w % kLanes: the lanes are independent dependency
+  // chains, so their rounds overlap instead of waiting on one another.
+  size_t w = 0;
+  for (; w + kLanes <= words; w += kLanes) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      lanes[l] = LaneRound(lanes[l], ReadU64(data + 8 * (w + l)));
+    }
+  }
+  for (; w < words; ++w) {
+    lanes[w % kLanes] = LaneRound(lanes[w % kLanes], ReadU64(data + 8 * w));
+  }
+  uint64_t h = seed;
+  for (uint64_t lane : lanes) h = LaneRound(h, lane);
+  if (const size_t tail_size = size % 8; tail_size != 0) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, data + 8 * words, tail_size);
+    h = LaneRound(h, tail);
+  }
+  return SplitMix64(h);
+}
+
 std::string EncodeFrame(uint8_t kind, uint64_t count,
                         std::string_view payload) {
   std::string out;
@@ -191,10 +225,11 @@ Result<FrameView> DecodeFrame(const std::string& bytes) {
   }
   const char* p = bytes.data();
   if (ReadU32(p) != kMagic) {
+    if (ReadU32(p) == kChainChecksumMagic) return RetiredMagic("frame");
     return Status::DataLoss("wire: bad frame magic");
   }
   const uint64_t stored = ReadU64(p + bytes.size() - kChecksumSize);
-  if (Checksum(p, bytes.size() - kChecksumSize) != stored) {
+  if (FrameChecksum({p, bytes.size() - kChecksumSize}) != stored) {
     return Status::DataLoss("wire: frame checksum mismatch");
   }
   FrameView view;

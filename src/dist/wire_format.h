@@ -21,10 +21,13 @@ namespace csod::dist {
 /// Layout (little-endian):
 ///   [u32 magic][u8 kind][u64 count][payload][u64 xxhash-style checksum]
 ///
-/// The checksum covers header + payload; decoding verifies it and every
-/// size field, returning InvalidArgument on any corruption. Encoded sizes
-/// intentionally exceed the paper's idealized tuple counts only by the
-/// fixed header, so CommStats keeps using the idealized sizes.
+/// The checksum (FrameChecksum) covers header + payload; decoding verifies
+/// it and every size field, returning InvalidArgument on any corruption.
+/// The magic names the checksum definition: "CSO2" is FrameChecksum's, and
+/// a message in the retired "CSOD" definition is refused with an
+/// InvalidArgument that says so. Encoded sizes intentionally exceed the
+/// paper's idealized tuple counts only by the fixed header, so CommStats
+/// keeps using the idealized sizes.
 ///
 /// Non-finite payloads (NaN, ±Inf) are rejected at encode time: a sketch
 /// is a sum of measurements, and one NaN would silently poison the global
@@ -77,8 +80,17 @@ std::string EncodeFrame(uint8_t kind, uint64_t count, std::string_view payload);
 /// Unlike Decode{Measurement,KeyValues} this cannot check count against the
 /// payload size (the payload unit is kind-specific) — kind handlers must.
 /// Returns DataLoss on any corruption so transports can retry exactly the
-/// torn-frame case.
+/// torn-frame case. A frame in the retired "CSOD" checksum definition is
+/// intact but unreadable, so it is InvalidArgument naming that format:
+/// resending it cannot help.
 Result<FrameView> DecodeFrame(const std::string& bytes);
+
+/// The envelope checksum over `bytes` (header + payload). Eight independent
+/// xxHash64-style lanes take the 8-byte little-endian words in turn (word w
+/// feeds lane w mod 8); the lanes are folded in order, then the 0–7 tail
+/// bytes, then SplitMix64 finalizes. Portable integer code with one
+/// definition on every host; changing it needs a new frame magic.
+uint64_t FrameChecksum(std::string_view bytes);
 
 /// Exact on-wire size of a frame with a payload of `payload_size` bytes.
 size_t FrameWireSize(size_t payload_size);

@@ -55,6 +55,29 @@ foreach(bad_flag solver=amp solver=cosamp solver=fista itertions=1)
   endif()
 endforeach()
 
+# --telemetry-json is listed only by verbs that write the snapshot:
+# generate and sim return before it would be written, so they refuse it.
+set(unwritten "${CMAKE_CURRENT_BINARY_DIR}/cli_smoke_unwritten.json")
+foreach(verb_args "generate;--out=${events}.gen;--n=100;--sparsity=3;--nodes=2"
+                  "sim;--scenarios=1")
+  list(GET verb_args 0 verb)
+  execute_process(
+    COMMAND "${CSOD_CLI}" ${verb_args} --telemetry-json=${unwritten}
+    RESULT_VARIABLE tele_result OUTPUT_VARIABLE tele_out
+    ERROR_VARIABLE tele_err)
+  if(NOT tele_result EQUAL 2)
+    message(FATAL_ERROR "csod ${verb} --telemetry-json exited "
+                        "${tele_result}, not 2:\n${tele_out}")
+  endif()
+  if(NOT tele_err MATCHES "unknown flag --telemetry-json")
+    message(FATAL_ERROR "csod ${verb} --telemetry-json did not name the "
+                        "flag:\n${tele_err}")
+  endif()
+  if(EXISTS "${unwritten}" OR EXISTS "${events}.gen")
+    message(FATAL_ERROR "csod ${verb} ran despite refusing --telemetry-json")
+  endif()
+endforeach()
+
 # Streaming replay of the same file: must publish a snapshot and answer a
 # window query, and the telemetry snapshot must land on disk.
 set(telemetry "${CMAKE_CURRENT_BINARY_DIR}/cli_smoke_telemetry.json")

@@ -763,6 +763,114 @@ TEST(MeasurementMatrixTest, MultiplySparseBatchTinyScratchMatchesPerSlice) {
   EXPECT_EQ(per_only, expected_per);
 }
 
+TEST(MeasurementMatrixTest, MultiplySparseBatchPrefetchPathsMatchPerSlice) {
+  // The cached batch kernel prefetches columns a fixed number of entries
+  // ahead, leaves to the hardware a column starting within 4 KB after the
+  // previous entry's, and never reads a zero delta's column. None of that
+  // may move a bit: each slice shape below meets one of those rules, and
+  // slices shorter than the prefetch distance (down to 1 entry) meet its
+  // block-start lead. M = 40 rows make a column 80 bytes, so one column
+  // spans two cache lines and 4 KB holds 51 of them.
+  const size_t m = 40, n = 3000;
+  MeasurementMatrix matrix(m, n, 29);
+  ASSERT_TRUE(matrix.cached());
+  Rng rng(13);
+  std::vector<std::vector<size_t>> idx;
+  std::vector<std::vector<double>> val;
+  auto add_slice = [&](std::vector<size_t> keys) {
+    std::vector<double> deltas;
+    for (size_t k = 0; k < keys.size(); ++k) {
+      deltas.push_back(rng.NextGaussian());
+    }
+    idx.push_back(std::move(keys));
+    val.push_back(std::move(deltas));
+  };
+  // Uniform random keys over three nnz blocks, the last one partial.
+  std::vector<size_t> uniform;
+  for (size_t k = 0; k < 1300; ++k) uniform.push_back(rng.NextBounded(n));
+  add_slice(uniform);
+  // Runs of adjacent columns broken by jumps, ending on the last column.
+  std::vector<size_t> runs;
+  for (size_t start : {size_t{7}, size_t{900}, size_t{901}, size_t{2950}}) {
+    for (size_t j = start; j < std::min(n, start + 60); ++j) {
+      runs.push_back(j);
+    }
+  }
+  add_slice(runs);
+  // Ascending gaps of 1 ... 60 columns, either side of the 4 KB window.
+  std::vector<size_t> gaps;
+  for (size_t j = 0, gap = 1; j < n; j += gap, gap = gap % 60 + 1) {
+    gaps.push_back(j);
+  }
+  add_slice(gaps);
+  // Duplicate keys, back to back and far apart.
+  std::vector<size_t> duplicates;
+  for (size_t k = 0; k < 600; ++k) {
+    duplicates.push_back(k % 3 == 0 ? 42 : rng.NextBounded(64));
+  }
+  add_slice(duplicates);
+  // Zero deltas (both signs), including a block's first entry and the entry
+  // right after it, amid an adjacent run.
+  std::vector<size_t> zeros;
+  for (size_t k = 0; k < 700; ++k) zeros.push_back(k % 2 == 0 ? k + 100 : k);
+  add_slice(zeros);
+  for (size_t k = 0; k < val.back().size(); k += 5) val.back()[k] = 0.0;
+  val.back()[1] = -0.0;
+  val.back()[512] = 0.0;
+  val.back()[513] = 0.0;
+  // Slices shorter than, at, and just past the prefetch distance; one empty.
+  for (size_t nnz : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{8},
+                     size_t{9}, size_t{17}}) {
+    std::vector<size_t> keys;
+    for (size_t k = 0; k < nnz; ++k) keys.push_back(rng.NextBounded(n));
+    add_slice(keys);
+  }
+  add_slice({n - 1});
+  add_slice({n - 2, n - 1});
+
+  std::vector<SparseVectorView> views;
+  for (size_t l = 0; l < idx.size(); ++l) {
+    views.push_back(SparseVectorView{idx[l].data(), val[l].data(),
+                                     idx[l].size()});
+  }
+  std::vector<double> expected_sum(m, 0.0);
+  std::vector<double> expected_per;
+  {
+    ScopedParallelismLimit serial(1);
+    ScopedSimdLevel portable(simd::Level::kPortable);
+    for (size_t l = 0; l < idx.size(); ++l) {
+      const std::vector<double> y =
+          matrix.MultiplySparse(idx[l], val[l]).MoveValue();
+      expected_per.insert(expected_per.end(), y.begin(), y.end());
+      for (size_t i = 0; i < m; ++i) expected_sum[i] += y[i];
+    }
+  }
+
+  for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+      ScopedParallelismLimit scoped_limit(limit);
+      ScopedSimdLevel scoped_level(level);
+      const std::string label =
+          "limit=" + std::to_string(limit) + " level=" +
+          std::string(simd::LevelName(simd::ActiveLevel()));
+      std::vector<double> sum, per;
+      ASSERT_TRUE(matrix.MultiplySparseBatch(views, &sum, &per).ok());
+      EXPECT_TRUE(SameBits(sum, expected_sum)) << label;
+      EXPECT_TRUE(SameBits(per, expected_per)) << label;
+      // Each slice alone, the sum-only path: 0 + y_l.
+      for (size_t l = 0; l < views.size(); ++l) {
+        std::vector<double> expected_one(m, 0.0);
+        for (size_t i = 0; i < m; ++i) {
+          expected_one[i] += expected_per[l * m + i];
+        }
+        std::vector<double> one;
+        ASSERT_TRUE(matrix.MultiplySparseBatch({views[l]}, &one).ok());
+        EXPECT_TRUE(SameBits(one, expected_one)) << label << " slice " << l;
+      }
+    }
+  }
+}
+
 TEST(MeasurementMatrixTest, CachedBiasColumnMatchesFreshCompute) {
   MeasurementMatrix matrix(16, 3000, 7);
   const std::vector<double>& cached = matrix.CachedBiasColumn();

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -425,6 +426,54 @@ std::string QueryResultPrefix() {
   dist::AppendF64(&payload, 0.0);
   for (int field = 0; field < 5; ++field) dist::AppendU64(&payload, 1);
   return payload;
+}
+
+// The same bytes under the retired "CSOD" magic (the chained-checksum wire
+// format): intact, but unreadable by this build.
+std::string WithRetiredMagic(std::string frame) {
+  const uint32_t retired = 0x43534f44;
+  std::memcpy(frame.data(), &retired, sizeof(retired));
+  return frame;
+}
+
+TEST(NetCraftedFrameTest, RetiredMagicIsRefusedByNameAndNotRetried) {
+  obs::Telemetry telemetry;
+  auto options = SmallOptions();
+  options.telemetry = &telemetry;
+  Rig rig(options);
+  ASSERT_TRUE(rig.client.AdvanceTo("t", 0).ok());
+  std::vector<size_t> keys;
+  std::vector<double> deltas;
+  SeededBatch(9, 40, &keys, &deltas);
+  cs::SparseSlice slice;
+  slice.indices = keys;
+  slice.values = deltas;
+
+  // Request side: the server answers InvalidArgument naming the format,
+  // and the client takes that answer without resending.
+  const std::string response = rig.server.HandleFrame(
+      WithRetiredMagic(EncodeIngestRequest("t", slice).MoveValue()));
+  CannedTransport refused(response);
+  NetClient client(&refused);
+  const Status ingest = client.Ingest("t", keys, deltas);
+  EXPECT_EQ(ingest.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ingest.message().find("retired"), std::string::npos)
+      << ingest.ToString();
+  EXPECT_EQ(client.stats().frames_sent, 1u);
+  EXPECT_EQ(client.stats().retries, 0u);
+
+  // Response side: an old-magic response is not a torn frame either.
+  CannedTransport old_response(
+      WithRetiredMagic(EncodeAdvanceRequest("t", 1).MoveValue()));
+  NetClient old_client(&old_response);
+  EXPECT_EQ(old_client.AdvanceTo("t", 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(old_client.stats().frames_sent, 1u);
+  EXPECT_EQ(old_client.stats().retries, 0u);
+
+  // Nothing was ingested.
+  ASSERT_TRUE(rig.client.AdvanceTo("t", 1).ok());
+  EXPECT_EQ(telemetry.counter("serve.ingest.batches"), 0u);
 }
 
 TEST(NetCraftedFrameTest, IngestWithWrappingKeyValueCountIsRefused) {

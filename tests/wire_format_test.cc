@@ -1,5 +1,6 @@
 #include "dist/wire_format.h"
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,31 @@
 
 namespace csod::dist {
 namespace {
+
+// A frame in the retired wire format: magic "CSOD" and a checksum that is
+// one HashCombine chain over the 8-byte words, then the zero-padded tail.
+std::string ChainChecksumFrame(uint8_t kind, uint64_t count,
+                               const std::string& payload) {
+  std::string out;
+  AppendU32(&out, 0x43534f44);
+  out.push_back(static_cast<char>(kind));
+  AppendU64(&out, count);
+  out += payload;
+  uint64_t h = 0x5bd1e995u ^ out.size();
+  size_t i = 0;
+  for (; i + 8 <= out.size(); i += 8) {
+    uint64_t word;
+    std::memcpy(&word, out.data() + i, 8);
+    h = HashCombine(h, word);
+  }
+  if (i < out.size()) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, out.data() + i, out.size() - i);
+    h = HashCombine(h, tail);
+  }
+  AppendU64(&out, SplitMix64(h));
+  return out;
+}
 
 TEST(WireFormatTest, MeasurementRoundTrip) {
   const std::vector<double> y = {1.5, -2.25, 0.0, 1e300, -1e-300};
@@ -190,6 +216,87 @@ TEST(PayloadReaderTest, CheckCountBoundsUntrustedCountsByDivision) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(reader.CheckCount(UINT64_MAX, 1).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(FrameChecksumTest, PinnedValues) {
+  // The checksum is part of the wire format: a change here is a new frame
+  // magic, never an accident.
+  EXPECT_EQ(FrameChecksum(""), 0xf5f440d240d13168u);
+  EXPECT_EQ(FrameChecksum("csod frame checksum"), 0x685e2d5522724d27u);
+  std::string stripes(200, '\0');
+  for (size_t i = 0; i < stripes.size(); ++i) {
+    stripes[i] = static_cast<char>(i * 7 + 3);
+  }
+  EXPECT_EQ(FrameChecksum(stripes), 0x2abe8bba0ab56e77u);  // 3 stripes + 8.
+  // A frame carries the checksum of its header and payload.
+  const std::string frame = EncodeFrame(16, 3, "abc");
+  uint64_t stored;
+  std::memcpy(&stored, frame.data() + frame.size() - 8, 8);
+  EXPECT_EQ(stored,
+            FrameChecksum(std::string_view(frame).substr(0, frame.size() - 8)));
+}
+
+TEST(FrameChecksumTest, EverySingleBitFlipChangesTheChecksum) {
+  // Every length from 0 to two full 64-byte lane stripes plus 7 tail bytes,
+  // so each lane, the partial stripe and every tail length are covered.
+  Rng rng(8);
+  for (size_t size = 0; size <= 2 * 64 + 7; ++size) {
+    std::string bytes(size, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
+    const uint64_t clean = FrameChecksum(bytes);
+    for (size_t bit = 0; bit < 8 * size; ++bit) {
+      std::string flipped = bytes;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      ASSERT_NE(FrameChecksum(flipped), clean)
+          << "size " << size << " bit " << bit;
+    }
+  }
+}
+
+TEST(FrameChecksumTest, EverySingleBitFlipInAFrameIsDataLoss) {
+  // Header + payload lengths 13 ... 135, flips anywhere in the frame,
+  // checksum field included: every one is a torn frame the client retries.
+  Rng rng(9);
+  for (size_t payload_size = 0; 13 + payload_size <= 2 * 64 + 7;
+       ++payload_size) {
+    std::string payload(payload_size, '\0');
+    for (char& c : payload) c = static_cast<char>(rng.NextBounded(256));
+    const std::string frame = EncodeFrame(16, payload_size, payload);
+    ASSERT_TRUE(DecodeFrame(frame).ok());
+    for (size_t bit = 0; bit < 8 * frame.size(); ++bit) {
+      std::string flipped = frame;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      const Result<FrameView> decoded = DecodeFrame(flipped);
+      ASSERT_FALSE(decoded.ok())
+          << "payload " << payload_size << " bit " << bit;
+      ASSERT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+          << "payload " << payload_size << " bit " << bit;
+    }
+  }
+}
+
+TEST(FrameChecksumTest, RetiredChainChecksumFrameIsRefusedByName) {
+  // An intact frame of the previous definition is not torn: resending it
+  // cannot help, so it must not read as DataLoss.
+  const std::string old_frame = ChainChecksumFrame(16, 2, "payload");
+  const Result<FrameView> decoded = DecodeFrame(old_frame);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("retired"), std::string::npos)
+      << decoded.status().ToString();
+  EXPECT_NE(decoded.status().message().find("CSOD"), std::string::npos)
+      << decoded.status().ToString();
+  // The built-in messages refuse it the same way.
+  std::string measurement;
+  AppendF64(&measurement, 1.5);
+  const Result<std::vector<double>> y =
+      DecodeMeasurement(ChainChecksumFrame(1, 1, measurement));
+  ASSERT_FALSE(y.ok());
+  EXPECT_EQ(y.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(y.status().message().find("retired"), std::string::npos);
+  // The same bytes re-framed in the current format decode.
+  EXPECT_EQ(DecodeMeasurement(EncodeFrame(1, 1, measurement)).Value(),
+            std::vector<double>{1.5});
 }
 
 TEST(WireFormatTest, WireSizesMatchIdealizedAccountingPlusHeader) {

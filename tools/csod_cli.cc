@@ -19,7 +19,8 @@ using namespace csod;
 // The single source of truth for the CLI surface: name, flag synopsis, and
 // one-line summary per verb. Usage(), command validation and flag
 // validation all read this table, so a verb or flag it does not document
-// is refused.
+// is refused. `--telemetry-json=FILE` is listed only by the verbs whose
+// run ends in Finish, which writes the file.
 struct Subcommand {
   const char* name;
   const char* args;
@@ -37,9 +38,10 @@ constexpr Subcommand kSubcommands[] = {
      "--in=FILE [--m= --k= --seed= --iterations= --n= "
      "--telemetry-json=FILE]",
      "zero-mode top-k extension via CS recovery"},
-    {"exact", "--in=FILE [--k=]",
+    {"exact", "--in=FILE [--k= --telemetry-json=FILE]",
      "centralized exact reference answer"},
-    {"query", "--in=CSV --sql=QUERY [--m= --seed= --iterations=]",
+    {"query",
+     "--in=CSV --sql=QUERY [--m= --seed= --iterations= --telemetry-json=FILE]",
      "run the paper's query template over a CSV table"},
     {"serve",
      "--in=FILE [--epochs= --window= --shards= --batch= --m= --k= --seed= "
@@ -140,7 +142,7 @@ int main(int argc, char** argv) {
   // A flag the verb does not read is refused, not ignored: a misspelling
   // would otherwise run silently with every default.
   for (const std::string& name : flags.Names()) {
-    if (name != "telemetry-json" && !ListsFlag(*sub, name)) {
+    if (!ListsFlag(*sub, name)) {
       std::fprintf(stderr, "csod %s: unknown flag --%s (run csod for usage)\n",
                    command.c_str(), name.c_str());
       return 2;
