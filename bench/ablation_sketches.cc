@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
         cs_ek += outlier::ErrorOnKey(truth, cs_result);
 
         sketch::CountSketchProtocolOptions sk_options;
-        sk_options.depth = 5;
         sk_options.width =
             std::max<size_t>(1, static_cast<size_t>(budget) / 5);
         sk_options.seed = 7000 + t * 13 + budget;
@@ -141,16 +140,14 @@ int main(int argc, char** argv) {
         cs_ek += outlier::ErrorOnKey(truth, cs_top);
 
         sketch::CountSketchProtocolOptions sk_options;
-        sk_options.depth = 5;
         sk_options.width =
             std::max<size_t>(1, static_cast<size_t>(budget) / 5);
         sk_options.seed = 8800 + t * 17 + budget;
         dist::CommStats sk_comm;
-        auto sk_run =
+        outlier::OutlierSet sk_top;
+        sk_top.outliers =
             sketch::RunCountSketchTopK(*cluster, k, sk_options, &sk_comm)
                 .MoveValue();
-        outlier::OutlierSet sk_top;
-        sk_top.outliers = sk_run.top;
         sk_ek += outlier::ErrorOnKey(truth, sk_top);
       }
       cs_ek_avg.push_back(cs_ek / trials);

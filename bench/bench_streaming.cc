@@ -22,7 +22,8 @@
 //
 //  (c) Telemetry overhead: the ingest+advance loop with a live
 //      obs::Telemetry sink vs a null sink, each side the median process
-//      CPU time of kOverheadRepeats replays run in interleaved pairs.
+//      CPU time of kOverheadRepeats replays run in interleaved pairs at
+//      parallelism limit 1.
 //
 // Gates (one `gate ...` line each; exit 1 if any fails): bit_identical;
 // staleness_bound_held; min_updates_per_sec, core-count aware (>= 100k/s
@@ -369,7 +370,10 @@ int main(int argc, char** argv) {
   // The gate must resolve 2% on a shared host. CPU time leaves out the
   // waits for cores other processes hold, the median drops an outlier
   // replay, and interleaving the pairs (first side alternating) spreads
-  // host drift over both sides instead of onto whichever ran later.
+  // host drift over both sides instead of onto whichever ran later. The
+  // replays run at parallelism limit 1: with pool workers in play, the
+  // time they spin waiting for work counts as process CPU time and can
+  // differ between the sides by more than the 2% being measured.
   constexpr size_t kOverheadRepeats = 7;  // Odd: the median is a replay.
   auto replay_cpu_ms = [&](obs::Telemetry* telemetry) {
     auto detector = MakeDetector(config, telemetry);
@@ -380,6 +384,7 @@ int main(int argc, char** argv) {
     return ProcessCpuMillis() - start;
   };
   std::vector<double> plain_cpu, telemetry_cpu;
+  SetParallelismLimit(1);
   for (size_t repeat = 0; repeat < kOverheadRepeats; ++repeat) {
     for (const bool with_sink : {repeat % 2 == 0, repeat % 2 != 0}) {
       if (with_sink) {
@@ -390,6 +395,7 @@ int main(int argc, char** argv) {
       }
     }
   }
+  SetParallelismLimit(previous_limit);
   std::sort(plain_cpu.begin(), plain_cpu.end());
   std::sort(telemetry_cpu.begin(), telemetry_cpu.end());
   const double plain_ms = plain_cpu[kOverheadRepeats / 2];

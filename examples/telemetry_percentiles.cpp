@@ -9,6 +9,8 @@
 //
 // Build & run:  ./build/examples/telemetry_percentiles
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -73,13 +75,22 @@ int main() {
     std::printf("  endpoint %-6zu latency %9.1f ms\n", o.key_index, o.value);
   }
 
+  // The recovery is the whole latency vector (the baseline everywhere
+  // but the recovered entries), so any aggregate is a query over it.
+  std::vector<double> latency(kNumEndpoints, recovery.mode);
+  for (const cs::RecoveredEntry& e : recovery.entries) {
+    latency[e.index] = e.value;
+  }
+  double sum = 0.0;
+  for (double v : latency) sum += v;
+  std::sort(latency.begin(), latency.end());
   std::printf("\nAggregates from the same sketch:\n");
-  std::printf("  mean latency:   %8.2f ms\n",
-              outlier::RecoveredMean(recovery, kNumEndpoints).Value());
+  std::printf("  mean latency:   %8.2f ms\n", sum / kNumEndpoints);
   for (double p : {50.0, 95.0, 99.0, 99.9}) {
-    std::printf("  p%-5.1f:         %8.2f ms\n", p,
-                outlier::RecoveredPercentile(recovery, kNumEndpoints, p)
-                    .Value());
+    // Nearest rank: the ceil(p% · n)-th smallest value.
+    const size_t rank =
+        static_cast<size_t>(std::ceil(p / 100.0 * kNumEndpoints));
+    std::printf("  p%-5.1f:         %8.2f ms\n", p, latency[rank - 1]);
   }
 
   const double all_bytes =

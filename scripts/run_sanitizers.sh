@@ -165,13 +165,13 @@ cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
 run_ctest "$PORTABLE_BUILD_DIR" "$RECOVERY_FILTER"
 
 # Simulation smoke pass: a small seeded sweep through the full harness
-# (all eight scenario kinds, Buggify hooks hot, every scenario internally
+# (all six scenario kinds, Buggify hooks hot, every scenario internally
 # re-executed at a second thread limit) under the sanitizer. TSan is the
 # interesting one — Buggify's section registry and the serve stall storm
 # both poke shared state from pool threads. The sim_test suite and the
 # regression corpus run as part of tier-1 above; this adds fresh seeds.
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target sim_driver
-"$BUILD_DIR/tools/sim_driver" --scenarios=24 --seed0=4242
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target csod
+"$BUILD_DIR/tools/csod" sim --scenarios=24 --seed0=4242
 
 # The fault sweep's telemetry-vs-CollectionReport cross-check gates,
 # against the sanitizer build so the instrumented hot paths also get race

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Seeded randomized simulation sweep (DESIGN.md §15, docs/FAULT_MODEL.md).
 #
-# Runs the sim driver over a deterministic scenario set (seed0..seed0+N-1),
+# Runs `csod sim` over a deterministic scenario set (seed0..seed0+N-1),
 # twice, and diffs the combined digests: the sweep must be a pure function
 # of the seeds, so any digest drift between the two runs is itself a bug
 # (nondeterminism in a protocol, the engine, or the harness) even when
@@ -23,20 +23,20 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 SCENARIOS="${1:-200}"
 SEED0="${2:-1}"
 BUILD_DIR="${BUILD_DIR:-$ROOT/build}"
-DRIVER="$BUILD_DIR/tools/sim_driver"
+CSOD="$BUILD_DIR/tools/csod"
 
-if [[ ! -x "$DRIVER" ]]; then
-  echo "run_simulation: building sim_driver in $BUILD_DIR" >&2
+if [[ ! -x "$CSOD" ]]; then
+  echo "run_simulation: building csod in $BUILD_DIR" >&2
   cmake -B "$BUILD_DIR" -S "$ROOT" >/dev/null
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target sim_driver >/dev/null
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target csod >/dev/null
 fi
 
 echo "== simulation sweep: $SCENARIOS scenarios from seed0=$SEED0 (run 1) =="
-OUT1="$("$DRIVER" --scenarios="$SCENARIOS" --seed0="$SEED0")"
+OUT1="$("$CSOD" sim --scenarios="$SCENARIOS" --seed0="$SEED0")"
 echo "$OUT1"
 
 echo "== run 2 (determinism check) =="
-OUT2="$("$DRIVER" --scenarios="$SCENARIOS" --seed0="$SEED0")"
+OUT2="$("$CSOD" sim --scenarios="$SCENARIOS" --seed0="$SEED0")"
 
 DIGEST1="$(echo "$OUT1" | grep -o 'combined-digest=[0-9a-f]*')"
 DIGEST2="$(echo "$OUT2" | grep -o 'combined-digest=[0-9a-f]*')"
@@ -50,6 +50,6 @@ if [[ "$DIGEST1" != "$DIGEST2" ]]; then
 fi
 
 echo "== regression corpus =="
-"$DRIVER" --corpus="$ROOT/tests/sim_corpus/regressions.txt"
+"$CSOD" sim --corpus="$ROOT/tests/sim_corpus/regressions.txt"
 
 echo "run_simulation: OK ($SCENARIOS scenarios ×2, corpus, digest $DIGEST1)"

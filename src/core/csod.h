@@ -30,11 +30,9 @@
 #include "dist/cs_protocol.h"
 #include "dist/fault.h"
 #include "dist/kplusdelta_protocol.h"
-#include "dist/topk_protocols.h"
 #include "dist/wire_format.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/jobs.h"
-#include "outlier/aggregates.h"
 #include "outlier/metrics.h"
 #include "outlier/outlier.h"
 #include "sketch/count_sketch.h"

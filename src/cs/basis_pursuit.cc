@@ -11,6 +11,9 @@ namespace csod::cs {
 
 namespace {
 
+// FISTA stops once the iterate's relative change drops below this.
+constexpr double kTolerance = 1e-8;
+
 // Largest squared singular value of the dictionary operator, by power
 // iteration on ΦᵀΦ.
 Result<double> EstimateLipschitz(const Dictionary& dictionary) {
@@ -116,7 +119,7 @@ Result<BasisPursuitResult> RunBasisPursuit(
       options.telemetry->RecordValue("fista.relative_change",
                                      change / scale);
     }
-    if (change / scale < options.tolerance) break;
+    if (change / scale < kTolerance) break;
   }
 
   CSOD_ASSIGN_OR_RETURN(std::vector<double> fitted,

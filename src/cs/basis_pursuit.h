@@ -16,10 +16,9 @@ struct BasisPursuitOptions {
   /// L1 regularization weight λ in  min ½||y - Φx||² + λ||x||₁.
   /// When <= 0, a data-dependent default λ = 0.01 * ||Φᵀy||_∞ is used.
   double lambda = 0.0;
-  /// Maximum FISTA iterations.
+  /// Maximum FISTA iterations. FISTA also stops once the relative change
+  /// of the iterate drops below 1e-8.
   size_t max_iterations = 500;
-  /// Stop when the relative change of the iterate drops below this.
-  double tolerance = 1e-8;
   /// Atom indices exempt from the L1 penalty (used by the biased variant
   /// to leave the bias coefficient free). Must be sorted or small.
   std::vector<size_t> unpenalized_atoms;

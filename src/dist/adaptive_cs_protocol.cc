@@ -34,9 +34,6 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
     return Status::InvalidArgument(
         "AdaptiveCsProtocol: need 0 < initial_m <= max_m");
   }
-  if (options_.growth <= 1.0) {
-    return Status::InvalidArgument("AdaptiveCsProtocol: growth must be > 1");
-  }
   if (cluster.num_nodes() == 0) {
     return Status::FailedPrecondition("AdaptiveCsProtocol: empty cluster");
   }
@@ -95,13 +92,6 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
       if (round_delivered[i]) still_alive.push_back(alive[i]);
     }
     alive = std::move(still_alive);
-    if (last_collection_.degraded() && !options_.allow_degraded) {
-      return Status::FailedPrecondition(
-          "AdaptiveCsProtocol: " +
-          std::to_string(last_collection_.excluded_nodes.size()) +
-          " node(s) unreachable after retries and degraded mode is "
-          "disabled");
-    }
     if (alive.empty()) {
       return Status::FailedPrecondition(
           "AdaptiveCsProtocol: every node failed — no measurements to "
@@ -161,7 +151,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
     prev_m = m;
     m = std::min(options_.max_m,
                  std::max(m + 1, static_cast<size_t>(
-                                     std::ceil(m * options_.growth))));
+                                     std::ceil(m * kAdaptiveGrowth))));
   }
 
   return outlier::KOutliersFromRecovery(last_recovery_, k);
@@ -198,14 +188,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
     }
     alive = std::move(still_alive);
   };
-  auto check_degraded = [&]() -> Status {
-    if (last_collection_.degraded() && !options_.allow_degraded) {
-      return Status::FailedPrecondition(
-          "AdaptiveCsProtocol: " +
-          std::to_string(last_collection_.excluded_nodes.size()) +
-          " node(s) unreachable after retries and degraded mode is "
-          "disabled");
-    }
+  auto check_alive = [&]() -> Status {
     if (alive.empty()) {
       return Status::FailedPrecondition(
           "AdaptiveCsProtocol: every node failed — no measurements to "
@@ -219,7 +202,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   drop_failed(CollectWithRetry(&channel, options_.retry, alive,
                                "locate-measurements", options_.locate_m,
                                kMeasurementBytes, &last_collection_));
-  CSOD_RETURN_NOT_OK(check_degraded());
+  CSOD_RETURN_NOT_OK(check_alive());
 
   const std::shared_ptr<const cs::MeasurementMatrix> locate_matrix =
       cs::SharedMatrix(options_.locate_m, n, options_.seed);
@@ -284,9 +267,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   // independent M₂-row matrix. M₂ ≥ |S| makes the restricted system
   // overdetermined, so the least-squares solve below returns the candidate
   // values exactly (noiseless model) instead of CS estimates.
-  const size_t m2 = options_.refine_m != 0
-                        ? options_.refine_m
-                        : support.size() + options_.refine_margin;
+  const size_t m2 = support.size() + kRefineMargin;
   // Buggify: a node dies in the gap between the passes — it contributed to
   // the locate sketch but never answers the refine request, so the refine
   // least-squares sees the partial aggregate (a torn two-phase state). The
@@ -315,7 +296,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
       CollectWithRetry(&channel, options_.retry, alive, "refine-measurements",
                        m2, kMeasurementBytes, &last_collection_);
   drop_failed(refine_delivered);
-  CSOD_RETURN_NOT_OK(check_degraded());
+  CSOD_RETURN_NOT_OK(check_alive());
 
   // The refine matrix is drawn from an independent stream (seed xor a
   // golden-ratio constant) so its rows are not correlated with the locate
@@ -340,8 +321,8 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   std::vector<double> y2;
   CSOD_RETURN_NOT_OK(refine_compressor.CompressAccumulate(restricted, &y2));
 
-  // Least squares over the restricted columns. Dependent columns (possible
-  // only when refine_m forces M₂ < |S|) are skipped, as OMP skips them.
+  // Least squares over the restricted columns. M₂ > |S|, so a dependent
+  // column is a numerical accident; it is skipped, as OMP skips them.
   la::IncrementalQr qr(m2);
   std::vector<size_t> kept;
   kept.reserve(support.size());

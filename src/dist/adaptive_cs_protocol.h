@@ -28,14 +28,20 @@ enum class AdaptiveStrategy {
   kTwoPhase,
 };
 
+/// Multiplicative growth of M per kGrowM round.
+inline constexpr double kAdaptiveGrowth = 2.0;
+
+/// Refine-pass rows beyond the candidate support: M₂ = |S| + kRefineMargin.
+/// M₂ > |S| makes the restricted system overdetermined, so the refine
+/// values are least-squares exact rather than CS estimates.
+inline constexpr size_t kRefineMargin = 16;
+
 /// Configuration of the adaptive CS protocol.
 struct AdaptiveCsOptions {
   /// First-round measurement size.
   size_t initial_m = 64;
   /// Hard cap; the protocol reports its best effort when it is reached.
   size_t max_m = 4096;
-  /// Multiplicative growth per round (must be > 1).
-  double growth = 2.0;
   /// Consensus seed.
   uint64_t seed = 1;
   /// BOMP iteration budget per attempt; 0 = the paper's f(k).
@@ -51,13 +57,11 @@ struct AdaptiveCsOptions {
   /// Fault plan applied to every round's incremental-row transmissions
   /// (default: perfect network, bit-identical to the pre-fault protocol).
   FaultPlan faults;
-  /// Coordinator retry/timeout policy per round.
+  /// Coordinator retry/timeout policy per round. A node that exhausts the
+  /// retry budget in some round is excluded from that round on — its
+  /// measurement prefix can no longer be extended — and recovery proceeds
+  /// from the partial sum of the surviving nodes.
   RetryPolicy retry;
-  /// When true (default), a node that exhausts the retry budget in some
-  /// round is excluded from that round on — its measurement prefix can no
-  /// longer be extended — and recovery proceeds from the partial sum of
-  /// the surviving nodes. When false such a run fails instead.
-  bool allow_degraded = true;
 
   /// Budget strategy; the knobs below apply to kTwoPhase only.
   AdaptiveStrategy strategy = AdaptiveStrategy::kGrowM;
@@ -69,11 +73,6 @@ struct AdaptiveCsOptions {
   /// locate recovery actually produced). Over-selecting buys locate
   /// recall: a true outlier merely has to *appear* in S, not rank top-k.
   size_t support_factor = 4;
-  /// Refine-pass rows M₂ = |S| + refine_margin (refine_m overrides when
-  /// nonzero). M₂ > |S| makes the restricted system overdetermined, so
-  /// the refine values are least-squares exact rather than CS estimates.
-  size_t refine_margin = 16;
-  size_t refine_m = 0;
 };
 
 /// Diagnostics of one adaptive round.

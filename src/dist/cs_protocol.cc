@@ -64,12 +64,6 @@ Result<outlier::OutlierSet> CsOutlierProtocol::Run(const Cluster& cluster,
       }
     }
   }
-  if (last_collection_.degraded() && !options_.allow_degraded) {
-    return Status::FailedPrecondition(
-        "CsOutlierProtocol: " +
-        std::to_string(last_collection_.excluded_nodes.size()) +
-        " node(s) unreachable after retries and degraded mode is disabled");
-  }
 
   // Phase 3: global measurement y = Σ_{l ∈ alive} y_l (Equation 1; the
   // partial sum on a degraded run — still Φ0 times the partial aggregate

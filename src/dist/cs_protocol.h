@@ -25,12 +25,11 @@ struct CsProtocolOptions {
   FaultPlan faults;
   /// Coordinator retry/timeout policy for missing measurements. A retry
   /// re-requests only the missing y_l — M tuples, not the node's data.
+  /// Nodes that exhaust the retry budget are excluded and the answer is
+  /// recovered from the partial sum Σ_{alive} y_l (sound by CS linearity;
+  /// the excluded set is reported in last_collection()). A run in which
+  /// every node failed fails with FailedPrecondition.
   RetryPolicy retry;
-  /// When true (default), nodes that exhaust the retry budget are excluded
-  /// and the answer is recovered from the partial sum Σ_{alive} y_l (sound
-  /// by CS linearity; the excluded set is reported in last_collection()).
-  /// When false such a run fails with FailedPrecondition instead.
-  bool allow_degraded = true;
 };
 
 /// \brief The paper's CS-based single-round protocol (Figure 2):

@@ -22,8 +22,8 @@ Result<outlier::OutlierSet> KPlusDeltaProtocol::Run(const Cluster& cluster,
   }
   const size_t n = cluster.key_space_size();
   const size_t budget = k + options_.delta;
-  size_t g = options_.g == 0 ? budget / 2 : options_.g;
-  g = std::min(std::max<size_t>(g, 1), std::min(budget, n));
+  const size_t g = std::min(std::max<size_t>(budget / 2, 1),
+                            std::min(budget, n));
   const size_t report = budget > g ? budget - g : 0;
 
   obs::TraceSpan run_span(telemetry_, "protocol.kplusdelta");

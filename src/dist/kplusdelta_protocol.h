@@ -10,11 +10,10 @@ namespace csod::dist {
 /// Configuration of the K+δ baseline.
 struct KPlusDeltaOptions {
   /// Extra per-node reporting budget beyond k. The per-node budget is
-  /// k + delta keyid-value tuples across rounds 1 and 3.
+  /// k + delta keyid-value tuples across rounds 1 and 3; round 1 samples
+  /// g = half of it (the paper's choice: "we always choose g to be 50% of
+  /// the communication cost").
   size_t delta = 0;
-  /// Number of keys sampled in round 1 (0 = half the budget, the paper's
-  /// choice: "we always choose g to be 50% of the communication cost").
-  size_t g = 0;
   /// Seed for the common sampled-key set.
   uint64_t seed = 1;
 };

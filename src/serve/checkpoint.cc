@@ -17,8 +17,8 @@ using dist::AppendU64;
 
 // Payload layout (after the generic [magic][kind][count] envelope header;
 // count = retained epochs):
-//   u64 n, m, seed, window_epochs, num_shards, epoch_ticks
-//   u8  window_kind, started, has_snapshot
+//   u64 n, m, seed, window_epochs, num_shards, epoch_ticks (always 1)
+//   u8  window_kind (always 0: sliding), started, has_snapshot
 //   u64 current_epoch, version, last_tick
 //   u64 num_epochs
 //   per epoch: u64 events, u32 len, EncodeMeasurement bytes (own checksum)
@@ -31,6 +31,11 @@ using dist::AppendU64;
 // (Φ0 format 1) ends exactly where the marker would start, so every such
 // frame is recognized and refused by name. A leading field would alias the
 // old frames' n instead.
+//
+// The detector runs one tick per epoch and sliding windows only, so it
+// writes 1 and 0 into epoch_ticks and window_kind; a frame holding any
+// other value was written for a geometry it cannot run and is refused by
+// name (InvalidArgument, never DataLoss: the bytes are intact).
 
 void AppendU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -46,8 +51,8 @@ Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
   AppendU64(&payload, options.seed);
   AppendU64(&payload, options.window_epochs);
   AppendU64(&payload, options.num_shards);
-  AppendU64(&payload, options.epoch_ticks);
-  AppendU8(&payload, options.window == WindowKind::kTumbling ? 1 : 0);
+  AppendU64(&payload, 1);  // epoch_ticks
+  AppendU8(&payload, 0);   // window_kind
   AppendU8(&payload, checkpoint.started ? 1 : 0);
   AppendU8(&payload, checkpoint.snapshot != nullptr ? 1 : 0);
   AppendU64(&payload, checkpoint.current_epoch);
@@ -119,13 +124,22 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
   decoded.window_epochs = static_cast<size_t>(u);
   CSOD_RETURN_NOT_OK(reader.U64(&u));
   decoded.num_shards = static_cast<size_t>(u);
-  CSOD_RETURN_NOT_OK(reader.U64(&decoded.epoch_ticks));
+  uint64_t epoch_ticks = 0;
+  CSOD_RETURN_NOT_OK(reader.U64(&epoch_ticks));
+  if (epoch_ticks != 1) {
+    return Status::InvalidArgument(
+        "checkpoint: epoch_ticks " + std::to_string(epoch_ticks) +
+        " is not supported (one tick is one epoch)");
+  }
   uint8_t window_kind = 0, started = 0, has_snapshot = 0;
   CSOD_RETURN_NOT_OK(reader.U8(&window_kind));
+  if (window_kind != 0) {
+    return Status::InvalidArgument(
+        "checkpoint: tumbling window (window kind " +
+        std::to_string(window_kind) + ") is not supported");
+  }
   CSOD_RETURN_NOT_OK(reader.U8(&started));
   CSOD_RETURN_NOT_OK(reader.U8(&has_snapshot));
-  decoded.window =
-      window_kind != 0 ? WindowKind::kTumbling : WindowKind::kSliding;
   decoded.state.started = started != 0;
   CSOD_RETURN_NOT_OK(reader.U64(&decoded.state.current_epoch));
   CSOD_RETURN_NOT_OK(reader.U64(&decoded.state.version));
@@ -202,9 +216,7 @@ Result<std::unique_ptr<StreamingDetector>> RestoreDetector(
   if (decoded.n != options.n || decoded.m != options.m ||
       decoded.seed != options.seed ||
       decoded.window_epochs != options.window_epochs ||
-      decoded.num_shards != options.num_shards ||
-      decoded.epoch_ticks != options.epoch_ticks ||
-      decoded.window != options.window) {
+      decoded.num_shards != options.num_shards) {
     return Status::InvalidArgument(
         "RestoreDetector: checkpoint geometry (n=" + std::to_string(decoded.n) +
         " m=" + std::to_string(decoded.m) +

@@ -50,19 +50,18 @@ struct DecodedCheckpoint {
   uint64_t seed = 1;
   size_t window_epochs = 0;
   size_t num_shards = 0;
-  uint64_t epoch_ticks = 1;
-  WindowKind window = WindowKind::kSliding;
   DetectorCheckpoint state;
 };
 
 /// Validates checksums (outer frame and every embedded message) and
 /// decodes. DataLoss on torn/corrupted bytes, InvalidArgument on a
-/// structurally inconsistent payload or another Φ0 format.
+/// structurally inconsistent payload, another Φ0 format, or a geometry
+/// this build cannot run (a tumbling window, epoch_ticks other than 1).
 Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame);
 
 /// Decodes `frame`, checks its geometry against `options` (same
-/// n/m/seed/window/shards/ticks — a checkpoint only restores the stream it
-/// was taken from), and builds the restored detector. `options` supplies
+/// n/m/seed/window/shards — a checkpoint only restores the stream it was
+/// taken from), and builds the restored detector. `options` supplies
 /// the runtime-only fields (telemetry sink, iterations).
 Result<std::unique_ptr<StreamingDetector>> RestoreDetector(
     const std::string& frame, const StreamingDetectorOptions& options);

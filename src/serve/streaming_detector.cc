@@ -34,10 +34,6 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
     return Status::InvalidArgument(
         "StreamingDetectorOptions.num_shards must be > 0");
   }
-  if (options.epoch_ticks == 0) {
-    return Status::InvalidArgument(
-        "StreamingDetectorOptions.epoch_ticks must be > 0");
-  }
   core::WindowedDetectorOptions wopts;
   wopts.n = options.n;
   wopts.m = options.m;
@@ -272,9 +268,8 @@ Result<uint64_t> StreamingDetector::AdvanceTo(uint64_t tick) {
         " < " + std::to_string(last_tick_) + ")");
   }
   last_tick_ = tick;
-  const uint64_t target_epoch = tick / options_.epoch_ticks;
   if (!started_.load(std::memory_order_relaxed)) AdvanceEpochLocked();
-  while (current_epoch_.load(std::memory_order_relaxed) < target_epoch) {
+  while (current_epoch_.load(std::memory_order_relaxed) < tick) {
     AdvanceEpochLocked();
   }
   return current_epoch_.load(std::memory_order_relaxed);
@@ -299,25 +294,12 @@ uint64_t StreamingDetector::AdvanceEpochLocked() {
   }
   telemetry_->AddCounter("serve.epochs");
 
-  const size_t closed = epoch_events_.size() - 1;
-  if (closed > 0) {
-    bool publish = true;
-    if (options_.window == WindowKind::kTumbling) {
-      // Publish only when a disjoint window of exactly W closed epochs
-      // completes: at the close of epoch W-1, 2W-1, ... (i.e. when the new
-      // current epoch index is a multiple of W). The W+1-deep ring then
-      // holds precisely that window plus the fresh epoch, so consecutive
-      // publications cover disjoint epoch ranges with no extra state.
-      publish = closed >= options_.window_epochs &&
-                epoch % options_.window_epochs == 0;
-    }
-    if (publish) {
-      PublishLocked();
-      // Buggify: epoch-advance race — a second publisher runs before the
-      // first one's swap is observed. Publication is idempotent up to the
-      // version counter, so the race must only bump version/snapshots.
-      if (CSOD_BUGGIFY_AT("serve.epoch.republish", epoch)) PublishLocked();
-    }
+  if (epoch_events_.size() > 1) {  // At least one closed epoch.
+    PublishLocked();
+    // Buggify: epoch-advance race — a second publisher runs before the
+    // first one's swap is observed. Publication is idempotent up to the
+    // version counter, so the race must only bump version/snapshots.
+    if (CSOD_BUGGIFY_AT("serve.epoch.republish", epoch)) PublishLocked();
   }
   return epoch;
 }

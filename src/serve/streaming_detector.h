@@ -19,18 +19,6 @@
 
 namespace csod::serve {
 
-/// How epochs compose into the queryable window.
-enum class WindowKind {
-  /// Every epoch close publishes a snapshot over the last `window_epochs`
-  /// closed epochs (overlapping windows; snapshot age < 1 epoch).
-  kSliding,
-  /// A snapshot is published only when `window_epochs` consecutive closed
-  /// epochs complete a disjoint window (non-overlapping windows; between
-  /// publications queries answer from the previous full window, so the
-  /// age bound is `window_epochs` rather than 1).
-  kTumbling,
-};
-
 /// Configuration of a StreamingDetector.
 struct StreamingDetectorOptions {
   /// Key space, measurement size, consensus seed, BOMP iteration budget
@@ -42,15 +30,13 @@ struct StreamingDetectorOptions {
   /// Only for the benchmark ledger, which still reads it; queries always
   /// recover with BOMP (cs/solver.h).
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
-  /// Closed epochs a window covers (the in-progress epoch is extra).
+  /// Closed epochs a window covers (the in-progress epoch is extra). Every
+  /// epoch close publishes a snapshot over the last `window_epochs` closed
+  /// epochs (a sliding window; snapshot age < 1 epoch).
   size_t window_epochs = 0;
   /// Ingestion shards; a batch is radix-partitioned across them and folded
   /// shard-by-shard in shard order (the determinism contract below).
   size_t num_shards = 8;
-  WindowKind window = WindowKind::kSliding;
-  /// Virtual-clock ticks per epoch (AdvanceTo closes an epoch every
-  /// `epoch_ticks` ticks).
-  uint64_t epoch_ticks = 1;
   /// Telemetry sink ("serve.*" metrics; docs/STREAMING.md names them all).
   /// Null means disabled.
   obs::Telemetry* telemetry = nullptr;
@@ -119,8 +105,7 @@ struct DetectorCheckpoint {
 /// must ingest the same per-(batch, shard) slices, not one merged slice.
 ///
 /// **Bounded staleness**: a query's snapshot never includes the in-progress
-/// epoch and (sliding mode) always includes every closed epoch in the
-/// window, so the answer lags ingestion by less than one epoch, always.
+/// epoch and always includes every closed epoch in the window, so the answer lags ingestion by less than one epoch, always.
 ///
 /// **Degraded mode** (docs/STREAMING.md): a stalled shard's share of every
 /// batch is deferred to a per-shard backlog — delayed, never lost — and
@@ -162,14 +147,12 @@ class StreamingDetector {
   Status IngestBatch(const std::vector<size_t>& keys,
                      const std::vector<double>& deltas);
 
-  /// Moves the virtual clock to `tick` (monotone), closing an epoch at
-  /// every multiple of `epoch_ticks` crossed and publishing snapshots per
-  /// the window kind. The first call opens epoch 0. Returns the current
-  /// epoch index after the move.
+  /// Moves the virtual clock to `tick` (monotone; one tick is one epoch),
+  /// closing and publishing every epoch below `tick`. The first call opens
+  /// epoch 0. Returns the current epoch index after the move.
   Result<uint64_t> AdvanceTo(uint64_t tick);
 
-  /// Closes the current epoch (publishing per the window kind) and opens
-  /// the next; the first call opens epoch 0 without closing anything.
+  /// Closes the current epoch (publishing a snapshot) and opens the next; the first call opens epoch 0 without closing anything.
   /// Returns the new current epoch index. (AdvanceTo is this on a clock.)
   uint64_t AdvanceEpoch();
 

@@ -20,7 +20,6 @@
 #include "dist/comm.h"
 #include "dist/cs_protocol.h"
 #include "dist/kplusdelta_protocol.h"
-#include "dist/topk_protocols.h"
 #include "mapreduce/engine.h"
 #include "obs/telemetry.h"
 #include "outlier/metrics.h"
@@ -197,28 +196,20 @@ struct CsWorkload {
 // keys. Crashing that node makes the partial aggregate *exactly* the base
 // vector, which is what turns the THEORY.md §6 envelope into a checkable
 // assertion rather than a statistical one.
-Result<CsWorkload> BuildCsWorkload(const Scenario& s, double max_divergence,
-                                   workload::PartitionStrategy strategy,
-                                   bool fold_above_mode) {
+Result<CsWorkload> BuildCsWorkload(const Scenario& s) {
   workload::MajorityDominatedOptions gen;
   gen.n = s.n;
   gen.sparsity = s.sparsity;
   gen.mode = kMode;
   gen.min_divergence = 100.0;
-  gen.max_divergence = max_divergence;
+  gen.max_divergence = 10000.0;
   gen.seed = SplitMix64(HashCombine(s.seed, kDataTag));
   CSOD_ASSIGN_OR_RETURN(std::vector<double> x,
                         workload::GenerateMajorityDominated(gen));
-  if (fold_above_mode) {
-    // Reflect below-mode outliers above the mode: all values positive and
-    // the value ranking equals the divergence ranking — the domain the
-    // TA/TPUT baselines are exact on, with no ties at the top.
-    for (double& v : x) v = kMode + std::abs(v - kMode);
-  }
 
   workload::PartitionOptions part;
   part.num_nodes = s.num_nodes;
-  part.strategy = strategy;
+  part.strategy = workload::PartitionStrategy::kSkewedSplit;
   part.seed = SplitMix64(HashCombine(s.seed, kPartTag));
   part.cancellation_noise = s.cancellation_noise;
   CSOD_ASSIGN_OR_RETURN(std::vector<cs::SparseSlice> slices,
@@ -263,8 +254,8 @@ void MixCollection(const dist::CollectionReport& report, Ctx* ctx) {
   ctx->digest.Mix(report.retries);
 }
 
-// Shared handling of a CS-family run that returned an error: with
-// allow_degraded on, the only legitimate failure is losing every node.
+// Shared handling of a CS-family run that returned an error: the only
+// legitimate failure is losing every node.
 // The error itself is part of the deterministic outcome (digested).
 void HandleProtocolError(const Status& status,
                          const dist::CollectionReport& report,
@@ -331,8 +322,7 @@ void CheckCanaryEnvelope(const CsWorkload& w, size_t k,
 // ---------------------------------------------------------------------------
 
 void RunCsScenario(const Scenario& s, Ctx* ctx) {
-  Result<CsWorkload> built = BuildCsWorkload(
-      s, 10000.0, workload::PartitionStrategy::kSkewedSplit, false);
+  Result<CsWorkload> built = BuildCsWorkload(s);
   if (!built.ok()) {
     ctx->Violate("cs: workload build failed: " + built.status().ToString());
     return;
@@ -429,8 +419,7 @@ void RunCsScenario(const Scenario& s, Ctx* ctx) {
 void RunAdaptiveScenario(const Scenario& s, Ctx* ctx) {
   const char* label =
       s.kind == ScenarioKind::kTwoPhase ? "twophase" : "adaptive";
-  Result<CsWorkload> built = BuildCsWorkload(
-      s, 10000.0, workload::PartitionStrategy::kSkewedSplit, false);
+  Result<CsWorkload> built = BuildCsWorkload(s);
   if (!built.ok()) {
     ctx->Violate(std::string(label) + ": workload build failed: " +
                  built.status().ToString());
@@ -450,11 +439,9 @@ void RunAdaptiveScenario(const Scenario& s, Ctx* ctx) {
     // outlier even when the locate ranking is imperfect, which is what
     // makes the refine pass (least squares on S) exact fault-free.
     opts.support_factor = s.sparsity / s.k + 2;
-    opts.refine_margin = 16;
   } else {
     opts.initial_m = 64;
     opts.max_m = 4096;
-    opts.growth = 2.0;
     // Certify by residual only: with m reaching 16·s the fault-free
     // recovery is exact, so acceptance is a hard invariant, not a race
     // against top-k stability.
@@ -498,14 +485,13 @@ void RunAdaptiveScenario(const Scenario& s, Ctx* ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Baselines: K+δ, TA, TPUT — Buggify perturbs their traffic (duplicated
-// broadcasts, re-sent batches), and the invariant is that the *answer* is
-// byte-for-byte the unperturbed one while the byte count only grows.
+// Baseline K+δ — Buggify perturbs its traffic (duplicated broadcasts), and
+// the invariant is that the *answer* is byte-for-byte the unperturbed one
+// while the byte count only grows.
 // ---------------------------------------------------------------------------
 
 void RunKPlusDeltaScenario(const Scenario& s, Ctx* ctx) {
-  Result<CsWorkload> built = BuildCsWorkload(
-      s, 10000.0, workload::PartitionStrategy::kSkewedSplit, false);
+  Result<CsWorkload> built = BuildCsWorkload(s);
   if (!built.ok()) {
     ctx->Violate("kplusdelta: workload build failed: " +
                  built.status().ToString());
@@ -547,93 +533,6 @@ void RunKPlusDeltaScenario(const Scenario& s, Ctx* ctx) {
     ctx->Violate("kplusdelta: Buggify run shipped fewer bytes (" +
                  U64(comm.bytes_total()) + ") than the clean run (" +
                  U64(ref_comm.bytes_total()) + ")");
-  }
-}
-
-bool TopBitEqual(const dist::TopKRunResult& a, const dist::TopKRunResult& b) {
-  if (a.top.size() != b.top.size()) return false;
-  for (size_t i = 0; i < a.top.size(); ++i) {
-    if (a.top[i].key_index != b.top[i].key_index) return false;
-    if (std::memcmp(&a.top[i].value, &b.top[i].value, sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void RunTopKScenario(const Scenario& s, Ctx* ctx) {
-  const bool ta = s.kind == ScenarioKind::kThresholdTopK;
-  const char* label = ta ? "ta" : "tput";
-  // Folded above the mode and placed by key: the all-positive, partial-sum-
-  // lower-bounds domain both protocols are exact on.
-  Result<CsWorkload> built = BuildCsWorkload(
-      s, 4000.0, workload::PartitionStrategy::kByKey, true);
-  if (!built.ok()) {
-    ctx->Violate(std::string(label) + ": workload build failed: " +
-                 built.status().ToString());
-    return;
-  }
-  CsWorkload& w = built.Value();
-
-  auto run_once = [&](dist::CommStats* comm, obs::Telemetry* telemetry) {
-    return ta ? dist::RunThresholdAlgorithmTopK(w.cluster, s.k, s.k, comm,
-                                                telemetry)
-              : dist::RunTputTopK(w.cluster, s.k, comm, telemetry);
-  };
-
-  obs::Telemetry telemetry;
-  dist::CommStats comm;
-  Result<dist::TopKRunResult> run = run_once(&comm, &telemetry);
-  BuggifyDisable();
-  CheckCommTelemetry(telemetry, comm, label, ctx);
-  ctx->digest.Mix(comm);
-  if (!run.ok()) {
-    ctx->Violate(std::string(label) + ": run failed: " +
-                 run.status().ToString());
-    return;
-  }
-  for (const outlier::Outlier& o : run.Value().top) {
-    ctx->digest.Mix(static_cast<uint64_t>(o.key_index));
-    ctx->digest.Mix(o.value);
-  }
-
-  dist::CommStats ref_comm;
-  Result<dist::TopKRunResult> ref = run_once(&ref_comm, nullptr);
-  if (!ref.ok()) {
-    ctx->Violate(std::string(label) + ": clean rerun failed: " +
-                 ref.status().ToString());
-    return;
-  }
-  if (!TopBitEqual(run.Value(), ref.Value())) {
-    ctx->Violate(std::string(label) +
-                 ": answer perturbed by Buggify traffic faults");
-  }
-  if (comm.bytes_total() < ref_comm.bytes_total()) {
-    ctx->Violate(std::string(label) + ": Buggify run shipped fewer bytes (" +
-                 U64(comm.bytes_total()) + ") than the clean run (" +
-                 U64(ref_comm.bytes_total()) + ")");
-  }
-
-  // Exactness on the domain: the ranked keys must be the true top-k by
-  // value (distinct continuous values, so the order is unambiguous).
-  const std::vector<outlier::Outlier> expected =
-      outlier::TopK(w.global, s.k);
-  const std::vector<outlier::Outlier>& got = run.Value().top;
-  if (got.size() != expected.size()) {
-    ctx->Violate(std::string(label) + ": returned " + U64(got.size()) +
-                 " keys, expected " + U64(expected.size()));
-  } else {
-    for (size_t i = 0; i < got.size(); ++i) {
-      if (got[i].key_index != expected[i].key_index ||
-          std::abs(got[i].value - expected[i].value) > 1e-9) {
-        ctx->Violate(std::string(label) + ": rank " + U64(i) + " is key " +
-                     U64(got[i].key_index) + " value " +
-                     std::to_string(got[i].value) + ", expected key " +
-                     U64(expected[i].key_index) + " value " +
-                     std::to_string(expected[i].value));
-        break;
-      }
-    }
   }
 }
 
@@ -757,7 +656,6 @@ void RunServeScenario(const Scenario& s, Ctx* ctx) {
   opts.seed = SplitMix64(HashCombine(s.seed, kProtoTag));
   opts.window_epochs = s.window_epochs;
   opts.num_shards = s.num_shards;
-  opts.window = serve::WindowKind::kSliding;
   opts.telemetry = &telemetry;
   serve::StreamingService service(&telemetry);
   const char kTenant[] = "sim";
@@ -1030,10 +928,6 @@ ScenarioOutcome ExecuteScenario(const Scenario& scenario,
       break;
     case ScenarioKind::kKPlusDelta:
       RunKPlusDeltaScenario(scenario, &ctx);
-      break;
-    case ScenarioKind::kThresholdTopK:
-    case ScenarioKind::kTputTopK:
-      RunTopKScenario(scenario, &ctx);
       break;
     case ScenarioKind::kMapReduce:
       RunMapReduceScenario(scenario, &ctx);

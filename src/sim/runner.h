@@ -28,11 +28,11 @@ struct ScenarioOutcome {
 ///  - a degraded cs run is bit-identical to a clean run over the
 ///    surviving sub-cluster, and a sparse (canary) exclusion obeys the
 ///    THEORY.md §6 precision/recall envelope;
-///  - baseline protocols under Buggify traffic perturbations return the
+///  - the K+δ baseline under Buggify traffic perturbations returns the
 ///    byte-for-byte unperturbed answer with >= the unperturbed bytes;
 ///  - MapReduce output under Buggify re-execution / buffer pressure is
 ///    bit-identical to the unperturbed run;
-///  - serve snapshot staleness <= 1 epoch (sliding) and no event is lost
+///  - serve snapshot staleness <= 1 epoch and no event is lost
 ///    across stall/unstall storms;
 ///  - the whole outcome digest is identical when re-executed at a
 ///    different parallelism limit.

@@ -21,18 +21,19 @@ std::string Fmt(double value, int precision) {
 constexpr uint64_t kScenarioTag = 0x7363656e6172696fULL;  // "scenario"
 
 // Kind weights: the CS-family protocols (the ones with a real fault
-// plan) get most of the budget; the perfect-network baselines, the
+// plan) get most of the budget; the perfect-network K+δ baseline, the
 // engine, and the serve layer share the rest. The table length is part
-// of every seed's derivation, so it stays at 16 entries; kAdaptiveGrow
+// of every seed's derivation, so it stays at 16 entries. kAdaptiveGrow
 // holds four slots because it draws nothing after the CS-family block,
-// so giving it a slot moves no other seed's draws.
+// and kKPlusDelta three because a baseline draws nothing after the kind,
+// so giving either a freed slot moves no other seed's draws.
 constexpr ScenarioKind kKindTable[] = {
     ScenarioKind::kCs,           ScenarioKind::kCs,
     ScenarioKind::kCs,           ScenarioKind::kAdaptiveGrow,
     ScenarioKind::kAdaptiveGrow, ScenarioKind::kTwoPhase,
     ScenarioKind::kTwoPhase,     ScenarioKind::kAdaptiveGrow,
     ScenarioKind::kAdaptiveGrow, ScenarioKind::kKPlusDelta,
-    ScenarioKind::kThresholdTopK, ScenarioKind::kTputTopK,
+    ScenarioKind::kKPlusDelta,   ScenarioKind::kKPlusDelta,
     ScenarioKind::kMapReduce,    ScenarioKind::kMapReduce,
     ScenarioKind::kServe,        ScenarioKind::kServe,
 };
@@ -50,8 +51,6 @@ const char* ScenarioKindName(ScenarioKind kind) {
     case ScenarioKind::kAdaptiveGrow: return "adaptive";
     case ScenarioKind::kTwoPhase: return "twophase";
     case ScenarioKind::kKPlusDelta: return "kplusdelta";
-    case ScenarioKind::kThresholdTopK: return "ta";
-    case ScenarioKind::kTputTopK: return "tput";
     case ScenarioKind::kMapReduce: return "mapreduce";
     case ScenarioKind::kServe: return "serve";
   }

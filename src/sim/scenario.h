@@ -11,16 +11,14 @@ namespace csod::sim {
 
 /// What a generated scenario exercises. The CS-family kinds run a
 /// distributed protocol over a partitioned majority-dominated workload
-/// under a derived fault plan; the baseline kinds run the perfect-network
-/// protocols under Buggify traffic perturbations only; kMapReduce and
+/// under a derived fault plan; kKPlusDelta runs the perfect-network
+/// baseline under Buggify traffic perturbations only; kMapReduce and
 /// kServe drive the engine and the streaming service.
 enum class ScenarioKind {
   kCs,
   kAdaptiveGrow,
   kTwoPhase,
   kKPlusDelta,
-  kThresholdTopK,
-  kTputTopK,
   kMapReduce,
   kServe,
 };

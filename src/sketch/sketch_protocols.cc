@@ -13,9 +13,8 @@ namespace {
 Result<CountSketch> MergedSketch(const dist::Cluster& cluster,
                                  const CountSketchProtocolOptions& options,
                                  dist::CommStats* comm) {
-  if (options.width == 0 || options.depth == 0) {
-    return Status::InvalidArgument(
-        "CountSketch protocol: width and depth must be > 0");
+  if (options.width == 0) {
+    return Status::InvalidArgument("CountSketch protocol: width must be > 0");
   }
   if (cluster.num_nodes() == 0) {
     return Status::FailedPrecondition("CountSketch protocol: empty cluster");
@@ -23,12 +22,12 @@ Result<CountSketch> MergedSketch(const dist::Cluster& cluster,
   comm->BeginRound();
   CSOD_ASSIGN_OR_RETURN(
       CountSketch merged,
-      CountSketch::Create(options.width, options.depth, options.seed));
+      CountSketch::Create(options.width, kCountSketchDepth, options.seed));
   for (dist::NodeId id : cluster.NodeIds()) {
     CSOD_ASSIGN_OR_RETURN(const cs::SparseSlice* slice, cluster.Slice(id));
     CSOD_ASSIGN_OR_RETURN(
         CountSketch local,
-        CountSketch::Create(options.width, options.depth, options.seed));
+        CountSketch::Create(options.width, kCountSketchDepth, options.seed));
     for (size_t j = 0; j < slice->indices.size(); ++j) {
       local.Update(slice->indices[j], slice->values[j]);
     }
@@ -73,7 +72,7 @@ Result<outlier::OutlierSet> CountSketchOutlierProtocol::Run(
   return result;
 }
 
-Result<dist::TopKRunResult> RunCountSketchTopK(
+Result<std::vector<outlier::Outlier>> RunCountSketchTopK(
     const dist::Cluster& cluster, size_t k,
     const CountSketchProtocolOptions& options, dist::CommStats* comm) {
   if (comm == nullptr) {
@@ -89,9 +88,7 @@ Result<dist::TopKRunResult> RunCountSketchTopK(
     all.push_back(outlier::Outlier{key, estimate, estimate});
   }
   outlier::RankByValue(&all, k);
-  dist::TopKRunResult result;
-  result.top = std::move(all);
-  return result;
+  return all;
 }
 
 }  // namespace csod::sketch

@@ -2,19 +2,23 @@
 #define CSOD_SKETCH_SKETCH_PROTOCOLS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "dist/protocol.h"
-#include "dist/topk_protocols.h"
+#include "outlier/outlier.h"
 #include "sketch/count_sketch.h"
 
 namespace csod::sketch {
 
+/// Rows of every CountSketch the protocols below build (the median of 5
+/// estimates per key).
+inline constexpr size_t kCountSketchDepth = 5;
+
 /// Configuration of the CountSketch-based protocols. The per-node
-/// communication is width * depth counters of 8 bytes — directly
-/// comparable to the CS protocol's M measurements.
+/// communication is width * kCountSketchDepth counters of 8 bytes —
+/// directly comparable to the CS protocol's M measurements.
 struct CountSketchProtocolOptions {
   size_t width = 0;
-  size_t depth = 5;
   uint64_t seed = 1;
 };
 
@@ -41,9 +45,10 @@ class CountSketchOutlierProtocol final : public dist::OutlierProtocol {
 };
 
 /// Distributed top-k via merged CountSketches: estimates every key of the
-/// key space from the merged sketch and returns the k largest estimates.
-/// Valid for any-signed data; approximate.
-Result<dist::TopKRunResult> RunCountSketchTopK(
+/// key space from the merged sketch and returns the k largest estimates,
+/// ranked by value (divergence == value). Valid for any-signed data;
+/// approximate.
+Result<std::vector<outlier::Outlier>> RunCountSketchTopK(
     const dist::Cluster& cluster, size_t k,
     const CountSketchProtocolOptions& options, dist::CommStats* comm);
 

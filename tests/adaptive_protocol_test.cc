@@ -53,9 +53,6 @@ TEST(AdaptiveProtocolTest, ValidatesOptions) {
   bad.max_m = 32;
   EXPECT_FALSE(AdaptiveCsProtocol(bad).Run(cluster, 3, &comm).ok());
   bad.max_m = 128;
-  bad.growth = 1.0;
-  EXPECT_FALSE(AdaptiveCsProtocol(bad).Run(cluster, 3, &comm).ok());
-  bad.growth = 2.0;
   EXPECT_FALSE(AdaptiveCsProtocol(bad).Run(cluster, 3, nullptr).ok());
   Cluster empty(10);
   EXPECT_FALSE(AdaptiveCsProtocol(bad).Run(empty, 3, &comm).ok());
@@ -315,11 +312,6 @@ TEST(TwoPhaseProtocolTest, DegradedModeExcludesFailedNodes) {
   CommStats comm;
   ASSERT_TRUE(protocol.Run(*setup.cluster, k, &comm).ok());
   EXPECT_FALSE(protocol.last_collection().excluded_nodes.empty());
-
-  options.allow_degraded = false;
-  AdaptiveCsProtocol strict(options);
-  CommStats strict_comm;
-  EXPECT_FALSE(strict.Run(*setup.cluster, k, &strict_comm).ok());
 }
 
 }  // namespace

@@ -117,11 +117,34 @@ if(NOT demo_out MATCHES "window top-k via CS recovery")
   message(FATAL_ERROR "stream-demo output missing header: ${demo_out}")
 endif()
 
+# `csod sim --list` prints each seed's derived scenario and runs nothing;
+# an unreadable regression corpus is a usage error (exit 2) naming the file.
+execute_process(
+  COMMAND "${CSOD_CLI}" sim --list --scenarios=3 --seed0=1
+  RESULT_VARIABLE list_result OUTPUT_VARIABLE list_out)
+if(NOT list_result EQUAL 0)
+  message(FATAL_ERROR "csod sim --list failed: ${list_out}")
+endif()
+string(REGEX MATCHALL "seed=[0-9]+ kind=[a-z]+" list_lines "${list_out}")
+list(LENGTH list_lines list_count)
+if(NOT list_count EQUAL 3 OR NOT list_out MATCHES "^seed=1 kind=")
+  message(FATAL_ERROR "csod sim --list printed:\n${list_out}")
+endif()
+set(no_corpus "${CMAKE_CURRENT_BINARY_DIR}/cli_smoke_no_such_corpus.txt")
+execute_process(
+  COMMAND "${CSOD_CLI}" sim --corpus=${no_corpus}
+  RESULT_VARIABLE corpus_result OUTPUT_VARIABLE corpus_out
+  ERROR_VARIABLE corpus_err)
+if(NOT corpus_result EQUAL 2 OR NOT corpus_err MATCHES "cannot open corpus")
+  message(FATAL_ERROR "csod sim --corpus on a missing file exited "
+                      "${corpus_result}:\n${corpus_out}${corpus_err}")
+endif()
+
 # The usage text is generated from the subcommand table: every verb must be
 # listed (a verb missing here means the table and dispatch diverged).
 execute_process(
   COMMAND "${CSOD_CLI}" ERROR_VARIABLE usage_out RESULT_VARIABLE usage_result)
-foreach(verb generate detect topk exact query serve stream-demo)
+foreach(verb generate detect topk exact query serve serve-net stream-demo sim)
   if(NOT usage_out MATCHES "${verb}")
     message(FATAL_ERROR "usage text missing verb '${verb}':\n${usage_out}")
   endif()

@@ -497,20 +497,6 @@ TEST(CsProtocolFaultTest, SameFaultSeedSameRunDifferentSeedMayDiffer) {
   EXPECT_GT(first.last_collection().retries, 0u);
 }
 
-TEST(CsProtocolFaultTest, DegradedDisallowedFailsLoudly) {
-  TestSetup setup = MakeSetup(400, 8, 4, 5, 909);
-  CsProtocolOptions options;
-  options.m = 120;
-  options.iterations = 12;
-  options.faults.crash_nodes = {setup.cluster->NodeIds()[0]};
-  options.allow_degraded = false;
-  CsOutlierProtocol protocol(options);
-  CommStats comm;
-  auto result = protocol.Run(*setup.cluster, 5, &comm);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(CsProtocolFaultTest, AllNodesCrashedIsAnError) {
   TestSetup setup = MakeSetup(300, 6, 3, 5, 111);
   CsProtocolOptions options;

@@ -154,11 +154,9 @@ TEST(CheckpointTest, StallAndBacklogSurviveRestore) {
 }
 
 TEST(CheckpointTest, RestoreThenQueryPreservesStaleness) {
-  // A tumbling window mid-cycle: staleness > 1 epoch must survive the
-  // restart (the restored service answers from the same snapshot, at the
-  // same distance from the in-progress epoch).
-  auto options = SmallOptions(/*window=*/2);
-  options.window = WindowKind::kTumbling;
+  // The restored service answers from the same snapshot, at the same
+  // distance from the in-progress epoch.
+  const auto options = SmallOptions(/*window=*/2);
   auto original = StreamingDetector::Create(options).MoveValue();
   original->AdvanceEpoch();
   std::vector<size_t> keys;
@@ -168,12 +166,13 @@ TEST(CheckpointTest, RestoreThenQueryPreservesStaleness) {
     ASSERT_TRUE(original->IngestBatch(keys, deltas).ok());
     original->AdvanceEpoch();
   }
-  // Epoch 3 in progress; snapshot covers {0,1}: staleness is 2 epochs.
+  // Epoch 3 in progress; the snapshot covers {1, 2}: staleness is 1.
   auto snapshot = original->Snapshot();
   ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->first_epoch, 1u);
   const uint64_t staleness =
       original->current_epoch() - snapshot->last_epoch;
-  EXPECT_EQ(staleness, 2u);
+  EXPECT_EQ(staleness, 1u);
 
   const std::string frame =
       EncodeCheckpoint(options, original->CheckpointState()).MoveValue();
@@ -345,6 +344,45 @@ TEST(CheckpointTest, OtherPhi0FormatsAreRefusedByName) {
               std::string::npos)
         << other.ToString();
   }
+}
+
+// Re-frames `frame` with `bytes` written over its payload at `offset`: a
+// valid checksum around a patched header field.
+std::string WithPatchedPayload(const std::string& frame, size_t offset,
+                               const std::string& bytes) {
+  const dist::FrameView view = dist::DecodeFrame(frame).MoveValue();
+  std::string payload(view.payload, view.payload_size);
+  payload.replace(offset, bytes.size(), bytes);
+  return dist::EncodeFrame(view.kind, view.count, payload);
+}
+
+// The header keeps the tick-clock and window-kind fields of the frame
+// format (u64 epoch_ticks at payload offset 40, u8 window kind at 48) and
+// always writes 1 and 0 there; a frame with anything else (a tumbling
+// window or a multi-tick epoch) is refused by name, never as DataLoss.
+TEST(CheckpointTest, TumblingWindowAndTickClockAreRefusedByName) {
+  const auto options = SmallOptions();
+  auto original = BuildMidStream(options);
+  const std::string frame =
+      EncodeCheckpoint(options, original->CheckpointState()).MoveValue();
+  std::string one_tick;
+  dist::AppendU64(&one_tick, 1);
+  EXPECT_EQ(WithPatchedPayload(frame, 40, one_tick + '\0'), frame);
+
+  std::string ten_ticks;
+  dist::AppendU64(&ten_ticks, 10);
+  const Status ticks =
+      RestoreDetector(WithPatchedPayload(frame, 40, ten_ticks), options)
+          .status();
+  EXPECT_EQ(ticks.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ticks.ToString().find("epoch_ticks"), std::string::npos)
+      << ticks.ToString();
+
+  const Status tumbling =
+      RestoreDetector(WithPatchedPayload(frame, 48, "\1"), options).status();
+  EXPECT_EQ(tumbling.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tumbling.ToString().find("tumbling window"), std::string::npos)
+      << tumbling.ToString();
 }
 
 TEST(CheckpointTest, FetchedOverTheWireEqualsLocalEncoding) {

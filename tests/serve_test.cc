@@ -115,9 +115,6 @@ TEST(StreamingDetectorTest, CreateValidates) {
   EXPECT_TRUE(StreamingDetector::Create(bad).ok());
   bad.num_shards = 0;
   EXPECT_FALSE(StreamingDetector::Create(bad).ok());
-  bad.num_shards = 2;
-  bad.epoch_ticks = 0;
-  EXPECT_FALSE(StreamingDetector::Create(bad).ok());
 }
 
 TEST(StreamingDetectorTest, IngestBeforeFirstEpochFails) {
@@ -326,47 +323,21 @@ TEST(StreamingDetectorTest, SetShardStalledValidatesAndIsIdempotent) {
   EXPECT_TRUE(detector->SetShardStalled(1, false).ok());  // No-op.
 }
 
-TEST(StreamingDetectorTest, TumblingPublishesDisjointFullWindows) {
-  auto options = SmallOptions(/*window=*/2);
-  options.window = WindowKind::kTumbling;
-  auto detector = StreamingDetector::Create(options).MoveValue();
-
-  detector->AdvanceEpoch();  // Epoch 0.
-  ASSERT_TRUE(detector->IngestBatch({1}, {10.0}).ok());
-  detector->AdvanceEpoch();  // Epoch 1: only one closed epoch, no publish.
-  EXPECT_EQ(detector->Snapshot(), nullptr);
-  ASSERT_TRUE(detector->IngestBatch({2}, {20.0}).ok());
-  detector->AdvanceEpoch();  // Epoch 2: window {0, 1} completes.
-  auto first = detector->Snapshot();
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->version, 1u);
-  EXPECT_EQ(first->first_epoch, 0u);
-  EXPECT_EQ(first->last_epoch, 1u);
-  EXPECT_EQ(first->events, 2u);
-
-  detector->AdvanceEpoch();  // Epoch 3: mid-window, no publish.
-  EXPECT_EQ(detector->Snapshot()->version, 1u);
-  detector->AdvanceEpoch();  // Epoch 4: window {2, 3} completes.
-  auto second = detector->Snapshot();
-  EXPECT_EQ(second->version, 2u);
-  EXPECT_EQ(second->first_epoch, 2u);
-  EXPECT_EQ(second->last_epoch, 3u);
-  EXPECT_EQ(second->events, 0u);  // Epochs 2 and 3 were quiet.
-}
-
 TEST(StreamingDetectorTest, AdvanceToDrivesEpochsFromTicks) {
-  auto options = SmallOptions(/*window=*/3);
-  options.epoch_ticks = 10;
-  auto detector = StreamingDetector::Create(options).MoveValue();
+  // One tick is one epoch: AdvanceTo(t) closes every epoch below t.
+  auto detector =
+      StreamingDetector::Create(SmallOptions(/*window=*/3)).MoveValue();
 
   EXPECT_FALSE(detector->started());
   EXPECT_EQ(detector->AdvanceTo(0).MoveValue(), 0u);  // Opens epoch 0.
   EXPECT_TRUE(detector->started());
-  EXPECT_EQ(detector->AdvanceTo(9).MoveValue(), 0u);   // Same epoch.
-  EXPECT_EQ(detector->AdvanceTo(10).MoveValue(), 1u);  // Boundary.
-  EXPECT_EQ(detector->AdvanceTo(35).MoveValue(), 3u);  // Crosses two.
+  EXPECT_EQ(detector->AdvanceTo(0).MoveValue(), 0u);  // Same tick.
+  EXPECT_EQ(detector->snapshot_version(), 0u);
+  EXPECT_EQ(detector->AdvanceTo(1).MoveValue(), 1u);  // Closes epoch 0.
+  EXPECT_EQ(detector->AdvanceTo(3).MoveValue(), 3u);  // Crosses two.
   EXPECT_EQ(detector->snapshot_version(), 3u);  // Published per close.
-  EXPECT_FALSE(detector->AdvanceTo(34).ok());   // Clock went backwards.
+  EXPECT_FALSE(detector->AdvanceTo(2).ok());    // Clock went backwards.
+  EXPECT_EQ(detector->current_epoch(), 3u);
 }
 
 TEST(StreamingDetectorTest, ShardOfKeyIsMixedAndInRange) {
@@ -620,47 +591,6 @@ TEST(StreamingServiceTest, RemoveTenantWhileQueryingIsSafe) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
   EXPECT_GT(answered.load(), 0u);
-}
-
-// Pins the tumbling-window staleness contract end to end: between
-// publications queries answer from the previous full window, so
-// `staleness_epochs` climbs to exactly `window_epochs` just before the
-// next publication, drops back to 1 right after, and never underflows
-// (current_epoch >= snapshot->last_epoch + 1 always).
-TEST(StreamingServiceTest, TumblingStalenessReachesWindowAndNeverUnderflows) {
-  constexpr size_t kWindow = 3;
-  StreamingService service;
-  auto options = SmallOptions(kWindow);
-  options.window = WindowKind::kTumbling;
-  ASSERT_TRUE(service.AddTenant("t", options).ok());
-  const std::string query_text =
-      "SELECT Top 1 SUM(score), key FROM t GROUP BY key";
-
-  ASSERT_TRUE(service.AdvanceTo("t", 0).ok());  // Opens epoch 0.
-  uint64_t max_staleness = 0;
-  for (uint64_t tick = 1; tick <= 3 * kWindow; ++tick) {
-    ASSERT_TRUE(service.Ingest("t", {1}, {10.0}).ok());
-    ASSERT_TRUE(service.AdvanceTo("t", tick).ok());
-    auto result = service.Query(query_text);
-    if (tick < kWindow) {
-      // No full window yet: nothing published, queries fail cleanly.
-      EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-      continue;
-    }
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const StreamingQueryResult& answer = result.Value();
-    // staleness = current_epoch - snapshot_last_epoch, both unsigned: an
-    // underflow would show up as a huge value, so the bounds pin both
-    // directions.
-    EXPECT_GE(answer.staleness_epochs, 1u);
-    EXPECT_LE(answer.staleness_epochs, kWindow);
-    // A publication happens exactly at window-boundary ticks.
-    EXPECT_EQ(answer.staleness_epochs,
-              (tick - kWindow) % kWindow + 1);
-    max_staleness = std::max(max_staleness, answer.staleness_epochs);
-  }
-  // The bound is tight: staleness actually reaches window_epochs.
-  EXPECT_EQ(max_staleness, kWindow);
 }
 
 // Provenance: an answer names the snapshot that produced it. A writer

@@ -97,8 +97,7 @@ TEST(SketchProtocolTest, CsBeatsCountSketchOnModeDominatedData) {
   auto cs_result = cs_protocol.Run(cluster, k, &cs_comm).MoveValue();
 
   CountSketchProtocolOptions sk_options;
-  sk_options.width = 60;
-  sk_options.depth = 5;  // 300 counters.
+  sk_options.width = 60;  // × kCountSketchDepth = 300 counters.
   sk_options.seed = 5;
   CountSketchOutlierProtocol sk_protocol(sk_options);
   dist::CommStats sk_comm;
@@ -136,14 +135,13 @@ TEST(SketchProtocolTest, CountSketchTopKFindsHeavyHitters) {
 
   CountSketchProtocolOptions options;
   options.width = 256;
-  options.depth = 5;
   options.seed = 8;
   dist::CommStats comm;
   auto result = RunCountSketchTopK(cluster, 3, options, &comm).MoveValue();
-  ASSERT_EQ(result.top.size(), 3u);
-  EXPECT_EQ(result.top[0].key_index, 10u);
-  EXPECT_EQ(result.top[1].key_index, 200u);
-  EXPECT_EQ(result.top[2].key_index, 2999u);
+  ASSERT_EQ(result.size(), 3u);
+  EXPECT_EQ(result[0].key_index, 10u);
+  EXPECT_EQ(result[1].key_index, 200u);
+  EXPECT_EQ(result[2].key_index, 2999u);
 }
 
 TEST(SketchProtocolTest, Validation) {

@@ -19,7 +19,6 @@
 #include "dist/all_protocol.h"
 #include "dist/cs_protocol.h"
 #include "dist/kplusdelta_protocol.h"
-#include "dist/topk_protocols.h"
 #include "obs/telemetry.h"
 #include "outlier/outlier.h"
 #include "workload/generators.h"
@@ -70,15 +69,6 @@ void ExpectBitIdentical(const outlier::OutlierSet& with,
   }
 }
 
-void ExpectBitIdentical(const TopKRunResult& with,
-                        const TopKRunResult& without) {
-  ASSERT_EQ(with.top.size(), without.top.size());
-  for (size_t i = 0; i < with.top.size(); ++i) {
-    EXPECT_EQ(with.top[i].key_index, without.top[i].key_index);
-    EXPECT_EQ(Bits(with.top[i].value), Bits(without.top[i].value));
-  }
-}
-
 void ExpectSameAccounting(const CommStats& with, const CommStats& without) {
   EXPECT_EQ(with.bytes_total(), without.bytes_total());
   EXPECT_EQ(with.tuples_total(), without.tuples_total());
@@ -88,14 +78,11 @@ void ExpectSameAccounting(const CommStats& with, const CommStats& without) {
 
 std::unique_ptr<Cluster> MakeCluster(size_t n, size_t s, size_t num_nodes,
                                      workload::PartitionStrategy strategy,
-                                     uint64_t seed,
-                                     std::vector<double>* global_out,
-                                     double max_divergence = 10000.0) {
+                                     uint64_t seed) {
   workload::MajorityDominatedOptions gen;
   gen.n = n;
   gen.sparsity = s;
   gen.seed = seed;
-  gen.max_divergence = max_divergence;
   auto global = workload::GenerateMajorityDominated(gen).Value();
 
   workload::PartitionOptions part;
@@ -110,7 +97,6 @@ std::unique_ptr<Cluster> MakeCluster(size_t n, size_t s, size_t num_nodes,
   for (auto& slice : slices) {
     EXPECT_TRUE(cluster->AddNode(std::move(slice)).ok());
   }
-  if (global_out != nullptr) *global_out = std::move(global);
   return cluster;
 }
 
@@ -140,8 +126,7 @@ void ExpectTelemetryTransparent(RunFn run, bool expect_recording = true) {
 
 TEST(TelemetryIdentityTest, AllProtocolBothEncodings) {
   auto cluster = MakeCluster(500, 15, 6,
-                             workload::PartitionStrategy::kSkewedSplit, 31,
-                             nullptr);
+                             workload::PartitionStrategy::kSkewedSplit, 31);
   for (auto encoding : {AllEncoding::kVectorized, AllEncoding::kKeyValue}) {
     ExpectTelemetryTransparent(
         [&](obs::Telemetry* telemetry, CommStats* comm) {
@@ -154,8 +139,7 @@ TEST(TelemetryIdentityTest, AllProtocolBothEncodings) {
 
 TEST(TelemetryIdentityTest, CsProtocolFaultFreeAndFaulty) {
   auto cluster = MakeCluster(800, 18, 8,
-                             workload::PartitionStrategy::kSkewedSplit, 32,
-                             nullptr);
+                             workload::PartitionStrategy::kSkewedSplit, 32);
   // Fault-free run (fused CompressAccumulate path).
   ExpectTelemetryTransparent([&](obs::Telemetry* telemetry, CommStats* comm) {
     CsProtocolOptions options;
@@ -183,8 +167,7 @@ TEST(TelemetryIdentityTest, CsProtocolFaultFreeAndFaulty) {
 
 TEST(TelemetryIdentityTest, AdaptiveCsProtocol) {
   auto cluster = MakeCluster(600, 12, 6,
-                             workload::PartitionStrategy::kSkewedSplit, 33,
-                             nullptr);
+                             workload::PartitionStrategy::kSkewedSplit, 33);
   ExpectTelemetryTransparent([&](obs::Telemetry* telemetry, CommStats* comm) {
     AdaptiveCsOptions options;
     options.initial_m = 32;
@@ -199,8 +182,7 @@ TEST(TelemetryIdentityTest, AdaptiveCsProtocol) {
 
 TEST(TelemetryIdentityTest, TwoPhaseCsProtocol) {
   auto cluster = MakeCluster(600, 12, 6,
-                             workload::PartitionStrategy::kSkewedSplit, 36,
-                             nullptr);
+                             workload::PartitionStrategy::kSkewedSplit, 36);
   ExpectTelemetryTransparent([&](obs::Telemetry* telemetry, CommStats* comm) {
     AdaptiveCsOptions options;
     options.strategy = AdaptiveStrategy::kTwoPhase;
@@ -215,7 +197,7 @@ TEST(TelemetryIdentityTest, TwoPhaseCsProtocol) {
 
 TEST(TelemetryIdentityTest, KPlusDeltaProtocol) {
   auto cluster = MakeCluster(500, 10, 5, workload::PartitionStrategy::kByKey,
-                             34, nullptr);
+                             34);
   ExpectTelemetryTransparent([&](obs::Telemetry* telemetry, CommStats* comm) {
     KPlusDeltaOptions options;
     options.delta = 40;
@@ -223,23 +205,6 @@ TEST(TelemetryIdentityTest, KPlusDeltaProtocol) {
     KPlusDeltaProtocol protocol(options);
     protocol.set_telemetry(telemetry);
     return protocol.Run(*cluster, 5, comm).Value();
-  });
-}
-
-TEST(TelemetryIdentityTest, TopKBaselines) {
-  // TA / TPUT require non-negative partial values: cap the divergence
-  // below the mode and partition a positive global by key so every local
-  // value stays positive.
-  std::vector<double> global;
-  auto cluster = MakeCluster(400, 12, 5, workload::PartitionStrategy::kByKey,
-                             35, &global, /*max_divergence=*/4000.0);
-  ExpectTelemetryTransparent([&](obs::Telemetry* telemetry, CommStats* comm) {
-    return RunThresholdAlgorithmTopK(*cluster, 5, /*batch_size=*/8, comm,
-                                     telemetry)
-        .Value();
-  });
-  ExpectTelemetryTransparent([&](obs::Telemetry* telemetry, CommStats* comm) {
-    return RunTputTopK(*cluster, 5, comm, telemetry).Value();
   });
 }
 

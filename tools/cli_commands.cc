@@ -331,15 +331,17 @@ std::string SnapshotProvenance(const serve::StreamingDetector& detector) {
   return line;
 }
 
-}  // namespace
-
-Result<std::string> RunServe(const EventFile& events,
-                             const ServeOptions& options) {
+// Checks the options `serve` and `serve-net` share and builds the stream
+// geometry from them; `verb` prefixes the error messages.
+Result<serve::StreamingDetectorOptions> StreamOptions(
+    const char* verb, const EventFile& events, const ServeOptions& options) {
   if (options.epochs == 0) {
-    return Status::InvalidArgument("serve: --epochs must be > 0");
+    return Status::InvalidArgument(std::string(verb) +
+                                   ": --epochs must be > 0");
   }
   if (options.batch_events == 0) {
-    return Status::InvalidArgument("serve: --batch must be > 0");
+    return Status::InvalidArgument(std::string(verb) +
+                                   ": --batch must be > 0");
   }
   serve::StreamingDetectorOptions stream;
   stream.n = options.n_override ? options.n_override : events.key_space;
@@ -349,11 +351,23 @@ Result<std::string> RunServe(const EventFile& events,
   stream.window_epochs = options.window_epochs;
   stream.num_shards = options.num_shards;
   stream.telemetry = options.telemetry;
-  CSOD_ASSIGN_OR_RETURN(auto detector,
-                        serve::StreamingDetector::Create(stream));
+  return stream;
+}
 
-  // Flatten the file into one replay stream: node-major, file order within
-  // a node — a deterministic stand-in for arrival order.
+struct ReplayShape {
+  size_t events = 0;
+  size_t batches = 0;
+};
+
+// The replay `serve` and `serve-net` share: the file flattened into one
+// stream (node-major, file order within a node — a deterministic stand-in
+// for arrival order), spread evenly over `options.epochs` epochs in
+// batches of at most `options.batch_events`. Calls `ingest(keys, deltas,
+// count)` per batch and `close(epoch)` after each epoch; stops at the
+// first error either returns.
+template <typename IngestFn, typename CloseFn>
+Result<ReplayShape> Replay(const EventFile& events, const ServeOptions& options,
+                           IngestFn ingest, CloseFn close) {
   std::vector<size_t> keys;
   std::vector<double> deltas;
   keys.reserve(events.num_records);
@@ -365,21 +379,43 @@ Result<std::string> RunServe(const EventFile& events,
     }
   }
 
-  detector->AdvanceEpoch();  // Open epoch 0.
-  const size_t total = keys.size();
-  const size_t per_epoch = (total + options.epochs - 1) / options.epochs;
-  size_t batches = 0;
+  ReplayShape shape;
+  shape.events = keys.size();
+  const size_t per_epoch =
+      (shape.events + options.epochs - 1) / options.epochs;
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    const size_t begin = std::min(epoch * per_epoch, total);
-    const size_t end = std::min(begin + per_epoch, total);
+    const size_t begin = std::min(epoch * per_epoch, shape.events);
+    const size_t end = std::min(begin + per_epoch, shape.events);
     for (size_t at = begin; at < end; at += options.batch_events) {
       const size_t count = std::min(options.batch_events, end - at);
-      CSOD_RETURN_NOT_OK(
-          detector->IngestBatch(keys.data() + at, deltas.data() + at, count));
-      ++batches;
+      CSOD_RETURN_NOT_OK(ingest(keys.data() + at, deltas.data() + at, count));
+      ++shape.batches;
     }
-    detector->AdvanceEpoch();  // Close the epoch; publish the snapshot.
+    CSOD_RETURN_NOT_OK(close(epoch));
   }
+  return shape;
+}
+
+}  // namespace
+
+Result<std::string> RunServe(const EventFile& events,
+                             const ServeOptions& options) {
+  CSOD_ASSIGN_OR_RETURN(const serve::StreamingDetectorOptions stream,
+                        StreamOptions("serve", events, options));
+  CSOD_ASSIGN_OR_RETURN(auto detector,
+                        serve::StreamingDetector::Create(stream));
+
+  detector->AdvanceEpoch();  // Open epoch 0.
+  CSOD_ASSIGN_OR_RETURN(
+      const ReplayShape shape,
+      Replay(events, options,
+             [&](const size_t* keys, const double* deltas, size_t count) {
+               return detector->IngestBatch(keys, deltas, count);
+             },
+             [&](size_t) {
+               detector->AdvanceEpoch();  // Close; publish the snapshot.
+               return Status::OK();
+             }));
 
   CSOD_ASSIGN_OR_RETURN(outlier::OutlierSet result,
                         detector->QueryOutliers(options.k));
@@ -389,8 +425,9 @@ Result<std::string> RunServe(const EventFile& events,
   std::snprintf(line, sizeof(line),
                 "replayed %zu events as %zu epochs (%zu batches of <= %zu, "
                 "%zu shards, window %zu)\n",
-                total, options.epochs, batches, options.batch_events,
-                options.num_shards, options.window_epochs);
+                shape.events, options.epochs, shape.batches,
+                options.batch_events, options.num_shards,
+                options.window_epochs);
   out << line;
   out << SnapshotProvenance(*detector);
   out << RenderOutliers(result, "window k-outliers via BOMP");
@@ -410,37 +447,20 @@ Result<std::string> DriveServeNet(
   constexpr char kTenant[] = "stream";
   serve::NetClient client(transport);
 
-  // Flatten the file into one replay stream: node-major, file order within
-  // a node — the same deterministic arrival order as `serve`.
-  std::vector<size_t> keys;
-  std::vector<double> deltas;
-  keys.reserve(events.num_records);
-  deltas.reserve(events.num_records);
-  for (const auto& split : events.splits) {
-    for (const mr::ScoreEvent& e : split) {
-      keys.push_back(static_cast<size_t>(e.key));
-      deltas.push_back(e.score);
-    }
-  }
-
   CSOD_RETURN_NOT_OK(client.AdvanceTo(kTenant, 0).status());  // Open epoch 0.
-  const size_t total = keys.size();
-  const size_t per_epoch = (total + options.epochs - 1) / options.epochs;
-  size_t batches = 0;
   std::vector<size_t> batch_keys;
   std::vector<double> batch_deltas;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    const size_t begin = std::min(epoch * per_epoch, total);
-    const size_t end = std::min(begin + per_epoch, total);
-    for (size_t at = begin; at < end; at += options.batch_events) {
-      const size_t count = std::min(options.batch_events, end - at);
-      batch_keys.assign(keys.begin() + at, keys.begin() + at + count);
-      batch_deltas.assign(deltas.begin() + at, deltas.begin() + at + count);
-      CSOD_RETURN_NOT_OK(client.Ingest(kTenant, batch_keys, batch_deltas));
-      ++batches;
-    }
-    CSOD_RETURN_NOT_OK(client.AdvanceTo(kTenant, epoch + 1).status());
-  }
+  CSOD_ASSIGN_OR_RETURN(
+      const ReplayShape shape,
+      Replay(events, options,
+             [&](const size_t* keys, const double* deltas, size_t count) {
+               batch_keys.assign(keys, keys + count);
+               batch_deltas.assign(deltas, deltas + count);
+               return client.Ingest(kTenant, batch_keys, batch_deltas);
+             },
+             [&](size_t epoch) {
+               return client.AdvanceTo(kTenant, epoch + 1).status();
+             }));
 
   // The framed query, and the same query asked in-process: the deployment
   // surface must not perturb a single bit of the answer.
@@ -520,8 +540,9 @@ Result<std::string> DriveServeNet(
                 "replayed %zu events as %zu epochs over %s transport "
                 "(%zu ingest frames of <= %zu events, %zu shards, "
                 "window %zu)\n",
-                total, options.epochs, options.socket ? "socket" : "loopback",
-                batches, options.batch_events, options.num_shards,
+                shape.events, options.epochs,
+                options.socket ? "socket" : "loopback", shape.batches,
+                options.batch_events, options.num_shards,
                 options.window_epochs);
   out << line;
   const serve::NetClient::Stats& cs = client.stats();
@@ -572,20 +593,8 @@ Result<std::string> DriveServeNet(
 
 Result<std::string> RunServeNet(const EventFile& events,
                                 const ServeNetOptions& options) {
-  if (options.epochs == 0) {
-    return Status::InvalidArgument("serve-net: --epochs must be > 0");
-  }
-  if (options.batch_events == 0) {
-    return Status::InvalidArgument("serve-net: --batch must be > 0");
-  }
-  serve::StreamingDetectorOptions stream;
-  stream.n = options.n_override ? options.n_override : events.key_space;
-  stream.m = options.m;
-  stream.seed = options.seed;
-  stream.iterations = options.iterations;
-  stream.window_epochs = options.window_epochs;
-  stream.num_shards = options.num_shards;
-  stream.telemetry = options.telemetry;
+  CSOD_ASSIGN_OR_RETURN(const serve::StreamingDetectorOptions stream,
+                        StreamOptions("serve-net", events, options));
 
   serve::StreamingService service(options.telemetry);
   CSOD_RETURN_NOT_OK(service.AddTenant("stream", stream));

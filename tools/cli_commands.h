@@ -101,7 +101,7 @@ struct ServeOptions {
   size_t window_epochs = 4;
   size_t epochs = 8;       ///< Epochs the replay is spread over.
   size_t num_shards = 8;
-  size_t batch_events = 512;  ///< Events per ingest batch.
+  size_t batch_events = 512;  ///< Events per ingest batch (or frame).
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -115,22 +115,12 @@ Result<std::string> RunServe(const EventFile& events,
 /// driven end-to-end through the wire-facing deployment surface
 /// (serve/net.h) — every ingest/advance/query travels as a checksummed
 /// binary frame through a transport and back.
-struct ServeNetOptions {
-  size_t m = 400;
-  size_t k = 5;
-  uint64_t seed = 42;
-  size_t iterations = 0;   ///< 0 = the paper's f(k).
-  size_t n_override = 0;   ///< 0 = infer the key space from the file.
-  size_t window_epochs = 4;
-  size_t epochs = 8;       ///< Epochs the replay is spread over.
-  size_t num_shards = 8;
-  size_t batch_events = 512;  ///< Events per ingest frame.
+struct ServeNetOptions : ServeOptions {
   /// `--transport=socket` serves frames over a socketpair with a server
   /// thread; the default loopback calls the server in-process.
   bool socket = false;
   /// Per-tenant admission bound on deferred-backlog bytes (serve/net.h).
   size_t max_backlog_bytes = 64u << 20;
-  obs::Telemetry* telemetry = nullptr;
 };
 
 /// Replays the event file through StreamingService behind a NetServer:

@@ -5,11 +5,15 @@
 // add new verbs there, never to hand-maintained usage strings.
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "obs/telemetry.h"
 #include "sim/runner.h"
+#include "sim/scenario.h"
 #include "tools/cli_commands.h"
 
 namespace {
@@ -58,9 +62,11 @@ constexpr Subcommand kSubcommands[] = {
      "[--n= --mode= --epochs= --events-per-epoch= --window= --shards= --m= "
      "--k= --seed= --iterations= --telemetry-json=FILE]",
      "self-generating stream with a concurrent top-k analyst thread"},
-    {"sim", "[--scenarios= --seed0= --replay=SEED --verbose]",
-     "seeded randomized simulation sweep (or bit-identical single-seed "
-     "replay) with invariant checking"},
+    {"sim",
+     "[--scenarios= --seed0= --verbose --list --replay=SEED --corpus=FILE]",
+     "seeded randomized simulation sweep with invariant checking (--list "
+     "only prints each seed's scenario; --replay and --corpus re-run one "
+     "seed or a regression corpus bit-identically)"},
 };
 
 int Usage() {
@@ -130,6 +136,105 @@ int Finish(const Result<std::string>& report, const std::string& telemetry_path,
   return 0;
 }
 
+// Prints each invariant a replayed seed violated, one per line.
+void PrintViolations(const sim::ScenarioOutcome& outcome) {
+  for (const std::string& violation : outcome.violations) {
+    std::printf("  violation: %s\n", violation.c_str());
+  }
+}
+
+// Seeds from a regression-corpus file: one decimal seed per line,
+// whitespace trimmed, '#' to end of line is a comment, blank lines skipped.
+bool LoadCorpus(const std::string& path, std::vector<uint64_t>* seeds) {
+  std::ifstream in(path);
+  if (!in.is_open()) {
+    std::fprintf(stderr, "csod sim: cannot open corpus %s\n", path.c_str());
+    return false;
+  }
+  std::string line;
+  size_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    const size_t hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    const size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    const size_t last = line.find_last_not_of(" \t\r");
+    const std::string token = line.substr(first, last - first + 1);
+    char* end = nullptr;
+    const unsigned long long seed = std::strtoull(token.c_str(), &end, 10);
+    if (end == token.c_str() || *end != '\0') {
+      std::fprintf(stderr, "csod sim: %s:%zu: bad seed '%s'\n", path.c_str(),
+                   lineno, token.c_str());
+      return false;
+    }
+    seeds->push_back(static_cast<uint64_t>(seed));
+  }
+  return true;
+}
+
+// `csod sim`: a sweep, a listing, one replayed seed, or a replayed corpus.
+// Exits nonzero iff a scenario violated an invariant (2 on an unreadable
+// corpus); every failure line is followed by its replay recipe.
+int RunSim(const FlagParser& flags) {
+  if (flags.Has("replay")) {
+    const uint64_t seed = static_cast<uint64_t>(flags.GetInt("replay", 0));
+    std::string line;
+    const sim::ScenarioOutcome outcome = sim::ReplaySeed(seed, &line);
+    std::printf("seed=%llu %s\n", static_cast<unsigned long long>(seed),
+                line.c_str());
+    std::printf("digest=%016llx %s\n",
+                static_cast<unsigned long long>(outcome.digest),
+                outcome.ok() ? "ok" : "FAIL");
+    PrintViolations(outcome);
+    return outcome.ok() ? 0 : 1;
+  }
+
+  const std::string corpus = flags.GetString("corpus", "");
+  if (!corpus.empty()) {
+    std::vector<uint64_t> seeds;
+    if (!LoadCorpus(corpus, &seeds)) return 2;
+    size_t failed = 0;
+    for (uint64_t seed : seeds) {
+      std::string line;
+      const sim::ScenarioOutcome outcome = sim::ReplaySeed(seed, &line);
+      std::printf("seed=%llu digest=%016llx %s %s\n",
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(outcome.digest),
+                  outcome.ok() ? "ok " : "FAIL", line.c_str());
+      if (!outcome.ok()) {
+        ++failed;
+        PrintViolations(outcome);
+        std::printf("  replay: csod sim --replay %llu\n",
+                    static_cast<unsigned long long>(seed));
+      }
+    }
+    std::printf("corpus: %zu seeds, %zu failed\n", seeds.size(), failed);
+    return failed == 0 ? 0 : 1;
+  }
+
+  sim::SweepOptions options;
+  options.seed0 = static_cast<uint64_t>(flags.GetInt("seed0", 1));
+  options.scenarios = static_cast<size_t>(flags.GetInt("scenarios", 200));
+  options.verbose = flags.GetBool("verbose", false);
+  if (flags.GetBool("list", false)) {
+    for (size_t i = 0; i < options.scenarios; ++i) {
+      const uint64_t seed = options.seed0 + i;
+      std::printf("seed=%llu %s\n", static_cast<unsigned long long>(seed),
+                  sim::ScenarioToString(sim::ScenarioFromSeed(seed)).c_str());
+    }
+    return 0;
+  }
+  const sim::SweepResult result = sim::RunSweep(options);
+  std::fputs(result.report.c_str(), stdout);
+  for (const std::string& failure : result.failures) {
+    std::printf("%s\n", failure.c_str());
+  }
+  std::printf("combined-digest=%016llx\n",
+              static_cast<unsigned long long>(result.combined_digest));
+  return result.ok() ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -173,34 +278,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "sim") {
-    if (flags.Has("replay")) {
-      const uint64_t seed = static_cast<uint64_t>(flags.GetInt("replay", 0));
-      std::string line;
-      const sim::ScenarioOutcome outcome = sim::ReplaySeed(seed, &line);
-      std::printf("seed=%llu %s\n", static_cast<unsigned long long>(seed),
-                  line.c_str());
-      std::printf("digest=%016llx %s\n",
-                  static_cast<unsigned long long>(outcome.digest),
-                  outcome.ok() ? "ok" : "FAIL");
-      for (const std::string& violation : outcome.violations) {
-        std::printf("  violation: %s\n", violation.c_str());
-      }
-      return outcome.ok() ? 0 : 1;
-    }
-    sim::SweepOptions options;
-    options.seed0 = static_cast<uint64_t>(flags.GetInt("seed0", 1));
-    options.scenarios = static_cast<size_t>(flags.GetInt("scenarios", 200));
-    options.verbose = flags.GetBool("verbose", false);
-    const sim::SweepResult result = sim::RunSweep(options);
-    std::fputs(result.report.c_str(), stdout);
-    for (const std::string& failure : result.failures) {
-      std::printf("%s\n", failure.c_str());
-    }
-    std::printf("combined-digest=%016llx\n",
-                static_cast<unsigned long long>(result.combined_digest));
-    return result.ok() ? 0 : 1;
-  }
+  if (command == "sim") return RunSim(flags);
 
   if (command == "stream-demo") {
     tools::StreamDemoOptions options;
@@ -244,20 +322,7 @@ int main(int argc, char** argv) {
   } else if (command == "exact") {
     report = tools::RunExact(events.Value(),
                              static_cast<size_t>(flags.GetInt("k", 5)));
-  } else if (command == "serve") {
-    tools::ServeOptions options;
-    options.m = static_cast<size_t>(flags.GetInt("m", 400));
-    options.k = static_cast<size_t>(flags.GetInt("k", 5));
-    options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-    options.iterations = static_cast<size_t>(flags.GetInt("iterations", 0));
-    options.n_override = static_cast<size_t>(flags.GetInt("n", 0));
-    options.window_epochs = static_cast<size_t>(flags.GetInt("window", 4));
-    options.epochs = static_cast<size_t>(flags.GetInt("epochs", 8));
-    options.num_shards = static_cast<size_t>(flags.GetInt("shards", 8));
-    options.batch_events = static_cast<size_t>(flags.GetInt("batch", 512));
-    options.telemetry = sink;
-    report = tools::RunServe(events.Value(), options);
-  } else if (command == "serve-net") {
+  } else if (command == "serve" || command == "serve-net") {
     tools::ServeNetOptions options;
     options.m = static_cast<size_t>(flags.GetInt("m", 400));
     options.k = static_cast<size_t>(flags.GetInt("k", 5));
@@ -268,16 +333,20 @@ int main(int argc, char** argv) {
     options.epochs = static_cast<size_t>(flags.GetInt("epochs", 8));
     options.num_shards = static_cast<size_t>(flags.GetInt("shards", 8));
     options.batch_events = static_cast<size_t>(flags.GetInt("batch", 512));
-    options.max_backlog_bytes = static_cast<size_t>(
-        flags.GetInt("backlog-bytes", 64 << 20));
-    const std::string transport = flags.GetString("transport", "loopback");
-    if (transport != "loopback" && transport != "socket") {
-      return Fail(Status::InvalidArgument(
-          "serve-net: --transport must be loopback or socket"));
-    }
-    options.socket = transport == "socket";
     options.telemetry = sink;
-    report = tools::RunServeNet(events.Value(), options);
+    if (command == "serve") {
+      report = tools::RunServe(events.Value(), options);
+    } else {
+      options.max_backlog_bytes = static_cast<size_t>(
+          flags.GetInt("backlog-bytes", 64 << 20));
+      const std::string transport = flags.GetString("transport", "loopback");
+      if (transport != "loopback" && transport != "socket") {
+        return Fail(Status::InvalidArgument(
+            "serve-net: --transport must be loopback or socket"));
+      }
+      options.socket = transport == "socket";
+      report = tools::RunServeNet(events.Value(), options);
+    }
   }
   return Finish(report, telemetry_path, telemetry);
 }
