@@ -80,7 +80,7 @@ run_ctest "$BUILD_DIR" "$ENGINE_FILTER"
 # detector state under the ingest mutex.
 SERVE_FILTER='StreamingDetector|StreamingService|WindowedDetector'
 SERVE_FILTER+='|CliServe|CliStreamDemo'
-SERVE_FILTER+='|NetCodec|NetServer|NetEndToEnd|NetBackpressure|NetTornFrame'
+SERVE_FILTER+='|NetCodec|NetServer|NetEndToEnd|NetTornFrame'
 SERVE_FILTER+='|SnapshotFollower|Checkpoint|NetCraftedFrame|NetSnapshotFormat'
 SERVE_FILTER+='|AnswerProvenance|WireFormat|PayloadReader'
 run_ctest "$BUILD_DIR" "$SERVE_FILTER"
@@ -106,9 +106,11 @@ run_ctest "$SERVE_OTHER_BUILD_DIR" "$SERVE_FILTER"
 # raw uninitialized pages and ColumnChunks runs element destructors by
 # hand, so an address-safety pass is required even when this invocation
 # asked for TSan (and vice versa — the engine is the one subsystem that
-# always gets both).
-OTHER_SAN=$([[ "$SAN" == thread ]] && echo address || echo thread)
-OTHER_BUILD_DIR="${OTHER_BUILD_DIR:-$ROOT/build-${OTHER_SAN}san-engine}"
+# always gets both). The scatter and the cost model also narrow and shift
+# sizes and hash values, so that pass runs UBSan alongside ASan, like the
+# serve and Φ0 passes.
+OTHER_SAN=$([[ "$SAN" == thread ]] && echo address,undefined || echo thread)
+OTHER_BUILD_DIR="${OTHER_BUILD_DIR:-$ROOT/build-${OTHER_SAN//,/-}san-engine}"
 cmake -B "$OTHER_BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCSOD_SANITIZE="$OTHER_SAN"
@@ -167,8 +169,8 @@ run_ctest "$PORTABLE_BUILD_DIR" "$RECOVERY_FILTER"
 # Simulation smoke pass: a small seeded sweep through the full harness
 # (all six scenario kinds, Buggify hooks hot, every scenario internally
 # re-executed at a second thread limit) under the sanitizer. TSan is the
-# interesting one — Buggify's section registry and the serve stall storm
-# both poke shared state from pool threads. The sim_test suite and the
+# interesting one — Buggify's section registry is shared state that the
+# hooks on pool threads (MapReduce re-execution, protocol rounds) poke. The sim_test suite and the
 # regression corpus run as part of tier-1 above; this adds fresh seeds.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target csod
 "$BUILD_DIR/tools/csod" sim --scenarios=24 --seed0=4242

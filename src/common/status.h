@@ -21,9 +21,9 @@ enum class StatusCode : int8_t {
   kAlreadyExists = 5,
   kInternal = 6,
   kUnimplemented = 7,
-  /// A bounded resource (queue bytes, admission quota) is exhausted; the
-  /// caller should back off and retry later. The serve-layer pushback
-  /// frames (serve/net.h) carry this code across the wire.
+  /// A bounded resource is exhausted; the caller should back off and retry
+  /// later. Nothing returns it today; the value stays reserved so the codes
+  /// after it keep their numbers in serve/net.h error frames.
   kResourceExhausted = 8,
   /// Data was lost or corrupted in flight or at rest (checksum mismatch,
   /// torn frame). Distinct from kInvalidArgument so transports can retry
@@ -77,9 +77,6 @@ class Status {
   }
   static Status Unimplemented(std::string msg) {
     return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status DataLoss(std::string msg) {
     return Status(StatusCode::kDataLoss, std::move(msg));

@@ -56,7 +56,7 @@ Status WindowedOutlierDetector::RestoreEpochs(
         " sketches exceed the ring depth " +
         std::to_string(options_.window_epochs));
   }
-  if (sketches.size() > current_epoch + 1) {
+  if (sketches.size() - 1 > current_epoch) {  // No wrap at UINT64_MAX.
     return Status::InvalidArgument(
         "RestoreEpochs: " + std::to_string(sketches.size()) +
         " retained epochs cannot end at epoch " +

@@ -22,8 +22,8 @@ using dist::AppendU64;
 //   u64 current_epoch, version, last_tick
 //   u64 num_epochs
 //   per epoch: u64 events, u32 len, EncodeMeasurement bytes (own checksum)
-//   per shard: u8 stalled
-//   per shard: u64 num_slices; per slice: u32 len, EncodeKeyValues bytes
+//   per shard: u8 stalled (always 0)
+//   per shard: u64 backlog slices (always 0)
 //   if has_snapshot: the AppendSnapshot layout (serve/snapshot.h)
 //   u32 phi0_format (cs::kPhi0Format)
 //
@@ -32,9 +32,10 @@ using dist::AppendU64;
 // frame is recognized and refused by name. A leading field would alias the
 // old frames' n instead.
 //
-// The detector runs one tick per epoch and sliding windows only, so it
-// writes 1 and 0 into epoch_ticks and window_kind; a frame holding any
-// other value was written for a geometry it cannot run and is refused by
+// The detector runs one tick per epoch and sliding windows only, and its
+// shards never stall, so it writes 1 into epoch_ticks and 0 into
+// window_kind, every stall flag and every backlog count; a frame holding
+// any other value was written for state it cannot run and is refused by
 // name (InvalidArgument, never DataLoss: the bytes are intact).
 
 void AppendU8(std::string* out, uint8_t v) {
@@ -73,19 +74,8 @@ Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
     CSOD_RETURN_NOT_OK(dist::AppendLengthPrefixed(&payload, sketch));
   }
 
-  if (checkpoint.stalled.size() != options.num_shards ||
-      checkpoint.backlogs.size() != options.num_shards) {
-    return Status::InvalidArgument("checkpoint: shard state size mismatch");
-  }
-  for (uint8_t flag : checkpoint.stalled) AppendU8(&payload, flag ? 1 : 0);
-  for (const std::vector<cs::SparseSlice>& backlog : checkpoint.backlogs) {
-    AppendU64(&payload, backlog.size());
-    for (const cs::SparseSlice& slice : backlog) {
-      CSOD_ASSIGN_OR_RETURN(const std::string kv,
-                            dist::EncodeKeyValues(slice));
-      CSOD_RETURN_NOT_OK(dist::AppendLengthPrefixed(&payload, kv));
-    }
-  }
+  for (size_t p = 0; p < options.num_shards; ++p) AppendU8(&payload, 0);
+  for (size_t p = 0; p < options.num_shards; ++p) AppendU64(&payload, 0);
 
   if (checkpoint.snapshot != nullptr) {
     CSOD_RETURN_NOT_OK(AppendSnapshot(*checkpoint.snapshot, &payload));
@@ -173,23 +163,25 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     decoded.state.epoch_sketches.push_back(std::move(sketch));
   }
 
-  // A shard is at least a u8 stall flag and a u64 backlog length.
+  // A shard is a u8 stall flag and a u64 backlog length, both always 0.
   CSOD_RETURN_NOT_OK(reader.CheckCount(decoded.num_shards, 1 + 8));
-  decoded.state.stalled.reserve(decoded.num_shards);
   for (size_t p = 0; p < decoded.num_shards; ++p) {
-    uint8_t flag = 0;
-    CSOD_RETURN_NOT_OK(reader.U8(&flag));
-    decoded.state.stalled.push_back(flag);
+    uint8_t stalled = 0;
+    CSOD_RETURN_NOT_OK(reader.U8(&stalled));
+    if (stalled != 0) {
+      return Status::InvalidArgument(
+          "checkpoint: stalled shard " + std::to_string(p) +
+          " is not supported (shards never stall)");
+    }
   }
-  decoded.state.backlogs.resize(decoded.num_shards);
   for (size_t p = 0; p < decoded.num_shards; ++p) {
-    uint64_t num_slices = 0;
-    CSOD_RETURN_NOT_OK(reader.U64(&num_slices));
-    for (uint64_t i = 0; i < num_slices; ++i) {
-      CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&message));
-      CSOD_ASSIGN_OR_RETURN(cs::SparseSlice slice,
-                            dist::DecodeKeyValues(message));
-      decoded.state.backlogs[p].push_back(std::move(slice));
+    uint64_t backlog = 0;
+    CSOD_RETURN_NOT_OK(reader.U64(&backlog));
+    if (backlog != 0) {
+      return Status::InvalidArgument(
+          "checkpoint: shard " + std::to_string(p) + " backlog of " +
+          std::to_string(backlog) +
+          " slices is not supported (shards never stall)");
     }
   }
 

@@ -15,8 +15,7 @@ namespace csod::serve {
 ///
 /// Because CS measurements are linear, the epoch ring *is* the window
 /// state: serializing the per-epoch `y` vectors (each as an embedded,
-/// individually checksummed measurement message), the stall flags, the
-/// deferred backlogs (embedded key-value messages), and the published
+/// individually checksummed measurement message) and the published
 /// snapshot captures the detector exactly. A restart that restores the
 /// latest checkpoint republishes a bit-identical `SketchSnapshot`
 /// (version, epoch range, and `y` bytes) and continues ingestion as if the
@@ -37,8 +36,7 @@ namespace csod::serve {
 inline constexpr uint8_t kCheckpointFrameKind = 24;
 
 /// Serializes the stream geometry of `options` plus the full mutable
-/// state. The count field holds the number of retained epochs. Fails if a
-/// backlog slice cannot be wire-encoded (keys beyond 32 bits).
+/// state. The count field holds the number of retained epochs.
 Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
                                      const DetectorCheckpoint& checkpoint);
 
@@ -55,8 +53,9 @@ struct DecodedCheckpoint {
 
 /// Validates checksums (outer frame and every embedded message) and
 /// decodes. DataLoss on torn/corrupted bytes, InvalidArgument on a
-/// structurally inconsistent payload, another Φ0 format, or a geometry
-/// this build cannot run (a tumbling window, epoch_ticks other than 1).
+/// structurally inconsistent payload, another Φ0 format, or state this
+/// build cannot run (a tumbling window, epoch_ticks other than 1, a
+/// stalled shard or a shard backlog).
 Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame);
 
 /// Decodes `frame`, checks its geometry against `options` (same

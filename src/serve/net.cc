@@ -7,7 +7,6 @@
 #include <cstring>
 #include <utility>
 
-#include "dist/comm.h"
 #include "dist/wire_format.h"
 #include "serve/checkpoint.h"
 #include "sim/buggify.h"
@@ -48,23 +47,13 @@ std::string ErrorFrame(const Status& status) {
   return dist::EncodeFrame(KindByte(NetFrameKind::kError), 0, payload);
 }
 
-std::string PushbackFrame(uint64_t queued_bytes, uint64_t limit_bytes,
-                          const std::string& message) {
-  std::string payload;
-  AppendU64(&payload, queued_bytes);
-  AppendU64(&payload, limit_bytes);
-  const Status appended = AppendLengthPrefixed(&payload, message);
-  if (!appended.ok()) return ErrorFrame(appended);
-  return dist::EncodeFrame(KindByte(NetFrameKind::kPushback), 0, payload);
-}
-
 std::string AckFrame(uint64_t value) {
   std::string payload;
   AppendU64(&payload, value);
   return dist::EncodeFrame(KindByte(NetFrameKind::kAck), 0, payload);
 }
 
-// Turns a decoded kError / kPushback frame back into the Status the server
+// Turns a decoded kError frame back into the Status the server
 // produced. Any other kind returns OK (the caller proceeds to decode it).
 Status StatusOfResponse(const dist::FrameView& view) {
   if (view.kind == KindByte(NetFrameKind::kError)) {
@@ -78,17 +67,6 @@ Status StatusOfResponse(const dist::FrameView& view) {
                               std::to_string(code));
     }
     return Status(static_cast<StatusCode>(code), std::move(message));
-  }
-  if (view.kind == KindByte(NetFrameKind::kPushback)) {
-    PayloadReader reader(view, "net");
-    uint64_t queued = 0, limit = 0;
-    std::string message;
-    CSOD_RETURN_NOT_OK(reader.U64(&queued));
-    CSOD_RETURN_NOT_OK(reader.U64(&limit));
-    CSOD_RETURN_NOT_OK(reader.LengthPrefixed(&message));
-    return Status::ResourceExhausted(
-        message + " (queued " + std::to_string(queued) + " of " +
-        std::to_string(limit) + " bytes)");
   }
   return Status::OK();
 }
@@ -120,8 +98,7 @@ Result<std::string> EncodeQueryResultResponse(
   AppendU64(&payload, result.snapshot_first_epoch);
   AppendU64(&payload, result.snapshot_last_epoch);
   AppendU64(&payload, result.staleness_epochs);
-  AppendU32(&payload, static_cast<uint32_t>(result.stalled_shards.size()));
-  for (uint32_t shard : result.stalled_shards) AppendU32(&payload, shard);
+  AppendU32(&payload, 0);  // Stalled-shard count: shards never stall.
   AppendU64(&payload, result.rows.size());
   for (const query::ResultRow& row : result.rows) {
     CSOD_RETURN_NOT_OK(AppendLengthPrefixed(&payload, row.group_key));
@@ -145,15 +122,7 @@ Result<StreamingQueryResult> DecodeQueryResultResponse(
   CSOD_RETURN_NOT_OK(reader.U64(&result.snapshot_first_epoch));
   CSOD_RETURN_NOT_OK(reader.U64(&result.snapshot_last_epoch));
   CSOD_RETURN_NOT_OK(reader.U64(&result.staleness_epochs));
-  uint32_t num_stalled = 0;
-  CSOD_RETURN_NOT_OK(reader.U32(&num_stalled));
-  CSOD_RETURN_NOT_OK(reader.CheckCount(num_stalled, 4));
-  result.stalled_shards.reserve(num_stalled);
-  for (uint32_t i = 0; i < num_stalled; ++i) {
-    uint32_t shard = 0;
-    CSOD_RETURN_NOT_OK(reader.U32(&shard));
-    result.stalled_shards.push_back(shard);
-  }
+  CSOD_RETURN_NOT_OK(ReadStalledShardCount(&reader, "net: query result"));
   uint64_t num_rows = 0;
   CSOD_RETURN_NOT_OK(reader.U64(&num_rows));
   if (num_rows != view.count) {
@@ -348,19 +317,6 @@ std::string NetServer::HandleFrame(const std::string& request) {
       Result<std::shared_ptr<StreamingDetector>> detector =
           service_->Tenant(tenant);
       if (!detector.ok()) return ErrorFrame(detector.status());
-      // Admission control: a tenant whose stalled-shard backlog has grown
-      // past the byte budget gets pushback instead of more queue growth.
-      // Queued bytes are idealized tuple bytes (dist::kKeyValueBytes per
-      // deferred event) — the same accounting CommStats uses.
-      const uint64_t queued =
-          detector.Value()->backlog_events() * dist::kKeyValueBytes;
-      const uint64_t incoming = view.count * dist::kKeyValueBytes;
-      if (queued + incoming > options_.max_tenant_backlog_bytes) {
-        pushbacks_.fetch_add(1, std::memory_order_relaxed);
-        return PushbackFrame(queued, options_.max_tenant_backlog_bytes,
-                             "net: tenant '" + tenant +
-                                 "' backlog over budget; retry after drain");
-      }
       const Status ingested = detector.Value()->IngestBatch(
           slice.Value().indices.data(), slice.Value().values.data(),
           slice.Value().nnz());
@@ -486,16 +442,9 @@ Result<std::string> NetClient::Call(const std::string& frame) {
     // Retry (once) exactly the corruption case: a torn response frame, or
     // the server reporting a torn request. Everything else is the
     // endpoint's answer and propagates.
-    Status failure;
     const Result<dist::FrameView> view = dist::DecodeFrame(response);
-    if (!view.ok()) {
-      failure = view.status();
-    } else {
-      failure = StatusOfResponse(view.Value());
-      if (failure.code() == StatusCode::kResourceExhausted) {
-        ++stats_.pushbacks;
-      }
-    }
+    const Status failure =
+        view.ok() ? StatusOfResponse(view.Value()) : view.status();
     if (failure.code() == StatusCode::kDataLoss && attempt == 0) {
       ++stats_.retries;
       continue;

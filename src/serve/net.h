@@ -42,19 +42,13 @@ enum class NetFrameKind : uint8_t {
   kQueryResult = 33,     ///< StreamingQueryResult.
   kSnapshot = 34,        ///< SketchSnapshot.
   kError = 35,           ///< status code + message.
-  kPushback = 36,        ///< admission refusal: queue bytes + limit.
 };
 
-/// Admission control knobs of a NetServer.
+/// Limits of a NetServer.
 struct NetServerOptions {
   /// Hard cap on a single frame (requests larger than this are rejected
   /// with InvalidArgument before decoding).
   size_t max_frame_bytes = 16u << 20;
-  /// Per-tenant bound on deferred (stalled-shard backlog) bytes. An ingest
-  /// that would push the tenant's queued bytes past this limit is refused
-  /// with a kPushback frame and nothing is ingested — the client sees
-  /// ResourceExhausted and must back off (drain happens on unstall).
-  size_t max_tenant_backlog_bytes = 64u << 20;
 };
 
 /// \brief Server half: turns request frames into response frames against a
@@ -67,7 +61,7 @@ class NetServer {
   explicit NetServer(StreamingService* service, NetServerOptions options = {});
 
   /// Handles one request frame and returns the response frame. Never
-  /// fails: every error becomes a kError (or kPushback) frame, including
+  /// fails: every error becomes a kError frame, including
   /// corrupted requests (kError carrying DataLoss, which the client
   /// retries).
   std::string HandleFrame(const std::string& request);
@@ -80,17 +74,15 @@ class NetServer {
   uint64_t frames_rejected() const {
     return rejected_.load(std::memory_order_relaxed);
   }
-  /// Ingest frames refused by per-tenant admission control.
-  uint64_t pushbacks() const {
-    return pushbacks_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: the server refuses no ingest for load. Only the benchmark
+  /// ledger, which still reads it, calls this.
+  uint64_t pushbacks() const { return 0; }
 
  private:
   StreamingService* service_;
   NetServerOptions options_;
   std::atomic<uint64_t> frames_{0};
   std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> pushbacks_{0};
 };
 
 /// \brief One synchronous request/response exchange with a server.
@@ -153,8 +145,7 @@ Status ServeConnection(int fd, NetServer* server);
 /// \brief Client half: typed calls over a FrameTransport.
 ///
 /// Exactly one retry on DataLoss (a torn/corrupted frame in either
-/// direction); every other error propagates, including ResourceExhausted
-/// pushback — backing off is the caller's policy, not the client's.
+/// direction); every other error propagates.
 class NetClient {
  public:
   struct Stats {
@@ -162,14 +153,15 @@ class NetClient {
     uint64_t bytes_sent = 0;
     uint64_t bytes_received = 0;
     uint64_t retries = 0;
+    /// Always 0 (the server never pushes back); only the benchmark
+    /// ledger, which still reads it, uses this field.
     uint64_t pushbacks = 0;
   };
 
   /// `transport` is borrowed and must outlive the client.
   explicit NetClient(FrameTransport* transport) : transport_(transport) {}
 
-  /// Frames and ingests one keyed score-delta batch. ResourceExhausted if
-  /// the server refused admission (nothing was ingested).
+  /// Frames and ingests one keyed score-delta batch.
   Status Ingest(const std::string& tenant, const std::vector<size_t>& keys,
                 const std::vector<double>& deltas);
 

@@ -11,8 +11,7 @@ Status AppendSnapshot(const SketchSnapshot& snapshot, std::string* out) {
   dist::AppendU64(out, snapshot.first_epoch);
   dist::AppendU64(out, snapshot.epochs_covered);
   dist::AppendU64(out, snapshot.events);
-  dist::AppendU32(out, static_cast<uint32_t>(snapshot.stalled_shards.size()));
-  for (uint32_t shard : snapshot.stalled_shards) dist::AppendU32(out, shard);
+  dist::AppendU32(out, 0);  // Stalled-shard count: shards never stall.
   // The window measurement travels as an embedded measurement message —
   // the same bytes a protocol node would transmit.
   CSOD_ASSIGN_OR_RETURN(const std::string y,
@@ -28,18 +27,22 @@ Status ReadSnapshot(dist::PayloadReader* reader, SketchSnapshot* snapshot) {
   CSOD_RETURN_NOT_OK(reader->U64(&covered));
   snapshot->epochs_covered = static_cast<size_t>(covered);
   CSOD_RETURN_NOT_OK(reader->U64(&snapshot->events));
-  uint32_t num_stalled = 0;
-  CSOD_RETURN_NOT_OK(reader->U32(&num_stalled));
-  CSOD_RETURN_NOT_OK(reader->CheckCount(num_stalled, 4));
-  snapshot->stalled_shards.reserve(num_stalled);
-  for (uint32_t i = 0; i < num_stalled; ++i) {
-    uint32_t shard = 0;
-    CSOD_RETURN_NOT_OK(reader->U32(&shard));
-    snapshot->stalled_shards.push_back(shard);
-  }
+  CSOD_RETURN_NOT_OK(ReadStalledShardCount(reader, "snapshot"));
   std::string y;
   CSOD_RETURN_NOT_OK(reader->LengthPrefixed(&y));
   CSOD_ASSIGN_OR_RETURN(snapshot->y, dist::DecodeMeasurement(y));
+  return Status::OK();
+}
+
+Status ReadStalledShardCount(dist::PayloadReader* reader,
+                             const std::string& context) {
+  uint32_t num_stalled = 0;
+  CSOD_RETURN_NOT_OK(reader->U32(&num_stalled));
+  if (num_stalled != 0) {
+    return Status::InvalidArgument(
+        context + ": stalled-shard count " + std::to_string(num_stalled) +
+        " is not supported (shards never stall)");
+  }
   return Status::OK();
 }
 
@@ -77,7 +80,6 @@ StreamingQueryResult SnapshotAnswer::ToResult(size_t key_space,
   result.snapshot_first_epoch = snapshot->first_epoch;
   result.snapshot_last_epoch = snapshot->last_epoch;
   result.staleness_epochs = current_epoch - snapshot->last_epoch;
-  result.stalled_shards = snapshot->stalled_shards;
   return result;
 }
 

@@ -29,8 +29,8 @@ namespace csod::serve {
 /// events the window absorbed.
 ///
 /// Staleness contract (docs/STREAMING.md): a snapshot covers every event
-/// ingested into epochs `[first_epoch, last_epoch]` on non-stalled shards;
-/// events of the in-progress epoch `last_epoch + 1` are *never* visible.
+/// ingested into epochs `[first_epoch, last_epoch]`; events of the
+/// in-progress epoch `last_epoch + 1` are *never* visible.
 /// Queries against the latest snapshot are therefore stale by less than
 /// one epoch of ingestion (exactly the current epoch's partial data).
 struct SketchSnapshot {
@@ -45,28 +45,29 @@ struct SketchSnapshot {
   /// The window measurement `y = Σ_{e ∈ window} y_e`, length M, folded in
   /// ascending epoch order.
   std::vector<double> y;
-  /// Events folded into the covered epochs (excludes deferred events of
-  /// stalled shards).
+  /// Events folded into the covered epochs.
   uint64_t events = 0;
-  /// Shards that were stalled when this snapshot was published: their
-  /// deferred events are missing from `y` (degraded mode; the linearity
-  /// argument of docs/THEORY.md §7 bounds the induced error).
-  std::vector<uint32_t> stalled_shards;
 };
 
 /// \brief The one SketchSnapshot codec: the payload of a kSnapshot frame
 /// (serve/net.h) and the snapshot section of a checkpoint
 /// (serve/checkpoint.h). Layout (little-endian):
 ///   u64 version, last_epoch, first_epoch, epochs_covered, events
-///   u32 num_stalled; u32 per stalled shard
+///   u32 num_stalled (always 0: shards never stall)
 ///   u32 len, EncodeMeasurement(y) bytes (with their own checksum)
 /// InvalidArgument on a non-finite entry of `y`.
 Status AppendSnapshot(const SketchSnapshot& snapshot, std::string* out);
 
-/// Reads what AppendSnapshot wrote. The stalled-shard count is bounded by
-/// the unread payload before anything is sized from it. The caller checks
-/// the length of `y` against its own geometry.
+/// Reads what AppendSnapshot wrote. A non-zero stalled-shard count is
+/// refused by name (InvalidArgument). The caller checks the length of `y`
+/// against its own geometry.
 Status ReadSnapshot(dist::PayloadReader* reader, SketchSnapshot* snapshot);
+
+/// Reads the u32 stalled-shard count that kSnapshot and kQueryResult
+/// frames keep in their layout, and refuses any value but 0 by name: this
+/// build has no stalled shards to describe. `context` prefixes the error.
+Status ReadStalledShardCount(dist::PayloadReader* reader,
+                             const std::string& context);
 
 /// Reads the u32 Φ0 format marker (cs::kPhi0Format) that ends a kSnapshot
 /// frame and a checkpoint, and refuses every other format by name: state
@@ -97,7 +98,8 @@ struct StreamingQueryResult {
   /// as the staleness contract allows" (the in-progress epoch is never
   /// visible).
   uint64_t staleness_epochs = 0;
-  /// Shards whose deferred events are missing from the answer (degraded).
+  /// Always empty (shards never stall). Only the benchmark ledger, which
+  /// still reads it, uses this field.
   std::vector<uint32_t> stalled_shards;
 };
 

@@ -1,10 +1,10 @@
 #include "serve/streaming_detector.h"
 
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "common/arena.h"
-#include "common/random.h"
 #include "common/stopwatch.h"
 #include "mapreduce/shuffle.h"
 #include "sim/buggify.h"
@@ -14,9 +14,7 @@ namespace csod::serve {
 StreamingDetector::StreamingDetector(const StreamingDetectorOptions& options)
     : options_(options),
       telemetry_(options.telemetry != nullptr ? options.telemetry
-                                              : obs::Telemetry::Disabled()),
-      stalled_(options.num_shards, false),
-      backlog_(options.num_shards) {}
+                                              : obs::Telemetry::Disabled()) {}
 
 Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
     const StreamingDetectorOptions& options) {
@@ -60,14 +58,6 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Restore(
         " epoch sketches vs " + std::to_string(checkpoint.epoch_events.size()) +
         " epoch event counts");
   }
-  if (checkpoint.stalled.size() != options.num_shards ||
-      checkpoint.backlogs.size() != options.num_shards) {
-    return Status::InvalidArgument(
-        "Restore: checkpoint shard count (" +
-        std::to_string(checkpoint.stalled.size()) + " stall flags, " +
-        std::to_string(checkpoint.backlogs.size()) + " backlogs) != " +
-        std::to_string(options.num_shards));
-  }
   if (checkpoint.started) {
     if (checkpoint.epoch_sketches.empty()) {
       return Status::InvalidArgument(
@@ -83,15 +73,6 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Restore(
   std::lock_guard<std::mutex> lock(detector->ingest_mu_);
   detector->epoch_events_.assign(checkpoint.epoch_events.begin(),
                                  checkpoint.epoch_events.end());
-  detector->backlog_events_locked_ = 0;
-  for (uint32_t p = 0; p < options.num_shards; ++p) {
-    detector->stalled_[p] = checkpoint.stalled[p] != 0;
-    detector->backlog_[p].assign(checkpoint.backlogs[p].begin(),
-                                 checkpoint.backlogs[p].end());
-    for (const cs::SparseSlice& slice : checkpoint.backlogs[p]) {
-      detector->backlog_events_locked_ += slice.nnz();
-    }
-  }
   detector->last_tick_ = checkpoint.last_tick;
   detector->started_.store(checkpoint.started, std::memory_order_relaxed);
   detector->current_epoch_.store(checkpoint.current_epoch,
@@ -114,12 +95,6 @@ DetectorCheckpoint StreamingDetector::CheckpointState() const {
   const std::deque<std::vector<double>>& ring = window_->EpochSketches();
   checkpoint.epoch_sketches.assign(ring.begin(), ring.end());
   checkpoint.epoch_events.assign(epoch_events_.begin(), epoch_events_.end());
-  checkpoint.stalled.reserve(options_.num_shards);
-  checkpoint.backlogs.resize(options_.num_shards);
-  for (uint32_t p = 0; p < options_.num_shards; ++p) {
-    checkpoint.stalled.push_back(stalled_[p] ? 1 : 0);
-    checkpoint.backlogs[p].assign(backlog_[p].begin(), backlog_[p].end());
-  }
   checkpoint.snapshot = Snapshot();
   return checkpoint;
 }
@@ -161,21 +136,6 @@ Status StreamingDetector::IngestBatch(const size_t* keys, const double* deltas,
     }
   }
 
-  // Buggify: stall/unstall storm — before partitioning the batch, flip a
-  // deterministic subset of shards (keyed on the batch ordinal) through
-  // the real stall machinery. Stalling defers this batch's share; a flip
-  // back replays the backlog into the current epoch, so every event is
-  // still folded exactly once (the conservation invariant).
-  if (sim::BuggifyEnabled()) {
-    const uint64_t batch_ordinal = buggify_batches_++;
-    for (uint32_t p = 0; p < options_.num_shards; ++p) {
-      if (CSOD_BUGGIFY_AT("serve.ingest.stall_storm",
-                          HashCombine(batch_ordinal, p))) {
-        CSOD_RETURN_NOT_OK(SetShardStalledLocked(p, !stalled_[p]));
-      }
-    }
-  }
-
   // Radix-partition the batch across shards (the PR 6 columnar pass):
   // exact-size contiguous per-shard key/delta columns, stable within a
   // shard, partition hash applied once per event. ScatterPartitions moves
@@ -193,48 +153,32 @@ Status StreamingDetector::IngestBatch(const size_t* keys, const double* deltas,
       [](size_t key) { return mr::DefaultPartition(key); }, one_run,
       &key_store, &value_store, &blocks);
 
-  // Stalled shards' shares go to the backlog (deferred, not lost); every
-  // other shard becomes one slice view of the batched sketching kernel.
+  // Every shard becomes one slice view of the batched sketching kernel.
   std::vector<cs::SparseVectorView> views(num_shards);
-  uint64_t folded = 0;
-  uint64_t deferred = 0;
   for (size_t p = 0; p < num_shards; ++p) {
     const size_t shard_count = key_store[p].size();
     if (shard_count == 0) continue;  // Empty view folds zeros below.
-    const size_t* shard_keys = key_store[p].chunk_data(0);
-    const double* shard_deltas = value_store[p].chunk_data(0);
-    if (stalled_[p]) {
-      cs::SparseSlice slice;
-      slice.indices.assign(shard_keys, shard_keys + shard_count);
-      slice.values.assign(shard_deltas, shard_deltas + shard_count);
-      backlog_[p].push_back(std::move(slice));
-      backlog_events_locked_ += shard_count;
-      deferred += shard_count;
-      continue;
-    }
-    views[p] = cs::SparseVectorView{shard_keys, shard_deltas, shard_count};
-    folded += shard_count;
+    views[p] = cs::SparseVectorView{key_store[p].chunk_data(0),
+                                    value_store[p].chunk_data(0),
+                                    shard_count};
   }
-  pending_events_ += folded;
-  pending_deferred_ += deferred;
+  pending_events_ += count;
 
   // One batched sketching pass over all shards, then fold the per-shard
   // measurements into the current epoch in fixed shard order — including
   // empty (zero) shards, exactly like the per-shard-slice reference. This
   // is the bit-identity contract: per_slice_out segment p is bit-identical
   // to MultiplySparse(shard p's slice), and IngestMeasurement is the same
-  // Axpy the reference's Ingest performs. Stalled shards are skipped on
-  // both sides (their slices are withheld until replay).
+  // Axpy the reference's Ingest performs.
   CSOD_RETURN_NOT_OK(
       matrix().MultiplySparseBatch(views, nullptr, &per_slice_scratch_));
   const size_t m = options_.m;
   for (size_t p = 0; p < num_shards; ++p) {
-    if (stalled_[p]) continue;
     const double* segment = per_slice_scratch_.data() + p * m;
     shard_y_scratch_.assign(segment, segment + m);
     CSOD_RETURN_NOT_OK(window_->IngestMeasurement(shard_y_scratch_));
   }
-  epoch_events_.back() += folded;
+  epoch_events_.back() += count;
   if (traced) pending_ingest_seconds_ += watch.ElapsedSeconds();
   return Status::OK();
 }
@@ -243,18 +187,13 @@ void StreamingDetector::FlushIngestTelemetryLocked() {
   if (pending_batches_ > 0) {
     telemetry_->AddCounter("serve.ingest.batches", pending_batches_);
     telemetry_->AddCounter("serve.ingest.events", pending_events_);
-    if (pending_deferred_ > 0) {
-      telemetry_->AddCounter("serve.ingest.deferred_events",
-                             pending_deferred_);
-    }
     telemetry_->RecordSpan("serve.ingest", pending_ingest_seconds_);
     pending_batches_ = 0;
     pending_events_ = 0;
-    pending_deferred_ = 0;
     pending_ingest_seconds_ = 0.0;
   }
   if (!epoch_events_.empty()) {
-    // Events folded into the epoch being closed (replays included).
+    // Events folded into the epoch being closed.
     telemetry_->RecordValue("serve.epoch.events",
                             static_cast<double>(epoch_events_.back()));
   }
@@ -262,6 +201,14 @@ void StreamingDetector::FlushIngestTelemetryLocked() {
 
 Result<uint64_t> StreamingDetector::AdvanceTo(uint64_t tick) {
   std::lock_guard<std::mutex> lock(ingest_mu_);
+  // The epoch after UINT64_MAX has no number. Refusing this tick before any
+  // state moves also keeps current_epoch + 1 representable, which a
+  // checkpoint's restore relies on.
+  if (tick == std::numeric_limits<uint64_t>::max()) {
+    return Status::InvalidArgument(
+        "AdvanceTo: tick " + std::to_string(tick) +
+        " leaves no number for the epoch after it");
+  }
   if (started_.load(std::memory_order_relaxed) && tick < last_tick_) {
     return Status::InvalidArgument(
         "AdvanceTo: virtual clock moved backwards (" + std::to_string(tick) +
@@ -269,8 +216,28 @@ Result<uint64_t> StreamingDetector::AdvanceTo(uint64_t tick) {
   }
   last_tick_ = tick;
   if (!started_.load(std::memory_order_relaxed)) AdvanceEpochLocked();
-  while (current_epoch_.load(std::memory_order_relaxed) < tick) {
+  // Close at most W + 1 epochs one by one: by then every retained sketch
+  // (and event count) is zero, so the rest of a far-future jump lands on
+  // `tick` directly with an empty ring and publishes once. The answer is
+  // the one a close per epoch would reach, at a bounded cost.
+  const size_t ring = options_.window_epochs + 1;
+  for (size_t closed = 0;
+       closed < ring && current_epoch_.load(std::memory_order_relaxed) < tick;
+       ++closed) {
     AdvanceEpochLocked();
+  }
+  const uint64_t current = current_epoch_.load(std::memory_order_relaxed);
+  if (current < tick) {
+    obs::TraceSpan span(telemetry_, "serve.epoch.advance");
+    // Cannot fail: `ring` is the window's depth, every sketch has M rows,
+    // and tick > current >= ring, so ring epochs can end at `tick`.
+    CSOD_RETURN_NOT_OK(window_->RestoreEpochs(
+        tick, std::vector<std::vector<double>>(
+                  ring, std::vector<double>(options_.m, 0.0))));
+    epoch_events_.assign(ring, 0);
+    current_epoch_.store(tick, std::memory_order_relaxed);
+    telemetry_->AddCounter("serve.epochs", tick - current);
+    PublishLocked();
   }
   return current_epoch_.load(std::memory_order_relaxed);
 }
@@ -318,9 +285,6 @@ void StreamingDetector::PublishLocked() {
   snapshot->epochs_covered = covered;
   snapshot->y = y.MoveValue();
   for (size_t e = 0; e < covered; ++e) snapshot->events += epoch_events_[e];
-  for (uint32_t p = 0; p < options_.num_shards; ++p) {
-    if (stalled_[p]) snapshot->stalled_shards.push_back(p);
-  }
   telemetry_->AddCounter("serve.snapshots");
 
   std::lock_guard<std::mutex> lock(snapshot_mu_);
@@ -371,45 +335,6 @@ Result<StreamingQueryResult> StreamingDetector::Query(query::QueryKind kind,
                                                       size_t k) const {
   CSOD_ASSIGN_OR_RETURN(SnapshotAnswer answer, Answer(kind, k));
   return answer.ToResult(options_.n, current_epoch());
-}
-
-Status StreamingDetector::SetShardStalled(uint32_t shard, bool stalled) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  return SetShardStalledLocked(shard, stalled);
-}
-
-Status StreamingDetector::SetShardStalledLocked(uint32_t shard, bool stalled) {
-  if (shard >= options_.num_shards) {
-    return Status::InvalidArgument(
-        "SetShardStalled: shard " + std::to_string(shard) + " out of " +
-        std::to_string(options_.num_shards));
-  }
-  if (stalled_[shard] == stalled) return Status::OK();  // Idempotent.
-  stalled_[shard] = stalled;
-  if (stalled) {
-    telemetry_->AddCounter("serve.shard.stalls");
-    return Status::OK();
-  }
-  telemetry_->AddCounter("serve.shard.unstalls");
-  // Replay the backlog into the *current* epoch, one deferred batch-share
-  // at a time in arrival order — each replay is exactly the reference
-  // Ingest of the withheld slice, so determinism survives the stall.
-  std::deque<cs::SparseSlice>& backlog = backlog_[shard];
-  while (!backlog.empty()) {
-    const cs::SparseSlice slice = std::move(backlog.front());
-    backlog.pop_front();
-    backlog_events_locked_ -= slice.nnz();
-    CSOD_RETURN_NOT_OK(window_->Ingest(slice));
-    epoch_events_.back() += slice.nnz();
-    telemetry_->AddCounter("serve.shard.replays");
-    telemetry_->AddCounter("serve.ingest.replayed_events", slice.nnz());
-  }
-  return Status::OK();
-}
-
-uint64_t StreamingDetector::backlog_events() const {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  return backlog_events_locked_;
 }
 
 }  // namespace csod::serve

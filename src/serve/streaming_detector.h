@@ -43,8 +43,8 @@ struct StreamingDetectorOptions {
 };
 
 /// A full copy of one detector's mutable state at one instant: the epoch
-/// ring, per-epoch event counts, stall flags, backlogs, virtual clock, and
-/// the latest published snapshot. Because CS measurements are linear the
+/// ring, per-epoch event counts, virtual clock, and the latest published
+/// snapshot. Because CS measurements are linear the
 /// ring *is* the window — restoring this struct restores the detector
 /// exactly, bit for bit (serve/checkpoint.h serializes it with checksums).
 struct DetectorCheckpoint {
@@ -57,10 +57,6 @@ struct DetectorCheckpoint {
   /// epoch. Parallel to `epoch_events`.
   std::vector<std::vector<double>> epoch_sketches;
   std::vector<uint64_t> epoch_events;
-  /// Per-shard stall flags (size num_shards).
-  std::vector<uint8_t> stalled;
-  /// Per-shard deferred batch-shares in arrival order (size num_shards).
-  std::vector<std::vector<cs::SparseSlice>> backlogs;
   /// Latest published snapshot, or null before the first publication.
   std::shared_ptr<const SketchSnapshot> snapshot;
 };
@@ -94,9 +90,8 @@ struct DetectorCheckpoint {
 /// bench_streaming's `bit_identical` gate): the published window measurement — and therefore
 /// every detection answer — is *bit-identical* to a
 /// `WindowedOutlierDetector` fed the same batches as per-shard
-/// `SparseSlice`s in shard order (stalled shards' slices withheld until
-/// replay), at any parallelism limit. This holds by construction:
-/// `MultiplySparseBatch`'s per-slice output is bit-identical to
+/// `SparseSlice`s in shard order, at any parallelism limit. This holds by
+/// construction: `MultiplySparseBatch`'s per-slice output is bit-identical to
 /// `MultiplySparse`, shard measurements fold in fixed shard order through
 /// `IngestMeasurement` (the same `la::Axpy` the reference uses), and the
 /// snapshot folds epoch sketches oldest-first exactly like
@@ -107,15 +102,8 @@ struct DetectorCheckpoint {
 /// **Bounded staleness**: a query's snapshot never includes the in-progress
 /// epoch and always includes every closed epoch in the window, so the answer lags ingestion by less than one epoch, always.
 ///
-/// **Degraded mode** (docs/STREAMING.md): a stalled shard's share of every
-/// batch is deferred to a per-shard backlog — delayed, never lost — and
-/// replayed, per original batch in arrival order, into the then-current
-/// epoch on unstall. Snapshots published while a shard is stalled list it
-/// in `stalled_shards`; docs/THEORY.md §7 bounds the detection error of
-/// such partial-window answers via linearity.
-///
 /// Thread safety: any number of concurrent callers. Mutating calls
-/// (IngestBatch / AdvanceTo / AdvanceEpoch / SetShardStalled) serialize on
+/// (IngestBatch / AdvanceTo / AdvanceEpoch) serialize on
 /// an ingest mutex; Snapshot()/Query* only copy the published pointer.
 class StreamingDetector {
  public:
@@ -124,8 +112,8 @@ class StreamingDetector {
 
   /// Creates a detector that continues `checkpoint` exactly: the next
   /// publication is bit-identical to what the checkpointed detector would
-  /// have published, versions continue from the checkpointed counter, and
-  /// deferred backlogs replay as if the restart never happened. `options`
+  /// have published, and versions continue from the checkpointed counter.
+  /// `options`
   /// must describe the same stream (same n/m/seed/window/shards) as the
   /// detector the checkpoint was taken from.
   static Result<std::unique_ptr<StreamingDetector>> Restore(
@@ -148,8 +136,13 @@ class StreamingDetector {
                      const std::vector<double>& deltas);
 
   /// Moves the virtual clock to `tick` (monotone; one tick is one epoch),
-  /// closing and publishing every epoch below `tick`. The first call opens
-  /// epoch 0. Returns the current epoch index after the move.
+  /// closing every epoch below `tick`. The first call opens epoch 0.
+  /// Returns the current epoch index after the move. A jump of more than
+  /// W + 1 epochs costs W + 2 publications, not one per epoch: after
+  /// W + 1 closes every retained sketch is zero, so the detector lands on
+  /// `tick` with an empty ring and publishes once. Fails with
+  /// InvalidArgument, moving nothing, on a backwards tick or on
+  /// tick = UINT64_MAX (the epoch after it has no number).
   Result<uint64_t> AdvanceTo(uint64_t tick);
 
   /// Closes the current epoch (publishing a snapshot) and opens the next; the first call opens epoch 0 without closing anything.
@@ -171,11 +164,6 @@ class StreamingDetector {
   /// that answered (StreamingService's query endpoint).
   Result<StreamingQueryResult> Query(query::QueryKind kind, size_t k) const;
 
-  /// Marks a shard stalled (its share of every batch is deferred) or
-  /// replays its backlog into the current epoch and resumes it. Replay
-  /// preserves per-batch boundaries and arrival order.
-  Status SetShardStalled(uint32_t shard, bool stalled);
-
   /// Index of the current (in-progress) epoch; 0 before the first
   /// AdvanceTo/AdvanceEpoch (which also opens epoch 0).
   uint64_t current_epoch() const {
@@ -187,8 +175,6 @@ class StreamingDetector {
   uint64_t snapshot_version() const {
     return version_.load(std::memory_order_relaxed);
   }
-  /// Events deferred to stalled-shard backlogs and not yet replayed.
-  uint64_t backlog_events() const;
 
   const StreamingDetectorOptions& options() const { return options_; }
   const cs::MeasurementMatrix& matrix() const { return window_->matrix(); }
@@ -200,7 +186,6 @@ class StreamingDetector {
   uint64_t AdvanceEpochLocked();
   void PublishLocked();
   void FlushIngestTelemetryLocked();
-  Status SetShardStalledLocked(uint32_t shard, bool stalled);
   // Pins the latest snapshot, records the query telemetry, and answers
   // from that snapshot: the one path behind every Query* call.
   Result<SnapshotAnswer> Answer(query::QueryKind kind, size_t k) const;
@@ -214,11 +199,6 @@ class StreamingDetector {
   std::unique_ptr<core::WindowedOutlierDetector> window_;
   // Events folded per retained epoch (parallel to the window ring).
   std::deque<uint64_t> epoch_events_;
-  // Per-shard stall flags and backlogs (one deferred slice per batch that
-  // arrived while stalled, in arrival order).
-  std::vector<bool> stalled_;
-  std::vector<std::deque<cs::SparseSlice>> backlog_;
-  uint64_t backlog_events_locked_ = 0;
   uint64_t last_tick_ = 0;
   // Reused ingest scratch (guarded by ingest_mu_).
   std::vector<double> per_slice_scratch_;
@@ -228,11 +208,7 @@ class StreamingDetector {
   // stopwatch reads, never a registry lock per batch.
   uint64_t pending_batches_ = 0;
   uint64_t pending_events_ = 0;
-  uint64_t pending_deferred_ = 0;
   double pending_ingest_seconds_ = 0.0;
-  // Batches seen since construction — the deterministic ordinal the
-  // Buggify stall-storm hook keys its per-batch decisions on.
-  uint64_t buggify_batches_ = 0;
 
   std::atomic<bool> started_{false};
   std::atomic<uint64_t> current_epoch_{0};

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -637,14 +636,14 @@ void RunMapReduceScenario(const Scenario& s, Ctx* ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// kServe — stall/unstall storms, republish races, and torn frames, driven
-// end-to-end through the wire-facing deployment surface (serve/net.h):
+// kServe — republish races and torn frames, driven end-to-end through the
+// wire-facing deployment surface (serve/net.h):
 // every ingest/advance/query travels as a checksummed frame over the
 // loopback transport, where the `serve.net.torn_frame` Buggify section
 // corrupts requests in flight (one client retry must always recover) and
 // `serve.net.mid_checkpoint_crash` tears checkpoint fetches (a torn
 // checkpoint must be detected, never installed). Invariants: staleness ≤ 1
-// epoch, event conservation across retries and replays, checkpoint restore
+// epoch, event conservation across frame retries, checkpoint restore
 // bit-identity, and bit-identical snapshots across thread limits.
 // ---------------------------------------------------------------------------
 
@@ -671,16 +670,11 @@ void RunServeScenario(const Scenario& s, Ctx* ctx) {
                  tenant.status().ToString());
     return;
   }
-  // Direct handle for invariant checks (staleness, backlog, unstall); all
+  // Direct handle for invariant checks (staleness, snapshots); all
   // data-plane traffic goes through the framed client below.
   serve::StreamingDetector& detector = *tenant.Value();
 
-  serve::NetServerOptions net_options;
-  // The stall-storm scenarios defer events on purpose; admission pushback
-  // has its own tests, so give the backlog effectively unbounded headroom.
-  net_options.max_tenant_backlog_bytes =
-      std::numeric_limits<size_t>::max() / 2;
-  serve::NetServer server(&service, net_options);
+  serve::NetServer server(&service);
   serve::LoopbackTransport transport(&server);
   serve::NetClient client(&transport);
 
@@ -769,35 +763,14 @@ void RunServeScenario(const Scenario& s, Ctx* ctx) {
                    ckpt.status().ToString());
     }
   }
-  // Storm over: disarm Buggify, unstall everything, and close one more
-  // epoch — every deferred event must drain and be counted exactly once.
+  // Storm over: disarm Buggify. Every epoch close flushed its ingest
+  // counters, so each generated event must have been folded exactly once,
+  // however many frames a retry resent.
   BuggifyDisable();
-  for (uint32_t shard = 0; shard < s.num_shards; ++shard) {
-    Status st = detector.SetShardStalled(shard, false);
-    if (!st.ok()) {
-      ctx->Violate("serve: unstall failed: " + st.ToString());
-    }
-  }
-  if (ingest_ok) {
-    Result<uint64_t> drained =
-        client.AdvanceTo(kTenant, static_cast<uint64_t>(s.epochs) + 1);
-    if (!drained.ok()) {
-      ctx->Violate("serve: framed drain advance failed: " +
-                   drained.status().ToString());
-    }
-  } else {
-    detector.AdvanceEpoch();
-  }
-  if (detector.backlog_events() != 0) {
-    ctx->Violate("serve: backlog not drained after unstall-all (" +
-                 U64(detector.backlog_events()) + " events stuck)");
-  }
   const uint64_t ingested = telemetry.counter("serve.ingest.events");
-  const uint64_t replayed = telemetry.counter("serve.ingest.replayed_events");
-  if (ingest_ok && ingested + replayed != generated) {
+  if (ingest_ok && ingested != generated) {
     ctx->Violate("serve: event conservation: folded " + U64(ingested) +
-                 " + replayed " + U64(replayed) + " != generated " +
-                 U64(generated));
+                 " != generated " + U64(generated));
   }
 
   std::shared_ptr<const serve::SketchSnapshot> final_snapshot =
@@ -807,17 +780,9 @@ void RunServeScenario(const Scenario& s, Ctx* ctx) {
     ctx->digest.Mix(final_snapshot->last_epoch);
     ctx->digest.Mix(final_snapshot->first_epoch);
     ctx->digest.Mix(final_snapshot->events);
-    ctx->digest.Mix(final_snapshot->stalled_shards.size());
-    for (uint32_t shard : final_snapshot->stalled_shards) {
-      ctx->digest.Mix(static_cast<uint64_t>(shard));
-    }
     for (double v : final_snapshot->y) ctx->digest.Mix(v);
   }
   ctx->digest.Mix(ingested);
-  ctx->digest.Mix(replayed);
-  ctx->digest.Mix(telemetry.counter("serve.ingest.deferred_events"));
-  ctx->digest.Mix(telemetry.counter("serve.shard.stalls"));
-  ctx->digest.Mix(telemetry.counter("serve.shard.unstalls"));
   ctx->digest.Mix(telemetry.counter("serve.snapshots"));
   ctx->digest.Mix(checkpoints_good);
   ctx->digest.Mix(checkpoints_torn);
@@ -851,7 +816,6 @@ void RunServeScenario(const Scenario& s, Ctx* ctx) {
             rest->first_epoch == live->first_epoch &&
             rest->last_epoch == live->last_epoch &&
             rest->events == live->events &&
-            rest->stalled_shards == live->stalled_shards &&
             rest->y.size() == live->y.size() &&
             std::memcmp(rest->y.data(), live->y.data(),
                         live->y.size() * sizeof(double)) == 0;

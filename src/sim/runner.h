@@ -32,8 +32,8 @@ struct ScenarioOutcome {
 ///    byte-for-byte unperturbed answer with >= the unperturbed bytes;
 ///  - MapReduce output under Buggify re-execution / buffer pressure is
 ///    bit-identical to the unperturbed run;
-///  - serve snapshot staleness <= 1 epoch and no event is lost
-///    across stall/unstall storms;
+///  - serve snapshot staleness <= 1 epoch, and every generated event is
+///    folded exactly once across torn-frame retries;
 ///  - the whole outcome digest is identical when re-executed at a
 ///    different parallelism limit.
 /// The caller owns Buggify state transitions only through this function:

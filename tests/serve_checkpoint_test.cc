@@ -1,10 +1,11 @@
 // Tests of checkpoint/restore (serve/checkpoint.h): restore republishes
 // bit-identically, a restored detector continues exactly like one that
-// never died, torn checkpoints are rejected with DataLoss, stall/backlog
-// state survives, and geometry mismatches are refused.
+// never died, torn checkpoints are rejected with DataLoss, and geometry
+// mismatches and state this build cannot run are refused.
 #include "serve/checkpoint.h"
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,7 +55,6 @@ void ExpectSnapshotsBitIdentical(
   EXPECT_EQ(a->last_epoch, b->last_epoch);
   EXPECT_EQ(a->epochs_covered, b->epochs_covered);
   EXPECT_EQ(a->events, b->events);
-  EXPECT_EQ(a->stalled_shards, b->stalled_shards);
   EXPECT_EQ(a->y, b->y);  // Bitwise double equality.
 }
 
@@ -127,30 +127,6 @@ TEST(CheckpointTest, RestoredDetectorContinuesExactly) {
     EXPECT_EQ(original_answer.outliers[i].value,
               restored_answer.outliers[i].value);
   }
-}
-
-TEST(CheckpointTest, StallAndBacklogSurviveRestore) {
-  const auto options = SmallOptions(/*window=*/3, /*shards=*/4);
-  auto original = BuildMidStream(options);
-  ASSERT_TRUE(original->SetShardStalled(2, true).ok());
-  std::vector<size_t> keys;
-  std::vector<double> deltas;
-  SeededBatch(55, options.n, &keys, &deltas);
-  ASSERT_TRUE(original->IngestBatch(keys, deltas).ok());
-  ASSERT_GT(original->backlog_events(), 0u);
-
-  const std::string frame =
-      EncodeCheckpoint(options, original->CheckpointState()).MoveValue();
-  auto restored = RestoreDetector(frame, options).MoveValue();
-  EXPECT_EQ(restored->backlog_events(), original->backlog_events());
-
-  // Unstalling both replays identical backlogs: publications stay equal.
-  ASSERT_TRUE(original->SetShardStalled(2, false).ok());
-  ASSERT_TRUE(restored->SetShardStalled(2, false).ok());
-  EXPECT_EQ(restored->backlog_events(), 0u);
-  original->AdvanceEpoch();
-  restored->AdvanceEpoch();
-  ExpectSnapshotsBitIdentical(restored->Snapshot(), original->Snapshot());
 }
 
 TEST(CheckpointTest, RestoreThenQueryPreservesStaleness) {
@@ -298,15 +274,29 @@ TEST(CheckpointTest, CraftedHugeShardCountIsRefused) {
       StatusCode::kInvalidArgument);
 }
 
+// Shards never stall: any non-zero stalled-shard count in the snapshot
+// section is refused by name.
 TEST(CheckpointTest, CraftedHugeSnapshotStalledCountIsRefused) {
-  std::string payload = CraftedCheckpointPrefix(3, 0, true, 0);
-  for (int field = 0; field < 5; ++field) dist::AppendU64(&payload, 1);
-  dist::AppendU32(&payload, UINT32_MAX);  // num_stalled, no shards follow.
-  EXPECT_EQ(
-      DecodeCheckpoint(dist::EncodeFrame(kCheckpointFrameKind, 0, payload))
-          .status()
-          .code(),
-      StatusCode::kInvalidArgument);
+  for (const uint32_t stalled : {uint32_t{1}, uint32_t{UINT32_MAX}}) {
+    std::string payload = CraftedCheckpointPrefix(3, 0, true, 0);
+    for (int field = 0; field < 5; ++field) dist::AppendU64(&payload, 1);
+    dist::AppendU32(&payload, stalled);
+    if (stalled == 1) dist::AppendU32(&payload, 0);  // The stalled shard.
+    ASSERT_TRUE(dist::AppendLengthPrefixed(
+                    &payload, dist::EncodeMeasurement(
+                                  std::vector<double>(150, 1.0))
+                                  .MoveValue())
+                    .ok());
+    dist::AppendU32(&payload, cs::kPhi0Format);
+    const Status refused =
+        DecodeCheckpoint(dist::EncodeFrame(kCheckpointFrameKind, 0, payload))
+            .status();
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.message().find("stalled-shard count " +
+                                     std::to_string(stalled)),
+              std::string::npos)
+        << refused.ToString();
+  }
 }
 
 // Re-frames `frame`'s payload with its last `strip` bytes replaced by
@@ -356,10 +346,28 @@ std::string WithPatchedPayload(const std::string& frame, size_t offset,
   return dist::EncodeFrame(view.kind, view.count, payload);
 }
 
-// The header keeps the tick-clock and window-kind fields of the frame
-// format (u64 epoch_ticks at payload offset 40, u8 window kind at 48) and
-// always writes 1 and 0 there; a frame with anything else (a tumbling
-// window or a multi-tick epoch) is refused by name, never as DataLoss.
+// Payload offset of the per-shard section (num_shards u8 stall flags, then
+// num_shards u64 backlog counts): past the 83-byte header and every
+// retained epoch's u64 event count and length-prefixed sketch.
+size_t ShardSectionOffset(const std::string& frame) {
+  const dist::FrameView view = dist::DecodeFrame(frame).MoveValue();
+  uint64_t num_epochs = 0;
+  std::memcpy(&num_epochs, view.payload + 75, sizeof(num_epochs));
+  size_t offset = 83;
+  for (uint64_t e = 0; e < num_epochs; ++e) {
+    uint32_t length = 0;
+    std::memcpy(&length, view.payload + offset + 8, sizeof(length));
+    offset += 8 + 4 + length;
+  }
+  return offset;
+}
+
+// The frame format keeps fields for state this build cannot run: the
+// tick clock (u64 epoch_ticks at payload offset 40), the window kind (u8
+// at 48), and a stall flag and a backlog count per shard. The encoder
+// always writes 1, 0, 0 and 0 there; a frame with anything else (a
+// multi-tick epoch, a tumbling window, a stalled shard, a shard backlog)
+// is refused by name, never as DataLoss.
 TEST(CheckpointTest, TumblingWindowAndTickClockAreRefusedByName) {
   const auto options = SmallOptions();
   auto original = BuildMidStream(options);
@@ -383,6 +391,29 @@ TEST(CheckpointTest, TumblingWindowAndTickClockAreRefusedByName) {
   EXPECT_EQ(tumbling.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(tumbling.ToString().find("tumbling window"), std::string::npos)
       << tumbling.ToString();
+
+  const size_t shards = ShardSectionOffset(frame);
+  EXPECT_EQ(WithPatchedPayload(frame, shards, std::string(4, '\0')), frame);
+  const Status stalled =
+      RestoreDetector(WithPatchedPayload(frame, shards + 2, "\1"), options)
+          .status();
+  EXPECT_EQ(stalled.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stalled.ToString().find("stalled shard 2"), std::string::npos)
+      << stalled.ToString();
+
+  std::string one_slice;
+  dist::AppendU64(&one_slice, 1);
+  EXPECT_EQ(WithPatchedPayload(frame, shards + options.num_shards,
+                               std::string(8 * options.num_shards, '\0')),
+            frame);
+  const Status backlog =
+      RestoreDetector(WithPatchedPayload(frame, shards + options.num_shards + 8,
+                                         one_slice),
+                      options)
+          .status();
+  EXPECT_EQ(backlog.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(backlog.ToString().find("shard 1 backlog"), std::string::npos)
+      << backlog.ToString();
 }
 
 TEST(CheckpointTest, FetchedOverTheWireEqualsLocalEncoding) {

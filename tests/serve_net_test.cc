@@ -1,6 +1,6 @@
 // Tests of the wire-facing deployment surface (serve/net.h): framed
 // end-to-end exactness against the in-process detector, both transports,
-// admission control / backpressure, torn-frame retry conservation, and
+// torn-frame retry conservation, crafted-frame refusals, and
 // snapshot-replicated followers.
 #include "serve/net.h"
 
@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "cs/measurement_matrix.h"
-#include "dist/comm.h"
 #include "dist/wire_format.h"
 #include "obs/telemetry.h"
 #include "serve/checkpoint.h"
@@ -80,7 +80,6 @@ TEST(NetCodecTest, SnapshotResponseRoundTripsExactly) {
   snapshot.epochs_covered = 4;
   snapshot.events = 12345;
   snapshot.y = {1.5, -2.25, 0.0, 3.0e-17};
-  snapshot.stalled_shards = {1, 3};
 
   const std::string frame = EncodeSnapshotResponse(snapshot).MoveValue();
   const SketchSnapshot decoded = DecodeSnapshotResponse(frame).MoveValue();
@@ -90,7 +89,6 @@ TEST(NetCodecTest, SnapshotResponseRoundTripsExactly) {
   EXPECT_EQ(decoded.epochs_covered, snapshot.epochs_covered);
   EXPECT_EQ(decoded.events, snapshot.events);
   EXPECT_EQ(decoded.y, snapshot.y);  // Bitwise: doubles travel by bits.
-  EXPECT_EQ(decoded.stalled_shards, snapshot.stalled_shards);
 }
 
 TEST(NetCodecTest, CorruptionAnywhereIsDataLoss) {
@@ -235,48 +233,6 @@ TEST(NetEndToEndTest, SnapshotFetchBeforePublicationFailsCleanly) {
             StatusCode::kNotFound);
 }
 
-// Admission control: once the tenant's deferred backlog exceeds the
-// per-tenant byte bound, ingest frames get a pushback (ResourceExhausted)
-// and nothing is ingested; draining the backlog re-admits.
-TEST(NetBackpressureTest, PushbackRefusesThenDrainReadmits) {
-  NetServerOptions net;
-  // Room for ~200 deferred 12-byte tuples.
-  net.max_tenant_backlog_bytes = 200 * dist::kKeyValueBytes;
-  Rig rig(SmallOptions(/*window=*/3, /*shards=*/2), net);
-  auto detector = rig.tenant();
-
-  ASSERT_TRUE(rig.client.AdvanceTo("t", 0).ok());
-  // Stall both shards: every ingested event is deferred.
-  ASSERT_TRUE(detector->SetShardStalled(0, true).ok());
-  ASSERT_TRUE(detector->SetShardStalled(1, true).ok());
-
-  std::vector<size_t> keys(61);
-  std::vector<double> deltas(61);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = i % 400;
-    deltas[i] = 1.0;
-  }
-  // 61 events -> 732 B per refused-later batch; three fit under 2400 B.
-  for (int b = 0; b < 3; ++b) {
-    ASSERT_TRUE(rig.client.Ingest("t", keys, deltas).ok());
-  }
-  const uint64_t backlog_before = detector->backlog_events();
-  EXPECT_EQ(backlog_before, 3u * keys.size());
-
-  // The fourth batch would cross the bound: pushback, nothing ingested.
-  const Status refused = rig.client.Ingest("t", keys, deltas);
-  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(detector->backlog_events(), backlog_before);
-  EXPECT_EQ(rig.client.stats().pushbacks, 1u);
-  EXPECT_EQ(rig.server.pushbacks(), 1u);
-
-  // Drain (unstall both shards) -> queued bytes fall to zero -> admitted.
-  ASSERT_TRUE(detector->SetShardStalled(0, false).ok());
-  ASSERT_TRUE(detector->SetShardStalled(1, false).ok());
-  EXPECT_EQ(detector->backlog_events(), 0u);
-  EXPECT_TRUE(rig.client.Ingest("t", keys, deltas).ok());
-}
-
 // A torn frame is detected by the checksum, surfaced as DataLoss, and
 // healed by exactly one client retry — with nothing ingested twice.
 TEST(NetTornFrameTest, SingleRetryRecoversWithoutDoubleIngest) {
@@ -339,12 +295,8 @@ TEST(NetTornFrameTest, BuggifyStormNeverNeedsASecondRetry) {
 
   EXPECT_GT(rig.transport.frames_torn(), 0u);
   EXPECT_EQ(rig.client.stats().retries, rig.transport.frames_torn());
-  // Conservation across retries AND the concurrent Buggify stall storm
-  // inside the detector: folded + replayed events account for every event
-  // sent, exactly once.
-  EXPECT_EQ(telemetry.counter("serve.ingest.events") +
-                telemetry.counter("serve.ingest.replayed_events"),
-            sent_events);
+  // Conservation across retries: every event sent is folded exactly once.
+  EXPECT_EQ(telemetry.counter("serve.ingest.events"), sent_events);
 }
 
 TEST(SnapshotFollowerTest, SharesTheLeadersMatrixInProcess) {
@@ -501,17 +453,25 @@ TEST(NetCraftedFrameTest, IngestWithWrappingKeyValueCountIsRefused) {
   EXPECT_EQ(telemetry.counter("serve.ingest.batches"), 0u);
 }
 
+// Shards never stall, so a kQueryResult or kSnapshot frame carrying any
+// non-zero stalled-shard count is refused by name, never as DataLoss.
 TEST(NetCraftedFrameTest, QueryResultWithHugeStalledCountIsRefused) {
-  std::string payload = QueryResultPrefix();
-  dist::AppendU32(&payload, UINT32_MAX);  // num_stalled, no shards follow.
-  dist::AppendU64(&payload, 0);           // num_rows.
-  CannedTransport canned(dist::EncodeFrame(
-      static_cast<uint8_t>(NetFrameKind::kQueryResult), 0, payload));
-  NetClient client(&canned);
-  EXPECT_EQ(client.Query("SELECT Top 1 SUM(s), key FROM t GROUP BY key")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  for (const uint32_t stalled : {uint32_t{1}, uint32_t{UINT32_MAX}}) {
+    std::string payload = QueryResultPrefix();
+    dist::AppendU32(&payload, stalled);
+    if (stalled == 1) dist::AppendU32(&payload, 0);  // The stalled shard.
+    dist::AppendU64(&payload, 0);                    // num_rows.
+    CannedTransport canned(dist::EncodeFrame(
+        static_cast<uint8_t>(NetFrameKind::kQueryResult), 0, payload));
+    NetClient client(&canned);
+    const Status refused =
+        client.Query("SELECT Top 1 SUM(s), key FROM t GROUP BY key").status();
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.message().find("stalled-shard count " +
+                                     std::to_string(stalled)),
+              std::string::npos)
+        << refused.ToString();
+  }
 }
 
 TEST(NetCraftedFrameTest, QueryResultWithHugeRowCountIsRefused) {
@@ -529,16 +489,43 @@ TEST(NetCraftedFrameTest, QueryResultWithHugeRowCountIsRefused) {
 }
 
 TEST(NetCraftedFrameTest, SnapshotWithHugeStalledCountIsRefused) {
-  std::string payload;
-  for (int field = 0; field < 5; ++field) dist::AppendU64(&payload, 1);
-  dist::AppendU32(&payload, UINT32_MAX);  // num_stalled, no shards follow.
-  ASSERT_TRUE(dist::AppendLengthPrefixed(
-                  &payload, dist::EncodeMeasurement({1.0}).MoveValue())
-                  .ok());
-  const std::string frame = dist::EncodeFrame(
-      static_cast<uint8_t>(NetFrameKind::kSnapshot), 1, payload);
-  EXPECT_EQ(DecodeSnapshotResponse(frame).status().code(),
-            StatusCode::kInvalidArgument);
+  for (const uint32_t stalled : {uint32_t{1}, uint32_t{UINT32_MAX}}) {
+    std::string payload;
+    for (int field = 0; field < 5; ++field) dist::AppendU64(&payload, 1);
+    dist::AppendU32(&payload, stalled);
+    if (stalled == 1) dist::AppendU32(&payload, 0);  // The stalled shard.
+    ASSERT_TRUE(dist::AppendLengthPrefixed(
+                    &payload, dist::EncodeMeasurement({1.0}).MoveValue())
+                    .ok());
+    dist::AppendU32(&payload, cs::kPhi0Format);
+    const std::string frame = dist::EncodeFrame(
+        static_cast<uint8_t>(NetFrameKind::kSnapshot), 1, payload);
+    const Status refused = DecodeSnapshotResponse(frame).status();
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.message().find("stalled-shard count " +
+                                     std::to_string(stalled)),
+              std::string::npos)
+        << refused.ToString();
+  }
+}
+
+// The advance a kAdvance frame asks for is bounded by the window, not by
+// the tick: a far-future tick is acked with the epoch it reached.
+TEST(NetEndToEndTest, FarFutureAdvanceIsAcked) {
+  Rig rig;
+  ASSERT_TRUE(rig.client.AdvanceTo("t", 0).ok());
+  const uint64_t tick = uint64_t{1} << 62;
+  EXPECT_EQ(rig.client.AdvanceTo("t", tick).MoveValue(), tick);
+  EXPECT_EQ(rig.client.FetchSnapshot("t").MoveValue().last_epoch, tick - 1);
+  // The last tick is refused by name, moves nothing, and the server keeps
+  // serving.
+  const Status refused =
+      rig.client.AdvanceTo("t", std::numeric_limits<uint64_t>::max()).status();
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.ToString().find("no number"), std::string::npos)
+      << refused.ToString();
+  EXPECT_EQ(rig.client.FetchSnapshot("t").MoveValue().last_epoch, tick - 1);
+  EXPECT_EQ(rig.client.AdvanceTo("t", tick + 1).MoveValue(), tick + 1);
 }
 
 // A kSnapshot frame names the Φ0 format its `y` was measured with, in a

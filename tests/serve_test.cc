@@ -4,7 +4,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -81,11 +84,8 @@ std::vector<Batch> SeededBatches(size_t num_batches, size_t n,
 /// The reference ingestion of one batch: partitioned into per-shard slices
 /// by ShardOfKey and ingested shard-by-shard in shard order — including
 /// empty shards — exactly as documented in the determinism contract.
-/// Shards in `stalled` are withheld and appended to `withheld` instead.
 void ReferenceIngest(core::WindowedOutlierDetector* detector,
-                     const Batch& batch, size_t num_shards,
-                     const std::vector<bool>* stalled = nullptr,
-                     std::vector<cs::SparseSlice>* withheld = nullptr) {
+                     const Batch& batch, size_t num_shards) {
   std::vector<cs::SparseSlice> slices(num_shards);
   for (size_t i = 0; i < batch.keys.size(); ++i) {
     const uint32_t shard =
@@ -93,14 +93,8 @@ void ReferenceIngest(core::WindowedOutlierDetector* detector,
     slices[shard].indices.push_back(batch.keys[i]);
     slices[shard].values.push_back(batch.deltas[i]);
   }
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (stalled != nullptr && (*stalled)[s]) {
-      if (slices[s].nnz() > 0 && withheld != nullptr) {
-        withheld->push_back(std::move(slices[s]));
-      }
-      continue;
-    }
-    ASSERT_TRUE(detector->Ingest(slices[s]).ok());
+  for (const cs::SparseSlice& slice : slices) {
+    ASSERT_TRUE(detector->Ingest(slice).ok());
   }
 }
 
@@ -172,7 +166,6 @@ TEST(StreamingDetectorTest, SnapshotWindowSlidesAndCountsEvents) {
   EXPECT_EQ(snapshot->last_epoch, 2u);
   EXPECT_EQ(snapshot->epochs_covered, 2u);
   EXPECT_EQ(snapshot->events, 2u);  // Epoch 0's three events slid out.
-  EXPECT_TRUE(snapshot->stalled_shards.empty());
 }
 
 // The tentpole contract: the published window measurement and the
@@ -260,69 +253,6 @@ TEST(StreamingDetectorTest, BitIdenticalToWindowedReferenceAcrossLimits) {
   }
 }
 
-TEST(StreamingDetectorTest, StalledShardDefersThenReplays) {
-  constexpr size_t kShards = 4;
-  const auto batches = SeededBatches(4, 400, /*seed=*/11);
-
-  auto streaming =
-      StreamingDetector::Create(SmallOptions(/*window=*/3, kShards))
-          .MoveValue();
-  core::WindowedDetectorOptions wopts;
-  wopts.n = 400;
-  wopts.m = 150;
-  wopts.seed = 5;
-  wopts.iterations = 12;
-  wopts.window_epochs = 4;  // W + 1.
-  auto reference = core::WindowedOutlierDetector::Create(wopts).MoveValue();
-
-  streaming->AdvanceEpoch();
-  reference->AdvanceEpoch();
-
-  // Stall shard 2; ingest with its share withheld on both sides.
-  ASSERT_TRUE(streaming->SetShardStalled(2, true).ok());
-  std::vector<bool> stalled = {false, false, true, false};
-  std::vector<cs::SparseSlice> withheld;
-  for (const Batch& batch : batches) {
-    ASSERT_TRUE(streaming->IngestBatch(batch.keys, batch.deltas).ok());
-    ReferenceIngest(reference.get(), batch, kShards, &stalled, &withheld);
-  }
-  EXPECT_GT(streaming->backlog_events(), 0u);
-
-  streaming->AdvanceEpoch();
-  reference->AdvanceEpoch();
-  auto degraded = streaming->Snapshot();
-  ASSERT_NE(degraded, nullptr);
-  ASSERT_EQ(degraded->stalled_shards.size(), 1u);
-  EXPECT_EQ(degraded->stalled_shards[0], 2u);
-  // Degraded snapshot == reference without the stalled shard's slices.
-  EXPECT_EQ(degraded->y, reference->ClosedWindowMeasurement().MoveValue());
-
-  // Unstall: the backlog replays into the current epoch, in arrival
-  // order; the reference ingests the withheld slices at the same point.
-  ASSERT_TRUE(streaming->SetShardStalled(2, false).ok());
-  EXPECT_EQ(streaming->backlog_events(), 0u);
-  for (const cs::SparseSlice& slice : withheld) {
-    ASSERT_TRUE(reference->Ingest(slice).ok());
-  }
-  streaming->AdvanceEpoch();
-  reference->AdvanceEpoch();
-  auto healed = streaming->Snapshot();
-  ASSERT_NE(healed, nullptr);
-  EXPECT_TRUE(healed->stalled_shards.empty());
-  EXPECT_EQ(healed->y, reference->ClosedWindowMeasurement().MoveValue());
-}
-
-TEST(StreamingDetectorTest, SetShardStalledValidatesAndIsIdempotent) {
-  auto detector =
-      StreamingDetector::Create(SmallOptions(/*window=*/2, /*shards=*/2))
-          .MoveValue();
-  EXPECT_FALSE(detector->SetShardStalled(2, true).ok());
-  EXPECT_TRUE(detector->SetShardStalled(1, true).ok());
-  EXPECT_TRUE(detector->SetShardStalled(1, true).ok());   // No-op.
-  EXPECT_TRUE(detector->SetShardStalled(1, false).ok());
-  EXPECT_TRUE(detector->SetShardStalled(1, false).ok());  // No-op.
-}
-
 TEST(StreamingDetectorTest, AdvanceToDrivesEpochsFromTicks) {
   // One tick is one epoch: AdvanceTo(t) closes every epoch below t.
   auto detector =
@@ -338,6 +268,116 @@ TEST(StreamingDetectorTest, AdvanceToDrivesEpochsFromTicks) {
   EXPECT_EQ(detector->snapshot_version(), 3u);  // Published per close.
   EXPECT_FALSE(detector->AdvanceTo(2).ok());    // Clock went backwards.
   EXPECT_EQ(detector->current_epoch(), 3u);
+}
+
+// A far-future tick costs at most W + 2 publications, not one per epoch:
+// after W + 1 closes the ring is all zero, so the detector lands on the
+// tick directly and publishes one empty window.
+TEST(StreamingDetectorTest, FarFutureTickPublishesOnceOverAnEmptyRing) {
+  constexpr size_t kWindow = 3;
+  constexpr uint64_t kTick = 1'000'000'000'000;
+  obs::Telemetry telemetry;
+  auto options = SmallOptions(kWindow);
+  options.telemetry = &telemetry;
+  auto detector = StreamingDetector::Create(options).MoveValue();
+  ASSERT_EQ(detector->AdvanceTo(0).MoveValue(), 0u);
+  const Batch batch = SeededBatches(1, 400, /*seed=*/3)[0];
+  ASSERT_TRUE(detector->IngestBatch(batch.keys, batch.deltas).ok());
+  const uint64_t before = detector->snapshot_version();
+
+  ASSERT_EQ(detector->AdvanceTo(kTick).MoveValue(), kTick);
+  EXPECT_EQ(detector->current_epoch(), kTick);
+  auto snapshot = detector->Snapshot();
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_GT(snapshot->version, before);
+  EXPECT_EQ(snapshot->version, detector->snapshot_version());
+  EXPECT_EQ(snapshot->first_epoch, kTick - kWindow);
+  EXPECT_EQ(snapshot->last_epoch, kTick - 1);
+  EXPECT_EQ(snapshot->epochs_covered, kWindow);
+  EXPECT_EQ(snapshot->events, 0u);
+  ASSERT_EQ(snapshot->y.size(), options.m);
+  for (double v : snapshot->y) {
+    EXPECT_EQ(v, 0.0);
+    EXPECT_FALSE(std::signbit(v));  // +0.0, not -0.0.
+  }
+  EXPECT_LE(telemetry.span("serve.snapshot.publish").count, kWindow + 2);
+
+  // The detector keeps running from the new tick.
+  ASSERT_TRUE(detector->IngestBatch(batch.keys, batch.deltas).ok());
+  EXPECT_EQ(detector->AdvanceTo(kTick + 1).MoveValue(), kTick + 1);
+  EXPECT_EQ(detector->Snapshot()->events, batch.keys.size());
+  EXPECT_EQ(detector->Snapshot()->version, snapshot->version + 1);
+}
+
+// The epoch after UINT64_MAX has no number: that tick is refused before
+// anything moves, so the clock tops out at UINT64_MAX - 1 and a checkpoint
+// taken there still restores.
+TEST(StreamingDetectorTest, LastTickIsRefusedAndTopEpochRestores) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const auto options = SmallOptions(3);
+  auto detector = StreamingDetector::Create(options).MoveValue();
+  EXPECT_EQ(detector->AdvanceTo(kMax).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(detector->started());
+
+  ASSERT_EQ(detector->AdvanceTo(kMax - 1).MoveValue(), kMax - 1);
+  const uint64_t version = detector->snapshot_version();
+  const Status refused = detector->AdvanceTo(kMax).status();
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.ToString().find("no number"), std::string::npos)
+      << refused.ToString();
+  EXPECT_EQ(detector->current_epoch(), kMax - 1);
+  EXPECT_EQ(detector->snapshot_version(), version);
+
+  auto restored =
+      StreamingDetector::Restore(options, detector->CheckpointState());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.Value()->current_epoch(), kMax - 1);
+  EXPECT_EQ(restored.Value()->Snapshot()->last_epoch, kMax - 2);
+}
+
+// A jump past the ring lands exactly where a close per epoch would.
+TEST(StreamingDetectorTest, JumpMatchesEpochByEpochReference) {
+  constexpr size_t kWindow = 3;
+  constexpr size_t kShards = 4;
+  const auto batches = SeededBatches(6, 400, /*seed=*/17);
+  auto streaming =
+      StreamingDetector::Create(SmallOptions(kWindow, kShards)).MoveValue();
+  core::WindowedDetectorOptions wopts;
+  wopts.n = 400;
+  wopts.m = 150;
+  wopts.seed = 5;
+  wopts.iterations = 12;
+  wopts.window_epochs = kWindow + 1;
+  auto reference = core::WindowedOutlierDetector::Create(wopts).MoveValue();
+
+  ASSERT_EQ(streaming->AdvanceTo(0).MoveValue(), 0u);
+  reference->AdvanceEpoch();
+  for (size_t b = 0; b < batches.size(); ++b) {
+    if (b == 3) {
+      ASSERT_EQ(streaming->AdvanceTo(1).MoveValue(), 1u);
+      reference->AdvanceEpoch();
+    }
+    ASSERT_TRUE(
+        streaming->IngestBatch(batches[b].keys, batches[b].deltas).ok());
+    ReferenceIngest(reference.get(), batches[b], kShards);
+  }
+  const uint64_t tick = 1 + 3 * (kWindow + 1);
+  ASSERT_EQ(streaming->AdvanceTo(tick).MoveValue(), tick);
+  while (reference->current_epoch() < tick) reference->AdvanceEpoch();
+
+  auto snapshot = streaming->Snapshot();
+  ASSERT_NE(snapshot, nullptr);
+  const std::vector<double> want =
+      reference->ClosedWindowMeasurement().MoveValue();
+  ASSERT_EQ(snapshot->y.size(), want.size());
+  EXPECT_EQ(std::memcmp(snapshot->y.data(), want.data(),
+                        want.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(snapshot->first_epoch, tick - kWindow);
+  EXPECT_EQ(snapshot->last_epoch, tick - 1);
+  EXPECT_EQ(snapshot->epochs_covered, kWindow);
+  EXPECT_EQ(snapshot->events, 0u);
 }
 
 TEST(StreamingDetectorTest, ShardOfKeyIsMixedAndInRange) {

@@ -548,19 +548,16 @@ Result<std::string> DriveServeNet(
   const serve::NetClient::Stats& cs = client.stats();
   std::snprintf(line, sizeof(line),
                 "client: %llu frames sent (%llu B out, %llu B in), "
-                "%llu retries, %llu pushbacks\n",
+                "%llu retries\n",
                 static_cast<unsigned long long>(cs.frames_sent),
                 static_cast<unsigned long long>(cs.bytes_sent),
                 static_cast<unsigned long long>(cs.bytes_received),
-                static_cast<unsigned long long>(cs.retries),
-                static_cast<unsigned long long>(cs.pushbacks));
+                static_cast<unsigned long long>(cs.retries));
   out << line;
   std::snprintf(line, sizeof(line),
-                "server: %llu frames handled, %llu rejected, "
-                "%llu pushbacks\n",
+                "server: %llu frames handled, %llu rejected\n",
                 static_cast<unsigned long long>(server->frames_handled()),
-                static_cast<unsigned long long>(server->frames_rejected()),
-                static_cast<unsigned long long>(server->pushbacks()));
+                static_cast<unsigned long long>(server->frames_rejected()));
   out << line;
   std::snprintf(line, sizeof(line),
                 "checkpoint: %zu B frame, restore republishes v%llu "
@@ -598,9 +595,7 @@ Result<std::string> RunServeNet(const EventFile& events,
 
   serve::StreamingService service(options.telemetry);
   CSOD_RETURN_NOT_OK(service.AddTenant("stream", stream));
-  serve::NetServerOptions net;
-  net.max_tenant_backlog_bytes = options.max_backlog_bytes;
-  serve::NetServer server(&service, net);
+  serve::NetServer server(&service);
 
   std::unique_ptr<serve::FrameTransport> transport;
   std::thread server_thread;

@@ -119,8 +119,6 @@ struct ServeNetOptions : ServeOptions {
   /// `--transport=socket` serves frames over a socketpair with a server
   /// thread; the default loopback calls the server in-process.
   bool socket = false;
-  /// Per-tenant admission bound on deferred-backlog bytes (serve/net.h).
-  size_t max_backlog_bytes = 64u << 20;
 };
 
 /// Replays the event file through StreamingService behind a NetServer:

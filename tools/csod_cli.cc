@@ -54,8 +54,7 @@ constexpr Subcommand kSubcommands[] = {
      "window outlier query"},
     {"serve-net",
      "--in=FILE [--transport={loopback|socket} --epochs= --window= --shards= "
-     "--batch= --m= --k= --seed= --iterations= --n= --backlog-bytes= "
-     "--telemetry-json=FILE]",
+     "--batch= --m= --k= --seed= --iterations= --n= --telemetry-json=FILE]",
      "replay the event file through the wire-facing deployment surface "
      "(framed ingest/query, checkpoint restore, follower replication)"},
     {"stream-demo",
@@ -337,8 +336,6 @@ int main(int argc, char** argv) {
     if (command == "serve") {
       report = tools::RunServe(events.Value(), options);
     } else {
-      options.max_backlog_bytes = static_cast<size_t>(
-          flags.GetInt("backlog-bytes", 64 << 20));
       const std::string transport = flags.GetString("transport", "loopback");
       if (transport != "loopback" && transport != "socket") {
         return Fail(Status::InvalidArgument(
