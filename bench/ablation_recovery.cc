@@ -2,25 +2,21 @@
 //
 // The paper argues (Section 2.2) that OMP is the right recovery for the
 // outlier problem — simple, fast, and "greedy on the significant
-// components". This harness quantifies that choice on biased-sparse data,
-// comparing three recoveries at equal measurement budgets:
+// components". This harness measures that choice on biased-sparse data,
+// comparing two recoveries at equal measurement budgets (Fig. 4(a)'s pair):
 //   BOMP           (the paper's algorithm)
 //   OMP+known-mode (oracle mode)
-//   Biased BP      (convex L1 via FISTA, bias unpenalized)
 //
 // Flags: --n --s --trials --m-list
 
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/flags.h"
 #include "common/stopwatch.h"
-#include "cs/basis_pursuit.h"
 #include "cs/bomp.h"
 #include "cs/measurement_matrix.h"
-#include "la/vector_ops.h"
 #include "outlier/metrics.h"
 #include "outlier/outlier.h"
 #include "workload/generators.h"
@@ -52,11 +48,11 @@ int main(int argc, char** argv) {
   std::printf("N = %zu, s = %zu, k = %zu, trials = %zu, mode b = 5000\n\n", n,
               s, k, trials);
 
-  MethodStats bomp_stats, omp_stats, bp_stats;
+  MethodStats bomp_stats, omp_stats;
   for (int64_t m64 : m_list) {
     const size_t m = static_cast<size_t>(m64);
-    double ek[3] = {0, 0, 0};
-    double ms[3] = {0, 0, 0};
+    double ek[2] = {0, 0};
+    double ms[2] = {0, 0};
     for (size_t t = 0; t < trials; ++t) {
       workload::MajorityDominatedOptions gen;
       gen.n = n;
@@ -87,37 +83,22 @@ int main(int argc, char** argv) {
       ms[1] += watch.ElapsedMillis();
       ek[1] +=
           outlier::ErrorOnKey(truth, outlier::KOutliersFromRecovery(omp, k));
-
-      // Biased Basis Pursuit.
-      cs::BasisPursuitOptions bp_options;
-      bp_options.max_iterations = 1500;
-      bp_options.lambda = 2.0;
-      watch.Restart();
-      auto bp = cs::RunBiasedBasisPursuit(matrix, y, bp_options).MoveValue();
-      ms[2] += watch.ElapsedMillis();
-      ek[2] +=
-          outlier::ErrorOnKey(truth, outlier::KOutliersFromRecovery(bp, k));
     }
     bomp_stats.ek.push_back(ek[0] / trials);
     bomp_stats.millis.push_back(ms[0] / trials);
     omp_stats.ek.push_back(ek[1] / trials);
     omp_stats.millis.push_back(ms[1] / trials);
-    bp_stats.ek.push_back(ek[2] / trials);
-    bp_stats.millis.push_back(ms[2] / trials);
   }
 
   bench::PrintHeader("M =", m_list);
   bench::PrintPercentRow("EK BOMP", bomp_stats.ek);
   bench::PrintPercentRow("EK OMP+known-mode", omp_stats.ek);
-  bench::PrintPercentRow("EK Biased BP", bp_stats.ek);
   std::printf("\n");
   bench::PrintDoubleRow("ms BOMP", bomp_stats.millis);
   bench::PrintDoubleRow("ms OMP+known-mode", omp_stats.millis);
-  bench::PrintDoubleRow("ms Biased BP", bp_stats.millis);
 
   std::printf(
       "\nExpected: BOMP matches the oracle's accuracy without knowing the "
-      "mode, at about the oracle's cost; BP needs many more iterations for "
-      "comparable accuracy (the Section 2.2 argument for OMP).\n");
+      "mode, at about the oracle's cost.\n");
   return 0;
 }

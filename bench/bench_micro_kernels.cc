@@ -16,7 +16,6 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "cs/basis_pursuit.h"
 #include "cs/bomp.h"
 #include "cs/compressor.h"
 #include "cs/measurement_matrix.h"
@@ -362,25 +361,6 @@ void BM_CountSketchUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CountSketchUpdate);
-
-void BM_BiasedBasisPursuit(benchmark::State& state) {
-  const size_t n = 512;
-  workload::MajorityDominatedOptions gen;
-  gen.n = n;
-  gen.sparsity = 10;
-  gen.seed = 3;
-  auto x = workload::GenerateMajorityDominated(gen).MoveValue();
-  cs::MeasurementMatrix matrix(128, n, 9);
-  auto y = matrix.Multiply(x).MoveValue();
-  cs::BasisPursuitOptions options;
-  options.max_iterations = 100;
-  options.lambda = 2.0;
-  for (auto _ : state) {
-    auto result = cs::RunBiasedBasisPursuit(matrix, y, options);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_BiasedBasisPursuit);
 
 // The envelope checksum over one ingest frame of the ledger's serve
 // geometry (2,048 updates: 24,627 checksummed bytes).

@@ -19,7 +19,6 @@
 
 #include "core/detector.h"
 #include "core/windowed_detector.h"
-#include "cs/basis_pursuit.h"
 #include "cs/bomp.h"
 #include "cs/compressor.h"
 #include "cs/measurement_matrix.h"

@@ -55,8 +55,7 @@ struct BompResult {
   std::vector<double> mode_trace;
 
   /// Inner OMP diagnostics. `iterations` counts selected atoms; `passes`
-  /// counts the correlate sweeps over Φ0 that selected them (OmpResult;
-  /// 0 from RunBiasedBasisPursuit, which does not run the OMP loop).
+  /// counts the correlate sweeps over Φ0 that selected them (OmpResult).
   size_t iterations = 0;
   size_t passes = 0;
   bool stopped_by_stagnation = false;

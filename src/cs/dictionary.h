@@ -14,10 +14,10 @@ namespace csod::cs {
 /// selection loop (Algorithm 2 in the paper).
 ///
 /// OMP only needs two operations on the dictionary: fetch one atom
-/// (column) and correlate the current residual against all atoms. Both the
-/// plain measurement matrix (standard OMP) and the bias-extended matrix
-/// `Φ = [φ0, Φ0]` used by BOMP implement this interface, so a single OMP
-/// implementation serves both algorithms.
+/// (column) and find the atoms that correlate most with the current
+/// residual. Both the plain measurement matrix (standard OMP) and the
+/// bias-extended matrix `Φ = [φ0, Φ0]` used by BOMP implement this
+/// interface, so a single OMP implementation serves both algorithms.
 class Dictionary {
  public:
   virtual ~Dictionary() = default;
@@ -30,41 +30,21 @@ class Dictionary {
   /// Writes atom `j` (length atom_length()) into `out`.
   virtual void FillAtom(size_t j, double* out) const = 0;
 
-  /// c_j = <atom_j, r> for all atoms. r.size() must equal atom_length().
-  virtual Result<std::vector<double>> Correlate(
-      const std::vector<double>& r) const = 0;
-
   /// Fused correlate+top-`count` (OMP statement 4, generalized): the
   /// `count` atoms of largest |<atom_j, r>| over all j with
   /// !selected_mask[j], ordered by |correlation| descending with ties
   /// toward the lowest j; fewer when fewer atoms are unmasked.
-  /// selected_mask.size() must equal num_atoms().
-  ///
-  /// The default implementation correlates all atoms and scans (any
-  /// Dictionary stays correct); MatrixDictionary and ExtendedDictionary
-  /// override it with the measurement matrix's fused kernel, which never
-  /// materializes, copies, or rescans the N-vector of correlations.
+  /// selected_mask.size() must equal num_atoms(). MatrixDictionary and
+  /// ExtendedDictionary run the measurement matrix's fused kernel, which
+  /// never materializes, copies, or rescans the N-vector of correlations.
   virtual Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
       const std::vector<double>& r, const std::vector<bool>& selected_mask,
-      size_t count) const;
+      size_t count) const = 0;
 
   /// True for an atom that OMP appends alone when a pass ranks it first:
   /// BOMP's bias atom, whose column is the sum of all others, so the pass's
   /// runner-up correlation says little once it is in (DESIGN.md §5).
   virtual bool IsBiasAtom(size_t /*j*/) const { return false; }
-
-  /// y = Σ_j z_j * atom_j for a dense coefficient vector z of size
-  /// num_atoms() (the forward operator, needed by gradient-based
-  /// recoveries like FISTA).
-  virtual Result<std::vector<double>> MultiplyDense(
-      const std::vector<double>& z) const = 0;
-
-  /// Atom `j` as a vector.
-  std::vector<double> Atom(size_t j) const {
-    std::vector<double> out(atom_length());
-    FillAtom(j, out.data());
-    return out;
-  }
 };
 
 /// \brief Dictionary view over a plain measurement matrix (standard OMP).
@@ -79,18 +59,10 @@ class MatrixDictionary final : public Dictionary {
   void FillAtom(size_t j, double* out) const override {
     matrix_->FillColumn(j, out);
   }
-  Result<std::vector<double>> Correlate(
-      const std::vector<double>& r) const override {
-    return matrix_->CorrelateAll(r);
-  }
   Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
       const std::vector<double>& r, const std::vector<bool>& selected_mask,
       size_t count) const override {
     return matrix_->CorrelateTop(r, count, &selected_mask);
-  }
-  Result<std::vector<double>> MultiplyDense(
-      const std::vector<double>& z) const override {
-    return matrix_->Multiply(z);
   }
 
  private:
@@ -113,14 +85,10 @@ class ExtendedDictionary final : public Dictionary {
   size_t atom_length() const override { return matrix_->m(); }
 
   void FillAtom(size_t j, double* out) const override;
-  Result<std::vector<double>> Correlate(
-      const std::vector<double>& r) const override;
   Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
       const std::vector<double>& r, const std::vector<bool>& selected_mask,
       size_t count) const override;
   bool IsBiasAtom(size_t j) const override { return j == 0; }
-  Result<std::vector<double>> MultiplyDense(
-      const std::vector<double>& z) const override;
 
   /// The materialized bias column φ0.
   const std::vector<double>& bias_column() const { return bias_column_; }

@@ -493,13 +493,15 @@ Status MeasurementMatrix::MultiplySparseBatch(
   return Status::OK();
 }
 
-Status MeasurementMatrix::CorrelateAllInto(const std::vector<double>& r,
-                                           double* out) const {
+Result<std::vector<double>> MeasurementMatrix::CorrelateAll(
+    const std::vector<double>& r) const {
   if (r.size() != m_) {
-    return Status::InvalidArgument("CorrelateAllInto: r size " +
+    return Status::InvalidArgument("CorrelateAll: r size " +
                                    std::to_string(r.size()) + " != M " +
                                    std::to_string(m_));
   }
+  std::vector<double> c(n_, 0.0);
+  double* out = c.data();
   const std::vector<double> scaled = ScaledResidual(r);
   const double* rp = scaled.data();
   ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
@@ -515,13 +517,6 @@ Status MeasurementMatrix::CorrelateAllInto(const std::vector<double>& r,
       out[j] = simd::Dot(UnscaledColumn(j, &scratch, 0), rp, m_);
     }
   });
-  return Status::OK();
-}
-
-Result<std::vector<double>> MeasurementMatrix::CorrelateAll(
-    const std::vector<double>& r) const {
-  std::vector<double> c(n_, 0.0);
-  CSOD_RETURN_NOT_OK(CorrelateAllInto(r, c.data()));
   return c;
 }
 

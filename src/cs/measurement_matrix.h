@@ -173,12 +173,9 @@ class MeasurementMatrix {
       std::vector<double>* sum_out, std::vector<double>* per_slice_out = nullptr,
       size_t scratch_budget_bytes = kDefaultBatchScratchBytes) const;
 
-  /// c = Φ0^T * r (size N), the OMP correlation kernel.
+  /// c = Φ0^T * r (size N): the exhaustive correlation kernel that
+  /// CorrelateTop's screened answer is checked against.
   Result<std::vector<double>> CorrelateAll(const std::vector<double>& r) const;
-
-  /// Writes Φ0^T * r into out[0..N) without allocating; the zero-copy form
-  /// ExtendedDictionary uses to fill out[1..N] directly.
-  Status CorrelateAllInto(const std::vector<double>& r, double* out) const;
 
   /// Fused correlate+top-`count` (OMP statement 4, generalized to select
   /// several atoms per pass): the `count` columns of largest |<φ_j, r>| over

@@ -28,6 +28,14 @@ Result<OmpResult> RunOmp(const Dictionary& dictionary,
                                    std::to_string(y.size()) + " != M " +
                                    std::to_string(m));
   }
+  // A sketch of finite values can still overflow to ±inf; such a y has no
+  // sparse answer, and the sweeps would rank NaN correlations as nothing.
+  for (size_t i = 0; i < m; ++i) {
+    if (!std::isfinite(y[i])) {
+      return Status::InvalidArgument("RunOmp: y[" + std::to_string(i) +
+                                     "] is not finite");
+    }
+  }
   if (options.max_iterations == 0) {
     return Status::InvalidArgument("RunOmp: max_iterations must be > 0");
   }

@@ -91,7 +91,8 @@ struct OmpResult {
 /// rules (residual tolerance, stagnation, dependent atom) and the
 /// iteration callback see every atom as its own iteration. Runs standard
 /// OMP when given a MatrixDictionary and the BOMP inner loop when given an
-/// ExtendedDictionary.
+/// ExtendedDictionary. A `y` with a NaN or infinite entry is refused with
+/// InvalidArgument naming the row, before any sweep.
 Result<OmpResult> RunOmp(const Dictionary& dictionary,
                          const std::vector<double>& y,
                          const OmpOptions& options);

@@ -61,7 +61,7 @@ std::unordered_map<uint64_t, double> CombineSplit(
   return sums;
 }
 
-// Map function shared by the traditional jobs: ship one 96-bit
+// Map function of the traditional job: ship one 96-bit
 // (keyid, score) tuple per raw event; partial aggregation is the engine's
 // combine_fn (below), so the stats carry pre- vs post-combine volume.
 void TraditionalMap(const std::vector<ScoreEvent>& split,
@@ -81,10 +81,10 @@ double SumCombiner(const uint64_t&, Span<double> values) {
 
 Result<TopKJobResult> RunTraditionalTopKJob(
     const std::vector<std::vector<ScoreEvent>>& splits, size_t k,
-    bool combine, obs::Telemetry* telemetry) {
+    obs::Telemetry* telemetry) {
   Job<ScoreEvent, uint64_t, double, outlier::Outlier> job;
   job.map_fn = TraditionalMap;
-  if (combine) job.combine_fn = SumCombiner;
+  job.combine_fn = SumCombiner;
   job.tuple_bytes = dist::kKeyValueBytes;
   job.telemetry = telemetry;
   job.reduce_fn = [k](ReduceGroups<uint64_t, double>& groups,
@@ -106,36 +106,6 @@ Result<TopKJobResult> RunTraditionalTopKJob(
   CSOD_ASSIGN_OR_RETURN(auto run, RunJob(splits, job));
   TopKJobResult result;
   result.top = std::move(run.output);
-  result.stats = run.stats;
-  return result;
-}
-
-Result<OutlierJobResult> RunTraditionalOutlierJob(
-    const std::vector<std::vector<ScoreEvent>>& splits, size_t n, size_t k,
-    obs::Telemetry* telemetry) {
-  Job<ScoreEvent, uint64_t, double, outlier::Outlier> job;
-  job.map_fn = TraditionalMap;
-  job.combine_fn = SumCombiner;
-  job.tuple_bytes = dist::kKeyValueBytes;
-  job.telemetry = telemetry;
-  double mode = 0.0;
-  job.reduce_fn = [n, k, &mode](ReduceGroups<uint64_t, double>& groups,
-                                std::vector<outlier::Outlier>* out) {
-    std::vector<double> x(n, 0.0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const uint64_t key = groups.key(g);
-      if (key >= n) continue;
-      for (double v : groups.values(g)) x[key] += v;
-    }
-    outlier::OutlierSet set = outlier::ExactKOutliers(x, k);
-    mode = set.mode;
-    for (auto& o : set.outliers) out->push_back(o);
-  };
-
-  CSOD_ASSIGN_OR_RETURN(auto run, RunJob(splits, job));
-  OutlierJobResult result;
-  result.outliers.outliers = std::move(run.output);
-  result.outliers.mode = mode;
   result.stats = run.stats;
   return result;
 }

@@ -37,29 +37,12 @@ struct TopKJobResult {
 /// \brief Baseline job of Section 6.2: mappers partially aggregate (via
 /// the engine's `combine_fn` hook) and ship every (key, partial sum) pair
 /// (96-bit tuples); one reducer merges, sorts, and outputs the top-k.
-/// Shuffle volume grows with the number of distinct keys.
-///
-/// `combine = false` disables the in-mapper partial aggregation (every raw
-/// event is shuffled) — the ablation showing why the paper's mappers
-/// "locally (and partially) aggregate the scores" before transmitting.
-/// With `combine = true` the stats carry both pre- and post-combine
-/// shuffle volume (JobStats::pre_combine_shuffle_*). `telemetry` receives
-/// the engine's `mr.*` spans and counters; null is free.
+/// Shuffle volume grows with the number of distinct keys. The stats carry
+/// both pre- and post-combine shuffle volume
+/// (JobStats::pre_combine_shuffle_*). `telemetry` receives the engine's
+/// `mr.*` spans and counters; null is free.
 Result<TopKJobResult> RunTraditionalTopKJob(
     const std::vector<std::vector<ScoreEvent>>& splits, size_t k,
-    bool combine = true, obs::Telemetry* telemetry = nullptr);
-
-/// Result of the traditional exact-outlier job.
-struct OutlierJobResult {
-  outlier::OutlierSet outliers;
-  JobStats stats;
-};
-
-/// Exact k-outlier job with full shuffling: same wire format as the
-/// traditional top-k job, but the reducer computes the mode and the
-/// k-outliers over the dense aggregate (key space size `n`).
-Result<OutlierJobResult> RunTraditionalOutlierJob(
-    const std::vector<std::vector<ScoreEvent>>& splits, size_t n, size_t k,
     obs::Telemetry* telemetry = nullptr);
 
 /// Configuration of the CS-based MapReduce job (Algorithms 3 and 4).

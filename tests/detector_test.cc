@@ -1,6 +1,7 @@
 #include "core/detector.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,6 +65,31 @@ TEST(DetectorTest, DetectsPlantedOutliers) {
   auto truth = outlier::ExactKOutliers(global, k);
   EXPECT_DOUBLE_EQ(outlier::ErrorOnKey(truth, result.Value()), 0.0);
   EXPECT_NEAR(result.Value().mode, 5000.0, 1e-3);
+}
+
+TEST(DetectorTest, NonFiniteSourceMeasurementFailsDetect) {
+  auto detector = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
+  ASSERT_TRUE(detector
+                  ->AddSourceMeasurement(std::vector<double>(
+                      180, std::numeric_limits<double>::quiet_NaN()))
+                  .ok());
+  const auto result = detector->Detect(3);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DetectorTest, OverflowedSketchFailsDetect) {
+  // Finite deltas whose sum overflows entries of y to ±inf.
+  auto detector =
+      DistributedOutlierDetector::Create(SmallOptions(200, 100)).MoveValue();
+  const auto id = detector->AddSource(cs::SparseSlice{}).MoveValue();
+  cs::SparseSlice delta;
+  delta.indices = {5};
+  delta.values = {1e308};
+  for (int i = 0; i < 9; ++i) ASSERT_TRUE(detector->ApplyDelta(id, delta).ok());
+  const auto result = detector->Detect(3);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DetectorTest, DetectRequiresSources) {

@@ -12,50 +12,30 @@
 namespace csod::cs {
 namespace {
 
+std::vector<double> AtomOf(const Dictionary& dict, size_t j) {
+  std::vector<double> out(dict.atom_length());
+  dict.FillAtom(j, out.data());
+  return out;
+}
+
 TEST(MatrixDictionaryTest, MirrorsMatrix) {
   MeasurementMatrix matrix(6, 10, 3);
   MatrixDictionary dict(&matrix);
   EXPECT_EQ(dict.num_atoms(), 10u);
   EXPECT_EQ(dict.atom_length(), 6u);
   for (size_t j = 0; j < 10; ++j) {
-    EXPECT_EQ(dict.Atom(j), matrix.Column(j));
+    EXPECT_EQ(AtomOf(dict, j), matrix.Column(j));
   }
-}
-
-TEST(MatrixDictionaryTest, CorrelateAndMultiplyMatchMatrix) {
-  MeasurementMatrix matrix(6, 10, 3);
-  MatrixDictionary dict(&matrix);
-  Rng rng(7);
-  std::vector<double> r(6);
-  for (double& v : r) v = rng.NextGaussian();
-  EXPECT_EQ(dict.Correlate(r).Value(), matrix.CorrelateAll(r).Value());
-
-  std::vector<double> z(10);
-  for (double& v : z) v = rng.NextGaussian();
-  EXPECT_EQ(dict.MultiplyDense(z).Value(), matrix.Multiply(z).Value());
 }
 
 TEST(ExtendedDictionaryTest, AtomZeroIsBiasColumn) {
   MeasurementMatrix matrix(8, 12, 5);
   ExtendedDictionary dict(&matrix);
   EXPECT_EQ(dict.num_atoms(), 13u);
-  EXPECT_EQ(dict.Atom(0), matrix.BiasColumn());
+  EXPECT_EQ(AtomOf(dict, 0), matrix.BiasColumn());
   for (size_t j = 1; j < 13; ++j) {
-    EXPECT_EQ(dict.Atom(j), matrix.Column(j - 1));
+    EXPECT_EQ(AtomOf(dict, j), matrix.Column(j - 1));
   }
-}
-
-TEST(ExtendedDictionaryTest, CorrelatePrependsBiasCorrelation) {
-  MeasurementMatrix matrix(8, 12, 5);
-  ExtendedDictionary dict(&matrix);
-  Rng rng(9);
-  std::vector<double> r(8);
-  for (double& v : r) v = rng.NextGaussian();
-  auto c = dict.Correlate(r).MoveValue();
-  ASSERT_EQ(c.size(), 13u);
-  EXPECT_NEAR(c[0], la::Dot(matrix.BiasColumn(), r), 1e-12);
-  auto base = matrix.CorrelateAll(r).MoveValue();
-  for (size_t j = 0; j < 12; ++j) EXPECT_EQ(c[j + 1], base[j]);
 }
 
 // The unmasked atoms of `c` by |c_j| descending, ties toward the lowest j
@@ -73,13 +53,14 @@ std::vector<size_t> ScanTop(const std::vector<double>& c,
   return order;
 }
 
-// CorrelateTop at counts 1 and 2 against ScanTop over Correlate, bit for
-// bit, peeling the leading atom each round (the OMP access pattern).
+// CorrelateTop at counts 1 and 2 against ScanTop over `c`, the reference
+// correlations of every atom with `r`, bit for bit, peeling the leading
+// atom each round (the OMP access pattern).
 void ExpectTopMatchesScan(const Dictionary& dict, const std::vector<double>& r,
-                          size_t rounds) {
+                          const std::vector<double>& c, size_t rounds) {
+  ASSERT_EQ(c.size(), dict.num_atoms());
   std::vector<bool> mask(dict.num_atoms(), false);
   for (size_t round = 0; round < rounds; ++round) {
-    const auto c = dict.Correlate(r).MoveValue();
     for (const size_t count : {size_t{1}, size_t{2}}) {
       const auto want = ScanTop(c, mask, count);
       const auto got = dict.CorrelateTop(r, mask, count).MoveValue();
@@ -100,7 +81,7 @@ TEST(MatrixDictionaryTest, CorrelateArgmaxMatchesCorrelateScan) {
   Rng rng(17);
   std::vector<double> r(6);
   for (double& v : r) v = rng.NextGaussian();
-  ExpectTopMatchesScan(dict, r, 5);
+  ExpectTopMatchesScan(dict, r, matrix.CorrelateAll(r).MoveValue(), 5);
 }
 
 TEST(ExtendedDictionaryTest, CorrelateArgmaxMatchesCorrelateScan) {
@@ -109,8 +90,12 @@ TEST(ExtendedDictionaryTest, CorrelateArgmaxMatchesCorrelateScan) {
   Rng rng(23);
   std::vector<double> r(8);
   for (double& v : r) v = rng.NextGaussian();
+  // Atom 0 is the bias column, atom j + 1 is matrix column j.
+  std::vector<double> c = {la::Dot(matrix.BiasColumn(), r)};
+  const std::vector<double> columns = matrix.CorrelateAll(r).MoveValue();
+  c.insert(c.end(), columns.begin(), columns.end());
   // Six rounds exercise the bias atom both unmasked and masked.
-  ExpectTopMatchesScan(dict, r, 6);
+  ExpectTopMatchesScan(dict, r, c, 6);
 }
 
 TEST(ExtendedDictionaryTest, CorrelateArgmaxZeroResidualPicksBias) {
@@ -142,27 +127,6 @@ TEST(ExtendedDictionaryTest, CorrelateArgmaxMaskSizeChecked) {
   EXPECT_FALSE(dict.CorrelateTop(r, std::vector<bool>(12, false), 2).ok());
 }
 
-TEST(ExtendedDictionaryTest, MultiplyDenseMatchesAtomSum) {
-  MeasurementMatrix matrix(8, 12, 5);
-  ExtendedDictionary dict(&matrix);
-  Rng rng(11);
-  std::vector<double> z(13);
-  for (double& v : z) v = rng.NextGaussian();
-
-  auto fast = dict.MultiplyDense(z).MoveValue();
-  std::vector<double> manual(8, 0.0);
-  for (size_t j = 0; j < 13; ++j) {
-    la::Axpy(z[j], dict.Atom(j), &manual);
-  }
-  EXPECT_LT(la::DistanceL2(fast, manual), 1e-10);
-}
-
-TEST(ExtendedDictionaryTest, MultiplyDenseSizeChecked) {
-  MeasurementMatrix matrix(8, 12, 5);
-  ExtendedDictionary dict(&matrix);
-  EXPECT_FALSE(dict.MultiplyDense(std::vector<double>(12, 1.0)).ok());
-}
-
 TEST(ExtendedDictionaryTest, MeasurementIdentity) {
   // Equation 2: Φ0(b·1 + z) == [φ0, Φ0]·[√N b, z].
   const size_t n = 12;
@@ -170,7 +134,6 @@ TEST(ExtendedDictionaryTest, MeasurementIdentity) {
   MeasurementMatrix matrix(8, n, 5);
   ExtendedDictionary dict(&matrix);
 
-  Rng rng(13);
   std::vector<double> z(n, 0.0);
   z[2] = 3.0;
   z[9] = -1.0;
@@ -182,7 +145,11 @@ TEST(ExtendedDictionaryTest, MeasurementIdentity) {
   std::vector<double> extended(n + 1);
   extended[0] = std::sqrt(static_cast<double>(n)) * b;
   for (size_t i = 0; i < n; ++i) extended[i + 1] = z[i];
-  auto y_extended = dict.MultiplyDense(extended).MoveValue();
+  // Σ_j extended_j · atom_j over all N + 1 atoms.
+  std::vector<double> y_extended(8, 0.0);
+  for (size_t j = 0; j < n + 1; ++j) {
+    la::Axpy(extended[j], AtomOf(dict, j), &y_extended);
+  }
 
   EXPECT_LT(la::DistanceL2(y_direct, y_extended), 1e-9);
 }

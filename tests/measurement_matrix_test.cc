@@ -558,10 +558,6 @@ class RecordingDictionary final : public Dictionary {
   void FillAtom(size_t j, double* out) const override {
     inner_.FillAtom(j, out);
   }
-  Result<std::vector<double>> Correlate(
-      const std::vector<double>& r) const override {
-    return inner_.Correlate(r);
-  }
   Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
       const std::vector<double>& r, const std::vector<bool>& selected_mask,
       size_t count) const override {
@@ -569,10 +565,6 @@ class RecordingDictionary final : public Dictionary {
     return inner_.CorrelateTop(r, selected_mask, count);
   }
   bool IsBiasAtom(size_t j) const override { return inner_.IsBiasAtom(j); }
-  Result<std::vector<double>> MultiplyDense(
-      const std::vector<double>& z) const override {
-    return inner_.MultiplyDense(z);
-  }
 
   mutable std::vector<std::pair<std::vector<double>, std::vector<bool>>> calls;
 

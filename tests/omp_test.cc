@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -32,6 +34,28 @@ TEST(OmpTest, RejectsBadInputs) {
   options.max_iterations = 0;
   std::vector<double> y(8, 1.0);
   EXPECT_FALSE(RunOmp(dict, y, options).ok());
+}
+
+TEST(OmpTest, RefusesNonFiniteMeasurement) {
+  MeasurementMatrix matrix(8, 16, 1);
+  const MatrixDictionary plain(&matrix);
+  const ExtendedDictionary extended(&matrix);
+  OmpOptions options;
+  options.max_iterations = 4;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> y(8, 1.0);
+    y[5] = bad;
+    for (const Dictionary* dict :
+         std::vector<const Dictionary*>{&plain, &extended}) {
+      const auto result = RunOmp(*dict, y, options);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find("y[5]"), std::string::npos)
+          << result.status().message();
+    }
+  }
 }
 
 TEST(OmpTest, ZeroMeasurementReturnsEmpty) {
@@ -162,17 +186,17 @@ class ConstantDictionary final : public Dictionary {
   void FillAtom(size_t, double* out) const override {
     for (size_t i = 0; i < atom_.size(); ++i) out[i] = atom_[i];
   }
-  Result<std::vector<double>> Correlate(
-      const std::vector<double>& r) const override {
+  Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
+      const std::vector<double>& r, const std::vector<bool>& selected_mask,
+      size_t count) const override {
     double acc = 0.0;
     for (double v : r) acc += v;
-    return std::vector<double>(num_atoms_, acc);
-  }
-  Result<std::vector<double>> MultiplyDense(
-      const std::vector<double>& z) const override {
-    double total = 0.0;
-    for (double v : z) total += v;
-    return std::vector<double>(atom_.size(), total);
+    std::vector<CorrelateArgmaxResult> top;
+    for (size_t j = 0; j < num_atoms_; ++j) {
+      if (selected_mask[j]) continue;
+      FoldTop(CorrelateArgmaxResult{j, acc, std::fabs(acc)}, count, &top);
+    }
+    return top;
   }
 
  private:
@@ -245,10 +269,6 @@ class PassCountingDictionary final : public Dictionary {
   void FillAtom(size_t j, double* out) const override {
     inner_->FillAtom(j, out);
   }
-  Result<std::vector<double>> Correlate(
-      const std::vector<double>& r) const override {
-    return inner_->Correlate(r);
-  }
   Result<std::vector<CorrelateArgmaxResult>> CorrelateTop(
       const std::vector<double>& r, const std::vector<bool>& selected_mask,
       size_t count) const override {
@@ -257,10 +277,6 @@ class PassCountingDictionary final : public Dictionary {
   }
   bool IsBiasAtom(size_t j) const override {
     return solo_bias_ && inner_->IsBiasAtom(j);
-  }
-  Result<std::vector<double>> MultiplyDense(
-      const std::vector<double>& z) const override {
-    return inner_->MultiplyDense(z);
   }
 
   mutable size_t passes = 0;

@@ -130,6 +130,18 @@ TEST(StreamingDetectorTest, IngestValidatesKeysAndSizes) {
   EXPECT_TRUE(detector->IngestBatch({}, {}).ok());  // Empty batch is fine.
 }
 
+TEST(StreamingDetectorTest, InfiniteDeltaFailsQuery) {
+  auto detector = StreamingDetector::Create(SmallOptions()).MoveValue();
+  detector->AdvanceEpoch();
+  ASSERT_TRUE(detector
+                  ->IngestBatch({3}, {std::numeric_limits<double>::infinity()})
+                  .ok());
+  detector->AdvanceEpoch();
+  const auto result = detector->QueryOutliers(2);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(StreamingDetectorTest, NoSnapshotBeforeFirstClosedEpoch) {
   auto detector = StreamingDetector::Create(SmallOptions()).MoveValue();
   EXPECT_EQ(detector->Snapshot(), nullptr);
