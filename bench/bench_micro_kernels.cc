@@ -259,10 +259,10 @@ void RunCorrelateTop(benchmark::State& state, size_t count) {
 }
 
 void BM_CorrelateArgmax(benchmark::State& state) {
-  // The S = 1 call at paper scale, M=512, N=100k (102.4 MB of half
+  // The S = 1 call at paper scale, M=512, N=100k (51.2 MB of int8
   // entries, inside the default 512 MB budget), at the serve geometry,
-  // M=256, N=50k (25.6 MB), and at the batch-detect geometry, M=600,
-  // N=10.4k (12.5 MB).
+  // M=256, N=50k (12.8 MB), and at the batch-detect geometry, M=600,
+  // N=10.4k (6.2 MB).
   RunCorrelateTop(state, 1);
 }
 BENCHMARK(BM_CorrelateArgmax)

@@ -36,7 +36,6 @@
 
 #include "bench_util.h"
 #include "common/flags.h"
-#include "common/half.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
@@ -50,36 +49,36 @@ using namespace csod;
 // Matches the fixed per-slice reduction geometry of the library kernels.
 constexpr size_t kSeedBlockNnz = 512;
 
-// Column `j` of Φ0 as the matrix stores it: the unscaled half-rounded
-// Gaussian of MeasurementMatrix's entry definition.
-void SeedColumn(const cs::MeasurementMatrix& matrix, size_t j, Half* out) {
+// Column `j` of Φ0 as the matrix stores it: the unscaled int8 entries q of
+// MeasurementMatrix's entry definition.
+void SeedColumn(const cs::MeasurementMatrix& matrix, size_t j, int8_t* out) {
   CounterGaussian(cs::Phi0ColumnSeed(matrix.seed(), j)).Fill(matrix.m(), out);
 }
 
 // Pre-SIMD per-node compression: scalar accumulate over a hoisted column
 // pointer (exactly the pre-SIMD kernel's loop shape), fixed block geometry,
-// then the matrix's one 1/sqrt(M) scale per measurement. `cache` is the
-// bench's own column-major copy of the stored halves (pre-SIMD code read
+// then the matrix's one 1/(16·sqrt(M)) scale per measurement. `cache` is
+// the bench's own column-major copy of the stored int8 (pre-SIMD code read
 // straight out of the member cache); empty when the matrix is implicit.
 std::vector<double> SeedCompressNode(const cs::MeasurementMatrix& matrix,
-                                     const std::vector<Half>& cache,
+                                     const std::vector<int8_t>& cache,
                                      const cs::SparseSlice& slice) {
   const size_t m = matrix.m();
   const size_t nnz = slice.nnz();
-  std::vector<Half> scratch(m);
+  std::vector<int8_t> scratch(m);
   auto accumulate = [&](size_t k_begin, size_t k_end, double* acc) {
     for (size_t k = k_begin; k < k_end; ++k) {
       const double xj = slice.values[k];
       if (xj == 0.0) continue;
       const size_t j = slice.indices[k];
-      const Half* col = scratch.data();
+      const int8_t* col = scratch.data();
       if (cache.empty()) {
         SeedColumn(matrix, j, scratch.data());
       } else {
         col = cache.data() + j * m;
       }
       for (size_t i = 0; i < m; ++i) {
-        acc[i] += double(HalfToFloat(col[i])) * xj;
+        acc[i] += double(col[i]) * xj;
       }
     }
   };
@@ -97,7 +96,8 @@ std::vector<double> SeedCompressNode(const cs::MeasurementMatrix& matrix,
       for (size_t i = 0; i < m; ++i) y[i] += partials[b * m + i];
     }
   }
-  const double scale = 1.0 / std::sqrt(static_cast<double>(m));
+  const double scale =
+      1.0 / std::sqrt(static_cast<double>(m)) / simd::kInt8StepsPerUnit;
   for (size_t i = 0; i < m; ++i) y[i] *= scale;
   return y;
 }
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
 
     // The seed baseline's own dense column-major copy (what the pre-SIMD
     // kernel's member cache held); left empty in implicit mode.
-    std::vector<Half> seed_cache;
+    std::vector<int8_t> seed_cache;
     if (cached) {
       seed_cache.resize(m * n);
       for (size_t j = 0; j < n; ++j) {

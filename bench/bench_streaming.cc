@@ -405,9 +405,6 @@ int main(int argc, char** argv) {
   std::printf("telemetry overhead: median %.2f ms CPU with sink vs %.2f ms "
               "without over %zu interleaved pairs (%.2f%%)\n",
               telemetry_ms, plain_ms, kOverheadRepeats, overhead_pct);
-  double load[3] = {0.0, 0.0, 0.0};
-  if (getloadavg(load, 3) != 3) load[0] = load[1] = load[2] = -1.0;
-
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -450,10 +447,8 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"telemetry\": {\"plain_cpu_ms\": %.3f, "
                "\"telemetry_cpu_ms\": %.3f, \"repeats\": %zu, "
-               "\"overhead_pct\": %.3f},\n",
+               "\"overhead_pct\": %.3f}\n}\n",
                plain_ms, telemetry_ms, kOverheadRepeats, overhead_pct);
-  std::fprintf(out, "  \"load_avg\": [%.2f, %.2f, %.2f]\n}\n", load[0],
-               load[1], load[2]);
   std::fclose(out);
   std::printf("Wrote %s\n", out_path.c_str());
 

@@ -14,6 +14,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -106,13 +107,19 @@ inline double ByCoreTier(double eight_or_more, double two_to_seven,
 }
 
 /// The `"host"` object every BENCH JSON carries: cores, build type (the
-/// CSOD_BENCH_BUILD_TYPE definition from bench/CMakeLists.txt), ISA.
+/// CSOD_BENCH_BUILD_TYPE definition from bench/CMakeLists.txt), ISA, and
+/// the 1/5/15-minute load averages when it is called (-1 where the host
+/// reports none), so a timing can be read against what else ran.
 inline std::string HostJson() {
-  char buf[160];
+  double load[3] = {0.0, 0.0, 0.0};
+  if (getloadavg(load, 3) != 3) load[0] = load[1] = load[2] = -1.0;
+  char buf[224];
   std::snprintf(buf, sizeof(buf),
-                "{\"nproc\": %zu, \"build_type\": \"%s\", \"simd\": \"%s\"}",
+                "{\"nproc\": %zu, \"build_type\": \"%s\", \"simd\": \"%s\", "
+                "\"load_avg\": [%.2f, %.2f, %.2f]}",
                 AvailableCores(), CSOD_BENCH_BUILD_TYPE,
-                simd::LevelName(simd::ActiveLevel()));
+                simd::LevelName(simd::ActiveLevel()), load[0], load[1],
+                load[2]);
   return buf;
 }
 

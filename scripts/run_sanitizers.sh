@@ -6,18 +6,21 @@
 # Usage: scripts/run_sanitizers.sh
 #   [thread|address|undefined|address,undefined] [ctest_filter_regex]
 # UndefinedBehaviorSanitizer builds stop at the first report
-# (-fno-sanitize-recover=undefined, set by CMakeLists.txt).
+# (-fno-sanitize-recover=undefined, set by CMakeLists.txt). An `address`
+# run builds its main and portable passes with address,undefined: the two
+# combine at no extra cost, and every other ASan pass below runs UBSan too.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 SAN="${1:-thread}"
 FILTER="${2:-}"
+MAIN_SAN=$([[ "$SAN" == address ]] && echo address,undefined || echo "$SAN")
 # Build directory names spell a sanitizer list with '-' for ','.
-BUILD_DIR="${BUILD_DIR:-$ROOT/build-${SAN//,/-}san}"
+BUILD_DIR="${BUILD_DIR:-$ROOT/build-${MAIN_SAN//,/-}san}"
 
 cmake -B "$BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCSOD_SANITIZE="$SAN"
+  -DCSOD_SANITIZE="$MAIN_SAN"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # Runs `ctest -R FILTER` in DIR. Every |-separated alternative of FILTER
@@ -120,35 +123,35 @@ cmake --build "$OTHER_BUILD_DIR" -j "$(nproc)" --target \
 run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 
 # Φ0 kernel pass under AddressSanitizer and UndefinedBehaviorSanitizer,
-# whatever SAN is: Φ0 columns are binary16 halves, read four or eight at a
-# time (vcvtph2ps) with scalar tails, and ASan is what proves no column
-# read runs past its last entry. The tests allocate columns of exactly M
-# halves for every tail length. CorrelateTop's screen converts the
-# residual to float and takes its error bound from ‖s‖₁ with infinite,
-# NaN, subnormal and beyond-float-range residuals among the tests, so
-# UBSan checks those conversions; its tests are named in the filter so
+# whatever SAN is: Φ0 columns are int8, read four, eight or sixteen at a
+# time with scalar tails, and ASan is what proves no column read runs past
+# its last entry. The tests allocate columns of exactly M entries for
+# every tail length. CorrelateTop's screen rounds the residual to int16
+# and sums int8 × int16 products in int32; the portable screen dot sums
+# in plain signed int32, so a residual past the overflow rule would be a
+# signed overflow, which UBSan aborts on. The exactness tests at the
+# largest admitted M and the rounding tests are named in the filter so
 # that renaming them fails this script. The generator rides along
 # (simd::GaussianFill loads eight row keys and stores eight entries per
 # vector group, with scalar tails, and MeasurementMatrix builds its row key
-# table lazily), with the Box–Muller and Rng suites of random_test and the
-# half conversions of half_test.
+# table lazily), with the Box–Muller and Rng suites of random_test.
 PHI0_BUILD_DIR="${PHI0_BUILD_DIR:-$ROOT/build-address-undefinedsan-phi0}"
 cmake -B "$PHI0_BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCSOD_SANITIZE=address,undefined
 cmake --build "$PHI0_BUILD_DIR" -j "$(nproc)" --target \
-  simd_test measurement_matrix_test random_test half_test
-PHI0_FILTER='CounterGaussian|BoxMuller|RngTest|HalfTest|Simd|MeasurementMatrix'
-PHI0_FILTER+='|SharedMatrix|ScreenedArgmax|ScreenDots|ScreenBound'
+  simd_test measurement_matrix_test random_test
+PHI0_FILTER='CounterGaussian|BoxMuller|RngTest|Simd|MeasurementMatrix'
+PHI0_FILTER+='|SharedMatrix|ScreenedArgmax|IntegerScreenDot|Quantize'
 run_ctest "$PHI0_BUILD_DIR" "$PHI0_FILTER"
 
 # SIMD kernel + batch sketching tests again under the same sanitizer, but
 # with the portable dispatch path forced at compile time, so both sides of
 # the AVX2/portable split get sanitizer coverage.
-PORTABLE_BUILD_DIR="${PORTABLE_BUILD_DIR:-$ROOT/build-${SAN//,/-}san-portable}"
+PORTABLE_BUILD_DIR="${PORTABLE_BUILD_DIR:-$ROOT/build-${MAIN_SAN//,/-}san-portable}"
 cmake -B "$PORTABLE_BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCSOD_SANITIZE="$SAN" \
+  -DCSOD_SANITIZE="$MAIN_SAN" \
   -DCSOD_FORCE_PORTABLE_SIMD=ON
 cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
   simd_test measurement_matrix_test compressor_test

@@ -198,7 +198,7 @@ class Rng {
 /// This is what makes measurement-matrix columns regenerable in any order
 /// and on any node: entry (row, col) of Φ0 is
 /// `CounterGaussian(cs::Phi0ColumnSeed(seed, col)).At(row)`, rounded to
-/// float and then to half (common/half.h).
+/// an int8 number of sixteenths (simd::QuantizeEntry).
 ///
 /// Positions 2p and 2p+1 form one Box–Muller pair (box_muller::Pair of the
 /// words Word(2p) and Word(2p+1), cos then sin), so bulk generation via
@@ -228,7 +228,7 @@ class CounterGaussian {
   }
 
   /// Writes variates for positions [0, count) into `out`: At(i) as a
-  /// double, or as the half `FloatToHalf(float(At(i)))`, through the
+  /// double, or as the int8 `simd::QuantizeEntry(At(i))`, through the
   /// vectorized simd::GaussianFill. `keys` is Keys(c) for some c >= count.
   template <typename T>
   void Fill(uint64_t count, const uint64_t* keys, T* out) const {

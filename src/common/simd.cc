@@ -1,10 +1,10 @@
 #include "common/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <type_traits>
+#include <cstring>
 
-#include "common/half.h"
 #include "common/random.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -22,49 +22,53 @@ namespace {
 // Portable kernels. The 8-lane split in DotPortable is the canonical
 // summation tree; every other implementation must reproduce it bit-for-bit.
 // Each column kernel is a template over the column element type T (double
-// or Half): `Widen(c[i])` is the exact widening, after which the arithmetic
-// is the same for both.
+// or int8_t): `Widen(c[i])` is the exact widening, after which the
+// arithmetic is the same for both.
 // ---------------------------------------------------------------------------
 
 inline double Widen(double x) { return x; }
-inline double Widen(Half h) { return double(HalfToFloat(h)); }
-
-// A column element in the dot's arithmetic type F: the exact widening, or,
-// for the float screen, the half's exact float value.
-template <typename F, typename T>
-inline F WidenTo(T x) {
-  if constexpr (std::is_same_v<F, float>) {
-    return HalfToFloat(x);
-  } else {
-    return Widen(x);
-  }
-}
+inline double Widen(int8_t q) { return q; }
 
 // The canonical fold of the eight lane sums.
-template <typename F>
-inline F FoldLanes(const F lane[8]) {
+inline double FoldLanes(const double lane[8]) {
   return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-// F is the arithmetic type: double, or float for the screen overloads.
-template <typename T, typename F>
-F DotPortable(const T* a, const F* b, size_t n) {
-  F lane[8] = {};
+template <typename T>
+double DotPortable(const T* a, const double* b, size_t n) {
+  double lane[8] = {};
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    for (size_t l = 0; l < 8; ++l) lane[l] += WidenTo<F>(a[i + l]) * b[i + l];
+    for (size_t l = 0; l < 8; ++l) lane[l] += Widen(a[i + l]) * b[i + l];
   }
   // Tail elements continue the i mod 8 lane assignment.
-  for (size_t l = 0; i < n; ++i, ++l) lane[l] += WidenTo<F>(a[i]) * b[i];
+  for (size_t l = 0; i < n; ++i, ++l) lane[l] += Widen(a[i]) * b[i];
   return FoldLanes(lane);
 }
 
-template <typename T, typename F>
+template <typename T>
 void Dot4Portable(const T* c0, const T* c1, const T* c2, const T* c3,
-                  const F* r, size_t n, F out[4]) {
+                  const double* r, size_t n, double out[4]) {
   // Four independent canonical dots; the AVX2 path fuses the r loads but
   // the per-column arithmetic — and so the bits — are the same.
+  out[0] = DotPortable(c0, r, n);
+  out[1] = DotPortable(c1, r, n);
+  out[2] = DotPortable(c2, r, n);
+  out[3] = DotPortable(c3, r, n);
+}
+
+// The screen dot in plain int32: exact under ScreenResidualLimit, and a
+// signed overflow past it is undefined behaviour that UBSan reports.
+int32_t DotPortable(const int8_t* a, const int16_t* b, size_t n) {
+  int32_t sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += int32_t{a[i]} * int32_t{b[i]};
+  return sum;
+}
+
+void Dot4Portable(const int8_t* c0, const int8_t* c1, const int8_t* c2,
+                  const int8_t* c3, const int16_t* r, size_t n,
+                  int32_t out[4]) {
   out[0] = DotPortable(c0, r, n);
   out[1] = DotPortable(c1, r, n);
   out[2] = DotPortable(c2, r, n);
@@ -121,61 +125,56 @@ void ScalePortable(double* v, double s, size_t n) {
   for (size_t i = 0; i < n; ++i) v[i] *= s;
 }
 
-// A generated variate as the output type stores it.
-inline void Store(double g, double* out) { *out = g; }
-inline void Store(double g, Half* out) {
-  *out = FloatToHalf(static_cast<float>(g));
+void QuantizePortable(const double* g, size_t n, int8_t* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = QuantizeEntry(g[i]);
 }
 
 // The generator's reference path: box_muller::Pair per pair, exactly what
 // CounterGaussian::At evaluates.
-template <typename T>
 void GaussianFillPortable(uint64_t seed, const uint64_t* keys, size_t count,
-                          T* out) {
+                          double* out) {
   for (size_t i = 0; i < count; i += 2) {
     double g0;
     double g1;
     box_muller::Pair(SplitMix64(seed ^ keys[i]), SplitMix64(seed ^ keys[i + 1]),
                      &g0, &g1);
-    Store(g0, out + i);
-    if (i + 1 < count) Store(g1, out + i + 1);
+    out[i] = g0;
+    if (i + 1 < count) out[i + 1] = g1;
   }
 }
 
 #if CSOD_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// AVX2 kernels. target("avx2,f16c") without "fma": the compiler cannot
-// contract the mul/add pairs below into FMAs, which keeps every rounding
-// step — and so every bit — identical to the portable kernels above. F16C
-// supplies the half conversions (vcvtph2ps, vcvtps2ph).
+// AVX2 kernels. target("avx2") without "fma": the compiler cannot contract
+// the mul/add pairs below into FMAs, which keeps every rounding step — and
+// so every bit — identical to the portable kernels above.
 // ---------------------------------------------------------------------------
 
-#define CSOD_AVX2 __attribute__((target("avx2,f16c")))
+#define CSOD_AVX2 __attribute__((target("avx2")))
 
-// Four consecutive column elements as doubles. The half form loads exactly
-// 8 bytes and widens them half → float → double (both exact), so a group
+// Four consecutive column elements as doubles. The int8 form loads exactly
+// 4 bytes and widens them int8 → int32 → double (both exact), so a group
 // never reads past its fourth element.
 CSOD_AVX2 inline __m256d Load4(const double* p) { return _mm256_loadu_pd(p); }
-CSOD_AVX2 inline __m256d Load4(const Half* p) {
-  return _mm256_cvtps_pd(
-      _mm_cvtph_ps(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+CSOD_AVX2 inline __m256d Load4(const int8_t* p) {
+  int32_t bytes;
+  std::memcpy(&bytes, p, sizeof(bytes));
+  return _mm256_cvtepi32_pd(_mm_cvtepi8_epi32(_mm_cvtsi32_si128(bytes)));
 }
 
 // Eight consecutive column elements as two vectors of four doubles. The
-// half form widens all eight with one 256-bit vcvtph2ps: a single-thread
-// Dot4 sweep over cached halves ran 4–15% faster than with two Load4 calls
-// (M = 600, N = 10.4k and M = 256, N = 50k), and the ledger's batch-detect
-// stopped reading slower than with float columns.
+// int8 form loads exactly 8 bytes and sign-extends all eight in one
+// vpmovsxbd.
 CSOD_AVX2 inline void Load8(const double* p, __m256d* lo, __m256d* hi) {
   *lo = _mm256_loadu_pd(p);
   *hi = _mm256_loadu_pd(p + 4);
 }
-CSOD_AVX2 inline void Load8(const Half* p, __m256d* lo, __m256d* hi) {
-  const __m256 f =
-      _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-  *lo = _mm256_cvtps_pd(_mm256_castps256_ps128(f));
-  *hi = _mm256_cvtps_pd(_mm256_extractf128_ps(f, 1));
+CSOD_AVX2 inline void Load8(const int8_t* p, __m256d* lo, __m256d* hi) {
+  const __m256i v = _mm256_cvtepi8_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  *lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(v));
+  *hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256(v, 1));
 }
 
 // (*t0, *t1) += col[0..8) * v, element-wise.
@@ -248,46 +247,55 @@ CSOD_AVX2 void Dot4Avx2(const T* c0, const T* c1, const T* c2, const T* c3,
   }
 }
 
-// The screen overloads: one 8-wide float vector holds the eight lanes of
-// the canonical split, and vcvtph2ps widens eight halves to float in one
-// instruction, with no float → double step.
-CSOD_AVX2 inline __m256 Load8f(const Half* p) {
-  return _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+// The screen overloads. Sixteen int8 entries widen to int16 in one
+// vpmovsxbw, and vpmaddwd sums their products with sixteen int16 residual
+// entries pairwise into eight int32 lanes. Under ScreenResidualLimit no
+// lane, and no sum of lanes, leaves int32, so the order of the integer
+// additions does not matter.
+CSOD_AVX2 inline __m256i MulPairs16(const int8_t* c, __m256i r) {
+  const __m128i bytes = _mm_loadu_si128(reinterpret_cast<const __m128i*>(c));
+  return _mm256_madd_epi16(_mm256_cvtepi8_epi16(bytes), r);
 }
 
-// The lanes of `acc`, the tail of a·b from element i on, and the fold.
-CSOD_AVX2 inline float FinishScreen(__m256 acc, const Half* a, const float* b,
-                                    size_t i, size_t n) {
-  float lane[8];
-  _mm256_storeu_ps(lane, acc);
-  for (size_t l = 0; i < n; ++i, ++l) lane[l] += HalfToFloat(a[i]) * b[i];
-  return FoldLanes(lane);
+// The lanes of `acc` summed, plus the tail of a·b from element i on.
+CSOD_AVX2 inline int32_t FinishScreen(__m256i acc, const int8_t* a,
+                                      const int16_t* b, size_t i, size_t n) {
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                            _mm256_extracti128_si256(acc, 1));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+  int32_t sum = _mm_cvtsi128_si32(s);
+  for (; i < n; ++i) sum += int32_t{a[i]} * int32_t{b[i]};
+  return sum;
 }
 
-CSOD_AVX2 float DotAvx2(const Half* a, const float* b, size_t n) {
-  __m256 acc = _mm256_setzero_ps();
+CSOD_AVX2 inline __m256i Load16(const int16_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+CSOD_AVX2 int32_t DotAvx2(const int8_t* a, const int16_t* b, size_t n) {
+  __m256i acc = _mm256_setzero_si256();
   size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_add_ps(acc,
-                        _mm256_mul_ps(Load8f(a + i), _mm256_loadu_ps(b + i)));
+  for (; i + 16 <= n; i += 16) {
+    acc = _mm256_add_epi32(acc, MulPairs16(a + i, Load16(b + i)));
   }
   return FinishScreen(acc, a, b, i, n);
 }
 
-CSOD_AVX2 void Dot4Avx2(const Half* c0, const Half* c1, const Half* c2,
-                        const Half* c3, const float* r, size_t n,
-                        float out[4]) {
-  __m256 a0 = _mm256_setzero_ps();
-  __m256 a1 = _mm256_setzero_ps();
-  __m256 a2 = _mm256_setzero_ps();
-  __m256 a3 = _mm256_setzero_ps();
+CSOD_AVX2 void Dot4Avx2(const int8_t* c0, const int8_t* c1, const int8_t* c2,
+                        const int8_t* c3, const int16_t* r, size_t n,
+                        int32_t out[4]) {
+  __m256i a0 = _mm256_setzero_si256();
+  __m256i a1 = _mm256_setzero_si256();
+  __m256i a2 = _mm256_setzero_si256();
+  __m256i a3 = _mm256_setzero_si256();
   size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 rv = _mm256_loadu_ps(r + i);
-    a0 = _mm256_add_ps(a0, _mm256_mul_ps(Load8f(c0 + i), rv));
-    a1 = _mm256_add_ps(a1, _mm256_mul_ps(Load8f(c1 + i), rv));
-    a2 = _mm256_add_ps(a2, _mm256_mul_ps(Load8f(c2 + i), rv));
-    a3 = _mm256_add_ps(a3, _mm256_mul_ps(Load8f(c3 + i), rv));
+  for (; i + 16 <= n; i += 16) {
+    const __m256i rv = Load16(r + i);
+    a0 = _mm256_add_epi32(a0, MulPairs16(c0 + i, rv));
+    a1 = _mm256_add_epi32(a1, MulPairs16(c1 + i, rv));
+    a2 = _mm256_add_epi32(a2, MulPairs16(c2 + i, rv));
+    a3 = _mm256_add_epi32(a3, MulPairs16(c3 + i, rv));
   }
   out[0] = FinishScreen(a0, c0, r, i, n);
   out[1] = FinishScreen(a1, c1, r, i, n);
@@ -536,21 +544,8 @@ CSOD_AVX2 inline void SinCosTurn4(__m256i w, __m256d* cos_out,
   *sin_out = _mm256_xor_pd(s, _mm256_castsi256_pd(sin_sign));
 }
 
-// Eight consecutive outputs from two 4-wide vectors.
-CSOD_AVX2 inline void Store8(double* out, __m256d lo, __m256d hi) {
-  _mm256_storeu_pd(out, lo);
-  _mm256_storeu_pd(out + 4, hi);
-}
-// The half form rounds double → float → half (to nearest even), as Store.
-CSOD_AVX2 inline void Store8(Half* out, __m256d lo, __m256d hi) {
-  const __m256 g = _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                   _mm256_cvtps_ph(g, _MM_FROUND_TO_NEAREST_INT));
-}
-
-template <typename T>
 CSOD_AVX2 void GaussianFillAvx2(uint64_t seed, const uint64_t* keys,
-                                size_t count, T* out) {
+                                size_t count, double* out) {
   const __m256i vseed = _mm256_set1_epi64x(static_cast<int64_t>(seed));
   size_t i = 0;
   for (; i + 8 <= count; i += 8) {
@@ -571,28 +566,38 @@ CSOD_AVX2 void GaussianFillAvx2(uint64_t seed, const uint64_t* keys,
     const __m256d g0 = radius * c;
     const __m256d g1 = radius * s;
     // Interleaving undoes the lane order: (c0 s0 c1 s1), (c2 s2 c3 s3).
-    Store8(out + i, _mm256_unpacklo_pd(g0, g1), _mm256_unpackhi_pd(g0, g1));
+    _mm256_storeu_pd(out + i, _mm256_unpacklo_pd(g0, g1));
+    _mm256_storeu_pd(out + i + 4, _mm256_unpackhi_pd(g0, g1));
   }
   GaussianFillPortable(seed, keys + i, count - i, out + i);
+}
+
+// QuantizeEntry on four lanes: the same clamp, then vroundpd to nearest
+// even, which gives the integers the portable 1.5·2^52 trick gives; the
+// conversion to int32 is exact.
+CSOD_AVX2 inline __m128i Quantize4(const double* g) {
+  const __m256d bound = _mm256_set1_pd(kMaxAbsInt8Entry);
+  __m256d x = _mm256_loadu_pd(g) * kInt8StepsPerUnit;
+  x = _mm256_max_pd(_mm256_min_pd(x, bound), -bound);
+  return _mm256_cvtpd_epi32(
+      _mm256_round_pd(x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+}
+
+CSOD_AVX2 void QuantizeAvx2(const double* g, size_t n, int8_t* out) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // Both packs saturate, a no-op on values within ±127.
+    const __m128i words =
+        _mm_packs_epi32(Quantize4(g + i), Quantize4(g + i + 4));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
+                     _mm_packs_epi16(words, words));
+  }
+  QuantizePortable(g + i, n - i, out + i);
 }
 
 #undef CSOD_AVX2
 
 #endif  // CSOD_SIMD_X86
-
-CpuFeatures ProbeCpu() {
-  CpuFeatures features;
-#if CSOD_SIMD_X86
-  features.avx2 = __builtin_cpu_supports("avx2") != 0;
-  features.f16c = __builtin_cpu_supports("f16c") != 0;
-#endif
-  return features;
-}
-
-std::atomic<CpuProbe>& CpuProbeSlot() {
-  static std::atomic<CpuProbe> probe{nullptr};
-  return probe;
-}
 
 Level DetectLevel() {
 #if defined(CSOD_FORCE_PORTABLE_SIMD)
@@ -618,13 +623,11 @@ const char* LevelName(Level level) {
 }
 
 bool Avx2Supported() {
-  const CpuProbe probe = CpuProbeSlot().load(std::memory_order_relaxed);
-  const CpuFeatures features = probe != nullptr ? probe() : ProbeCpu();
-  return features.avx2 && features.f16c;
-}
-
-CpuProbe SetCpuProbeForTesting(CpuProbe probe) {
-  return CpuProbeSlot().exchange(probe, std::memory_order_relaxed);
+#if CSOD_SIMD_X86
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
 }
 
 Level ActiveLevel() {
@@ -636,7 +639,7 @@ Level SetLevelForTesting(Level level) {
   return ActiveLevelSlot().exchange(level, std::memory_order_relaxed);
 }
 
-// Dispatch. The double and half overloads of a kernel forward to one
+// Dispatch. The double and int8 overloads of a kernel forward to one
 // template per ISA path, so the two forms cannot drift apart.
 #if CSOD_SIMD_X86
 #define CSOD_SIMD_DISPATCH(kernel, ...)                     \
@@ -649,11 +652,11 @@ Level SetLevelForTesting(Level level) {
 double Dot(const double* a, const double* b, size_t n) {
   return CSOD_SIMD_DISPATCH(Dot, a, b, n);
 }
-double Dot(const Half* a, const double* b, size_t n) {
+double Dot(const int8_t* a, const double* b, size_t n) {
   return CSOD_SIMD_DISPATCH(Dot, a, b, n);
 }
 
-float Dot(const Half* a, const float* b, size_t n) {
+int32_t Dot(const int8_t* a, const int16_t* b, size_t n) {
   return CSOD_SIMD_DISPATCH(Dot, a, b, n);
 }
 
@@ -661,19 +664,19 @@ void Dot4(const double* c0, const double* c1, const double* c2,
           const double* c3, const double* r, size_t n, double out[4]) {
   CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
 }
-void Dot4(const Half* c0, const Half* c1, const Half* c2, const Half* c3,
-          const double* r, size_t n, double out[4]) {
+void Dot4(const int8_t* c0, const int8_t* c1, const int8_t* c2,
+          const int8_t* c3, const double* r, size_t n, double out[4]) {
   CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
 }
-void Dot4(const Half* c0, const Half* c1, const Half* c2, const Half* c3,
-          const float* r, size_t n, float out[4]) {
+void Dot4(const int8_t* c0, const int8_t* c1, const int8_t* c2,
+          const int8_t* c3, const int16_t* r, size_t n, int32_t out[4]) {
   CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
 }
 
 void Axpy(double* acc, const double* col, double x, size_t n) {
   CSOD_SIMD_DISPATCH(Axpy, acc, col, x, n);
 }
-void Axpy(double* acc, const Half* col, double x, size_t n) {
+void Axpy(double* acc, const int8_t* col, double x, size_t n) {
   CSOD_SIMD_DISPATCH(Axpy, acc, col, x, n);
 }
 
@@ -682,8 +685,8 @@ void Axpy4(double* acc, const double* c0, double x0, const double* c1,
            size_t n) {
   CSOD_SIMD_DISPATCH(Axpy4, acc, c0, x0, c1, x1, c2, x2, c3, x3, n);
 }
-void Axpy4(double* acc, const Half* c0, double x0, const Half* c1,
-           double x1, const Half* c2, double x2, const Half* c3, double x3,
+void Axpy4(double* acc, const int8_t* c0, double x0, const int8_t* c1,
+           double x1, const int8_t* c2, double x2, const int8_t* c3, double x3,
            size_t n) {
   CSOD_SIMD_DISPATCH(Axpy4, acc, c0, x0, c1, x1, c2, x2, c3, x3, n);
 }
@@ -692,7 +695,7 @@ void Axpy8(double* acc, const double* const cols[8], const double xs[8],
            size_t n) {
   CSOD_SIMD_DISPATCH(Axpy8, acc, cols, xs, n);
 }
-void Axpy8(double* acc, const Half* const cols[8], const double xs[8],
+void Axpy8(double* acc, const int8_t* const cols[8], const double xs[8],
            size_t n) {
   CSOD_SIMD_DISPATCH(Axpy8, acc, cols, xs, n);
 }
@@ -700,7 +703,7 @@ void Axpy8(double* acc, const Half* const cols[8], const double xs[8],
 void Add(double* acc, const double* src, size_t n) {
   CSOD_SIMD_DISPATCH(Add, acc, src, n);
 }
-void Add(double* acc, const Half* src, size_t n) {
+void Add(double* acc, const int8_t* src, size_t n) {
   CSOD_SIMD_DISPATCH(Add, acc, src, n);
 }
 
@@ -708,8 +711,8 @@ void Add4(double* acc, const double* s0, const double* s1, const double* s2,
           const double* s3, size_t n) {
   CSOD_SIMD_DISPATCH(Add4, acc, s0, s1, s2, s3, n);
 }
-void Add4(double* acc, const Half* s0, const Half* s1, const Half* s2,
-          const Half* s3, size_t n) {
+void Add4(double* acc, const int8_t* s0, const int8_t* s1, const int8_t* s2,
+          const int8_t* s3, size_t n) {
   CSOD_SIMD_DISPATCH(Add4, acc, s0, s1, s2, s3, n);
 }
 
@@ -721,9 +724,21 @@ void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
                   double* out) {
   CSOD_SIMD_DISPATCH(GaussianFill, seed, keys, count, out);
 }
+void Quantize(const double* g, size_t n, int8_t* out) {
+  CSOD_SIMD_DISPATCH(Quantize, g, n, out);
+}
+
 void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
-                  Half* out) {
-  CSOD_SIMD_DISPATCH(GaussianFill, seed, keys, count, out);
+                  int8_t* out) {
+  // Through a stack block of doubles, whose even length keeps every block
+  // on a whole pair.
+  constexpr size_t kBlock = 256;
+  double g[kBlock];
+  for (size_t i = 0; i < count; i += kBlock) {
+    const size_t block = std::min(kBlock, count - i);
+    GaussianFill(seed, keys + i, block, g);
+    Quantize(g, block, out + i);
+  }
 }
 
 #undef CSOD_SIMD_DISPATCH

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/half.h"
-
 namespace csod::simd {
 
 /// \brief Runtime-dispatched dense kernels with a *canonical* floating-point
@@ -30,8 +28,7 @@ namespace csod::simd {
 /// FMA is deliberately NOT used: a fused multiply-add rounds once where
 /// mul-then-add rounds twice, which would break bit-identity between the
 /// AVX2 and portable paths (and against the pre-existing scalar kernels).
-/// Dispatch therefore keys on AVX2 and F16C (for the half conversions), not
-/// on FMA.
+/// Dispatch therefore keys on AVX2 alone, not on FMA.
 ///
 /// The fused 4-stream variants (`Dot4`, `Axpy4`, `Add4`) amortize one pass
 /// over the shared operand across four streams; each stream's per-element
@@ -39,42 +36,28 @@ namespace csod::simd {
 /// `Axpy4(acc, c0,x0, ..., c3,x3)` is bit-identical to four sequential
 /// `Axpy` calls — callers may batch freely without changing results.
 ///
-/// Half columns: every kernel that reads a column (`Dot*`'s `a`/`c*`,
-/// `Axpy*`'s `col`/`cols`, `Add*`'s `src`/`s*`) also takes `const Half*`
-/// (binary16, common/half.h). The half overloads widen each element half →
-/// float → double in-register (both steps exact; F16C on the AVX2 path,
-/// HalfToFloat on the portable one), then run the identical double
-/// arithmetic in the identical order, so a half overload is bit-identical
+/// Int8 columns: every kernel that reads a column (`Dot*`'s `a`/`c*`,
+/// `Axpy*`'s `col`/`cols`, `Add*`'s `src`/`s*`) also takes `const int8_t*`,
+/// Φ0's stored entries (cs::kPhi0Format 5). The int8 overloads widen each
+/// element to double in-register (exact), then run the identical double
+/// arithmetic in the identical order, so an int8 overload is bit-identical
 /// to its double form on the widened column, on every ISA path. The other
 /// operands (`r`, `acc`, `x`) and every result stay double, except in the
-/// float screen dots below. Storing Φ0's columns as halves quarters the
-/// bytes a correlate streams without a second summation tree. Vector loads
-/// touch only full 4- or 8-element groups; tails are scalar, so no path
-/// reads past element n - 1.
+/// integer screen dots below. Storing Φ0's columns as int8 cuts the bytes a
+/// correlate streams to one per entry without a second summation tree.
+/// Vector loads touch only full 4-, 8- or 16-element groups; tails are
+/// scalar, so no path reads past element n - 1.
 enum class Level {
   kPortable = 0,  ///< Fixed-8-lane scalar kernels (any platform).
-  kAvx2 = 1,      ///< AVX2 4-wide double kernels + F16C (x86-64, no FMA).
+  kAvx2 = 1,      ///< AVX2 4-wide double kernels (x86-64, no FMA).
 };
 
 /// Human-readable name ("portable" / "avx2") for logs and bench output.
 const char* LevelName(Level level);
 
-/// The CPUID bits the kAvx2 level needs.
-struct CpuFeatures {
-  bool avx2 = false;
-  bool f16c = false;
-};
-
-/// True iff the running CPU supports AVX2 and F16C (raw probe; ignores
-/// level overrides). A CPU, or a VM, that masks either bit gets the
-/// portable level.
+/// True iff the running CPU supports AVX2 (raw probe; ignores level
+/// overrides). A CPU, or a VM, that masks the bit gets the portable level.
 bool Avx2Supported();
-
-/// Replaces the CPUID probe behind Avx2Supported() (nullptr restores the
-/// real one) and returns the previous replacement, or nullptr. For tests of
-/// the dispatch rule.
-using CpuProbe = CpuFeatures (*)();
-CpuProbe SetCpuProbeForTesting(CpuProbe probe);
 
 /// The level the kernels currently dispatch to. Resolved once on first use:
 /// AVX2 when the CPU supports it, unless compiled with
@@ -90,32 +73,48 @@ Level SetLevelForTesting(Level level);
 
 /// Σ_i a[i] * b[i] over the canonical 8-lane split.
 double Dot(const double* a, const double* b, size_t n);
-double Dot(const Half* a, const double* b, size_t n);
+double Dot(const int8_t* a, const double* b, size_t n);
 
 /// Four dots sharing one pass over r: out[k] = Σ_i ck[i] * r[i].
 /// Each out[k] is bit-identical to Dot(ck, r, n).
 void Dot4(const double* c0, const double* c1, const double* c2,
           const double* c3, const double* r, size_t n, double out[4]);
-void Dot4(const Half* c0, const Half* c1, const Half* c2, const Half* c3,
-          const double* r, size_t n, double out[4]);
+void Dot4(const int8_t* c0, const int8_t* c1, const int8_t* c2,
+          const int8_t* c3, const double* r, size_t n, double out[4]);
 
-/// \brief The screen dots: half × float in float arithmetic.
+/// The largest |entry| an int8 column holds: Φ0's entries are clamped to
+/// ±127 (GaussianFill), so -128 never occurs.
+inline constexpr int32_t kMaxAbsInt8Entry = 127;
+
+/// \brief The overflow rule of the screen dots: the largest |b[i]| at which
+/// Σ_i |a[i]|·|b[i]| over n elements with |a[i]| ≤ kMaxAbsInt8Entry stays
+/// at most 2^31 − 1. That is min(32767, ⌊(2^31 − 1) / (127·n)⌋): 32767 up
+/// to n = 516, 1 at n = 16,909,320, and 0 beyond, where no nonzero residual
+/// fits.
+constexpr int32_t ScreenResidualLimit(size_t n) {
+  constexpr uint64_t kMaxSum = uint64_t{0x7fffffff};
+  if (n > kMaxSum / kMaxAbsInt8Entry) return 0;
+  const uint64_t limit = n == 0 ? kMaxSum : kMaxSum / (kMaxAbsInt8Entry * n);
+  return limit < 32767 ? static_cast<int32_t>(limit) : 32767;
+}
+
+/// \brief The screen dots: int8 × int16 in exact integer arithmetic.
 ///
-/// Each half widens exactly to float, and every product and sum rounds to
-/// float, on the same 8-lane split and fold as the double Dot. The AVX2 path
-/// holds the eight lanes in one 8-wide float vector, so it does the work of
-/// the double kernel's two 4-wide vectors in one and skips the float →
-/// double widening; both paths give identical bits. The value is an
-/// approximation of the double Dot's: MeasurementMatrix::CorrelateArgmax
-/// uses it only to rule out columns, under the error bound of
-/// docs/THEORY.md §9. Dot4's out[k] is bit-identical to Dot(ck, r, n).
-float Dot(const Half* a, const float* b, size_t n);
-void Dot4(const Half* c0, const Half* c1, const Half* c2, const Half* c3,
-          const float* r, size_t n, float out[4]);
+/// When |b[i]| ≤ ScreenResidualLimit(n) and |a[i]| ≤ kMaxAbsInt8Entry, no
+/// partial sum exceeds 2^31 − 1 in magnitude, so every summation order
+/// gives the exact Σ_i a[i]·b[i]: the AVX2 path widens sixteen int8 to
+/// int16 (vpmovsxbw) and sums product pairs into eight int32 lanes
+/// (vpmaddwd), the portable path sums in plain int32, and both return the
+/// same value. MeasurementMatrix::CorrelateTop uses them to rule out
+/// columns under the error bound of docs/THEORY.md §9. Dot4's out[k] equals
+/// Dot(ck, r, n).
+int32_t Dot(const int8_t* a, const int16_t* b, size_t n);
+void Dot4(const int8_t* c0, const int8_t* c1, const int8_t* c2,
+          const int8_t* c3, const int16_t* r, size_t n, int32_t out[4]);
 
 /// acc[i] += col[i] * x (element-wise; bit-identical on every path).
 void Axpy(double* acc, const double* col, double x, size_t n);
-void Axpy(double* acc, const Half* col, double x, size_t n);
+void Axpy(double* acc, const int8_t* col, double x, size_t n);
 
 /// Four fused axpys in one pass over acc:
 /// acc[i] = (((acc[i] + c0[i]*x0) + c1[i]*x1) + c2[i]*x2) + c3[i]*x3,
@@ -123,9 +122,9 @@ void Axpy(double* acc, const Half* col, double x, size_t n);
 void Axpy4(double* acc, const double* c0, double x0, const double* c1,
            double x1, const double* c2, double x2, const double* c3,
            double x3, size_t n);
-void Axpy4(double* acc, const Half* c0, double x0, const Half* c1,
-           double x1, const Half* c2, double x2, const Half* c3, double x3,
-           size_t n);
+void Axpy4(double* acc, const int8_t* c0, double x0, const int8_t* c1,
+           double x1, const int8_t* c2, double x2, const int8_t* c3,
+           double x3, size_t n);
 
 /// Eight fused axpys in one pass over acc (array-of-streams form):
 /// acc[i] folds cols[0][i]*xs[0] .. cols[7][i]*xs[7] in stream order,
@@ -134,29 +133,49 @@ void Axpy4(double* acc, const Half* c0, double x0, const Half* c1,
 /// hides DRAM latency when the columns miss cache.
 void Axpy8(double* acc, const double* const cols[8], const double xs[8],
            size_t n);
-void Axpy8(double* acc, const Half* const cols[8], const double xs[8],
+void Axpy8(double* acc, const int8_t* const cols[8], const double xs[8],
            size_t n);
 
 /// acc[i] += src[i].
 void Add(double* acc, const double* src, size_t n);
-void Add(double* acc, const Half* src, size_t n);
+void Add(double* acc, const int8_t* src, size_t n);
 
 /// Four fused adds in one pass over acc, bit-identical to four sequential
 /// Add calls in s0..s3 order.
 void Add4(double* acc, const double* s0, const double* s1, const double* s2,
           const double* s3, size_t n);
-void Add4(double* acc, const Half* s0, const Half* s1, const Half* s2,
-          const Half* s3, size_t n);
+void Add4(double* acc, const int8_t* s0, const int8_t* s1, const int8_t* s2,
+          const int8_t* s3, size_t n);
 
 /// v[i] *= s.
 void Scale(double* v, double s, size_t n);
+
+/// Φ0's entries count in steps of 1/kInt8StepsPerUnit standard deviations.
+inline constexpr double kInt8StepsPerUnit = 16.0;
+
+/// \brief One Φ0 entry from its Gaussian g: clamp(roundeven(16·g), ±127).
+///
+/// 16·g is exact. Clamping before rounding gives the same integer, since
+/// both bounds are integers; the clamp acts only for |g| ≥ 7.96875, which a
+/// standard normal reaches with probability ~10⁻¹⁵. Adding and subtracting
+/// 1.5·2^52 rounds any |x| ≤ 2^51 to an integer, ties to even, in IEEE
+/// double arithmetic, so no libm call is involved. Quantize's AVX2 path
+/// rounds with vroundpd instead, to the same integers.
+inline int8_t QuantizeEntry(double g) {
+  double x = g * kInt8StepsPerUnit;
+  const double bound = kMaxAbsInt8Entry;
+  x = x < -bound ? -bound : (x > bound ? bound : x);
+  return static_cast<int8_t>((x + 0x1.8p52) - 0x1.8p52);
+}
+
+/// out[i] = QuantizeEntry(g[i]) for i in [0, n), on either path.
+void Quantize(const double* g, size_t n, int8_t* out);
 
 /// \brief The counter Gaussian generator (CounterGaussian::Fill's kernel).
 ///
 /// Writes out[i] for positions i in [0, count): pair p = (2p, 2p + 1) holds
 /// box_muller::Pair(SplitMix64(seed ^ keys[2p]), SplitMix64(seed ^
-/// keys[2p + 1])), stored as the double g or as the half
-/// FloatToHalf(float(g)) (the AVX2 path rounds with F16C, same bits).
+/// keys[2p + 1])), stored as the double g or as the int8 QuantizeEntry(g).
 /// `keys` holds `count` rounded up to a whole pair (CounterGaussian::Keys);
 /// an odd count writes only the last pair's first variate. Every operation
 /// of the transform is IEEE-exact and FMA-free, and the AVX2 path runs the
@@ -167,7 +186,7 @@ void Scale(double* v, double s, size_t n);
 void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
                   double* out);
 void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
-                  Half* out);
+                  int8_t* out);
 
 }  // namespace csod::simd
 

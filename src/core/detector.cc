@@ -54,9 +54,20 @@ Status DistributedOutlierDetector::RemoveSource(SourceId id) {
   if (it == sketches_.end()) {
     return Status::NotFound("RemoveSource: no source " + std::to_string(id));
   }
-  la::Axpy(-1.0, it->second, &global_y_);
+  // Rebuilt rather than subtracted: y − y_l cannot undo a NaN or an
+  // infinity that y_l brought in.
   sketches_.erase(it);
+  global_y_ = SumSketches({});
   return Status::OK();
+}
+
+std::vector<double> DistributedOutlierDetector::SumSketches(
+    const std::set<SourceId>& excluded) const {
+  std::vector<double> y(options_.m, 0.0);
+  for (const auto& [id, y_l] : sketches_) {
+    if (!excluded.contains(id)) la::Axpy(1.0, y_l, &y);
+  }
+  return y;
 }
 
 Status DistributedOutlierDetector::ApplyDelta(SourceId id,
@@ -86,7 +97,6 @@ Result<outlier::OutlierSet> DistributedOutlierDetector::DetectExcluding(
   if (k == 0) {
     return Status::InvalidArgument("DetectExcluding: k must be > 0");
   }
-  std::vector<double> partial_y = global_y_;
   size_t remaining = sketches_.size();
   std::set<SourceId> seen;
   for (SourceId id : excluded) {
@@ -94,12 +104,10 @@ Result<outlier::OutlierSet> DistributedOutlierDetector::DetectExcluding(
       return Status::InvalidArgument("DetectExcluding: duplicate source " +
                                      std::to_string(id));
     }
-    auto it = sketches_.find(id);
-    if (it == sketches_.end()) {
+    if (!sketches_.contains(id)) {
       return Status::NotFound("DetectExcluding: no source " +
                               std::to_string(id));
     }
-    la::Axpy(-1.0, it->second, &partial_y);
     --remaining;
   }
   if (remaining == 0) {
@@ -111,7 +119,7 @@ Result<outlier::OutlierSet> DistributedOutlierDetector::DetectExcluding(
   solver_options.telemetry = options_.telemetry;
   CSOD_ASSIGN_OR_RETURN(
       cs::BompResult recovery,
-      cs::RecoverBiased(*matrix_, partial_y, solver_options));
+      cs::RecoverBiased(*matrix_, SumSketches(seen), solver_options));
   return outlier::KOutliersFromRecovery(recovery, k);
 }
 

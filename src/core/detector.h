@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "common/status.h"
@@ -62,7 +63,9 @@ class DistributedOutlierDetector {
   /// `y_l` (what a remote node actually transmits).
   Result<SourceId> AddSourceMeasurement(std::vector<double> y_l);
 
-  /// Removes a source, subtracting its sketch from the global measurement.
+  /// Removes a source: the global measurement becomes the sum of the
+  /// remaining sketches, folded in SourceId order, so a removed NaN or
+  /// infinite sketch leaves nothing behind.
   Status RemoveSource(SourceId id);
 
   /// Applies new data arriving at a source: `y_l += Φ0 · Δx`.
@@ -95,6 +98,9 @@ class DistributedOutlierDetector {
 
  private:
   explicit DistributedOutlierDetector(const DetectorOptions& options);
+
+  // Σ y_l over the sources not in `excluded`, folded in SourceId order.
+  std::vector<double> SumSketches(const std::set<SourceId>& excluded) const;
 
   DetectorOptions options_;
   std::shared_ptr<const cs::MeasurementMatrix> matrix_;

@@ -45,7 +45,7 @@ constexpr size_t kSketchPrefetchEntries = 8;
 // Requests every cache line of a cached column that is column_bytes long.
 // Always inlined: a function whose only effect is a prefetch counts as
 // side-effect free to GCC, which may then delete its calls.
-[[gnu::always_inline]] inline void PrefetchColumn(const Half* col,
+[[gnu::always_inline]] inline void PrefetchColumn(const int8_t* col,
                                                   size_t column_bytes) {
   const char* p = reinterpret_cast<const char*>(col);
   for (size_t b = 0; b < column_bytes; b += kCacheLineBytes) {
@@ -68,7 +68,7 @@ class AxpyBatcher {
 
   size_t pending() const { return filled_; }
 
-  void Push(const Half* col, double x) {
+  void Push(const int8_t* col, double x) {
     cols_[filled_] = col;
     xs_[filled_] = x;
     if (++filled_ == kWidth) Flush();
@@ -91,7 +91,7 @@ class AxpyBatcher {
  private:
   double* acc_;
   size_t m_;
-  const Half* cols_[kWidth];
+  const int8_t* cols_[kWidth];
   double xs_[kWidth];
   size_t filled_ = 0;
 };
@@ -105,7 +105,7 @@ class AddBatcher {
 
   size_t pending() const { return filled_; }
 
-  void Push(const Half* col) {
+  void Push(const int8_t* col) {
     cols_[filled_] = col;
     if (++filled_ == kWidth) Flush();
   }
@@ -122,7 +122,7 @@ class AddBatcher {
  private:
   double* acc_;
   size_t m_;
-  const Half* cols_[kWidth];
+  const int8_t* cols_[kWidth];
   size_t filled_ = 0;
 };
 
@@ -151,28 +151,63 @@ std::vector<double> BlockedSum(size_t m, size_t num_blocks,
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-// The screen's error bound ε for the scaled residual s (docs/THEORY.md §9):
-// for every column j, |a_j − K_j| ≤ ε between the float screen value
-// a_j = simd::Dot(h_j, float(s)) and the exact K_j = simd::Dot(h_j, s), with
-//   ε = 2·(γ_f(d) + γ_d(d))·B·‖s‖₁ + η,   γ(d) = d·u / (1 − d·u),
-// u = 2^-24 for float and 2^-53 for double; d = ⌈M/8⌉ + 5 covers the
-// longest rounding chain of either kernel (s to float, the product,
-// ⌈M/8⌉ lane additions, the 3-level fold); B = kMaxAbsUnscaledEntry bounds
-// every |h_ij|; and η = M·(B + 2)·2^-148 covers float and double underflow.
-// The leading 2 is a margin over the proven bound; it absorbs the rounding
-// of ε itself and of the candidate rule's subtraction. Infinite when s
-// holds a NaN or an infinity, or ‖s‖₁ > 2^120, where a float partial sum
-// could overflow.
-double ScreenErrorBound(const std::vector<double>& s) {
-  double norm1 = 0.0;
-  for (const double v : s) norm1 += std::fabs(v);
-  const double m = static_cast<double>(s.size());
-  const double d = static_cast<double>((s.size() + 7) / 8 + 5);
-  if (!(norm1 <= 0x1p120) || d * 0x1p-24 >= 0.5) return kInfinity;
-  auto gamma = [d](double u) { return d * u / (1.0 - d * u); };
-  const double b = MeasurementMatrix::kMaxAbsUnscaledEntry;
-  return 2.0 * (gamma(0x1p-24) + gamma(0x1p-53)) * b * norm1 +
-         m * (b + 2.0) * 0x1p-148;
+// The integer screen of a scaled residual s (docs/THEORY.md §9): ρ, the
+// int16 rounding of s at the power-of-two step t, and 2ε in units of t.
+struct IntegerScreen {
+  std::vector<int16_t> rho;
+  double two_eps = kInfinity;
+};
+
+// t = 2^e is the smallest power of two with max|s_i| ≤ t·L for the overflow
+// rule's L = simd::ScreenResidualLimit(M), so ρ_i = roundeven(s_i / t) has
+// |ρ_i| ≤ L and the screen dot D_j = Σ_i q_ij ρ_i is exact in int32 on
+// every path. For every column j, |D_j − K_j / t| ≤ ε between D_j and the
+// exact K_j = simd::Dot(q_j, s), with, in units of t,
+//   ε = 2·B·(‖s/t − ρ‖₁ + γ(d)·‖s/t‖₁) + η,   γ(d) = d·u / (1 − d·u),
+// B = 127 bounds every |q_ij|; u = 2^-53 and d = ⌈M/8⌉ + 4 cover the
+// double dot's longest rounding chain (the product, ⌈M/8⌉ lane additions,
+// the 3-level fold); and η = M·2^-174 covers its underflow, at most
+// M·2^-1075 in units of s and so of any t ≥ 2^-900, as well as s_i/t's,
+// which is otherwise exact. Each s_i/t − ρ_i is exact (Sterbenz). The
+// leading 2 is a margin over the proven bound; it absorbs the rounding of
+// the two sums, of ε itself and of the candidate rule's subtraction.
+// ρ = 0 and ε = ∞, which keeps every
+// column, when s is zero or holds a NaN or an infinity, when t would leave
+// [2^-900, 2^900], or when M is past the rule's reach (L = 0).
+IntegerScreen ScreenResidual(const std::vector<double>& s) {
+  const size_t m = s.size();
+  IntegerScreen screen{std::vector<int16_t>(m, 0)};
+  const int32_t limit = simd::ScreenResidualLimit(m);
+  double largest = 0.0;
+  for (const double v : s) {
+    if (!std::isfinite(v)) return screen;
+    largest = std::max(largest, std::fabs(v));
+  }
+  if (limit == 0 || largest == 0.0) return screen;
+  int e;
+  std::frexp(largest, &e);
+  // largest / 2^(e - 16) ≥ 2^15 > L; each step halves it, exactly.
+  e -= 16;
+  while (std::ldexp(largest, -e) > limit) ++e;
+  if (e < -900 || e > 900) return screen;
+  const double inv_t = std::ldexp(1.0, -e);
+  double error = 0.0;
+  double mass = 0.0;
+  for (size_t i = 0; i < m; ++i) {
+    const double x = s[i] * inv_t;
+    // 1.5·2^52 rounds |x| ≤ 2^51 to an integer, ties to even.
+    const double rounded = (x + 0x1.8p52) - 0x1.8p52;
+    screen.rho[i] = static_cast<int16_t>(rounded);
+    error += std::fabs(x - rounded);
+    mass += std::fabs(x);
+  }
+  const double d = static_cast<double>((m + 7) / 8 + 4);
+  const double gamma = d * 0x1p-53 / (1.0 - d * 0x1p-53);
+  const double b = simd::kMaxAbsInt8Entry;
+  const double eps = 2.0 * b * (error + gamma * mass) +
+                     static_cast<double>(m) * 0x1p-174;
+  screen.two_eps = 2.0 * eps;
+  return screen;
 }
 
 // True iff the dense cache of an m x n matrix fits `budget` bytes. Divides
@@ -201,7 +236,10 @@ void FoldTop(const CorrelateArgmaxResult& candidate, size_t count,
 
 MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
                                      size_t cache_budget_bytes)
-    : m_(m), n_(n), seed_(seed), inv_sqrt_m_(1.0 / std::sqrt(double(m))) {
+    : m_(m),
+      n_(n),
+      seed_(seed),
+      scale_(1.0 / std::sqrt(double(m)) / simd::kInt8StepsPerUnit) {
   if (FitsCacheBudget(m_, n_, cache_budget_bytes)) {
     cache_.resize(m_ * n_);
     // Column-parallel and deterministic: each column's entries are a pure
@@ -215,12 +253,11 @@ MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
 }
 
 void MeasurementMatrix::FillColumn(size_t col, double* out) const {
-  std::vector<Half> scratch = ColumnScratch(1);
+  std::vector<int8_t> scratch = ColumnScratch(1);
   // -0.0 is the identity of IEEE addition (-0 + x == x for every x, ±0
-  // included), so this Axpy writes exactly double(half) · (1/√M), Entry's
-  // value, through the kernels' vector conversion.
+  // included), so this Axpy writes exactly q · scale_, Entry's value.
   std::fill(out, out + m_, -0.0);
-  simd::Axpy(out, UnscaledColumn(col, &scratch, 0), inv_sqrt_m_, m_);
+  simd::Axpy(out, UnscaledColumn(col, &scratch, 0), scale_, m_);
 }
 
 std::vector<double> MeasurementMatrix::Column(size_t col) const {
@@ -232,7 +269,7 @@ std::vector<double> MeasurementMatrix::Column(size_t col) const {
 std::vector<double> MeasurementMatrix::ScaledResidual(
     const std::vector<double>& r) const {
   std::vector<double> scaled = r;
-  simd::Scale(scaled.data(), inv_sqrt_m_, m_);
+  simd::Scale(scaled.data(), scale_, m_);
   return scaled;
 }
 
@@ -249,7 +286,7 @@ Result<std::vector<double>> MeasurementMatrix::Multiply(
       BlockedSum(m_, num_blocks, [&](size_t b, double* acc) {
         const size_t col_begin = b * kReductionBlockColumns;
         const size_t col_end = std::min(n_, col_begin + kReductionBlockColumns);
-        std::vector<Half> scratch = ColumnScratch(AxpyBatcher::kWidth);
+        std::vector<int8_t> scratch = ColumnScratch(AxpyBatcher::kWidth);
         AxpyBatcher batch(acc, m_);
         for (size_t j = col_begin; j < col_end; ++j) {
           const double xj = x[j];
@@ -258,7 +295,7 @@ Result<std::vector<double>> MeasurementMatrix::Multiply(
         }
         batch.Flush();
       });
-  simd::Scale(y.data(), inv_sqrt_m_, m_);
+  simd::Scale(y.data(), scale_, m_);
   return y;
 }
 
@@ -281,7 +318,7 @@ Result<std::vector<double>> MeasurementMatrix::MultiplySparse(
       BlockedSum(m_, num_blocks, [&](size_t b, double* acc) {
         const size_t k_begin = b * kReductionBlockNnz;
         const size_t k_end = std::min(nnz, k_begin + kReductionBlockNnz);
-        std::vector<Half> scratch = ColumnScratch(AxpyBatcher::kWidth);
+        std::vector<int8_t> scratch = ColumnScratch(AxpyBatcher::kWidth);
         AxpyBatcher batch(acc, m_);
         for (size_t k = k_begin; k < k_end; ++k) {
           const double xj = values[k];
@@ -291,7 +328,7 @@ Result<std::vector<double>> MeasurementMatrix::MultiplySparse(
         }
         batch.Flush();
       });
-  simd::Scale(y.data(), inv_sqrt_m_, m_);
+  simd::Scale(y.data(), scale_, m_);
   return y;
 }
 
@@ -344,7 +381,7 @@ Status MeasurementMatrix::MultiplySparseBatch(
 
   // Block b's entries accumulate into partials[b*M, (b+1)*M) exactly as
   // MultiplySparse would (same order, same fusion); `column` resolves an
-  // entry to its stored halves.
+  // entry to its stored column.
   //
   // With `prefetch` (cached columns only), each entry first requests the
   // column kSketchPrefetchEntries entries ahead, and a block's first entry
@@ -405,7 +442,7 @@ Status MeasurementMatrix::MultiplySparseBatch(
     const size_t max_wave_entries = std::max(
         kReductionBlockNnz, scratch_budget_bytes / (m_ * kBytesPerEntry));
     std::vector<size_t> wave_cols;
-    std::vector<Half> scratch;
+    std::vector<int8_t> scratch;
     size_t wave_begin = 0;
     while (wave_begin < schedule.size()) {
       size_t wave_end = wave_begin;
@@ -456,14 +493,14 @@ Status MeasurementMatrix::MultiplySparseBatch(
   }
 
   // Serial folds in fixed (slice, block) order — scheduling-independent and
-  // bit-identical to MultiplySparse's per-slice partial fold and 1/√M scale
+  // bit-identical to MultiplySparse's per-slice partial fold and scale
   // followed by AggregateMeasurements' slice-order sum.
   if (per_slice_out != nullptr) {
     for (size_t b = 0; b < blocks.size(); ++b) {
       simd::Add(per_slice_out->data() + blocks[b].slice * m_,
                 partials.data() + b * m_, m_);
     }
-    simd::Scale(per_slice_out->data(), inv_sqrt_m_, per_slice_out->size());
+    simd::Scale(per_slice_out->data(), scale_, per_slice_out->size());
     if (sum_out != nullptr) {
       for (size_t l = 0; l < slices.size(); ++l) {
         simd::Add(sum_out->data(), per_slice_out->data() + l * m_, m_);
@@ -486,7 +523,7 @@ Status MeasurementMatrix::MultiplySparseBatch(
         }
         y_l = slice_acc.data();
       }
-      simd::Scale(y_l, inv_sqrt_m_, m_);
+      simd::Scale(y_l, scale_, m_);
       simd::Add(sum_out->data(), y_l, m_);
     }
   }
@@ -505,7 +542,7 @@ Result<std::vector<double>> MeasurementMatrix::CorrelateAll(
   const std::vector<double> scaled = ScaledResidual(r);
   const double* rp = scaled.data();
   ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
-    std::vector<Half> scratch = ColumnScratch(4);
+    std::vector<int8_t> scratch = ColumnScratch(4);
     size_t j = begin;
     for (; j + 4 <= end; j += 4) {
       simd::Dot4(UnscaledColumn(j, &scratch, 0),
@@ -537,22 +574,19 @@ Result<std::vector<CorrelateArgmaxResult>> MeasurementMatrix::CorrelateTop(
   std::vector<CorrelateArgmaxResult> top;
   if (count == 0) return top;
   // Two stages (DESIGN.md §8). The screen scores every unmasked column
-  // with the float kernel, a_j = simd::Dot(h_j, float(s)), and keeps each
-  // column whose |a_j| lies within 2ε of the count-th largest |a|, T;
-  // ScreenErrorBound's ε bounds |a_j − K_j| for the exact
-  // K_j = simd::Dot(h_j, s), so every column it drops has |K_j| below that
+  // with the exact integer dot a_j = simd::Dot(q_j, ρ), in units of t, and
+  // keeps each column whose |a_j| lies within 2ε of the count-th largest
+  // |a|, T; ScreenResidual's ε bounds |a_j − K_j / t| for the exact
+  // K_j = simd::Dot(q_j, s), so every column it drops has |K_j| below that
   // of `count` others and cannot be in the top list (docs/THEORY.md §9).
   // The confirm stage runs the exact kernel on the kept columns only, in
   // ascending index order through FoldTop, so the result is the exhaustive
-  // top list, bit for bit. When ε is infinite the screen dots a zero
-  // vector and every unmasked column is kept.
+  // top list, bit for bit. When ε is infinite ρ is zero and every unmasked
+  // column is kept.
   const std::vector<double> scaled = ScaledResidual(r);
   const double* rp = scaled.data();
-  const double two_eps = 2.0 * ScreenErrorBound(scaled);
-  std::vector<float> screen_r(m_, 0.0f);
-  if (two_eps < kInfinity) {
-    for (size_t i = 0; i < m_; ++i) screen_r[i] = static_cast<float>(rp[i]);
-  }
+  const IntegerScreen screen_r = ScreenResidual(scaled);
+  const double two_eps = screen_r.two_eps;
   // A kept column: its index and |a_j|.
   struct Candidate {
     size_t index;
@@ -568,29 +602,29 @@ Result<std::vector<CorrelateArgmaxResult>> MeasurementMatrix::CorrelateTop(
   // of the final one: every column within 2ε of the global T. A cached
   // pass prefetches the column kPrefetchPageBytes ahead: the sweep is
   // bound by memory, and the hardware prefetcher stops at each 4 KB page,
-  // which holds only eight 256-row columns.
+  // which holds only sixteen 256-row columns.
   const size_t column_bytes = m_ * kBytesPerEntry;
   const size_t prefetch_ahead =
       1 + kPrefetchPageBytes / std::max<size_t>(column_bytes, 1);
   auto screen = [&](size_t begin, size_t end, ScreenedChunk* out) {
-    std::vector<Half> scratch = ColumnScratch(4);
+    std::vector<int8_t> scratch = ColumnScratch(4);
     size_t batch[4];
-    const Half* cols[4];
+    const int8_t* cols[4];
     size_t filled = 0;
-    float dots[4];
+    int32_t dots[4];
     // The running count-th largest |a|; -∞ until `count` columns scored.
     double floor = -kInfinity;
     auto flush = [&] {
       if (filled == 4) {
-        simd::Dot4(cols[0], cols[1], cols[2], cols[3], screen_r.data(), m_,
-                   dots);
+        simd::Dot4(cols[0], cols[1], cols[2], cols[3], screen_r.rho.data(),
+                   m_, dots);
       } else {
         for (size_t k = 0; k < filled; ++k) {
-          dots[k] = simd::Dot(cols[k], screen_r.data(), m_);
+          dots[k] = simd::Dot(cols[k], screen_r.rho.data(), m_);
         }
       }
       for (size_t k = 0; k < filled; ++k) {
-        const double abs_screen = std::fabs(dots[k]);
+        const double abs_screen = std::fabs(static_cast<double>(dots[k]));
         std::vector<double>& top_screen = out->top_screen;
         if (top_screen.size() < count || abs_screen > floor) {
           top_screen.insert(std::upper_bound(top_screen.begin(),
@@ -649,7 +683,7 @@ Result<std::vector<CorrelateArgmaxResult>> MeasurementMatrix::CorrelateTop(
   // pool only when the screen kept many columns (degenerate residuals).
   std::vector<std::vector<CorrelateArgmaxResult>> locals(chunk_count);
   auto confirm = [&](size_t chunk) {
-    std::vector<Half> scratch = ColumnScratch(1);
+    std::vector<int8_t> scratch = ColumnScratch(1);
     for (const Candidate& c : screened[chunk].candidates) {
       if (c.abs_screen < keep_floor) continue;
       const double value =
@@ -684,16 +718,17 @@ std::vector<double> MeasurementMatrix::BiasColumn() const {
       BlockedSum(m_, num_blocks, [&](size_t b, double* acc) {
         const size_t col_begin = b * kReductionBlockColumns;
         const size_t col_end = std::min(n_, col_begin + kReductionBlockColumns);
-        std::vector<Half> scratch = ColumnScratch(AddBatcher::kWidth);
+        std::vector<int8_t> scratch = ColumnScratch(AddBatcher::kWidth);
         AddBatcher batch(acc, m_);
         for (size_t j = col_begin; j < col_end; ++j) {
           batch.Push(UnscaledColumn(j, &scratch, batch.pending()));
         }
         batch.Flush();
       });
-  // One scale for both factors: 1/√M of the entries and 1/√N of Equation 3.
+  // One scale for both factors: 1/(16√M) of the entries and 1/√N of
+  // Equation 3.
   simd::Scale(phi0.data(),
-              inv_sqrt_m_ / std::sqrt(static_cast<double>(n_)), m_);
+              scale_ / std::sqrt(static_cast<double>(n_)), m_);
   return phi0;
 }
 

@@ -7,8 +7,8 @@
 #include <mutex>
 #include <vector>
 
-#include "common/half.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "common/status.h"
 
 namespace csod::cs {
@@ -55,9 +55,10 @@ struct SparseVectorView {
 /// Format 1 held double entries `g / √M` with the libm Box–Muller and
 /// column seeds `HashCombine(seed, j)`; format 2 rounded them to float;
 /// format 3 draws g from the libm-free box_muller::Pair and seeds column j
-/// with Phi0ColumnSeed; format 4 rounds the float on to binary16. Restoring
-/// state of another format fails with a Status.
-inline constexpr uint32_t kPhi0Format = 4;
+/// with Phi0ColumnSeed; format 4 rounded the float on to binary16; format 5
+/// stores g as an int8 number of sixteenths, clamp(roundeven(16·g), ±127).
+/// Restoring state of another format fails with a Status.
+inline constexpr uint32_t kPhi0Format = 5;
 
 /// Column `col`'s CounterGaussian seed: HashCombine(SplitMix64(seed), col).
 /// Hashing the seed first keeps the columns of nearby seeds apart;
@@ -78,25 +79,27 @@ inline uint64_t Phi0ColumnSeed(uint64_t seed, uint64_t col) {
 /// and individual columns can be regenerated in any order — which is what
 /// OMP's column-selection loop needs.
 ///
-/// Entry (i, j) is `double(half(float(g))) · (1/√M)` with
+/// Entry (i, j) is `(q / 16) · (1/√M)` with the int8
+/// `q = clamp(roundeven(16·g), −127, 127)` (simd::QuantizeEntry) and
 /// `g = CounterGaussian(Phi0ColumnSeed(seed, j)).At(i)`: a standard normal
-/// rounded to float, then to binary16 (FloatToHalf, to nearest even), then
-/// scaled. g involves only IEEE-exact operations (common/random.h), and the
-/// roundings are integer functions (common/half.h), so every host computes
-/// the same bits. The matrix stores (or regenerates) the unscaled halves, 2
-/// bytes per entry, and every kernel applies 1/√M once per call — it scales
-/// `r` before a correlate and the M-vector after a multiply or column sum —
-/// so a kernel's result may differ in the last bits from the same sum taken
-/// over Entry() values, never between runs.
+/// rounded to a multiple of 1/16, then scaled. g involves only IEEE-exact
+/// operations (common/random.h) and the rounding is exact arithmetic, so
+/// every host computes the same bits. An i.i.d. rounded Gaussian is still
+/// sub-Gaussian, which is what the RIP argument needs. The matrix stores (or
+/// regenerates) the integers q, 1 byte per entry, and every kernel applies
+/// 1/(16√M) once per call — it scales `r` before a correlate and the
+/// M-vector after a multiply or column sum — so a kernel's result may differ
+/// in the last bits from the same sum taken over Entry() values, never
+/// between runs.
 ///
-/// An optional dense column-major cache of those halves trades memory for
+/// An optional dense column-major cache of those integers trades memory for
 /// speed; when `M * N * kBytesPerEntry` exceeds the cache budget the matrix
 /// stays implicit and columns are regenerated on the fly. Owners obtain Φ0
 /// through SharedMatrix() so that one geometry is built once per process.
 ///
 /// Determinism: every kernel below returns bit-identical results at any
 /// parallelism limit, on either SIMD path, and cached or implicit (both feed
-/// the same half column bits to the same simd:: calls). Per-index kernels
+/// the same int8 column bits to the same simd:: calls). Per-index kernels
 /// (cache fill, CorrelateAll) write disjoint slots; reductions (Multiply,
 /// MultiplySparse, BiasColumn) use a fixed block geometry independent of the
 /// thread count with partials combined in block order; CorrelateTop keeps
@@ -118,14 +121,14 @@ class MeasurementMatrix {
   uint64_t seed() const { return seed_; }
   bool cached() const { return !cache_.empty(); }
 
-  /// Entry (row, col) — N(0, 1/M) distributed.
+  /// Entry (row, col) — N(0, 1/M) distributed, up to the rounding.
   double Entry(size_t row, size_t col) const {
-    const Half g =
+    const int8_t q =
         cache_.empty()
-            ? FloatToHalf(static_cast<float>(
-                  CounterGaussian(Phi0ColumnSeed(seed_, col)).At(row)))
+            ? simd::QuantizeEntry(
+                  CounterGaussian(Phi0ColumnSeed(seed_, col)).At(row))
             : cache_[col * m_ + row];
-    return double(HalfToFloat(g)) * inv_sqrt_m_;
+    return q * scale_;
   }
 
   /// Writes column `col` (length M) into `out`; out[i] == Entry(i, col).
@@ -183,7 +186,8 @@ class MeasurementMatrix {
   /// |correlation| descending with ties toward the lowest j, each with the
   /// correlation CorrelateAll would give for j. Fewer entries when fewer
   /// columns are unmasked (a NaN correlation never enters). Never
-  /// materializes the N-vector of correlations. A float screen rules out
+  /// materializes the N-vector of correlations. An exact integer screen
+  /// rules out
   /// every column that provably cannot be among them, and the exact kernel
   /// confirms the rest (DESIGN.md §8), so the result is bit-identical to an
   /// exhaustive sort of CorrelateAll, at any thread count and on either SIMD
@@ -210,23 +214,16 @@ class MeasurementMatrix {
   /// construction / known-mode recovery.
   const std::vector<double>& CachedBiasColumn() const;
 
-  /// The largest |unscaled entry| Φ0 can hold, 1097/128. The generator's
-  /// u ≥ 2^-53 caps |g| at √(106·ln 2) ≈ 8.5717, below the midpoint
-  /// 8.57421875 of the binary16 neighbours 8.5703125 and 8.578125, so
-  /// FloatToHalf(float(g)) never exceeds 8.5703125 (docs/THEORY.md §9).
-  /// CorrelateTop's screen bound rests on it.
-  static constexpr double kMaxAbsUnscaledEntry = 8.5703125;
-
   /// Bytes one stored entry takes, in the dense cache and in the implicit
   /// batch kernel's column scratch.
-  static constexpr size_t kBytesPerEntry = sizeof(Half);
+  static constexpr size_t kBytesPerEntry = sizeof(int8_t);
   static constexpr size_t kDefaultCacheBudgetBytes = size_t{512} << 20;
   /// Default per-wave column scratch for the implicit batched kernel.
   static constexpr size_t kDefaultBatchScratchBytes = size_t{128} << 20;
 
  private:
-  // Writes column `col`'s unscaled half-rounded Gaussian (M halves).
-  void GenerateColumn(size_t col, Half* out) const {
+  // Writes column `col`'s unscaled entries q (M int8).
+  void GenerateColumn(size_t col, int8_t* out) const {
     CounterGaussian(Phi0ColumnSeed(seed_, col))
         .Fill(m_, RowKeys().data(), out);
   }
@@ -238,31 +235,33 @@ class MeasurementMatrix {
 
   // Scratch for `slots` implicit columns that are live at once; empty when
   // cached, since cached columns are read in place.
-  std::vector<Half> ColumnScratch(size_t slots) const {
-    return std::vector<Half>(cache_.empty() ? slots * m_ : 0);
+  std::vector<int8_t> ColumnScratch(size_t slots) const {
+    return std::vector<int8_t>(cache_.empty() ? slots * m_ : 0);
   }
 
-  // Column `col`'s stored halves: a pointer into the cache, or, when
+  // Column `col`'s stored entries: a pointer into the cache, or, when
   // implicit, the column generated into slot `slot` of `scratch` (from
   // ColumnScratch(slots) with slot < slots).
-  const Half* UnscaledColumn(size_t col, std::vector<Half>* scratch,
-                             size_t slot) const {
+  const int8_t* UnscaledColumn(size_t col, std::vector<int8_t>* scratch,
+                               size_t slot) const {
     if (!cache_.empty()) return cache_.data() + col * m_;
-    Half* out = scratch->data() + slot * m_;
+    int8_t* out = scratch->data() + slot * m_;
     GenerateColumn(col, out);
     return out;
   }
 
-  // r · (1/√M), the form a correlate dots the unscaled columns against.
+  // r · scale_, the form a correlate dots the unscaled columns against.
   std::vector<double> ScaledResidual(const std::vector<double>& r) const;
 
   size_t m_;
   size_t n_;
   uint64_t seed_;
-  double inv_sqrt_m_;
-  // Column-major unscaled halves (cache_[col * m_ + row]), or empty when
+  // 1/(16√M): an unscaled entry q times scale_ is Entry's (q/16)·(1/√M)
+  // exactly, since the two differ only by the exact factor 2^-4.
+  double scale_;
+  // Column-major unscaled entries (cache_[col * m_ + row]), or empty when
   // implicit.
-  std::vector<Half> cache_;
+  std::vector<int8_t> cache_;
   // Lazily memoized bias column (CachedBiasColumn).
   mutable std::once_flag bias_once_;
   mutable std::vector<double> bias_column_;

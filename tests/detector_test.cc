@@ -92,6 +92,28 @@ TEST(DetectorTest, OverflowedSketchFailsDetect) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Removing the source that made y non-finite restores Detect: y is rebuilt
+// from the remaining sketches, not left as NaN − NaN.
+TEST(DetectorTest, RemovingTheNonFiniteSourceRestoresDetect) {
+  const std::vector<double> global = TestGlobal();
+  auto detector = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
+  for (const auto& slice : MakeSlices(global, 3, 4)) {
+    ASSERT_TRUE(detector->AddSource(slice).ok());
+  }
+  const std::vector<double> before = detector->global_measurement();
+  const auto bad = detector->AddSourceMeasurement(
+      std::vector<double>(180, std::numeric_limits<double>::quiet_NaN()));
+  ASSERT_TRUE(bad.ok());
+  ASSERT_FALSE(detector->Detect(3).ok());
+  ASSERT_TRUE(detector->RemoveSource(bad.Value()).ok());
+  EXPECT_EQ(detector->global_measurement(), before);
+  const auto result = detector->Detect(3);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_DOUBLE_EQ(
+      outlier::ErrorOnKey(outlier::ExactKOutliers(global, 3), result.Value()),
+      0.0);
+}
+
 TEST(DetectorTest, DetectRequiresSources) {
   auto detector = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
   EXPECT_FALSE(detector->Detect(3).ok());

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/half.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/simd.h"
@@ -103,8 +102,9 @@ TEST(MeasurementMatrixTest, CachedEqualsImplicit) {
 }
 
 TEST(MeasurementMatrixTest, CacheBudgetRespected) {
-  // 16*32*4 = 2048 bytes; a 1000-byte budget must stay implicit.
-  MeasurementMatrix small_budget(16, 32, 5, 1000);
+  // One byte short of the 16 x 32 cache must stay implicit.
+  const size_t bytes = 16 * 32 * MeasurementMatrix::kBytesPerEntry;
+  MeasurementMatrix small_budget(16, 32, 5, bytes - 1);
   EXPECT_FALSE(small_budget.cached());
 }
 
@@ -872,7 +872,7 @@ TEST(MeasurementMatrixTest, CachedBiasColumnMatchesFreshCompute) {
 }
 
 TEST(MeasurementMatrixTest, WrappingGeometryStaysImplicit) {
-  // M·N = 2^62 entries: 2^63 bytes of halves, and a product for 4-byte
+  // M·N = 2^62 entries: 2^62 bytes of int8, and a product for 4-byte
   // entries would wrap to 0 in size_t. Neither may pass as "fits the
   // budget" and try to allocate the dense cache.
   const size_t huge = size_t{1} << 31;
@@ -884,21 +884,26 @@ TEST(MeasurementMatrixTest, WrappingGeometryStaysImplicit) {
   EXPECT_FALSE(MeasurementMatrix(8, 16, 1, kBytes - 1).cached());
 }
 
-TEST(MeasurementMatrixTest, EntryIsTheHalfRoundedScaledGaussian) {
-  // Φ0's entry definition (format 4), bit for bit, on both storage paths,
+TEST(MeasurementMatrixTest, EntryIsTheInt8RoundedScaledGaussian) {
+  // Φ0's entry definition (format 5), bit for bit, on both storage paths,
   // through every accessor, with the matrix built at every parallelism
-  // limit and SIMD level: double(half(float(g))) · (1/√M) with
-  // g = CounterGaussian(Phi0ColumnSeed(seed, j)).At(i). N = 600 spans more
-  // than one kMinColumnsPerChunk, so the dense cache is filled in parallel.
+  // limit and SIMD level: (q / 16) · (1/√M) with
+  // q = clamp(roundeven(16·g), −127, 127) and
+  // g = CounterGaussian(Phi0ColumnSeed(seed, j)).At(i). The reference rounds
+  // with std::nearbyint (ties to even in the default mode), not with the
+  // kernels' own rounding. N = 600 spans more than one kMinColumnsPerChunk,
+  // so the dense cache is filled in parallel.
   const size_t m = 13, n = 600;
   const uint64_t seed = 2718;
   const double inv_sqrt_m = 1.0 / std::sqrt(static_cast<double>(m));
   std::vector<double> expected(m * n);
   for (size_t j = 0; j < n; ++j) {
     for (size_t i = 0; i < m; ++i) {
-      const Half g = FloatToHalf(static_cast<float>(
-          CounterGaussian(Phi0ColumnSeed(seed, j)).At(i)));
-      expected[j * m + i] = double(HalfToFloat(g)) * inv_sqrt_m;
+      const double g = CounterGaussian(Phi0ColumnSeed(seed, j)).At(i);
+      // Through int: q is an integer, so a rounded -0.0 is 0.
+      const int q = static_cast<int>(
+          std::clamp(std::nearbyint(16.0 * g), -127.0, 127.0));
+      expected[j * m + i] = (q / 16.0) * inv_sqrt_m;
     }
   }
   for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {

@@ -116,18 +116,24 @@ TEST(CounterGaussianTest, Moments) {
   EXPECT_NEAR(var, 1.0, 0.03);
 }
 
-// Φ0 formats 3 and 4 pin these bits: they are the same on every host,
-// compiler and libm, because box_muller:: uses only IEEE-exact operations. A
+// Φ0 formats 3 to 5 pin these bits: they are the same on every host,
+// compiler and libm, because box_muller:: uses only IEEE-exact operations.
+// Format 5 stores them as the int8 sixteenths `golden_q`
+// (roundeven(16·g), checked by hand against the doubles above them). A
 // change here is a change of Φ0's format (cs::kPhi0Format).
 TEST(CounterGaussianTest, GoldenBits) {
   const uint64_t golden[8] = {
       0xbfe2fd94a9e55b56ULL, 0xbff91a411eefa238ULL, 0x3fd6fb1127765cb3ULL,
       0xbfef31c4bdb10df0ULL, 0x3fcc52f10681f7d3ULL, 0xbfcbbf3e552c1c8bULL,
       0xbff6eb3c331f1323ULL, 0xbfd3fd86d36f4ce7ULL};
+  const int8_t golden_q[8] = {-9, -25, 6, -16, 4, -3, -23, -5};
   const CounterGaussian gen(5);
+  int8_t stored[8];
+  gen.Fill(8, stored);
   for (uint64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(std::bit_cast<uint64_t>(gen.At(i)), golden[i])
         << "i=" << i << " got " << std::hexfloat << gen.At(i);
+    EXPECT_EQ(stored[i], golden_q[i]) << "i=" << i;
   }
 }
 

@@ -5,13 +5,13 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/half.h"
 #include "common/random.h"
-#include "cs/measurement_matrix.h"
 
 namespace csod::simd {
 namespace {
@@ -186,30 +186,26 @@ TEST(SimdTest, ElementwiseKernelsMatchScalarReference) {
   }
 }
 
-// n half-rounded Gaussians, followed by `guard` NaN halves: a kernel that
-// read past element n - 1 would fold a NaN into its result.
-std::vector<Half> RandomHalves(size_t n, uint64_t seed, size_t guard = 0) {
-  std::vector<Half> v(n + guard, Half{0x7e00});
+// n quantized Gaussians (Φ0's entries), followed by `guard` entries of 127:
+// a kernel that read past element n - 1 would fold them into its result.
+std::vector<int8_t> RandomInt8s(size_t n, uint64_t seed, size_t guard = 0) {
+  std::vector<int8_t> v(n + guard, 127);
   Rng rng(seed);
-  for (size_t i = 0; i < n; ++i) {
-    v[i] = FloatToHalf(static_cast<float>(rng.NextGaussian()));
-  }
+  for (size_t i = 0; i < n; ++i) v[i] = QuantizeEntry(rng.NextGaussian());
   return v;
 }
 
-std::vector<double> Widened(const std::vector<Half>& v, size_t n) {
-  std::vector<double> wide(n);
-  for (size_t i = 0; i < n; ++i) wide[i] = double(HalfToFloat(v[i]));
-  return wide;
+std::vector<double> Widened(const std::vector<int8_t>& v, size_t n) {
+  return std::vector<double>(v.begin(), v.begin() + n);
 }
 
-// Every kernel that reads a half column, run once at the active level.
+// Every kernel that reads an int8 column, run once at the active level.
 struct ColumnKernelOutputs {
   double dot = 0.0;
   double dot4[4] = {0.0, 0.0, 0.0, 0.0};
   std::vector<double> axpy, axpy4, axpy8, add, add4;
 
-  // Bitwise, so a NaN from an over-read never compares equal.
+  // Bitwise, so -0.0 never compares equal to 0.0.
   bool operator==(const ColumnKernelOutputs& o) const {
     auto same = [](double a, double b) {
       return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
@@ -231,122 +227,137 @@ struct ColumnKernelOutputs {
   }
 };
 
-// Runs the half-column kernels over columns `c` (eight, each n halves plus
-// guards) and residual `r`, or, with `widen`, the double kernels over the
-// same columns widened to double.
-ColumnKernelOutputs RunColumnKernels(const std::vector<std::vector<Half>>& c,
-                                     const std::vector<double>& r, size_t n,
-                                     bool widen) {
-  std::vector<std::vector<double>> wide;
-  for (const auto& col : c) wide.push_back(Widened(col, n));
+// Runs the column kernels over columns `c` (eight int8 or double columns of
+// at least n entries) and residual `r`.
+template <typename T>
+ColumnKernelOutputs RunColumnKernels(const std::vector<std::vector<T>>& c,
+                                     const std::vector<double>& r, size_t n) {
   const double xs[8] = {1.0, -2.0, 0.5, 3.0, -0.125, 2.25, -1.0, 0.75};
   ColumnKernelOutputs out;
   out.axpy = out.axpy4 = out.axpy8 = out.add = out.add4 = RandomVector(n, 77);
-  if (widen) {
-    out.dot = Dot(wide[0].data(), r.data(), n);
-    Dot4(wide[0].data(), wide[1].data(), wide[2].data(), wide[3].data(),
-         r.data(), n, out.dot4);
-    Axpy(out.axpy.data(), wide[0].data(), 1.7, n);
-    Axpy4(out.axpy4.data(), wide[0].data(), xs[0], wide[1].data(), xs[1],
-          wide[2].data(), xs[2], wide[3].data(), xs[3], n);
-    const double* cols[8];
-    for (size_t k = 0; k < 8; ++k) cols[k] = wide[k].data();
-    Axpy8(out.axpy8.data(), cols, xs, n);
-    Add(out.add.data(), wide[0].data(), n);
-    Add4(out.add4.data(), wide[0].data(), wide[1].data(), wide[2].data(),
-         wide[3].data(), n);
-  } else {
-    out.dot = Dot(c[0].data(), r.data(), n);
-    Dot4(c[0].data(), c[1].data(), c[2].data(), c[3].data(), r.data(), n,
-         out.dot4);
-    Axpy(out.axpy.data(), c[0].data(), 1.7, n);
-    Axpy4(out.axpy4.data(), c[0].data(), xs[0], c[1].data(), xs[1],
-          c[2].data(), xs[2], c[3].data(), xs[3], n);
-    const Half* cols[8];
-    for (size_t k = 0; k < 8; ++k) cols[k] = c[k].data();
-    Axpy8(out.axpy8.data(), cols, xs, n);
-    Add(out.add.data(), c[0].data(), n);
-    Add4(out.add4.data(), c[0].data(), c[1].data(), c[2].data(),
-         c[3].data(), n);
-  }
+  out.dot = Dot(c[0].data(), r.data(), n);
+  Dot4(c[0].data(), c[1].data(), c[2].data(), c[3].data(), r.data(), n,
+       out.dot4);
+  Axpy(out.axpy.data(), c[0].data(), 1.7, n);
+  Axpy4(out.axpy4.data(), c[0].data(), xs[0], c[1].data(), xs[1], c[2].data(),
+        xs[2], c[3].data(), xs[3], n);
+  const T* cols[8];
+  for (size_t k = 0; k < 8; ++k) cols[k] = c[k].data();
+  Axpy8(out.axpy8.data(), cols, xs, n);
+  Add(out.add.data(), c[0].data(), n);
+  Add4(out.add4.data(), c[0].data(), c[1].data(), c[2].data(), c[3].data(),
+       n);
   return out;
 }
 
-// Half columns: portable == AVX2, and each half overload == its double form
+// Int8 columns: portable == AVX2, and each int8 overload == its double form
 // on the widened column, bit for bit. The sizes cover every tail length of
-// the 4-wide loads and the 8-lane tree, and a column of M = 256 with its
-// neighbours. Each column is followed by eight NaN halves, so a read past
-// element n - 1 shows as a mismatch even without AddressSanitizer.
-TEST(SimdTest, HalfColumnKernelsAreBitIdenticalAcrossLevels) {
+// the 4- and 8-wide loads and the 8-lane tree, and a column of M = 256 with
+// its neighbours. Each column is followed by eight guard entries, so a read
+// past element n - 1 shows as a mismatch even without AddressSanitizer.
+TEST(SimdTest, Int8ColumnKernelsAreBitIdenticalAcrossLevels) {
   std::vector<size_t> sizes;
   for (size_t n = 1; n <= 17; ++n) sizes.push_back(n);
   for (size_t n : {size_t{255}, size_t{256}, size_t{257}}) sizes.push_back(n);
   for (size_t n : sizes) {
-    std::vector<std::vector<Half>> cols;
+    std::vector<std::vector<int8_t>> cols;
+    std::vector<std::vector<double>> wide;
     for (uint64_t k = 0; k < 8; ++k) {
-      cols.push_back(RandomHalves(n, 100 + k, /*guard=*/8));
+      cols.push_back(RandomInt8s(n, 100 + k, /*guard=*/8));
+      wide.push_back(Widened(cols.back(), n));
     }
     const auto r = RandomVector(n, 99);
     ColumnKernelOutputs portable;
     {
       ScopedLevel scoped(Level::kPortable);
-      portable = RunColumnKernels(cols, r, n, /*widen=*/false);
-      EXPECT_TRUE(portable == RunColumnKernels(cols, r, n, /*widen=*/true))
-          << "n=" << n << " half != widened double (portable)";
+      portable = RunColumnKernels(cols, r, n);
+      EXPECT_TRUE(portable == RunColumnKernels(wide, r, n))
+          << "n=" << n << " int8 != widened double (portable)";
     }
     if (!Avx2Supported()) continue;
     ScopedLevel scoped(Level::kAvx2);
-    const ColumnKernelOutputs avx2 = RunColumnKernels(cols, r, n, false);
+    const ColumnKernelOutputs avx2 = RunColumnKernels(cols, r, n);
     EXPECT_TRUE(avx2 == portable) << "n=" << n << " avx2 != portable";
-    EXPECT_TRUE(avx2 == RunColumnKernels(cols, r, n, /*widen=*/true))
-        << "n=" << n << " half != widened double (avx2)";
+    EXPECT_TRUE(avx2 == RunColumnKernels(wide, r, n))
+        << "n=" << n << " int8 != widened double (avx2)";
   }
 }
 
-// The screen dots' tree, written out longhand in float: lane l sums
-// HalfToFloat(a[i]) * b[i] for i ≡ l (mod 8); lanes fold pairwise.
-float ReferenceFloatLaneDot(const Half* a, const float* b, size_t n) {
-  float lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t i = 0; i < n; ++i) lane[i % 8] += HalfToFloat(a[i]) * b[i];
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+int64_t ReferenceScreenDot(const int8_t* a, const int16_t* b, size_t n) {
+  int64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += int64_t{a[i]} * int64_t{b[i]};
+  return sum;
 }
 
-// The half × float screen dots: Dot and each Dot4 output equal the float
-// lane tree bit for bit on both levels. Sizes and NaN guards as above; a
-// residual with a zero and a subnormal entry rides along.
-TEST(SimdTest, ScreenDotsMatchTheFloatLaneSplitOnEveryLevel) {
+// Dot and each Dot4 output of the int8 × int16 screen against the int64
+// sum, on both levels, for columns and residuals drawn over their whole
+// admitted range: |q| ≤ 127, |ρ| ≤ ScreenResidualLimit(n).
+void ExpectExactScreenDots(const std::vector<std::vector<int8_t>>& cols,
+                           const std::vector<int16_t>& r, size_t n) {
+  for (Level level : {Level::kPortable, Level::kAvx2}) {
+    ScopedLevel scoped(level);
+    int32_t dot4[4];
+    Dot4(cols[0].data(), cols[1].data(), cols[2].data(), cols[3].data(),
+         r.data(), n, dot4);
+    for (size_t k = 0; k < 4; ++k) {
+      const int64_t want = ReferenceScreenDot(cols[k].data(), r.data(), n);
+      EXPECT_EQ(Dot(cols[k].data(), r.data(), n), want)
+          << "n=" << n << " k=" << k << " level=" << LevelName(level);
+      EXPECT_EQ(dot4[k], want)
+          << "n=" << n << " k=" << k << " level=" << LevelName(level);
+    }
+  }
+}
+
+TEST(SimdTest, IntegerScreenDotIsExactOnEveryLevel) {
   std::vector<size_t> sizes;
   for (size_t n = 0; n <= 17; ++n) sizes.push_back(n);
   for (size_t n : {size_t{255}, size_t{256}, size_t{257}}) sizes.push_back(n);
   for (size_t n : sizes) {
-    std::vector<std::vector<Half>> cols;
-    for (uint64_t k = 0; k < 4; ++k) {
-      cols.push_back(RandomHalves(n, 200 + k, /*guard=*/8));
-    }
-    std::vector<float> r(n);
-    const auto wide_r = RandomVector(n, 299);
-    for (size_t i = 0; i < n; ++i) r[i] = static_cast<float>(wide_r[i]);
-    if (n > 3) {
-      r[1] = 0.0f;
-      r[3] = 1e-40f;
-    }
-    for (Level level : {Level::kPortable, Level::kAvx2}) {
-      ScopedLevel scoped(level);
-      float dot4[4];
-      Dot4(cols[0].data(), cols[1].data(), cols[2].data(), cols[3].data(),
-           r.data(), n, dot4);
-      for (size_t k = 0; k < 4; ++k) {
-        const float want = ReferenceFloatLaneDot(cols[k].data(), r.data(), n);
-        EXPECT_EQ(std::bit_cast<uint32_t>(Dot(cols[k].data(), r.data(), n)),
-                  std::bit_cast<uint32_t>(want))
-            << "n=" << n << " k=" << k << " level=" << LevelName(level);
-        EXPECT_EQ(std::bit_cast<uint32_t>(dot4[k]),
-                  std::bit_cast<uint32_t>(want))
-            << "n=" << n << " k=" << k << " level=" << LevelName(level);
+    const int32_t limit = ScreenResidualLimit(n);
+    Rng rng(300 + n);
+    auto uniform = [&](int32_t bound) {
+      return static_cast<int32_t>(rng.NextBounded(2 * bound + 1)) - bound;
+    };
+    std::vector<std::vector<int8_t>> cols(4, std::vector<int8_t>(n + 16, 127));
+    for (auto& col : cols) {
+      for (size_t i = 0; i < n; ++i) {
+        col[i] = static_cast<int8_t>(uniform(kMaxAbsInt8Entry));
       }
     }
+    std::vector<int16_t> r(n + 16, 32767);
+    for (size_t i = 0; i < n; ++i) r[i] = static_cast<int16_t>(uniform(limit));
+    ExpectExactScreenDots(cols, r, n);
   }
+}
+
+// The overflow rule at its edge: at the largest n it admits, a column of
+// ±127 against a residual of ±L with matching signs sums to 127·n·L, just
+// under 2^31, and no kernel may wrap on the way.
+TEST(SimdTest, IntegerScreenDotIsExactAtTheLargestAdmittedM) {
+  EXPECT_EQ(ScreenResidualLimit(1), 32767);
+  EXPECT_EQ(ScreenResidualLimit(516), 32767);
+  EXPECT_EQ(ScreenResidualLimit(517), 32706);
+  EXPECT_EQ(ScreenResidualLimit(1600), 10568);
+  const size_t n = 0x7fffffff / 127;
+  ASSERT_EQ(ScreenResidualLimit(n), 1);
+  ASSERT_EQ(ScreenResidualLimit(n + 1), 0);
+  const int32_t limit = ScreenResidualLimit(n);
+  std::vector<std::vector<int8_t>> cols(4, std::vector<int8_t>(n));
+  std::vector<int16_t> r(n);
+  for (size_t i = 0; i < n; ++i) {
+    const int8_t q = (i % 3 == 0) ? -127 : 127;
+    cols[0][i] = q;
+    cols[1][i] = static_cast<int8_t>(-q);
+    cols[2][i] = 127;
+    cols[3][i] = (i % 2 == 0) ? q : static_cast<int8_t>(-q);
+    r[i] = static_cast<int16_t>(q < 0 ? -limit : limit);
+  }
+  EXPECT_EQ(ReferenceScreenDot(cols[0].data(), r.data(), n),
+            int64_t{127} * static_cast<int64_t>(n) * limit);
+  EXPECT_LE(int64_t{127} * static_cast<int64_t>(n) * limit,
+            int64_t{0x7fffffff});
+  ExpectExactScreenDots(cols, r, n);
 }
 
 // Bit patterns of a double vector, so a comparison also tells -0.0 from 0.0
@@ -358,9 +369,9 @@ std::vector<uint64_t> Bits(const std::vector<double>& v) {
 }
 
 // The generator kernel: portable == AVX2 bit for bit, as double and as
-// half, and both equal CounterGaussian::At (rounded to float, then to half,
-// for the half form). Odd counts end on half a pair; counts above 8 reach the scalar tail
-// after the 8-position AVX2 groups.
+// int8, and both equal CounterGaussian::At (through QuantizeEntry for the
+// int8 form). Odd counts end on half a pair; counts above 8 reach the scalar
+// tail after the 8-position AVX2 groups.
 TEST(SimdTest, GaussianFillIsBitIdenticalAcrossLevels) {
   std::vector<size_t> counts;
   for (size_t n = 1; n <= 17; ++n) counts.push_back(n);
@@ -377,18 +388,17 @@ TEST(SimdTest, GaussianFillIsBitIdenticalAcrossLevels) {
         ScopedLevel scoped(level);
         // One guard slot past the end catches a write beyond `count`.
         std::vector<double> wide(n + 1, 7.0);
-        std::vector<Half> narrow(n + 1, Half{0x4700});  // 7.0
+        std::vector<int8_t> narrow(n + 1, 7);
         GaussianFill(seed, keys.data(), n, wide.data());
         GaussianFill(seed, keys.data(), n, narrow.data());
         EXPECT_EQ(wide[n], 7.0);
-        EXPECT_EQ(narrow[n].bits, 0x4700);
+        EXPECT_EQ(narrow[n], 7);
         wide.pop_back();
         EXPECT_EQ(Bits(wide), Bits(at))
             << "seed=" << seed << " n=" << n
             << " level=" << LevelName(ActiveLevel());
         for (size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(narrow[i].bits,
-                    FloatToHalf(static_cast<float>(at[i])).bits)
+          EXPECT_EQ(narrow[i], QuantizeEntry(at[i]))
               << "seed=" << seed << " n=" << n << " i=" << i
               << " level=" << LevelName(ActiveLevel());
         }
@@ -458,49 +468,53 @@ TEST(SimdTest, GaussianFillEdgeWordsAreBitIdenticalAcrossLevels) {
   }
 }
 
-// The entry bound B that CorrelateArgmax's screen rests on. |g| is largest
-// where the radius is: u = 2^-53, i.e. w1 >> 11 == 0, with an angle in the
-// cell next to an axis, where |cos θ| or |sin θ| computes to exactly 1:
-// cell 0 of an even octant, the last (reflected) cell of an odd one, so
-// each octant has one such cell and the sign covers ±. The next radius, at u = 2^-52, is √(104·ln 2) ≈
-// 8.49. Every such word, on both levels, stores a half of magnitude at most
-// B, and the largest attains it.
-TEST(SimdTest, NoHalfEntryExceedsTheScreenBound) {
-  const double bound = cs::MeasurementMatrix::kMaxAbsUnscaledEntry;
-  // B is the half nearest √(106·ln 2), and g's float sits below the
-  // midpoint to the next half up by far more than the generator's error.
-  const double r_max = std::sqrt(-2.0 * box_muller::LogOpenUnit(0));
-  EXPECT_NEAR(r_max, std::sqrt(106.0 * std::log(2.0)), 1e-12);
-  EXPECT_EQ(double(HalfToFloat(FloatToHalf(static_cast<float>(r_max)))),
-            bound);
-  EXPECT_LT(static_cast<float>(r_max), 8.57421875f - 0.002f);
-  EXPECT_LT(std::sqrt(-2.0 * box_muller::LogOpenUnit(uint64_t{1} << 11)),
-            8.5);
+// Φ0's rounding, clamp(roundeven(16·g), ±127), on both levels and through
+// the scalar QuantizeEntry: ties k + 1/2 go to the even neighbour, the clamp
+// acts from |g| = 7.96875 (16·g = 127.5) on, and the largest variates the
+// generator can draw, |g| ≈ 8.57 at u = 2^-53, store ±127. Nineteen values
+// reach both the 8-wide groups and the scalar tail.
+TEST(SimdTest, QuantizeRoundsTiesToEvenAndClampsOnEveryLevel) {
+  const std::vector<std::pair<double, int>> cases = {
+      {0.5 / 16, 0},       {1.5 / 16, 2},      {2.5 / 16, 2},
+      {-0.5 / 16, 0},      {-1.5 / 16, -2},    {-2.5 / 16, -2},
+      {126.5 / 16, 126},   {-126.5 / 16, -126}, {125.5 / 16, 126},
+      {7.9, 126},          {7.96875, 127},     {-7.96875, -127},
+      {7.97, 127},         {-7.97, -127},      {8.5717, 127},
+      {-8.5717, -127},     {1e300, 127},       {-1e300, -127},
+      {0.03124, 0}};
+  std::vector<double> g;
+  for (const auto& [value, want] : cases) {
+    g.push_back(value);
+    EXPECT_EQ(QuantizeEntry(value), want) << "g=" << value;
+  }
+  for (Level level : {Level::kPortable, Level::kAvx2}) {
+    ScopedLevel scoped(level);
+    std::vector<int8_t> out(g.size() + 1, 7);
+    Quantize(g.data(), g.size(), out.data());
+    EXPECT_EQ(out.back(), 7);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      EXPECT_EQ(out[i], cases[i].second)
+          << "g=" << g[i] << " level=" << LevelName(level);
+    }
+  }
 
+  // u = 2^-53 (w1 >> 11 == 0) with an angle next to an axis in each octant.
   const uint64_t seed = 7;
-  const uint64_t radius_words[] = {0, (uint64_t{1} << 11) - 1,
-                                   uint64_t{1} << 11};
   const uint64_t last_cell = (uint64_t{1} << 61) - 1;
   std::vector<uint64_t> keys;
-  for (uint64_t w1 : radius_words) {
-    for (uint64_t octant = 0; octant < 8; ++octant) {
-      for (uint64_t cell : {uint64_t{0}, last_cell}) {
-        keys.push_back(InverseSplitMix64(w1) ^ seed);
-        keys.push_back(InverseSplitMix64((octant << 61) | cell) ^ seed);
-      }
+  for (uint64_t octant = 0; octant < 8; ++octant) {
+    for (uint64_t cell : {uint64_t{0}, last_cell}) {
+      keys.push_back(InverseSplitMix64(0) ^ seed);
+      keys.push_back(InverseSplitMix64((octant << 61) | cell) ^ seed);
     }
   }
   for (Level level : {Level::kPortable, Level::kAvx2}) {
     ScopedLevel scoped(level);
-    std::vector<Half> out(keys.size());
+    std::vector<int8_t> out(keys.size());
     GaussianFill(seed, keys.data(), keys.size(), out.data());
-    double largest = 0.0;
-    for (Half h : out) {
-      const double v = std::fabs(double(HalfToFloat(h)));
-      EXPECT_LE(v, bound) << LevelName(ActiveLevel());
-      largest = std::max(largest, v);
-    }
-    EXPECT_EQ(largest, bound) << LevelName(ActiveLevel());
+    int largest = 0;
+    for (int8_t q : out) largest = std::max(largest, std::abs(int{q}));
+    EXPECT_EQ(largest, kMaxAbsInt8Entry) << LevelName(ActiveLevel());
   }
 }
 
@@ -522,29 +536,6 @@ TEST(SimdTest, Avx2RequestClampsToPortableWhenUnsupported) {
     EXPECT_EQ(ActiveLevel(), Level::kPortable);
   }
   SetLevelForTesting(original);
-}
-
-CpuFeatures CpuWithoutF16c() { return CpuFeatures{true, false}; }
-CpuFeatures CpuWithoutAvx2() { return CpuFeatures{false, true}; }
-CpuFeatures CpuWithBoth() { return CpuFeatures{true, true}; }
-
-// The half kernels need F16C beside AVX2: a CPU (or a VM) that masks either
-// bit must get the portable level, not a SIGILL. The probe is stubbed, so
-// this runs on any host; no kernel runs while it is.
-TEST(SimdTest, Avx2LevelNeedsBothAvx2AndF16c) {
-  const Level original = ActiveLevel();
-  for (CpuProbe probe : {&CpuWithoutF16c, &CpuWithoutAvx2}) {
-    EXPECT_EQ(SetCpuProbeForTesting(probe), nullptr);
-    EXPECT_FALSE(Avx2Supported());
-    SetLevelForTesting(Level::kAvx2);
-    EXPECT_EQ(ActiveLevel(), Level::kPortable);
-    SetCpuProbeForTesting(nullptr);
-  }
-  SetCpuProbeForTesting(&CpuWithBoth);
-  EXPECT_TRUE(Avx2Supported());
-  EXPECT_EQ(SetCpuProbeForTesting(nullptr), &CpuWithBoth);
-  SetLevelForTesting(original);
-  EXPECT_EQ(ActiveLevel(), original);
 }
 
 TEST(SimdTest, LevelNames) {
