@@ -241,11 +241,16 @@ void BM_SpawnJoinOverhead(benchmark::State& state) {
 BENCHMARK(BM_SpawnJoinOverhead);
 
 // The screen-then-confirm OMP statement-4 kernel, selecting `count`
-// columns, on a cached M x N matrix (state.range(0), state.range(1)).
-void RunCorrelateTop(benchmark::State& state, size_t count) {
+// columns, on an M x N matrix (state.range(0), state.range(1)), cached
+// unless `cache_budget_bytes` is 0. The kernel runs on the pool, so these
+// rows count the process's CPU time, every worker included, and report
+// wall time as the real time.
+void RunCorrelateTop(benchmark::State& state, size_t count,
+                     size_t cache_budget_bytes =
+                         cs::MeasurementMatrix::kDefaultCacheBudgetBytes) {
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
-  cs::MeasurementMatrix matrix(m, n, 9);
+  cs::MeasurementMatrix matrix(m, n, 9, cache_budget_bytes);
   std::vector<double> r(m);
   Rng rng(2);
   for (double& v : r) v = rng.NextGaussian();
@@ -269,6 +274,8 @@ BENCHMARK(BM_CorrelateArgmax)
     ->Args({512, 100000})
     ->Args({256, 50000})
     ->Args({600, 10400})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_CorrelateTop2(benchmark::State& state) {
@@ -279,6 +286,19 @@ void BM_CorrelateTop2(benchmark::State& state) {
 BENCHMARK(BM_CorrelateTop2)
     ->Args({256, 50000})
     ->Args({600, 10400})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CorrelateTop2Implicit(benchmark::State& state) {
+  // The same pass on an implicit Φ0 (cache budget 0): each 64-column block
+  // is generated into a scratch before it is screened.
+  RunCorrelateTop(state, cs::kAtomsPerPass, /*cache_budget_bytes=*/0);
+}
+BENCHMARK(BM_CorrelateTop2Implicit)
+    ->Args({256, 50000})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_CorrelateAllPlusScan(benchmark::State& state) {

@@ -127,11 +127,12 @@ run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 # time with scalar tails, and ASan is what proves no column read runs past
 # its last entry. The tests allocate columns of exactly M entries for
 # every tail length. CorrelateTop's screen rounds the residual to int16
-# and sums int8 × int16 products in int32; the portable screen dot sums
-# in plain signed int32, so a residual past the overflow rule would be a
-# signed overflow, which UBSan aborts on. The exactness tests at the
-# largest admitted M and the rounding tests are named in the filter so
-# that renaming them fails this script. The generator rides along
+# and sums int8 × int16 products in int32, one simd::ScreenColumns call
+# per block of columns; the portable kernel sums in plain signed int32, so
+# a residual past the overflow rule would be a signed overflow, which
+# UBSan aborts on. The kernel's exactness tests (its loop boundaries and
+# the largest admitted M), the block screen's edge test and the rounding
+# tests are named in the filter so that renaming them fails this script. The generator rides along
 # (simd::GaussianFill loads eight row keys and stores eight entries per
 # vector group, with scalar tails, and MeasurementMatrix builds its row key
 # table lazily), with the Box–Muller and Rng suites of random_test.
@@ -142,7 +143,8 @@ cmake -B "$PHI0_BUILD_DIR" -S "$ROOT" \
 cmake --build "$PHI0_BUILD_DIR" -j "$(nproc)" --target \
   simd_test measurement_matrix_test random_test
 PHI0_FILTER='CounterGaussian|BoxMuller|RngTest|Simd|MeasurementMatrix'
-PHI0_FILTER+='|SharedMatrix|ScreenedArgmax|IntegerScreenDot|Quantize'
+PHI0_FILTER+='|SharedMatrix|ScreenedArgmax|IntegerScreenDot|ScreenColumns'
+PHI0_FILTER+='|BlockScreen|Quantize'
 run_ctest "$PHI0_BUILD_DIR" "$PHI0_FILTER"
 
 # SIMD kernel + batch sketching tests again under the same sanitizer, but

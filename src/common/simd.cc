@@ -58,21 +58,35 @@ void Dot4Portable(const T* c0, const T* c1, const T* c2, const T* c3,
   out[3] = DotPortable(c3, r, n);
 }
 
-// The screen dot in plain int32: exact under ScreenResidualLimit, and a
-// signed overflow past it is undefined behaviour that UBSan reports.
-int32_t DotPortable(const int8_t* a, const int16_t* b, size_t n) {
-  int32_t sum = 0;
-  for (size_t i = 0; i < n; ++i) sum += int32_t{a[i]} * int32_t{b[i]};
-  return sum;
+// ScreenColumns's prefetch distance (simd.h).
+constexpr size_t kScreenPrefetchBytes = 4096;
+constexpr size_t kCacheLineBytes = 64;
+
+// Requests the cache lines of the `bytes` bytes that start
+// kScreenPrefetchBytes past `p`. The address is formed as an integer, since
+// it may lie past the end of p's array. Always inlined: a function whose
+// only effect is a prefetch counts as side-effect free to GCC, which may
+// then delete its calls.
+[[gnu::always_inline]] inline void PrefetchAhead(const int8_t* p,
+                                                 size_t bytes) {
+  const uintptr_t ahead =
+      reinterpret_cast<uintptr_t>(p) + kScreenPrefetchBytes;
+  for (size_t b = 0; b < bytes; b += kCacheLineBytes) {
+    __builtin_prefetch(reinterpret_cast<const void*>(ahead + b));
+  }
 }
 
-void Dot4Portable(const int8_t* c0, const int8_t* c1, const int8_t* c2,
-                  const int8_t* c3, const int16_t* r, size_t n,
-                  int32_t out[4]) {
-  out[0] = DotPortable(c0, r, n);
-  out[1] = DotPortable(c1, r, n);
-  out[2] = DotPortable(c2, r, n);
-  out[3] = DotPortable(c3, r, n);
+// The screen in plain int32: exact under ScreenResidualLimit, and a signed
+// overflow past it is undefined behaviour that UBSan reports.
+void ScreenColumnsPortable(const int8_t* cols, size_t m, size_t count,
+                           const int16_t* rho, int32_t* out) {
+  for (size_t j = 0; j < count; ++j) {
+    const int8_t* col = cols + j * m;
+    PrefetchAhead(col, m);
+    int32_t sum = 0;
+    for (size_t i = 0; i < m; ++i) sum += int32_t{col[i]} * int32_t{rho[i]};
+    out[j] = sum;
+  }
 }
 
 template <typename T>
@@ -247,60 +261,53 @@ CSOD_AVX2 void Dot4Avx2(const T* c0, const T* c1, const T* c2, const T* c3,
   }
 }
 
-// The screen overloads. Sixteen int8 entries widen to int16 in one
-// vpmovsxbw, and vpmaddwd sums their products with sixteen int16 residual
-// entries pairwise into eight int32 lanes. Under ScreenResidualLimit no
-// lane, and no sum of lanes, leaves int32, so the order of the integer
-// additions does not matter.
-CSOD_AVX2 inline __m256i MulPairs16(const int8_t* c, __m256i r) {
+// The screen kernel. Sixteen int8 entries widen to int16 in one vpmovsxbw,
+// and vpmaddwd sums their products with sixteen int16 residual entries
+// pairwise into eight int32 lanes. Under ScreenResidualLimit no lane, and
+// no sum of lanes, leaves int32, so the order of the integer additions does
+// not matter.
+CSOD_AVX2 inline __m256i MulPairs16(const int8_t* c, const int16_t* r) {
   const __m128i bytes = _mm_loadu_si128(reinterpret_cast<const __m128i*>(c));
-  return _mm256_madd_epi16(_mm256_cvtepi8_epi16(bytes), r);
+  return _mm256_madd_epi16(
+      _mm256_cvtepi8_epi16(bytes),
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r)));
 }
 
-// The lanes of `acc` summed, plus the tail of a·b from element i on.
-CSOD_AVX2 inline int32_t FinishScreen(__m256i acc, const int8_t* a,
-                                      const int16_t* b, size_t i, size_t n) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                            _mm256_extracti128_si256(acc, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  int32_t sum = _mm_cvtsi128_si32(s);
-  for (; i < n; ++i) sum += int32_t{a[i]} * int32_t{b[i]};
-  return sum;
-}
-
-CSOD_AVX2 inline __m256i Load16(const int16_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-
-CSOD_AVX2 int32_t DotAvx2(const int8_t* a, const int16_t* b, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc = _mm256_add_epi32(acc, MulPairs16(a + i, Load16(b + i)));
+CSOD_AVX2 void ScreenColumnsAvx2(const int8_t* cols, size_t m, size_t count,
+                                 const int16_t* rho, int32_t* out) {
+  const size_t body = m - m % 16;
+  size_t j = 0;
+  for (; j + 4 <= count; j += 4) {
+    const int8_t* c = cols + j * m;
+    PrefetchAhead(c, 4 * m);
+    __m256i a0 = _mm256_setzero_si256();
+    __m256i a1 = _mm256_setzero_si256();
+    __m256i a2 = _mm256_setzero_si256();
+    __m256i a3 = _mm256_setzero_si256();
+    for (size_t i = 0; i < body; i += 16) {
+      a0 = _mm256_add_epi32(a0, MulPairs16(c + i, rho + i));
+      a1 = _mm256_add_epi32(a1, MulPairs16(c + m + i, rho + i));
+      a2 = _mm256_add_epi32(a2, MulPairs16(c + 2 * m + i, rho + i));
+      a3 = _mm256_add_epi32(a3, MulPairs16(c + 3 * m + i, rho + i));
+    }
+    // Two hadd levels leave, in each 128-bit half, one partial sum per
+    // column (a0..a3 in order); adding the halves completes them.
+    const __m256i h = _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1),
+                                        _mm256_hadd_epi32(a2, a3));
+    int32_t sums[4];
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(sums),
+                     _mm_add_epi32(_mm256_castsi256_si128(h),
+                                   _mm256_extracti128_si256(h, 1)));
+    for (size_t k = 0; k < 4; ++k) {
+      const int8_t* col = c + k * m;
+      int32_t sum = sums[k];
+      for (size_t i = body; i < m; ++i) {
+        sum += int32_t{col[i]} * int32_t{rho[i]};
+      }
+      out[j + k] = sum;
+    }
   }
-  return FinishScreen(acc, a, b, i, n);
-}
-
-CSOD_AVX2 void Dot4Avx2(const int8_t* c0, const int8_t* c1, const int8_t* c2,
-                        const int8_t* c3, const int16_t* r, size_t n,
-                        int32_t out[4]) {
-  __m256i a0 = _mm256_setzero_si256();
-  __m256i a1 = _mm256_setzero_si256();
-  __m256i a2 = _mm256_setzero_si256();
-  __m256i a3 = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i rv = Load16(r + i);
-    a0 = _mm256_add_epi32(a0, MulPairs16(c0 + i, rv));
-    a1 = _mm256_add_epi32(a1, MulPairs16(c1 + i, rv));
-    a2 = _mm256_add_epi32(a2, MulPairs16(c2 + i, rv));
-    a3 = _mm256_add_epi32(a3, MulPairs16(c3 + i, rv));
-  }
-  out[0] = FinishScreen(a0, c0, r, i, n);
-  out[1] = FinishScreen(a1, c1, r, i, n);
-  out[2] = FinishScreen(a2, c2, r, i, n);
-  out[3] = FinishScreen(a3, c3, r, i, n);
+  ScreenColumnsPortable(cols + j * m, m, count - j, rho, out + j);
 }
 
 template <typename T>
@@ -656,10 +663,6 @@ double Dot(const int8_t* a, const double* b, size_t n) {
   return CSOD_SIMD_DISPATCH(Dot, a, b, n);
 }
 
-int32_t Dot(const int8_t* a, const int16_t* b, size_t n) {
-  return CSOD_SIMD_DISPATCH(Dot, a, b, n);
-}
-
 void Dot4(const double* c0, const double* c1, const double* c2,
           const double* c3, const double* r, size_t n, double out[4]) {
   CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
@@ -668,9 +671,9 @@ void Dot4(const int8_t* c0, const int8_t* c1, const int8_t* c2,
           const int8_t* c3, const double* r, size_t n, double out[4]) {
   CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
 }
-void Dot4(const int8_t* c0, const int8_t* c1, const int8_t* c2,
-          const int8_t* c3, const int16_t* r, size_t n, int32_t out[4]) {
-  CSOD_SIMD_DISPATCH(Dot4, c0, c1, c2, c3, r, n, out);
+void ScreenColumns(const int8_t* cols, size_t m, size_t count,
+                   const int16_t* rho, int32_t* out) {
+  CSOD_SIMD_DISPATCH(ScreenColumns, cols, m, count, rho, out);
 }
 
 void Axpy(double* acc, const double* col, double x, size_t n) {

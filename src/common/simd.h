@@ -43,8 +43,8 @@ namespace csod::simd {
 /// arithmetic in the identical order, so an int8 overload is bit-identical
 /// to its double form on the widened column, on every ISA path. The other
 /// operands (`r`, `acc`, `x`) and every result stay double, except in the
-/// integer screen dots below. Storing Φ0's columns as int8 cuts the bytes a
-/// correlate streams to one per entry without a second summation tree.
+/// integer screen kernel below. Storing Φ0's columns as int8 cuts the bytes
+/// a correlate streams to one per entry without a second summation tree.
 /// Vector loads touch only full 4-, 8- or 16-element groups; tails are
 /// scalar, so no path reads past element n - 1.
 enum class Level {
@@ -86,7 +86,7 @@ void Dot4(const int8_t* c0, const int8_t* c1, const int8_t* c2,
 /// ±127 (GaussianFill), so -128 never occurs.
 inline constexpr int32_t kMaxAbsInt8Entry = 127;
 
-/// \brief The overflow rule of the screen dots: the largest |b[i]| at which
+/// \brief The overflow rule of the screen kernel: the largest |b[i]| at which
 /// Σ_i |a[i]|·|b[i]| over n elements with |a[i]| ≤ kMaxAbsInt8Entry stays
 /// at most 2^31 − 1. That is min(32767, ⌊(2^31 − 1) / (127·n)⌋): 32767 up
 /// to n = 516, 1 at n = 16,909,320, and 0 beyond, where no nonzero residual
@@ -98,19 +98,27 @@ constexpr int32_t ScreenResidualLimit(size_t n) {
   return limit < 32767 ? static_cast<int32_t>(limit) : 32767;
 }
 
-/// \brief The screen dots: int8 × int16 in exact integer arithmetic.
+/// \brief The screen kernel: `count` int8 columns against one int16
+/// residual, in exact integer arithmetic.
 ///
-/// When |b[i]| ≤ ScreenResidualLimit(n) and |a[i]| ≤ kMaxAbsInt8Entry, no
-/// partial sum exceeds 2^31 − 1 in magnitude, so every summation order
-/// gives the exact Σ_i a[i]·b[i]: the AVX2 path widens sixteen int8 to
-/// int16 (vpmovsxbw) and sums product pairs into eight int32 lanes
-/// (vpmaddwd), the portable path sums in plain int32, and both return the
-/// same value. MeasurementMatrix::CorrelateTop uses them to rule out
-/// columns under the error bound of docs/THEORY.md §9. Dot4's out[k] equals
-/// Dot(ck, r, n).
-int32_t Dot(const int8_t* a, const int16_t* b, size_t n);
-void Dot4(const int8_t* c0, const int8_t* c1, const int8_t* c2,
-          const int8_t* c3, const int16_t* r, size_t n, int32_t out[4]);
+/// Sets out[j] = Σ_i cols[j·m + i]·rho[i] for the `count` contiguous
+/// M-entry columns at `cols`. When |rho[i]| ≤ ScreenResidualLimit(m) and
+/// every |entry| ≤ kMaxAbsInt8Entry, no partial sum exceeds 2^31 − 1 in
+/// magnitude, so every summation order gives the exact sum and both paths
+/// write the same values. The AVX2 path scores four columns per pass over
+/// rho: sixteen int8 entries widen to int16 (vpmovsxbw), vpmaddwd sums their
+/// products pairwise into eight int32 lanes per column, and one shared hadd
+/// tree folds the four columns' lanes at once. The portable path sums each
+/// column in plain int32, where a residual past the rule is a signed
+/// overflow that UBSan reports. The m % 16 tail entries and the count % 4
+/// last columns are scalar. Both paths prefetch the bytes 4 KB past the
+/// columns they score, since the hardware prefetcher follows an ascending
+/// stream only within a 4 KB page; those bytes may lie past the block, which
+/// is safe because a prefetch is a hint that never faults.
+/// MeasurementMatrix::CorrelateTop scores Φ0 a block of columns per call and
+/// rules out columns under the error bound of docs/THEORY.md §9.
+void ScreenColumns(const int8_t* cols, size_t m, size_t count,
+                   const int16_t* rho, int32_t* out);
 
 /// acc[i] += col[i] * x (element-wise; bit-identical on every path).
 void Axpy(double* acc, const double* col, double x, size_t n);

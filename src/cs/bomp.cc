@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "cs/dictionary.h"
@@ -18,7 +19,10 @@ std::vector<double> BompResult::Materialize(size_t n) const {
 }
 
 size_t DefaultIterationsForK(size_t k) {
-  // Midpoint of the paper's tuned range [2k, 5k], floored at 8.
+  // Midpoint of the paper's tuned range [2k, 5k], floored at 8, and
+  // saturated where 7k + 1 would wrap.
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  if (k > (kMax - 1) / 7) return kMax;
   const size_t r = (7 * k + 1) / 2;  // 3.5k
   return std::max<size_t>(r, 8);
 }

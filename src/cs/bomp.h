@@ -67,7 +67,9 @@ struct BompResult {
 };
 
 /// The paper's default iteration budget R = f(k): midpoint of the tuned
-/// range [2k, 5k] (Section 5), never below 8 so tiny k still converges.
+/// range [2k, 5k] (Section 5), never below 8 so tiny k still converges, and
+/// SIZE_MAX for a k at which 7k + 1 would wrap (the solve caps R at
+/// min(R, M, N) anyway).
 size_t DefaultIterationsForK(size_t k);
 
 /// The budget R a detector runs with: `configured` when the caller set one,

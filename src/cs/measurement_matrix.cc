@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <map>
@@ -31,16 +32,18 @@ constexpr size_t kReductionBlockColumns = 2048;
 constexpr size_t kReductionBlockNnz = 512;
 
 // The hardware prefetcher follows an ascending stream only within a 4 KB
-// page. CorrelateTop's screen prefetches the cached column this many bytes
-// ahead of the one it scores, one cache line at a time; MultiplySparseBatch
-// leaves to the hardware a column that starts less than this many bytes
-// past the end of the previous entry's column.
+// page. MultiplySparseBatch leaves to it a column that starts less than
+// this many bytes past the end of the previous entry's column.
 constexpr size_t kPrefetchPageBytes = 4096;
 constexpr size_t kCacheLineBytes = 64;
 
 // MultiplySparseBatch's cached path prefetches the column of the entry this
 // many entries ahead of the one it pushes.
 constexpr size_t kSketchPrefetchEntries = 8;
+
+// CorrelateTop's screen scores this many columns per simd::ScreenColumns
+// call; an implicit block is generated into a scratch of this many columns.
+constexpr size_t kScreenBlockColumns = 64;
 
 // Requests every cache line of a cached column that is column_bytes long.
 // Always inlined: a function whose only effect is a prefetch counts as
@@ -573,12 +576,13 @@ Result<std::vector<CorrelateArgmaxResult>> MeasurementMatrix::CorrelateTop(
   }
   std::vector<CorrelateArgmaxResult> top;
   if (count == 0) return top;
-  // Two stages (DESIGN.md §8). The screen scores every unmasked column
-  // with the exact integer dot a_j = simd::Dot(q_j, ρ), in units of t, and
-  // keeps each column whose |a_j| lies within 2ε of the count-th largest
-  // |a|, T; ScreenResidual's ε bounds |a_j − K_j / t| for the exact
-  // K_j = simd::Dot(q_j, s), so every column it drops has |K_j| below that
-  // of `count` others and cannot be in the top list (docs/THEORY.md §9).
+  // Two stages (DESIGN.md §8). The screen scores every column with the
+  // exact integer dot a_j = Σ_i q_ij ρ_i (simd::ScreenColumns), in units of
+  // t, and keeps each unmasked column whose |a_j| lies within 2ε of the
+  // count-th largest unmasked |a|, T; ScreenResidual's ε bounds
+  // |a_j − K_j / t| for the exact K_j = simd::Dot(q_j, s), so every column
+  // it drops has |K_j| below that of `count` others and cannot be in the
+  // top list (docs/THEORY.md §9).
   // The confirm stage runs the exact kernel on the kept columns only, in
   // ascending index order through FoldTop, so the result is the exhaustive
   // top list, bit for bit. When ε is infinite ρ is zero and every unmasked
@@ -597,34 +601,38 @@ Result<std::vector<CorrelateArgmaxResult>> MeasurementMatrix::CorrelateTop(
     std::vector<double> top_screen;
     std::vector<Candidate> candidates;
   };
-  // Columns are scored four at a time and kept against the chunk's running
-  // count-th largest |a|, which only grows, so the kept set is a superset
-  // of the final one: every column within 2ε of the global T. A cached
-  // pass prefetches the column kPrefetchPageBytes ahead: the sweep is
-  // bound by memory, and the hardware prefetcher stops at each 4 KB page,
-  // which holds only sixteen 256-row columns.
-  const size_t column_bytes = m_ * kBytesPerEntry;
-  const size_t prefetch_ahead =
-      1 + kPrefetchPageBytes / std::max<size_t>(column_bytes, 1);
+  // Columns are scored kScreenBlockColumns at a time by one
+  // simd::ScreenColumns call, on a block read in place from the cache or
+  // generated into a block scratch. A column then costs one compare with
+  // `gate`, ⌈floor − 2ε⌉, the least |a| the kept set admits: only a column
+  // at or above it reaches the skip mask, the running top list and the
+  // candidate push, so a masked column is scored and dropped there. The
+  // chunk's running count-th largest |a| only grows, so the kept set is a
+  // superset of the final one: every column within 2ε of the global T.
   auto screen = [&](size_t begin, size_t end, ScreenedChunk* out) {
-    std::vector<int8_t> scratch = ColumnScratch(4);
-    size_t batch[4];
-    const int8_t* cols[4];
-    size_t filled = 0;
-    int32_t dots[4];
-    // The running count-th largest |a|; -∞ until `count` columns scored.
+    std::vector<int8_t> scratch = ColumnScratch(kScreenBlockColumns);
+    int32_t dots[kScreenBlockColumns];
+    // The running count-th largest |a|; -∞ until `count` columns scored,
+    // when gate 0 passes every column.
     double floor = -kInfinity;
-    auto flush = [&] {
-      if (filled == 4) {
-        simd::Dot4(cols[0], cols[1], cols[2], cols[3], screen_r.rho.data(),
-                   m_, dots);
-      } else {
-        for (size_t k = 0; k < filled; ++k) {
-          dots[k] = simd::Dot(cols[k], screen_r.rho.data(), m_);
+    int64_t gate = 0;
+    for (size_t block = begin; block < end; block += kScreenBlockColumns) {
+      const size_t width = std::min(kScreenBlockColumns, end - block);
+      const int8_t* cols = scratch.data();
+      if (cache_.empty()) {
+        for (size_t k = 0; k < width; ++k) {
+          GenerateColumn(block + k, scratch.data() + k * m_);
         }
+      } else {
+        cols = cache_.data() + block * m_;
       }
-      for (size_t k = 0; k < filled; ++k) {
-        const double abs_screen = std::fabs(static_cast<double>(dots[k]));
+      simd::ScreenColumns(cols, m_, width, screen_r.rho.data(), dots);
+      for (size_t k = 0; k < width; ++k) {
+        const int64_t abs_dot = std::abs(int64_t{dots[k]});
+        if (abs_dot < gate) continue;
+        const size_t j = block + k;
+        if (skip != nullptr && (*skip)[j + skip_offset]) continue;
+        const double abs_screen = static_cast<double>(abs_dot);
         std::vector<double>& top_screen = out->top_screen;
         if (top_screen.size() < count || abs_screen > floor) {
           top_screen.insert(std::upper_bound(top_screen.begin(),
@@ -632,25 +640,18 @@ Result<std::vector<CorrelateArgmaxResult>> MeasurementMatrix::CorrelateTop(
                                              std::greater<double>()),
                             abs_screen);
           if (top_screen.size() > count) top_screen.pop_back();
-          if (top_screen.size() == count) floor = top_screen.back();
+          if (top_screen.size() == count) {
+            floor = top_screen.back();
+            // floor − 2ε ≤ floor < 2^31, so the ceiling converts exactly.
+            const double least = std::ceil(floor - two_eps);
+            gate = least > 0.0 ? static_cast<int64_t>(least) : 0;
+          }
         }
         if (abs_screen >= floor - two_eps) {
-          out->candidates.push_back(Candidate{batch[k], abs_screen});
+          out->candidates.push_back(Candidate{j, abs_screen});
         }
       }
-      filled = 0;
-    };
-    for (size_t j = begin; j < end; ++j) {
-      if (!cache_.empty() && j + prefetch_ahead < end) {
-        PrefetchColumn(cache_.data() + (j + prefetch_ahead) * m_,
-                       column_bytes);
-      }
-      if (skip != nullptr && (*skip)[j + skip_offset]) continue;
-      batch[filled] = j;
-      cols[filled] = UnscaledColumn(j, &scratch, filled);
-      if (++filled == 4) flush();
     }
-    flush();
   };
 
   const size_t chunk_count = ParallelChunkCount(n_, kMinColumnsPerChunk);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace csod::query {
@@ -250,9 +251,15 @@ class Parser {
       return Status::InvalidArgument("expected K after Outlier/Top");
     }
     char* end = nullptr;
+    errno = 0;
     const long long value = std::strtoll(Peek().text.c_str(), &end, 10);
     if (end == nullptr || *end != '\0' || value <= 0) {
       return Status::InvalidArgument("K must be a positive integer, found '" +
+                                     Peek().text + "'");
+    }
+    // strtoll clamps an out-of-range number to LLONG_MAX.
+    if (errno == ERANGE) {
+      return Status::InvalidArgument("K is out of range, found '" +
                                      Peek().text + "'");
     }
     Advance();

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -41,6 +42,19 @@ TEST(BompTest, DefaultIterationsMatchesPaperRange) {
     EXPECT_LE(r, 5 * k) << "k=" << k;
   }
   EXPECT_GE(DefaultIterationsForK(1), 8u);
+}
+
+// 7k + 1 wraps size_t for k > (2^64 - 2) / 7: k = 2635249153387078803 once
+// got the budget 8. The budget saturates instead, and never falls as k
+// grows.
+TEST(BompTest, DefaultIterationsSaturatesInsteadOfWrapping) {
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  const size_t last = (kMax - 1) / 7;
+  EXPECT_EQ(DefaultIterationsForK(last), (7 * last + 1) / 2);
+  EXPECT_EQ(DefaultIterationsForK(last + 1), kMax);
+  EXPECT_EQ(DefaultIterationsForK(size_t{2635249153387078803}), kMax);
+  EXPECT_EQ(DefaultIterationsForK(kMax), kMax);
+  EXPECT_EQ(IterationBudget(0, kMax), kMax);
 }
 
 TEST(BompTest, RecoversBiasAndOutliersExactly) {

@@ -292,13 +292,16 @@ TEST(MeasurementMatrixTest, CorrelateArgmaxTieBreaksLowestIndex) {
 // CorrelateArgmax (count 1) and CorrelateTop (count 2) against ScanTop,
 // the exhaustive exact sort, bit for bit (index, correlation and
 // |correlation|, NaN included) at limits {1, 2, 8} on both SIMD levels.
+// ScanTop runs on `exhaustive` when given, else on `matrix` itself.
 void ExpectTopIsExhaustive(const MeasurementMatrix& matrix,
                            const std::vector<double>& r,
                            const std::vector<bool>* skip, size_t skip_offset,
-                           const std::string& label) {
+                           const std::string& label,
+                           const MeasurementMatrix* exhaustive = nullptr) {
   for (const size_t count : {size_t{1}, size_t{2}}) {
-    const std::vector<CorrelateArgmaxResult> want =
-        ScanTop(matrix, r, skip, skip_offset, count);
+    const std::vector<CorrelateArgmaxResult> want = ScanTop(
+        exhaustive != nullptr ? *exhaustive : matrix, r, skip, skip_offset,
+        count);
     for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
       for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
         ScopedParallelismLimit scoped_limit(limit);
@@ -543,6 +546,56 @@ TEST(MeasurementMatrixTest, CorrelateTopBitIdenticalWithTiesAcrossChunkBoundary)
   for (const size_t budget : {size_t{1} << 24, size_t{0}}) {
     const MeasurementMatrix matrix(m, n, 19, budget);
     ExpectTopIsExhaustive(matrix, e, &mask, 0, "tie across chunk boundary");
+  }
+}
+
+// The block screen at its edges. CorrelateTop scores each chunk 64
+// columns per simd::ScreenColumns call from the chunk's first column; at
+// N = 2600 the chunks start at multiples of 1300 (limit 2) and 325 (limit
+// 8), so the pairs (63, 64) and (2559, 2560) straddle limit 1's blocks,
+// (1363, 1364) limit 2's, (388, 389) limit 8's, (324, 325) and
+// (1299, 1300) chunk edges, and (0, 2599) joins the first column to the
+// last. M = 600 leaves an 8-entry tail after the kernel's 16-entry groups.
+// Each pair leads every other column in r = c1 + b·(1 + δ)·c2, tied in
+// exact arithmetic at δ = 0 and too close at |δ| = 1e-7 for the screen to
+// order. Masks: none, and one that masks the pair's first column and every
+// seventh other one but the pair's second, so the runner-up comes from the
+// unmasked rest. The cached matrix at every δ, and the implicit one at
+// δ = 0 with the mask, match the exhaustive sort of the cached CorrelateAll
+// bit for bit.
+TEST(MeasurementMatrixTest, BlockScreenMatchesExhaustiveAtBlockAndChunkEdges) {
+  const size_t m = 600, n = 2600;
+  const MeasurementMatrix cached(m, n, 31);
+  const MeasurementMatrix implicit(m, n, 31, /*cache_budget_bytes=*/0);
+  for (const auto& [j1, j2] : {std::pair<size_t, size_t>{63, 64},
+                               std::pair<size_t, size_t>{2559, 2560},
+                               std::pair<size_t, size_t>{1363, 1364},
+                               std::pair<size_t, size_t>{388, 389},
+                               std::pair<size_t, size_t>{324, 325},
+                               std::pair<size_t, size_t>{1299, 1300},
+                               std::pair<size_t, size_t>{0, 2599}}) {
+    const std::vector<double> c1 = cached.Column(j1);
+    const std::vector<double> c2 = cached.Column(j2);
+    const double b0 = (la::Dot(c1, c1) - la::Dot(c1, c2)) /
+                      (la::Dot(c2, c2) - la::Dot(c1, c2));
+    std::vector<bool> mask(n);
+    for (size_t j = 0; j < n; ++j) mask[j] = j == j1 || (j % 7 == 0 && j != j2);
+    for (const double delta : {-1e-7, 0.0, 1e-7}) {
+      std::vector<double> r = c1;
+      for (size_t i = 0; i < m; ++i) r[i] += b0 * (1.0 + delta) * c2[i];
+      const auto leaders = ScanTop(cached, r, nullptr, 0, 2);
+      ASSERT_EQ(leaders.size(), 2u);
+      EXPECT_EQ((std::set<size_t>{leaders[0].index, leaders[1].index}),
+                (std::set<size_t>{j1, j2}));
+      std::ostringstream name;
+      name << "pair " << j1 << "/" << j2 << " delta " << delta;
+      ExpectTopIsExhaustive(cached, r, nullptr, 0, name.str() + ", no mask");
+      ExpectTopIsExhaustive(cached, r, &mask, 0, name.str() + ", mask");
+      if (delta == 0.0) {
+        ExpectTopIsExhaustive(implicit, r, &mask, 0, name.str() + ", mask",
+                              &cached);
+      }
+    }
   }
 }
 

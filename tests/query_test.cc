@@ -48,6 +48,20 @@ TEST(QueryParserTest, SelectListMayOmitAttributes) {
   EXPECT_EQ(parsed.Value().group_by, (std::vector<std::string>{"a", "b"}));
 }
 
+// strtoll clamps a K past LLONG_MAX to LLONG_MAX; the parser refuses it
+// instead of running a query for K = 9223372036854775807.
+TEST(QueryParserTest, RejectsOutOfRangeK) {
+  const auto parsed =
+      ParseQuery("SELECT Outlier 99999999999999999999 SUM(s) FROM t GROUP BY a");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("K is out of range"),
+            std::string::npos)
+      << parsed.status().message();
+  EXPECT_TRUE(
+      ParseQuery("SELECT Outlier 9223372036854775807 SUM(s) FROM t GROUP BY a")
+          .ok());
+}
+
 TEST(QueryParserTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuery("").ok());
   EXPECT_FALSE(ParseQuery("SELECT banana 5 SUM(s) FROM t GROUP BY a").ok());

@@ -289,26 +289,30 @@ int64_t ReferenceScreenDot(const int8_t* a, const int16_t* b, size_t n) {
   return sum;
 }
 
-// Dot and each Dot4 output of the int8 × int16 screen against the int64
-// sum, on both levels, for columns and residuals drawn over their whole
-// admitted range: |q| ≤ 127, |ρ| ≤ ScreenResidualLimit(n).
-void ExpectExactScreenDots(const std::vector<std::vector<int8_t>>& cols,
-                           const std::vector<int16_t>& r, size_t n) {
+// ScreenColumns over the `count` contiguous n-entry columns at `cols`, and
+// over each column alone (the scalar column path on the AVX2 level),
+// against the int64 sum on both levels.
+void ExpectExactScreen(const int8_t* cols, size_t count, const int16_t* r,
+                       size_t n) {
   for (Level level : {Level::kPortable, Level::kAvx2}) {
     ScopedLevel scoped(level);
-    int32_t dot4[4];
-    Dot4(cols[0].data(), cols[1].data(), cols[2].data(), cols[3].data(),
-         r.data(), n, dot4);
-    for (size_t k = 0; k < 4; ++k) {
-      const int64_t want = ReferenceScreenDot(cols[k].data(), r.data(), n);
-      EXPECT_EQ(Dot(cols[k].data(), r.data(), n), want)
+    std::vector<int32_t> block(count);
+    ScreenColumns(cols, n, count, r, block.data());
+    for (size_t k = 0; k < count; ++k) {
+      const int64_t want = ReferenceScreenDot(cols + k * n, r, n);
+      int32_t alone = 0;
+      ScreenColumns(cols + k * n, n, 1, r, &alone);
+      EXPECT_EQ(alone, want)
           << "n=" << n << " k=" << k << " level=" << LevelName(level);
-      EXPECT_EQ(dot4[k], want)
-          << "n=" << n << " k=" << k << " level=" << LevelName(level);
+      EXPECT_EQ(block[k], want) << "n=" << n << " count=" << count
+                                << " k=" << k << " level=" << LevelName(level);
     }
   }
 }
 
+// Four columns and a residual drawn over their whole admitted range,
+// |q| ≤ 127 and |ρ| ≤ ScreenResidualLimit(n), with the block and the
+// residual padded by extreme values that a read past their ends would add.
 TEST(SimdTest, IntegerScreenDotIsExactOnEveryLevel) {
   std::vector<size_t> sizes;
   for (size_t n = 0; n <= 17; ++n) sizes.push_back(n);
@@ -319,15 +323,13 @@ TEST(SimdTest, IntegerScreenDotIsExactOnEveryLevel) {
     auto uniform = [&](int32_t bound) {
       return static_cast<int32_t>(rng.NextBounded(2 * bound + 1)) - bound;
     };
-    std::vector<std::vector<int8_t>> cols(4, std::vector<int8_t>(n + 16, 127));
-    for (auto& col : cols) {
-      for (size_t i = 0; i < n; ++i) {
-        col[i] = static_cast<int8_t>(uniform(kMaxAbsInt8Entry));
-      }
+    std::vector<int8_t> cols(4 * n + 16, 127);
+    for (size_t i = 0; i < 4 * n; ++i) {
+      cols[i] = static_cast<int8_t>(uniform(kMaxAbsInt8Entry));
     }
     std::vector<int16_t> r(n + 16, 32767);
     for (size_t i = 0; i < n; ++i) r[i] = static_cast<int16_t>(uniform(limit));
-    ExpectExactScreenDots(cols, r, n);
+    ExpectExactScreen(cols.data(), 4, r.data(), n);
   }
 }
 
@@ -343,21 +345,63 @@ TEST(SimdTest, IntegerScreenDotIsExactAtTheLargestAdmittedM) {
   ASSERT_EQ(ScreenResidualLimit(n), 1);
   ASSERT_EQ(ScreenResidualLimit(n + 1), 0);
   const int32_t limit = ScreenResidualLimit(n);
-  std::vector<std::vector<int8_t>> cols(4, std::vector<int8_t>(n));
+  std::vector<int8_t> cols(4 * n);
   std::vector<int16_t> r(n);
   for (size_t i = 0; i < n; ++i) {
     const int8_t q = (i % 3 == 0) ? -127 : 127;
-    cols[0][i] = q;
-    cols[1][i] = static_cast<int8_t>(-q);
-    cols[2][i] = 127;
-    cols[3][i] = (i % 2 == 0) ? q : static_cast<int8_t>(-q);
+    cols[i] = q;
+    cols[n + i] = static_cast<int8_t>(-q);
+    cols[2 * n + i] = 127;
+    cols[3 * n + i] = (i % 2 == 0) ? q : static_cast<int8_t>(-q);
     r[i] = static_cast<int16_t>(q < 0 ? -limit : limit);
   }
-  EXPECT_EQ(ReferenceScreenDot(cols[0].data(), r.data(), n),
+  EXPECT_EQ(ReferenceScreenDot(cols.data(), r.data(), n),
             int64_t{127} * static_cast<int64_t>(n) * limit);
   EXPECT_LE(int64_t{127} * static_cast<int64_t>(n) * limit,
             int64_t{0x7fffffff});
-  ExpectExactScreenDots(cols, r, n);
+  ExpectExactScreen(cols.data(), 4, r.data(), n);
+}
+
+// ScreenColumns at every boundary of its loops: M from 0 through one
+// 16-entry group and its tails, around 256, and at batch-detect's M = 600
+// (37 groups and an 8-entry tail); column counts from 0 through two 4-column
+// groups and their remainders, around one 64-column block and past two.
+// Columns and residual are allocated at exactly their length, so
+// AddressSanitizer reports any read past the end.
+TEST(SimdTest, ScreenColumnsMatchesInt64ReferenceAtEveryBoundary) {
+  std::vector<size_t> sizes;
+  for (size_t m = 0; m <= 17; ++m) sizes.push_back(m);
+  for (size_t m : {size_t{255}, size_t{256}, size_t{257}, size_t{600}}) {
+    sizes.push_back(m);
+  }
+  std::vector<size_t> counts;
+  for (size_t count = 0; count <= 9; ++count) counts.push_back(count);
+  for (size_t count : {size_t{63}, size_t{64}, size_t{65}, size_t{130}}) {
+    counts.push_back(count);
+  }
+  for (size_t m : sizes) {
+    const int32_t limit = ScreenResidualLimit(m);
+    Rng rng(900 + m);
+    auto uniform = [&](int32_t bound) {
+      return static_cast<int32_t>(rng.NextBounded(2 * bound + 1)) - bound;
+    };
+    std::vector<int16_t> r(m);
+    for (int16_t& v : r) v = static_cast<int16_t>(uniform(limit));
+    for (size_t count : counts) {
+      std::vector<int8_t> cols(count * m);
+      for (int8_t& q : cols) q = static_cast<int8_t>(uniform(kMaxAbsInt8Entry));
+      for (Level level : {Level::kPortable, Level::kAvx2}) {
+        ScopedLevel scoped(level);
+        std::vector<int32_t> out(count);
+        ScreenColumns(cols.data(), m, count, r.data(), out.data());
+        for (size_t j = 0; j < count; ++j) {
+          ASSERT_EQ(out[j], ReferenceScreenDot(cols.data() + j * m, r.data(), m))
+              << "m=" << m << " count=" << count << " j=" << j
+              << " level=" << LevelName(level);
+        }
+      }
+    }
+  }
 }
 
 // Bit patterns of a double vector, so a comparison also tells -0.0 from 0.0
