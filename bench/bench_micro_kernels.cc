@@ -15,6 +15,7 @@
 
 #include "common/parallel.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "cs/bomp.h"
 #include "cs/compressor.h"
@@ -289,6 +290,38 @@ BENCHMARK(BM_CorrelateTop2)
     ->MeasureProcessCPUTime()
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// BM_CorrelateTop2 and BM_MultiplySparseBatchScattered again at each SIMD
+// level, named <row>/<level>/...: the screen and the int8 Axpy family are
+// the kernels with an AVX-512 form, so these rows compare their paths in
+// one binary. A level the host lacks runs the best one it has, which the
+// row's label names.
+void RunAtLevel(benchmark::State& state, simd::Level level,
+                void (*body)(benchmark::State&)) {
+  const simd::Level previous = simd::SetLevelForTesting(level);
+  state.SetLabel(simd::LevelName(simd::ActiveLevel()));
+  body(state);
+  simd::SetLevelForTesting(previous);
+}
+
+[[maybe_unused]] const bool kPerLevelRows = [] {
+  for (simd::Level level : simd::kAllLevels) {
+    const std::string suffix = std::string("/") + simd::LevelName(level);
+    benchmark::RegisterBenchmark(("BM_CorrelateTop2" + suffix).c_str(),
+                                 RunAtLevel, level, BM_CorrelateTop2)
+        ->Args({256, 50000})
+        ->Args({600, 10400})
+        ->MeasureProcessCPUTime()
+        ->UseRealTime()
+        ->Unit(benchmark::kMillisecond);
+    benchmark::RegisterBenchmark(
+        ("BM_MultiplySparseBatchScattered" + suffix).c_str(), RunAtLevel,
+        level, BM_MultiplySparseBatchScattered)
+        ->MeasureProcessCPUTime()
+        ->Unit(benchmark::kMicrosecond);
+  }
+  return true;
+}();
 
 void BM_CorrelateTop2Implicit(benchmark::State& state) {
   // The same pass on an implicit Φ0 (cache budget 0): each 64-column block

@@ -14,9 +14,10 @@
 //  (b) Determinism: the RecoverBiased answer at the largest swept k
 //      digested (FNV-1a over every output bit: mode, entry indices/values,
 //      residual norm, iteration count) across parallelism limits {1,2,8}
-//      x {portable, native} SIMD dispatch. All six digests must be
-//      identical ("bit_identical"): the kernels share fixed-lane
-//      summation trees and the screen confirms every pick exactly.
+//      x every SIMD level the host supports (portable, avx2, avx512). All
+//      digests must be identical ("bit_identical"): the kernels share
+//      fixed-lane summation trees and the screen confirms every pick
+//      exactly.
 //
 //  (c) Distributed: on the Figure 7 production workload (core-search,
 //      quarter scale, 8 data centers, zero-sum cancellation noise),
@@ -198,13 +199,13 @@ int main(int argc, char** argv) {
     }
 
     // -------------------------------------------------------------- (b)
-    // Determinism: the largest k's solve, every (thread limit, SIMD level)
-    // pair.
+    // Determinism: the largest k's solve, every (thread limit, supported
+    // SIMD level) pair.
     std::printf("\n=== determinism (BOMP digests, k = %zu) ===\n",
                 sweep.empty() ? size_t{0} : sweep.back().k);
-    const simd::Level native = simd::ActiveLevel();
     for (size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (simd::Level level : {simd::Level::kPortable, native}) {
+      for (simd::Level level : simd::kAllLevels) {
+        if (level > simd::SupportedLevel()) continue;
         const size_t previous_limit = GetParallelismLimit();
         SetParallelismLimit(limit);
         const simd::Level previous_level = simd::SetLevelForTesting(level);

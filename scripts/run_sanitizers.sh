@@ -123,14 +123,15 @@ cmake --build "$OTHER_BUILD_DIR" -j "$(nproc)" --target \
 run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 
 # Φ0 kernel pass under AddressSanitizer and UndefinedBehaviorSanitizer,
-# whatever SAN is: Φ0 columns are int8, read four, eight or sixteen at a
-# time with scalar tails, and ASan is what proves no column read runs past
-# its last entry. The tests allocate columns of exactly M entries for
-# every tail length. CorrelateTop's screen rounds the residual to int16
-# and sums int8 × int16 products in int32, one simd::ScreenColumns call
-# per block of columns; the portable kernel sums in plain signed int32, so
-# a residual past the overflow rule would be a signed overflow, which
-# UBSan aborts on. The kernel's exactness tests (its loop boundaries and
+# whatever SAN is: Φ0 columns are int8, read four, eight, sixteen or 32 at
+# a time with scalar or masked tails, and ASan is what proves no column read
+# runs past its last entry. The tests allocate columns of exactly M entries
+# for every tail length, on every SIMD level the host supports
+# (SimdTest.Int8AxpyKernels* for the Axpy family). CorrelateTop's screen
+# rounds the residual to int16 and sums int8 × int16 products in int32, one
+# simd::ScreenColumns call per block of columns; the portable kernel sums
+# in plain signed int32, so a residual past the overflow rule would be a
+# signed overflow, which UBSan aborts on. The kernel's exactness tests (its loop boundaries and
 # the largest admitted M), the block screen's edge test and the rounding
 # tests are named in the filter so that renaming them fails this script. The generator rides along
 # (simd::GaussianFill loads eight row keys and stores eight entries per
@@ -144,7 +145,7 @@ cmake --build "$PHI0_BUILD_DIR" -j "$(nproc)" --target \
   simd_test measurement_matrix_test random_test
 PHI0_FILTER='CounterGaussian|BoxMuller|RngTest|Simd|MeasurementMatrix'
 PHI0_FILTER+='|SharedMatrix|ScreenedArgmax|IntegerScreenDot|ScreenColumns'
-PHI0_FILTER+='|BlockScreen|Quantize'
+PHI0_FILTER+='|BlockScreen|Quantize|Int8AxpyKernels'
 run_ctest "$PHI0_BUILD_DIR" "$PHI0_FILTER"
 
 # SIMD kernel + batch sketching tests again under the same sanitizer, but

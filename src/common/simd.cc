@@ -263,19 +263,38 @@ CSOD_AVX2 void Dot4Avx2(const T* c0, const T* c1, const T* c2, const T* c3,
 
 // The screen kernel. Sixteen int8 entries widen to int16 in one vpmovsxbw,
 // and vpmaddwd sums their products with sixteen int16 residual entries
-// pairwise into eight int32 lanes. Under ScreenResidualLimit no lane, and
-// no sum of lanes, leaves int32, so the order of the integer additions does
-// not matter.
+// pairwise into eight int32 lanes; MulPairs8 is the same step on eight
+// entries and four lanes. Under ScreenResidualLimit no lane, and no sum of
+// lanes, leaves int32, so the order of the integer additions does not
+// matter.
 CSOD_AVX2 inline __m256i MulPairs16(const int8_t* c, const int16_t* r) {
   const __m128i bytes = _mm_loadu_si128(reinterpret_cast<const __m128i*>(c));
   return _mm256_madd_epi16(
       _mm256_cvtepi8_epi16(bytes),
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r)));
 }
+CSOD_AVX2 inline __m128i MulPairs8(const int8_t* c, const int16_t* r) {
+  const __m128i bytes = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(c));
+  return _mm_madd_epi16(_mm_cvtepi8_epi16(bytes),
+                        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r)));
+}
+
+// Folds four columns' int32 lanes to one sum per column, in column order:
+// two hadd levels leave, in each 128-bit half, one partial sum per column,
+// and adding the halves completes them.
+CSOD_AVX2 inline void FoldColumns(__m256i a0, __m256i a1, __m256i a2,
+                                  __m256i a3, int32_t sums[4]) {
+  const __m256i h = _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1),
+                                      _mm256_hadd_epi32(a2, a3));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(sums),
+                   _mm_add_epi32(_mm256_castsi256_si128(h),
+                                 _mm256_extracti128_si256(h, 1)));
+}
 
 CSOD_AVX2 void ScreenColumnsAvx2(const int8_t* cols, size_t m, size_t count,
                                  const int16_t* rho, int32_t* out) {
   const size_t body = m - m % 16;
+  const size_t vector_end = m - m % 8;  // body, or body + one 8-entry step
   size_t j = 0;
   for (; j + 4 <= count; j += 4) {
     const int8_t* c = cols + j * m;
@@ -290,18 +309,23 @@ CSOD_AVX2 void ScreenColumnsAvx2(const int8_t* cols, size_t m, size_t count,
       a2 = _mm256_add_epi32(a2, MulPairs16(c + 2 * m + i, rho + i));
       a3 = _mm256_add_epi32(a3, MulPairs16(c + 3 * m + i, rho + i));
     }
-    // Two hadd levels leave, in each 128-bit half, one partial sum per
-    // column (a0..a3 in order); adding the halves completes them.
-    const __m256i h = _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1),
-                                        _mm256_hadd_epi32(a2, a3));
+    if (vector_end > body) {
+      // Zero-extended into the low half of each accumulator.
+      a0 = _mm256_add_epi32(
+          a0, _mm256_zextsi128_si256(MulPairs8(c + body, rho + body)));
+      a1 = _mm256_add_epi32(
+          a1, _mm256_zextsi128_si256(MulPairs8(c + m + body, rho + body)));
+      a2 = _mm256_add_epi32(
+          a2, _mm256_zextsi128_si256(MulPairs8(c + 2 * m + body, rho + body)));
+      a3 = _mm256_add_epi32(
+          a3, _mm256_zextsi128_si256(MulPairs8(c + 3 * m + body, rho + body)));
+    }
     int32_t sums[4];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sums),
-                     _mm_add_epi32(_mm256_castsi256_si128(h),
-                                   _mm256_extracti128_si256(h, 1)));
+    FoldColumns(a0, a1, a2, a3, sums);
     for (size_t k = 0; k < 4; ++k) {
       const int8_t* col = c + k * m;
       int32_t sum = sums[k];
-      for (size_t i = body; i < m; ++i) {
+      for (size_t i = vector_end; i < m; ++i) {
         sum += int32_t{col[i]} * int32_t{rho[i]};
       }
       out[j + k] = sum;
@@ -604,6 +628,150 @@ CSOD_AVX2 void QuantizeAvx2(const double* g, size_t n, int8_t* out) {
 
 #undef CSOD_AVX2
 
+// ---------------------------------------------------------------------------
+// AVX-512 kernels: the int8 Axpy family and the screen, the two loops behind
+// every sketch and every BOMP sweep. Every other kernel runs its AVX2 form
+// at this level. AVX-512F implies FMA, so unlike the AVX2 kernels these rely
+// on -ffp-contract=off (src/common/CMakeLists.txt) to keep each
+// _mm512_mul_pd and _mm512_add_pd two roundings, as on the other paths.
+// ---------------------------------------------------------------------------
+
+#define CSOD_AVX512 \
+  __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
+
+// The all-ones mask of the 64-bit-lane intrinsics below, which take their
+// zero-masked forms: GCC 12's unmasked forms merge into an undefined
+// register, which -Wmaybe-uninitialized reports, while an all-ones mask
+// compiles to the same unmasked instruction.
+constexpr __mmask8 kAllLanes8 = 0xff;
+
+// Eight consecutive int8 column entries as eight doubles: exactly 8 bytes
+// loaded, sign-extended to int64 (vpmovsxbq) and converted (vcvtqq2pd),
+// both exact.
+CSOD_AVX512 inline __m512d Load8x8(const int8_t* p) {
+  return _mm512_cvtepi64_pd(_mm512_maskz_cvtepi8_epi64(
+      kAllLanes8, _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+}
+
+// t + col[0..8) * v, element-wise, multiply then add.
+CSOD_AVX512 inline __m512d MulAdd8x8(__m512d t, const int8_t* col,
+                                     __m512d v) {
+  return _mm512_add_pd(t, _mm512_mul_pd(Load8x8(col), v));
+}
+
+CSOD_AVX512 void AxpyAvx512(double* acc, const int8_t* col, double x,
+                            size_t n) {
+  const __m512d vx = _mm512_set1_pd(x);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(acc + i,
+                     MulAdd8x8(_mm512_loadu_pd(acc + i), col + i, vx));
+  }
+  AxpyPortable(acc + i, col + i, x, n - i);
+}
+
+CSOD_AVX512 void Axpy4Avx512(double* acc, const int8_t* c0, double x0,
+                             const int8_t* c1, double x1, const int8_t* c2,
+                             double x2, const int8_t* c3, double x3,
+                             size_t n) {
+  const __m512d v0 = _mm512_set1_pd(x0);
+  const __m512d v1 = _mm512_set1_pd(x1);
+  const __m512d v2 = _mm512_set1_pd(x2);
+  const __m512d v3 = _mm512_set1_pd(x3);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m512d t = _mm512_loadu_pd(acc + i);
+    t = MulAdd8x8(t, c0 + i, v0);
+    t = MulAdd8x8(t, c1 + i, v1);
+    t = MulAdd8x8(t, c2 + i, v2);
+    t = MulAdd8x8(t, c3 + i, v3);
+    _mm512_storeu_pd(acc + i, t);
+  }
+  Axpy4Portable(acc + i, c0 + i, x0, c1 + i, x1, c2 + i, x2, c3 + i, x3,
+                n - i);
+}
+
+CSOD_AVX512 void Axpy8Avx512(double* acc, const int8_t* const cols[8],
+                             const double xs[8], size_t n) {
+  const __m512d v0 = _mm512_set1_pd(xs[0]);
+  const __m512d v1 = _mm512_set1_pd(xs[1]);
+  const __m512d v2 = _mm512_set1_pd(xs[2]);
+  const __m512d v3 = _mm512_set1_pd(xs[3]);
+  const __m512d v4 = _mm512_set1_pd(xs[4]);
+  const __m512d v5 = _mm512_set1_pd(xs[5]);
+  const __m512d v6 = _mm512_set1_pd(xs[6]);
+  const __m512d v7 = _mm512_set1_pd(xs[7]);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m512d t = _mm512_loadu_pd(acc + i);
+    t = MulAdd8x8(t, cols[0] + i, v0);
+    t = MulAdd8x8(t, cols[1] + i, v1);
+    t = MulAdd8x8(t, cols[2] + i, v2);
+    t = MulAdd8x8(t, cols[3] + i, v3);
+    t = MulAdd8x8(t, cols[4] + i, v4);
+    t = MulAdd8x8(t, cols[5] + i, v5);
+    t = MulAdd8x8(t, cols[6] + i, v6);
+    t = MulAdd8x8(t, cols[7] + i, v7);
+    _mm512_storeu_pd(acc + i, t);
+  }
+  for (; i < n; ++i) {
+    double t = acc[i];
+    for (size_t k = 0; k < 8; ++k) t += Widen(cols[k][i]) * xs[k];
+    acc[i] = t;
+  }
+}
+
+// The screen step 32 entries wide: vpmovsxbw to 32 int16, vpmaddwd into
+// sixteen int32 lanes. The masked form reads only the entries `mask`
+// selects and zeroes the others, whose products then add nothing.
+CSOD_AVX512 inline __m512i MulPairs32(const int8_t* c, const int16_t* r) {
+  const __m256i bytes = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c));
+  return _mm512_madd_epi16(_mm512_cvtepi8_epi16(bytes), _mm512_loadu_si512(r));
+}
+CSOD_AVX512 inline __m512i MulPairs32(const int8_t* c, __m512i r,
+                                      __mmask32 mask) {
+  return _mm512_madd_epi16(
+      _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(mask, c)), r);
+}
+
+// The sixteen lanes of `a` summed into eight: the two 256-bit halves added.
+CSOD_AVX512 inline __m256i FoldHalves(__m512i a) {
+  return _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(kAllLanes8, a, 0),
+                          _mm512_maskz_extracti64x4_epi64(kAllLanes8, a, 1));
+}
+
+CSOD_AVX512 void ScreenColumnsAvx512(const int8_t* cols, size_t m,
+                                     size_t count, const int16_t* rho,
+                                     int32_t* out) {
+  const size_t body = m - m % 32;
+  const __mmask32 tail = static_cast<__mmask32>((uint64_t{1} << (m % 32)) - 1);
+  const __m512i rho_tail = _mm512_maskz_loadu_epi16(tail, rho + body);
+  size_t j = 0;
+  for (; j + 4 <= count; j += 4) {
+    const int8_t* c = cols + j * m;
+    PrefetchAhead(c, 4 * m);
+    __m512i a0 = _mm512_setzero_si512();
+    __m512i a1 = _mm512_setzero_si512();
+    __m512i a2 = _mm512_setzero_si512();
+    __m512i a3 = _mm512_setzero_si512();
+    for (size_t i = 0; i < body; i += 32) {
+      a0 = _mm512_add_epi32(a0, MulPairs32(c + i, rho + i));
+      a1 = _mm512_add_epi32(a1, MulPairs32(c + m + i, rho + i));
+      a2 = _mm512_add_epi32(a2, MulPairs32(c + 2 * m + i, rho + i));
+      a3 = _mm512_add_epi32(a3, MulPairs32(c + 3 * m + i, rho + i));
+    }
+    a0 = _mm512_add_epi32(a0, MulPairs32(c + body, rho_tail, tail));
+    a1 = _mm512_add_epi32(a1, MulPairs32(c + m + body, rho_tail, tail));
+    a2 = _mm512_add_epi32(a2, MulPairs32(c + 2 * m + body, rho_tail, tail));
+    a3 = _mm512_add_epi32(a3, MulPairs32(c + 3 * m + body, rho_tail, tail));
+    FoldColumns(FoldHalves(a0), FoldHalves(a1), FoldHalves(a2),
+                FoldHalves(a3), out + j);
+  }
+  ScreenColumnsPortable(cols + j * m, m, count - j, rho, out + j);
+}
+
+#undef CSOD_AVX512
+
 #endif  // CSOD_SIMD_X86
 
 Level DetectLevel() {
@@ -614,7 +782,7 @@ Level DetectLevel() {
   if (force != nullptr && force[0] != '\0' && force[0] != '0') {
     return Level::kPortable;
   }
-  return Avx2Supported() ? Level::kAvx2 : Level::kPortable;
+  return SupportedLevel();
 #endif
 }
 
@@ -626,15 +794,30 @@ std::atomic<Level>& ActiveLevelSlot() {
 }  // namespace
 
 const char* LevelName(Level level) {
-  return level == Level::kAvx2 ? "avx2" : "portable";
+  switch (level) {
+    case Level::kPortable:
+      return "portable";
+    case Level::kAvx2:
+      return "avx2";
+    case Level::kAvx512:
+      return "avx512";
+  }
+  return "unknown";
 }
 
-bool Avx2Supported() {
+Level SupportedLevel() {
 #if CSOD_SIMD_X86
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
+  // libgcc's probe reports an AVX or AVX-512 feature only when the OS also
+  // saves the registers it needs (XCR0).
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl")) {
+    return Level::kAvx512;
+  }
+  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
 #endif
+  return Level::kPortable;
 }
 
 Level ActiveLevel() {
@@ -642,18 +825,24 @@ Level ActiveLevel() {
 }
 
 Level SetLevelForTesting(Level level) {
-  if (level == Level::kAvx2 && !Avx2Supported()) level = Level::kPortable;
-  return ActiveLevelSlot().exchange(level, std::memory_order_relaxed);
+  return ActiveLevelSlot().exchange(std::min(level, SupportedLevel()),
+                                    std::memory_order_relaxed);
 }
 
 // Dispatch. The double and int8 overloads of a kernel forward to one
-// template per ISA path, so the two forms cannot drift apart.
+// template per ISA path, so the two forms cannot drift apart. A kernel with
+// no AVX-512 form runs its AVX2 form at kAvx512; CSOD_SIMD_DISPATCH512
+// dispatches the four that have one.
 #if CSOD_SIMD_X86
-#define CSOD_SIMD_DISPATCH(kernel, ...)                     \
-  (ActiveLevel() == Level::kAvx2 ? kernel##Avx2(__VA_ARGS__) \
+#define CSOD_SIMD_DISPATCH(kernel, ...)                      \
+  (ActiveLevel() >= Level::kAvx2 ? kernel##Avx2(__VA_ARGS__) \
                                  : kernel##Portable(__VA_ARGS__))
+#define CSOD_SIMD_DISPATCH512(kernel, ...)                         \
+  (ActiveLevel() == Level::kAvx512 ? kernel##Avx512(__VA_ARGS__) \
+                                   : CSOD_SIMD_DISPATCH(kernel, __VA_ARGS__))
 #else
 #define CSOD_SIMD_DISPATCH(kernel, ...) kernel##Portable(__VA_ARGS__)
+#define CSOD_SIMD_DISPATCH512(kernel, ...) kernel##Portable(__VA_ARGS__)
 #endif
 
 double Dot(const double* a, const double* b, size_t n) {
@@ -673,14 +862,14 @@ void Dot4(const int8_t* c0, const int8_t* c1, const int8_t* c2,
 }
 void ScreenColumns(const int8_t* cols, size_t m, size_t count,
                    const int16_t* rho, int32_t* out) {
-  CSOD_SIMD_DISPATCH(ScreenColumns, cols, m, count, rho, out);
+  CSOD_SIMD_DISPATCH512(ScreenColumns, cols, m, count, rho, out);
 }
 
 void Axpy(double* acc, const double* col, double x, size_t n) {
   CSOD_SIMD_DISPATCH(Axpy, acc, col, x, n);
 }
 void Axpy(double* acc, const int8_t* col, double x, size_t n) {
-  CSOD_SIMD_DISPATCH(Axpy, acc, col, x, n);
+  CSOD_SIMD_DISPATCH512(Axpy, acc, col, x, n);
 }
 
 void Axpy4(double* acc, const double* c0, double x0, const double* c1,
@@ -691,7 +880,7 @@ void Axpy4(double* acc, const double* c0, double x0, const double* c1,
 void Axpy4(double* acc, const int8_t* c0, double x0, const int8_t* c1,
            double x1, const int8_t* c2, double x2, const int8_t* c3, double x3,
            size_t n) {
-  CSOD_SIMD_DISPATCH(Axpy4, acc, c0, x0, c1, x1, c2, x2, c3, x3, n);
+  CSOD_SIMD_DISPATCH512(Axpy4, acc, c0, x0, c1, x1, c2, x2, c3, x3, n);
 }
 
 void Axpy8(double* acc, const double* const cols[8], const double xs[8],
@@ -700,7 +889,7 @@ void Axpy8(double* acc, const double* const cols[8], const double xs[8],
 }
 void Axpy8(double* acc, const int8_t* const cols[8], const double xs[8],
            size_t n) {
-  CSOD_SIMD_DISPATCH(Axpy8, acc, cols, xs, n);
+  CSOD_SIMD_DISPATCH512(Axpy8, acc, cols, xs, n);
 }
 
 void Add(double* acc, const double* src, size_t n) {
@@ -744,6 +933,7 @@ void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
   }
 }
 
+#undef CSOD_SIMD_DISPATCH512
 #undef CSOD_SIMD_DISPATCH
 
 }  // namespace csod::simd

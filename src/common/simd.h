@@ -11,8 +11,8 @@ namespace csod::simd {
 ///
 /// The repo's determinism contract ("bit-identical results at any
 /// parallelism limit", DESIGN.md §6) extends here across instruction sets:
-/// the AVX2 and portable implementations of every kernel below produce
-/// bit-identical results, by construction rather than by accident.
+/// the AVX-512, AVX2 and portable implementations of every kernel below
+/// produce bit-identical results, by construction rather than by accident.
 ///
 /// How: reductions (`Dot`, `Dot4`) split the index space into a fixed
 /// 8-accumulator lane split — lane `l` sums the elements at positions
@@ -27,8 +27,12 @@ namespace csod::simd {
 ///
 /// FMA is deliberately NOT used: a fused multiply-add rounds once where
 /// mul-then-add rounds twice, which would break bit-identity between the
-/// AVX2 and portable paths (and against the pre-existing scalar kernels).
-/// Dispatch therefore keys on AVX2 alone, not on FMA.
+/// vector and portable paths (and against the pre-existing scalar kernels).
+/// The AVX2 kernels are compiled for AVX2 without FMA, so the compiler has
+/// no fused instruction to emit. The AVX-512 kernels cannot be: AVX-512F
+/// implies FMA, and their exactness rests on `-ffp-contract=off`, which
+/// src/common/CMakeLists.txt sets PUBLIC on csod_common;
+/// `SimdTest.Int8AxpyKernelsRoundTheProductBeforeTheAdd` fails without it.
 ///
 /// The fused 4-stream variants (`Dot4`, `Axpy4`, `Add4`) amortize one pass
 /// over the shared operand across four streams; each stream's per-element
@@ -45,30 +49,43 @@ namespace csod::simd {
 /// operands (`r`, `acc`, `x`) and every result stay double, except in the
 /// integer screen kernel below. Storing Φ0's columns as int8 cuts the bytes
 /// a correlate streams to one per entry without a second summation tree.
-/// Vector loads touch only full 4-, 8- or 16-element groups; tails are
-/// scalar, so no path reads past element n - 1.
+/// Vector loads touch only full 4-, 8-, 16- or 32-element groups, or use
+/// masked loads that read only the elements they keep; tails are scalar, so
+/// no path reads past element n - 1.
 enum class Level {
   kPortable = 0,  ///< Fixed-8-lane scalar kernels (any platform).
   kAvx2 = 1,      ///< AVX2 4-wide double kernels (x86-64, no FMA).
+  /// AVX-512 (F, BW, DQ, VL): the int8 `Axpy`, `Axpy4` and `Axpy8` run
+  /// eight rows per register and `ScreenColumns` 32 entries per step; every
+  /// other kernel runs its AVX2 form.
+  kAvx512 = 2,
 };
 
-/// Human-readable name ("portable" / "avx2") for logs and bench output.
+/// Every level, lowest first. Tests and benchmarks that compare the paths
+/// loop over this list; SetLevelForTesting clamps a level the host lacks.
+inline constexpr Level kAllLevels[] = {Level::kPortable, Level::kAvx2,
+                                       Level::kAvx512};
+
+/// Human-readable name ("portable" / "avx2" / "avx512") for logs and bench
+/// output.
 const char* LevelName(Level level);
 
-/// True iff the running CPU supports AVX2 (raw probe; ignores level
-/// overrides). A CPU, or a VM, that masks the bit gets the portable level.
-bool Avx2Supported();
+/// The best level the running CPU and OS support (raw probe; ignores level
+/// overrides): kAvx512 when they report AVX512F, BW, DQ and VL, else kAvx2
+/// when they report AVX2, else kPortable. A CPU, or a VM, that masks a bit
+/// gets the level below.
+Level SupportedLevel();
 
 /// The level the kernels currently dispatch to. Resolved once on first use:
-/// AVX2 when the CPU supports it, unless compiled with
-/// -DCSOD_FORCE_PORTABLE_SIMD or run with CSOD_FORCE_PORTABLE_SIMD=1 in the
-/// environment (both force the portable path).
+/// SupportedLevel(), unless compiled with -DCSOD_FORCE_PORTABLE_SIMD or run
+/// with CSOD_FORCE_PORTABLE_SIMD=1 in the environment (both force the
+/// portable path).
 Level ActiveLevel();
 
-/// Overrides the dispatch level (clamped to kPortable when Avx2Supported()
-/// is false) and returns the previously active level. For tests and
-/// benchmarks that compare the two paths inside one binary; also works in
-/// CSOD_FORCE_PORTABLE_SIMD builds, where the AVX2 code is still compiled.
+/// Overrides the dispatch level (clamped to SupportedLevel()) and returns
+/// the previously active level. For tests and benchmarks that compare the
+/// paths inside one binary; also works in CSOD_FORCE_PORTABLE_SIMD builds,
+/// where the vector code is still compiled.
 Level SetLevelForTesting(Level level);
 
 /// Σ_i a[i] * b[i] over the canonical 8-lane split.
@@ -104,15 +121,18 @@ constexpr int32_t ScreenResidualLimit(size_t n) {
 /// Sets out[j] = Σ_i cols[j·m + i]·rho[i] for the `count` contiguous
 /// M-entry columns at `cols`. When |rho[i]| ≤ ScreenResidualLimit(m) and
 /// every |entry| ≤ kMaxAbsInt8Entry, no partial sum exceeds 2^31 − 1 in
-/// magnitude, so every summation order gives the exact sum and both paths
-/// write the same values. The AVX2 path scores four columns per pass over
-/// rho: sixteen int8 entries widen to int16 (vpmovsxbw), vpmaddwd sums their
-/// products pairwise into eight int32 lanes per column, and one shared hadd
-/// tree folds the four columns' lanes at once. The portable path sums each
-/// column in plain int32, where a residual past the rule is a signed
-/// overflow that UBSan reports. The m % 16 tail entries and the count % 4
-/// last columns are scalar. Both paths prefetch the bytes 4 KB past the
-/// columns they score, since the hardware prefetcher follows an ascending
+/// magnitude, so every summation order gives the exact sum and every path
+/// writes the same values. The vector paths score four columns per pass
+/// over rho. AVX2 widens sixteen int8 entries to int16 (vpmovsxbw), sums
+/// their products pairwise into eight int32 lanes per column (vpmaddwd),
+/// takes one 8-entry SSE step when m % 16 ≥ 8, and folds the four columns'
+/// lanes in one shared hadd tree; the m % 8 tail entries are scalar.
+/// AVX-512 takes 32 entries per step into sixteen lanes and reads the
+/// m % 32 tail with masked loads, which read nothing past the column or
+/// rho. The portable path sums each column in plain int32, where a residual
+/// past the rule is a signed overflow that UBSan reports. The count % 4
+/// last columns are scalar. Every path prefetches the bytes 4 KB past the
+/// columns it scores, since the hardware prefetcher follows an ascending
 /// stream only within a 4 KB page; those bytes may lie past the block, which
 /// is safe because a prefetch is a hint that never faults.
 /// MeasurementMatrix::CorrelateTop scores Φ0 a block of columns per call and
@@ -121,6 +141,9 @@ void ScreenColumns(const int8_t* cols, size_t m, size_t count,
                    const int16_t* rho, int32_t* out);
 
 /// acc[i] += col[i] * x (element-wise; bit-identical on every path).
+/// The int8 forms of Axpy, Axpy4 and Axpy8 take eight rows per step at
+/// kAvx512 (vpmovsxbq, vcvtqq2pd, then a separate multiply and add) and
+/// four or eight at kAvx2; the rows past the last full step are scalar.
 void Axpy(double* acc, const double* col, double x, size_t n);
 void Axpy(double* acc, const int8_t* col, double x, size_t n);
 

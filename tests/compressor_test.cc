@@ -10,31 +10,10 @@
 #include "cs/measurement_matrix.h"
 #include "la/vector_ops.h"
 
+#include "test_scopes.h"
+
 namespace csod::cs {
 namespace {
-
-// Restores the global parallelism limit a test overrode.
-class ScopedParallelismLimit {
- public:
-  explicit ScopedParallelismLimit(size_t limit)
-      : previous_(GetParallelismLimit()) {
-    SetParallelismLimit(limit);
-  }
-  ~ScopedParallelismLimit() { SetParallelismLimit(previous_); }
-
- private:
-  size_t previous_;
-};
-
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(simd::Level level)
-      : previous_(simd::SetLevelForTesting(level)) {}
-  ~ScopedSimdLevel() { simd::SetLevelForTesting(previous_); }
-
- private:
-  simd::Level previous_;
-};
 
 TEST(SparseSliceTest, DenseRoundTrip) {
   std::vector<double> x = {0.0, 1.5, 0.0, -2.0, 0.0};
@@ -194,7 +173,7 @@ TEST(CompressorTest, CompressAccumulateBitIdenticalAcrossLimitsAndLevels) {
     }
 
     for (size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+      for (simd::Level level : simd::kAllLevels) {
         ScopedParallelismLimit scoped_limit(limit);
         ScopedSimdLevel scoped_level(level);
         std::vector<double> batched;

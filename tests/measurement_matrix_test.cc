@@ -25,31 +25,10 @@
 #include "cs/omp.h"
 #include "la/vector_ops.h"
 
+#include "test_scopes.h"
+
 namespace csod::cs {
 namespace {
-
-// Restores the global parallelism limit a test overrode.
-class ScopedParallelismLimit {
- public:
-  explicit ScopedParallelismLimit(size_t limit)
-      : previous_(GetParallelismLimit()) {
-    SetParallelismLimit(limit);
-  }
-  ~ScopedParallelismLimit() { SetParallelismLimit(previous_); }
-
- private:
-  size_t previous_;
-};
-
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(simd::Level level)
-      : previous_(simd::SetLevelForTesting(level)) {}
-  ~ScopedSimdLevel() { simd::SetLevelForTesting(previous_); }
-
- private:
-  simd::Level previous_;
-};
 
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
@@ -303,7 +282,7 @@ void ExpectTopIsExhaustive(const MeasurementMatrix& matrix,
         exhaustive != nullptr ? *exhaustive : matrix, r, skip, skip_offset,
         count);
     for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+      for (simd::Level level : simd::kAllLevels) {
         ScopedParallelismLimit scoped_limit(limit);
         ScopedSimdLevel scoped_level(level);
         std::vector<CorrelateArgmaxResult> got;
@@ -735,8 +714,7 @@ TEST(MeasurementMatrixTest, KernelsBitIdenticalAcrossLimitsAndLevels) {
     }
 
     for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (simd::Level level :
-           {simd::Level::kPortable, simd::Level::kAvx2}) {
+      for (simd::Level level : simd::kAllLevels) {
         ScopedParallelismLimit scoped_limit(limit);
         ScopedSimdLevel scoped_level(level);
         const auto label = [&] {
@@ -892,7 +870,7 @@ TEST(MeasurementMatrixTest, MultiplySparseBatchPrefetchPathsMatchPerSlice) {
   }
 
   for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+    for (simd::Level level : simd::kAllLevels) {
       ScopedParallelismLimit scoped_limit(limit);
       ScopedSimdLevel scoped_level(level);
       const std::string label =
@@ -960,7 +938,7 @@ TEST(MeasurementMatrixTest, EntryIsTheInt8RoundedScaledGaussian) {
     }
   }
   for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+    for (simd::Level level : simd::kAllLevels) {
       ScopedParallelismLimit scoped_limit(limit);
       ScopedSimdLevel scoped_level(level);
       for (const size_t budget : {size_t{1} << 20, size_t{0}}) {
@@ -971,7 +949,8 @@ TEST(MeasurementMatrixTest, EntryIsTheInt8RoundedScaledGaussian) {
           for (size_t i = 0; i < m; ++i) {
             const uint64_t want = std::bit_cast<uint64_t>(expected[j * m + i]);
             ASSERT_EQ(std::bit_cast<uint64_t>(matrix.Entry(i, j)), want)
-                << "limit=" << limit << " level=" << simd::LevelName(level)
+                << "limit=" << limit
+                << " level=" << simd::LevelName(simd::ActiveLevel())
                 << " budget=" << budget << " (" << i << "," << j << ")";
             ASSERT_EQ(std::bit_cast<uint64_t>(column[i]), want);
           }

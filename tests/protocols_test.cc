@@ -19,31 +19,10 @@
 #include "workload/generators.h"
 #include "workload/partitioner.h"
 
+#include "test_scopes.h"
+
 namespace csod::dist {
 namespace {
-
-// Restore the parallelism limit / SIMD dispatch level on scope exit, even
-// when an assertion fails mid-test.
-class ScopedParallelismLimit {
- public:
-  explicit ScopedParallelismLimit(size_t limit) : previous_(GetParallelismLimit()) {
-    SetParallelismLimit(limit);
-  }
-  ~ScopedParallelismLimit() { SetParallelismLimit(previous_); }
-
- private:
-  size_t previous_;
-};
-
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(simd::Level level)
-      : previous_(simd::SetLevelForTesting(level)) {}
-  ~ScopedSimdLevel() { simd::SetLevelForTesting(previous_); }
-
- private:
-  simd::Level previous_;
-};
 
 // Builds a cluster holding a majority-dominated global vector split with
 // the given strategy.
@@ -317,12 +296,13 @@ TEST(CsProtocolTest, BitIdenticalAcrossLimitsAndSimdLevels) {
     reference = run();
   }
   for (size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+    for (simd::Level level : simd::kAllLevels) {
       ScopedParallelismLimit scoped_limit(limit);
       ScopedSimdLevel scoped_level(level);
       const outlier::OutlierSet got = run();
       EXPECT_EQ(got.mode, reference.mode)
-          << "limit=" << limit << " level=" << simd::LevelName(level);
+          << "limit=" << limit
+          << " level=" << simd::LevelName(simd::ActiveLevel());
       ASSERT_EQ(got.outliers.size(), reference.outliers.size());
       for (size_t i = 0; i < got.outliers.size(); ++i) {
         EXPECT_EQ(got.outliers[i].key_index, reference.outliers[i].key_index);

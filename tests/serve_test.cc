@@ -23,17 +23,10 @@
 #include "obs/telemetry.h"
 #include "serve/net.h"
 
+#include "test_scopes.h"
+
 namespace csod::serve {
 namespace {
-
-struct ScopedParallelismLimit {
-  explicit ScopedParallelismLimit(size_t limit)
-      : previous_(GetParallelismLimit()) {
-    SetParallelismLimit(limit);
-  }
-  ~ScopedParallelismLimit() { SetParallelismLimit(previous_); }
-  size_t previous_;
-};
 
 // True while no reader thread has made progress and `deadline` has not
 // passed. A concurrency test keeps its writer going meanwhile, so a loaded

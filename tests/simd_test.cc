@@ -13,18 +13,10 @@
 
 #include "common/random.h"
 
+#include "test_scopes.h"
+
 namespace csod::simd {
 namespace {
-
-// Restores the dispatch level a test overrode, even on assertion failure.
-class ScopedLevel {
- public:
-  explicit ScopedLevel(Level level) : previous_(SetLevelForTesting(level)) {}
-  ~ScopedLevel() { SetLevelForTesting(previous_); }
-
- private:
-  Level previous_;
-};
 
 std::vector<double> RandomVector(size_t n, uint64_t seed) {
   std::vector<double> v(n);
@@ -50,8 +42,8 @@ TEST(SimdTest, DotMatchesCanonicalLaneSplit) {
   for (size_t n : kSizes) {
     const auto a = RandomVector(n, 11);
     const auto b = RandomVector(n, 22);
-    for (Level level : {Level::kPortable, Level::kAvx2}) {
-      ScopedLevel scoped(level);
+    for (Level level : kAllLevels) {
+      ScopedSimdLevel scoped(level);
       EXPECT_EQ(Dot(a.data(), b.data(), n),
                 ReferenceLaneDot(a.data(), b.data(), n))
           << "n=" << n << " level=" << LevelName(ActiveLevel());
@@ -59,8 +51,9 @@ TEST(SimdTest, DotMatchesCanonicalLaneSplit) {
   }
 }
 
+// Every vector level against the portable one, on the double kernels.
 TEST(SimdTest, Avx2AndPortableAreBitIdentical) {
-  if (!Avx2Supported()) GTEST_SKIP() << "CPU lacks AVX2";
+  if (SupportedLevel() == Level::kPortable) GTEST_SKIP() << "CPU lacks AVX2";
   for (size_t n : kSizes) {
     const auto a = RandomVector(n, 5);
     const auto b = RandomVector(n, 6);
@@ -68,52 +61,56 @@ TEST(SimdTest, Avx2AndPortableAreBitIdentical) {
     const auto d = RandomVector(n, 8);
     const auto r = RandomVector(n, 9);
 
-    double portable_dot, avx2_dot;
-    double portable_dot4[4], avx2_dot4[4];
-    std::vector<double> portable_axpy, avx2_axpy;
-    std::vector<double> portable_axpy4, avx2_axpy4;
-    std::vector<double> portable_add4, avx2_add4;
-    auto run_all = [&](double* dot, double dot4[4], std::vector<double>* axpy,
-                       std::vector<double>* axpy4, std::vector<double>* add4) {
-      *dot = Dot(a.data(), r.data(), n);
-      Dot4(a.data(), b.data(), c.data(), d.data(), r.data(), n, dot4);
-      *axpy = RandomVector(n, 33);
-      Axpy(axpy->data(), a.data(), 1.7, n);
-      Scale(axpy->data(), 0.3, n);
-      Add(axpy->data(), b.data(), n);
-      *axpy4 = RandomVector(n, 44);
-      Axpy4(axpy4->data(), a.data(), 0.5, b.data(), -1.25, c.data(), 2.0,
+    struct Outputs {
+      double dot;
+      double dot4[4];
+      std::vector<double> axpy, axpy4, add4;
+    };
+    auto run_all = [&]() {
+      Outputs out;
+      out.dot = Dot(a.data(), r.data(), n);
+      Dot4(a.data(), b.data(), c.data(), d.data(), r.data(), n, out.dot4);
+      out.axpy = RandomVector(n, 33);
+      Axpy(out.axpy.data(), a.data(), 1.7, n);
+      Scale(out.axpy.data(), 0.3, n);
+      Add(out.axpy.data(), b.data(), n);
+      out.axpy4 = RandomVector(n, 44);
+      Axpy4(out.axpy4.data(), a.data(), 0.5, b.data(), -1.25, c.data(), 2.0,
             d.data(), -0.75, n);
       const double* cols8[8] = {a.data(), b.data(), c.data(), d.data(),
                                 r.data(), a.data(), b.data(), c.data()};
       const double xs8[8] = {1.0, -2.0, 0.5, 3.0, -0.125, 2.25, -1.0, 0.75};
-      Axpy8(axpy4->data(), cols8, xs8, n);
-      *add4 = RandomVector(n, 55);
-      Add4(add4->data(), a.data(), b.data(), c.data(), d.data(), n);
+      Axpy8(out.axpy4.data(), cols8, xs8, n);
+      out.add4 = RandomVector(n, 55);
+      Add4(out.add4.data(), a.data(), b.data(), c.data(), d.data(), n);
+      return out;
     };
+    Outputs portable;
     {
-      ScopedLevel scoped(Level::kPortable);
-      run_all(&portable_dot, portable_dot4, &portable_axpy, &portable_axpy4,
-              &portable_add4);
+      ScopedSimdLevel scoped(Level::kPortable);
+      portable = run_all();
     }
-    {
-      ScopedLevel scoped(Level::kAvx2);
-      ASSERT_EQ(ActiveLevel(), Level::kAvx2);
-      run_all(&avx2_dot, avx2_dot4, &avx2_axpy, &avx2_axpy4, &avx2_add4);
+    for (Level level : kAllLevels) {
+      if (level == Level::kPortable) continue;
+      ScopedSimdLevel scoped(level);
+      ASSERT_NE(ActiveLevel(), Level::kPortable);
+      const Outputs vector = run_all();
+      const char* name = LevelName(ActiveLevel());
+      EXPECT_EQ(portable.dot, vector.dot) << "n=" << n << " " << name;
+      for (size_t k = 0; k < 4; ++k) {
+        EXPECT_EQ(portable.dot4[k], vector.dot4[k])
+            << "n=" << n << " k=" << k << " " << name;
+      }
+      EXPECT_EQ(portable.axpy, vector.axpy) << "n=" << n << " " << name;
+      EXPECT_EQ(portable.axpy4, vector.axpy4) << "n=" << n << " " << name;
+      EXPECT_EQ(portable.add4, vector.add4) << "n=" << n << " " << name;
     }
-    EXPECT_EQ(portable_dot, avx2_dot) << "n=" << n;
-    for (size_t k = 0; k < 4; ++k) {
-      EXPECT_EQ(portable_dot4[k], avx2_dot4[k]) << "n=" << n << " k=" << k;
-    }
-    EXPECT_EQ(portable_axpy, avx2_axpy) << "n=" << n;
-    EXPECT_EQ(portable_axpy4, avx2_axpy4) << "n=" << n;
-    EXPECT_EQ(portable_add4, avx2_add4) << "n=" << n;
   }
 }
 
 TEST(SimdTest, FusedVariantsMatchSequentialCallsBitwise) {
-  for (Level level : {Level::kPortable, Level::kAvx2}) {
-    ScopedLevel scoped(level);
+  for (Level level : kAllLevels) {
+    ScopedSimdLevel scoped(level);
     for (size_t n : kSizes) {
       const auto c0 = RandomVector(n, 1);
       const auto c1 = RandomVector(n, 2);
@@ -168,8 +165,8 @@ TEST(SimdTest, FusedVariantsMatchSequentialCallsBitwise) {
 TEST(SimdTest, ElementwiseKernelsMatchScalarReference) {
   const size_t n = 37;
   const auto col = RandomVector(n, 12);
-  for (Level level : {Level::kPortable, Level::kAvx2}) {
-    ScopedLevel scoped(level);
+  for (Level level : kAllLevels) {
+    ScopedSimdLevel scoped(level);
     std::vector<double> acc = RandomVector(n, 13);
     std::vector<double> expected = acc;
     Axpy(acc.data(), col.data(), 1.25, n);
@@ -197,6 +194,14 @@ std::vector<int8_t> RandomInt8s(size_t n, uint64_t seed, size_t guard = 0) {
 
 std::vector<double> Widened(const std::vector<int8_t>& v, size_t n) {
   return std::vector<double>(v.begin(), v.begin() + n);
+}
+
+// Bit patterns of a double vector, so a comparison also tells -0.0 from 0.0
+// and reports the differing position.
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> bits;
+  for (double x : v) bits.push_back(std::bit_cast<uint64_t>(x));
+  return bits;
 }
 
 // Every kernel that reads an int8 column, run once at the active level.
@@ -269,17 +274,112 @@ TEST(SimdTest, Int8ColumnKernelsAreBitIdenticalAcrossLevels) {
     const auto r = RandomVector(n, 99);
     ColumnKernelOutputs portable;
     {
-      ScopedLevel scoped(Level::kPortable);
+      ScopedSimdLevel scoped(Level::kPortable);
       portable = RunColumnKernels(cols, r, n);
       EXPECT_TRUE(portable == RunColumnKernels(wide, r, n))
           << "n=" << n << " int8 != widened double (portable)";
     }
-    if (!Avx2Supported()) continue;
-    ScopedLevel scoped(Level::kAvx2);
-    const ColumnKernelOutputs avx2 = RunColumnKernels(cols, r, n);
-    EXPECT_TRUE(avx2 == portable) << "n=" << n << " avx2 != portable";
-    EXPECT_TRUE(avx2 == RunColumnKernels(wide, r, n))
-        << "n=" << n << " int8 != widened double (avx2)";
+    for (Level level : kAllLevels) {
+      if (level == Level::kPortable) continue;
+      ScopedSimdLevel scoped(level);
+      const char* name = LevelName(ActiveLevel());
+      const ColumnKernelOutputs vector = RunColumnKernels(cols, r, n);
+      EXPECT_TRUE(vector == portable) << "n=" << n << " " << name
+                                      << " != portable";
+      EXPECT_TRUE(vector == RunColumnKernels(wide, r, n))
+          << "n=" << n << " int8 != widened double (" << name << ")";
+    }
+  }
+}
+
+// The int8 Axpy family against a scalar reference written out here, on
+// every level, at lengths that cover each tail of the 4- and 8-row vector
+// steps, a column of M = 256 with its neighbours, and batch-detect's
+// M = 600. Columns and accumulator are allocated at exactly n entries, so
+// AddressSanitizer reports a read or write past the end.
+TEST(SimdTest, Int8AxpyKernelsAreBitIdenticalOnEveryLevelAtExactLength) {
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 17; ++n) sizes.push_back(n);
+  for (size_t n : {size_t{255}, size_t{256}, size_t{257}, size_t{600}}) {
+    sizes.push_back(n);
+  }
+  // Full-precision coefficients, so that most products round.
+  const std::vector<double> xs = RandomVector(8, 402);
+  for (size_t n : sizes) {
+    std::vector<std::vector<int8_t>> cols;
+    for (uint64_t k = 0; k < 8; ++k) cols.push_back(RandomInt8s(n, 400 + k));
+    const std::vector<double> acc0 = RandomVector(n, 401);
+    // acc[i] + Σ_k cols[k][i]·xs[k], one rounding per product and per sum,
+    // over the first `streams` columns in order.
+    auto reference = [&](size_t streams) {
+      std::vector<double> want = acc0;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t k = 0; k < streams; ++k) {
+          const double product = static_cast<double>(cols[k][i]) * xs[k];
+          want[i] = want[i] + product;
+        }
+      }
+      return Bits(want);
+    };
+    const int8_t* ptrs[8];
+    for (size_t k = 0; k < 8; ++k) ptrs[k] = cols[k].data();
+    for (Level level : kAllLevels) {
+      ScopedSimdLevel scoped(level);
+      const char* name = LevelName(ActiveLevel());
+      std::vector<double> acc = acc0;
+      Axpy(acc.data(), ptrs[0], xs[0], n);
+      EXPECT_EQ(Bits(acc), reference(1)) << "Axpy n=" << n << " " << name;
+      acc = acc0;
+      Axpy4(acc.data(), ptrs[0], xs[0], ptrs[1], xs[1], ptrs[2], xs[2],
+            ptrs[3], xs[3], n);
+      EXPECT_EQ(Bits(acc), reference(4)) << "Axpy4 n=" << n << " " << name;
+      acc = acc0;
+      Axpy8(acc.data(), ptrs, xs.data(), n);
+      EXPECT_EQ(Bits(acc), reference(8)) << "Axpy8 n=" << n << " " << name;
+    }
+  }
+}
+
+// The contraction canary. With q = 3, x = 1 + 2^-52 and acc = -3, the
+// product q·x = 3 + 3·2^-52 rounds to 3 + 2^-50, so mul-then-add gives
+// 2^-50, while a fused multiply-add keeps the product exact and gives
+// 3·2^-52. The AVX-512 kernels are compiled for a target with FMA, and only
+// -ffp-contract=off keeps the compiler from fusing their multiplies and
+// adds; each stream of each kernel is checked on its own, at a length with
+// vector steps and a scalar tail.
+TEST(SimdTest, Int8AxpyKernelsRoundTheProductBeforeTheAdd) {
+  const double x = 1.0 + 0x1p-52;
+  const double acc0 = -3.0;
+  const double want = 0x1p-50;
+  volatile double q = 3.0;  // volatile: keeps the reference fma at run time
+  ASSERT_NE(std::fma(q, x, acc0), want);
+  ASSERT_EQ(std::fma(q, x, acc0), 3 * 0x1p-52);
+  const size_t n = 19;
+  const std::vector<int8_t> threes(n, 3);
+  const std::vector<int8_t> zeros(n, 0);
+  for (Level level : kAllLevels) {
+    ScopedSimdLevel scoped(level);
+    const char* name = LevelName(ActiveLevel());
+    std::vector<double> acc(n, acc0);
+    Axpy(acc.data(), threes.data(), x, n);
+    EXPECT_EQ(acc, std::vector<double>(n, want)) << "Axpy " << name;
+    for (size_t stream = 0; stream < 8; ++stream) {
+      const int8_t* c[8];
+      double xs[8];
+      for (size_t k = 0; k < 8; ++k) {
+        c[k] = k == stream ? threes.data() : zeros.data();
+        xs[k] = x;
+      }
+      acc.assign(n, acc0);
+      Axpy8(acc.data(), c, xs, n);
+      EXPECT_EQ(acc, std::vector<double>(n, want))
+          << "Axpy8 stream " << stream << " " << name;
+      if (stream >= 4) continue;
+      acc.assign(n, acc0);
+      Axpy4(acc.data(), c[0], x, c[1], x, c[2], x, c[3], x, n);
+      EXPECT_EQ(acc, std::vector<double>(n, want))
+          << "Axpy4 stream " << stream << " " << name;
+    }
   }
 }
 
@@ -291,21 +391,21 @@ int64_t ReferenceScreenDot(const int8_t* a, const int16_t* b, size_t n) {
 
 // ScreenColumns over the `count` contiguous n-entry columns at `cols`, and
 // over each column alone (the scalar column path on the AVX2 level),
-// against the int64 sum on both levels.
+// against the int64 sum on every level.
 void ExpectExactScreen(const int8_t* cols, size_t count, const int16_t* r,
                        size_t n) {
-  for (Level level : {Level::kPortable, Level::kAvx2}) {
-    ScopedLevel scoped(level);
+  for (Level level : kAllLevels) {
+    ScopedSimdLevel scoped(level);
     std::vector<int32_t> block(count);
     ScreenColumns(cols, n, count, r, block.data());
     for (size_t k = 0; k < count; ++k) {
       const int64_t want = ReferenceScreenDot(cols + k * n, r, n);
       int32_t alone = 0;
       ScreenColumns(cols + k * n, n, 1, r, &alone);
-      EXPECT_EQ(alone, want)
-          << "n=" << n << " k=" << k << " level=" << LevelName(level);
+      const char* name = LevelName(ActiveLevel());
+      EXPECT_EQ(alone, want) << "n=" << n << " k=" << k << " level=" << name;
       EXPECT_EQ(block[k], want) << "n=" << n << " count=" << count
-                                << " k=" << k << " level=" << LevelName(level);
+                                << " k=" << k << " level=" << name;
     }
   }
 }
@@ -363,15 +463,20 @@ TEST(SimdTest, IntegerScreenDotIsExactAtTheLargestAdmittedM) {
 }
 
 // ScreenColumns at every boundary of its loops: M from 0 through one
-// 16-entry group and its tails, around 256, and at batch-detect's M = 600
-// (37 groups and an 8-entry tail); column counts from 0 through two 4-column
-// groups and their remainders, around one 64-column block and past two.
+// 16-entry group and its tails; M = 24 and 31, one 16-entry group, the
+// 8-entry step and a scalar rest on AVX2, and a masked tail alone on
+// AVX-512; around 256; batch-detect's M = 600 (AVX2: 37 groups and the
+// 8-entry step; AVX-512: 18 groups and a 24-entry masked tail); and
+// M = 607, all three AVX2 stages. Column counts run from 0 through two
+// 4-column groups and their remainders, around one 64-column block and
+// past two.
 // Columns and residual are allocated at exactly their length, so
 // AddressSanitizer reports any read past the end.
 TEST(SimdTest, ScreenColumnsMatchesInt64ReferenceAtEveryBoundary) {
   std::vector<size_t> sizes;
   for (size_t m = 0; m <= 17; ++m) sizes.push_back(m);
-  for (size_t m : {size_t{255}, size_t{256}, size_t{257}, size_t{600}}) {
+  for (size_t m : {size_t{24}, size_t{31}, size_t{255}, size_t{256},
+                   size_t{257}, size_t{600}, size_t{607}}) {
     sizes.push_back(m);
   }
   std::vector<size_t> counts;
@@ -390,26 +495,18 @@ TEST(SimdTest, ScreenColumnsMatchesInt64ReferenceAtEveryBoundary) {
     for (size_t count : counts) {
       std::vector<int8_t> cols(count * m);
       for (int8_t& q : cols) q = static_cast<int8_t>(uniform(kMaxAbsInt8Entry));
-      for (Level level : {Level::kPortable, Level::kAvx2}) {
-        ScopedLevel scoped(level);
+      for (Level level : kAllLevels) {
+        ScopedSimdLevel scoped(level);
         std::vector<int32_t> out(count);
         ScreenColumns(cols.data(), m, count, r.data(), out.data());
         for (size_t j = 0; j < count; ++j) {
           ASSERT_EQ(out[j], ReferenceScreenDot(cols.data() + j * m, r.data(), m))
               << "m=" << m << " count=" << count << " j=" << j
-              << " level=" << LevelName(level);
+              << " level=" << LevelName(ActiveLevel());
         }
       }
     }
   }
-}
-
-// Bit patterns of a double vector, so a comparison also tells -0.0 from 0.0
-// and reports the differing position.
-std::vector<uint64_t> Bits(const std::vector<double>& v) {
-  std::vector<uint64_t> bits;
-  for (double x : v) bits.push_back(std::bit_cast<uint64_t>(x));
-  return bits;
 }
 
 // The generator kernel: portable == AVX2 bit for bit, as double and as
@@ -428,8 +525,8 @@ TEST(SimdTest, GaussianFillIsBitIdenticalAcrossLevels) {
       ASSERT_EQ(keys.size(), n + (n & 1));
       std::vector<double> at(n);
       for (size_t i = 0; i < n; ++i) at[i] = gen.At(i);
-      for (Level level : {Level::kPortable, Level::kAvx2}) {
-        ScopedLevel scoped(level);
+      for (Level level : kAllLevels) {
+        ScopedSimdLevel scoped(level);
         // One guard slot past the end catches a write beyond `count`.
         std::vector<double> wide(n + 1, 7.0);
         std::vector<int8_t> narrow(n + 1, 7);
@@ -504,8 +601,8 @@ TEST(SimdTest, GaussianFillEdgeWordsAreBitIdenticalAcrossLevels) {
       EXPECT_LE(std::fabs(g1), 8.6);
     }
   }
-  for (Level level : {Level::kPortable, Level::kAvx2}) {
-    ScopedLevel scoped(level);
+  for (Level level : kAllLevels) {
+    ScopedSimdLevel scoped(level);
     std::vector<double> out(keys.size());
     GaussianFill(seed, keys.data(), keys.size(), out.data());
     EXPECT_EQ(Bits(out), Bits(expected)) << LevelName(ActiveLevel());
@@ -531,14 +628,14 @@ TEST(SimdTest, QuantizeRoundsTiesToEvenAndClampsOnEveryLevel) {
     g.push_back(value);
     EXPECT_EQ(QuantizeEntry(value), want) << "g=" << value;
   }
-  for (Level level : {Level::kPortable, Level::kAvx2}) {
-    ScopedLevel scoped(level);
+  for (Level level : kAllLevels) {
+    ScopedSimdLevel scoped(level);
     std::vector<int8_t> out(g.size() + 1, 7);
     Quantize(g.data(), g.size(), out.data());
     EXPECT_EQ(out.back(), 7);
     for (size_t i = 0; i < cases.size(); ++i) {
       EXPECT_EQ(out[i], cases[i].second)
-          << "g=" << g[i] << " level=" << LevelName(level);
+          << "g=" << g[i] << " level=" << LevelName(ActiveLevel());
     }
   }
 
@@ -552,8 +649,8 @@ TEST(SimdTest, QuantizeRoundsTiesToEvenAndClampsOnEveryLevel) {
       keys.push_back(InverseSplitMix64((octant << 61) | cell) ^ seed);
     }
   }
-  for (Level level : {Level::kPortable, Level::kAvx2}) {
-    ScopedLevel scoped(level);
+  for (Level level : kAllLevels) {
+    ScopedSimdLevel scoped(level);
     std::vector<int8_t> out(keys.size());
     GaussianFill(seed, keys.data(), keys.size(), out.data());
     int largest = 0;
@@ -571,13 +668,13 @@ TEST(SimdTest, SetLevelForTestingRoundTrips) {
   EXPECT_EQ(ActiveLevel(), original);
 }
 
+// Every request clamps to the best level the host supports.
 TEST(SimdTest, Avx2RequestClampsToPortableWhenUnsupported) {
   const Level original = ActiveLevel();
-  SetLevelForTesting(Level::kAvx2);
-  if (Avx2Supported()) {
-    EXPECT_EQ(ActiveLevel(), Level::kAvx2);
-  } else {
-    EXPECT_EQ(ActiveLevel(), Level::kPortable);
+  for (Level level : kAllLevels) {
+    SetLevelForTesting(level);
+    EXPECT_EQ(ActiveLevel(), std::min(level, SupportedLevel()))
+        << LevelName(level);
   }
   SetLevelForTesting(original);
 }
@@ -585,6 +682,7 @@ TEST(SimdTest, Avx2RequestClampsToPortableWhenUnsupported) {
 TEST(SimdTest, LevelNames) {
   EXPECT_STREQ(LevelName(Level::kPortable), "portable");
   EXPECT_STREQ(LevelName(Level::kAvx2), "avx2");
+  EXPECT_STREQ(LevelName(Level::kAvx512), "avx512");
 }
 
 }  // namespace

@@ -24,30 +24,10 @@
 #include "workload/generators.h"
 #include "workload/partitioner.h"
 
+#include "test_scopes.h"
+
 namespace csod::dist {
 namespace {
-
-class ScopedParallelismLimit {
- public:
-  explicit ScopedParallelismLimit(size_t limit)
-      : previous_(GetParallelismLimit()) {
-    SetParallelismLimit(limit);
-  }
-  ~ScopedParallelismLimit() { SetParallelismLimit(previous_); }
-
- private:
-  size_t previous_;
-};
-
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(simd::Level level)
-      : previous_(simd::SetLevelForTesting(level)) {}
-  ~ScopedSimdLevel() { simd::SetLevelForTesting(previous_); }
-
- private:
-  simd::Level previous_;
-};
 
 uint64_t Bits(double v) {
   uint64_t bits;
@@ -107,19 +87,22 @@ std::unique_ptr<Cluster> MakeCluster(size_t n, size_t s, size_t num_nodes,
 template <typename RunFn>
 void ExpectTelemetryTransparent(RunFn run, bool expect_recording = true) {
   for (size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
-    SCOPED_TRACE("parallelism limit " + std::to_string(limit));
-    ScopedParallelismLimit parallelism(limit);
-    ScopedSimdLevel simd_level(simd::Level::kPortable);
+    for (simd::Level level : simd::kAllLevels) {
+      ScopedParallelismLimit parallelism(limit);
+      ScopedSimdLevel simd_level(level);
+      SCOPED_TRACE("parallelism limit " + std::to_string(limit) + ", simd " +
+                   simd::LevelName(simd::ActiveLevel()));
 
-    obs::Telemetry live;
-    CommStats comm_with, comm_without;
-    const auto with = run(&live, &comm_with);
-    const auto without = run(obs::Telemetry::Disabled(), &comm_without);
-    ExpectBitIdentical(with, without);
-    ExpectSameAccounting(comm_with, comm_without);
-    if (expect_recording) {
-      EXPECT_NE(live.SnapshotJson(), obs::Telemetry().SnapshotJson())
-          << "live sink recorded nothing — instrumentation detached?";
+      obs::Telemetry live;
+      CommStats comm_with, comm_without;
+      const auto with = run(&live, &comm_with);
+      const auto without = run(obs::Telemetry::Disabled(), &comm_without);
+      ExpectBitIdentical(with, without);
+      ExpectSameAccounting(comm_with, comm_without);
+      if (expect_recording) {
+        EXPECT_NE(live.SnapshotJson(), obs::Telemetry().SnapshotJson())
+            << "live sink recorded nothing — instrumentation detached?";
+      }
     }
   }
 }
