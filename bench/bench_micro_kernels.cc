@@ -291,11 +291,25 @@ BENCHMARK(BM_CorrelateTop2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// BM_CorrelateTop2 and BM_MultiplySparseBatchScattered again at each SIMD
-// level, named <row>/<level>/...: the screen and the int8 Axpy family are
-// the kernels with an AVX-512 form, so these rows compare their paths in
-// one binary. A level the host lacks runs the best one it has, which the
-// row's label names.
+// Building a cached M x N Φ0 (state.range(0), state.range(1)): generating
+// every column's Gaussians and rounding them to int8, on the pool, so the
+// row counts the process's CPU time. Registered only per level, below.
+void BM_MatrixBuild(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  uint64_t seed = 31;
+  for (auto _ : state) {
+    cs::MeasurementMatrix matrix(m, n, seed++);
+    benchmark::DoNotOptimize(matrix.Entry(0, 0));
+  }
+  state.SetItemsProcessed(state.iterations() * m * n);
+}
+
+// BM_CorrelateTop2, BM_MultiplySparseBatchScattered and BM_MatrixBuild again
+// at each SIMD level, named <row>/<level>/...: the screen, the int8 Axpy
+// family, the generator and Quantize are the kernels with an AVX-512 form,
+// so these rows compare their paths in one binary. A level the host lacks
+// runs the best one it has, which the row's label names.
 void RunAtLevel(benchmark::State& state, simd::Level level,
                 void (*body)(benchmark::State&)) {
   const simd::Level previous = simd::SetLevelForTesting(level);
@@ -319,6 +333,13 @@ void RunAtLevel(benchmark::State& state, simd::Level level,
         level, BM_MultiplySparseBatchScattered)
         ->MeasureProcessCPUTime()
         ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(("BM_MatrixBuild" + suffix).c_str(),
+                                 RunAtLevel, level, BM_MatrixBuild)
+        ->Args({600, 10400})
+        ->Args({256, 50000})
+        ->MeasureProcessCPUTime()
+        ->UseRealTime()
+        ->Unit(benchmark::kMillisecond);
   }
   return true;
 }();

@@ -67,7 +67,7 @@ run_ctest "$BUILD_DIR" 'SharedMatrix|CsProtocol|WindowedDetector'
 # see) get an explicit rerun even when the main invocation was filtered.
 # The shuffle timing histograms are recorded after each parallel phase.
 ENGINE_FILTER='EngineTest|EngineDeterminism|EngineStress|DefaultPartition'
-ENGINE_FILTER+='|CostModel|JobTest|Jobs|ParallelFor'
+ENGINE_FILTER+='|CostModel|JobTest|Jobs|ParallelFor|ThreadPool'
 ENGINE_FILTER+='|MapReduceShuffleTimingHistograms'
 ENGINE_FILTER+='|Arena|ColumnChunks|KeyInterner|ReduceGroups|ScatterPartitions'
 run_ctest "$BUILD_DIR" "$ENGINE_FILTER"
@@ -134,9 +134,10 @@ run_ctest "$OTHER_BUILD_DIR" "$ENGINE_FILTER"
 # signed overflow, which UBSan aborts on. The kernel's exactness tests (its loop boundaries and
 # the largest admitted M), the block screen's edge test and the rounding
 # tests are named in the filter so that renaming them fails this script. The generator rides along
-# (simd::GaussianFill loads eight row keys and stores eight entries per
-# vector group, with scalar tails, and MeasurementMatrix builds its row key
-# table lazily), with the Box–Muller and Rng suites of random_test.
+# (simd::GaussianFill loads eight or sixteen row keys and stores as many
+# entries per vector group, with scalar tails, and MeasurementMatrix builds
+# its row key table lazily), with the Box–Muller and Rng suites of
+# random_test; its cross-level tests are named in the filter too.
 PHI0_BUILD_DIR="${PHI0_BUILD_DIR:-$ROOT/build-address-undefinedsan-phi0}"
 cmake -B "$PHI0_BUILD_DIR" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -145,7 +146,7 @@ cmake --build "$PHI0_BUILD_DIR" -j "$(nproc)" --target \
   simd_test measurement_matrix_test random_test
 PHI0_FILTER='CounterGaussian|BoxMuller|RngTest|Simd|MeasurementMatrix'
 PHI0_FILTER+='|SharedMatrix|ScreenedArgmax|IntegerScreenDot|ScreenColumns'
-PHI0_FILTER+='|BlockScreen|Quantize|Int8AxpyKernels'
+PHI0_FILTER+='|BlockScreen|Quantize|Int8AxpyKernels|GaussianFill'
 run_ctest "$PHI0_BUILD_DIR" "$PHI0_FILTER"
 
 # SIMD kernel + batch sketching tests again under the same sanitizer, but

@@ -770,6 +770,142 @@ CSOD_AVX512 void ScreenColumnsAvx512(const int8_t* cols, size_t m,
   ScreenColumnsPortable(cols + j * m, m, count - j, rho, out + j);
 }
 
+// ---------------------------------------------------------------------------
+// The generator, eight Box–Muller pairs wide: the AVX2 form line for line.
+// The 64-bit multiply is one vpmullq, the exact integer-to-double
+// conversions are one vcvtuqq2pd (exact for v ≤ 2^53), and the lane selects
+// are mask blends. Floating-point lines keep box_muller::'s order; with
+// -ffp-contract=off each compiles to one correctly rounded vector
+// instruction, as on the other paths.
+// ---------------------------------------------------------------------------
+
+CSOD_AVX512 inline __m512i Srl64(__m512i v, unsigned shift) {
+  return _mm512_maskz_srli_epi64(kAllLanes8, v, shift);
+}
+CSOD_AVX512 inline __m512i Sll64(__m512i v, unsigned shift) {
+  return _mm512_maskz_slli_epi64(kAllLanes8, v, shift);
+}
+CSOD_AVX512 inline __m512i Set64(uint64_t v) {
+  return _mm512_set1_epi64(static_cast<int64_t>(v));
+}
+
+CSOD_AVX512 inline __m512i SplitMix64x8(__m512i z) {
+  z = _mm512_add_epi64(z, Set64(0x9e3779b97f4a7c15ULL));
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, Srl64(z, 30)),
+                         Set64(0xbf58476d1ce4e5b9ULL));
+  z = _mm512_mullo_epi64(_mm512_xor_si512(z, Srl64(z, 27)),
+                         Set64(0x94d049bb133111ebULL));
+  return _mm512_xor_si512(z, Srl64(z, 31));
+}
+
+// box_muller::LogOpenUnit, lane-wise.
+CSOD_AVX512 inline __m512d LogOpenUnit8(__m512i w) {
+  using namespace box_muller;
+  const __m512d x =
+      _mm512_cvtepu64_pd(_mm512_add_epi64(Srl64(w, 11), Set64(1)));
+  const __m512i bits = _mm512_castpd_si512(x);
+  __m512d k = _mm512_cvtepu64_pd(Srl64(bits, 52)) - kExponentOffset;
+  __m512d m = _mm512_castsi512_pd(_mm512_or_si512(
+      _mm512_and_si512(bits, Set64(kMantissaMask)), Set64(kOneBits)));
+  const __mmask8 halve =
+      _mm512_cmp_pd_mask(m, _mm512_set1_pd(kSqrt2), _CMP_GT_OQ);
+  m = _mm512_mask_blend_pd(halve, m, m * 0.5);
+  k = k + _mm512_maskz_mov_pd(halve, _mm512_set1_pd(1.0));
+  const __m512d f = m - 1.0;
+  const __m512d s = f / (2.0 + f);
+  const __m512d z = s * s;
+  const __m512d z2 = z * z;
+  const __m512d t1 = z2 * (kLg2 + z2 * (kLg4 + z2 * kLg6));
+  const __m512d t2 = z * (kLg1 + z2 * (kLg3 + z2 * (kLg5 + z2 * kLg7)));
+  const __m512d r = t2 + t1;
+  const __m512d hfsq = 0.5 * f * f;
+  return k * kLn2Hi - ((hfsq - (s * (hfsq + r) + k * kLn2Lo)) - f);
+}
+
+// box_muller::SinCosTurn, lane-wise; the swap is a mask blend, the signs
+// are sign-bit masks.
+CSOD_AVX512 inline void SinCosTurn8(__m512i w, __m512d* cos_out,
+                                    __m512d* sin_out) {
+  using namespace box_muller;
+  const __m512i one = Set64(1);
+  const __m512i octant = Srl64(w, 61);
+  const __m512i reflect = Srl64(
+      _mm512_sub_epi64(_mm512_setzero_si512(), _mm512_and_si512(octant, one)),
+      12);
+  const __m512i t = _mm512_xor_si512(Srl64(Sll64(w, 3), 12), reflect);
+  const __m512d x =
+      _mm512_cvtepu64_pd(_mm512_or_si512(Sll64(t, 1), one)) * kQuarterPiUlp;
+  const __m512d z = x * x;
+  const __m512d sr = kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6)));
+  const __m512d sin_x = x + (z * x) * (kS1 + z * sr);
+  const __m512d cr =
+      z * (kC1 + z * (kC2 + z * (kC3 + z * (kC4 + z * (kC5 + z * kC6)))));
+  const __m512d hz = 0.5 * z;
+  const __m512d head = 1.0 - hz;
+  const __m512d cos_x = head + (((1.0 - head) - hz) + z * cr);
+  // Bit 1 of octant + 1: octants 1, 2, 5, 6.
+  const __mmask8 swap =
+      _mm512_test_epi64_mask(_mm512_add_epi64(octant, one), Set64(2));
+  const __m512d c = _mm512_mask_blend_pd(swap, cos_x, sin_x);
+  const __m512d s = _mm512_mask_blend_pd(swap, sin_x, cos_x);
+  // Bit 0 of (octant + 2) >> 2, resp. octant >> 2, moved to the sign bit.
+  const __m512i cos_sign =
+      Sll64(Srl64(_mm512_add_epi64(octant, Set64(2)), 2), 63);
+  const __m512i sin_sign = Sll64(Srl64(octant, 2), 63);
+  *cos_out = _mm512_xor_pd(c, _mm512_castsi512_pd(cos_sign));
+  *sin_out = _mm512_xor_pd(s, _mm512_castsi512_pd(sin_sign));
+}
+
+CSOD_AVX512 void GaussianFillAvx512(uint64_t seed, const uint64_t* keys,
+                                    size_t count, double* out) {
+  const __m512i vseed = Set64(seed);
+  // vpermt2q indices: lane l of the result takes lane idx[l] of k0 (0..7)
+  // or of k1 (8..15).
+  const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+  const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+  const __m512i lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+  const __m512i hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+  size_t i = 0;
+  for (; i + 16 <= count; i += 16) {
+    const __m512i k0 = _mm512_loadu_si512(keys + i);
+    const __m512i k1 = _mm512_loadu_si512(keys + i + 8);
+    // Pairs 0..7 in lanes 0..7: w1 their radius words (even keys), w2 their
+    // angle words (odd keys).
+    const __m512i w1 = SplitMix64x8(
+        _mm512_xor_si512(vseed, _mm512_permutex2var_epi64(k0, even, k1)));
+    const __m512i w2 = SplitMix64x8(
+        _mm512_xor_si512(vseed, _mm512_permutex2var_epi64(k0, odd, k1)));
+    const __m512d radius =
+        _mm512_maskz_sqrt_pd(kAllLanes8, -2.0 * LogOpenUnit8(w1));
+    __m512d c;
+    __m512d s;
+    SinCosTurn8(w2, &c, &s);
+    const __m512d g0 = radius * c;
+    const __m512d g1 = radius * s;
+    _mm512_storeu_pd(out + i, _mm512_permutex2var_pd(g0, lo, g1));
+    _mm512_storeu_pd(out + i + 8, _mm512_permutex2var_pd(g0, hi, g1));
+  }
+  GaussianFillAvx2(seed, keys + i, count - i, out + i);
+}
+
+// QuantizeEntry eight lanes wide: the AVX2 clamp, then vcvtpd2dq with
+// round-to-nearest-even encoded in the instruction (exact, since the clamped
+// value fits int32), then vpmovdb, a no-op narrowing on values within ±127.
+CSOD_AVX512 void QuantizeAvx512(const double* g, size_t n, int8_t* out) {
+  const __m512d bound = _mm512_set1_pd(kMaxAbsInt8Entry);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m512d x = _mm512_loadu_pd(g + i) * kInt8StepsPerUnit;
+    x = _mm512_maskz_max_pd(kAllLanes8,
+                            _mm512_maskz_min_pd(kAllLanes8, x, bound), -bound);
+    const __m256i words = _mm512_maskz_cvt_roundpd_epi32(
+        kAllLanes8, x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
+                     _mm256_maskz_cvtepi32_epi8(kAllLanes8, words));
+  }
+  QuantizePortable(g + i, n - i, out + i);
+}
+
 #undef CSOD_AVX512
 
 #endif  // CSOD_SIMD_X86
@@ -832,7 +968,7 @@ Level SetLevelForTesting(Level level) {
 // Dispatch. The double and int8 overloads of a kernel forward to one
 // template per ISA path, so the two forms cannot drift apart. A kernel with
 // no AVX-512 form runs its AVX2 form at kAvx512; CSOD_SIMD_DISPATCH512
-// dispatches the four that have one.
+// dispatches the six that have one.
 #if CSOD_SIMD_X86
 #define CSOD_SIMD_DISPATCH(kernel, ...)                      \
   (ActiveLevel() >= Level::kAvx2 ? kernel##Avx2(__VA_ARGS__) \
@@ -914,10 +1050,10 @@ void Scale(double* v, double s, size_t n) {
 
 void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
                   double* out) {
-  CSOD_SIMD_DISPATCH(GaussianFill, seed, keys, count, out);
+  CSOD_SIMD_DISPATCH512(GaussianFill, seed, keys, count, out);
 }
 void Quantize(const double* g, size_t n, int8_t* out) {
-  CSOD_SIMD_DISPATCH(Quantize, g, n, out);
+  CSOD_SIMD_DISPATCH512(Quantize, g, n, out);
 }
 
 void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,

@@ -56,8 +56,9 @@ enum class Level {
   kPortable = 0,  ///< Fixed-8-lane scalar kernels (any platform).
   kAvx2 = 1,      ///< AVX2 4-wide double kernels (x86-64, no FMA).
   /// AVX-512 (F, BW, DQ, VL): the int8 `Axpy`, `Axpy4` and `Axpy8` run
-  /// eight rows per register and `ScreenColumns` 32 entries per step; every
-  /// other kernel runs its AVX2 form.
+  /// eight rows per register, `ScreenColumns` 32 entries per step,
+  /// `GaussianFill` eight pairs per register and `Quantize` eight entries;
+  /// every other kernel runs its AVX2 form.
   kAvx512 = 2,
 };
 
@@ -190,8 +191,9 @@ inline constexpr double kInt8StepsPerUnit = 16.0;
 /// both bounds are integers; the clamp acts only for |g| ≥ 7.96875, which a
 /// standard normal reaches with probability ~10⁻¹⁵. Adding and subtracting
 /// 1.5·2^52 rounds any |x| ≤ 2^51 to an integer, ties to even, in IEEE
-/// double arithmetic, so no libm call is involved. Quantize's AVX2 path
-/// rounds with vroundpd instead, to the same integers.
+/// double arithmetic, so no libm call is involved. Quantize's vector paths
+/// round to the same integers by instruction: vroundpd on AVX2, vcvtpd2dq
+/// with round-to-nearest-even encoded in it (then vpmovdb) on AVX-512.
 inline int8_t QuantizeEntry(double g) {
   double x = g * kInt8StepsPerUnit;
   const double bound = kMaxAbsInt8Entry;
@@ -199,7 +201,7 @@ inline int8_t QuantizeEntry(double g) {
   return static_cast<int8_t>((x + 0x1.8p52) - 0x1.8p52);
 }
 
-/// out[i] = QuantizeEntry(g[i]) for i in [0, n), on either path.
+/// out[i] = QuantizeEntry(g[i]) for i in [0, n), on every path.
 void Quantize(const double* g, size_t n, int8_t* out);
 
 /// \brief The counter Gaussian generator (CounterGaussian::Fill's kernel).
@@ -209,11 +211,15 @@ void Quantize(const double* g, size_t n, int8_t* out);
 /// keys[2p + 1])), stored as the double g or as the int8 QuantizeEntry(g).
 /// `keys` holds `count` rounded up to a whole pair (CounterGaussian::Keys);
 /// an odd count writes only the last pair's first variate. Every operation
-/// of the transform is IEEE-exact and FMA-free, and the AVX2 path runs the
+/// of the transform is IEEE-exact and FMA-free. The AVX2 path runs the
 /// scalar sequence four pairs wide, with the 64-bit SplitMix64 multiply
 /// built from 32-bit products and the 53-bit integer-to-double conversion
-/// done in two exact halves — so both paths write identical bits. Vector loads and stores
-/// touch only whole groups of four pairs; tails are scalar.
+/// done in two exact halves; the AVX-512 path runs it eight pairs wide,
+/// with one vpmullq per multiply and one vcvtuqq2pd (exact for v ≤ 2^53)
+/// per conversion. So every path writes identical bits. Vector loads and
+/// stores touch only whole groups of eight or sixteen entries; an AVX-512
+/// call hands its last count % 16 entries to the AVX2 path, and that path
+/// its last count % 8 to the scalar one.
 void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,
                   double* out);
 void GaussianFill(uint64_t seed, const uint64_t* keys, size_t count,

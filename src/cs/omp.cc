@@ -50,12 +50,9 @@ Result<OmpResult> RunOmp(const Dictionary& dictionary,
   std::vector<double> residual = y;
   std::vector<bool> selected_mask(num_atoms, false);
   std::vector<double> atom(m);
-  // Buffers reused across iterations: the projection update used to
-  // reallocate an M-vector twice per iteration (qr.Project return +
-  // la::Subtract return); with the in-place variants the loop allocates
-  // nothing of size M or N.
-  std::vector<double> projection(m);
-  std::vector<double> qty_scratch;
+  // proj(y, Φs), kept across iterations (statement 6); with the in-place
+  // residual update the loop allocates nothing of size M or N.
+  std::vector<double> projection(m, 0.0);
 
   bool done = false;
   while (!done && result.iterations < iteration_cap) {
@@ -90,8 +87,12 @@ Result<OmpResult> RunOmp(const Dictionary& dictionary,
       selected_mask[best] = true;
       result.selected.push_back(best);
 
-      // Statement 6: r <- y - proj(y, Φs).
-      CSOD_RETURN_NOT_OK(qr.ProjectInto(y, &qty_scratch, &projection));
+      // Statement 6: r <- y - proj(y, Φs). An append leaves Q's earlier
+      // columns as they were, so the projection grows by one term,
+      // (q_newᵀy)·q_new. Adding it to the kept sum repeats qr.Project(y)'s
+      // per-element additions in its order, so the bits are the same.
+      const std::vector<double>& q_new = qr.q(qr.size() - 1);
+      la::Axpy(la::Dot(q_new, y), q_new, &projection);
       la::SubtractInto(y, projection, &residual);
       // Computed once per iteration and reused for the trajectory, the
       // telemetry histogram, the tolerance check, and the stagnation check

@@ -46,38 +46,22 @@ Result<double> IncrementalQr::AppendColumn(const std::vector<double>& a) {
 
 Result<std::vector<double>> IncrementalQr::ApplyQTransposed(
     const std::vector<double>& y) const {
-  std::vector<double> out;
-  CSOD_RETURN_NOT_OK(ApplyQTransposedInto(y, &out));
-  return out;
-}
-
-Status IncrementalQr::ApplyQTransposedInto(const std::vector<double>& y,
-                                           std::vector<double>* out) const {
   if (y.size() != m_) {
     return Status::InvalidArgument("ApplyQTransposed: vector size " +
                                    std::to_string(y.size()) + " != m " +
                                    std::to_string(m_));
   }
-  out->resize(q_.size());
-  for (size_t i = 0; i < q_.size(); ++i) (*out)[i] = Dot(q_[i], y);
-  return Status::OK();
+  std::vector<double> out(q_.size());
+  for (size_t i = 0; i < q_.size(); ++i) out[i] = Dot(q_[i], y);
+  return out;
 }
 
 Result<std::vector<double>> IncrementalQr::Project(
     const std::vector<double>& y) const {
-  std::vector<double> qty;
-  std::vector<double> out;
-  CSOD_RETURN_NOT_OK(ProjectInto(y, &qty, &out));
+  CSOD_ASSIGN_OR_RETURN(const std::vector<double> qty, ApplyQTransposed(y));
+  std::vector<double> out(m_, 0.0);
+  for (size_t i = 0; i < q_.size(); ++i) Axpy(qty[i], q_[i], &out);
   return out;
-}
-
-Status IncrementalQr::ProjectInto(const std::vector<double>& y,
-                                  std::vector<double>* qty_scratch,
-                                  std::vector<double>* out) const {
-  CSOD_RETURN_NOT_OK(ApplyQTransposedInto(y, qty_scratch));
-  out->assign(m_, 0.0);
-  for (size_t i = 0; i < q_.size(); ++i) Axpy((*qty_scratch)[i], q_[i], out);
-  return Status::OK();
 }
 
 Result<std::vector<double>> IncrementalQr::SolveLeastSquares(

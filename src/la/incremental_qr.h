@@ -41,20 +41,11 @@ class IncrementalQr {
   Result<std::vector<double>> ApplyQTransposed(
       const std::vector<double>& y) const;
 
-  /// `Q^T y` written into `out` (resized to size()) without allocating.
-  Status ApplyQTransposedInto(const std::vector<double>& y,
-                              std::vector<double>* out) const;
-
-  /// Projection of `y` onto the column space: `Q Q^T y` (size m).
+  /// Projection of `y` onto the column space: `Q Q^T y` (size m), summed as
+  /// `0 + (q_0ᵀy)·q_0 + ... + (q_{r-1}ᵀy)·q_{r-1}` in column order. An
+  /// append never changes the earlier columns, so a caller that adds
+  /// `Axpy(Dot(q(r), y), q(r), ·)` after each append holds these bits.
   Result<std::vector<double>> Project(const std::vector<double>& y) const;
-
-  /// Project without allocating: `out` receives Q Q^T y (resized to m) and
-  /// `qty_scratch` receives Q^T y (resized to size()). The allocation-free
-  /// form the OMP iteration loop uses — it calls Project once per selected
-  /// atom with buffers reused across iterations.
-  Status ProjectInto(const std::vector<double>& y,
-                     std::vector<double>* qty_scratch,
-                     std::vector<double>* out) const;
 
   /// Least-squares solve: coefficients `z` (size r) minimizing
   /// `||A z - y||_2`, via `R z = Q^T y` back-substitution.

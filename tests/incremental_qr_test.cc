@@ -1,6 +1,8 @@
 #include "la/incremental_qr.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -58,6 +60,31 @@ TEST(IncrementalQrTest, ProjectionOrthogonalComplement) {
   auto proj = qr.Project({0, 5, 0});
   ASSERT_TRUE(proj.ok());
   EXPECT_NEAR(Norm2(proj.Value()), 0.0, 1e-14);
+}
+
+// RunOmp keeps its projection across appends and adds one term per atom;
+// that sum must be Project(y) bit for bit after every append.
+TEST(IncrementalQrTest, RunningProjectionEqualsProjectBitwise) {
+  for (size_t m : {size_t{256}, size_t{600}}) {
+    Rng rng(m);
+    const std::vector<double> y = RandomVector(m, &rng);
+    IncrementalQr qr(m);
+    std::vector<double> running(m, 0.0);
+    for (size_t k = 1; k <= 40; ++k) {
+      auto norm = qr.AppendColumn(RandomVector(m, &rng));
+      ASSERT_TRUE(norm.ok());
+      ASSERT_GT(norm.Value(), 0.0);
+      const std::vector<double>& q_new = qr.q(qr.size() - 1);
+      Axpy(Dot(q_new, y), q_new, &running);
+      auto proj = qr.Project(y);
+      ASSERT_TRUE(proj.ok());
+      for (size_t i = 0; i < m; ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(running[i]),
+                  std::bit_cast<uint64_t>(proj.Value()[i]))
+            << "m=" << m << " k=" << k << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(IncrementalQrTest, LeastSquaresExactSolve) {

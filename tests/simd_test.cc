@@ -514,9 +514,12 @@ TEST(SimdTest, ScreenColumnsMatchesInt64ReferenceAtEveryBoundary) {
 // int8 form). Odd counts end on half a pair; counts above 8 reach the scalar
 // tail after the 8-position AVX2 groups.
 TEST(SimdTest, GaussianFillIsBitIdenticalAcrossLevels) {
+  // 1…33 reach the 16-entry AVX-512 body, the 8-entry AVX2 rest, the scalar
+  // tail and the odd count's half pair in every combination; 511…513 cross
+  // the int8 form's 256-entry block.
   std::vector<size_t> counts;
-  for (size_t n = 1; n <= 17; ++n) counts.push_back(n);
-  for (size_t n : {size_t{255}, size_t{256}, size_t{257}}) counts.push_back(n);
+  for (size_t n = 1; n <= 33; ++n) counts.push_back(n);
+  for (size_t n : {size_t{511}, size_t{512}, size_t{513}}) counts.push_back(n);
   const uint64_t seeds[] = {0, 5, 0x9e3779b97f4a7c15ULL, ~uint64_t{0}};
   for (uint64_t seed : seeds) {
     const CounterGaussian gen(seed);
@@ -609,11 +612,11 @@ TEST(SimdTest, GaussianFillEdgeWordsAreBitIdenticalAcrossLevels) {
   }
 }
 
-// Φ0's rounding, clamp(roundeven(16·g), ±127), on both levels and through
+// Φ0's rounding, clamp(roundeven(16·g), ±127), on every level and through
 // the scalar QuantizeEntry: ties k + 1/2 go to the even neighbour, the clamp
 // acts from |g| = 7.96875 (16·g = 127.5) on, and the largest variates the
 // generator can draw, |g| ≈ 8.57 at u = 2^-53, store ±127. Nineteen values
-// reach both the 8-wide groups and the scalar tail.
+// reach the vector groups and the scalar tail.
 TEST(SimdTest, QuantizeRoundsTiesToEvenAndClampsOnEveryLevel) {
   const std::vector<std::pair<double, int>> cases = {
       {0.5 / 16, 0},       {1.5 / 16, 2},      {2.5 / 16, 2},
@@ -636,6 +639,20 @@ TEST(SimdTest, QuantizeRoundsTiesToEvenAndClampsOnEveryLevel) {
     for (size_t i = 0; i < cases.size(); ++i) {
       EXPECT_EQ(out[i], cases[i].second)
           << "g=" << g[i] << " level=" << LevelName(ActiveLevel());
+    }
+    // Exact-length buffers 0…17, each starting at a different case, reach
+    // the 8-wide vector groups and the scalar tail, and let a sanitizer see
+    // any read or write past the end.
+    for (size_t n = 0; n <= 17; ++n) {
+      std::vector<double> in(n);
+      std::vector<int8_t> exact(n);
+      for (size_t i = 0; i < n; ++i) in[i] = g[(i + n) % g.size()];
+      Quantize(in.data(), n, exact.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(exact[i], QuantizeEntry(in[i]))
+            << "n=" << n << " i=" << i
+            << " level=" << LevelName(ActiveLevel());
+      }
     }
   }
 
